@@ -87,10 +87,11 @@ func BenchmarkSimulatorCycleRate(b *testing.B) {
 			o.Trace = trace.New(1 << 14)
 		})
 	})
-	// Intra-run parallelism. Speedup needs real cores: on a multi-core
-	// machine the fan-out subtests should beat serial on the
-	// multi-kernel mix; on one core they measure the fan-out overhead
-	// instead (Workers=1, PartWorkers=1 resolve to the serial step).
+	// Intra-run parallelism. The unsuffixed subtests above run the
+	// default engine, which is the serial loop; the fan-out subtests
+	// below lose to it on every host measured so far (a cycle is a few
+	// microseconds of work against three hand-offs), and on one core
+	// they measure the fan-out overhead alone.
 	// -serial pins both fan-outs to 1; -parallel fans out the SM phase
 	// only; -partparallel the memory partitions only; -pipelined both,
 	// which additionally overlaps the memory side of cycle N with the SM
@@ -163,9 +164,11 @@ func engineRate(t *testing.T, workers, partWorkers int, cycles int64) (float64, 
 
 // TestEngineBenchGate is the CI perf-regression gate (set BENCH_SMOKE=1
 // to run it): allocs/cycle on the 2kernelCKE mix must not regress past
-// the pooled-engine budget, and on a real multi-core host the pipelined
-// engine must beat serial. The speedup assertion is skipped when
-// GOMAXPROCS < 4 — with one core the fan-out cannot win, only cost.
+// the pooled-engine budget, and the engine a caller gets by default
+// (Workers = PartWorkers = 0) must not be slower than the serial loop on
+// the machine the gate runs on, whatever its core count. The second leg
+// never skips: a default that resolves to a fan-out which loses to
+// serial on this host — the state PR 9 shipped — fails here.
 func TestEngineBenchGate(t *testing.T) {
 	if os.Getenv("BENCH_SMOKE") == "" {
 		t.Skip("set BENCH_SMOKE=1 to run the engine perf gate")
@@ -180,19 +183,18 @@ func TestEngineBenchGate(t *testing.T) {
 			allocs, allocBudget)
 	}
 
-	if p := runtime.GOMAXPROCS(0); p < 4 {
-		t.Logf("GOMAXPROCS=%d: skipping the speedup assertion (needs >= 4 real cores)", p)
-		return
+	// Best of three alternating runs per leg: a noisy neighbour slows a
+	// run down, nothing speeds one up.
+	var serial, def float64
+	for i := 0; i < 3; i++ {
+		s, _ := engineRate(t, 1, 1, gateCycles)
+		d, _ := engineRate(t, 0, 0, gateCycles)
+		serial, def = max(serial, s), max(def, d)
 	}
-	// Warm once to populate kernel/profile-independent process state,
-	// then compare medians-of-one: CI noise is absorbed by the generous
-	// 1.2x bar (the multi-core target in results/BENCH_engine.json is
-	// 1.5x).
-	serial, _ := engineRate(t, 1, 1, gateCycles)
-	piped, _ := engineRate(t, 0, 0, gateCycles)
-	t.Logf("serial %.0f cycles/sec, pipelined %.0f cycles/sec (%.2fx)", serial, piped, piped/serial)
-	if piped < 1.2*serial {
-		t.Errorf("pipelined engine %.0f cycles/sec vs serial %.0f: speedup %.2fx < 1.2x on %d cores",
-			piped, serial, piped/serial, runtime.GOMAXPROCS(0))
+	t.Logf("GOMAXPROCS=%d: serial %.0f cycles/sec, default %.0f cycles/sec (%.2fx)",
+		runtime.GOMAXPROCS(0), serial, def, def/serial)
+	if def < 0.95*serial {
+		t.Errorf("default engine %.0f cycles/sec vs serial %.0f: %.2fx < 0.95x on %d cores",
+			def, serial, def/serial, runtime.GOMAXPROCS(0))
 	}
 }

@@ -21,13 +21,12 @@ type Profiling struct {
 	BlockProfile string
 	MutexProfile string
 	// Workers is the per-run SM tick fan-out passed to the engine
-	// (gpu.Options.Workers): 0 = GOMAXPROCS, 1 = serial. Results are
-	// byte-identical for any value.
+	// (gpu.Options.Workers): 0 or 1 = serial. Results are byte-identical
+	// for any value.
 	Workers int
 	// PartWorkers is the memory-side fan-out (gpu.Options.PartWorkers):
-	// L2+DRAM partitions ticked concurrently within each cycle. 0 =
-	// GOMAXPROCS capped at the partition count, 1 = serial. Results are
-	// byte-identical for any value.
+	// L2+DRAM partitions ticked concurrently within each cycle. 0 or 1 =
+	// serial. Results are byte-identical for any value.
 	PartWorkers int
 	// PhaseTrace enables the engine's per-phase wall-clock counters
 	// (gpu.Options.PhaseTime) and prints a phase breakdown at exit.
@@ -47,9 +46,9 @@ func AddProfileFlags(fs *flag.FlagSet) *Profiling {
 	fs.StringVar(&p.MutexProfile, "mutexprofile", "",
 		"write a mutex contention profile to this file at exit")
 	fs.IntVar(&p.Workers, "workers", 0,
-		"SM-tick goroutines per simulation cycle (0 = GOMAXPROCS, 1 = serial; results are identical)")
+		"SM-tick goroutines per simulation cycle (0 or 1 = serial; results are identical)")
 	fs.IntVar(&p.PartWorkers, "part-workers", 0,
-		"memory-partition goroutines per simulation cycle (0 = GOMAXPROCS capped at partitions, 1 = serial; results are identical)")
+		"memory-partition goroutines per simulation cycle (0 or 1 = serial, capped at partitions; results are identical)")
 	fs.BoolVar(&p.PhaseTrace, "phasetrace", false,
 		"measure per-phase engine time and print a breakdown at exit")
 	return p

@@ -8,6 +8,8 @@
 package dram
 
 import (
+	"math"
+
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/ring"
@@ -43,6 +45,12 @@ type Channel struct {
 	queue        []pending
 	busBusyUntil int64
 	resp         ring.Ring[response]
+	// idleUntil <= busyUntil of the bank of every queued request: before
+	// that cycle neither FR-FCFS scan can pick anything, so Tick skips
+	// both. Derived (a bank's busyUntil only moves forward; Push lowers
+	// the bound, a scan that finds nothing makes it exact) and not part
+	// of Snapshot: Restore resets it to 0, which is always valid.
+	idleUntil int64
 
 	// Pool, when non-nil, receives served store requests (stores need no
 	// response, so the channel is their final owner). Set by the GPU.
@@ -75,12 +83,16 @@ func (c *Channel) Push(r *mem.Request, cycle int64) bool {
 	if !c.CanPush() {
 		return false
 	}
+	b := c.bankOf(r.LineAddr)
 	c.queue = append(c.queue, pending{
 		req:     r,
 		arrival: cycle,
-		bank:    int32(c.bankOf(r.LineAddr)),
+		bank:    int32(b),
 		row:     c.rowOf(r.LineAddr),
 	})
+	if c.banks[b].busyUntil < c.idleUntil {
+		c.idleUntil = c.banks[b].busyUntil
+	}
 	return true
 }
 
@@ -101,7 +113,7 @@ func (c *Channel) rowOf(lineAddr uint64) uint64 {
 
 // Tick issues at most one request per cycle using FR-FCFS.
 func (c *Channel) Tick(cycle int64) {
-	if len(c.queue) == 0 {
+	if len(c.queue) == 0 || cycle < c.idleUntil {
 		return
 	}
 	if c.resp.Len() >= c.cfg.ReturnQueue {
@@ -118,15 +130,21 @@ func (c *Channel) Tick(cycle int64) {
 	}
 	if pick < 0 {
 		// Then FCFS: oldest request whose bank is free.
+		soonest := int64(math.MaxInt64)
 		for i := range c.queue {
-			if c.banks[c.queue[i].bank].busyUntil <= cycle {
+			busy := c.banks[c.queue[i].bank].busyUntil
+			if busy <= cycle {
 				pick = i
 				break
 			}
+			if busy < soonest {
+				soonest = busy
+			}
 		}
-	}
-	if pick < 0 {
-		return
+		if pick < 0 {
+			c.idleUntil = soonest
+			return
+		}
 	}
 	p := c.queue[pick]
 	copy(c.queue[pick:], c.queue[pick+1:])

@@ -213,3 +213,55 @@ func TestPropertyAllLoadsComplete(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPropertyIdleSkipMatchesFullScan: the idle bound only ever skips
+// ticks whose FR-FCFS scans would have picked nothing. Two channels get
+// the same request stream; one has its bound cleared before every tick,
+// which forces both scans as before the bound existed. Every response
+// must come back in the same cycle on both.
+func TestPropertyIdleSkipMatchesFullScan(t *testing.T) {
+	f := func(lines []uint16, gaps []uint8) bool {
+		fast, full := New(testCfg(), 128), New(testCfg(), 128)
+		cycle := int64(0)
+		step := func() bool {
+			fast.Tick(cycle)
+			full.idleUntil = 0
+			full.Tick(cycle)
+			a, b := fast.PopResponse(cycle), full.PopResponse(cycle)
+			cycle++
+			return (a == nil) == (b == nil) && (a == nil || a.LineAddr == b.LineAddr)
+		}
+		for i, l := range lines {
+			// Mostly few banks and rows, so requests pile up behind busy
+			// banks and the bound has something to skip.
+			line := uint64(l%4)*2048 + uint64(l>>12)
+			kind := mem.Load
+			if l&0x100 != 0 {
+				kind = mem.Store
+			}
+			okA := fast.Push(&mem.Request{LineAddr: line, Kind: kind}, cycle)
+			okB := full.Push(&mem.Request{LineAddr: line, Kind: kind}, cycle)
+			if okA != okB {
+				return false
+			}
+			gap := 1
+			if i < len(gaps) {
+				gap += int(gaps[i] % 8)
+			}
+			for ; gap > 0; gap-- {
+				if !step() {
+					return false
+				}
+			}
+		}
+		for i := 0; i < 3000; i++ {
+			if !step() {
+				return false
+			}
+		}
+		return fast.Served == full.Served && fast.RowHits == full.RowHits && fast.QueueLen() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}

@@ -64,6 +64,7 @@ func (c *Channel) Restore(sn *Snapshot, cl *mem.Cloner) error {
 		})
 	}
 	c.busBusyUntil = sn.busBusyUntil
+	c.idleUntil = 0
 	c.resp.Restore(sn.resp, func(r response) response {
 		return response{req: cl.Request(r.req), readyAt: r.readyAt}
 	})

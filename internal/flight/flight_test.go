@@ -2,6 +2,8 @@ package flight
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,9 +32,13 @@ func TestDoDeduplicatesConcurrentCalls(t *testing.T) {
 			results[i] = v
 		}(i)
 	}
-	// Let every goroutine reach Do before the first call completes, so
-	// all of them must join the same in-flight execution.
-	for calls.Load() == 0 {
+	// Hold the leader inside fn until every other goroutine has joined
+	// its flight, so all of them must share the one execution. Waiting
+	// only for the first call to start is not enough: on a multi-core
+	// host the leader can finish and forget the key before the last
+	// goroutines reach Do, and they then rightly run fn again.
+	for waitersInDo() < n-1 {
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()
@@ -45,6 +51,36 @@ func TestDoDeduplicatesConcurrentCalls(t *testing.T) {
 			t.Fatalf("results[%d] = %d, want 42", i, v)
 		}
 	}
+}
+
+// waitersInDo counts the goroutines inside Do that wait on an in-flight
+// call. A goroutine only calls WaitGroup.Wait there after it has looked
+// the call up, so once it is counted it is certain to share the result.
+func waitersInDo() int {
+	recs := make([]runtime.StackRecord, 64)
+	n, ok := runtime.GoroutineProfile(recs)
+	for !ok {
+		recs = make([]runtime.StackRecord, 2*n)
+		n, ok = runtime.GoroutineProfile(recs)
+	}
+	waiters := 0
+	for _, rec := range recs[:n] {
+		frames := runtime.CallersFrames(rec.Stack())
+		inWait := false
+		for {
+			f, more := frames.Next()
+			if f.Function == "sync.(*WaitGroup).Wait" {
+				inWait = true
+			} else if inWait && strings.Contains(f.Function, "flight.(*Group") {
+				waiters++
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return waiters
 }
 
 func TestDoDistinctKeysRunIndependently(t *testing.T) {

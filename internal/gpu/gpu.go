@@ -14,7 +14,6 @@ package gpu
 import (
 	"fmt"
 	"reflect"
-	"runtime"
 	"sync"
 	"time"
 
@@ -78,17 +77,20 @@ type Options struct {
 	// Check enables the per-cycle invariant watchdog (see watchdog.go).
 	Check CheckConfig
 	// Workers sets how many goroutines tick SMs concurrently within one
-	// cycle (the response-delivery + SM-tick phase). 0 means GOMAXPROCS.
-	// Clamped to the SM count, and forced to 1 when the policy factories
-	// share a mutable instance across SMs (e.g. core.GlobalDMIL) — a
-	// shared limiter ticked from several goroutines would race. Any
-	// value produces byte-identical results: SMs are mutually
-	// independent within the parallel phase, and every cross-SM
-	// interaction happens in the serial phases in fixed SM-index order.
+	// cycle (the response-delivery + SM-tick phase). 0 means 1, the
+	// serial loop: a cycle is a few microseconds of work, and on every
+	// host measured the per-cycle hand-offs cost more than the fan-out
+	// saves (DESIGN.md §16). Clamped to the SM count, and forced to 1
+	// when the policy factories share a mutable instance across SMs
+	// (e.g. core.GlobalDMIL) — a shared limiter ticked from several
+	// goroutines would race. Any value produces byte-identical results:
+	// SMs are mutually independent within the parallel phase, and every
+	// cross-SM interaction happens in the serial phases in fixed
+	// SM-index order.
 	Workers int
 	// PartWorkers sets how many goroutines tick L2/DRAM partitions
-	// concurrently within one cycle. 0 means GOMAXPROCS, clamped to the
-	// partition count. Partitions are disjoint by address
+	// concurrently within one cycle. 0 means 1 (serial), as for Workers;
+	// clamped to the partition count. Partitions are disjoint by address
 	// (mem.PartitionOf) and each owns a private request pool, so any
 	// value is byte-identical to serial.
 	PartWorkers int
@@ -233,14 +235,11 @@ func New(cfg config.Config, descs []*kern.Desc, opts *Options) (*GPU, error) {
 	return g, nil
 }
 
-// effectiveWorkers resolves the Workers option: 0 defaults to
-// GOMAXPROCS, the result never exceeds the SM count, and any mutable
-// policy instance shared across SMs forces serial ticking.
+// effectiveWorkers resolves the Workers option: 0 means serial, the
+// result never exceeds the SM count, and any mutable policy instance
+// shared across SMs forces serial ticking.
 func effectiveWorkers(requested, numSMs int, policies [][3]any) int {
 	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
 	if w > numSMs {
 		w = numSMs
 	}
@@ -284,13 +283,10 @@ func anySharedPolicy(policies [][3]any) bool {
 	return false
 }
 
-// effectivePartWorkers resolves the PartWorkers option: 0 defaults to
-// GOMAXPROCS, clamped to the partition count.
+// effectivePartWorkers resolves the PartWorkers option: 0 means serial,
+// clamped to the partition count.
 func effectivePartWorkers(requested, numParts int) int {
 	w := requested
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
 	if w > numParts {
 		w = numParts
 	}

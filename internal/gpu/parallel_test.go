@@ -55,10 +55,12 @@ func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) (st
 		o.Check = gpu.CheckConfig{Enabled: true}
 	}
 	ckptHash := sha256.New()
+	skippedAtCkpt := 0
 	if w.ckpt {
 		o.Trace = trace.New(1 << 12)
 		o.CheckpointEvery = w.cycles / 3
 		o.Checkpoint = func(g *gpu.GPU, cycle int64) error {
+			skippedAtCkpt += skippedSchedulers(g)
 			sn, err := g.SnapshotCheckpoint()
 			if err != nil {
 				return err
@@ -74,6 +76,11 @@ func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) (st
 	res, err := gpu.Run(cfg, descs, o)
 	if err != nil {
 		t.Fatalf("%s workers=%d partWorkers=%d: %v", w.name, workers, partWorkers, err)
+	}
+	// The encoded bytes must not depend on derived index state, so at
+	// least one checkpoint has to land where the index is doing work.
+	if w.ckpt && skippedAtCkpt == 0 {
+		t.Fatalf("%s: no checkpoint fell on a cycle with a fully skipped scheduler; move CheckpointEvery", w.name)
 	}
 	js, err := json.Marshal(res)
 	if err != nil {

@@ -2,6 +2,7 @@ package gpu_test
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -50,8 +51,14 @@ func snapshotOpts(cfg *config.Config, descs []*kern.Desc, totalCycles int64, wor
 // never reaches into a taken snapshot (the copy-on-snapshot
 // discipline). Run under -race it additionally proves the restored
 // machine shares no storage with the snapshot source.
+//
+// The snapshot is taken on a cycle where the warp-readiness index lets
+// the issue stages skip at least one scheduler that has resident warps,
+// and the second restore lands in a machine that has already run, whose
+// derived indexes therefore hold another state's contents: a Restore
+// that forgot to rebuild them cannot produce the uninterrupted result.
 func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
-	const warm, cont = 4000, 4000
+	const total = 8000
 	for _, tc := range []struct {
 		name    string
 		kernels []string
@@ -68,7 +75,7 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 					descs = append(descs, getKernel(t, n))
 				}
 				// Reference: one uninterrupted run.
-				oA := snapshotOpts(&cfg, descs, warm+cont, workers, tc.full)
+				oA := snapshotOpts(&cfg, descs, total, workers, tc.full)
 				gA, err := gpu.New(cfg, descs, oA)
 				if err != nil {
 					t.Fatal(err)
@@ -78,22 +85,32 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 					t.Fatal(err)
 				}
 				refJS := marshalResult(t, gA)
-				var refSuffix string
-				if oA.Trace != nil {
-					refSuffix = renderSince(oA.Trace, warm)
-				}
 
-				// Snapshotted run: warm leg, snapshot, continue leg.
-				oB := snapshotOpts(&cfg, descs, warm+cont, workers, tc.full)
+				// Snapshotted run: warm leg up to the first cycle from
+				// 4000 on with a fully skipped scheduler, snapshot,
+				// continue leg.
+				oB := snapshotOpts(&cfg, descs, total, workers, tc.full)
 				gB, err := gpu.New(cfg, descs, oB)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer gB.Close()
 				legWarm := *oB
-				legWarm.Cycles = warm
-				if err := gB.RunCycles(&legWarm); err != nil {
-					t.Fatal(err)
+				legWarm.Cycles = 4000
+				for gB.Cycle() < 4000 || skippedSchedulers(gB) == 0 {
+					if gB.Cycle() >= total/2+500 {
+						t.Fatalf("no scheduler fully skipped in cycles 4000..%d; pick another workload", gB.Cycle())
+					}
+					if err := gB.RunCycles(&legWarm); err != nil {
+						t.Fatal(err)
+					}
+					legWarm.Cycles = 1
+				}
+				warm := gB.Cycle()
+				cont := total - warm
+				var refSuffix string
+				if oA.Trace != nil {
+					refSuffix = renderSince(oA.Trace, warm)
 				}
 				sn, err := gB.Snapshot()
 				if err != nil {
@@ -118,7 +135,7 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				// Restored run: a fresh machine seeded from the snapshot.
 				// gB has fully retired (and pool-poisoned) the requests
 				// that were in flight at the snapshot point by now.
-				oC := snapshotOpts(&cfg, descs, warm+cont, workers, tc.full)
+				oC := snapshotOpts(&cfg, descs, total, workers, tc.full)
 				gC, err := gpu.New(cfg, descs, oC)
 				if err != nil {
 					t.Fatal(err)
@@ -142,20 +159,29 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				}
 
 				// A second restore from the same snapshot must work too
-				// (one snapshot seeds many family members).
-				gD, err := gpu.New(cfg, descs, snapshotOpts(&cfg, descs, warm+cont, workers, tc.full))
+				// (one snapshot seeds many family members), here into a
+				// machine that has already run a different stretch.
+				oD := snapshotOpts(&cfg, descs, total, workers, tc.full)
+				oD.Trace = nil
+				gD, err := gpu.New(cfg, descs, oD)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer gD.Close()
+				legD := *oD
+				legD.Cycles = 1500
+				if err := gD.RunCycles(&legD); err != nil {
+					t.Fatal(err)
+				}
 				if err := gD.Restore(sn); err != nil {
 					t.Fatal(err)
 				}
-				legD := *oC
-				legD.Trace = nil
 				legD.Cycles = cont
 				if err := gD.RunCycles(&legD); err != nil {
 					t.Fatal(err)
+				}
+				if js := marshalResult(t, gD); js != refJS {
+					t.Fatalf("run restored into a used machine diverged from uninterrupted run\nref: %s\ngot: %s", refJS, js)
 				}
 			})
 		}
@@ -255,13 +281,39 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 	}
 }
 
-func marshalResult(t *testing.T, g *gpu.GPU) string {
+func marshalResult(t testing.TB, g *gpu.GPU) string {
 	t.Helper()
 	js, err := json.Marshal(g.Result())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return string(js)
+}
+
+// skippedSchedulers counts, over all SMs, the schedulers that hold
+// resident warps but that the warp-readiness index lets the compute
+// issue stage skip at the machine's current cycle: no compute candidate,
+// or every one still in its latency shadow. It reads the SM's
+// unexported index by reflection so the engine needs no accessor that
+// only tests would call.
+func skippedSchedulers(g *gpu.GPU) int {
+	const classCompute = 2
+	skipped := 0
+	for _, s := range g.SMs {
+		v := reflect.ValueOf(s).Elem()
+		scheds, ready := v.FieldByName("scheds"), v.FieldByName("ready")
+		for si := 0; si < scheds.Len(); si++ {
+			if scheds.Index(si).FieldByName("warps").Len() == 0 {
+				continue
+			}
+			r := ready.Index(si)
+			if r.FieldByName("n").Index(classCompute).Int() == 0 ||
+				r.FieldByName("earliest").Index(classCompute).Int() > g.Cycle() {
+				skipped++
+			}
+		}
+	}
+	return skipped
 }
 
 // renderSince renders the buffered trace events at or after cycle.

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/icnt"
 	"repro/internal/sm"
 )
 
@@ -70,6 +71,16 @@ func (w *watchdog) check(g *GPU) error {
 		if got := part.l2.MissQueueLen(); got > g.cfg.L2.MissQueue {
 			return &sm.InvariantError{Cycle: c, SM: -1, Kernel: -1, Rule: "l2-missq-occupancy",
 				Detail: fmt.Sprintf("partition %d: miss queue holds %d entries, capacity %d", p, got, g.cfg.L2.MissQueue)}
+		}
+	}
+
+	for _, x := range [...]struct {
+		name string
+		net  *icnt.Network
+	}{{"request", g.reqNet}, {"response", g.respNet}} {
+		if err := x.net.CheckIndex(); err != nil {
+			return &sm.InvariantError{Cycle: c, SM: -1, Kernel: -1, Rule: "icnt-head-index",
+				Detail: fmt.Sprintf("%s network: %v", x.name, err)}
 		}
 	}
 

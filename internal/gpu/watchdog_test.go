@@ -3,7 +3,10 @@ package gpu_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/config"
 	"repro/internal/core"
@@ -153,5 +156,66 @@ func TestRunCyclesInterrupt(t *testing.T) {
 	}
 	if err := g2.RunCycles(opts2); err != nil {
 		t.Fatalf("uninterrupted run errored: %v", err)
+	}
+}
+
+// unexported returns a pointer to the unexported field path under v (a
+// pointer to a struct), following pointers and indexing element 0 of
+// slices on the way. The index-corruption test below reaches into the
+// engine this way so the production packages need no corruption seam.
+func unexported(v reflect.Value, path ...string) unsafe.Pointer {
+	for _, name := range path {
+		for v.Kind() == reflect.Pointer {
+			v = v.Elem()
+		}
+		v = v.FieldByName(name)
+		if v.Kind() == reflect.Slice {
+			v = v.Index(0)
+		}
+	}
+	return unsafe.Pointer(v.UnsafeAddr())
+}
+
+// TestWatchdogNamesStaleIndex corrupts the derived indexes mid-run — the
+// SM's warp-readiness index, the crossbar's head-destination counts —
+// and requires the watchdog to stop the run on the very next cycle with
+// the rule that names the index. Without the rule a stale index is
+// silent: the warp or port it hides simply never issues again.
+func TestWatchdogNamesStaleIndex(t *testing.T) {
+	const corruptAt = 3_000
+	for _, tc := range []struct {
+		rule    string
+		sm      int
+		corrupt func(g *gpu.GPU)
+	}{
+		{"ready-index", 1, func(g *gpu.GPU) {
+			// cand[classMem]: the SM-wide memory-candidate count.
+			cand := (*[3]int)(unexported(reflect.ValueOf(g.SMs[1]), "cand"))
+			cand[1]++
+		}},
+		{"icnt-head-index", -1, func(g *gpu.GPU) {
+			(*atomic.Int32)(unexported(reflect.ValueOf(g), "respNet", "wanted")).Add(1)
+		}},
+	} {
+		t.Run(tc.rule, func(t *testing.T) {
+			cfg, descs, opts := watchdogWorkload(t)
+			cfg = config.Scaled(2)
+			opts.Quota = gpu.UniformQuota(cfg.NumSMs, core.EvenQuota(&cfg, descs))
+			opts.Check = gpu.CheckConfig{Enabled: true}
+			opts.HookInterval = corruptAt
+			opts.Hook = func(g *gpu.GPU, cycle int64) {
+				if cycle == corruptAt {
+					tc.corrupt(g)
+				}
+			}
+			_, err := gpu.Run(cfg, descs, opts)
+			var ie *sm.InvariantError
+			if !errors.As(err, &ie) {
+				t.Fatalf("stale index not detected: err=%v", err)
+			}
+			if ie.Rule != tc.rule || ie.SM != tc.sm || ie.Cycle != corruptAt+1 {
+				t.Fatalf("violation = %+v, want rule %s sm %d at cycle %d", ie, tc.rule, tc.sm, corruptAt+1)
+			}
+		})
 	}
 }

@@ -13,6 +13,9 @@
 package icnt
 
 import (
+	"fmt"
+	"sync/atomic"
+
 	"repro/internal/config"
 	"repro/internal/mem"
 	"repro/internal/ring"
@@ -61,6 +64,13 @@ type Network struct {
 	// run single-threaded at the engine's barrier.
 	inStage []ring.Ring[delivered]
 	popped  []int
+	// wanted[dst] counts the sources whose head packet targets dst, so
+	// Tick visits only ports somebody is waiting on. Derived from outQ:
+	// maintained in Push and at grant, rebuilt by Restore, not part of
+	// Snapshot. Atomic because distinct sources may Push packets for one
+	// destination from distinct goroutines (the partition workers on the
+	// response network); Tick never overlaps a Push.
+	wanted []atomic.Int32
 
 	// TransferredFlits counts total flits moved (utilization statistic).
 	TransferredFlits uint64
@@ -77,6 +87,7 @@ func New(cfg config.Icnt, nSrc, nDst int) *Network {
 		nSrc:     nSrc,
 		nDst:     nDst,
 		outQ:     make([]ring.Ring[Packet], nSrc),
+		wanted:   make([]atomic.Int32, nDst),
 		rr:       make([]int, nDst),
 		portFree: make([]int64, nDst),
 		inQ:      make([]ring.Ring[delivered], nDst),
@@ -102,6 +113,9 @@ func (n *Network) Push(src int, p Packet) bool {
 	if !n.CanPush(src) {
 		return false
 	}
+	if n.outQ[src].Empty() {
+		n.wanted[p.Dst].Add(1)
+	}
 	n.outQ[src].Push(p)
 	return true
 }
@@ -117,19 +131,25 @@ func (n *Network) Tick(cycle int64) {
 		fpc = 1
 	}
 	for dst := 0; dst < n.nDst; dst++ {
-		if n.portFree[dst] > cycle {
+		if n.wanted[dst].Load() == 0 || n.portFree[dst] > cycle {
 			continue
 		}
 		budget := fpc
 		for budget > 0 && n.inCount[dst] < n.inCap {
-			start := n.rr[dst]
+			// The scan ends once it has seen every source waiting on
+			// this port; a grant may expose another packet for it.
+			waiting := int(n.wanted[dst].Load())
+			src := n.rr[dst] - 1
 			granted := false
-			for i := 0; i < n.nSrc; i++ {
-				src := (start + i) % n.nSrc
+			for i := 0; i < n.nSrc && waiting > 0; i++ {
+				if src++; src == n.nSrc {
+					src = 0
+				}
 				q := &n.outQ[src]
 				if q.Empty() || q.Peek().Dst != dst {
 					continue
 				}
+				waiting--
 				p := q.Peek()
 				if p.Flits > budget && budget < fpc {
 					// Does not fit in what remains of this cycle;
@@ -137,6 +157,10 @@ func (n *Network) Tick(cycle int64) {
 					continue
 				}
 				q.Pop()
+				n.wanted[dst].Add(-1)
+				if !q.Empty() {
+					n.wanted[q.Peek().Dst].Add(1)
+				}
 				var readyAt int64
 				if p.Flits <= budget {
 					budget -= p.Flits
@@ -203,6 +227,24 @@ func (n *Network) CommitDeliveries() {
 			n.inQ[dst].Push(st.Pop())
 		}
 	}
+}
+
+// CheckIndex compares the head-destination counts with a recount from
+// the injection queues (the invariant watchdog's crossbar rule).
+func (n *Network) CheckIndex() error {
+	recount := make([]int, n.nDst)
+	for src := range n.outQ {
+		if q := &n.outQ[src]; !q.Empty() {
+			recount[q.Peek().Dst]++
+		}
+	}
+	for dst, want := range recount {
+		if got := int(n.wanted[dst].Load()); got != want {
+			return fmt.Errorf("destination %d: indexed %d sources with a head packet for it, recount %d",
+				dst, got, want)
+		}
+	}
+	return nil
 }
 
 // Pending reports the number of packets queued or in flight toward dst.

@@ -194,13 +194,16 @@ func TestPropertyConservation(t *testing.T) {
 			tick(n, cycle)
 			drain()
 			cycle++
+			if n.CheckIndex() != nil {
+				return false
+			}
 		}
 		for i := 0; i < 200; i++ {
 			tick(n, cycle)
 			drain()
 			cycle++
 		}
-		return delivered == pushed
+		return delivered == pushed && n.CheckIndex() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -214,5 +217,58 @@ func TestFlitHelpers(t *testing.T) {
 	}
 	if got := CtrlFlits(cfg); got != 1 {
 		t.Fatalf("CtrlFlits = %d, want 1", got)
+	}
+}
+
+// TestCheckIndexMatchesRecount: the head-destination counts follow
+// Push and grants exactly, Restore rebuilds them, and CheckIndex names a
+// count that drifted.
+func TestCheckIndexMatchesRecount(t *testing.T) {
+	cfg := testCfg()
+	n := New(cfg, 4, 4)
+	check := func(when string) {
+		t.Helper()
+		if err := n.CheckIndex(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+	}
+	check("empty")
+	// Two sources head for port 1, one for port 3; source 0 queues a
+	// second packet for port 2 behind its head.
+	n.Push(0, Packet{Req: &mem.Request{}, Dst: 1, Flits: 1})
+	n.Push(0, Packet{Req: &mem.Request{}, Dst: 2, Flits: 1})
+	n.Push(1, Packet{Req: &mem.Request{}, Dst: 1, Flits: 1})
+	n.Push(2, Packet{Req: &mem.Request{}, Dst: 3, Flits: 1})
+	check("after pushes")
+	if got := n.wanted[1].Load(); got != 2 {
+		t.Fatalf("wanted[1] = %d, want 2", got)
+	}
+	if got := n.wanted[2].Load(); got != 0 {
+		t.Fatalf("wanted[2] = %d, want 0 (packet is not at the head)", got)
+	}
+	for c := int64(0); c < 4; c++ {
+		tick(n, c)
+		check("after tick")
+	}
+	if got := n.PendingRequests(); got != 4 {
+		t.Fatalf("%d packets in the network, want all 4 granted and in flight", got)
+	}
+
+	n.Push(3, Packet{Req: &mem.Request{}, Dst: 0, Flits: 1})
+	sn := n.Snapshot(mem.NewCloner())
+	m := New(cfg, 4, 4)
+	if err := m.Restore(sn, mem.NewCloner()); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckIndex(); err != nil {
+		t.Fatalf("restored network: %v", err)
+	}
+	if got := m.wanted[0].Load(); got != 1 {
+		t.Fatalf("restored wanted[0] = %d, want 1", got)
+	}
+
+	n.wanted[0].Add(1)
+	if err := n.CheckIndex(); err == nil {
+		t.Fatal("drifted count not detected")
 	}
 }

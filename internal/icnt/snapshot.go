@@ -59,11 +59,17 @@ func (n *Network) Restore(sn *Snapshot, cl *mem.Cloner) error {
 		return fmt.Errorf("icnt: restore: snapshot is %dx%d ports, network is %dx%d",
 			len(sn.outQ), len(sn.inQ), len(n.outQ), len(n.inQ))
 	}
+	for i := range n.wanted {
+		n.wanted[i].Store(0)
+	}
 	for i := range n.outQ {
 		n.outQ[i].Restore(sn.outQ[i], func(p Packet) Packet {
 			p.Req = cl.Request(p.Req)
 			return p
 		})
+		if !n.outQ[i].Empty() {
+			n.wanted[n.outQ[i].Peek().Dst].Add(1)
+		}
 	}
 	copy(n.rr, sn.rr)
 	copy(n.portFree, sn.portFree)

@@ -161,14 +161,13 @@ type Runner struct {
 	// Run; explicit job sessions keep their own Check setting.
 	Check bool
 	// EngineWorkers is the cycle engine's intra-run SM-tick fan-out for
-	// sessions the runner derives (gcke.Session.Workers). Leave 0 to
-	// let the engine default to GOMAXPROCS; set 1 when the runner's own
-	// job-level pool already saturates the machine, so jobs do not
-	// oversubscribe cores. Set it before the first Run.
+	// sessions the runner derives (gcke.Session.Workers). 0 means 1, the
+	// serial loop; a larger value multiplies with the runner's own
+	// job-level pool. Set it before the first Run.
 	EngineWorkers int
 	// EnginePartWorkers is the engine's memory-side fan-out for derived
 	// sessions (gcke.Session.PartWorkers): L2+DRAM partitions ticked
-	// concurrently within each cycle. Same budget considerations as
+	// concurrently within each cycle. 0 means serial, as for
 	// EngineWorkers. Set it before the first Run.
 	EnginePartWorkers int
 	// PhaseTime enables per-phase engine wall-clock counters on derived

@@ -112,16 +112,14 @@ type Config struct {
 	// session.
 	Check bool
 	// EngineWorkers is the cycle engine's intra-run SM-tick fan-out for
-	// each executing job. The worker budget is shared with the job-level
-	// pool: when 0, it defaults to GOMAXPROCS/Workers (min 1), so
-	// Workers slots x EngineWorkers goroutines never oversubscribe the
-	// machine. Results are byte-identical for any value.
+	// each executing job (gpu.Options.Workers). 0 means what it means to
+	// the engine: the serial loop. Results are byte-identical for any
+	// value.
 	EngineWorkers int
 	// EnginePartWorkers is the engine's memory-side fan-out per job
-	// (L2+DRAM partitions ticked concurrently within a cycle). When 0
-	// it follows the resolved EngineWorkers, keeping the per-job
-	// goroutine budget the one EngineWorkers was sized for. Results are
-	// byte-identical for any value.
+	// (gpu.Options.PartWorkers: L2+DRAM partitions ticked concurrently
+	// within a cycle). 0 means serial. Results are byte-identical for
+	// any value.
 	EnginePartWorkers int
 	// PhaseTrace enables the engine's per-phase wall-clock counters on
 	// every derived session; /statz then reports the process-wide
@@ -176,15 +174,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
-	}
-	if c.EngineWorkers <= 0 {
-		c.EngineWorkers = runtime.GOMAXPROCS(0) / c.Workers
-		if c.EngineWorkers < 1 {
-			c.EngineWorkers = 1
-		}
-	}
-	if c.EnginePartWorkers <= 0 {
-		c.EnginePartWorkers = c.EngineWorkers
 	}
 	if c.RetryBudgetRatio == 0 {
 		c.RetryBudgetRatio = 0.1
@@ -1064,8 +1053,8 @@ func (s *Server) StatsSnapshot() Stats {
 		QueueWaitP95Ms:    float64(s.waits.Percentile(0.95)) / 1e6,
 		QueueWaitP99Ms:    float64(s.waits.Percentile(0.99)) / 1e6,
 
-		EngineWorkers:     s.cfg.EngineWorkers,
-		EnginePartWorkers: s.cfg.EnginePartWorkers,
+		EngineWorkers:     max(s.cfg.EngineWorkers, 1),
+		EnginePartWorkers: max(s.cfg.EnginePartWorkers, 1),
 		LatencyEWMAMs:     float64(s.latEWMA.Load()) / 1e6,
 		RetryAfterHintMs:  s.retryAfterHint().Milliseconds(),
 	}

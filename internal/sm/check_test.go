@@ -119,3 +119,65 @@ func TestCheckInvariantsSurfacesPolicyViolation(t *testing.T) {
 		t.Fatalf("detail lost: %q", ie.Detail)
 	}
 }
+
+// TestCheckInvariantsDetectsStaleReadyIndex corrupts each part of the
+// warp-readiness index mid-run and requires the ready-index rule to
+// name it: a stale index is the bug class the issue stages cannot see
+// themselves (a warp filtered out by mistake simply never issues).
+func TestCheckInvariantsDetectsStaleReadyIndex(t *testing.T) {
+	// residentOf returns a warp slot of the given class and its scheduler.
+	residentOf := func(t *testing.T, s *SM, c warpClass) (int, int) {
+		t.Helper()
+		for si := range s.scheds {
+			for _, slot := range s.scheds[si].warps {
+				if s.wClass[slot] == c {
+					return slot, si
+				}
+			}
+		}
+		t.Fatalf("no resident warp of class %d after warm-up", c)
+		return -1, -1
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(t *testing.T, s *SM)
+	}{
+		{"warp class", func(t *testing.T, s *SM) {
+			slot, _ := residentOf(t, s, classBlocked)
+			s.wClass[slot] = classCompute
+		}},
+		{"scheduler count", func(t *testing.T, s *SM) {
+			_, si := residentOf(t, s, classCompute)
+			s.ready[si].n[classCompute]--
+		}},
+		{"sm total", func(t *testing.T, s *SM) { s.cand[classMem]++ }},
+		{"earliest bound", func(t *testing.T, s *SM) {
+			slot, si := residentOf(t, s, classCompute)
+			s.ready[si].earliest[classCompute] = s.warps[slot].ReadyAt + 1
+		}},
+		{"free slot", func(t *testing.T, s *SM) {
+			s.wClass[s.freeWarps[0]] = classMem
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := computeKernel()
+			m := memKernel()
+			s, _ := newSM(t, []*kern.Desc{&c, &m}, []int{2, 2})
+			pm := &perfectMem{lat: 40}
+			const warm = 600
+			for cycle := int64(0); cycle < warm; cycle++ {
+				pm.tick(s, cycle)
+				s.Tick(cycle)
+			}
+			if err := s.CheckInvariants(warm); err != nil {
+				t.Fatalf("healthy SM flagged: %v", err)
+			}
+			tc.corrupt(t, s)
+			err := s.CheckInvariants(warm)
+			var ie *InvariantError
+			if !errors.As(err, &ie) || ie.Rule != "ready-index" || ie.SM != 0 || ie.Cycle != warm {
+				t.Fatalf("stale index not attributed to ready-index: %v", err)
+			}
+		})
+	}
+}

@@ -16,6 +16,7 @@ package sm
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -28,6 +29,9 @@ import (
 )
 
 const noBarrier = ^uint64(0)
+
+// never is a cycle no run reaches.
+const never = math.MaxInt64
 
 // Warp is one resident warp.
 type Warp struct {
@@ -103,15 +107,22 @@ type SM struct {
 
 	warps []Warp
 	// Cold per-warp state lives in parallel arrays indexed by warp slot,
-	// keeping Warp small: the schedulers scan every resident Warp each
-	// cycle, while the address-generator state and per-warp RNG are only
-	// touched on the one slot that actually issues.
+	// keeping Warp small: the schedulers read the Warp of every issue
+	// candidate each cycle, while the address-generator state and per-warp
+	// RNG are only touched on the one slot that actually issues.
 	wAddr []kern.AddrState
 	wRNG  []xrand.Source
 
 	freeWarps []int
 	tbs       []tbSlot
 	scheds    []scheduler
+
+	// The readiness index (ready.go), derived from the warp state above:
+	// per-slot class, per-scheduler counts and earliest-ReadyAt bounds,
+	// and the SM-wide candidate count per class.
+	wClass []warpClass
+	ready  []schedReady
+	cand   [numClasses]int
 
 	tbCount     []int
 	tbLaunched  []uint64
@@ -205,6 +216,8 @@ func New(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
 		wRNG:       make([]xrand.Source, cfg.SM.MaxWarps),
 		tbs:        make([]tbSlot, cfg.SM.MaxTBs),
 		scheds:     make([]scheduler, cfg.SM.Schedulers),
+		wClass:     make([]warpClass, cfg.SM.MaxWarps),
+		ready:      make([]schedReady, cfg.SM.Schedulers),
 		tbCount:    make([]int, n),
 		tbLaunched: make([]uint64, n),
 		inflight:   make([]int, n),
@@ -214,6 +227,10 @@ func New(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
 		gate:       gate,
 		rng:        xrand.New(seed ^ (uint64(id)+1)*0xA24BAED4963EE407),
 	}
+	// One memory-issue candidate per kernel at most.
+	s.candKernels = make([]int, 0, n)
+	s.candWarps = make([]int, n)
+	s.candAges = make([]int64, n)
 	if s.memPolicy == nil {
 		s.memPolicy = NopMemPolicy{}
 	}
@@ -279,6 +296,8 @@ func (s *SM) Drain() {
 			w.doneIssuing = true
 			if w.outN == 0 {
 				s.finalizeWarp(i)
+			} else {
+				s.reclass(i)
 			}
 		}
 	}
@@ -343,6 +362,8 @@ func (s *SM) onTokenDone(t *mem.InstrToken) {
 	w.removeBarrier(t.BarrierIdx)
 	if w.doneIssuing && w.outN == 0 {
 		s.finalizeWarp(t.Warp)
+	} else {
+		s.reclass(t.Warp)
 	}
 }
 
@@ -406,6 +427,7 @@ func (s *SM) launchTB(k, slot, wpt int, cycle int64) {
 		s.schedAssign++
 		w.SchedID = int8(sched)
 		s.scheds[sched].warps = append(s.scheds[sched].warps, slotW)
+		s.reclass(slotW)
 		tb.warps = append(tb.warps, slotW)
 	}
 	s.threadsUsed += d.ThreadsPerTB
@@ -421,6 +443,7 @@ func (s *SM) finalizeWarp(slotW int) {
 	w := &s.warps[slotW]
 	w.Active = false
 	w.Gen++
+	s.reclass(slotW)
 	sched := &s.scheds[w.SchedID]
 	for i, x := range sched.warps {
 		if x == slotW {
@@ -486,22 +509,28 @@ func (s *SM) readyForMem(w *Warp, cycle int64) bool {
 // naturally monopolizes the LSU, the starvation the paper's Section 3.2
 // targets. BMI policies override the choice among kernels.
 func (s *SM) issueMem(cycle int64) int {
-	if !s.lsuFree() {
+	if !s.lsuFree() || s.cand[classMem] == 0 {
 		return -1
 	}
 	s.candKernels = s.candKernels[:0]
-	s.candWarps = s.candWarps[:0]
-	s.candAges = s.candAges[:0]
 	nk := len(s.descs)
 	for si := range s.scheds {
 		sc := &s.scheds[si]
-		if sc.issuedAt == cycle {
+		r := &s.ready[si]
+		if sc.issuedAt == cycle || r.n[classMem] == 0 || r.earliest[classMem] > cycle {
 			continue
 		}
 		var seenHere uint64 // kernels already found in this scheduler
 		found := 0
+		soonest := int64(never)
 		for _, slotW := range sc.warps {
+			if s.wClass[slotW] != classMem {
+				continue
+			}
 			w := &s.warps[slotW]
+			if w.ReadyAt < soonest {
+				soonest = w.ReadyAt
+			}
 			k := int(w.Kernel)
 			if seenHere&(1<<uint(k)) != 0 {
 				continue
@@ -513,33 +542,48 @@ func (s *SM) issueMem(cycle int64) int {
 			// ready warp of each kernel is its oldest here.
 			seenHere |= 1 << uint(k)
 			found++
-			idx := -1
-			for i, ck := range s.candKernels {
-				if ck == k {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				s.candKernels = append(s.candKernels, k)
-				s.candWarps = append(s.candWarps, slotW)
-				s.candAges = append(s.candAges, w.age)
-			} else if w.age < s.candAges[idx] {
-				s.candWarps[idx] = slotW
-				s.candAges[idx] = w.age
-			}
+			s.addMemCandidate(k, slotW, w.age)
 			if found == nk {
 				break
 			}
 		}
+		if found == 0 {
+			// Every memory candidate of the scheduler was visited.
+			r.earliest[classMem] = soonest
+		}
 	}
+	return s.issueMemCandidate(cycle)
+}
+
+// addMemCandidate records the ready memory warp in slotW as kernel k's
+// candidate of this cycle unless an older one is already recorded.
+// Truncating candKernels starts a cycle's collection.
+func (s *SM) addMemCandidate(k, slotW int, age int64) {
+	for i, ck := range s.candKernels {
+		if ck == k {
+			if age < s.candAges[i] {
+				s.candWarps[i] = slotW
+				s.candAges[i] = age
+			}
+			return
+		}
+	}
+	s.candWarps[len(s.candKernels)] = slotW
+	s.candAges[len(s.candKernels)] = age
+	s.candKernels = append(s.candKernels, k)
+}
+
+// issueMemCandidate lets the memory-issue policy choose among the
+// collected per-kernel candidates and issues the winner's instruction
+// into the LSU. It returns the scheduler that issued, or -1.
+func (s *SM) issueMemCandidate(cycle int64) int {
 	if len(s.candKernels) == 0 {
 		return -1
 	}
 	pick := 0
 	if len(s.candKernels) > 1 {
 		if _, isNop := s.memPolicy.(NopMemPolicy); isNop {
-			for i := 1; i < len(s.candAges); i++ {
+			for i := 1; i < len(s.candKernels); i++ {
 				if s.candAges[i] < s.candAges[pick] {
 					pick = i
 				}
@@ -615,10 +659,13 @@ func (s *SM) advanceWarp(slot int, cycle int64) {
 		w.doneIssuing = true
 		if w.outN == 0 {
 			s.finalizeWarp(slot)
+		} else {
+			s.reclass(slot)
 		}
 		return
 	}
 	w.NextKind, w.pos = d.NextKind(w.pos, &s.wRNG[slot])
+	s.reclass(slot)
 }
 
 // readyForCompute reports whether warp w can issue an ALU/SFU
@@ -651,6 +698,9 @@ func (s *SM) readyForCompute(w *Warp, cycle int64, aluLeft, sfuLeft int) bool {
 
 // issueCompute runs each scheduler's compute-issue slot.
 func (s *SM) issueCompute(cycle int64, memScheduler int) {
+	if s.cand[classCompute] == 0 {
+		return
+	}
 	aluLeft := s.cfg.SM.ALUPorts
 	sfuLeft := s.cfg.SM.SFUPorts
 	lrr := s.cfg.SM.Scheduler == config.LRR
@@ -659,11 +709,12 @@ func (s *SM) issueCompute(cycle int64, memScheduler int) {
 			continue
 		}
 		sc := &s.scheds[si]
-		if sc.issuedAt == cycle || len(sc.warps) == 0 {
+		r := &s.ready[si]
+		if sc.issuedAt == cycle || r.n[classCompute] == 0 || r.earliest[classCompute] > cycle {
 			continue
 		}
 		picked := -1
-		if !lrr && sc.lastIssued >= 0 {
+		if !lrr && sc.lastIssued >= 0 && s.wClass[sc.lastIssued] == classCompute {
 			w := &s.warps[sc.lastIssued]
 			if int(w.SchedID) == si && s.readyForCompute(w, cycle, aluLeft, sfuLeft) {
 				picked = sc.lastIssued
@@ -675,9 +726,16 @@ func (s *SM) issueCompute(cycle int64, memScheduler int) {
 			if lrr {
 				start = sc.rrPos % n
 			}
+			soonest := int64(never)
 			for i := 0; i < n; i++ {
 				slotW := sc.warps[(start+i)%n]
+				if s.wClass[slotW] != classCompute {
+					continue
+				}
 				w := &s.warps[slotW]
+				if w.ReadyAt < soonest {
+					soonest = w.ReadyAt
+				}
 				if s.readyForCompute(w, cycle, aluLeft, sfuLeft) {
 					picked = slotW
 					if lrr {
@@ -686,51 +744,59 @@ func (s *SM) issueCompute(cycle int64, memScheduler int) {
 					break
 				}
 			}
-		}
-		if picked < 0 {
-			continue
-		}
-		w := &s.warps[picked]
-		k := int(w.Kernel)
-		switch w.NextKind {
-		case kern.ALU:
-			aluLeft--
-			s.ALUIssued++
-			s.K[k].ALUInstrs++
-			w.ReadyAt = cycle + int64(s.cfg.SM.ALULat)
-		case kern.SFU:
-			sfuLeft--
-			s.SFUIssued++
-			s.K[k].SFUInstrs++
-			w.ReadyAt = cycle + int64(s.cfg.SM.SFULat)
-		case kern.Smem:
-			d := s.descs[k]
-			// A bank conflict serializes the access over extra cycles
-			// (degree 2..SmemBanks/4, drawn per access).
-			busy := int64(1)
-			if d.SmemConflictProb > 0 && s.wRNG[picked].Bool(d.SmemConflictProb) {
-				maxDeg := s.cfg.SM.SmemBanks / 4
-				if maxDeg < 2 {
-					maxDeg = 2
-				}
-				busy = int64(2 + s.wRNG[picked].Intn(maxDeg-1))
+			if picked < 0 {
+				// Every compute candidate of the scheduler was visited.
+				r.earliest[classCompute] = soonest
+				continue
 			}
-			s.smemBusyUntil = cycle + busy
-			s.K[k].SmemInstrs++
-			w.ReadyAt = cycle + int64(s.cfg.SM.SmemLat) + busy - 1
 		}
-		s.K[k].Instrs++
-		if s.seriesOn {
-			s.seriesIssued[k][cycle/stats.SeriesInterval]++
-		}
-		s.gate.OnIssue(k)
-		if s.Trace != nil {
-			s.Trace.Add(trace.Event{Cycle: cycle, Kind: trace.IssueCompute, SM: int8(s.ID), Kernel: int8(k), Warp: int16(picked)})
-		}
-		sc.issuedAt = cycle
-		sc.lastIssued = picked
-		s.advanceWarp(picked, cycle)
+		s.issueComputeWarp(sc, picked, cycle, &aluLeft, &sfuLeft)
 	}
+}
+
+// issueComputeWarp issues the ALU/SFU/shared-memory instruction of the
+// warp scheduler sc picked, charging the port it occupies.
+func (s *SM) issueComputeWarp(sc *scheduler, picked int, cycle int64, aluLeft, sfuLeft *int) {
+	w := &s.warps[picked]
+	k := int(w.Kernel)
+	switch w.NextKind {
+	case kern.ALU:
+		*aluLeft--
+		s.ALUIssued++
+		s.K[k].ALUInstrs++
+		w.ReadyAt = cycle + int64(s.cfg.SM.ALULat)
+	case kern.SFU:
+		*sfuLeft--
+		s.SFUIssued++
+		s.K[k].SFUInstrs++
+		w.ReadyAt = cycle + int64(s.cfg.SM.SFULat)
+	case kern.Smem:
+		d := s.descs[k]
+		// A bank conflict serializes the access over extra cycles
+		// (degree 2..SmemBanks/4, drawn per access).
+		busy := int64(1)
+		if d.SmemConflictProb > 0 && s.wRNG[picked].Bool(d.SmemConflictProb) {
+			maxDeg := s.cfg.SM.SmemBanks / 4
+			if maxDeg < 2 {
+				maxDeg = 2
+			}
+			busy = int64(2 + s.wRNG[picked].Intn(maxDeg-1))
+		}
+		s.smemBusyUntil = cycle + busy
+		s.K[k].SmemInstrs++
+		w.ReadyAt = cycle + int64(s.cfg.SM.SmemLat) + busy - 1
+	}
+	s.K[k].Instrs++
+	if s.seriesOn {
+		s.seriesIssued[k][cycle/stats.SeriesInterval]++
+	}
+	s.gate.OnIssue(k)
+	if s.Trace != nil {
+		s.Trace.Add(trace.Event{Cycle: cycle, Kind: trace.IssueCompute, SM: int8(s.ID), Kernel: int8(k), Warp: int16(picked)})
+	}
+	sc.issuedAt = cycle
+	sc.lastIssued = picked
+	s.advanceWarp(picked, cycle)
 }
 
 // lsuTick services one coalesced request against the L1D.

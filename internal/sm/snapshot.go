@@ -6,8 +6,9 @@
 // cannot corrupt it.
 //
 // Deliberately NOT captured: the Pool (a restored SM refills its own),
-// the Trace buffer (an external observer, not engine state), warmLines
-// and the scratch buffers (derived/transient), and the issue policies —
+// the Trace buffer (an external observer, not engine state), warmLines,
+// the readiness index (derived; Restore rebuilds it) and the scratch
+// buffers (transient), and the issue policies —
 // policy objects may hold cross-SM shared state the cloner cannot see,
 // so the GPU layer refuses to snapshot while stateful policies are
 // installed and reinstalls them after restore (see gpu.InstallPolicies).
@@ -190,6 +191,7 @@ func (s *SM) Restore(sn *Snapshot, cl *mem.Cloner) error {
 		}
 	}
 	*s.rng = sn.rng
+	s.rebuildReady()
 	return nil
 }
 

@@ -42,13 +42,13 @@ type Session struct {
 	Check bool
 	// Workers sets the cycle engine's intra-run parallelism (per-cycle
 	// SM tick fan-out) for every run started through this session. 0
-	// defaults to GOMAXPROCS; results are byte-identical for any value.
+	// means 1, the serial loop; results are byte-identical for any value.
 	// Set it before sharing the Session.
 	Workers int
 	// PartWorkers sets the memory-side fan-out: L2+DRAM partitions ticked
-	// concurrently within each cycle (gpu.Options.PartWorkers). 0 defaults
-	// to GOMAXPROCS capped at the partition count; results are
-	// byte-identical for any value. Set it before sharing the Session.
+	// concurrently within each cycle (gpu.Options.PartWorkers). 0 means 1
+	// (serial); results are byte-identical for any value. Set it before
+	// sharing the Session.
 	PartWorkers int
 	// PhaseTime enables per-phase wall-clock counters on every run
 	// (gpu.Options.PhaseTime); read the totals via gpu.PhaseTotals. Set it
