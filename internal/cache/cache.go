@@ -18,6 +18,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/config"
 	"repro/internal/mem"
@@ -130,10 +131,10 @@ func (s KernelStats) RsFailRate() float64 {
 
 // Cache is one cache instance.
 type Cache struct {
-	cfg     config.Cache
-	sets    int
-	setMask uint64
-	lines   []line // sets*ways, row-major by set
+	cfg      config.Cache
+	setMask  uint64
+	setShift uint   // log2(sets): the xor-index fold distance
+	lines    []line // sets*ways, row-major by set
 
 	mshrMap  map[uint64]*mshrEntry
 	mshrFree int
@@ -160,6 +161,7 @@ type Cache struct {
 	// UCP way partition: quota[k] = ways kernel k may occupy per set.
 	// nil means unpartitioned.
 	quota []int
+	occ   []int // victim's per-kernel occupancy scratch under UCP
 
 	// bypass[k]: kernel k's load misses skip allocation and go below
 	// (Section 4.5's cache bypassing).
@@ -178,18 +180,22 @@ func New(cfg config.Cache, numKernels int) *Cache {
 	sets := cfg.Sets()
 	c := &Cache{
 		cfg:        cfg,
-		sets:       sets,
 		setMask:    uint64(sets - 1),
+		setShift:   log2(sets),
 		lines:      make([]line, sets*cfg.Ways),
 		mshrMap:    make(map[uint64]*mshrEntry, cfg.MSHRs),
 		mshrFree:   cfg.MSHRs,
 		missQCap:   cfg.MissQueue,
 		wbQCap:     8,
+		occ:        make([]int, numKernels),
 		numKernels: numKernels,
 		Stats:      make([]KernelStats, numKernels),
 	}
 	return c
 }
+
+// log2 returns the smallest b with 1<<b >= n, for n >= 1.
+func log2(n int) uint { return uint(bits.Len(uint(n - 1))) }
 
 // setIndex maps a line address to a set, with optional xor folding of
 // higher address bits (the "xor-indexing" of Table 1), which spreads
@@ -198,13 +204,7 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 	if !c.cfg.XORIndex {
 		return int(lineAddr & c.setMask)
 	}
-	h := lineAddr
-	bits := uint(0)
-	for 1<<bits < c.sets {
-		bits++
-	}
-	h ^= lineAddr >> bits
-	h ^= lineAddr >> (2 * bits)
+	h := lineAddr ^ lineAddr>>c.setShift ^ lineAddr>>(2*c.setShift)
 	return int(h & c.setMask)
 }
 
@@ -236,7 +236,8 @@ func (c *Cache) victim(set int, k int) int {
 	}
 	// UCP enforcement: if kernel k is within its quota, evict from a
 	// kernel that exceeds its quota; otherwise evict k's own LRU line.
-	occ := make([]int, c.numKernels)
+	occ := c.occ
+	clear(occ)
 	for w := 0; w < c.cfg.Ways; w++ {
 		ln := &c.lines[base+w]
 		if ln.valid || ln.reserved {

@@ -14,10 +14,10 @@ import "repro/internal/config"
 // counters. As in the UCP paper, the monitor observes every access the
 // kernel makes as if it owned the whole cache.
 type UMON struct {
-	ways    int
-	sets    int
-	setMask uint64
-	xor     bool
+	ways     int
+	setMask  uint64
+	setShift uint // log2(sets), as in Cache.setIndex
+	xor      bool
 	// tags[k][set*ways+w], ordered most- to least-recently used per set.
 	tags  [][]uint64
 	valid [][]bool
@@ -31,8 +31,8 @@ func NewUMON(cfg config.Cache, numKernels int) *UMON {
 	sets := cfg.Sets()
 	u := &UMON{
 		ways:     cfg.Ways,
-		sets:     sets,
 		setMask:  uint64(sets - 1),
+		setShift: log2(sets),
 		xor:      cfg.XORIndex,
 		tags:     make([][]uint64, numKernels),
 		valid:    make([][]bool, numKernels),
@@ -51,11 +51,7 @@ func (u *UMON) setIndex(lineAddr uint64) int {
 	if !u.xor {
 		return int(lineAddr & u.setMask)
 	}
-	bits := uint(0)
-	for 1<<bits < u.sets {
-		bits++
-	}
-	h := lineAddr ^ (lineAddr >> bits) ^ (lineAddr >> (2 * bits))
+	h := lineAddr ^ (lineAddr >> u.setShift) ^ (lineAddr >> (2 * u.setShift))
 	return int(h & u.setMask)
 }
 

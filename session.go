@@ -26,8 +26,10 @@ import (
 // A Session is safe for concurrent use: the profile caches are guarded
 // by a mutex and concurrent requests for the same uncached profile are
 // deduplicated, so exactly one profiling simulation runs per (kernel,
-// occupancy) point no matter how many workers need it. Cached results
-// are shared and must be treated as immutable by callers. The only
+// occupancy) point no matter how many workers need it; workers that
+// need the same points share them out instead of queuing (see
+// claimProfiles). Cached results are shared and must be treated as
+// immutable by callers. The only
 // exception is ProfileCycles, which must be set before the Session is
 // shared across goroutines.
 type Session struct {
@@ -75,6 +77,10 @@ type Session struct {
 	serieFlight flight.Group[string, *stats.RunResult]
 	ipcFlight   flight.Group[string, float64]
 	snapFlight  flight.Group[string, *gpu.Snapshot]
+
+	// onProfile, when set (by tests), is called on the simulating
+	// goroutine before every isolated profile simulation.
+	onProfile func(ctx context.Context, kernel string, tbs int)
 
 	// Fork observability (read via ForkStats, exported by /statz).
 	forksTaken    atomic.Int64
@@ -130,6 +136,32 @@ func wrapInterrupt(ctx context.Context, err error) error {
 	return err
 }
 
+// shared runs fn through g under key. With wait it is g.Do — the caller
+// gets the result whoever simulates it; without, it is g.TryDo — a key
+// another goroutine is simulating is left to it and the zero value
+// returned at once (the claim pass of claimProfiles). fn must consult
+// the cache first: it runs again after an interruption.
+//
+// A shared simulation runs under its leader's ctx, so a leader that is
+// cancelled hands gpu.ErrInterrupted to every waiter. Nothing
+// interrupted is ever cached; a caller whose own ctx is still live
+// claims the point again and, if it is free by then, leads it.
+func shared[V any](ctx context.Context, g *flight.Group[string, V], key string, wait bool, fn func() (V, error)) (V, error) {
+	for {
+		var v V
+		var err error
+		if wait {
+			v, err = g.Do(key, fn)
+		} else {
+			v, _, err = g.TryDo(key, fn)
+		}
+		if errors.Is(err, gpu.ErrInterrupted) && (ctx == nil || ctx.Err() == nil) {
+			continue
+		}
+		return v, err
+	}
+}
+
 // RunIsolated simulates kernel d alone at full occupancy and caches the
 // result.
 func (s *Session) RunIsolated(d Kernel) (*RunResult, error) {
@@ -139,31 +171,10 @@ func (s *Session) RunIsolated(d Kernel) (*RunResult, error) {
 // RunIsolatedCtx is RunIsolated honouring ctx cancellation. Profile
 // simulations are deduplicated across goroutines, so a run started on
 // behalf of several waiters is interrupted only when the leader's ctx
-// is cancelled; interrupted results are never cached, so a later call
-// simply re-runs the profile.
+// is cancelled; interrupted results are never cached, and a waiter
+// whose own ctx is live re-runs the profile.
 func (s *Session) RunIsolatedCtx(ctx context.Context, d Kernel) (*RunResult, error) {
-	s.mu.Lock()
-	r, ok := s.isoRun[d.Name]
-	s.mu.Unlock()
-	if ok {
-		return r, nil
-	}
-	return s.runFlight.Do(d.Name, func() (*stats.RunResult, error) {
-		s.mu.Lock()
-		r, ok := s.isoRun[d.Name]
-		s.mu.Unlock()
-		if ok {
-			return r, nil
-		}
-		r, err := s.runIsolatedTBs(ctx, d, d.MaxTBsPerSM(&s.cfg), false)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		s.isoRun[d.Name] = r
-		s.mu.Unlock()
-		return r, nil
-	})
+	return s.isolatedRun(ctx, d, false, true)
 }
 
 // RunIsolatedSeries is RunIsolated with 1 K-cycle series collection.
@@ -173,31 +184,45 @@ func (s *Session) RunIsolatedSeries(d Kernel) (*RunResult, error) {
 
 // RunIsolatedSeriesCtx is RunIsolatedSeries honouring ctx cancellation.
 func (s *Session) RunIsolatedSeriesCtx(ctx context.Context, d Kernel) (*RunResult, error) {
-	s.mu.Lock()
-	r, ok := s.isoSerie[d.Name]
-	s.mu.Unlock()
-	if ok {
+	return s.isolatedRun(ctx, d, true, true)
+}
+
+// isolatedRun is the one body of the full-occupancy profile point (with
+// or without series), for the wait pass (RunIsolatedCtx) and the claim
+// pass alike; see shared.
+func (s *Session) isolatedRun(ctx context.Context, d Kernel, series, wait bool) (*RunResult, error) {
+	cache, g := s.isoRun, &s.runFlight
+	if series {
+		cache, g = s.isoSerie, &s.serieFlight
+	}
+	cached := func() (*stats.RunResult, bool) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		r, ok := cache[d.Name]
+		return r, ok
+	}
+	if r, ok := cached(); ok {
 		return r, nil
 	}
-	return s.serieFlight.Do(d.Name, func() (*stats.RunResult, error) {
-		s.mu.Lock()
-		r, ok := s.isoSerie[d.Name]
-		s.mu.Unlock()
-		if ok {
+	return shared(ctx, g, d.Name, wait, func() (*stats.RunResult, error) {
+		if r, ok := cached(); ok {
 			return r, nil
 		}
-		r, err := s.runIsolatedTBs(ctx, d, d.MaxTBsPerSM(&s.cfg), true)
+		r, err := s.runIsolatedTBs(ctx, d, d.MaxTBsPerSM(&s.cfg), series)
 		if err != nil {
 			return nil, err
 		}
 		s.mu.Lock()
-		s.isoSerie[d.Name] = r
+		cache[d.Name] = r
 		s.mu.Unlock()
 		return r, nil
 	})
 }
 
 func (s *Session) runIsolatedTBs(ctx context.Context, d Kernel, tbs int, series bool) (*RunResult, error) {
+	if s.onProfile != nil {
+		s.onProfile(ctx, d.Name, tbs)
+	}
 	descs := []*kern.Desc{&d}
 	opts := &gpu.Options{
 		Cycles:      s.ProfileCycles,
@@ -223,29 +248,32 @@ func (s *Session) IsolatedIPC(d Kernel, n int) (float64, error) {
 
 // IsolatedIPCCtx is IsolatedIPC honouring ctx cancellation.
 func (s *Session) IsolatedIPCCtx(ctx context.Context, d Kernel, n int) (float64, error) {
+	return s.isolatedIPC(ctx, d, n, true)
+}
+
+// isolatedIPC is the one body of a scalability-curve point, for the
+// wait pass (IsolatedIPCCtx) and the claim pass alike; see shared.
+func (s *Session) isolatedIPC(ctx context.Context, d Kernel, n int, wait bool) (float64, error) {
 	if v, ok := s.lookupIPC(d.Name, n); ok {
 		return v, nil
 	}
 	key := fmt.Sprintf("%s|%d", d.Name, n)
-	return s.ipcFlight.Do(key, func() (float64, error) {
+	return shared(ctx, &s.ipcFlight, key, wait, func() (float64, error) {
 		if v, ok := s.lookupIPC(d.Name, n); ok {
 			return v, nil
 		}
-		var v float64
+		var r *RunResult
+		var err error
 		if n == d.MaxTBsPerSM(&s.cfg) {
 			// Share the cached full-occupancy run.
-			r, err := s.RunIsolatedCtx(ctx, d)
-			if err != nil {
-				return 0, err
-			}
-			v = r.Kernels[0].IPC
+			r, err = s.RunIsolatedCtx(ctx, d)
 		} else {
-			r, err := s.runIsolatedTBs(ctx, d, n, false)
-			if err != nil {
-				return 0, err
-			}
-			v = r.Kernels[0].IPC
+			r, err = s.runIsolatedTBs(ctx, d, n, false)
 		}
+		if err != nil {
+			return 0, err
+		}
+		v := r.Kernels[0].IPC
 		s.storeIPC(d.Name, n, v)
 		return v, nil
 	})
@@ -287,6 +315,35 @@ func (s *Session) CurveCtx(ctx context.Context, d Kernel) ([]float64, error) {
 		out[n-1] = v
 	}
 	return out, nil
+}
+
+// claimProfiles is the first of two passes over the profile simulations
+// a job needs: the full-occupancy isolated run of each kernel and, with
+// curves, points 1..max-1 of each kernel's scalability curve (point max
+// is the full-occupancy run). It simulates every point that is neither
+// cached nor in flight and skips, without waiting, the ones another
+// goroutine is simulating. RunIsolatedCtx and CurveCtx are the second
+// pass: they wait for whatever is still in flight and find the rest
+// cached. Jobs that need the same profiles therefore split the points
+// between their goroutines instead of queuing behind one point at a
+// time, with no goroutine started and each point still simulated once.
+func (s *Session) claimProfiles(ctx context.Context, ds []Kernel, curves bool) error {
+	for i := range ds {
+		if _, err := s.isolatedRun(ctx, ds[i], false, false); err != nil {
+			return err
+		}
+	}
+	if !curves {
+		return nil
+	}
+	for i := range ds {
+		for n := 1; n < ds[i].MaxTBsPerSM(&s.cfg); n++ {
+			if _, err := s.isolatedIPC(ctx, ds[i], n, false); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Classify returns the measured class of kernel d: memory-intensive if
@@ -399,7 +456,11 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 	}
 	descs := toPtrs(ds)
 
-	// Normalization base and profile-driven inputs.
+	// Normalization base and profile-driven inputs: claim what nobody
+	// has started, then collect.
+	if err := s.claimProfiles(ctx, ds, scheme.Partition == PartitionWarpedSlicer); err != nil {
+		return nil, 0, err
+	}
 	isolated := make([]float64, len(ds))
 	for i := range ds {
 		r, err := s.RunIsolatedCtx(ctx, ds[i])
@@ -682,7 +743,7 @@ func (s *Session) warmSnapshot(ctx context.Context, descs []*kern.Desc, quota []
 	if ok {
 		return sn, nil
 	}
-	return s.snapFlight.Do(key, func() (*gpu.Snapshot, error) {
+	return shared(ctx, &s.snapFlight, key, true, func() (*gpu.Snapshot, error) {
 		s.mu.Lock()
 		sn, ok := s.snaps[key]
 		s.mu.Unlock()

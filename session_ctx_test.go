@@ -1,11 +1,14 @@
 package gcke
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"testing"
 	"time"
 
+	"repro/internal/flight/flighttest"
 	"repro/internal/gpu"
 )
 
@@ -65,5 +68,70 @@ func TestSessionCheckCleanWorkload(t *testing.T) {
 		if _, err := s.RunWorkloadCtx(context.Background(), []Kernel{bp, sv}, sc); err != nil {
 			t.Fatalf("%s: healthy run flagged: %v", sc.Name(), err)
 		}
+	}
+}
+
+// TestWaiterSurvivesLeaderCancel: a shared profile simulation runs under
+// its leader's ctx. When that ctx is cancelled mid-profile, a waiter
+// whose own ctx is live must not inherit the interruption: it runs the
+// profile itself and returns what a session without the incident
+// returns.
+func TestWaiterSurvivesLeaderCancel(t *testing.T) {
+	bp, _ := Benchmark("bp")
+	sv, _ := Benchmark("sv")
+	wl := []Kernel{bp, sv}
+	scheme := Scheme{Partition: PartitionWarpedSlicer, Limiting: LimitDMIL}
+	ref, err := shortSession().RunWorkload(wl, scheme)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := shortSession()
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leading := make(chan struct{})
+	// Hold the leader at the start of bp's profile until the waiter is
+	// parked on it and the leader's ctx is cancelled.
+	s.onProfile = func(ctx context.Context, kernel string, tbs int) {
+		if ctx == leaderCtx {
+			close(leading)
+			<-ctx.Done()
+		}
+	}
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := s.RunIsolatedCtx(leaderCtx, bp)
+		leaderErr <- err
+	}()
+	<-leading
+	type outcome struct {
+		res *WorkloadResult
+		err error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		res, err := s.RunWorkloadCtx(context.Background(), wl, scheme)
+		waiter <- outcome{res, err}
+	}()
+	flighttest.AwaitWaitersInDo(1)
+	cancel()
+
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled in chain", err)
+	}
+	out := <-waiter
+	if out.err != nil {
+		t.Fatalf("waiter inherited the leader's cancellation: %v", out.err)
+	}
+	got, err := json.Marshal(out.res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("waiter's result differs from a serial session's")
 	}
 }
