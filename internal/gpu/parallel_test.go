@@ -55,12 +55,12 @@ func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) (st
 		o.Check = gpu.CheckConfig{Enabled: true}
 	}
 	ckptHash := sha256.New()
-	skippedAtCkpt := 0
+	asleepAtCkpt := 0
 	if w.ckpt {
 		o.Trace = trace.New(1 << 12)
 		o.CheckpointEvery = w.cycles / 3
 		o.Checkpoint = func(g *gpu.GPU, cycle int64) error {
-			skippedAtCkpt += skippedSchedulers(g)
+			asleepAtCkpt += sleepingCandidates(g)
 			sn, err := g.SnapshotCheckpoint()
 			if err != nil {
 				return err
@@ -79,8 +79,8 @@ func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) (st
 	}
 	// The encoded bytes must not depend on derived index state, so at
 	// least one checkpoint has to land where the index is doing work.
-	if w.ckpt && skippedAtCkpt == 0 {
-		t.Fatalf("%s: no checkpoint fell on a cycle with a fully skipped scheduler; move CheckpointEvery", w.name)
+	if w.ckpt && asleepAtCkpt == 0 {
+		t.Fatalf("%s: no checkpoint fell on a cycle with a sleeping issue candidate; move CheckpointEvery", w.name)
 	}
 	js, err := json.Marshal(res)
 	if err != nil {

@@ -2,7 +2,6 @@ package gpu_test
 
 import (
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"repro/internal/config"
@@ -52,11 +51,13 @@ func snapshotOpts(cfg *config.Config, descs []*kern.Desc, totalCycles int64, wor
 // discipline). Run under -race it additionally proves the restored
 // machine shares no storage with the snapshot source.
 //
-// The snapshot is taken on a cycle where the warp-readiness index lets
-// the issue stages skip at least one scheduler that has resident warps,
-// and the second restore lands in a machine that has already run, whose
-// derived indexes therefore hold another state's contents: a Restore
-// that forgot to rebuild them cannot produce the uninterrupted result.
+// The snapshot is taken on a cycle where the issue index hides at least
+// one warp a full scan would visit — an issue candidate asleep behind a
+// result latency, its wake still filed in the wheel — and the second
+// restore lands in a machine that has already run, whose derived indexes
+// therefore hold another state's contents: a Restore that forgot to
+// rebuild the masks or re-file the wakes cannot produce the
+// uninterrupted result.
 func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 	const total = 8000
 	for _, tc := range []struct {
@@ -87,7 +88,7 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				refJS := marshalResult(t, gA)
 
 				// Snapshotted run: warm leg up to the first cycle from
-				// 4000 on with a fully skipped scheduler, snapshot,
+				// 4000 on with a sleeping issue candidate, snapshot,
 				// continue leg.
 				oB := snapshotOpts(&cfg, descs, total, workers, tc.full)
 				gB, err := gpu.New(cfg, descs, oB)
@@ -97,9 +98,9 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				defer gB.Close()
 				legWarm := *oB
 				legWarm.Cycles = 4000
-				for gB.Cycle() < 4000 || skippedSchedulers(gB) == 0 {
+				for gB.Cycle() < 4000 || sleepingCandidates(gB) == 0 {
 					if gB.Cycle() >= total/2+500 {
-						t.Fatalf("no scheduler fully skipped in cycles 4000..%d; pick another workload", gB.Cycle())
+						t.Fatalf("no issue candidate asleep in cycles 4000..%d; pick another workload", gB.Cycle())
 					}
 					if err := gB.RunCycles(&legWarm); err != nil {
 						t.Fatal(err)
@@ -290,30 +291,15 @@ func marshalResult(t testing.TB, g *gpu.GPU) string {
 	return string(js)
 }
 
-// skippedSchedulers counts, over all SMs, the schedulers that hold
-// resident warps but that the warp-readiness index lets the compute
-// issue stage skip at the machine's current cycle: no compute candidate,
-// or every one still in its latency shadow. It reads the SM's
-// unexported index by reflection so the engine needs no accessor that
-// only tests would call.
-func skippedSchedulers(g *gpu.GPU) int {
-	const classCompute = 2
-	skipped := 0
+// sleepingCandidates counts, over all SMs, the warps the issue index
+// hides at the machine's current cycle although a full scan would visit
+// them: issue candidates asleep behind a result latency.
+func sleepingCandidates(g *gpu.GPU) int {
+	n := 0
 	for _, s := range g.SMs {
-		v := reflect.ValueOf(s).Elem()
-		scheds, ready := v.FieldByName("scheds"), v.FieldByName("ready")
-		for si := 0; si < scheds.Len(); si++ {
-			if scheds.Index(si).FieldByName("warps").Len() == 0 {
-				continue
-			}
-			r := ready.Index(si)
-			if r.FieldByName("n").Index(classCompute).Int() == 0 ||
-				r.FieldByName("earliest").Index(classCompute).Int() > g.Cycle() {
-				skipped++
-			}
-		}
+		n += s.SleepingCandidates()
 	}
-	return skipped
+	return n
 }
 
 // renderSince renders the buffered trace events at or after cycle.

@@ -162,7 +162,7 @@ func TestRunCyclesInterrupt(t *testing.T) {
 // unexported returns a pointer to the unexported field path under v (a
 // pointer to a struct), following pointers and indexing element 0 of
 // slices on the way. The index-corruption test below reaches into the
-// engine this way so the production packages need no corruption seam.
+// crossbar this way so the production packages need no corruption seam.
 func unexported(v reflect.Value, path ...string) unsafe.Pointer {
 	for _, name := range path {
 		for v.Kind() == reflect.Pointer {
@@ -176,11 +176,11 @@ func unexported(v reflect.Value, path ...string) unsafe.Pointer {
 	return unsafe.Pointer(v.UnsafeAddr())
 }
 
-// TestWatchdogNamesStaleIndex corrupts the derived indexes mid-run — the
-// SM's warp-readiness index, the crossbar's head-destination counts —
-// and requires the watchdog to stop the run on the very next cycle with
-// the rule that names the index. Without the rule a stale index is
-// silent: the warp or port it hides simply never issues again.
+// TestWatchdogNamesStaleIndex makes the derived indexes stale mid-run —
+// the SM's issue index, the crossbar's head-destination counts — and
+// requires the watchdog to stop the run on the very next cycle with the
+// rule that names the index. Without the rule a stale index is silent:
+// the warp or port it hides simply never issues again.
 func TestWatchdogNamesStaleIndex(t *testing.T) {
 	const corruptAt = 3_000
 	for _, tc := range []struct {
@@ -189,9 +189,13 @@ func TestWatchdogNamesStaleIndex(t *testing.T) {
 		corrupt func(g *gpu.GPU)
 	}{
 		{"ready-index", 1, func(g *gpu.GPU) {
-			// cand[classMem]: the SM-wide memory-candidate count.
-			cand := (*[3]int)(unexported(reflect.ValueOf(g.SMs[1]), "cand"))
-			cand[1]++
+			// The index caches, per warp, a consequence of the kernel's
+			// pending-load cap (a load at the cap is not a memory-issue
+			// candidate). Zeroing the cap behind the SMs' backs is what a
+			// missed index update looks like from outside: every sv warp
+			// indexed as ready to load no longer is, by its own state. Only
+			// SM 1 runs sv, so SM 0 must stay clean.
+			g.Kernels()[1].MaxPendingLoads = 0
 		}},
 		{"icnt-head-index", -1, func(g *gpu.GPU) {
 			(*atomic.Int32)(unexported(reflect.ValueOf(g), "respNet", "wanted")).Add(1)
@@ -200,7 +204,8 @@ func TestWatchdogNamesStaleIndex(t *testing.T) {
 		t.Run(tc.rule, func(t *testing.T) {
 			cfg, descs, opts := watchdogWorkload(t)
 			cfg = config.Scaled(2)
-			opts.Quota = gpu.UniformQuota(cfg.NumSMs, core.EvenQuota(&cfg, descs))
+			even := core.EvenQuota(&cfg, descs)
+			opts.Quota = [][]int{{even[0], 0}, even}
 			opts.Check = gpu.CheckConfig{Enabled: true}
 			opts.HookInterval = corruptAt
 			opts.Hook = func(g *gpu.GPU, cycle int64) {

@@ -57,8 +57,9 @@ type policyChecker interface{ CheckInvariant() error }
 //     the MIL cap by more than one instruction's coalesced requests;
 //   - L1D MSHR and miss-queue occupancy stay within their configured
 //     capacity (an excess means reservation accounting leaked);
-//   - the warp-readiness index equals a recomputation from warp state
-//     (per-warp class, per-scheduler counts, earliest-ReadyAt bounds);
+//   - the issue index equals a recomputation from warp state (every
+//     resident warp's position, kind, kernel and asleep bits, and the
+//     wheel holding exactly the sleepers' wakes);
 //   - the memory-issue policy's own invariant holds (QBMI quotas refresh
 //     exactly when any kernel's quota hits zero).
 func (s *SM) CheckInvariants(cycle int64) error {
@@ -84,7 +85,7 @@ func (s *SM) CheckInvariants(cycle int64) error {
 		return &InvariantError{Cycle: cycle, SM: s.ID, Kernel: -1, Rule: "missq-occupancy",
 			Detail: fmt.Sprintf("L1D miss queue holds %d entries, capacity %d", got, s.cfg.L1D.MissQueue)}
 	}
-	if err := s.checkReady(); err != nil {
+	if err := s.checkIndex(); err != nil {
 		return &InvariantError{Cycle: cycle, SM: s.ID, Kernel: -1, Rule: "ready-index",
 			Detail: err.Error()}
 	}

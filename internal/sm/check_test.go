@@ -121,42 +121,71 @@ func TestCheckInvariantsSurfacesPolicyViolation(t *testing.T) {
 }
 
 // TestCheckInvariantsDetectsStaleReadyIndex corrupts each part of the
-// warp-readiness index mid-run and requires the ready-index rule to
-// name it: a stale index is the bug class the issue stages cannot see
-// themselves (a warp filtered out by mistake simply never issues).
+// issue index mid-run and requires the ready-index rule to name it: a
+// stale index is the bug class the issue stages cannot see themselves (a
+// warp masked out by mistake simply never issues, one offered by mistake
+// issues early).
 func TestCheckInvariantsDetectsStaleReadyIndex(t *testing.T) {
-	// residentOf returns a warp slot of the given class and its scheduler.
-	residentOf := func(t *testing.T, s *SM, c warpClass) (int, int) {
+	// resident returns the slot of the first resident warp satisfying ok.
+	resident := func(t *testing.T, s *SM, what string, ok func(w *Warp) bool) int {
 		t.Helper()
 		for si := range s.scheds {
 			for _, slot := range s.scheds[si].warps {
-				if s.wClass[slot] == c {
-					return slot, si
+				if ok(&s.warps[slot]) {
+					return slot
 				}
 			}
 		}
-		t.Fatalf("no resident warp of class %d after warm-up", c)
-		return -1, -1
+		t.Fatalf("no resident %s warp after warm-up", what)
+		return -1
+	}
+	// flip inverts the bit of the warp in slot in mask row r.
+	flip := func(s *SM, slot, r int) {
+		at, bit := s.bit(slot, r)
+		s.masks[at] ^= bit
+	}
+	sleeping := func(s *SM) int {
+		return resident(t, s, "sleeping", func(w *Warp) bool { return w.ReadyAt > s.woken })
 	}
 	for _, tc := range []struct {
 		name    string
 		corrupt func(t *testing.T, s *SM)
 	}{
+		{"kind bit cleared", func(t *testing.T, s *SM) {
+			flip(s, resident(t, s, "ALU", func(w *Warp) bool { return s.kindOf(w) == kindALU }), int(kindALU))
+		}},
 		{"warp class", func(t *testing.T, s *SM) {
-			slot, _ := residentOf(t, s, classBlocked)
-			s.wClass[slot] = classCompute
+			flip(s, resident(t, s, "blocked", func(w *Warp) bool { return s.kindOf(w) == kindNone }), int(kindMem))
 		}},
-		{"scheduler count", func(t *testing.T, s *SM) {
-			_, si := residentOf(t, s, classCompute)
-			s.ready[si].n[classCompute]--
+		{"kernel bit", func(t *testing.T, s *SM) {
+			slot := resident(t, s, "kernel-0", func(w *Warp) bool { return w.Kernel == 0 })
+			flip(s, slot, rowKernel)
+			flip(s, slot, rowKernel+1)
 		}},
-		{"sm total", func(t *testing.T, s *SM) { s.cand[classMem]++ }},
-		{"earliest bound", func(t *testing.T, s *SM) {
-			slot, si := residentOf(t, s, classCompute)
-			s.ready[si].earliest[classCompute] = s.warps[slot].ReadyAt + 1
+		{"asleep bit cleared", func(t *testing.T, s *SM) { flip(s, sleeping(s), rowAsleep) }},
+		{"asleep bit set", func(t *testing.T, s *SM) {
+			flip(s, resident(t, s, "awake", func(w *Warp) bool { return w.ReadyAt <= s.woken }), rowAsleep)
+		}},
+		{"position map", func(t *testing.T, s *SM) {
+			s.wAt[resident(t, s, "any", func(*Warp) bool { return true })]++
+		}},
+		{"dropped wake", func(t *testing.T, s *SM) {
+			slot := sleeping(s)
+			at, bit := s.wakeBit(slot, s.warps[slot].ReadyAt)
+			s.wheel[at] &^= bit
+		}},
+		{"stray wake", func(t *testing.T, s *SM) {
+			slot := sleeping(s)
+			at, bit := s.wakeBit(slot, s.warps[slot].ReadyAt-1)
+			s.wheel[at] |= bit
 		}},
 		{"free slot", func(t *testing.T, s *SM) {
-			s.wClass[s.freeWarps[0]] = classMem
+			at, bit := s.wakeBit(s.freeWarps[0], s.woken+3)
+			s.wheel[at] |= bit
+		}},
+		{"bit past the list", func(t *testing.T, s *SM) {
+			n := len(s.scheds[0].warps)
+			s.block(0, n>>6)[rowAsleep] |= 1 << (n & 63)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -165,7 +194,7 @@ func TestCheckInvariantsDetectsStaleReadyIndex(t *testing.T) {
 			s, _ := newSM(t, []*kern.Desc{&c, &m}, []int{2, 2})
 			pm := &perfectMem{lat: 40}
 			const warm = 600
-			for cycle := int64(0); cycle < warm; cycle++ {
+			for cycle := int64(0); cycle <= warm; cycle++ {
 				pm.tick(s, cycle)
 				s.Tick(cycle)
 			}

@@ -52,6 +52,8 @@ func drawScenario(seed uint64) scenario {
 	if rng.Bool(0.5) {
 		cfg.SM.Scheduler = config.LRR
 	}
+	// One scheduler can hold all 96 warps: more than one mask word.
+	cfg.SM.Schedulers = []int{1, 2, 4}[rng.Intn(3)]
 	cfg.SM.ALULat = []int{1, 4, 10}[rng.Intn(3)]
 	cfg.L1D.MSHRs = []int{8, 32, 128}[rng.Intn(3)]
 	cfg.L1D.MissQueue = []int{2, 16}[rng.Intn(2)]
@@ -86,8 +88,8 @@ func drawScenario(seed uint64) scenario {
 }
 
 func (sc *scenario) String() string {
-	return fmt.Sprintf("scheme=%s sched=%d alulat=%d mshrs=%d kernels=%d quota=%v cycles=%d reshape=%d stall=%.1f",
-		sc.scheme, sc.cfg.SM.Scheduler, sc.cfg.SM.ALULat, sc.cfg.L1D.MSHRs, len(sc.descs), sc.quota,
+	return fmt.Sprintf("scheme=%s sched=%dx%d alulat=%d mshrs=%d kernels=%d quota=%v cycles=%d reshape=%d stall=%.1f",
+		sc.scheme, sc.cfg.SM.Schedulers, sc.cfg.SM.Scheduler, sc.cfg.SM.ALULat, sc.cfg.L1D.MSHRs, len(sc.descs), sc.quota,
 		sc.cycles, sc.reshapeEvery, sc.stallProb)
 }
 
@@ -151,8 +153,9 @@ func (b *backend) drain(s *sm.SM, cycle int64) {
 
 // runScenario simulates the scenario on one SM, with the reference issue
 // stage when reference is set, checking the SM's invariants every cycle.
-// It returns the rendered trace and a digest of every counter.
-func runScenario(t testing.TB, sc *scenario, reference bool) (string, string) {
+// It returns the rendered trace, a digest of every counter and the most
+// warps any one scheduler held.
+func runScenario(t testing.TB, sc *scenario, reference bool) (string, string, int) {
 	t.Helper()
 	if err := sm.Validate(&sc.cfg, sc.descs); err != nil {
 		t.Fatalf("generated scenario invalid: %v", err)
@@ -166,6 +169,7 @@ func runScenario(t testing.TB, sc *scenario, reference bool) (string, string) {
 	s.Trace.EnsureShards(1)
 	be := &backend{rng: xrand.New(sc.memSeed), sc: sc}
 	reshape := xrand.New(sc.memSeed ^ 0x5eed)
+	widest := 0
 	for cycle := int64(0); cycle < sc.cycles; cycle++ {
 		be.tick(s, cycle)
 		if reference {
@@ -174,6 +178,7 @@ func runScenario(t testing.TB, sc *scenario, reference bool) (string, string) {
 			s.Tick(cycle)
 		}
 		be.drain(s, cycle)
+		widest = max(widest, s.WidestScheduler())
 		if err := s.CheckInvariants(cycle); err != nil {
 			t.Fatalf("reference=%v: %v\n%s", reference, err, sc)
 		}
@@ -188,14 +193,16 @@ func runScenario(t testing.TB, sc *scenario, reference bool) (string, string) {
 	}
 	digest := fmt.Sprintf("%+v stall=%d busy=%d alu=%d sfu=%d l1=%+v events=%d",
 		s.K, s.LSUStall, s.LSUBusy, s.ALUIssued, s.SFUIssued, s.L1.Stats, s.Trace.Total())
-	return trace.Render(s.Trace.Snapshot()), digest
+	return trace.Render(s.Trace.Snapshot()), digest, widest
 }
 
-func checkScenario(t testing.TB, seed uint64) {
+// checkScenario runs the scenario drawn from seed both ways and returns
+// it with the most warps one scheduler held.
+func checkScenario(t testing.TB, seed uint64) (scenario, int) {
 	t.Helper()
 	sc := drawScenario(seed)
-	refTrace, refDigest := runScenario(t, &sc, true)
-	gotTrace, gotDigest := runScenario(t, &sc, false)
+	refTrace, refDigest, _ := runScenario(t, &sc, true)
+	gotTrace, gotDigest, widest := runScenario(t, &sc, false)
 	if gotDigest != refDigest {
 		t.Fatalf("seed %d: counters diverge from the full-scan reference\n%s\nreference: %s\nindexed:   %s",
 			seed, &sc, refDigest, gotDigest)
@@ -203,28 +210,45 @@ func checkScenario(t testing.TB, seed uint64) {
 	if gotTrace != refTrace {
 		t.Fatalf("seed %d: trace diverges from the full-scan reference\n%s", seed, &sc)
 	}
+	return sc, widest
 }
 
 // TestIndexedIssueMatchesFullScan is the seeded differential test: 42
 // generated scenarios covering 2- and 3-kernel mixes of random kernels
-// (SFU, shared-memory, store and pending-load parameters all drawn), GTO
-// and LRR, an issue gate (SMK), static and dynamic limiters, QBMI, L1
-// bypass, tight MSHRs, memory back-pressure and periodic quota changes
-// with Drain.
+// (SFU, shared-memory, store and pending-load parameters all drawn), 1,
+// 2 and 4 schedulers, GTO and LRR, an issue gate (SMK), static and
+// dynamic limiters, QBMI, L1 bypass, tight MSHRs, memory back-pressure
+// and periodic quota changes with Drain. The corpus must reach every
+// scheduler count and the masks' second word.
 func TestIndexedIssueMatchesFullScan(t *testing.T) {
 	n := uint64(42)
 	if testing.Short() {
 		n = 12
 	}
+	geometries := map[int]int{}
+	widest := 0
 	for seed := uint64(1); seed <= n; seed++ {
-		checkScenario(t, seed)
+		sc, w := checkScenario(t, seed)
+		geometries[sc.cfg.SM.Schedulers]++
+		widest = max(widest, w)
+	}
+	for _, schedulers := range []int{1, 2, 4} {
+		if geometries[schedulers] == 0 {
+			t.Errorf("no scenario in seeds 1..%d has %d schedulers", n, schedulers)
+		}
+	}
+	if widest <= 64 {
+		t.Errorf("no scheduler ever held more than %d warps in seeds 1..%d; the second mask word went untested", widest, n)
 	}
 }
 
 // FuzzIndexedIssueMatchesFullScan explores scenario seeds beyond the
-// fixed 40 (CI runs it for a few seconds; see the fuzz-smoke step).
+// fixed 42 (CI runs it for a few seconds; see the fuzz-smoke step). The
+// corpus starts from every scheduler count under both policies: seeds
+// 8 (LRR) and 39 (GTO) put 95 and 96 warps on a single scheduler, 37
+// does so behind the SMK gate, 4 and 27 have two schedulers.
 func FuzzIndexedIssueMatchesFullScan(f *testing.F) {
-	for _, seed := range []uint64{1, 2, 3, 0xdeadbeef} {
+	for _, seed := range []uint64{1, 2, 3, 0xdeadbeef, 4, 8, 27, 37, 39} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed uint64) { checkScenario(t, seed) })

@@ -2,6 +2,12 @@
 // the paper's mechanisms (RBMI, QBMI, SMIL, DMIL, SMK's warp-instruction
 // quota) are implemented against them in internal/core. The zero-cost
 // defaults below reproduce the unmanaged baseline.
+//
+// Limiter.Allow and IssueGate.CanIssue are queries: the SM asks them as
+// often or as rarely as it likes — today at most once per kernel per
+// issue decision, whatever the number of that kernel's ready warps — so
+// an implementation must not count, rate-limit or otherwise remember the
+// asking. Everything a policy learns, it learns from the event methods.
 
 package sm
 
@@ -10,9 +16,11 @@ package sm
 // (the paper's BMI family plugs in here).
 type MemIssuePolicy interface {
 	// Pick returns the index into kernels of the winning candidate.
-	// kernels lists the kernel slot of each ready candidate in the
-	// scheduler scan order (the unmanaged baseline picks index 0);
-	// kernel slots may repeat.
+	// kernels holds the distinct kernel slots that have a ready memory
+	// warp this cycle (the SM offers each kernel's oldest), ordered by
+	// where the scan first met the kernel: schedulers in index order,
+	// each scheduler's warps oldest first. Pick is only called with two
+	// or more candidates; a result outside kernels counts as 0.
 	Pick(kernels []int) int
 	// OnIssue reports that kernel issued one memory instruction that
 	// expanded into reqs coalesced requests.
@@ -24,7 +32,8 @@ type MemIssuePolicy interface {
 type Limiter interface {
 	// Allow reports whether kernel, currently holding inflight in-flight
 	// memory accesses (coalesced requests), may issue another memory
-	// instruction.
+	// instruction. It is a side-effect-free query: for a given kernel
+	// and inflight the answer changes only through the methods below.
 	Allow(kernel, inflight int) bool
 	// OnRequest is called for each request that successfully accesses
 	// the L1D (the MILG 10-bit request counter).
@@ -42,13 +51,21 @@ type Limiter interface {
 // IssueGate gates all instruction issue of a kernel (SMK's periodic
 // warp-instruction quota plugs in here).
 type IssueGate interface {
+	// CanIssue reports whether kernel may issue an instruction of any
+	// kind. It is a side-effect-free query: the answer changes only
+	// through OnIssue and Tick.
 	CanIssue(kernel int) bool
+	// OnIssue reports that kernel issued one warp instruction.
 	OnIssue(kernel int)
+	// Tick runs once per SM cycle, before any CanIssue of the cycle.
 	Tick(cycle int64)
 }
 
-// NopMemPolicy is the unmanaged baseline: the first ready candidate in
-// scheduler scan order wins.
+// NopMemPolicy is the unmanaged baseline: no arbitration between
+// kernels. The SM then issues the globally oldest ready memory warp —
+// greedy-then-oldest across schedulers, under which a memory-intensive
+// kernel monopolizes the LSU (Section 3.2) — and never calls Pick; the
+// choice is resolved when the policy is installed (New, SetPolicies).
 type NopMemPolicy struct{}
 
 func (NopMemPolicy) Pick(kernels []int) int   { return 0 }

@@ -1,26 +1,82 @@
 package sm
 
-import "repro/internal/config"
+import (
+	"repro/internal/config"
+	"repro/internal/kern"
+)
 
-// The reference issue stage: the full scans the SM ran before the
-// readiness index existed, kept in test code only. They ask
-// readyForMem/readyForCompute about every resident warp of every
-// scheduler and never read the index, so a warp or scheduler the index
-// hides by mistake shows up as a diverging trace in the differential
+// The reference issue stage: the full scans the SM ran before the issue
+// index existed, kept in test code only. They ask readyForMem /
+// readyForCompute — every issue condition spelled out against the Warp
+// struct, policies consulted per warp — about every resident warp of
+// every scheduler and never read the index, so a warp the index hides or
+// offers by mistake shows up as a diverging trace in the differential
 // tests (differential_test.go). Everything after the scan — the policy
 // pick, the issue itself — is the production code.
 
 // TickReference is Tick with the reference issue stage. It keeps the
-// index maintained (the shared issue code updates it) but ignores it.
+// index maintained (the shared issue code and wake update it) but
+// ignores it.
 func (s *SM) TickReference(cycle int64) {
 	s.now = cycle
 	s.gate.Tick(cycle)
 	s.limiter.Tick(cycle)
+	s.wake(cycle)
 	s.drainCompletions(cycle)
 	s.dispatch(cycle)
 	s.lsuTick(cycle)
 	memScheduler := s.issueMemFullScan(cycle)
 	s.issueComputeFullScan(cycle, memScheduler)
+}
+
+// readyForMem reports whether warp w can issue its memory instruction.
+func (s *SM) readyForMem(w *Warp, cycle int64) bool {
+	if !w.Active || w.doneIssuing || w.lastCycle == cycle || w.ReadyAt > cycle {
+		return false
+	}
+	if w.NextKind != kern.MemLoad && w.NextKind != kern.MemStore {
+		return false
+	}
+	if w.outN > 0 && w.minBarrier() <= w.IssuedInstrs {
+		return false
+	}
+	k := int(w.Kernel)
+	d := s.descs[k]
+	if w.NextKind == kern.MemLoad && w.outN >= d.MaxPendingLoads {
+		return false
+	}
+	if !s.limiter.Allow(k, s.inflight[k]) {
+		return false
+	}
+	return s.gate.CanIssue(k)
+}
+
+// readyForCompute reports whether warp w can issue an ALU/SFU/
+// shared-memory instruction this cycle, given remaining port budgets.
+func (s *SM) readyForCompute(w *Warp, cycle int64, aluLeft, sfuLeft int) bool {
+	if !w.Active || w.doneIssuing || w.lastCycle == cycle || w.ReadyAt > cycle {
+		return false
+	}
+	switch w.NextKind {
+	case kern.ALU:
+		if aluLeft <= 0 {
+			return false
+		}
+	case kern.SFU:
+		if sfuLeft <= 0 {
+			return false
+		}
+	case kern.Smem:
+		if s.smemBusyUntil > cycle {
+			return false
+		}
+	default:
+		return false
+	}
+	if w.outN > 0 && w.minBarrier() <= w.IssuedInstrs {
+		return false
+	}
+	return s.gate.CanIssue(int(w.Kernel))
 }
 
 func (s *SM) issueMemFullScan(cycle int64) int {
@@ -97,4 +153,15 @@ func (s *SM) issueComputeFullScan(cycle int64, memScheduler int) {
 		}
 		s.issueComputeWarp(sc, picked, cycle, &aluLeft, &sfuLeft)
 	}
+}
+
+// WidestScheduler returns the number of warps on the fullest scheduler,
+// for the external differential tests: above 64, the index is working
+// in its second mask word.
+func (s *SM) WidestScheduler() int {
+	n := 0
+	for si := range s.scheds {
+		n = max(n, len(s.scheds[si].warps))
+	}
+	return n
 }

@@ -16,7 +16,6 @@ package sm
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/cache"
 	"repro/internal/config"
@@ -29,9 +28,6 @@ import (
 )
 
 const noBarrier = ^uint64(0)
-
-// never is a cycle no run reaches.
-const never = math.MaxInt64
 
 // Warp is one resident warp.
 type Warp struct {
@@ -117,12 +113,21 @@ type SM struct {
 	tbs       []tbSlot
 	scheds    []scheduler
 
-	// The readiness index (ready.go), derived from the warp state above:
-	// per-slot class, per-scheduler counts and earliest-ReadyAt bounds,
-	// and the SM-wide candidate count per class.
-	wClass []warpClass
-	ready  []schedReady
-	cand   [numClasses]int
+	// The issue index (ready.go), derived from the warp state above:
+	// per-scheduler position masks (rows rows of words words each, stored
+	// in blocks of 1<<blockShift) by issue kind, for sleeping warps and by
+	// kernel; where each warp slot's bit sits in them; and the wake wheel
+	// (words words per bucket) with the last cycle whose wakes were
+	// applied. maskBuf is the issue stages' scratch mask.
+	masks      []uint64
+	rows       int
+	words      int
+	blockShift uint
+	wAt        []int32
+	wheel      []uint64
+	wheelMask  int64
+	woken      int64
+	maskBuf    []uint64
 
 	tbCount     []int
 	tbLaunched  []uint64
@@ -170,6 +175,9 @@ type SM struct {
 	memPolicy MemIssuePolicy
 	limiter   Limiter
 	gate      IssueGate
+	// oldestFirst: no memory-issue policy is installed, so the globally
+	// oldest candidate issues (resolved in SetPolicies).
+	oldestFirst bool
 
 	// Statistics.
 	K         []stats.KernelCounters
@@ -216,30 +224,18 @@ func New(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
 		wRNG:       make([]xrand.Source, cfg.SM.MaxWarps),
 		tbs:        make([]tbSlot, cfg.SM.MaxTBs),
 		scheds:     make([]scheduler, cfg.SM.Schedulers),
-		wClass:     make([]warpClass, cfg.SM.MaxWarps),
-		ready:      make([]schedReady, cfg.SM.Schedulers),
 		tbCount:    make([]int, n),
 		tbLaunched: make([]uint64, n),
 		inflight:   make([]int, n),
 		K:          make([]stats.KernelCounters, n),
-		memPolicy:  memPolicy,
-		limiter:    limiter,
-		gate:       gate,
 		rng:        xrand.New(seed ^ (uint64(id)+1)*0xA24BAED4963EE407),
 	}
 	// One memory-issue candidate per kernel at most.
 	s.candKernels = make([]int, 0, n)
 	s.candWarps = make([]int, n)
 	s.candAges = make([]int64, n)
-	if s.memPolicy == nil {
-		s.memPolicy = NopMemPolicy{}
-	}
-	if s.limiter == nil {
-		s.limiter = NopLimiter{}
-	}
-	if s.gate == nil {
-		s.gate = NopGate{}
-	}
+	s.SetPolicies(memPolicy, limiter, gate)
+	s.newIndex()
 	for i := range s.scheds {
 		s.scheds[i].lastIssued = -1
 		s.scheds[i].issuedAt = -1
@@ -313,11 +309,14 @@ func (s *SM) TBCount(k int) int { return s.tbCount[k] }
 func (s *SM) Inflight(k int) int { return s.inflight[k] }
 
 // Tick advances the SM one cycle. Memory responses must have been
-// delivered (Deliver) before the owner calls Tick for the cycle.
+// delivered (Deliver) before the owner calls Tick for the cycle. Cycles
+// normally arrive consecutively; they may skip ahead (every wake that
+// fell due in the gap is applied) but must not go back.
 func (s *SM) Tick(cycle int64) {
 	s.now = cycle
 	s.gate.Tick(cycle)
 	s.limiter.Tick(cycle)
+	s.wake(cycle)
 	s.drainCompletions(cycle)
 	s.dispatch(cycle)
 	// The LSU dispatches before issue so that the pipeline register can
@@ -427,7 +426,7 @@ func (s *SM) launchTB(k, slot, wpt int, cycle int64) {
 		s.schedAssign++
 		w.SchedID = int8(sched)
 		s.scheds[sched].warps = append(s.scheds[sched].warps, slotW)
-		s.reclass(slotW)
+		s.enter(slotW, sched, len(s.scheds[sched].warps)-1)
 		tb.warps = append(tb.warps, slotW)
 	}
 	s.threadsUsed += d.ThreadsPerTB
@@ -443,14 +442,17 @@ func (s *SM) finalizeWarp(slotW int) {
 	w := &s.warps[slotW]
 	w.Active = false
 	w.Gen++
-	s.reclass(slotW)
-	sched := &s.scheds[w.SchedID]
-	for i, x := range sched.warps {
-		if x == slotW {
-			sched.warps = append(sched.warps[:i], sched.warps[i+1:]...)
-			break
-		}
+	if w.ReadyAt > s.woken {
+		// Retiring asleep: the wake is withdrawn.
+		at, bit := s.wakeBit(slotW, w.ReadyAt)
+		s.wheel[at] &^= bit
 	}
+	// Every later warp of the scheduler moves up one position.
+	si := int(w.SchedID)
+	sched := &s.scheds[si]
+	pos := s.posOf(slotW, si)
+	sched.warps = append(sched.warps[:pos], sched.warps[pos+1:]...)
+	s.rebuildSched(si)
 	if sched.lastIssued == slotW {
 		sched.lastIssued = -1
 	}
@@ -476,28 +478,6 @@ func (s *SM) finalizeWarp(slotW int) {
 // memory instruction.
 func (s *SM) lsuFree() bool { return s.lsuIdx >= len(s.lsuReqs) }
 
-// readyForMem reports whether warp w can issue its memory instruction.
-func (s *SM) readyForMem(w *Warp, cycle int64) bool {
-	if !w.Active || w.doneIssuing || w.lastCycle == cycle || w.ReadyAt > cycle {
-		return false
-	}
-	if w.NextKind != kern.MemLoad && w.NextKind != kern.MemStore {
-		return false
-	}
-	if w.outN > 0 && w.minBarrier() <= w.IssuedInstrs {
-		return false
-	}
-	k := int(w.Kernel)
-	d := s.descs[k]
-	if w.NextKind == kern.MemLoad && w.outN >= d.MaxPendingLoads {
-		return false
-	}
-	if !s.limiter.Allow(k, s.inflight[k]) {
-		return false
-	}
-	return s.gate.CanIssue(k)
-}
-
 // issueMem performs the memory-issue stage: at most one warp memory
 // instruction enters the LSU per cycle. It returns the scheduler that
 // issued, or -1.
@@ -509,47 +489,38 @@ func (s *SM) readyForMem(w *Warp, cycle int64) bool {
 // naturally monopolizes the LSU, the starvation the paper's Section 3.2
 // targets. BMI policies override the choice among kernels.
 func (s *SM) issueMem(cycle int64) int {
-	if !s.lsuFree() || s.cand[classMem] == 0 {
+	if !s.lsuFree() {
 		return -1
 	}
 	s.candKernels = s.candKernels[:0]
-	nk := len(s.descs)
+	// Whether a kernel may issue memory instructions this cycle is asked
+	// at most once, the first time one of its warps comes up.
+	var asked, open uint64
 	for si := range s.scheds {
 		sc := &s.scheds[si]
-		r := &s.ready[si]
-		if sc.issuedAt == cycle || r.n[classMem] == 0 || r.earliest[classMem] > cycle {
-			continue
+		m := s.maskBuf[:(len(sc.warps)+63)>>6]
+		for i := range m {
+			blk := s.block(si, i)
+			m[i] = blk[kindMem] &^ blk[rowAsleep]
 		}
-		var seenHere uint64 // kernels already found in this scheduler
-		found := 0
-		soonest := int64(never)
-		for _, slotW := range sc.warps {
-			if s.wClass[slotW] != classMem {
-				continue
-			}
+		// Peel the scheduler's oldest ready memory warp of each kernel,
+		// in position order.
+		for pos := firstSet(m, 0); pos >= 0; pos = firstSet(m, pos+1) {
+			slotW := sc.warps[pos]
 			w := &s.warps[slotW]
-			if w.ReadyAt < soonest {
-				soonest = w.ReadyAt
-			}
 			k := int(w.Kernel)
-			if seenHere&(1<<uint(k)) != 0 {
-				continue
+			if asked&(1<<uint(k)) == 0 {
+				asked |= 1 << uint(k)
+				if s.limiter.Allow(k, s.inflight[k]) && s.gate.CanIssue(k) {
+					open |= 1 << uint(k)
+				}
 			}
-			if !s.readyForMem(w, cycle) {
-				continue
+			if open&(1<<uint(k)) != 0 {
+				s.addMemCandidate(k, slotW, w.age)
 			}
-			// Within a scheduler warps are age-ordered, so the first
-			// ready warp of each kernel is its oldest here.
-			seenHere |= 1 << uint(k)
-			found++
-			s.addMemCandidate(k, slotW, w.age)
-			if found == nk {
-				break
+			for i := range m {
+				m[i] &^= s.block(si, i)[rowKernel+k]
 			}
-		}
-		if found == 0 {
-			// Every memory candidate of the scheduler was visited.
-			r.earliest[classMem] = soonest
 		}
 	}
 	return s.issueMemCandidate(cycle)
@@ -582,7 +553,7 @@ func (s *SM) issueMemCandidate(cycle int64) int {
 	}
 	pick := 0
 	if len(s.candKernels) > 1 {
-		if _, isNop := s.memPolicy.(NopMemPolicy); isNop {
+		if s.oldestFirst {
 			for i := 1; i < len(s.candKernels); i++ {
 				if s.candAges[i] < s.candAges[pick] {
 					pick = i
@@ -668,39 +639,12 @@ func (s *SM) advanceWarp(slot int, cycle int64) {
 	s.reclass(slot)
 }
 
-// readyForCompute reports whether warp w can issue an ALU/SFU
-// instruction this cycle, given remaining port budgets.
-func (s *SM) readyForCompute(w *Warp, cycle int64, aluLeft, sfuLeft int) bool {
-	if !w.Active || w.doneIssuing || w.lastCycle == cycle || w.ReadyAt > cycle {
-		return false
-	}
-	switch w.NextKind {
-	case kern.ALU:
-		if aluLeft <= 0 {
-			return false
-		}
-	case kern.SFU:
-		if sfuLeft <= 0 {
-			return false
-		}
-	case kern.Smem:
-		if s.smemBusyUntil > cycle {
-			return false
-		}
-	default:
-		return false
-	}
-	if w.outN > 0 && w.minBarrier() <= w.IssuedInstrs {
-		return false
-	}
-	return s.gate.CanIssue(int(w.Kernel))
-}
-
-// issueCompute runs each scheduler's compute-issue slot.
+// issueCompute runs each scheduler's compute-issue slot: the greedy warp
+// if it is ready (GTO), else the first ready warp in age order (GTO) or
+// rotation order (LRR), where ready is a bit in the masks of the kinds
+// whose port is still free, outside the asleep mask, of a kernel whose
+// gate is open.
 func (s *SM) issueCompute(cycle int64, memScheduler int) {
-	if s.cand[classCompute] == 0 {
-		return
-	}
 	aluLeft := s.cfg.SM.ALUPorts
 	sfuLeft := s.cfg.SM.SFUPorts
 	lrr := s.cfg.SM.Scheduler == config.LRR
@@ -709,48 +653,63 @@ func (s *SM) issueCompute(cycle int64, memScheduler int) {
 			continue
 		}
 		sc := &s.scheds[si]
-		r := &s.ready[si]
-		if sc.issuedAt == cycle || r.n[classCompute] == 0 || r.earliest[classCompute] > cycle {
+		m := s.maskBuf[:(len(sc.warps)+63)>>6]
+		var some uint64
+		for i := range m {
+			blk := s.block(si, i)
+			var ready uint64
+			if aluLeft > 0 {
+				ready = blk[kindALU]
+			}
+			if sfuLeft > 0 {
+				ready |= blk[kindSFU]
+			}
+			if s.smemBusyUntil <= cycle {
+				ready |= blk[kindSmem]
+			}
+			m[i] = ready &^ blk[rowAsleep]
+			some |= m[i]
+		}
+		if some == 0 {
 			continue
 		}
-		picked := -1
-		if !lrr && sc.lastIssued >= 0 && s.wClass[sc.lastIssued] == classCompute {
-			w := &s.warps[sc.lastIssued]
-			if int(w.SchedID) == si && s.readyForCompute(w, cycle, aluLeft, sfuLeft) {
-				picked = sc.lastIssued
+		// GTO offers the greedy warp first; otherwise the search runs from
+		// the oldest position (GTO) or the rotation pointer (LRR), wrapping.
+		start, pos := 0, -1
+		if lrr {
+			start = sc.rrPos % max(len(sc.warps), 1)
+		} else if sc.lastIssued >= 0 {
+			pos = s.posOf(sc.lastIssued, si)
+			if m[pos>>6]&(1<<(pos&63)) == 0 {
+				pos = -1
 			}
 		}
-		if picked < 0 {
-			n := len(sc.warps)
-			start := 0
-			if lrr {
-				start = sc.rrPos % n
-			}
-			soonest := int64(never)
-			for i := 0; i < n; i++ {
-				slotW := sc.warps[(start+i)%n]
-				if s.wClass[slotW] != classCompute {
-					continue
+		for {
+			if pos < 0 {
+				if pos = firstSet(m, start); pos < 0 && start > 0 {
+					pos = firstSet(m, 0)
 				}
-				w := &s.warps[slotW]
-				if w.ReadyAt < soonest {
-					soonest = w.ReadyAt
-				}
-				if s.readyForCompute(w, cycle, aluLeft, sfuLeft) {
-					picked = slotW
-					if lrr {
-						sc.rrPos = (start + i + 1) % n
-					}
+				if pos < 0 {
 					break
 				}
 			}
-			if picked < 0 {
-				// Every compute candidate of the scheduler was visited.
-				r.earliest[classCompute] = soonest
-				continue
+			k := int(s.warps[sc.warps[pos]].Kernel)
+			if s.gate.CanIssue(k) {
+				break
 			}
+			// The gate's answer is per kernel: none of its warps issue.
+			for i := range m {
+				m[i] &^= s.block(si, i)[rowKernel+k]
+			}
+			pos = -1
 		}
-		s.issueComputeWarp(sc, picked, cycle, &aluLeft, &sfuLeft)
+		if pos < 0 {
+			continue
+		}
+		if lrr {
+			sc.rrPos = (pos + 1) % len(sc.warps)
+		}
+		s.issueComputeWarp(sc, sc.warps[pos], cycle, &aluLeft, &sfuLeft)
 	}
 }
 
@@ -776,15 +735,14 @@ func (s *SM) issueComputeWarp(sc *scheduler, picked int, cycle int64, aluLeft, s
 		// (degree 2..SmemBanks/4, drawn per access).
 		busy := int64(1)
 		if d.SmemConflictProb > 0 && s.wRNG[picked].Bool(d.SmemConflictProb) {
-			maxDeg := s.cfg.SM.SmemBanks / 4
-			if maxDeg < 2 {
-				maxDeg = 2
-			}
-			busy = int64(2 + s.wRNG[picked].Intn(maxDeg-1))
+			busy = int64(2 + s.wRNG[picked].Intn(smemMaxDegree(s.cfg)-1))
 		}
 		s.smemBusyUntil = cycle + busy
 		s.K[k].SmemInstrs++
 		w.ReadyAt = cycle + int64(s.cfg.SM.SmemLat) + busy - 1
+	}
+	if w.ReadyAt > cycle {
+		s.sleep(picked)
 	}
 	s.K[k].Instrs++
 	if s.seriesOn {

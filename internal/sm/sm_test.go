@@ -261,6 +261,58 @@ func TestMemPolicyArbitratesIssue(t *testing.T) {
 	}
 }
 
+// pickFirst is a memory-issue policy that always takes candidate 0.
+type pickFirst struct{}
+
+func (pickFirst) Pick(kernels []int) int   { return 0 }
+func (pickFirst) OnIssue(kernel, reqs int) {}
+
+// TestUnmanagedMemIssueIsOldestFirst pins what runs when no memory-issue
+// policy is installed: the globally oldest ready memory warp issues, not
+// the first one the scan meets. Two all-load kernels: kernel 0's four
+// warps launch in cycle 0 onto schedulers 0..3 and its oldest issues at
+// once, blocking behind its load; kernel 1's single warp launches in
+// cycle 1 behind it on scheduler 0. In cycle 1 the scan therefore meets
+// the youngest warp first (scheduler 0), then kernel 0's older warps
+// from scheduler 1 on. Unmanaged, scheduler 1's warp issues; a policy
+// that takes candidate 0 issues the young one, so the scenario tells the
+// two orders apart.
+func TestUnmanagedMemIssueIsOldestFirst(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		policy    MemIssuePolicy
+		wantSched int
+		wantMem   [2]uint64
+	}{
+		{"unmanaged", nil, 1, [2]uint64{2, 0}},
+		{"NopMemPolicy", NopMemPolicy{}, 1, [2]uint64{2, 0}},
+		{"first-met policy", pickFirst{}, 0, [2]uint64{1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old := memKernel()
+			old.CPerM, old.ReqPerMinst, old.DepDist, old.ThreadsPerTB = 0, 1, 1, 128
+			young := old
+			young.Name, young.ThreadsPerTB = "young", 32
+			cfg := tinyConfig()
+			descs := []*kern.Desc{&old, &young}
+			if err := Validate(&cfg, descs); err != nil {
+				t.Fatal(err)
+			}
+			// New resolves the unmanaged choice; SetPolicies must redo it.
+			s := New(0, &cfg, descs, []int{1, 1}, nil, nil, nil, 1)
+			s.SetPolicies(tc.policy, nil, nil)
+			s.Tick(0)
+			s.Tick(1)
+			if got := [2]uint64{s.K[0].MemInstrs, s.K[1].MemInstrs}; got != tc.wantMem {
+				t.Fatalf("memory instructions issued per kernel = %v, want %v", got, tc.wantMem)
+			}
+			if s.scheds[tc.wantSched].issuedAt != 1 {
+				t.Fatalf("scheduler %d did not issue in cycle 1", tc.wantSched)
+			}
+		})
+	}
+}
+
 // denyGate blocks all issue of kernel 0.
 type denyGate struct{}
 

@@ -7,8 +7,9 @@
 //
 // Deliberately NOT captured: the Pool (a restored SM refills its own),
 // the Trace buffer (an external observer, not engine state), warmLines,
-// the readiness index (derived; Restore rebuilds it) and the scratch
-// buffers (transient), and the issue policies —
+// the issue index with its wake wheel (derived; Restore rebuilds both
+// from the warps' ReadyAt) and the scratch buffers (transient), and the
+// issue policies —
 // policy objects may hold cross-SM shared state the cloner cannot see,
 // so the GPU layer refuses to snapshot while stateful policies are
 // installed and reinstalls them after restore (see gpu.InstallPolicies).
@@ -191,14 +192,14 @@ func (s *SM) Restore(sn *Snapshot, cl *mem.Cloner) error {
 		}
 	}
 	*s.rng = sn.rng
-	s.rebuildReady()
+	s.rebuildIndex()
 	return nil
 }
 
 // SetPolicies replaces the SM's issue policies; nil arguments fall back
-// to the unmanaged defaults, exactly as in New. The GPU layer uses this
-// to install the managed policies on a freshly restored (or warmed-up)
-// machine.
+// to the unmanaged defaults (New goes through here too). The GPU layer
+// uses this to install the managed policies on a freshly restored (or
+// warmed-up) machine.
 func (s *SM) SetPolicies(memPolicy MemIssuePolicy, limiter Limiter, gate IssueGate) {
 	s.memPolicy = memPolicy
 	s.limiter = limiter
@@ -212,6 +213,7 @@ func (s *SM) SetPolicies(memPolicy MemIssuePolicy, limiter Limiter, gate IssueGa
 	if s.gate == nil {
 		s.gate = NopGate{}
 	}
+	_, s.oldestFirst = s.memPolicy.(NopMemPolicy)
 }
 
 // PendingRequests returns how many requests/tokens the SM currently
