@@ -10,6 +10,18 @@
 // and the memory pipeline stalls. Reservation failures are counted per
 // kernel and per cause.
 //
+// The stalled pipeline retries every cycle, so a failure is also the
+// package's most frequent call. Lookups are arranged for that: one scan
+// of a compact per-set tag array finds a line whether it is resident or
+// still being fetched; the MSHR entry of a pending line is found through
+// the line it reserved (an entry lives exactly as long as that
+// reservation, so there is no second index); and the retry of the
+// request that failed last, against a cache nothing has changed since,
+// is answered from a one-entry stall memo. Tag array, line-to-entry map
+// and memo are derived state: rebuilt or dropped by Restore, absent from
+// Snapshot, recomputed by CheckIndex. reference_test.go keeps the
+// probe-and-map implementation they replaced as the test reference.
+//
 // It also implements UCP (utility-based cache partitioning) for the
 // paper's Section 3.1 study: per-kernel UMON shadow tags and the
 // lookahead partitioning algorithm, with way-quota enforcement during
@@ -79,6 +91,9 @@ func (r Result) String() string {
 	}
 }
 
+// line is one way of one set: the cache's authoritative per-line state
+// and, unchanged, the record a Snapshot stores. A line is free when it
+// is neither valid nor reserved; a free line keeps the tag it last held.
 type line struct {
 	tag      uint64
 	valid    bool
@@ -88,12 +103,38 @@ type line struct {
 	lru      uint64
 }
 
+// noTag marks a free way in the tag index. Line addresses are byte
+// addresses divided by the line size, so no request carries it.
+const noTag = ^uint64(0)
+
+// mshrEntry is one slot of the MSHR slab. A slot is in use exactly as
+// long as the line it reserved stays reserved, so the line's way is the
+// index that finds it (Cache.entOf).
 type mshrEntry struct {
 	lineAddr uint64
 	targets  []*mem.Request
 	set, way int
-	isStore  bool       // WBWA store-miss entry: fill marks dirty, no response expected upward
-	next     *mshrEntry // free-list link (entries are recycled across fills)
+	isStore  bool  // WBWA store-miss entry: fill marks dirty, no response expected upward
+	next     int32 // free-list link (slots and their targets storage are recycled across fills)
+}
+
+// stallMemo remembers the last reservation failure. A failing access
+// changes nothing but Stats and the UMON, so until a mutator runs, the
+// same request fails the same way and Access answers it without looking
+// at the cache. Keyed by value: requests are pooled and their pointers
+// recycled.
+type stallMemo struct {
+	armed    bool
+	kind     mem.Kind
+	res      Result
+	kernel   int
+	sm       int
+	lineAddr uint64
+}
+
+// holds reports whether the memo is armed for exactly this request.
+func (m *stallMemo) holds(req *mem.Request) bool {
+	return m.armed && m.lineAddr == req.LineAddr && m.kind == req.Kind && m.kernel == req.Kernel && m.sm == req.SM
 }
 
 // KernelStats aggregates per-kernel cache statistics.
@@ -136,11 +177,21 @@ type Cache struct {
 	setShift uint   // log2(sets): the xor-index fold distance
 	lines    []line // sets*ways, row-major by set
 
-	mshrMap  map[uint64]*mshrEntry
+	// tags[i] is lines[i].tag while line i is valid or reserved and noTag
+	// while it is free: the one array a lookup scans (16 ways = 128 B).
+	// entOf[i] is the MSHR slab slot of reserved line i (meaningless
+	// otherwise). Both are derived from lines and the slab: maintained
+	// where lines change, rebuilt by Restore, absent from Snapshot.
+	tags  []uint64
+	entOf []int32
+
+	// entries is the MSHR slab, cfg.MSHRs slots; entFree heads the free
+	// list (-1 when every slot is in use) and mshrFree is its length.
+	entries  []mshrEntry
+	entFree  int32
 	mshrFree int
-	// entryFree recycles mshrEntry records (and their targets storage)
-	// across fills, keeping MSHR turnover allocation-free.
-	entryFree *mshrEntry
+
+	memo stallMemo
 
 	missQ    ring.Ring[*mem.Request] // pending fetch/forward requests toward the lower level
 	missQCap int
@@ -171,8 +222,6 @@ type Cache struct {
 
 	numKernels int
 	Stats      []KernelStats // indexed by kernel slot
-	// TotalRsFailCycles counts cycles in which at least one access
-	// attempt failed (set by the owner via the returned Result).
 }
 
 // New constructs a cache from cfg for up to numKernels kernel slots.
@@ -183,7 +232,9 @@ func New(cfg config.Cache, numKernels int) *Cache {
 		setMask:    uint64(sets - 1),
 		setShift:   log2(sets),
 		lines:      make([]line, sets*cfg.Ways),
-		mshrMap:    make(map[uint64]*mshrEntry, cfg.MSHRs),
+		tags:       make([]uint64, sets*cfg.Ways),
+		entOf:      make([]int32, sets*cfg.Ways),
+		entries:    make([]mshrEntry, cfg.MSHRs),
 		mshrFree:   cfg.MSHRs,
 		missQCap:   cfg.MissQueue,
 		wbQCap:     8,
@@ -191,7 +242,35 @@ func New(cfg config.Cache, numKernels int) *Cache {
 		numKernels: numKernels,
 		Stats:      make([]KernelStats, numKernels),
 	}
+	for i := range c.tags {
+		c.tags[i] = noTag
+	}
+	c.resetEntries()
 	return c
+}
+
+// resetEntries puts every slab slot on the free list, lowest slot first.
+func (c *Cache) resetEntries() {
+	for i := range c.entries {
+		e := &c.entries[i]
+		e.targets = e.targets[:0]
+		e.next = int32(i) + 1
+	}
+	c.entFree = -1
+	if n := len(c.entries); n > 0 {
+		c.entries[n-1].next = -1
+		c.entFree = 0
+	}
+}
+
+// takeSlot moves the head of the slab's free list to reserved line at
+// and returns it; the caller accounts for it in mshrFree.
+func (c *Cache) takeSlot(at int) *mshrEntry {
+	slot := c.entFree
+	e := &c.entries[slot]
+	c.entFree = e.next
+	c.entOf[at] = slot
+	return e
 }
 
 // log2 returns the smallest b with 1<<b >= n, for n >= 1.
@@ -208,75 +287,79 @@ func (c *Cache) setIndex(lineAddr uint64) int {
 	return int(h & c.setMask)
 }
 
-// probe looks up lineAddr; it returns the way index or -1.
-func (c *Cache) probe(set int, lineAddr uint64) int {
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid && ln.tag == lineAddr {
-			return w
+// find returns the index into lines of the valid or reserved line
+// holding lineAddr in the set starting at base, or -1. At most one line
+// of a set holds an address: an access to a held address hits or merges,
+// it never allocates a second line.
+func (c *Cache) find(base int, lineAddr uint64) int {
+	for w, tag := range c.tags[base : base+c.cfg.Ways] {
+		if tag == lineAddr {
+			return base + w
 		}
 	}
 	return -1
 }
 
-// victim selects a replaceable way in set for kernel k, honouring the UCP
-// way quota when partitioning is enabled. It returns -1 when every line
-// in the set is reserved (or quota enforcement leaves no candidate).
-func (c *Cache) victim(set int, k int) int {
-	base := set * c.cfg.Ways
-	// Invalid line first.
-	for w := 0; w < c.cfg.Ways; w++ {
-		if !c.lines[base+w].valid && !c.lines[base+w].reserved {
-			return w
-		}
-	}
+// victim selects a replaceable line in the set starting at base for
+// kernel k — the first free way, else the LRU valid line — honouring the
+// UCP way quota when partitioning is enabled. It returns -1 when every
+// line in the set is reserved (or quota enforcement leaves no candidate).
+func (c *Cache) victim(base int, k int) int {
 	if c.quota == nil || k >= len(c.quota) {
-		return c.lruVictim(set, -1)
+		best, bestLRU := -1, ^uint64(0)
+		for i := base; i < base+c.cfg.Ways; i++ {
+			if c.tags[i] == noTag {
+				return i
+			}
+			if ln := &c.lines[i]; !ln.reserved && ln.lru < bestLRU {
+				best, bestLRU = i, ln.lru
+			}
+		}
+		return best
 	}
 	// UCP enforcement: if kernel k is within its quota, evict from a
 	// kernel that exceeds its quota; otherwise evict k's own LRU line.
 	occ := c.occ
 	clear(occ)
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
-		if ln.valid || ln.reserved {
-			if int(ln.owner) < len(occ) {
-				occ[ln.owner]++
-			}
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if c.tags[i] == noTag {
+			return i
+		}
+		if o := int(c.lines[i].owner); o < len(occ) {
+			occ[o]++
 		}
 	}
 	if occ[k] >= c.quota[k] {
-		if w := c.lruVictim(set, k); w >= 0 {
-			return w
+		if i := c.lruVictim(base, k); i >= 0 {
+			return i
 		}
-		return c.lruVictim(set, -1)
+		return c.lruVictim(base, -1)
 	}
 	// Find the LRU line among over-quota owners.
 	best, bestLRU := -1, ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
+	for i := base; i < base+c.cfg.Ways; i++ {
+		ln := &c.lines[i]
 		if ln.reserved {
 			continue
 		}
 		o := int(ln.owner)
 		if o < len(occ) && occ[o] > c.quota[o] && ln.lru < bestLRU {
-			best, bestLRU = w, ln.lru
+			best, bestLRU = i, ln.lru
 		}
 	}
 	if best >= 0 {
 		return best
 	}
-	return c.lruVictim(set, -1)
+	return c.lruVictim(base, -1)
 }
 
-// lruVictim returns the LRU non-reserved way, optionally restricted to
-// lines owned by kernel k (k < 0 means any owner), or -1.
-func (c *Cache) lruVictim(set int, k int) int {
-	base := set * c.cfg.Ways
+// lruVictim returns the LRU non-reserved line of a set without free
+// ways, optionally restricted to lines owned by kernel k (k < 0 means any
+// owner), or -1.
+func (c *Cache) lruVictim(base int, k int) int {
 	best, bestLRU := -1, ^uint64(0)
-	for w := 0; w < c.cfg.Ways; w++ {
-		ln := &c.lines[base+w]
+	for i := base; i < base+c.cfg.Ways; i++ {
+		ln := &c.lines[i]
 		if ln.reserved {
 			continue
 		}
@@ -284,38 +367,65 @@ func (c *Cache) lruVictim(set int, k int) int {
 			continue
 		}
 		if ln.lru < bestLRU {
-			best, bestLRU = w, ln.lru
+			best, bestLRU = i, ln.lru
 		}
 	}
 	return best
 }
 
 // Access performs one cache access. On reservation failure the cache
-// state is unchanged and the caller must retry.
+// state is unchanged and the caller must retry; the retry of the request
+// that failed last, with no mutator in between, is answered from the
+// stall memo and costs no lookup.
 func (c *Cache) Access(req *mem.Request) Result {
 	k := req.Kernel
-	st := &c.Stats[k]
-	set := c.setIndex(req.LineAddr)
-
 	if c.umon != nil {
+		// The monitor observes every attempt, failed and repeated ones
+		// included.
 		c.umon.Access(k, req.LineAddr)
 	}
-
-	if w := c.probe(set, req.LineAddr); w >= 0 {
-		ln := &c.lines[set*c.cfg.Ways+w]
-		if ln.reserved {
-			// Line is being fetched: merge into the MSHR entry.
-			return c.merge(req, st)
+	m := &c.memo
+	res := m.res
+	if !m.holds(req) {
+		res = c.access(req)
+		if !res.Failed() {
+			m.armed = false
+			return res
 		}
+		*m = stallMemo{armed: true, kind: req.Kind, res: res, kernel: k, sm: req.SM, lineAddr: req.LineAddr}
+	}
+	st := &c.Stats[k]
+	st.RsFail++
+	switch res {
+	case ResFailMSHR:
+		st.RsFailMSHR++
+	case ResFailMissQueue:
+		st.RsFailMQ++
+	default:
+		st.RsFailLine++
+	}
+	return res
+}
+
+// access evaluates req against the cache. A failed attempt has no side
+// effect at all (Access counts it); a successful one updates the cache
+// and the access counters.
+func (c *Cache) access(req *mem.Request) Result {
+	k := req.Kernel
+	st := &c.Stats[k]
+	base := c.setIndex(req.LineAddr) * c.cfg.Ways
+	at := c.find(base, req.LineAddr)
+
+	if at >= 0 && c.lines[at].valid {
+		ln := &c.lines[at]
 		if req.Kind == mem.Store && !c.cfg.WriteBack {
 			// Write-evict: invalidate on write hit and forward the
 			// store to the lower level.
 			if c.missQ.Len() >= c.missQCap {
-				st.RsFail++
-				st.RsFailMQ++
 				return ResFailMissQueue
 			}
 			ln.valid = false
+			c.tags[at] = noTag
 			c.missQ.Push(req)
 			st.Accesses++
 			st.Hits++
@@ -331,12 +441,10 @@ func (c *Cache) Access(req *mem.Request) Result {
 		return Hit
 	}
 
-	// Miss path.
+	// Miss path: the line is absent (at < 0) or pending (reserved).
 	if req.Kind == mem.Store && !c.cfg.WriteBack {
-		// Write-no-allocate: forward the store.
+		// Write-no-allocate: forward the store, also past a pending line.
 		if c.missQ.Len() >= c.missQCap {
-			st.RsFail++
-			st.RsFailMQ++
 			return ResFailMissQueue
 		}
 		c.missQ.Push(req)
@@ -345,17 +453,23 @@ func (c *Cache) Access(req *mem.Request) Result {
 		return Forwarded
 	}
 
-	if e, ok := c.mshrMap[req.LineAddr]; ok {
-		_ = e
-		return c.merge(req, st)
+	if at >= 0 {
+		// Line is being fetched: merge into its MSHR entry.
+		e := &c.entries[c.entOf[at]]
+		if len(e.targets) >= c.cfg.MSHRMerge {
+			return ResFailMSHR
+		}
+		e.targets = append(e.targets, req)
+		st.Accesses++
+		st.Misses++
+		st.Merged++
+		return HitPending
 	}
 
 	if k < len(c.bypass) && c.bypass[k] && req.Kind == mem.Load {
 		// Bypass: ship the original request below; its response will
 		// complete the instruction without filling this cache.
 		if c.missQ.Len() >= c.missQCap {
-			st.RsFail++
-			st.RsFailMQ++
 			return ResFailMissQueue
 		}
 		c.missQ.Push(req)
@@ -369,18 +483,13 @@ func (c *Cache) Access(req *mem.Request) Result {
 		// Write-validate: a coalesced store covers the whole line, so
 		// allocate it dirty without fetching from below. Only the
 		// eventual writeback reaches the lower level.
-		w := c.victim(set, k)
-		if w < 0 {
-			st.RsFail++
-			st.RsFailLine++
+		at = c.victim(base, k)
+		if at < 0 || !c.evictForAlloc(at, req.SM) {
 			return ResFailLine
 		}
-		ln := &c.lines[set*c.cfg.Ways+w]
-		if res := c.evictForAlloc(ln, req.SM, st); res != Hit {
-			return res
-		}
 		c.lruClock++
-		*ln = line{tag: req.LineAddr, valid: true, dirty: true, owner: int8(k), lru: c.lruClock}
+		c.lines[at] = line{tag: req.LineAddr, valid: true, dirty: true, owner: int8(k), lru: c.lruClock}
+		c.tags[at] = req.LineAddr
 		st.Accesses++
 		st.Misses++
 		return Hit
@@ -388,34 +497,27 @@ func (c *Cache) Access(req *mem.Request) Result {
 
 	// New miss: need MSHR + miss-queue slot + allocatable line.
 	if c.mshrFree == 0 {
-		st.RsFail++
-		st.RsFailMSHR++
 		return ResFailMSHR
 	}
 	if c.missQ.Len() >= c.missQCap {
-		st.RsFail++
-		st.RsFailMQ++
 		return ResFailMissQueue
 	}
-	w := c.victim(set, k)
-	if w < 0 {
-		st.RsFail++
-		st.RsFailLine++
+	at = c.victim(base, k)
+	if at < 0 || !c.evictForAlloc(at, req.SM) {
 		return ResFailLine
-	}
-	ln := &c.lines[set*c.cfg.Ways+w]
-	if res := c.evictForAlloc(ln, req.SM, st); res != Hit {
-		return res
 	}
 	// Reserve the line for the incoming fill.
 	c.lruClock++
-	*ln = line{tag: req.LineAddr, valid: false, reserved: true, owner: int8(k), lru: c.lruClock}
+	c.lines[at] = line{tag: req.LineAddr, valid: false, reserved: true, owner: int8(k), lru: c.lruClock}
+	c.tags[at] = req.LineAddr
 
-	e := c.newEntry()
-	e.lineAddr, e.set, e.way, e.isStore = req.LineAddr, set, w, req.Kind == mem.Store
-	e.targets = append(e.targets, req)
-	c.mshrMap[req.LineAddr] = e
+	e := c.takeSlot(at)
 	c.mshrFree--
+	e.lineAddr, e.set, e.way, e.isStore = req.LineAddr, base/c.cfg.Ways, at-base, req.Kind == mem.Store
+	if e.targets == nil {
+		e.targets = make([]*mem.Request, 0, c.cfg.MSHRMerge)
+	}
+	e.targets = append(e.targets, req)
 
 	// The fetch sent below is a load for the full line regardless of the
 	// triggering request's kind (WBWA store misses fetch-then-merge).
@@ -431,15 +533,14 @@ func (c *Cache) Access(req *mem.Request) Result {
 	return Miss
 }
 
-// evictForAlloc queues the writeback of a dirty victim. It returns Hit
-// on success or a reservation-failure result when the writeback queue is
-// full (the allocation must be retried).
-func (c *Cache) evictForAlloc(ln *line, smID int, st *KernelStats) Result {
+// evictForAlloc queues the writeback of the victim line if it is dirty.
+// It reports false when the writeback queue is full (the allocation must
+// be retried).
+func (c *Cache) evictForAlloc(at int, smID int) bool {
+	ln := &c.lines[at]
 	if ln.valid && ln.dirty && c.cfg.WriteBack {
 		if c.wbQ.Len() >= c.wbQCap {
-			st.RsFail++
-			st.RsFailLine++
-			return ResFailLine
+			return false
 		}
 		wb := c.Pool.Request()
 		wb.LineAddr = ln.tag
@@ -448,34 +549,14 @@ func (c *Cache) evictForAlloc(ln *line, smID int, st *KernelStats) Result {
 		wb.SM = smID
 		c.wbQ.Push(wb)
 	}
-	return Hit
-}
-
-func (c *Cache) merge(req *mem.Request, st *KernelStats) Result {
-	e, ok := c.mshrMap[req.LineAddr]
-	if !ok {
-		// A reserved line without an MSHR entry cannot happen by
-		// construction; treat as MSHR failure defensively.
-		st.RsFail++
-		st.RsFailMSHR++
-		return ResFailMSHR
-	}
-	if len(e.targets) >= c.cfg.MSHRMerge {
-		st.RsFail++
-		st.RsFailMSHR++
-		return ResFailMSHR
-	}
-	e.targets = append(e.targets, req)
-	st.Accesses++
-	st.Misses++
-	st.Merged++
-	return HitPending
+	return true
 }
 
 // PopMiss removes and returns the oldest pending fetch/forward request,
 // or nil when the miss queue is empty.
 func (c *Cache) PopMiss() *mem.Request {
 	if r, ok := c.missQ.TryPop(); ok {
+		c.memo.armed = false
 		return r
 	}
 	return nil
@@ -492,6 +573,7 @@ func (c *Cache) PeekMiss() *mem.Request {
 // PopWriteback removes and returns the oldest dirty-eviction writeback.
 func (c *Cache) PopWriteback() *mem.Request {
 	if r, ok := c.wbQ.TryPop(); ok {
+		c.memo.armed = false
 		return r
 	}
 	return nil
@@ -499,23 +581,24 @@ func (c *Cache) PopWriteback() *mem.Request {
 
 // Fill delivers the line for lineAddr, validating the reserved line,
 // releasing the MSHR entry and returning the merged target requests so
-// the owner can complete them. Fill for an unknown address returns nil
-// (e.g. a line invalidated by an intervening write-evict).
+// the owner can complete them. It returns nil when no fill is pending
+// for lineAddr, which the engine never produces: every fetch it sends
+// below reserved a line, and a reserved line stays reserved until its
+// fill (bypassed loads return to the SM directly, not through Fill).
 func (c *Cache) Fill(lineAddr uint64) []*mem.Request {
-	e, ok := c.mshrMap[lineAddr]
-	if !ok {
+	at := c.find(c.setIndex(lineAddr)*c.cfg.Ways, lineAddr)
+	if at < 0 || !c.lines[at].reserved {
 		return nil
 	}
-	delete(c.mshrMap, lineAddr)
-	c.mshrFree++
-	ln := &c.lines[e.set*c.cfg.Ways+e.way]
-	if ln.reserved && ln.tag == lineAddr {
-		ln.reserved = false
-		ln.valid = true
-		ln.dirty = e.isStore && c.cfg.WriteBack
-		c.lruClock++
-		ln.lru = c.lruClock
-	}
+	c.memo.armed = false
+	slot := c.entOf[at]
+	e := &c.entries[slot]
+	ln := &c.lines[at]
+	ln.reserved = false
+	ln.valid = true
+	ln.dirty = e.isStore && c.cfg.WriteBack
+	c.lruClock++
+	ln.lru = c.lruClock
 	// WBWA: merged stores dirty the line.
 	if c.cfg.WriteBack {
 		for _, t := range e.targets {
@@ -524,46 +607,25 @@ func (c *Cache) Fill(lineAddr uint64) []*mem.Request {
 			}
 		}
 	}
+	// Recycle the slot. The targets returned to the caller stay valid
+	// until the next miss takes the slot, by which point the owner has
+	// retired them (fills are consumed in the same cycle they are
+	// delivered). Truncate without zeroing: the returned slice aliases
+	// this storage and the caller is still consuming it; stale pointers
+	// beyond the next entry's length are overwritten by its appends.
 	targets := e.targets
-	c.freeEntry(e)
-	return targets
-}
-
-// newEntry takes an mshrEntry from the free list (or allocates one).
-// Its targets slice is empty but keeps prior capacity.
-func (c *Cache) newEntry() *mshrEntry {
-	e := c.entryFree
-	if e == nil {
-		return &mshrEntry{}
-	}
-	c.entryFree = e.next
-	e.next = nil
-	return e
-}
-
-// freeEntry recycles an mshrEntry after its fill. The targets returned
-// to the caller stay valid until the next miss allocates an entry, by
-// which point the owner has retired them (fills are consumed in the
-// same cycle they are delivered).
-func (c *Cache) freeEntry(e *mshrEntry) {
-	// Truncate without zeroing: the returned slice aliases this storage
-	// and the caller is still consuming it. Stale pointers beyond the
-	// next entry's length are overwritten by its appends.
 	e.targets = e.targets[:0]
-	e.next = c.entryFree
-	c.entryFree = e
+	e.next = c.entFree
+	c.entFree = slot
+	c.mshrFree++
+	return targets
 }
 
 // Contains reports whether lineAddr is resident and valid, without
 // touching replacement state.
 func (c *Cache) Contains(lineAddr uint64) bool {
-	set := c.setIndex(lineAddr)
-	w := c.probe(set, lineAddr)
-	if w < 0 {
-		return false
-	}
-	ln := &c.lines[set*c.cfg.Ways+w]
-	return ln.valid && !ln.reserved
+	at := c.find(c.setIndex(lineAddr)*c.cfg.Ways, lineAddr)
+	return at >= 0 && c.lines[at].valid
 }
 
 // MSHRInUse returns the number of occupied MSHR entries.
@@ -575,6 +637,7 @@ func (c *Cache) MissQueueLen() int { return c.missQ.Len() }
 // SetPartition installs a per-kernel way quota (UCP enforcement). Pass
 // nil to disable partitioning.
 func (c *Cache) SetPartition(quota []int) {
+	c.memo.armed = false
 	if quota == nil {
 		c.quota = nil
 		return
@@ -589,6 +652,7 @@ func (c *Cache) Partition() []int { return c.quota }
 
 // SetBypass installs the per-kernel L1 bypass policy (nil disables).
 func (c *Cache) SetBypass(bypass []bool) {
+	c.memo.armed = false
 	if bypass == nil {
 		c.bypass = nil
 		return

@@ -191,6 +191,61 @@ func TestWriteNoAllocateStoreMiss(t *testing.T) {
 	}
 }
 
+// TestStoreToPendingLineIsForwarded pins the write-no-allocate rule for a
+// line whose fill is still in flight: the store is forwarded below like
+// any other store miss, it does not join the MSHR entry's targets.
+func TestStoreToPendingLineIsForwarded(t *testing.T) {
+	c := smallL1()
+	ld := load(0, 11)
+	if res := c.Access(ld); res != Miss {
+		t.Fatalf("load = %v, want Miss", res)
+	}
+	c.PopMiss()
+	st := store(0, 11)
+	if res := c.Access(st); res != Forwarded {
+		t.Fatalf("store to pending line = %v, want Forwarded", res)
+	}
+	if got := c.PopMiss(); got != st {
+		t.Fatal("the store itself must travel below")
+	}
+	if s := c.Stats[0]; s.Merged != 0 || s.Misses != 2 || s.Hits != 0 {
+		t.Fatalf("stats = %+v, want the store counted as a plain miss", s)
+	}
+	if targets := c.Fill(11); len(targets) != 1 || targets[0] != ld {
+		t.Fatalf("fill returned %d targets, want only the load", len(targets))
+	}
+	// With the miss queue full the same store fails on the queue, not on
+	// the MSHR entry.
+	c.Access(load(0, 12))
+	c.Access(load(0, 13))
+	if res := c.Access(store(0, 12)); res != ResFailMissQueue {
+		t.Fatalf("store to pending line, full miss queue = %v, want ResFailMissQueue", res)
+	}
+}
+
+// TestBypassLoadToPendingLineMerges: a bypassing kernel's load to a line
+// another access already reserved joins that MSHR entry instead of
+// travelling below on its own.
+func TestBypassLoadToPendingLineMerges(t *testing.T) {
+	c := smallL1()
+	first := load(1, 50)
+	if res := c.Access(first); res != Miss {
+		t.Fatalf("load before bypass = %v, want Miss", res)
+	}
+	c.PopMiss()
+	c.SetBypass([]bool{false, true})
+	second := load(1, 50)
+	if res := c.Access(second); res != HitPending {
+		t.Fatalf("bypassing load to pending line = %v, want HitPending", res)
+	}
+	if c.MissQueueLen() != 0 || c.Stats[1].Bypassed != 0 {
+		t.Fatal("a merged load must not be sent below")
+	}
+	if targets := c.Fill(50); len(targets) != 2 || targets[0] != first || targets[1] != second {
+		t.Fatalf("fill returned %d targets, want both loads in order", len(targets))
+	}
+}
+
 func TestWriteValidateL2(t *testing.T) {
 	c := smallL2()
 	// A store miss on the write-back L2 allocates the line dirty without

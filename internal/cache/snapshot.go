@@ -8,6 +8,7 @@
 package cache
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"unsafe"
@@ -59,23 +60,22 @@ func (c *Cache) Snapshot(cl *mem.Cloner) *Snapshot {
 		bypass:   append([]bool(nil), c.bypass...),
 		stats:    append([]KernelStats(nil), c.Stats...),
 	}
-	// Iterate the MSHR map in sorted line order: map order is random
-	// per process, and two identical runs must produce byte-identical
-	// encoded snapshots (checkpoint digests are compared across worker
-	// configurations and across resumed runs).
-	addrs := make([]uint64, 0, len(c.mshrMap))
-	for a := range c.mshrMap {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
-	for _, a := range addrs {
-		e := c.mshrMap[a]
+	// The MSHR list is sorted by line address: two identical runs must
+	// produce byte-identical encoded snapshots (checkpoint digests are
+	// compared across worker configurations and across resumed runs),
+	// whichever slab slots and ways their histories handed out.
+	for i := range c.lines {
+		if !c.lines[i].reserved {
+			continue
+		}
+		e := &c.entries[c.entOf[i]]
 		ms := mshrSnapshot{lineAddr: e.lineAddr, set: e.set, way: e.way, isStore: e.isStore}
 		for _, t := range e.targets {
 			ms.targets = append(ms.targets, cl.Request(t))
 		}
 		sn.mshr = append(sn.mshr, ms)
 	}
+	slices.SortFunc(sn.mshr, func(a, b mshrSnapshot) int { return cmp.Compare(a.lineAddr, b.lineAddr) })
 	if c.umon != nil {
 		sn.umon = c.umon.snapshot()
 	}
@@ -95,16 +95,36 @@ func (c *Cache) Restore(sn *Snapshot, cl *mem.Cloner) error {
 		return fmt.Errorf("cache: restore: snapshot has %d kernel slots, cache has %d",
 			len(sn.stats), c.numKernels)
 	}
-	copy(c.lines, sn.lines)
-	c.mshrMap = make(map[uint64]*mshrEntry, len(sn.mshr))
-	c.entryFree = nil
+	if len(sn.mshr) > len(c.entries) {
+		return fmt.Errorf("cache: restore: snapshot has %d MSHR entries, cache has %d MSHRs",
+			len(sn.mshr), len(c.entries))
+	}
 	for _, ms := range sn.mshr {
-		e := &mshrEntry{lineAddr: ms.lineAddr, set: ms.set, way: ms.way, isStore: ms.isStore}
+		at := ms.set*c.cfg.Ways + ms.way
+		if ms.way < 0 || ms.way >= c.cfg.Ways || at < 0 || at >= len(sn.lines) ||
+			!sn.lines[at].reserved || sn.lines[at].tag != ms.lineAddr {
+			return fmt.Errorf("cache: restore: MSHR entry for line %#x names set %d way %d, which it did not reserve",
+				ms.lineAddr, ms.set, ms.way)
+		}
+	}
+	copy(c.lines, sn.lines)
+	// The tag index, the line-to-slot map and the memo are derived state:
+	// rebuilt (or dropped) here, never read from the snapshot.
+	for i := range c.lines {
+		c.tags[i] = noTag
+		if ln := &c.lines[i]; ln.valid || ln.reserved {
+			c.tags[i] = ln.tag
+		}
+	}
+	c.resetEntries()
+	for _, ms := range sn.mshr {
+		e := c.takeSlot(ms.set*c.cfg.Ways + ms.way)
+		e.lineAddr, e.set, e.way, e.isStore = ms.lineAddr, ms.set, ms.way, ms.isStore
 		for _, t := range ms.targets {
 			e.targets = append(e.targets, cl.Request(t))
 		}
-		c.mshrMap[ms.lineAddr] = e
 	}
+	c.memo.armed = false
 	c.mshrFree = sn.mshrFree
 	c.missQ.Restore(sn.missQ, cl.Request)
 	c.wbQ.Restore(sn.wbQ, cl.Request)
@@ -133,8 +153,8 @@ func (c *Cache) Restore(sn *Snapshot, cl *mem.Cloner) error {
 // targets currently hold (snapshot-footprint accounting).
 func (c *Cache) PendingRequests() int {
 	n := c.missQ.Len() + c.wbQ.Len()
-	for _, e := range c.mshrMap {
-		n += len(e.targets)
+	for i := range c.entries {
+		n += len(c.entries[i].targets) // a free slot's targets are empty
 	}
 	return n
 }

@@ -5,6 +5,11 @@
 // shared data bus bound the channel bandwidth (Table 1: 48 B/cycle at
 // the memory clock, which our unit-clock model folds into DataCycles
 // per 128 B line).
+//
+// The scheduler finds its pick in one pass over the queue, oldest first
+// (the first ready row hit, else the first request whose bank is free),
+// and skips the pass entirely until the earliest bank of a queued
+// request frees up.
 package dram
 
 import (
@@ -25,7 +30,7 @@ type pending struct {
 	req     *mem.Request
 	arrival int64
 	// bank and row are derived from req.LineAddr at Push time. The
-	// FR-FCFS scan walks the whole queue every cycle; precomputing here
+	// FR-FCFS scan may walk the whole queue; precomputing here
 	// turns the per-entry hash/division into two integer loads from the
 	// same cache line the scan is already touching.
 	bank int32
@@ -46,10 +51,10 @@ type Channel struct {
 	busBusyUntil int64
 	resp         ring.Ring[response]
 	// idleUntil <= busyUntil of the bank of every queued request: before
-	// that cycle neither FR-FCFS scan can pick anything, so Tick skips
-	// both. Derived (a bank's busyUntil only moves forward; Push lowers
-	// the bound, a scan that finds nothing makes it exact) and not part
-	// of Snapshot: Restore resets it to 0, which is always valid.
+	// that cycle the FR-FCFS scan can pick nothing, so Tick skips it.
+	// Derived (a bank's busyUntil only moves forward; Push lowers the
+	// bound, a scan that finds nothing makes it exact) and not part of
+	// Snapshot: Restore resets it to 0, which is always valid.
 	idleUntil int64
 
 	// Pool, when non-nil, receives served store requests (stores need no
@@ -119,32 +124,34 @@ func (c *Channel) Tick(cycle int64) {
 	if c.resp.Len() >= c.cfg.ReturnQueue {
 		return // response queue backpressure
 	}
-	pick := -1
-	// First ready: oldest row-buffer hit whose bank is free.
+	// One pass, oldest first: stop at the first ready row-buffer hit
+	// (first ready), remembering the first request whose bank is free
+	// (FCFS) in case there is none.
+	pick, fcfs := -1, -1
+	soonest := int64(math.MaxInt64)
 	for i := range c.queue {
 		bk := &c.banks[c.queue[i].bank]
-		if bk.busyUntil <= cycle && bk.rowValid && bk.openRow == c.queue[i].row {
+		if bk.busyUntil > cycle {
+			if bk.busyUntil < soonest {
+				soonest = bk.busyUntil
+			}
+			continue
+		}
+		if bk.rowValid && bk.openRow == c.queue[i].row {
 			pick = i
 			break
 		}
+		if fcfs < 0 {
+			fcfs = i
+		}
 	}
 	if pick < 0 {
-		// Then FCFS: oldest request whose bank is free.
-		soonest := int64(math.MaxInt64)
-		for i := range c.queue {
-			busy := c.banks[c.queue[i].bank].busyUntil
-			if busy <= cycle {
-				pick = i
-				break
-			}
-			if busy < soonest {
-				soonest = busy
-			}
-		}
-		if pick < 0 {
+		if fcfs < 0 {
+			// Every queued request's bank is busy, so soonest saw them all.
 			c.idleUntil = soonest
 			return
 		}
+		pick = fcfs
 	}
 	p := c.queue[pick]
 	copy(c.queue[pick:], c.queue[pick+1:])

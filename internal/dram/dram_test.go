@@ -214,19 +214,50 @@ func TestPropertyAllLoadsComplete(t *testing.T) {
 	}
 }
 
+// twoPassPick is FR-FCFS as two scans, the reference for Tick's fused
+// one: the oldest ready row-buffer hit, else the oldest request whose
+// bank is free, else (or with the response queue full) -1.
+func twoPassPick(c *Channel, cycle int64) int {
+	if c.resp.Len() >= c.cfg.ReturnQueue {
+		return -1
+	}
+	for i, p := range c.queue {
+		if bk := &c.banks[p.bank]; bk.busyUntil <= cycle && bk.rowValid && bk.openRow == p.row {
+			return i
+		}
+	}
+	for i, p := range c.queue {
+		if c.banks[p.bank].busyUntil <= cycle {
+			return i
+		}
+	}
+	return -1
+}
+
 // TestPropertyIdleSkipMatchesFullScan: the idle bound only ever skips
-// ticks whose FR-FCFS scans would have picked nothing. Two channels get
-// the same request stream; one has its bound cleared before every tick,
-// which forces both scans as before the bound existed. Every response
-// must come back in the same cycle on both.
+// ticks whose FR-FCFS scan would have picked nothing, and the scan picks
+// what the two-pass picker picks. Two channels get the same request
+// stream; one has its bound cleared before every tick, which forces the
+// scan as before the bound existed, and must serve exactly the request
+// twoPassPick names. Every response must come back in the same cycle on
+// both.
 func TestPropertyIdleSkipMatchesFullScan(t *testing.T) {
 	f := func(lines []uint16, gaps []uint8) bool {
 		fast, full := New(testCfg(), 128), New(testCfg(), 128)
 		cycle := int64(0)
 		step := func() bool {
 			fast.Tick(cycle)
+			want, queued := twoPassPick(full, cycle), len(full.queue)
+			var wantReq *mem.Request
+			if want >= 0 {
+				wantReq = full.queue[want].req
+				queued--
+			}
 			full.idleUntil = 0
 			full.Tick(cycle)
+			if len(full.queue) != queued || (want >= 0 && want < queued && full.queue[want].req == wantReq) {
+				return false
+			}
 			a, b := fast.PopResponse(cycle), full.PopResponse(cycle)
 			cycle++
 			return (a == nil) == (b == nil) && (a == nil || a.LineAddr == b.LineAddr)

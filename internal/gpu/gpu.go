@@ -909,25 +909,35 @@ func UniformQuota(numSMs int, perSM []int) [][]int {
 }
 
 // DumpMemState prints memory-system occupancy and statistics to stdout
-// (development and debugging aid used by cmd/ckedebug).
+// (development and debugging aid used by cmd/ckedebug). Reservation
+// failures are split by the resource that was missing — MSHR, miss
+// queue, line — for every L2 partition and every L1: which one a
+// workload starves on is the paper's Figure 6 question.
 func (g *GPU) DumpMemState() {
 	g.flushPipeline()
 	fmt.Printf("reqNet flits=%d respNet flits=%d\n", g.reqNet.TransferredFlits, g.respNet.TransferredFlits)
-	for p, part := range g.parts {
-		st := part.l2.Stats
-		var acc, miss, rsf uint64
+	sum := func(st []cache.KernelStats) (t cache.KernelStats) {
 		for _, s := range st {
-			acc += s.Accesses
-			miss += s.Misses
-			rsf += s.RsFail
+			t.Accesses += s.Accesses
+			t.Misses += s.Misses
+			t.RsFailMSHR += s.RsFailMSHR
+			t.RsFailMQ += s.RsFailMQ
+			t.RsFailLine += s.RsFailLine
 		}
-		fmt.Printf("part%d: l2 acc=%d miss=%d rsfail=%d mshr=%d missq=%d inQ=%d resp=%d dram: served=%d rowhit=%d q=%d\n",
-			p, acc, miss, rsf, part.l2.MSHRInUse(), part.l2.MissQueueLen(),
+		return t
+	}
+	for p, part := range g.parts {
+		t := sum(part.l2.Stats)
+		fmt.Printf("part%d: l2 acc=%d miss=%d rsfail[mshr=%d missq=%d line=%d] mshr=%d missq=%d inQ=%d resp=%d dram: served=%d rowhit=%d q=%d\n",
+			p, t.Accesses, t.Misses, t.RsFailMSHR, t.RsFailMQ, t.RsFailLine,
+			part.l2.MSHRInUse(), part.l2.MissQueueLen(),
 			part.inQ.Len(), part.resp.Len(),
 			part.ch.Served, part.ch.RowHits, part.ch.QueueLen())
 	}
 	for _, s := range g.SMs {
-		fmt.Printf("sm%d: l1 mshr=%d missq=%d lsuStall=%d\n", s.ID, s.L1.MSHRInUse(), s.L1.MissQueueLen(), s.LSUStall)
+		t := sum(s.L1.Stats)
+		fmt.Printf("sm%d: l1 rsfail[mshr=%d missq=%d line=%d] mshr=%d missq=%d lsuStall=%d\n",
+			s.ID, t.RsFailMSHR, t.RsFailMQ, t.RsFailLine, s.L1.MSHRInUse(), s.L1.MissQueueLen(), s.LSUStall)
 	}
 }
 

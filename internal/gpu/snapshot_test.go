@@ -53,11 +53,14 @@ func snapshotOpts(cfg *config.Config, descs []*kern.Desc, totalCycles int64, wor
 //
 // The snapshot is taken on a cycle where the issue index hides at least
 // one warp a full scan would visit — an issue candidate asleep behind a
-// result latency, its wake still filed in the wheel — and the second
-// restore lands in a machine that has already run, whose derived indexes
-// therefore hold another state's contents: a Restore that forgot to
-// rebuild the masks or re-file the wakes cannot produce the
-// uninterrupted result.
+// result latency, its wake still filed in the wheel — and where an L1
+// and an L2 partition each hold an armed stall memo, and the second
+// restore lands in a machine that has already run, whose derived state
+// therefore holds another state's contents: a Restore that forgot to
+// rebuild the masks, re-file the wakes or drop the memos cannot produce
+// the uninterrupted result (and the fresh machine, which starts without
+// the memos the snapshotted one was answering from, can only do so if
+// the memo answers exactly what a full evaluation would).
 func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 	const total = 8000
 	for _, tc := range []struct {
@@ -88,8 +91,8 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				refJS := marshalResult(t, gA)
 
 				// Snapshotted run: warm leg up to the first cycle from
-				// 4000 on with a sleeping issue candidate, snapshot,
-				// continue leg.
+				// 4000 on with a sleeping issue candidate and armed stall
+				// memos on both cache levels, snapshot, continue leg.
 				oB := snapshotOpts(&cfg, descs, total, workers, tc.full)
 				gB, err := gpu.New(cfg, descs, oB)
 				if err != nil {
@@ -98,9 +101,13 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				defer gB.Close()
 				legWarm := *oB
 				legWarm.Cycles = 4000
-				for gB.Cycle() < 4000 || sleepingCandidates(gB) == 0 {
+				derivedLive := func() bool {
+					l1, l2 := gpu.ArmedStallMemos(gB)
+					return sleepingCandidates(gB) > 0 && l1 > 0 && l2 > 0
+				}
+				for gB.Cycle() < 4000 || !derivedLive() {
 					if gB.Cycle() >= total/2+500 {
-						t.Fatalf("no issue candidate asleep in cycles 4000..%d; pick another workload", gB.Cycle())
+						t.Fatalf("no cycle in 4000..%d with an issue candidate asleep and a stall memo armed in an L1 and an L2; pick another workload", gB.Cycle())
 					}
 					if err := gB.RunCycles(&legWarm); err != nil {
 						t.Fatal(err)

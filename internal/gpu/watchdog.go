@@ -72,6 +72,10 @@ func (w *watchdog) check(g *GPU) error {
 			return &sm.InvariantError{Cycle: c, SM: -1, Kernel: -1, Rule: "l2-missq-occupancy",
 				Detail: fmt.Sprintf("partition %d: miss queue holds %d entries, capacity %d", p, got, g.cfg.L2.MissQueue)}
 		}
+		if err := part.l2.CheckIndex(); err != nil {
+			return &sm.InvariantError{Cycle: c, SM: -1, Kernel: -1, Rule: "cache-index",
+				Detail: fmt.Sprintf("partition %d L2: %v", p, err)}
+		}
 	}
 
 	for _, x := range [...]struct {

@@ -177,18 +177,21 @@ func unexported(v reflect.Value, path ...string) unsafe.Pointer {
 }
 
 // TestWatchdogNamesStaleIndex makes the derived indexes stale mid-run —
-// the SM's issue index, the crossbar's head-destination counts — and
-// requires the watchdog to stop the run on the very next cycle with the
-// rule that names the index. Without the rule a stale index is silent:
-// the warp or port it hides simply never issues again.
+// the SM's issue index, the crossbar's head-source masks, a cache's MSHR
+// accounting — and requires the watchdog to stop the run on the very
+// next cycle with the rule that names the index. Without the rule a
+// stale index is silent: the warp or port it hides simply never issues
+// again, the MSHR it leaks is never granted again.
 func TestWatchdogNamesStaleIndex(t *testing.T) {
-	const corruptAt = 3_000
+	const corruptFrom = 3_000
 	for _, tc := range []struct {
-		rule    string
-		sm      int
-		corrupt func(g *gpu.GPU)
+		name, rule string
+		sm         int
+		// corrupt reports whether the machine's state at this cycle let
+		// it break anything; the hook retries every cycle until it does.
+		corrupt func(g *gpu.GPU) bool
 	}{
-		{"ready-index", 1, func(g *gpu.GPU) {
+		{"ready-index", "ready-index", 1, func(g *gpu.GPU) bool {
 			// The index caches, per warp, a consequence of the kernel's
 			// pending-load cap (a load at the cap is not a memory-issue
 			// candidate). Zeroing the cap behind the SMs' backs is what a
@@ -196,30 +199,44 @@ func TestWatchdogNamesStaleIndex(t *testing.T) {
 			// indexed as ready to load no longer is, by its own state. Only
 			// SM 1 runs sv, so SM 0 must stay clean.
 			g.Kernels()[1].MaxPendingLoads = 0
+			return true
 		}},
-		{"icnt-head-index", -1, func(g *gpu.GPU) {
-			(*atomic.Int32)(unexported(reflect.ValueOf(g), "respNet", "wanted")).Add(1)
+		{"icnt-head-index", "icnt-head-index", -1, func(g *gpu.GPU) bool {
+			// Drop the head bits of response port 0 while a partition has
+			// a response queued for it: the port never sees that source
+			// again.
+			heads := (*atomic.Uint64)(unexported(reflect.ValueOf(g), "respNet", "heads"))
+			return heads.Swap(0) != 0
+		}},
+		{"cache-index/l1", "cache-index", 1, func(g *gpu.GPU) bool {
+			*(*int)(unexported(reflect.ValueOf(g.SMs[1].L1), "mshrFree"))++
+			return true
+		}},
+		{"cache-index/l2", "cache-index", -1, func(g *gpu.GPU) bool {
+			*(*int)(unexported(reflect.ValueOf(g), "parts", "l2", "mshrFree"))--
+			return true
 		}},
 	} {
-		t.Run(tc.rule, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg, descs, opts := watchdogWorkload(t)
 			cfg = config.Scaled(2)
 			even := core.EvenQuota(&cfg, descs)
 			opts.Quota = [][]int{{even[0], 0}, even}
 			opts.Check = gpu.CheckConfig{Enabled: true}
-			opts.HookInterval = corruptAt
+			opts.HookInterval = 1
+			corruptedAt := int64(-1)
 			opts.Hook = func(g *gpu.GPU, cycle int64) {
-				if cycle == corruptAt {
-					tc.corrupt(g)
+				if cycle >= corruptFrom && corruptedAt < 0 && tc.corrupt(g) {
+					corruptedAt = cycle
 				}
 			}
 			_, err := gpu.Run(cfg, descs, opts)
 			var ie *sm.InvariantError
 			if !errors.As(err, &ie) {
-				t.Fatalf("stale index not detected: err=%v", err)
+				t.Fatalf("stale index not detected: err=%v (corrupted at cycle %d)", err, corruptedAt)
 			}
-			if ie.Rule != tc.rule || ie.SM != tc.sm || ie.Cycle != corruptAt+1 {
-				t.Fatalf("violation = %+v, want rule %s sm %d at cycle %d", ie, tc.rule, tc.sm, corruptAt+1)
+			if ie.Rule != tc.rule || ie.SM != tc.sm || ie.Cycle != corruptedAt+1 {
+				t.Fatalf("violation = %+v, want rule %s sm %d at cycle %d", ie, tc.rule, tc.sm, corruptedAt+1)
 			}
 		})
 	}

@@ -10,10 +10,18 @@
 // covers the bandwidth-delay product (packets in flight on the wire
 // count against it). Head-of-line blocking at the injection queues is
 // modelled (it is part of the congestion the paper's schemes react to).
+//
+// Arbitration is a priority encode, not a scan: each destination keeps a
+// bitmask of the sources whose head packet targets it, maintained where
+// heads change and walked from the round-robin pointer. The mask is
+// derived state — rebuilt by Restore, absent from Snapshot, recomputed
+// by CheckIndex — and the scanning arbiter survives as the test
+// reference.
 package icnt
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/config"
@@ -64,13 +72,17 @@ type Network struct {
 	// run single-threaded at the engine's barrier.
 	inStage []ring.Ring[delivered]
 	popped  []int
-	// wanted[dst] counts the sources whose head packet targets dst, so
-	// Tick visits only ports somebody is waiting on. Derived from outQ:
-	// maintained in Push and at grant, rebuilt by Restore, not part of
-	// Snapshot. Atomic because distinct sources may Push packets for one
-	// destination from distinct goroutines (the partition workers on the
-	// response network); Tick never overlaps a Push.
-	wanted []atomic.Int32
+	// heads holds, per destination, a bitmask of the sources whose head
+	// packet targets it (words 64-bit words each, source s at bit s&63
+	// of word s>>6), so a port's arbitration walks set bits instead of
+	// every injection queue. Derived from outQ: set in Push on an empty
+	// queue and when a grant exposes the next head, cleared at grant,
+	// rebuilt by Restore, not part of Snapshot. Atomic because distinct
+	// sources may Push packets for one destination from distinct
+	// goroutines (the partition workers on the response network); Tick
+	// never overlaps a Push.
+	heads []atomic.Uint64
+	words int
 
 	// TransferredFlits counts total flits moved (utilization statistic).
 	TransferredFlits uint64
@@ -82,12 +94,14 @@ func New(cfg config.Icnt, nSrc, nDst int) *Network {
 	if fpc < 1 {
 		fpc = 1
 	}
+	words := (nSrc + 63) / 64
 	n := &Network{
 		cfg:      cfg,
 		nSrc:     nSrc,
 		nDst:     nDst,
 		outQ:     make([]ring.Ring[Packet], nSrc),
-		wanted:   make([]atomic.Int32, nDst),
+		heads:    make([]atomic.Uint64, nDst*words),
+		words:    words,
 		rr:       make([]int, nDst),
 		portFree: make([]int64, nDst),
 		inQ:      make([]ring.Ring[delivered], nDst),
@@ -102,6 +116,68 @@ func New(cfg config.Icnt, nSrc, nDst int) *Network {
 	return n
 }
 
+// setHead records (on) or retracts that src's head packet targets dst.
+// Distinct sources may Push concurrently, hence the CAS loop
+// (atomic.Uint64.Or and And need a newer Go than go.mod's floor).
+func (n *Network) setHead(dst, src int, on bool) {
+	w := &n.heads[dst*n.words+src>>6]
+	bit := uint64(1) << (src & 63)
+	for {
+		old := w.Load()
+		upd := old | bit
+		if !on {
+			upd = old &^ bit
+		}
+		if w.CompareAndSwap(old, upd) {
+			return
+		}
+	}
+}
+
+// waiting reports whether any source's head packet targets dst.
+func (n *Network) waiting(dst int) bool {
+	for i := dst * n.words; i < (dst+1)*n.words; i++ {
+		if n.heads[i].Load() != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// pick returns the first source at or after rr[dst], in round-robin
+// order, whose head packet targets dst and fits the port's remaining
+// flit budget this cycle, or -1. A packet wider than the link fits only
+// a fresh budget.
+func (n *Network) pick(dst, budget, fpc int) int {
+	heads := n.heads[dst*n.words : (dst+1)*n.words]
+	w0, b0 := n.rr[dst]>>6, uint(n.rr[dst]&63)
+	// The word holding rr[dst] is visited twice: its bits from rr[dst]
+	// up first, its bits below rr[dst] last.
+	for i := 0; i <= n.words; i++ {
+		w := w0 + i
+		if w >= n.words {
+			w -= n.words
+		}
+		m := heads[w].Load()
+		switch i {
+		case 0:
+			m &= ^uint64(0) << b0
+		case n.words:
+			m &= 1<<b0 - 1
+		}
+		for ; m != 0; m &= m - 1 {
+			src := w<<6 + bits.TrailingZeros64(m)
+			if f := n.outQ[src].Peek().Flits; f > budget && budget < fpc {
+				// Does not fit in what remains of this cycle; leave
+				// it for the next and try the next source.
+				continue
+			}
+			return src
+		}
+	}
+	return -1
+}
+
 // CanPush reports whether source src can inject another packet.
 func (n *Network) CanPush(src int) bool {
 	return n.outQ[src].Len() < n.cfg.QueueDepth
@@ -114,7 +190,7 @@ func (n *Network) Push(src int, p Packet) bool {
 		return false
 	}
 	if n.outQ[src].Empty() {
-		n.wanted[p.Dst].Add(1)
+		n.setHead(p.Dst, src, true)
 	}
 	n.outQ[src].Push(p)
 	return true
@@ -131,61 +207,40 @@ func (n *Network) Tick(cycle int64) {
 		fpc = 1
 	}
 	for dst := 0; dst < n.nDst; dst++ {
-		if n.wanted[dst].Load() == 0 || n.portFree[dst] > cycle {
+		if n.portFree[dst] > cycle || !n.waiting(dst) {
 			continue
 		}
 		budget := fpc
 		for budget > 0 && n.inCount[dst] < n.inCap {
-			// The scan ends once it has seen every source waiting on
-			// this port; a grant may expose another packet for it.
-			waiting := int(n.wanted[dst].Load())
-			src := n.rr[dst] - 1
-			granted := false
-			for i := 0; i < n.nSrc && waiting > 0; i++ {
-				if src++; src == n.nSrc {
-					src = 0
-				}
-				q := &n.outQ[src]
-				if q.Empty() || q.Peek().Dst != dst {
-					continue
-				}
-				waiting--
-				p := q.Peek()
-				if p.Flits > budget && budget < fpc {
-					// Does not fit in what remains of this cycle;
-					// leave it for the next.
-					continue
-				}
-				q.Pop()
-				n.wanted[dst].Add(-1)
-				if !q.Empty() {
-					n.wanted[q.Peek().Dst].Add(1)
-				}
-				var readyAt int64
-				if p.Flits <= budget {
-					budget -= p.Flits
-					readyAt = cycle + 1 + int64(n.cfg.Latency)
-				} else {
-					// Wider than the link: serialize over cycles.
-					xfer := int64((p.Flits + fpc - 1) / fpc)
-					n.portFree[dst] = cycle + xfer
-					readyAt = cycle + xfer + int64(n.cfg.Latency)
-					budget = 0
-				}
-				// Staged: invisible to Pop until CommitDeliveries. The
-				// count is the producer side's own backpressure signal
-				// and is maintained immediately (the grant loop above
-				// re-reads it within this very cycle).
-				n.inStage[dst].Push(delivered{req: p.Req, readyAt: readyAt})
-				n.inCount[dst]++
-				n.TransferredFlits += uint64(p.Flits)
-				n.rr[dst] = (src + 1) % n.nSrc
-				granted = true
+			src := n.pick(dst, budget, fpc)
+			if src < 0 {
 				break
 			}
-			if !granted {
-				break
+			q := &n.outQ[src]
+			p := q.Pop()
+			n.setHead(dst, src, false)
+			if !q.Empty() {
+				n.setHead(q.Peek().Dst, src, true)
 			}
+			var readyAt int64
+			if p.Flits <= budget {
+				budget -= p.Flits
+				readyAt = cycle + 1 + int64(n.cfg.Latency)
+			} else {
+				// Wider than the link: serialize over cycles.
+				xfer := int64((p.Flits + fpc - 1) / fpc)
+				n.portFree[dst] = cycle + xfer
+				readyAt = cycle + xfer + int64(n.cfg.Latency)
+				budget = 0
+			}
+			// Staged: invisible to Pop until CommitDeliveries. The
+			// count is the producer side's own backpressure signal
+			// and is maintained immediately (the grant loop above
+			// re-reads it within this very cycle).
+			n.inStage[dst].Push(delivered{req: p.Req, readyAt: readyAt})
+			n.inCount[dst]++
+			n.TransferredFlits += uint64(p.Flits)
+			n.rr[dst] = (src + 1) % n.nSrc
 		}
 	}
 }
@@ -229,19 +284,19 @@ func (n *Network) CommitDeliveries() {
 	}
 }
 
-// CheckIndex compares the head-destination counts with a recount from
+// CheckIndex compares the head-source masks with a recomputation from
 // the injection queues (the invariant watchdog's crossbar rule).
 func (n *Network) CheckIndex() error {
-	recount := make([]int, n.nDst)
+	want := make([]uint64, len(n.heads))
 	for src := range n.outQ {
 		if q := &n.outQ[src]; !q.Empty() {
-			recount[q.Peek().Dst]++
+			want[q.Peek().Dst*n.words+src>>6] |= 1 << (src & 63)
 		}
 	}
-	for dst, want := range recount {
-		if got := int(n.wanted[dst].Load()); got != want {
-			return fmt.Errorf("destination %d: indexed %d sources with a head packet for it, recount %d",
-				dst, got, want)
+	for i := range want {
+		if got := n.heads[i].Load(); got != want[i] {
+			return fmt.Errorf("destination %d: indexed sources %#x with a head packet for it (mask word %d), recomputed %#x",
+				i/n.words, got, i%n.words, want[i])
 		}
 	}
 	return nil

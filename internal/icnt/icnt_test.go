@@ -220,9 +220,9 @@ func TestFlitHelpers(t *testing.T) {
 	}
 }
 
-// TestCheckIndexMatchesRecount: the head-destination counts follow
-// Push and grants exactly, Restore rebuilds them, and CheckIndex names a
-// count that drifted.
+// TestCheckIndexMatchesRecount: the head-source masks follow Push and
+// grants exactly, Restore rebuilds them, and CheckIndex names a mask that
+// lost a bit.
 func TestCheckIndexMatchesRecount(t *testing.T) {
 	cfg := testCfg()
 	n := New(cfg, 4, 4)
@@ -240,11 +240,11 @@ func TestCheckIndexMatchesRecount(t *testing.T) {
 	n.Push(1, Packet{Req: &mem.Request{}, Dst: 1, Flits: 1})
 	n.Push(2, Packet{Req: &mem.Request{}, Dst: 3, Flits: 1})
 	check("after pushes")
-	if got := n.wanted[1].Load(); got != 2 {
-		t.Fatalf("wanted[1] = %d, want 2", got)
+	if got := n.heads[1].Load(); got != 0b0011 {
+		t.Fatalf("heads[1] = %#b, want sources 0 and 1", got)
 	}
-	if got := n.wanted[2].Load(); got != 0 {
-		t.Fatalf("wanted[2] = %d, want 0 (packet is not at the head)", got)
+	if got := n.heads[2].Load(); got != 0 {
+		t.Fatalf("heads[2] = %#b, want none (packet is not at the head)", got)
 	}
 	for c := int64(0); c < 4; c++ {
 		tick(n, c)
@@ -263,12 +263,12 @@ func TestCheckIndexMatchesRecount(t *testing.T) {
 	if err := m.CheckIndex(); err != nil {
 		t.Fatalf("restored network: %v", err)
 	}
-	if got := m.wanted[0].Load(); got != 1 {
-		t.Fatalf("restored wanted[0] = %d, want 1", got)
+	if got := m.heads[0].Load(); got != 0b1000 {
+		t.Fatalf("restored heads[0] = %#b, want source 3", got)
 	}
 
-	n.wanted[0].Add(1)
+	n.heads[0].Store(0)
 	if err := n.CheckIndex(); err == nil {
-		t.Fatal("drifted count not detected")
+		t.Fatal("dropped head bit not detected")
 	}
 }

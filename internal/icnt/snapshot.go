@@ -59,8 +59,8 @@ func (n *Network) Restore(sn *Snapshot, cl *mem.Cloner) error {
 		return fmt.Errorf("icnt: restore: snapshot is %dx%d ports, network is %dx%d",
 			len(sn.outQ), len(sn.inQ), len(n.outQ), len(n.inQ))
 	}
-	for i := range n.wanted {
-		n.wanted[i].Store(0)
+	for i := range n.heads {
+		n.heads[i].Store(0)
 	}
 	for i := range n.outQ {
 		n.outQ[i].Restore(sn.outQ[i], func(p Packet) Packet {
@@ -68,7 +68,7 @@ func (n *Network) Restore(sn *Snapshot, cl *mem.Cloner) error {
 			return p
 		})
 		if !n.outQ[i].Empty() {
-			n.wanted[n.outQ[i].Peek().Dst].Add(1)
+			n.setHead(n.outQ[i].Peek().Dst, i, true)
 		}
 	}
 	copy(n.rr, sn.rr)

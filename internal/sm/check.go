@@ -57,6 +57,8 @@ type policyChecker interface{ CheckInvariant() error }
 //     the MIL cap by more than one instruction's coalesced requests;
 //   - L1D MSHR and miss-queue occupancy stay within their configured
 //     capacity (an excess means reservation accounting leaked);
+//   - the L1D's derived state — tag index, line-to-MSHR map, free list,
+//     stall memo — equals a recomputation from its lines and MSHR slab;
 //   - the issue index equals a recomputation from warp state (every
 //     resident warp's position, kind, kernel and asleep bits, and the
 //     wheel holding exactly the sleepers' wakes);
@@ -84,6 +86,10 @@ func (s *SM) CheckInvariants(cycle int64) error {
 	if got := s.L1.MissQueueLen(); got > s.cfg.L1D.MissQueue {
 		return &InvariantError{Cycle: cycle, SM: s.ID, Kernel: -1, Rule: "missq-occupancy",
 			Detail: fmt.Sprintf("L1D miss queue holds %d entries, capacity %d", got, s.cfg.L1D.MissQueue)}
+	}
+	if err := s.L1.CheckIndex(); err != nil {
+		return &InvariantError{Cycle: cycle, SM: s.ID, Kernel: -1, Rule: "cache-index",
+			Detail: "L1D: " + err.Error()}
 	}
 	if err := s.checkIndex(); err != nil {
 		return &InvariantError{Cycle: cycle, SM: s.ID, Kernel: -1, Rule: "ready-index",
