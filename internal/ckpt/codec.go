@@ -1,17 +1,21 @@
-// Package ckpt persists mid-job engine checkpoints: a reflection-based
-// deep codec for the engine's snapshot object graph plus an atomic
-// on-disk store with sha256 integrity and fall-back-on-corruption
-// reads.
+// Package ckpt persists mid-job engine checkpoints: a deep codec for the
+// engine's snapshot object graph plus an atomic on-disk store with
+// sha256 integrity and fall-back-on-corruption reads.
 //
 // The codec is deliberately schema-free: the concrete Go type handed to
 // Marshal and Unmarshal IS the schema, so both sides of a round trip
 // must run the same build. That is exactly the checkpoint contract —
 // a checkpoint is only ever consumed by the binary (version) that wrote
 // it, and the store's digest rejects everything else.
+//
+// The two directions are built differently on purpose. Marshal runs once
+// per checkpoint of every job, on trusted in-memory values, so it is
+// compiled per type (plan.go). Unmarshal runs once per RESUMED job, on
+// bytes from disk and from other workers, so it stays a reflective walk
+// guarded by recover: that it never panics is worth more than its speed.
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -20,40 +24,6 @@ import (
 )
 
 const streamVersion = 1
-
-// typedPtr keys the encoder's pointer-identity table. The type is part
-// of the key so two distinct types at one address (a struct and its
-// first field) never alias.
-type typedPtr struct {
-	t reflect.Type
-	p uintptr
-}
-
-type encoder struct {
-	buf bytes.Buffer
-	ids map[typedPtr]uint64
-}
-
-// Marshal deep-encodes the value v points to. v must be a non-nil
-// pointer. Unexported fields are included (the snapshot graph is built
-// from them), pointer aliasing and cycles are preserved through an
-// identity table, and kinds the engine graph never contains — maps,
-// chans, funcs, interfaces — are rejected rather than silently skipped.
-func Marshal(v any) ([]byte, error) {
-	rv := reflect.ValueOf(v)
-	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return nil, fmt.Errorf("ckpt: Marshal needs a non-nil pointer, got %T", v)
-	}
-	e := &encoder{ids: make(map[typedPtr]uint64)}
-	e.buf.WriteByte(streamVersion)
-	// Register the root so an interior pointer back to it aliases
-	// instead of re-encoding the graph.
-	e.ids[typedPtr{rv.Type(), rv.Pointer()}] = 0
-	if err := e.value(rv.Elem()); err != nil {
-		return nil, err
-	}
-	return e.buf.Bytes(), nil
-}
 
 // Unmarshal decodes data (produced by Marshal on the same Go type) into
 // the value v points to. Arbitrary or corrupt input never panics: any
@@ -92,86 +62,6 @@ func access(v reflect.Value) reflect.Value {
 		return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
 	}
 	return v
-}
-
-func (e *encoder) u64(x uint64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], x)
-	e.buf.Write(b[:])
-}
-
-func (e *encoder) uvarint(x uint64) {
-	var b [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(b[:], x)
-	e.buf.Write(b[:n])
-}
-
-func (e *encoder) value(v reflect.Value) error {
-	v = access(v)
-	switch v.Kind() {
-	case reflect.Bool:
-		if v.Bool() {
-			e.buf.WriteByte(1)
-		} else {
-			e.buf.WriteByte(0)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		e.u64(uint64(v.Int()))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		e.u64(v.Uint())
-	case reflect.Float32, reflect.Float64:
-		e.u64(math.Float64bits(v.Float()))
-	case reflect.String:
-		s := v.String()
-		e.uvarint(uint64(len(s)))
-		e.buf.WriteString(s)
-	case reflect.Slice:
-		if v.IsNil() {
-			e.buf.WriteByte(0)
-			return nil
-		}
-		e.buf.WriteByte(1)
-		n := v.Len()
-		e.uvarint(uint64(n))
-		if v.Type().Elem().Kind() == reflect.Uint8 {
-			e.buf.Write(v.Bytes())
-			return nil
-		}
-		for i := 0; i < n; i++ {
-			if err := e.value(v.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			if err := e.value(v.Index(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if err := e.value(v.Field(i)); err != nil {
-				return err
-			}
-		}
-	case reflect.Pointer:
-		if v.IsNil() {
-			e.buf.WriteByte(0)
-			return nil
-		}
-		key := typedPtr{v.Type(), v.Pointer()}
-		if id, ok := e.ids[key]; ok {
-			e.buf.WriteByte(2)
-			e.uvarint(id)
-			return nil
-		}
-		e.ids[key] = uint64(len(e.ids))
-		e.buf.WriteByte(1)
-		return e.value(v.Elem())
-	default:
-		return fmt.Errorf("ckpt: cannot encode kind %s (%s)", v.Kind(), v.Type())
-	}
-	return nil
 }
 
 type decoder struct {
@@ -238,7 +128,11 @@ func (d *decoder) value(v reflect.Value) error {
 			return fmt.Errorf("ckpt: slice length %d exceeds remaining stream", n)
 		}
 		if v.Type().Elem().Kind() == reflect.Uint8 {
-			v.SetBytes(append([]byte(nil), d.take(int(n))...))
+			// make, not append to nil: an empty non-nil slice must not
+			// come back nil.
+			b := make([]byte, n)
+			copy(b, d.take(int(n)))
+			v.SetBytes(b)
 			return nil
 		}
 		s := reflect.MakeSlice(v.Type(), int(n), int(n))

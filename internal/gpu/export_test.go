@@ -16,3 +16,26 @@ func ArmedStallMemos(g *GPU) (l1, l2 int) {
 	}
 	return l1, l2
 }
+
+// InFlight reports the in-flight requests held by each kind of
+// component, for tests that must snapshot on a cycle where every part
+// of the snapshot graph is populated.
+type InFlight struct {
+	SM, L2, DRAM, PartInQ, PartResp, ReqNet, RespNet int
+}
+
+func InFlightOf(g *GPU) InFlight {
+	var f InFlight
+	for _, s := range g.SMs {
+		f.SM += s.PendingRequests()
+	}
+	for _, part := range g.parts {
+		f.L2 += part.l2.PendingRequests()
+		f.DRAM += part.ch.PendingRequests()
+		f.PartInQ += part.inQ.Len()
+		f.PartResp += part.resp.Len()
+	}
+	f.ReqNet = g.reqNet.PendingRequests()
+	f.RespNet = g.respNet.PendingRequests()
+	return f
+}

@@ -67,11 +67,15 @@ type Options struct {
 	// reports true, RunCycles stops early and returns ErrInterrupted
 	// (cancellation and per-job timeouts thread through here).
 	Interrupt func() bool
-	// Checkpoint, if non-nil, runs every CheckpointEvery cycles (after
-	// the cycle's hook) so the caller can persist a mid-job checkpoint
-	// (see SnapshotCheckpoint). A sink error disables further
-	// checkpoints for the run instead of failing it: checkpointing is a
-	// recovery optimization, never a correctness dependency.
+	// Checkpoint, if non-nil, runs at every multiple of CheckpointEvery
+	// the cycle counter reaches (after the cycle's hook) so the caller
+	// can persist a mid-job checkpoint (see SnapshotCheckpoint). That
+	// includes the leg's last cycle: the engine does not know whether
+	// the leg ends the job, so callers that do filter (the Session skips
+	// the job's final cycle, which nobody could resume from). A sink
+	// error disables further checkpoints for the run instead of failing
+	// it: checkpointing is a recovery optimization, never a correctness
+	// dependency.
 	Checkpoint      func(g *GPU, cycle int64) error
 	CheckpointEvery int64
 	// Check enables the per-cycle invariant watchdog (see watchdog.go).

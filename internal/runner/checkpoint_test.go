@@ -3,6 +3,7 @@ package runner
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -109,6 +110,45 @@ func TestCheckpointResumeCycleAccounting(t *testing.T) {
 	}
 	if store.Stats().Drops == 0 {
 		t.Fatal("drop counter not bumped")
+	}
+}
+
+// TestCheckpointsDoNotOutliveTheJob: saves are write-behind, so the
+// runner's Drop must still come after the last of them. A completed job
+// leaves the store's directory empty — no checkpoint, no temp file — and
+// wrote exactly the checkpoints strictly inside it (the serve bench's
+// shape, a checkpoint every half job, and one every third).
+func TestCheckpointsDoNotOutliveTheJob(t *testing.T) {
+	job := ckptJob()
+	job.Cycles = 20_000
+	job.ProfileCycles = 6_000
+	for _, tc := range []struct {
+		every, saves int64
+	}{
+		{job.Cycles / 2, 1}, // 10000
+		{job.Cycles / 3, 3}, // 6666, 13332, 19998
+	} {
+		dir := t.TempDir()
+		store, err := ckpt.OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(1)
+		r.Checkpoints = store
+		r.CheckpointEvery = tc.every
+		if err := FirstErr(r.Run(context.Background(), []Job{job})); err != nil {
+			t.Fatal(err)
+		}
+		if st := store.Stats(); st.Saves != tc.saves {
+			t.Fatalf("every %d: %d saves, want %d", tc.every, st.Saves, tc.saves)
+		}
+		left, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(left) != 0 {
+			t.Fatalf("every %d: %d files outlived the completed job, first %s", tc.every, len(left), left[0].Name())
+		}
 	}
 }
 

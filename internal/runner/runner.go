@@ -327,7 +327,7 @@ func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 	}
 	if err == nil && r.Journal != nil && !j.Fresh {
 		if jerr := r.Journal.Append(key, res); jerr != nil {
-			err = fmt.Errorf("runner: checkpointing %s: %w", key, jerr)
+			err = fmt.Errorf("runner: journaling %s: %w", key, jerr)
 		}
 	}
 	if err == nil {

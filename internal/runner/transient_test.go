@@ -36,7 +36,7 @@ func TestIsTransient(t *testing.T) {
 		{"wrapped invariant", fmt.Errorf("point 3: %w", &sm.InvariantError{Rule: "mil-cap"}), false},
 		{"validation", fmt.Errorf("gcke: StaticLimits has 1 entries for 2 kernels"), false},
 		{"journal write", &journal.WriteError{Path: "p", Key: "k", Op: "sync", Err: fmt.Errorf("EIO")}, false},
-		{"wrapped journal write", fmt.Errorf("runner: checkpointing k: %w",
+		{"wrapped journal write", fmt.Errorf("runner: journaling k: %w",
 			&journal.WriteError{Op: "sync", Err: fmt.Errorf("EIO")}), false},
 	}
 	for _, tc := range cases {

@@ -409,12 +409,18 @@ func wsSweetSpot(cfg *Config, descs []*kern.Desc, curves [][]float64) ([]int, fl
 
 // Checkpoint wires a persistent checkpoint store into one workload run.
 // Latest is consulted once at run start (a valid checkpoint short-cuts
-// the first cycles); Save is called every Every cycles with the encoded
-// machine state. Both closures are pre-bound to the job's fingerprint
-// by the caller (internal/runner) — the Session never sees keys.
-// Checkpointing is strictly a recovery optimization: any Latest/Save
-// failure degrades to a from-zero run / no further checkpoints, never
-// to a run failure, and results are byte-identical either way.
+// the first cycles). Save receives the encoded machine state at every
+// multiple of Every strictly inside the job — a checkpoint at the job's
+// last cycle could never be resumed from. Save is called from a helper
+// goroutine while the simulation runs on, one call at a time, and never
+// after the run has returned (the run joins the helper on every way
+// out), so whatever the caller does next — drop the job's checkpoints,
+// retry it — cannot race a write. Both closures are pre-bound to the
+// job's fingerprint by the caller (internal/runner) — the Session never
+// sees keys. Checkpointing is strictly a recovery optimization: any
+// Latest/Save failure degrades to a from-zero run / no further
+// checkpoints, never to a run failure, and results are byte-identical
+// either way.
 type Checkpoint struct {
 	Every  int64
 	Latest func() (cycle int64, state []byte, ok bool)
@@ -608,6 +614,14 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 // the way. Every failure mode degrades — bad checkpoint bytes mean a
 // from-zero run, a failing sink disables further checkpoints — so the
 // result is byte-identical to an uncheckpointed run in all cases.
+//
+// Persistence is write-behind with one save in flight: the sink only
+// takes the snapshot (which owns its memory) on the simulating
+// goroutine; encoding and ck.Save — hashing, writing, two fsyncs — run
+// on a helper started per checkpoint. The next checkpoint and every way
+// out of this function join the helper first, so a save error surfaces
+// one checkpoint late and ck.Save is never running once the caller has
+// the result, the interruption or the panic.
 func (s *Session) executeCheckpointed(ctx context.Context, descs []*kern.Desc, opts *gpu.Options, ck *Checkpoint) (*stats.RunResult, int64, error) {
 	g, err := gpu.New(s.cfg, descs, opts)
 	if err != nil {
@@ -632,16 +646,47 @@ func (s *Session) executeCheckpointed(ctx context.Context, descs []*kern.Desc, o
 	run := *opts
 	run.Cycles = s.cycles - resumedFrom
 	run.CheckpointEvery = ck.Every
+	var inFlight chan error // the helper's verdict; nil when none is running
+	join := func() error {
+		if inFlight == nil {
+			return nil
+		}
+		err := <-inFlight
+		inFlight = nil
+		return err
+	}
+	defer join()
 	run.Checkpoint = func(g *gpu.GPU, cycle int64) error {
+		// The engine fires the sink at the leg's last cycle too; only the
+		// session knows that is where the job ends.
+		if cycle >= s.cycles {
+			return nil
+		}
+		if err := join(); err != nil {
+			return err
+		}
 		sn, err := g.SnapshotCheckpoint()
 		if err != nil {
 			return err
 		}
-		state, err := gpu.EncodeSnapshot(sn)
-		if err != nil {
-			return err
-		}
-		return ck.Save(cycle, state)
+		done := make(chan error, 1)
+		inFlight = done
+		go func() {
+			// The runner contains a job's panics; one on this goroutine
+			// would take the process down instead, so it becomes the
+			// save's error.
+			defer func() {
+				if r := recover(); r != nil {
+					done <- fmt.Errorf("gcke: checkpoint at cycle %d panicked: %v", cycle, r)
+				}
+			}()
+			state, err := gpu.EncodeSnapshot(sn)
+			if err == nil {
+				err = ck.Save(cycle, state)
+			}
+			done <- err
+		}()
+		return nil
 	}
 	if err := g.RunCycles(&run); err != nil {
 		return nil, resumedFrom, err
