@@ -970,11 +970,7 @@ func (c *Coordinator) auditDispatch(ctx context.Context, t *task, except ...*wor
 func (c *Coordinator) observeLatency(d time.Duration) {
 	for {
 		old := c.latEWMA.Load()
-		ewma := d.Nanoseconds()
-		if old > 0 {
-			ewma = old + (d.Nanoseconds()-old)/5
-		}
-		if c.latEWMA.CompareAndSwap(old, ewma) {
+		if c.latEWMA.CompareAndSwap(old, overload.Fold(old, d.Nanoseconds())) {
 			return
 		}
 	}

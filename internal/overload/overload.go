@@ -184,12 +184,18 @@ func (e *Estimator) Observe(family string, d time.Duration) {
 			e.ewma = make(map[string]int64) // reset; estimates re-warm in a few samples
 		}
 	}
-	old := e.ewma[family]
-	if old > 0 {
-		e.ewma[family] = old + (d.Nanoseconds()-old)/5
-	} else {
-		e.ewma[family] = d.Nanoseconds()
+	e.ewma[family] = Fold(e.ewma[family], d.Nanoseconds())
+}
+
+// Fold folds one sample into a latency EWMA (alpha 0.2, integer
+// nanoseconds): the first sample (old <= 0) is taken as is. It is the one
+// copy of the formula behind Estimator, the server's Retry-After hint and
+// the fleet's hedging delay.
+func Fold(old, sample int64) int64 {
+	if old <= 0 {
+		return sample
 	}
+	return old + (sample-old)/5
 }
 
 // Estimate returns the family's current service-time estimate; ok is

@@ -652,11 +652,7 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key, family string
 func (s *Server) observeLatency(d time.Duration) {
 	for {
 		old := s.latEWMA.Load()
-		ewma := d.Nanoseconds()
-		if old > 0 {
-			ewma = old + (d.Nanoseconds()-old)/5
-		}
-		if s.latEWMA.CompareAndSwap(old, ewma) {
+		if s.latEWMA.CompareAndSwap(old, overload.Fold(old, d.Nanoseconds())) {
 			return
 		}
 	}

@@ -53,7 +53,8 @@ func (s *Session) SaveProfiles(path string) error {
 
 // LoadProfiles merges previously saved isolated-IPC profiles into the
 // session. Profiles recorded under a different architecture or profile
-// length are rejected.
+// length are rejected, and so is a file with a malformed row — as a
+// whole: nothing of a rejected file reaches the session.
 func (s *Session) LoadProfiles(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -66,19 +67,27 @@ func (s *Session) LoadProfiles(path string) error {
 	if pf.Fingerprint != s.fingerprint() {
 		return fmt.Errorf("gcke: profile fingerprint mismatch (different config or ProfileCycles)")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	loaded := make(map[string]map[int]float64, len(pf.IsoIPC))
 	for name, row := range pf.IsoIPC {
-		m, ok := s.isoIPC[name]
-		if !ok {
-			m = make(map[int]float64)
-			s.isoIPC[name] = m
-		}
+		m := make(map[int]float64, len(row))
 		for tbsStr, ipc := range row {
 			var tbs int
 			if _, err := fmt.Sscanf(tbsStr, "%d", &tbs); err != nil {
 				return fmt.Errorf("gcke: bad TB key %q in profiles", tbsStr)
 			}
+			m[tbs] = ipc
+		}
+		loaded[name] = m
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for name, row := range loaded {
+		m, ok := s.isoIPC[name]
+		if !ok {
+			s.isoIPC[name] = row
+			continue
+		}
+		for tbs, ipc := range row {
 			m[tbs] = ipc
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -27,9 +28,11 @@ import (
 // by a mutex and concurrent requests for the same uncached profile are
 // deduplicated, so exactly one profiling simulation runs per (kernel,
 // occupancy) point no matter how many workers need it; workers that
-// need the same points share them out instead of queuing (see
-// claimProfiles). Cached results are shared and must be treated as
-// immutable by callers. The only
+// need the same points share them out instead of queuing, and a caller
+// with idle cores beside it profiles on those too (see claimProfiles) —
+// the only goroutines a Session starts besides the checkpoint writer,
+// each joined before the call that started it returns. Cached results
+// are shared and must be treated as immutable by callers. The only
 // exception is ProfileCycles, which must be set before the Session is
 // shared across goroutines.
 type Session struct {
@@ -136,6 +139,22 @@ func wrapInterrupt(ctx context.Context, err error) error {
 	return err
 }
 
+// simsInFlight counts the simulations the Sessions of this process are
+// running right now, profile and evaluation alike. It is process-wide
+// because what it is compared with is: a claim pass may only put helpers
+// on cores (GOMAXPROCS) that no simulation of any session is using.
+var simsInFlight atomic.Int64
+
+// simulating counts the caller as one simulation in flight until the
+// returned function is called: defer simulating()(). A profile counts
+// from its hook on, an evaluation from building the machine to its
+// result (its warm-up legs and a wait for a shared warm snapshot
+// included: erring on the busy side starts fewer helpers, never more).
+func simulating() func() {
+	simsInFlight.Add(1)
+	return func() { simsInFlight.Add(-1) }
+}
+
 // shared runs fn through g under key. With wait it is g.Do — the caller
 // gets the result whoever simulates it; without, it is g.TryDo — a key
 // another goroutine is simulating is left to it and the zero value
@@ -220,6 +239,7 @@ func (s *Session) isolatedRun(ctx context.Context, d Kernel, series, wait bool) 
 }
 
 func (s *Session) runIsolatedTBs(ctx context.Context, d Kernel, tbs int, series bool) (*RunResult, error) {
+	defer simulating()()
 	if s.onProfile != nil {
 		s.onProfile(ctx, d.Name, tbs)
 	}
@@ -303,8 +323,13 @@ func (s *Session) Curve(d Kernel) ([]float64, error) {
 	return s.CurveCtx(context.Background(), d)
 }
 
-// CurveCtx is Curve honouring ctx cancellation.
+// CurveCtx is Curve honouring ctx cancellation. Like a job, it claims
+// the points nobody has started (on the idle cores too, see
+// claimProfiles) before it waits for the rest.
 func (s *Session) CurveCtx(ctx context.Context, d Kernel) ([]float64, error) {
+	if err := s.claimProfiles(ctx, []Kernel{d}, true); err != nil {
+		return nil, err
+	}
 	max := d.MaxTBsPerSM(&s.cfg)
 	out := make([]float64, max)
 	for n := 1; n <= max; n++ {
@@ -317,6 +342,44 @@ func (s *Session) CurveCtx(ctx context.Context, d Kernel) ([]float64, error) {
 	return out, nil
 }
 
+// profilePoint is one isolated simulation of the profile plane.
+type profilePoint struct {
+	d   *Kernel
+	tbs int // TBs per SM of a scalability-curve point; 0 is the full-occupancy run
+}
+
+// uncachedPoints lists, under one lock, the profile points of ds that
+// are not cached, costliest first: the full-occupancy runs, then (with
+// curves) the curve points below full occupancy by descending TB count,
+// so that a pass shared between goroutines ends on a short simulation.
+func (s *Session) uncachedPoints(ds []Kernel, curves bool) []profilePoint {
+	top := 0 // the largest full occupancy; 0 without curves
+	if curves {
+		for i := range ds {
+			top = max(top, ds[i].MaxTBsPerSM(&s.cfg))
+		}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var pts []profilePoint
+	for i := range ds {
+		if _, ok := s.isoRun[ds[i].Name]; !ok {
+			pts = append(pts, profilePoint{&ds[i], 0})
+		}
+	}
+	for n := top - 1; n >= 1; n-- {
+		for i := range ds {
+			if n >= ds[i].MaxTBsPerSM(&s.cfg) {
+				continue
+			}
+			if _, ok := s.isoIPC[ds[i].Name][n]; !ok {
+				pts = append(pts, profilePoint{&ds[i], n})
+			}
+		}
+	}
+	return pts
+}
+
 // claimProfiles is the first of two passes over the profile simulations
 // a job needs: the full-occupancy isolated run of each kernel and, with
 // curves, points 1..max-1 of each kernel's scalability curve (point max
@@ -326,24 +389,76 @@ func (s *Session) CurveCtx(ctx context.Context, d Kernel) ([]float64, error) {
 // pass: they wait for whatever is still in flight and find the rest
 // cached. Jobs that need the same profiles therefore split the points
 // between their goroutines instead of queuing behind one point at a
-// time, with no goroutine started and each point still simulated once.
-func (s *Session) claimProfiles(ctx context.Context, ds []Kernel, curves bool) error {
-	for i := range ds {
-		if _, err := s.isolatedRun(ctx, ds[i], false, false); err != nil {
-			return err
-		}
-	}
-	if !curves {
+// time, each point still simulated once.
+//
+// A caller with idle cores beside it gets them: while fewer simulations
+// are in flight in this process than GOMAXPROCS, the pass starts helper
+// goroutines — min(points-1, GOMAXPROCS - 1 for the caller -
+// simsInFlight) of them — that run the same loop under the same ctx,
+// and joins them on every way out. A pool that keeps every core busy
+// therefore gets none and stays the only CPU budget; so does
+// GOMAXPROCS=1; a warm session returns after one lock. A point in flight
+// elsewhere is a simulation in flight, so it is off the budget already.
+// The count is read, not reserved: callers that decide in the same
+// instant may start a few goroutines too many, which costs them a time
+// slice, not a simulation. What a helper takes is a whole simulation
+// (milliseconds to seconds), so the per-cycle hand-off cost that sank
+// the fan-out engine (DESIGN.md §16) is not paid here.
+func (s *Session) claimProfiles(ctx context.Context, ds []Kernel, curves bool) (err error) {
+	pts := s.uncachedPoints(ds, curves)
+	if len(pts) == 0 {
 		return nil
 	}
-	for i := range ds {
-		for n := 1; n < ds[i].MaxTBsPerSM(&s.cfg); n++ {
-			if _, err := s.isolatedIPC(ctx, ds[i], n, false); err != nil {
-				return err
+	// stop ends the pass early for everybody once one participant fails
+	// (or panics): its error is the job's, more profiles are not wanted.
+	var stop atomic.Bool
+	claim := func() error {
+		for _, p := range pts {
+			if stop.Load() {
+				return nil
+			}
+			var perr error
+			if p.tbs == 0 {
+				_, perr = s.isolatedRun(ctx, *p.d, false, false)
+			} else {
+				_, perr = s.isolatedIPC(ctx, *p.d, p.tbs, false)
+			}
+			if perr != nil {
+				stop.Store(true)
+				return perr
 			}
 		}
+		return nil
 	}
-	return nil
+	helpers := max(0, min(len(pts)-1, runtime.GOMAXPROCS(0)-1-int(simsInFlight.Load())))
+	helperErrs := make([]error, helpers)
+	var wg sync.WaitGroup
+	defer func() {
+		stop.Store(true)
+		wg.Wait()
+		for _, herr := range helperErrs {
+			if err == nil {
+				err = herr
+			}
+		}
+	}()
+	for h := range helperErrs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// The runner contains a job's panics; one on this goroutine
+			// would take the process down instead, so it becomes the
+			// pass's error.
+			defer func() {
+				if r := recover(); r != nil {
+					stop.Store(true)
+					helperErrs[h] = fmt.Errorf("gcke: profile helper panicked: %v", r)
+				}
+			}()
+			helperErrs[h] = claim()
+		}()
+	}
+	return claim()
 }
 
 // Classify returns the measured class of kernel d: memory-intensive if
@@ -376,6 +491,10 @@ func (s *Session) PartitionCtx(ctx context.Context, ds []Kernel, kind PartitionK
 	descs := toPtrs(ds)
 	switch kind {
 	case PartitionWarpedSlicer:
+		// Claim every kernel's curve at once; CurveCtx then only waits.
+		if err := s.claimProfiles(ctx, ds, true); err != nil {
+			return nil, 0, err
+		}
 		curves := make([][]float64, len(ds))
 		for i := range ds {
 			c, err := s.CurveCtx(ctx, ds[i])
@@ -623,6 +742,7 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 // one checkpoint late and ck.Save is never running once the caller has
 // the result, the interruption or the panic.
 func (s *Session) executeCheckpointed(ctx context.Context, descs []*kern.Desc, opts *gpu.Options, ck *Checkpoint) (*stats.RunResult, int64, error) {
+	defer simulating()()
 	g, err := gpu.New(s.cfg, descs, opts)
 	if err != nil {
 		return nil, 0, err
@@ -702,6 +822,7 @@ func (s *Session) executeCheckpointed(ctx context.Context, descs []*kern.Desc, o
 // snapshot — everything after the warm boundary is the same code in
 // both paths, which is what makes cold and forked runs byte-identical.
 func (s *Session) execute(ctx context.Context, descs []*kern.Desc, quota [][]int, warmup int64, opts *gpu.Options) (*stats.RunResult, error) {
+	defer simulating()()
 	if warmup <= 0 {
 		return gpu.Run(s.cfg, descs, opts)
 	}

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -247,30 +246,13 @@ func (b *blockedSave) state() (saved []int64, inFlight, maxInFlight int) {
 // the call.
 func TestCheckpointSaveIsWriteBehind(t *testing.T) {
 	s, wl, scheme, golden := ckptWorkload(t)
-	// leakCheck fails the subtest if it ends with more goroutines than it
-	// started with. The run joins the helper by receiving its verdict, so
-	// the helper may still be a few instructions from exiting when the
-	// run returns: give it a moment, not forever.
-	leakCheck := func(t *testing.T) {
-		t.Helper()
-		before := runtime.NumGoroutine()
-		t.Cleanup(func() {
-			deadline := time.Now().Add(2 * time.Second)
-			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
-				runtime.Gosched()
-			}
-			if after := runtime.NumGoroutine(); after > before {
-				t.Errorf("%d goroutines before the run, %d after", before, after)
-			}
-		})
-	}
 
 	// The first Save (cycle 4000) stays in flight until the engine has
 	// polled at cycle 5120. The second checkpoint comes due at 8000
 	// while the first still lingers; it must wait for it rather than
 	// start beside it.
 	t.Run("simulation-runs-on-one-save-in-flight", func(t *testing.T) {
-		leakCheck(t)
+		noGoroutineLeft(t)
 		b := newBlockedSave(t, 5_120)
 		ctx, _ := newPollCtx(t, b.poll)
 		res, _, err := s.RunWorkloadCheckpointedCtx(ctx, wl, scheme, b.checkpoint(4_000))
@@ -290,7 +272,7 @@ func TestCheckpointSaveIsWriteBehind(t *testing.T) {
 	// The only Save (cycle 8000) is held until the engine's last poll
 	// (cycle 11264) and lingers well past the end of the simulation.
 	t.Run("result-waits-for-save", func(t *testing.T) {
-		leakCheck(t)
+		noGoroutineLeft(t)
 		b := newBlockedSave(t, 11_264)
 		ctx, _ := newPollCtx(t, b.poll)
 		res, _, err := s.RunWorkloadCheckpointedCtx(ctx, wl, scheme, b.checkpoint(8_000))
@@ -307,7 +289,7 @@ func TestCheckpointSaveIsWriteBehind(t *testing.T) {
 	// must not be reported before the Save has returned — the runner
 	// would otherwise retry, or drop checkpoints, beside a live writer.
 	t.Run("cancelled-context-waits-for-save", func(t *testing.T) {
-		leakCheck(t)
+		noGoroutineLeft(t)
 		b := newBlockedSave(t, 4_096)
 		var cancel context.CancelFunc
 		ctx, cancel := newPollCtx(t, func() {
@@ -329,7 +311,7 @@ func TestCheckpointSaveIsWriteBehind(t *testing.T) {
 	// poll) joins the helper too, so whoever recovers it — the runner
 	// does — never races a live Save.
 	t.Run("panic-waits-for-save", func(t *testing.T) {
-		leakCheck(t)
+		noGoroutineLeft(t)
 		b := newBlockedSave(t, 4_096)
 		ctx, _ := newPollCtx(t, func() {
 			b.poll()
@@ -353,7 +335,7 @@ func TestCheckpointSaveIsWriteBehind(t *testing.T) {
 	// A failed Save surfaces at the next checkpoint, which is skipped
 	// along with all later ones; the result is unaffected.
 	t.Run("failed-save-disables-the-rest", func(t *testing.T) {
-		leakCheck(t)
+		noGoroutineLeft(t)
 		b := newBlockedSave(t, 2_048)
 		b.fail = errors.New("disk full")
 		ctx, _ := newPollCtx(t, b.poll)
