@@ -69,8 +69,6 @@ func main() {
 	session := gcke.NewSession(cfg, *cycles)
 	session.ProfileCycles = *profCycles
 	session.Check = *check
-	session.Workers = prof.Workers
-	session.PartWorkers = prof.PartWorkers
 	session.PhaseTime = prof.PhaseTrace
 	var jnl *journal.Journal
 	if *journalPath != "" {

@@ -53,8 +53,6 @@ func main() {
 	cfg := gcke.ScaledConfig(*sms)
 	s := gcke.NewSession(cfg, *cycles)
 	s.Check = *check
-	s.Workers = prof.Workers
-	s.PartWorkers = prof.PartWorkers
 	s.PhaseTime = prof.PhaseTrace
 
 	names := gcke.BenchmarkNames()

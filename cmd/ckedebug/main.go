@@ -32,11 +32,9 @@ func main() {
 	}
 	descs := []*kern.Desc{&d}
 	opts := &gpu.Options{
-		Cycles:      *cycles,
-		Quota:       gpu.UniformQuota(cfg.NumSMs, []int{d.MaxTBsPerSM(&cfg)}),
-		Workers:     prof.Workers,
-		PartWorkers: prof.PartWorkers,
-		PhaseTime:   prof.PhaseTrace,
+		Cycles:    *cycles,
+		Quota:     gpu.UniformQuota(cfg.NumSMs, []int{d.MaxTBsPerSM(&cfg)}),
+		PhaseTime: prof.PhaseTrace,
 	}
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {

@@ -42,8 +42,6 @@ func main() {
 	session := gcke.NewSession(cfg, *cycles)
 	session.ProfileCycles = *profCycles
 	session.Check = rb.Check
-	session.Workers = prof.Workers
-	session.PartWorkers = prof.PartWorkers
 	session.PhaseTime = prof.PhaseTrace
 	session.ForkWarmup = rb.ForkWarmup
 

@@ -132,8 +132,6 @@ func trace(ctx context.Context, w io.Writer, pairSpec, quotaSpec string, cycles 
 		HookInterval: 1000,
 		Interrupt:    func() bool { return ctx.Err() != nil },
 		Check:        gpu.CheckConfig{Enabled: check},
-		Workers:      prof.Workers,
-		PartWorkers:  prof.PartWorkers,
 		PhaseTime:    prof.PhaseTrace,
 	}
 	g, err := gpu.New(cfg, descs, opts)

@@ -1,14 +1,14 @@
 // Command ckeload is the open-loop load generator for ckeserve: it
 // calibrates (or accepts) a base offered rate, sweeps that rate through
 // a list of multipliers on a deterministic arrival schedule, classifies
-// every job against its deadline, and writes a JSON report suitable for
-// results/BENCH_overload.json. Because the generator is open-loop, a
-// server that slows down under pressure still faces the full offered
-// rate — this is what makes "goodput at 5x stays near the 1x plateau"
-// a real claim rather than an artifact of the client backing off.
+// every job against its deadline, and writes a JSON report. Because the
+// generator is open-loop, a server that slows down under pressure still
+// faces the full offered rate — this is what makes "goodput at 5x stays
+// near the 1x plateau" a real claim rather than an artifact of the
+// client backing off.
 //
 //	ckeload -url http://127.0.0.1:8329 -multipliers 1,5 \
-//	    -duration 30s -deadline 2s -out results/BENCH_overload.json
+//	    -duration 30s -deadline 2s -out overload.json
 //
 // With -rate 0 (the default) the base rate is calibrated by running a
 // few jobs closed-loop at concurrency 1, which deliberately

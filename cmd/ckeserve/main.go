@@ -44,8 +44,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to <dir>/results.jsonl across restarts (implies -cache)")
 	forkWarmup := flag.Bool("fork-warmup", false, "fork jobs sharing a warmup family from one warmed engine snapshot (needs scheme Warmup cycles)")
 	check := flag.Bool("check", false, "enable the per-cycle simulator invariant watchdog")
-	engineWorkers := flag.Int("engine-workers", 0, "SM-tick goroutines per executing job (0 or 1 = serial; results are identical)")
-	enginePartWorkers := flag.Int("engine-part-workers", 0, "memory-partition goroutines per executing job (0 or 1 = serial; results are identical)")
 	phaseTrace := flag.Bool("phasetrace", false, "measure per-phase engine time; /statz reports the breakdown under phase_ns")
 	targetLatency := flag.Duration("target-latency", 0, "AIMD per-attempt latency target; the in-flight limit adapts toward it (0 = fixed slots+queue bound)")
 	retryBudget := flag.Float64("retry-budget", 0.1, "retry tokens earned per completed job (retries beyond the budget fail fast)")
@@ -59,22 +57,20 @@ func main() {
 	flag.Parse()
 
 	cfg := server.Config{
-		Workers:           *parallel,
-		QueueDepth:        *queue,
-		JobTimeout:        *timeout,
-		MaxRetries:        *retries,
-		Retry:             backoff.Default(),
-		TargetLatency:     *targetLatency,
-		RetryBudgetRatio:  *retryBudget,
-		RetryBudgetBurst:  *retryBurst,
-		BreakerThreshold:  *breakerN,
-		BreakerCooldown:   *breakerCool,
-		Check:             *check,
-		EngineWorkers:     *engineWorkers,
-		EnginePartWorkers: *enginePartWorkers,
-		PhaseTrace:        *phaseTrace,
-		ForkWarmup:        *forkWarmup,
-		Worker:            *workerMode,
+		Workers:          *parallel,
+		QueueDepth:       *queue,
+		JobTimeout:       *timeout,
+		MaxRetries:       *retries,
+		Retry:            backoff.Default(),
+		TargetLatency:    *targetLatency,
+		RetryBudgetRatio: *retryBudget,
+		RetryBudgetBurst: *retryBurst,
+		BreakerThreshold: *breakerN,
+		BreakerCooldown:  *breakerCool,
+		Check:            *check,
+		PhaseTrace:       *phaseTrace,
+		ForkWarmup:       *forkWarmup,
+		Worker:           *workerMode,
 	}
 	if *cacheOn || *cacheDir != "" {
 		var copts resultcache.Options

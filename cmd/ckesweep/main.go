@@ -88,8 +88,6 @@ func main() {
 	s := gcke.NewSession(cfg, *cycles)
 	s.ProfileCycles = 60_000
 	s.Check = rb.Check
-	s.Workers = prof.Workers
-	s.PartWorkers = prof.PartWorkers
 	s.PhaseTime = prof.PhaseTrace
 	s.ForkWarmup = rb.ForkWarmup
 

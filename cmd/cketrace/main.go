@@ -53,12 +53,10 @@ func main() {
 
 	buf := trace.New(1 << 16)
 	opts := &gpu.Options{
-		Cycles:      *cycles,
-		Quota:       gpu.UniformQuota(cfg.NumSMs, quota),
-		Trace:       buf,
-		Workers:     prof.Workers,
-		PartWorkers: prof.PartWorkers,
-		PhaseTime:   prof.PhaseTrace,
+		Cycles:    *cycles,
+		Quota:     gpu.UniformQuota(cfg.NumSMs, quota),
+		Trace:     buf,
+		PhaseTime: prof.PhaseTrace,
 	}
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {

@@ -11,8 +11,8 @@ import (
 )
 
 // Profiling bundles the performance-diagnosis options shared by every
-// driver: the pprof outputs, the cycle engine's intra-run worker counts
-// and the per-phase wall-clock trace.
+// driver: the pprof outputs and the cycle engine's per-phase wall-clock
+// trace.
 type Profiling struct {
 	// CPUProfile / MemProfile / BlockProfile / MutexProfile are output
 	// paths for the corresponding pprof profiles (empty = disabled).
@@ -20,21 +20,13 @@ type Profiling struct {
 	MemProfile   string
 	BlockProfile string
 	MutexProfile string
-	// Workers is the per-run SM tick fan-out passed to the engine
-	// (gpu.Options.Workers): 0 or 1 = serial. Results are byte-identical
-	// for any value.
-	Workers int
-	// PartWorkers is the memory-side fan-out (gpu.Options.PartWorkers):
-	// L2+DRAM partitions ticked concurrently within each cycle. 0 or 1 =
-	// serial. Results are byte-identical for any value.
-	PartWorkers int
 	// PhaseTrace enables the engine's per-phase wall-clock counters
 	// (gpu.Options.PhaseTime) and prints a phase breakdown at exit.
 	PhaseTrace bool
 }
 
 // AddProfileFlags registers -cpuprofile, -memprofile, -blockprofile,
-// -mutexprofile, -workers, -part-workers and -phasetrace on fs.
+// -mutexprofile and -phasetrace on fs.
 func AddProfileFlags(fs *flag.FlagSet) *Profiling {
 	p := &Profiling{}
 	fs.StringVar(&p.CPUProfile, "cpuprofile", "",
@@ -45,10 +37,6 @@ func AddProfileFlags(fs *flag.FlagSet) *Profiling {
 		"write a goroutine blocking profile to this file at exit")
 	fs.StringVar(&p.MutexProfile, "mutexprofile", "",
 		"write a mutex contention profile to this file at exit")
-	fs.IntVar(&p.Workers, "workers", 0,
-		"SM-tick goroutines per simulation cycle (0 or 1 = serial; results are identical)")
-	fs.IntVar(&p.PartWorkers, "part-workers", 0,
-		"memory-partition goroutines per simulation cycle (0 or 1 = serial, capped at partitions; results are identical)")
 	fs.BoolVar(&p.PhaseTrace, "phasetrace", false,
 		"measure per-phase engine time and print a breakdown at exit")
 	return p

@@ -136,7 +136,6 @@ func TestL2MILAllowIsAPureQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	quiet, asked := NewL2MIL(2), NewL2MIL(2)
 	rng := xrand.New(13)
 	moved := false

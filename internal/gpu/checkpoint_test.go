@@ -55,7 +55,6 @@ func TestCheckpointRestoreContinueMatchesUninterrupted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer gA.Close()
 			if err := gA.RunCycles(oA); err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +67,6 @@ func TestCheckpointRestoreContinueMatchesUninterrupted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer gB.Close()
 			legWarm := *oB
 			legWarm.Cycles = warm
 			if err := gB.RunCycles(&legWarm); err != nil {
@@ -105,7 +103,6 @@ func TestCheckpointRestoreContinueMatchesUninterrupted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer gC.Close()
 			if err := gC.RestoreCheckpoint(dec); err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +135,6 @@ func TestCheckpointSinkFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	if err := g.RunCycles(o); err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +160,6 @@ func TestCheckpointSinkFires(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g2.Close()
 	if err := g2.RunCycles(o2); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +186,6 @@ func TestRestoreCheckpointShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	if err := g.RunCycles(o); err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +200,6 @@ func TestRestoreCheckpointShapeMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gU.Close()
 	if err := gU.RestoreCheckpoint(sn); err == nil {
 		t.Fatal("checkpoint with policy state restored into an unmanaged machine")
 	}

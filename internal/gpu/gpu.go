@@ -3,18 +3,14 @@
 // the deterministic cycle loop.
 //
 // Tick order within a cycle is fixed: SM issue/LSU -> request network ->
-// L2/DRAM -> response network -> (next cycle) SM fill delivery. The
-// engine may execute that order on several goroutines — the SM phase
-// fans out across SMs, the partition phase across memory partitions,
-// and the whole memory side of cycle N overlaps the SM phase of cycle
-// N+1 (see Step and stepPipelined) — but every schedule is byte-
-// identical to the serial one; DESIGN.md §16 carries the argument.
+// L2/DRAM -> response network -> (next cycle) SM fill delivery. One
+// goroutine executes it (see Step); runs are independent of one another,
+// so the parallelism that pays is one whole simulation per core, which
+// is internal/runner's business, not the engine's.
 package gpu
 
 import (
 	"fmt"
-	"reflect"
-	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -80,23 +76,12 @@ type Options struct {
 	CheckpointEvery int64
 	// Check enables the per-cycle invariant watchdog (see watchdog.go).
 	Check CheckConfig
-	// Workers sets how many goroutines tick SMs concurrently within one
-	// cycle (the response-delivery + SM-tick phase). 0 means 1, the
-	// serial loop: a cycle is a few microseconds of work, and on every
-	// host measured the per-cycle hand-offs cost more than the fan-out
-	// saves (DESIGN.md §16). Clamped to the SM count, and forced to 1
-	// when the policy factories share a mutable instance across SMs
-	// (e.g. core.GlobalDMIL) — a shared limiter ticked from several
-	// goroutines would race. Any value produces byte-identical results:
-	// SMs are mutually independent within the parallel phase, and every
-	// cross-SM interaction happens in the serial phases in fixed
-	// SM-index order.
+	// Deprecated: Workers is never read. The intra-cycle fan-out it
+	// selected is gone; the field survives because bench/engine.go:256
+	// assigns it.
 	Workers int
-	// PartWorkers sets how many goroutines tick L2/DRAM partitions
-	// concurrently within one cycle. 0 means 1 (serial), as for Workers;
-	// clamped to the partition count. Partitions are disjoint by address
-	// (mem.PartitionOf) and each owns a private request pool, so any
-	// value is byte-identical to serial.
+	// Deprecated: PartWorkers is never read; see Workers
+	// (bench/engine.go:256).
 	PartWorkers int
 	// PhaseTime enables per-phase wall-time accounting (sm/drain/
 	// reqnet/partition/respnet); read it back with PhaseStats or the
@@ -116,11 +101,6 @@ type partition struct {
 	ch   *dram.Channel
 	inQ  ring.Ring[*mem.Request]
 	resp ring.Ring[l2Response]
-	// pool recycles requests owned by this partition's L2 and DRAM
-	// channel, mirroring the per-SM pools: with one shard per partition
-	// the partition phase shares no mutable state across partitions and
-	// fans out over the worker pool without any staging.
-	pool mem.Pool
 }
 
 // GPU is a fully assembled simulator instance.
@@ -138,31 +118,17 @@ type GPU struct {
 
 	cycle int64
 
-	// Parallel SM phase, parallel partition phase and the overlapped
-	// memory-side goroutine (see Step and stepPipelined). All workers
-	// are started lazily on the first step and stopped by Close.
-	workers        int
-	partWorkers    int
-	overlap        bool // SM tick N+1 may run concurrently with memory cycle N
-	workCh         []chan int64
-	stepWG         sync.WaitGroup
-	partCh         []chan int64
-	partWG         sync.WaitGroup
-	memCh          chan int64
-	memWG          sync.WaitGroup
-	memPending     bool // a memory cycle is in flight on the mem goroutine
-	workersStarted bool
+	// memPool recycles the requests owned by the memory side (every L2
+	// and DRAM channel); each SM has a pool of its own.
+	memPool mem.Pool
 
-	// Per-phase wall-time accounting (Options.PhaseTime). In overlapped
-	// mode the mem goroutine owns the reqnet/partition/respnet fields
-	// and the main goroutine the rest; reads go through flushPipeline's
-	// barrier.
+	// Per-phase wall-time accounting (Options.PhaseTime).
 	phaseTime bool
 	phase     PhaseStats
 
 	// policies holds the per-SM policy instances currently installed,
-	// kept for the shared-instance worker clamp and for the snapshot
-	// layer's stateful-policy guard (see snapshot.go).
+	// kept for the snapshot layer's stateful-policy guard and the
+	// checkpoint's policy blobs (see snapshot.go).
 	policies [][3]any
 }
 
@@ -227,96 +193,14 @@ func New(cfg config.Config, descs []*kern.Desc, opts *Options) (*GPU, error) {
 			l2: cache.New(cfg.L2, len(descs)),
 			ch: dram.New(cfg.DRAM, cfg.L2.LineBytes),
 		}
-		part.l2.Pool = &part.pool
-		part.ch.Pool = &part.pool
+		part.l2.Pool = &g.memPool
+		part.ch.Pool = &g.memPool
 		g.parts = append(g.parts, part)
 	}
 	g.policies = policies
-	g.workers = effectiveWorkers(opts.Workers, cfg.NumSMs, policies)
-	g.partWorkers = effectivePartWorkers(opts.PartWorkers, cfg.NumMemParts)
 	g.phaseTime = opts.PhaseTime
-	g.resolveOverlap()
 	return g, nil
 }
-
-// effectiveWorkers resolves the Workers option: 0 means serial, the
-// result never exceeds the SM count, and any mutable policy instance
-// shared across SMs forces serial ticking.
-func effectiveWorkers(requested, numSMs int, policies [][3]any) int {
-	w := requested
-	if w > numSMs {
-		w = numSMs
-	}
-	if w > 1 && anySharedPolicy(policies) {
-		w = 1
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// anySharedPolicy reports whether any two SMs received the same policy
-// instance. Only pointer identity counts: stateless value
-// implementations (e.g. sm.NopLimiter{}) compare equal but carry no
-// state, so copies are safe to tick concurrently. A factory that shares
-// state behind a non-pointer handle must request Workers=1 itself.
-func anySharedPolicy(policies [][3]any) bool {
-	for slot := 0; slot < 3; slot++ {
-		for i := range policies {
-			pi := policies[i][slot]
-			if pi == nil {
-				continue
-			}
-			vi := reflect.ValueOf(pi)
-			if vi.Kind() != reflect.Pointer {
-				continue
-			}
-			for j := i + 1; j < len(policies); j++ {
-				pj := policies[j][slot]
-				if pj == nil {
-					continue
-				}
-				vj := reflect.ValueOf(pj)
-				if vj.Kind() == reflect.Pointer && vi.Pointer() == vj.Pointer() {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// effectivePartWorkers resolves the PartWorkers option: 0 means serial,
-// clamped to the partition count.
-func effectivePartWorkers(requested, numParts int) int {
-	w := requested
-	if w > numParts {
-		w = numParts
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// resolveOverlap decides whether the memory side of cycle N may run
-// concurrently with the SM phase of cycle N+1. The overlap is only
-// byte-identical when the response network imposes at least one cycle
-// of traversal latency: with Latency >= 1, nothing respNet.Tick(N)
-// stages is poppable at cycle N+1, so committing those deliveries at
-// the barrier (after the SM phase of N+1) is indistinguishable from the
-// serial order. A fully serial configuration keeps the plain loop —
-// overlap with no worker anywhere would only add synchronization.
-func (g *GPU) resolveOverlap() {
-	g.overlap = (g.workers > 1 || g.partWorkers > 1) && g.cfg.Icnt.Latency >= 1
-}
-
-// Workers returns the resolved worker count the engine will use.
-func (g *GPU) Workers() int { return g.workers }
-
-// PartWorkers returns the resolved partition worker count.
-func (g *GPU) PartWorkers() int { return g.partWorkers }
 
 // Cycle returns the current simulation cycle.
 func (g *GPU) Cycle() int64 { return g.cycle }
@@ -334,7 +218,6 @@ func Run(cfg config.Config, descs []*kern.Desc, opts *Options) (*stats.RunResult
 	if err != nil {
 		return nil, err
 	}
-	defer g.Close()
 	if err := g.RunCycles(opts); err != nil {
 		return nil, err
 	}
@@ -382,15 +265,6 @@ func (g *GPU) RunCycles(opts *Options) error {
 		start := g.phase
 		defer func() { addPhaseTotals(g.phase.sub(start)) }()
 	}
-	// Every return path leaves the machine at a committed cycle
-	// boundary; deferred flush runs before the phase-totals defer above.
-	defer g.flushPipeline()
-	// The watchdog observes the whole machine after every cycle, so it
-	// forces the fully serial step; otherwise the pipelined step overlaps
-	// the memory side of cycle N with the SM phase of cycle N+1 and the
-	// loop flushes the pipeline before any point that observes or
-	// mutates cross-phase state (UCP repartition, hooks, checkpoints).
-	pipelined := g.overlap && wd == nil
 	for c := int64(0); c < opts.Cycles; c++ {
 		if g.cycle == nextInterrupt {
 			if opts.Interrupt() {
@@ -398,28 +272,21 @@ func (g *GPU) RunCycles(opts *Options) error {
 			}
 			nextInterrupt += interruptInterval
 		}
-		if pipelined {
-			g.stepPipelined()
-		} else {
-			g.Step()
-		}
+		g.Step()
 		if wd != nil {
 			if err := wd.check(g); err != nil {
 				return err
 			}
 		}
 		if g.cycle >= ucpNext {
-			g.flushPipeline()
 			g.repartitionL1(opts.UCP.MinWays)
 			ucpNext = g.cycle + opts.UCP.Interval
 		}
 		if g.cycle == nextHook {
-			g.flushPipeline()
 			opts.Hook(g, g.cycle)
 			nextHook += opts.HookInterval
 		}
 		if g.cycle == nextCkpt {
-			g.flushPipeline()
 			if err := opts.Checkpoint(g, g.cycle); err != nil {
 				nextCkpt = never
 			} else {
@@ -430,23 +297,25 @@ func (g *GPU) RunCycles(opts *Options) error {
 	return nil
 }
 
-// Step advances the machine by one cycle with every phase executed in
-// serial tick order (the SM and partition phases may still fan out over
-// their worker pools; each is internally order-free).
+// lap adds the time since *t0 to *acc and restarts the clock.
+func lap(acc *int64, t0 *time.Time) {
+	t1 := time.Now()
+	*acc += t1.Sub(*t0).Nanoseconds()
+	*t0 = t1
+}
+
+// Step advances the machine by one cycle: the five phases in tick
+// order, on the calling goroutine.
 //
-// The cycle is split into an SM phase, the outbound drain, and the
-// memory phase. In the SM phase each SM consumes its private response-
-// network ejection port and ticks; SM i touches only SM i's state (its
-// warps, L1, pool, trace shard, per-SM policies and the network's per-
-// destination queue), so the phase runs on the worker pool when
-// Workers > 1 with results byte-identical to serial execution. The same
-// holds for partitions: partition p touches only p-indexed crossbar
-// ports, its own L2/DRAM and its own pool shard. The crossbar commit
-// calls reproduce the serial engine's visibility exactly: the response
-// network's tick at cycle c observes pops through cycle c, and both
-// networks' deliveries of cycle c become poppable from cycle c+1 on.
+// The order fixes what each phase sees of the crossbars. A packet
+// granted by Tick(c) carries readyAt >= c+1, so no Pop of cycle c can
+// take it, whichever side of the Tick the Pop runs on: the partitions
+// pop the request network after its tick and the SMs pop the response
+// network before its tick, and both see exactly the deliveries of
+// cycles before c. A Pop frees its ejection slot at once: the response
+// tick of cycle c counts this cycle's SM pops, the request tick of
+// cycle c+1 this cycle's partition pops.
 func (g *GPU) Step() {
-	g.flushPipeline()
 	c := g.cycle
 	pt := g.phaseTime
 	var t0 time.Time
@@ -454,147 +323,44 @@ func (g *GPU) Step() {
 		t0 = time.Now()
 	}
 
-	g.smPhaseAll(c)
+	// SM phase: deliver the responses that have arrived, then tick.
+	for i, s := range g.SMs {
+		for resp := g.respNet.Pop(i, c); resp != nil; resp = g.respNet.Pop(i, c) {
+			s.Deliver(resp, c)
+		}
+		s.Tick(c)
+	}
 	if pt {
-		t1 := time.Now()
-		g.phase.SMNs += t1.Sub(t0).Nanoseconds()
-		t0 = t1
+		lap(&g.phase.SMNs, &t0)
 	}
 
 	g.drain()
 	if pt {
-		t1 := time.Now()
-		g.phase.DrainNs += t1.Sub(t0).Nanoseconds()
-		t0 = t1
+		lap(&g.phase.DrainNs, &t0)
 	}
 
 	g.reqNet.Tick(c)
 	if pt {
-		t1 := time.Now()
-		g.phase.ReqNetNs += t1.Sub(t0).Nanoseconds()
-		t0 = t1
+		lap(&g.phase.ReqNetNs, &t0)
 	}
 
-	g.partPhase(c)
+	for p, part := range g.parts {
+		g.tickPartition(p, part, c)
+	}
 	if pt {
-		t1 := time.Now()
-		g.phase.PartNs += t1.Sub(t0).Nanoseconds()
-		t0 = t1
+		lap(&g.phase.PartNs, &t0)
 	}
 
-	g.respNet.CommitPops() // the response tick sees this cycle's SM pops
 	g.respNet.Tick(c)
-	g.respNet.CommitDeliveries() // poppable from cycle c+1
-	g.reqNet.CommitPops()        // partition pops, visible to the next tick
-	g.reqNet.CommitDeliveries()  // poppable by partitions from cycle c+1
 	if pt {
-		g.phase.RespNetNs += time.Since(t0).Nanoseconds()
+		lap(&g.phase.RespNetNs, &t0)
 		g.phase.Cycles++
 	}
 	g.cycle++
-}
-
-// stepPipelined advances the machine by one cycle, overlapping this
-// cycle's SM phase with the previous cycle's in-flight memory phase
-// (software double-buffering of the response-network ejection port).
-//
-// Schedule: run SM(c) while mem(c-1) finishes on the mem goroutine;
-// barrier; commit both networks' staged deliveries and pops; drain
-// SM outbound queues into the request network; launch mem(c) and
-// return. The commits at the barrier land in exactly the positions the
-// serial Step gives them — pops(c) apply before respNet.Tick(c), which
-// runs inside mem(c); deliveries of tick c-1 publish before any cycle-c
-// consumer that could pop them (Latency >= 1 makes them unpoppable
-// before c+1, which resolveOverlap gates on).
-func (g *GPU) stepPipelined() {
-	g.startWorkers()
-	c := g.cycle
-	pt := g.phaseTime
-	var t0 time.Time
-	if pt {
-		t0 = time.Now()
-	}
-
-	g.smPhaseAll(c) // concurrent with mem(c-1) on the mem goroutine
-	if pt {
-		g.phase.SMNs += time.Since(t0).Nanoseconds()
-	}
-
-	if g.memPending {
-		g.memWG.Wait()
-		g.memPending = false
-	}
-	g.respNet.CommitDeliveries()
-	g.respNet.CommitPops()
-	g.reqNet.CommitPops()
-	g.reqNet.CommitDeliveries()
-
-	if pt {
-		t0 = time.Now()
-	}
-	g.drain()
-	if pt {
-		g.phase.DrainNs += time.Since(t0).Nanoseconds()
-		g.phase.Cycles++
-	}
-
-	g.memPending = true
-	g.memWG.Add(1)
-	g.memCh <- c
-	g.cycle++
-}
-
-// flushPipeline waits out an in-flight memory phase and commits the
-// staged crossbar effects, leaving the machine in the exact state the
-// serial engine would have after the same number of Steps. It is a
-// no-op on an idle pipeline. Every observation point — watchdog, hooks,
-// UCP repartition, checkpoints, snapshots, Result — runs behind it.
-func (g *GPU) flushPipeline() {
-	if !g.memPending {
-		return
-	}
-	g.memWG.Wait()
-	g.memPending = false
-	g.respNet.CommitDeliveries()
-	g.respNet.CommitPops()
-	g.reqNet.CommitPops()
-	g.reqNet.CommitDeliveries()
-}
-
-// smPhaseAll runs the SM phase for cycle c, inline or on the SM worker
-// pool.
-func (g *GPU) smPhaseAll(c int64) {
-	if g.workers > 1 {
-		g.startWorkers()
-		g.stepWG.Add(len(g.workCh))
-		for _, ch := range g.workCh {
-			ch <- c
-		}
-		g.stepWG.Wait()
-	} else {
-		for i := range g.SMs {
-			g.smPhase(i, c)
-		}
-	}
-}
-
-// smPhase delivers pending memory responses to SM i and ticks it. It
-// touches only SM i's state and is safe to run concurrently with other
-// SMs' phases.
-func (g *GPU) smPhase(i int, c int64) {
-	s := g.SMs[i]
-	for {
-		resp := g.respNet.Pop(i, c)
-		if resp == nil {
-			break
-		}
-		s.Deliver(resp, c)
-	}
-	s.Tick(c)
 }
 
 // drain moves each SM's L1 miss queue head into the request network, in
-// strict SM-index order (the injection queues are shared state).
+// SM-index order.
 func (g *GPU) drain() {
 	for i, s := range g.SMs {
 		if r := s.PeekOutbound(); r != nil && g.reqNet.CanPush(i) {
@@ -609,131 +375,12 @@ func (g *GPU) drain() {
 	}
 }
 
-// partPhase ticks every partition for cycle c, inline or on the
-// partition worker pool. Partitions are mutually disjoint — partition p
-// touches only the p-indexed crossbar ports, its own L2/DRAM state and
-// its own pool shard — so no staging or commit order is needed.
-func (g *GPU) partPhase(c int64) {
-	if g.partWorkers > 1 {
-		g.startWorkers()
-		g.partWG.Add(len(g.partCh))
-		for _, ch := range g.partCh {
-			ch <- c
-		}
-		g.partWG.Wait()
-	} else {
-		for p, part := range g.parts {
-			g.tickPartition(p, part, c)
-		}
-	}
-}
-
-// memPhase executes the memory side of cycle c: request-network tick,
-// partition ticks, response-network tick. In pipelined mode it runs on
-// the mem goroutine, concurrently with the SM phase of cycle c+1; the
-// commits belonging to cycle c happen at the caller's barrier.
-func (g *GPU) memPhase(c int64) {
-	pt := g.phaseTime
-	var t0 time.Time
-	if pt {
-		t0 = time.Now()
-	}
-	g.reqNet.Tick(c)
-	if pt {
-		t1 := time.Now()
-		g.phase.ReqNetNs += t1.Sub(t0).Nanoseconds()
-		t0 = t1
-	}
-	g.partPhase(c)
-	if pt {
-		t1 := time.Now()
-		g.phase.PartNs += t1.Sub(t0).Nanoseconds()
-		t0 = t1
-	}
-	g.respNet.Tick(c)
-	if pt {
-		g.phase.RespNetNs += time.Since(t0).Nanoseconds()
-	}
-}
-
-// startWorkers lazily spins up the persistent worker pools: SM workers
-// each owning a contiguous SM range, partition workers each owning a
-// contiguous partition range, and — when phase overlap is enabled — the
-// mem goroutine that executes whole memory cycles.
-func (g *GPU) startWorkers() {
-	if g.workersStarted {
-		return
-	}
-	g.workersStarted = true
-	if g.workers > 1 {
-		n := len(g.SMs)
-		g.workCh = make([]chan int64, g.workers)
-		for w := 0; w < g.workers; w++ {
-			lo, hi := n*w/g.workers, n*(w+1)/g.workers
-			ch := make(chan int64, 1)
-			g.workCh[w] = ch
-			go func() {
-				for c := range ch {
-					for i := lo; i < hi; i++ {
-						g.smPhase(i, c)
-					}
-					g.stepWG.Done()
-				}
-			}()
-		}
-	}
-	if g.partWorkers > 1 {
-		n := len(g.parts)
-		g.partCh = make([]chan int64, g.partWorkers)
-		for w := 0; w < g.partWorkers; w++ {
-			lo, hi := n*w/g.partWorkers, n*(w+1)/g.partWorkers
-			ch := make(chan int64, 1)
-			g.partCh[w] = ch
-			go func() {
-				for c := range ch {
-					for p := lo; p < hi; p++ {
-						g.tickPartition(p, g.parts[p], c)
-					}
-					g.partWG.Done()
-				}
-			}()
-		}
-	}
-	if g.overlap {
-		ch := make(chan int64, 1)
-		g.memCh = ch
-		go func() {
-			for c := range ch {
-				g.memPhase(c)
-				g.memWG.Done()
-			}
-		}()
-	}
-}
-
-// Close flushes any in-flight memory cycle and stops the worker pools.
-// It is safe to call multiple times and on a GPU that never started
-// workers; the GPU must not be stepped after. Run closes automatically;
-// callers driving RunCycles themselves should defer Close.
-func (g *GPU) Close() {
-	g.flushPipeline()
-	if !g.workersStarted {
-		return
-	}
-	g.workersStarted = false
-	for _, ch := range g.workCh {
-		close(ch)
-	}
-	g.workCh = nil
-	for _, ch := range g.partCh {
-		close(ch)
-	}
-	g.partCh = nil
-	if g.memCh != nil {
-		close(g.memCh)
-		g.memCh = nil
-	}
-}
+// Close does nothing.
+//
+// Deprecated: the engine starts no goroutine, so there is nothing to
+// stop. It survives because bench/engine.go:316 and bench/micro.go:339
+// call it.
+func (g *GPU) Close() {}
 
 func (g *GPU) tickPartition(p int, part *partition, c int64) {
 	// Drain the network into the partition's input buffer (the network
@@ -766,7 +413,7 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 			} else {
 				// A store absorbed by the write-back L2 retires here:
 				// no response travels up.
-				part.pool.Release(req)
+				g.memPool.Release(req)
 			}
 		case cache.Forwarded:
 			// Write-through path is unused for the write-back L2;
@@ -801,10 +448,10 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 			if t.Kind == mem.Load {
 				part.resp.Push(l2Response{req: t, readyAt: c})
 			} else {
-				part.pool.Release(t)
+				g.memPool.Release(t)
 			}
 		}
-		part.pool.Release(fill)
+		g.memPool.Release(fill)
 	}
 
 	// Inject up to two responses per cycle into the response network.
@@ -835,7 +482,6 @@ func (g *GPU) repartitionL1(minWays int) {
 
 // Result aggregates statistics across SMs.
 func (g *GPU) Result() *stats.RunResult {
-	g.flushPipeline()
 	r := &stats.RunResult{
 		Cycles:  g.cycle,
 		NumSMs:  len(g.SMs),
@@ -918,7 +564,6 @@ func UniformQuota(numSMs int, perSM []int) [][]int {
 // queue, line — for every L2 partition and every L1: which one a
 // workload starves on is the paper's Figure 6 question.
 func (g *GPU) DumpMemState() {
-	g.flushPipeline()
 	fmt.Printf("reqNet flits=%d respNet flits=%d\n", g.reqNet.TransferredFlits, g.respNet.TransferredFlits)
 	sum := func(st []cache.KernelStats) (t cache.KernelStats) {
 		for _, s := range st {

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -15,20 +15,40 @@ import (
 )
 
 // parallelWorkload is one determinism scenario: a kernel mix plus the
-// option toggles that exercise different engine paths.
+// option toggles that exercise different engine paths, and the sha256 of
+// what the run must produce.
 type parallelWorkload struct {
 	name    string
 	kernels []string
 	cycles  int64
 	full    bool // Trace + Series + Check on
 	ckpt    bool // Trace + periodic encoded checkpoints, digest-compared
+
+	// Goldens, recorded at the last commit that still had the fan-out
+	// engine (PR 18, c345e0a), where the serial run and all eight
+	// (Workers, PartWorkers) combinations of {1,2,8}² beyond (1,1) were
+	// asserted equal to them: the RunResult JSON, the rendered trace and
+	// the concatenated encoded checkpoints (the last two hash the empty
+	// string when the workload has no trace or takes no checkpoint).
+	goldResult, goldTrace, goldCkpt string
 }
 
-// runWorkload executes the workload with the given SM and partition
-// worker counts and returns the marshalled RunResult, the rendered
-// trace (empty when tracing is off), and a digest over every encoded
-// mid-run checkpoint (empty when checkpointing is off).
-func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) (string, string, string) {
+// engineRun is what one run of a workload leaves behind.
+type engineRun struct {
+	result, trace, ckpt string // sha256, hex
+	maxGoroutines       int    // highest runtime.NumGoroutine() seen during the run
+}
+
+func sha(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// runWorkload executes the workload with the deprecated Workers and
+// PartWorkers fields set as given and returns the digests of the
+// marshalled RunResult, the rendered trace and every encoded mid-run
+// checkpoint, with the goroutine count sampled at every interrupt poll.
+func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) engineRun {
 	t.Helper()
 	cfg := tinyCfg()
 	descs := make([]*kern.Desc, 0, len(w.kernels))
@@ -43,11 +63,16 @@ func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) (st
 		}
 		quota[i] = q
 	}
+	var run engineRun
 	o := &gpu.Options{
 		Cycles:      w.cycles,
 		Quota:       gpu.UniformQuota(cfg.NumSMs, quota),
 		Workers:     workers,
 		PartWorkers: partWorkers,
+		Interrupt: func() bool {
+			run.maxGoroutines = max(run.maxGoroutines, runtime.NumGoroutine())
+			return false
+		},
 	}
 	if w.full {
 		o.Trace = trace.New(1 << 12)
@@ -90,68 +115,81 @@ func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) (st
 	if o.Trace != nil {
 		tr = trace.Render(o.Trace.Snapshot())
 	}
-	var ck string
-	if w.ckpt {
-		ck = hex.EncodeToString(ckptHash.Sum(nil))
-	}
-	return string(js), tr, ck
+	run.result, run.trace = sha(js), sha([]byte(tr))
+	run.ckpt = hex.EncodeToString(ckptHash.Sum(nil))
+	return run
 }
 
-// TestParallelStepMatchesSerial is the engine's core determinism
-// contract: for every (SM workers, partition workers) combination a run
-// produces byte-identical results — the same stats.RunResult JSON, the
-// same rendered trace, the same encoded checkpoint bytes — as the fully
-// serial (1,1) run. Any combination beyond (1,1) also enables the
-// pipelined step, which overlaps the memory side of cycle N with the SM
-// phase of cycle N+1, so the matrix exercises staging, commits, and the
-// flush discipline at checkpoints. Run under -race this also proves the
-// phases share no mutable state across workers.
-func TestParallelStepMatchesSerial(t *testing.T) {
-	workloads := []parallelWorkload{
-		{name: "1kernel", kernels: []string{"bp"}, cycles: 6000},
-		{name: "2kernelCKE", kernels: []string{"bp", "sv"}, cycles: 6000},
-		{name: "2kernelCKE-full", kernels: []string{"sv", "cd"}, cycles: 6000, full: true},
-		{name: "2kernelCKE-trace-ckpt", kernels: []string{"bp", "cd"}, cycles: 6000, ckpt: true},
+// shaEmpty is the sha256 of no bytes: a workload without a trace, or one
+// that takes no checkpoint.
+const shaEmpty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+var parallelWorkloads = []parallelWorkload{
+	{name: "1kernel", kernels: []string{"bp"}, cycles: 6000,
+		goldResult: "01cd1e1ad18c23fb3aba76613fe51f9b3b3e0722ac621f56128c78e3ee96bfe3",
+		goldTrace:  shaEmpty,
+		goldCkpt:   shaEmpty},
+	{name: "2kernelCKE", kernels: []string{"bp", "sv"}, cycles: 6000,
+		goldResult: "0967d0e0bcf515cabf3b705ff45a1fa7a6e013214991692e85fc007c2e29d802",
+		goldTrace:  shaEmpty,
+		goldCkpt:   shaEmpty},
+	{name: "2kernelCKE-full", kernels: []string{"sv", "cd"}, cycles: 6000, full: true,
+		goldResult: "4691858a3ad533d1b877335d3224cf934f5a5fd2d0a364611ee2c1f03aeca55d",
+		goldTrace:  "fee7e355545d0a165ec1cfc7e4b6d6744206a6819b283e91e9e69e49095a12c7",
+		goldCkpt:   shaEmpty},
+	{name: "2kernelCKE-trace-ckpt", kernels: []string{"bp", "cd"}, cycles: 6000, ckpt: true,
+		goldResult: "111030b42b2373b1a8b899aa44b7bb4647f6f161206ac21fd6f2608bf553ae70",
+		goldTrace:  "f6f5c17c12aaa31a2abe16da966aacdbeaafcbe9f35af3197a8fb15bbe125718",
+		goldCkpt:   "2f3754938667ab91904c5f42472189b6eec6af09727ee526e4e421985ec1f200"},
+}
+
+func (w *parallelWorkload) check(t *testing.T, label string, got engineRun) {
+	t.Helper()
+	if got.result != w.goldResult {
+		t.Errorf("%s: RunResult sha256 %s, golden %s", label, got.result, w.goldResult)
 	}
-	counts := []int{1, 2, 8}
-	for _, w := range workloads {
+	if got.trace != w.goldTrace {
+		t.Errorf("%s: rendered trace sha256 %s, golden %s", label, got.trace, w.goldTrace)
+	}
+	if got.ckpt != w.goldCkpt {
+		t.Errorf("%s: encoded checkpoints sha256 %s, golden %s", label, got.ckpt, w.goldCkpt)
+	}
+}
+
+// TestParallelStepMatchesSerial holds the one cycle engine to the bytes
+// the fan-out matrix agreed on before it was deleted: every workload's
+// result, trace and checkpoints hash to the goldens above. The second
+// leg sets the deprecated worker fields to 8/8, as bench's fan-out legs
+// still do: it must produce the same bytes and start no goroutine.
+func TestParallelStepMatchesSerial(t *testing.T) {
+	for _, w := range parallelWorkloads {
 		t.Run(w.name, func(t *testing.T) {
-			baseJS, baseTr, baseCk := runWorkload(t, w, 1, 1)
-			for _, workers := range counts {
-				for _, partWorkers := range counts {
-					if workers == 1 && partWorkers == 1 {
-						continue
-					}
-					js, tr, ck := runWorkload(t, w, workers, partWorkers)
-					label := fmt.Sprintf("workers=%d partWorkers=%d", workers, partWorkers)
-					if js != baseJS {
-						t.Errorf("%s: RunResult diverged from serial\nserial:   %s\nparallel: %s", label, baseJS, js)
-					}
-					if tr != baseTr {
-						t.Errorf("%s: trace diverged from serial", label)
-					}
-					if ck != baseCk {
-						t.Errorf("%s: encoded checkpoints diverged from serial", label)
-					}
-				}
+			w.check(t, "fields unset", runWorkload(t, w, 0, 0))
+			before := runtime.NumGoroutine()
+			set := runWorkload(t, w, 8, 8)
+			w.check(t, "Workers=8 PartWorkers=8", set)
+			if set.maxGoroutines > before {
+				t.Errorf("Workers=8 PartWorkers=8: %d goroutines during the run, %d before it: the fields must be inert",
+					set.maxGoroutines, before)
 			}
 		})
 	}
 }
 
-// TestSnapshotMidPipelineRestoreContinue: snapshot a machine mid-run
-// while the pipelined engine is active, restore it into a fresh machine
-// with different worker counts, continue both to the same horizon, and
-// require byte-identical results — also against an uninterrupted serial
-// run. This pins the flush discipline: a snapshot taken between
-// pipelined steps must capture exactly the serial machine state.
+// TestSnapshotMidPipelineRestoreContinue: snapshot a machine mid-run,
+// restore it into a fresh machine, continue both to the same horizon,
+// and require byte-identical results — also against an uninterrupted
+// run. A snapshot taken between steps must capture the whole machine
+// state: the crossbars hold packets granted but not yet poppable. The
+// snapshotted and the restored machine set the deprecated worker fields
+// (differently), the reference leaves them unset.
 func TestSnapshotMidPipelineRestoreContinue(t *testing.T) {
 	cfg := tinyCfg()
 	descs := []*kern.Desc{getKernel(t, "bp"), getKernel(t, "sv")}
 	quota := gpu.UniformQuota(cfg.NumSMs, []int{2, 2})
 	const split, total = 2500, 6000
 
-	run := func(workers, partWorkers int, cycles int64, from *gpu.Snapshot) (*gpu.GPU, string) {
+	run := func(workers, partWorkers int, cycles int64, from *gpu.Snapshot) string {
 		t.Helper()
 		o := &gpu.Options{Quota: quota, Workers: workers, PartWorkers: partWorkers}
 		g, err := gpu.New(cfg, descs, o)
@@ -167,24 +205,18 @@ func TestSnapshotMidPipelineRestoreContinue(t *testing.T) {
 		if err := g.RunCycles(o); err != nil {
 			t.Fatal(err)
 		}
-		js, err := json.Marshal(g.Result())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, string(js)
+		return marshalResult(t, g)
 	}
 
-	// Uninterrupted serial reference.
-	gRef, want := run(1, 1, total, nil)
-	gRef.Close()
+	// Uninterrupted reference.
+	want := run(0, 0, total, nil)
 
-	// Pipelined run to the split point, snapshot, continue.
+	// Run to the split point, snapshot, continue.
 	oA := &gpu.Options{Cycles: split, Quota: quota, Workers: 2, PartWorkers: 2}
 	gA, err := gpu.New(cfg, descs, oA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer gA.Close()
 	if err := gA.RunCycles(oA); err != nil {
 		t.Fatal(err)
 	}
@@ -196,66 +228,55 @@ func TestSnapshotMidPipelineRestoreContinue(t *testing.T) {
 	if err := gA.RunCycles(oA); err != nil {
 		t.Fatal(err)
 	}
-	jsA, err := json.Marshal(gA.Result())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(jsA) != want {
-		t.Errorf("pipelined snapshot+continue diverged from serial\nserial:  %s\nresumed: %s", want, jsA)
+	if jsA := marshalResult(t, gA); jsA != want {
+		t.Errorf("snapshot+continue diverged from uninterrupted\nwant:    %s\nresumed: %s", want, jsA)
 	}
 
-	// Restore the mid-pipeline snapshot into a machine with different
-	// worker counts and continue to the same horizon.
-	gB, got := run(8, 1, total-split, sn)
-	defer gB.Close()
-	if got != want {
-		t.Errorf("restored continuation diverged from serial\nserial:   %s\nrestored: %s", want, got)
+	// Restore the mid-run snapshot into a fresh machine and continue to
+	// the same horizon.
+	if got := run(8, 1, total-split, sn); got != want {
+		t.Errorf("restored continuation diverged from uninterrupted\nwant:     %s\nrestored: %s", want, got)
 	}
 }
 
 // TestSharedPolicyClampsWorkers: a limiter instance shared across SMs
-// (the paper's global DMIL variant) would race if SMs ticked
-// concurrently, so the engine must detect instance sharing and fall
-// back to serial ticking. Partition workers are unaffected: policies
-// live on the SM side only.
+// (the paper's global DMIL variant) is ticked by every SM of the cycle
+// in SM-index order. With one engine nothing fans out, so nothing can
+// race on it and there is nothing left to clamp: the deprecated worker
+// fields set or unset, the run is the same bytes. CI runs this under
+// -race.
 func TestSharedPolicyClampsWorkers(t *testing.T) {
 	cfg := tinyCfg()
-	d := getKernel(t, "sv")
-	shared := core.NewGlobalDMIL(1)
-	g, err := gpu.New(cfg, []*kern.Desc{d}, &gpu.Options{
-		Cycles: 100,
-		Quota:  gpu.UniformQuota(cfg.NumSMs, []int{4}),
-		Policies: gpu.PolicyFactory{
-			Limiter: func(smID, n int) sm.Limiter { return shared },
-		},
-		Workers:     8,
-		PartWorkers: 8,
-	})
-	if err != nil {
-		t.Fatal(err)
+	descs := []*kern.Desc{getKernel(t, "sv"), getKernel(t, "bp")}
+	run := func(workers, partWorkers int) (string, string) {
+		t.Helper()
+		shared := core.NewGlobalDMIL(len(descs))
+		o := &gpu.Options{
+			Cycles: 4000,
+			Quota:  gpu.UniformQuota(cfg.NumSMs, []int{2, 2}),
+			Policies: gpu.PolicyFactory{
+				Limiter: func(smID, n int) sm.Limiter { return shared },
+			},
+			Trace:       trace.New(1 << 12),
+			Workers:     workers,
+			PartWorkers: partWorkers,
+		}
+		res, err := gpu.Run(cfg, descs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(js), trace.Render(o.Trace.Snapshot())
 	}
-	defer g.Close()
-	if g.Workers() != 1 {
-		t.Fatalf("Workers() = %d with a shared limiter, want 1", g.Workers())
+	wantJS, wantTr := run(0, 0)
+	js, tr := run(8, 8)
+	if js != wantJS {
+		t.Errorf("shared limiter, Workers=8 PartWorkers=8: RunResult diverged\nunset: %s\nset:   %s", wantJS, js)
 	}
-	if g.PartWorkers() < 1 {
-		t.Fatalf("PartWorkers() = %d, want >= 1", g.PartWorkers())
-	}
-
-	// Per-SM instances must keep the requested parallelism.
-	g2, err := gpu.New(cfg, []*kern.Desc{d}, &gpu.Options{
-		Cycles: 100,
-		Quota:  gpu.UniformQuota(cfg.NumSMs, []int{4}),
-		Policies: gpu.PolicyFactory{
-			Limiter: func(smID, n int) sm.Limiter { return core.NewDMIL(1) },
-		},
-		Workers: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g2.Close()
-	if g2.Workers() != 2 {
-		t.Fatalf("Workers() = %d with per-SM limiters, want 2", g2.Workers())
+	if tr != wantTr {
+		t.Errorf("shared limiter, Workers=8 PartWorkers=8: trace diverged")
 	}
 }

@@ -1,21 +1,16 @@
 // Per-phase wall-time accounting for the cycle engine. With
 // Options.PhaseTime enabled, the engine records how long each phase of
 // the cycle — SM tick, outbound drain, request-network tick, partition
-// tick, response-network tick — spends executing, so Amdahl breakdowns
-// ("where would another worker help?") are measured instead of guessed.
-//
-// In pipelined mode the memory-side phases run on the mem goroutine
-// concurrently with the SM phase of the next cycle, so the per-phase
-// sums may legitimately exceed wall-clock time; the gap between the two
-// is the overlap the pipeline bought. Counter reads synchronize through
-// the pipeline flush barrier, never concurrently with a running cycle.
+// tick, response-network tick — spends executing, so "where does a
+// cycle's host time go?" is measured instead of guessed. The phases run
+// back to back on one goroutine: their sum is the loop's wall-clock time
+// less the per-cycle bookkeeping around Step.
 package gpu
 
 import "sync/atomic"
 
 // PhaseStats is cumulative per-phase execution time in nanoseconds,
-// plus the number of cycles measured. Sums exceed wall-clock when
-// phases overlap across cycles.
+// plus the number of cycles measured.
 type PhaseStats struct {
 	Cycles    int64 `json:"cycles"`
 	SMNs      int64 `json:"sm_ns"`
@@ -44,10 +39,7 @@ func (s PhaseStats) TotalNs() int64 {
 
 // PhaseStats returns this machine's cumulative phase times. All zeros
 // unless Options.PhaseTime was set.
-func (g *GPU) PhaseStats() PhaseStats {
-	g.flushPipeline()
-	return g.phase
-}
+func (g *GPU) PhaseStats() PhaseStats { return g.phase }
 
 // phaseTotals accumulates phase time across every run in the process
 // (ckeserve exports it via /statz; driver -phasetrace summaries read it

@@ -89,7 +89,6 @@ func (g *GPU) Snapshot() (*Snapshot, error) {
 // which refuses stateful policies) and SnapshotCheckpoint (which
 // serializes them alongside).
 func (g *GPU) capture() *Snapshot {
-	g.flushPipeline()
 	cl := mem.NewCloner()
 	sn := &Snapshot{cycle: g.cycle}
 	for _, s := range g.SMs {
@@ -235,15 +234,12 @@ func (g *GPU) Restore(sn *Snapshot) error {
 // InstallPolicies replaces the per-SM issue policies and cache policy
 // attachments with the ones opts describes, exactly as New would have
 // built them: fresh policy instances from the factories, a fresh UMON
-// per L1 when UCP is enabled, and the per-kernel bypass vector. The
-// worker pool is stopped and its width re-resolved (a shared policy
-// instance forces serial ticking); it restarts lazily on the next Step.
+// per L1 when UCP is enabled, and the per-kernel bypass vector.
 //
 // This is the managed-leg half of the snapshot discipline: warm the
 // machine unmanaged, snapshot or restore, then InstallPolicies and run
 // the managed leg.
 func (g *GPU) InstallPolicies(opts *Options) {
-	g.Close()
 	n := len(g.descs)
 	var policies [][3]any
 	for i, s := range g.SMs {
@@ -269,9 +265,6 @@ func (g *GPU) InstallPolicies(opts *Options) {
 		}
 	}
 	g.policies = policies
-	g.workers = effectiveWorkers(opts.Workers, g.cfg.NumSMs, policies)
-	g.partWorkers = effectivePartWorkers(opts.PartWorkers, g.cfg.NumMemParts)
-	g.resolveOverlap()
 }
 
 // SetQuota installs a new per-SM TB quota matrix (resident TBs drain

@@ -15,6 +15,7 @@ import (
 // snapshotOpts builds the Options for the snapshot determinism tests:
 // fully instrumented (trace, series, watchdog) when full is set, so the
 // snapshot has to carry series buckets and survive invariant checking.
+// workers goes into the deprecated Options.Workers, which nothing reads.
 func snapshotOpts(cfg *config.Config, descs []*kern.Desc, totalCycles int64, workers int, full bool) *gpu.Options {
 	quota := make([]int, len(descs))
 	for i, d := range descs {
@@ -40,8 +41,11 @@ func snapshotOpts(cfg *config.Config, descs []*kern.Desc, totalCycles int64, wor
 // TestSnapshotRestoreContinueMatchesUninterrupted is the snapshot
 // layer's core contract: run-to-N, snapshot, restore into a *fresh*
 // machine and continue must be byte-identical (same stats.RunResult
-// JSON, same post-snapshot trace events) to an uninterrupted run — for
-// serial and parallel engines, with the machine fully instrumented.
+// JSON, same post-snapshot trace events) to an uninterrupted run, with
+// the machine fully instrumented. The workers=8 leg is the same run with
+// the deprecated worker field set: it keeps its name from the time the
+// field selected a fan-out, and what it pins now is that the field is
+// inert on the snapshot and restore paths too.
 //
 // The restore happens only after the snapshotted machine has itself run
 // to completion: by then every request that was in flight at the
@@ -84,7 +88,6 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer gA.Close()
 				if err := gA.RunCycles(oA); err != nil {
 					t.Fatal(err)
 				}
@@ -98,7 +101,6 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer gB.Close()
 				legWarm := *oB
 				legWarm.Cycles = 4000
 				derivedLive := func() bool {
@@ -148,7 +150,6 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer gC.Close()
 				if err := gC.Restore(sn); err != nil {
 					t.Fatal(err)
 				}
@@ -175,7 +176,6 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer gD.Close()
 				legD := *oD
 				legD.Cycles = 1500
 				if err := gD.RunCycles(&legD); err != nil {
@@ -212,7 +212,6 @@ func TestSnapshotRejectsStatefulPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	if _, err := g.Snapshot(); err == nil {
 		t.Fatal("Snapshot() succeeded with a stateful limiter installed")
 	}
@@ -232,7 +231,6 @@ func TestInstallPoliciesAfterWarmup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	warm := *o
 	warm.Cycles = 2000
 	if err := g.RunCycles(&warm); err != nil {
@@ -268,7 +266,6 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g.Close()
 	if err := g.RunCycles(o); err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +280,6 @@ func TestRestoreGeometryMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer g2.Close()
 	if err := g2.Restore(sn); err == nil {
 		t.Fatal("Restore() succeeded across mismatched kernel-slot counts")
 	}

@@ -22,7 +22,6 @@ package icnt
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/config"
 	"repro/internal/mem"
@@ -43,16 +42,11 @@ type delivered struct {
 
 // Network is one direction of the crossbar.
 //
-// The ejection port is double-buffered so the consumer side (Pop) and
-// the producer side (Tick) may run on different goroutines within one
-// engine cycle: Tick stages deliveries into inStage and Pop records
-// drained packets in popped without touching inCount. CommitPops and
-// CommitDeliveries apply the staged effects; the engine calls them at
-// its determinism barrier, in the exact positions that reproduce the
-// serial tick order (Tick at cycle c observes pops through cycle c;
-// Pop at cycle c observes deliveries staged through cycle c-1, which
-// is all it could consume anyway because readyAt >= c+1 for anything
-// Tick(c) stages).
+// Tick pushes a granted packet onto its destination's ejection queue and
+// Pop frees the slot it drains at once. A packet granted by Tick(c)
+// carries readyAt >= c+1, so a Pop at cycle c cannot take it whichever
+// of the two runs first; the engine's tick order (see gpu.Step) decides
+// only which Tick first counts a freed slot.
 type Network struct {
 	cfg      config.Icnt
 	nSrc     int
@@ -65,23 +59,13 @@ type Network struct {
 	inQ     []ring.Ring[delivered]
 	inCount []int // packets in flight + queued per destination
 	inCap   int
-	// inStage holds packets granted by Tick but not yet visible to Pop;
-	// popped counts packets drained by Pop but not yet applied to
-	// inCount. Only Tick touches inStage/inCount; only Pop touches
-	// inQ/popped (per destination); the commit methods touch both and
-	// run single-threaded at the engine's barrier.
-	inStage []ring.Ring[delivered]
-	popped  []int
 	// heads holds, per destination, a bitmask of the sources whose head
 	// packet targets it (words 64-bit words each, source s at bit s&63
 	// of word s>>6), so a port's arbitration walks set bits instead of
 	// every injection queue. Derived from outQ: set in Push on an empty
 	// queue and when a grant exposes the next head, cleared at grant,
-	// rebuilt by Restore, not part of Snapshot. Atomic because distinct
-	// sources may Push packets for one destination from distinct
-	// goroutines (the partition workers on the response network); Tick
-	// never overlaps a Push.
-	heads []atomic.Uint64
+	// rebuilt by Restore, not part of Snapshot.
+	heads []uint64
 	words int
 
 	// TransferredFlits counts total flits moved (utilization statistic).
@@ -100,14 +84,12 @@ func New(cfg config.Icnt, nSrc, nDst int) *Network {
 		nSrc:     nSrc,
 		nDst:     nDst,
 		outQ:     make([]ring.Ring[Packet], nSrc),
-		heads:    make([]atomic.Uint64, nDst*words),
+		heads:    make([]uint64, nDst*words),
 		words:    words,
 		rr:       make([]int, nDst),
 		portFree: make([]int64, nDst),
 		inQ:      make([]ring.Ring[delivered], nDst),
 		inCount:  make([]int, nDst),
-		inStage:  make([]ring.Ring[delivered], nDst),
-		popped:   make([]int, nDst),
 		// Packets in flight on the wire count toward the destination,
 		// so the cap must cover the bandwidth-delay product plus the
 		// ejection buffer proper.
@@ -117,27 +99,20 @@ func New(cfg config.Icnt, nSrc, nDst int) *Network {
 }
 
 // setHead records (on) or retracts that src's head packet targets dst.
-// Distinct sources may Push concurrently, hence the CAS loop
-// (atomic.Uint64.Or and And need a newer Go than go.mod's floor).
 func (n *Network) setHead(dst, src int, on bool) {
 	w := &n.heads[dst*n.words+src>>6]
 	bit := uint64(1) << (src & 63)
-	for {
-		old := w.Load()
-		upd := old | bit
-		if !on {
-			upd = old &^ bit
-		}
-		if w.CompareAndSwap(old, upd) {
-			return
-		}
+	if on {
+		*w |= bit
+	} else {
+		*w &^= bit
 	}
 }
 
 // waiting reports whether any source's head packet targets dst.
 func (n *Network) waiting(dst int) bool {
 	for i := dst * n.words; i < (dst+1)*n.words; i++ {
-		if n.heads[i].Load() != 0 {
+		if n.heads[i] != 0 {
 			return true
 		}
 	}
@@ -158,7 +133,7 @@ func (n *Network) pick(dst, budget, fpc int) int {
 		if w >= n.words {
 			w -= n.words
 		}
-		m := heads[w].Load()
+		m := heads[w]
 		switch i {
 		case 0:
 			m &= ^uint64(0) << b0
@@ -233,11 +208,7 @@ func (n *Network) Tick(cycle int64) {
 				readyAt = cycle + xfer + int64(n.cfg.Latency)
 				budget = 0
 			}
-			// Staged: invisible to Pop until CommitDeliveries. The
-			// count is the producer side's own backpressure signal
-			// and is maintained immediately (the grant loop above
-			// re-reads it within this very cycle).
-			n.inStage[dst].Push(delivered{req: p.Req, readyAt: readyAt})
+			n.inQ[dst].Push(delivered{req: p.Req, readyAt: readyAt})
 			n.inCount[dst]++
 			n.TransferredFlits += uint64(p.Flits)
 			n.rr[dst] = (src + 1) % n.nSrc
@@ -246,43 +217,27 @@ func (n *Network) Tick(cycle int64) {
 }
 
 // Pop returns the next delivered request at destination dst, or nil if
-// none has arrived by cycle. Distinct destinations may be popped from
-// distinct goroutines concurrently with Tick; the drain is applied to
-// the shared occupancy count only at CommitPops.
+// none has arrived by cycle.
 func (n *Network) Pop(dst int, cycle int64) *mem.Request {
 	q := &n.inQ[dst]
 	if q.Empty() || q.Peek().readyAt > cycle {
 		return nil
 	}
-	r := q.Pop().req
-	n.popped[dst]++
-	return r
+	n.inCount[dst]--
+	return q.Pop().req
 }
 
-// CommitPops applies the pops staged since the last commit to the
-// per-destination occupancy counts. Single-threaded; the engine calls
-// it at its barrier, before the Tick that must observe those pops.
-func (n *Network) CommitPops() {
-	for dst, p := range n.popped {
-		if p != 0 {
-			n.inCount[dst] -= p
-			n.popped[dst] = 0
-		}
-	}
-}
+// CommitPops does nothing.
+//
+// Deprecated: Pop applies itself. It survives because
+// bench/micro.go:171 calls it.
+func (n *Network) CommitPops() {}
 
-// CommitDeliveries publishes packets staged by Tick since the last
-// commit to the ejection queues Pop reads. Single-threaded; the engine
-// calls it at its barrier, after the consumers that must not yet see
-// them have run.
-func (n *Network) CommitDeliveries() {
-	for dst := range n.inStage {
-		st := &n.inStage[dst]
-		for !st.Empty() {
-			n.inQ[dst].Push(st.Pop())
-		}
-	}
-}
+// CommitDeliveries does nothing.
+//
+// Deprecated: Tick delivers to the ejection queues itself. It survives
+// because bench/micro.go:172 calls it.
+func (n *Network) CommitDeliveries() {}
 
 // CheckIndex compares the head-source masks with a recomputation from
 // the injection queues (the invariant watchdog's crossbar rule).
@@ -294,7 +249,7 @@ func (n *Network) CheckIndex() error {
 		}
 	}
 	for i := range want {
-		if got := n.heads[i].Load(); got != want[i] {
+		if got := n.heads[i]; got != want[i] {
 			return fmt.Errorf("destination %d: indexed sources %#x with a head packet for it (mask word %d), recomputed %#x",
 				i/n.words, got, i%n.words, want[i])
 		}

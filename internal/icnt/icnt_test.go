@@ -12,41 +12,57 @@ func testCfg() config.Icnt {
 	return config.Icnt{FlitBytes: 32, FlitsPerCycle: 1, Latency: 4, QueueDepth: 4, HeaderFlits: 1}
 }
 
-// tick runs one serial-engine network cycle: commit consumer pops,
-// arbitrate, publish deliveries — the order gpu.Step uses.
-func tick(n *Network, c int64) {
-	n.CommitPops()
-	n.Tick(c)
-	n.CommitDeliveries()
-}
-
-// TestStagedEjectionDoubleBuffer pins the commit discipline the
-// pipelined engine relies on: deliveries granted by Tick are invisible
-// to Pop until CommitDeliveries, and pops do not reach the occupancy
-// count until CommitPops.
+// TestStagedEjectionDoubleBuffer pins the rule that replaced the staged
+// ejection port: a packet granted by Tick(c) is not poppable at cycle c,
+// even with no traversal latency, and is at c+1; a Pop frees its slot at
+// once, so the same cycle's Tick may grant into it. CommitPops and
+// CommitDeliveries (kept for bench/micro.go) change nothing.
 func TestStagedEjectionDoubleBuffer(t *testing.T) {
 	cfg := testCfg()
-	cfg.Latency = 0 // make the packet poppable the cycle after transfer
-	n := New(cfg, 1, 1)
-	r := &mem.Request{LineAddr: 7}
-	n.Push(0, Packet{Req: r, Dst: 0, Flits: 1})
+	cfg.Latency = 0
+	cfg.QueueDepth = 1 // with FlitsPerCycle 1 the port holds two packets in flight or queued
+	n := New(cfg, 3, 1)
+	first := &mem.Request{LineAddr: 6}
+	n.Push(0, Packet{Req: first, Dst: 0, Flits: 1})
 	n.Tick(0)
 	if got := n.Pending(0); got != 1 {
-		t.Fatalf("Pending after Tick = %d, want 1 (producer-side count is immediate)", got)
+		t.Fatalf("Pending after Tick(0) = %d, want 1", got)
 	}
-	if got := n.Pop(0, 10); got != nil {
-		t.Fatal("staged delivery visible to Pop before CommitDeliveries")
+	if got := n.Pop(0, 0); got != nil {
+		t.Fatal("packet granted by Tick(0) poppable at cycle 0")
 	}
 	n.CommitDeliveries()
-	if got := n.Pop(0, 1); got != r {
-		t.Fatal("committed delivery not poppable")
+	n.CommitPops()
+	if n.Pending(0) != 1 || n.Pop(0, 0) != nil {
+		t.Fatal("the Commit shims changed the network's state")
+	}
+	if got := n.Pop(0, 1); got != first {
+		t.Fatal("packet granted by Tick(0) not poppable at cycle 1")
+	}
+
+	// Round-robin resumes after source 0: sources 1, 2, 0 in grant order.
+	reqs := []*mem.Request{{LineAddr: 7}, {LineAddr: 8}, {LineAddr: 9}}
+	for i, r := range reqs {
+		n.Push((i+1)%3, Packet{Req: r, Dst: 0, Flits: 1})
+	}
+	n.Tick(1)
+	n.Tick(2)
+	n.Tick(3)
+	if got := n.Pending(0); got != 2 {
+		t.Fatalf("Pending after three ticks = %d, want 2 (the third finds the port full)", got)
+	}
+	if got := n.Pop(0, 4); got != reqs[0] {
+		t.Fatal("head of the full port not poppable")
 	}
 	if got := n.Pending(0); got != 1 {
-		t.Fatalf("Pending after Pop = %d, want 1 (pop staged until CommitPops)", got)
+		t.Fatalf("Pending after Pop = %d, want 1 (a Pop frees its slot at once)", got)
 	}
-	n.CommitPops()
-	if got := n.Pending(0); got != 0 {
-		t.Fatalf("Pending after CommitPops = %d, want 0", got)
+	n.Tick(4)
+	if got := n.Pending(0); got != 2 {
+		t.Fatalf("Pending after Tick(4) = %d, want 2 (the slot freed this cycle is granted into)", got)
+	}
+	if n.Pop(0, 5) != reqs[1] || n.Pop(0, 5) != reqs[2] || n.Pop(0, 5) != nil {
+		t.Fatal("the queued packets did not come out in grant order")
 	}
 }
 
@@ -56,13 +72,13 @@ func TestDeliveryLatency(t *testing.T) {
 	if !n.Push(0, Packet{Req: r, Dst: 1, Flits: 1}) {
 		t.Fatal("push failed")
 	}
-	tick(n, 0)
+	n.Tick(0)
 	// 1 flit transfer + 4 latency: ready at cycle 5.
 	for c := int64(1); c < 5; c++ {
 		if got := n.Pop(1, c); got != nil {
 			t.Fatalf("delivered too early at cycle %d", c)
 		}
-		tick(n, c)
+		n.Tick(c)
 	}
 	if got := n.Pop(1, 5); got != r {
 		t.Fatal("packet not delivered at expected cycle")
@@ -75,11 +91,11 @@ func TestPortSerializesMultiFlitPackets(t *testing.T) {
 	r2 := &mem.Request{LineAddr: 2}
 	n.Push(0, Packet{Req: r1, Dst: 0, Flits: 5})
 	n.Push(1, Packet{Req: r2, Dst: 0, Flits: 5})
-	tick(n, 0) // r1 wins the port; busy 5 cycles
-	tick(n, 1) // port busy: r2 waits
+	n.Tick(0) // r1 wins the port; busy 5 cycles
+	n.Tick(1) // port busy: r2 waits
 	var got []*mem.Request
 	for c := int64(0); c < 40; c++ {
-		tick(n, c)
+		n.Tick(c)
 		if r := n.Pop(0, c); r != nil {
 			got = append(got, r)
 		}
@@ -94,7 +110,7 @@ func TestFlitsPerCycleSpeedsTransfer(t *testing.T) {
 	fast := New(config.Icnt{FlitBytes: 32, FlitsPerCycle: 4, Latency: 0, QueueDepth: 4, HeaderFlits: 1}, 1, 1)
 	for _, n := range []*Network{slow, fast} {
 		n.Push(0, Packet{Req: &mem.Request{}, Dst: 0, Flits: 4})
-		tick(n, 0)
+		n.Tick(0)
 	}
 	if slow.Pop(0, 3) != nil {
 		t.Fatal("slow link delivered 4 flits in under 4 cycles")
@@ -128,7 +144,7 @@ func TestRoundRobinFairness(t *testing.T) {
 		for src := 0; src < 4; src++ {
 			n.Push(src, Packet{Req: &mem.Request{LineAddr: uint64(src)}, Dst: 0, Flits: 1})
 		}
-		tick(n, c)
+		n.Tick(c)
 		for {
 			r := n.Pop(0, c)
 			if r == nil {
@@ -155,7 +171,7 @@ func TestFIFOPerSourceDestination(t *testing.T) {
 			sent = append(sent, next)
 			next++
 		}
-		tick(n, c)
+		n.Tick(c)
 		if r := n.Pop(0, c); r != nil {
 			got = append(got, r.LineAddr)
 		}
@@ -191,7 +207,7 @@ func TestPropertyConservation(t *testing.T) {
 			if n.Push(src, Packet{Req: &mem.Request{}, Dst: dst, Flits: int(p%4) + 1}) {
 				pushed++
 			}
-			tick(n, cycle)
+			n.Tick(cycle)
 			drain()
 			cycle++
 			if n.CheckIndex() != nil {
@@ -199,7 +215,7 @@ func TestPropertyConservation(t *testing.T) {
 			}
 		}
 		for i := 0; i < 200; i++ {
-			tick(n, cycle)
+			n.Tick(cycle)
 			drain()
 			cycle++
 		}
@@ -240,14 +256,14 @@ func TestCheckIndexMatchesRecount(t *testing.T) {
 	n.Push(1, Packet{Req: &mem.Request{}, Dst: 1, Flits: 1})
 	n.Push(2, Packet{Req: &mem.Request{}, Dst: 3, Flits: 1})
 	check("after pushes")
-	if got := n.heads[1].Load(); got != 0b0011 {
+	if got := n.heads[1]; got != 0b0011 {
 		t.Fatalf("heads[1] = %#b, want sources 0 and 1", got)
 	}
-	if got := n.heads[2].Load(); got != 0 {
+	if got := n.heads[2]; got != 0 {
 		t.Fatalf("heads[2] = %#b, want none (packet is not at the head)", got)
 	}
 	for c := int64(0); c < 4; c++ {
-		tick(n, c)
+		n.Tick(c)
 		check("after tick")
 	}
 	if got := n.PendingRequests(); got != 4 {
@@ -263,11 +279,11 @@ func TestCheckIndexMatchesRecount(t *testing.T) {
 	if err := m.CheckIndex(); err != nil {
 		t.Fatalf("restored network: %v", err)
 	}
-	if got := m.heads[0].Load(); got != 0b1000 {
+	if got := m.heads[0]; got != 0b1000 {
 		t.Fatalf("restored heads[0] = %#b, want source 3", got)
 	}
 
-	n.heads[0].Store(0)
+	n.heads[0] = 0
 	if err := n.CheckIndex(); err == nil {
 		t.Fatal("dropped head bit not detected")
 	}

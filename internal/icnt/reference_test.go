@@ -124,7 +124,7 @@ func TestMaskArbitrationMatchesReference(t *testing.T) {
 								t.Fatalf("cycle %d: push from %d accepted %v, reference %v", c, src, got, want)
 							}
 						}
-						tick(n, c)
+						n.Tick(c)
 						ref.tick(c)
 						if err := n.CheckIndex(); err != nil {
 							t.Fatalf("cycle %d: %v", c, err)

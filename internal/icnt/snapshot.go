@@ -22,16 +22,8 @@ type Snapshot struct {
 	transferredFlits uint64
 }
 
-// Snapshot captures the network's full state through cl. The engine
-// only snapshots at a determinism barrier, where every staged delivery
-// and pop has been committed; a non-empty stage here is an engine bug,
-// not a recoverable condition.
+// Snapshot captures the network's full state through cl.
 func (n *Network) Snapshot(cl *mem.Cloner) *Snapshot {
-	for i := range n.inStage {
-		if !n.inStage[i].Empty() || n.popped[i] != 0 {
-			panic("icnt: snapshot taken with uncommitted staged deliveries/pops")
-		}
-	}
 	sn := &Snapshot{
 		rr:               append([]int(nil), n.rr...),
 		portFree:         append([]int64(nil), n.portFree...),
@@ -59,9 +51,7 @@ func (n *Network) Restore(sn *Snapshot, cl *mem.Cloner) error {
 		return fmt.Errorf("icnt: restore: snapshot is %dx%d ports, network is %dx%d",
 			len(sn.outQ), len(sn.inQ), len(n.outQ), len(n.inQ))
 	}
-	for i := range n.heads {
-		n.heads[i].Store(0)
-	}
+	clear(n.heads)
 	for i := range n.outQ {
 		n.outQ[i].Restore(sn.outQ[i], func(p Packet) Packet {
 			p.Req = cl.Request(p.Req)
@@ -79,10 +69,6 @@ func (n *Network) Restore(sn *Snapshot, cl *mem.Cloner) error {
 		})
 	}
 	copy(n.inCount, sn.inCount)
-	for i := range n.inStage {
-		n.inStage[i].Reset()
-		n.popped[i] = 0
-	}
 	n.TransferredFlits = sn.transferredFlits
 	return nil
 }

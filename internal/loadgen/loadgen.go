@@ -363,7 +363,7 @@ func Calibrate(ctx context.Context, cfg Config, k int) (float64, error) {
 	return float64(k) / elapsed.Seconds(), nil
 }
 
-// Report is the rate-sweep output (results/BENCH_overload.json).
+// Report is the rate-sweep output (what ckeload -out writes).
 type Report struct {
 	URL         string          `json:"url"`
 	Arrivals    string          `json:"arrivals"`

@@ -3,6 +3,7 @@ package loadgen_test
 import (
 	"context"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -22,6 +23,15 @@ import (
 func TestGracefulDegradationUnderOverload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload e2e takes seconds of wall-clock")
+	}
+	// The generator is open-loop: it must keep offering load on schedule
+	// while the in-process server simulates. On one P the two take turns,
+	// arrivals bunch up behind simulations and are then served late, which
+	// is the test's set-up failing, not the server. cmd/ckeload against a
+	// separate ckeserve (CI's overload-smoke) is the shape that holds at
+	// any GOMAXPROCS.
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("an open-loop client needs a P of its own beside the in-process server")
 	}
 	srv := server.New(server.Config{
 		Workers: 1, QueueDepth: 1000,
@@ -63,9 +73,10 @@ func TestGracefulDegradationUnderOverload(t *testing.T) {
 	}
 	s1, s5 := rep.Stages[0], rep.Stages[1]
 
-	// Every job is accounted for, in both stages.
+	// Every job is accounted for, in both stages (Missed includes the
+	// late-served ones).
 	for _, s := range rep.Stages {
-		if s.Completed+s.Shed+s.Missed-s.LateServed+s.Errors != s.Offered {
+		if s.Completed+s.Shed+s.Missed+s.Errors != s.Offered {
 			t.Fatalf("outcome buckets do not sum to offered: %+v", s)
 		}
 		// The invariant the server guards with ErrDeadlineMiss: no

@@ -7,15 +7,13 @@ package mem
 // dominate the cycle loop's allocation profile; with it the steady
 // state allocates nothing on the memory path.
 //
-// A Pool is NOT safe for concurrent use. The parallel cycle engine
-// gives each SM its own Pool (used during the concurrent SM phase) and
-// the memory side (L2 partitions + DRAM, ticked serially) a separate
-// one, so no lock is needed. Objects may be released into a different
-// pool than the one that allocated them — a request allocated by an
-// SM's coalescer is often retired on the memory side and vice versa —
-// which only shifts free-list population between pools, never
-// correctness, because release and reuse always happen on the owning
-// phase's goroutine.
+// A Pool is NOT safe for concurrent use; one machine is stepped by one
+// goroutine, so none of its pools needs a lock. The cycle engine gives
+// each SM its own Pool and the memory side (every L2 partition and DRAM
+// channel) one more. Objects may be released into a different pool than
+// the one that allocated them — a request allocated by an SM's
+// coalescer is often retired on the memory side and vice versa — which
+// only shifts free-list population between pools.
 //
 // The nil *Pool is valid and falls back to plain allocation (release
 // becomes a no-op), so components can run unpooled in isolation tests.

@@ -13,9 +13,7 @@
 package ring
 
 // Ring is a growable FIFO queue. The zero value is ready to use. Ring
-// is not safe for concurrent use; in the parallel cycle engine every
-// ring is owned by exactly one goroutine at a time (per-SM state in the
-// parallel phase, memory-side state in the serial phase).
+// is not safe for concurrent use.
 type Ring[T any] struct {
 	buf  []T // len(buf) is always 0 or a power of two
 	head int

@@ -160,16 +160,6 @@ type Runner struct {
 	// runner derives (jobs with a nil Session). Set it before the first
 	// Run; explicit job sessions keep their own Check setting.
 	Check bool
-	// EngineWorkers is the cycle engine's intra-run SM-tick fan-out for
-	// sessions the runner derives (gcke.Session.Workers). 0 means 1, the
-	// serial loop; a larger value multiplies with the runner's own
-	// job-level pool. Set it before the first Run.
-	EngineWorkers int
-	// EnginePartWorkers is the engine's memory-side fan-out for derived
-	// sessions (gcke.Session.PartWorkers): L2+DRAM partitions ticked
-	// concurrently within each cycle. 0 means serial, as for
-	// EngineWorkers. Set it before the first Run.
-	EnginePartWorkers int
 	// PhaseTime enables per-phase engine wall-clock counters on derived
 	// sessions (gcke.Session.PhaseTime); totals are process-wide via
 	// gpu.PhaseTotals. Set it before the first Run.
@@ -221,8 +211,6 @@ func (r *Runner) Session(cfg gcke.Config, cycles, profileCycles int64) (*gcke.Se
 		s = gcke.NewSession(cfg, cycles)
 		s.ProfileCycles = profileCycles
 		s.Check = r.Check
-		s.Workers = r.EngineWorkers
-		s.PartWorkers = r.EnginePartWorkers
 		s.PhaseTime = r.PhaseTime
 		s.ForkWarmup = r.ForkWarmup
 		r.sessions[key] = s

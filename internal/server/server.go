@@ -111,16 +111,6 @@ type Config struct {
 	// Check enables the per-cycle invariant watchdog on every derived
 	// session.
 	Check bool
-	// EngineWorkers is the cycle engine's intra-run SM-tick fan-out for
-	// each executing job (gpu.Options.Workers). 0 means what it means to
-	// the engine: the serial loop. Results are byte-identical for any
-	// value.
-	EngineWorkers int
-	// EnginePartWorkers is the engine's memory-side fan-out per job
-	// (gpu.Options.PartWorkers: L2+DRAM partitions ticked concurrently
-	// within a cycle). 0 means serial. Results are byte-identical for
-	// any value.
-	EnginePartWorkers int
 	// PhaseTrace enables the engine's per-phase wall-clock counters on
 	// every derived session; /statz then reports the process-wide
 	// per-phase breakdown under "phase_ns".
@@ -243,8 +233,6 @@ func New(cfg Config) *Server {
 	r.Journal = cfg.Journal
 	r.Cache = cfg.Cache
 	r.Check = cfg.Check
-	r.EngineWorkers = cfg.EngineWorkers
-	r.EnginePartWorkers = cfg.EnginePartWorkers
 	r.PhaseTime = cfg.PhaseTrace
 	r.ForkWarmup = cfg.ForkWarmup
 	r.Checkpoints = cfg.Checkpoints
@@ -988,10 +976,6 @@ type Stats struct {
 	// Retry-After hint (RetryAfterHintMs) queue sheds report.
 	LatencyEWMAMs    float64 `json:"latency_ewma_ms,omitempty"`
 	RetryAfterHintMs int64   `json:"retry_after_hint_ms"`
-	// EngineWorkers is the resolved per-job SM-tick fan-out;
-	// EnginePartWorkers the resolved memory-partition fan-out.
-	EngineWorkers     int `json:"engine_workers"`
-	EnginePartWorkers int `json:"engine_part_workers"`
 	// Phase is the process-wide per-phase engine time breakdown,
 	// present only when Config.PhaseTrace is on.
 	Phase *gpu.PhaseStats `json:"phase_ns,omitempty"`
@@ -1049,10 +1033,8 @@ func (s *Server) StatsSnapshot() Stats {
 		QueueWaitP95Ms:    float64(s.waits.Percentile(0.95)) / 1e6,
 		QueueWaitP99Ms:    float64(s.waits.Percentile(0.99)) / 1e6,
 
-		EngineWorkers:     max(s.cfg.EngineWorkers, 1),
-		EnginePartWorkers: max(s.cfg.EnginePartWorkers, 1),
-		LatencyEWMAMs:     float64(s.latEWMA.Load()) / 1e6,
-		RetryAfterHintMs:  s.retryAfterHint().Milliseconds(),
+		LatencyEWMAMs:    float64(s.latEWMA.Load()) / 1e6,
+		RetryAfterHintMs: s.retryAfterHint().Milliseconds(),
 	}
 	if s.cfg.PhaseTrace {
 		t := gpu.PhaseTotals()

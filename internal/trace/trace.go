@@ -101,14 +101,12 @@ func (r *ringBuf) snapshot() []Event {
 // Buffer is a ring of the most recent events. The zero value is unusable;
 // create with New.
 //
-// A Buffer starts flat (one ring, single-writer). The parallel cycle
-// engine calls EnsureShards(numSMs) so that each SM appends to a
-// private shard during the concurrent phase — Add routes by Event.SM,
-// touching only per-shard state, so concurrent Adds from different SMs
-// do not race. Readers (Snapshot, Filter, Total, CountByKind) merge the
-// shards by (Cycle, SM) and must not run concurrently with writers; the
-// engine only reads between steps. Sharding is used for Workers=1 runs
-// too, so serial and parallel runs retain and order events identically.
+// A Buffer starts flat (one ring). The cycle engine calls
+// EnsureShards(numSMs) so that each SM appends to a shard of its own —
+// Add routes by Event.SM — and what one SM retains does not depend on
+// how chatty the others are. Readers (Snapshot, Filter, Total,
+// CountByKind) merge the shards by (Cycle, SM). A Buffer is not safe for
+// concurrent use; the engine writes and reads it from one goroutine.
 type Buffer struct {
 	ringBuf            // events Added before sharding (or with out-of-range SM)
 	capacity int       // requested retention, divided among shards
@@ -129,8 +127,7 @@ func New(capacity int) *Buffer {
 // EnsureShards splits the buffer into n per-SM shards (idempotent for
 // the same n). Each shard retains capacity/n events, so total retention
 // is unchanged; per-SM retention becomes independent of other SMs'
-// event rates, which is what makes retention deterministic when SMs
-// tick concurrently.
+// event rates.
 func (b *Buffer) EnsureShards(n int) {
 	if n <= 0 || len(b.shards) == n {
 		return

@@ -45,15 +45,12 @@ type Session struct {
 	// every run started through this session (evaluation and profiling
 	// alike). Set it before sharing the Session.
 	Check bool
-	// Workers sets the cycle engine's intra-run parallelism (per-cycle
-	// SM tick fan-out) for every run started through this session. 0
-	// means 1, the serial loop; results are byte-identical for any value.
-	// Set it before sharing the Session.
+	// Deprecated: Workers is never read. The engine's intra-cycle
+	// fan-out is gone; the field survives because bench/engine.go:74 and
+	// bench/serve.go:458 assign it.
 	Workers int
-	// PartWorkers sets the memory-side fan-out: L2+DRAM partitions ticked
-	// concurrently within each cycle (gpu.Options.PartWorkers). 0 means 1
-	// (serial); results are byte-identical for any value. Set it before
-	// sharing the Session.
+	// Deprecated: PartWorkers is never read; see Workers
+	// (bench/engine.go:74, bench/serve.go:458).
 	PartWorkers int
 	// PhaseTime enables per-phase wall-clock counters on every run
 	// (gpu.Options.PhaseTime); read the totals via gpu.PhaseTotals. Set it
@@ -245,14 +242,12 @@ func (s *Session) runIsolatedTBs(ctx context.Context, d Kernel, tbs int, series 
 	}
 	descs := []*kern.Desc{&d}
 	opts := &gpu.Options{
-		Cycles:      s.ProfileCycles,
-		Quota:       gpu.UniformQuota(s.cfg.NumSMs, []int{tbs}),
-		Series:      series,
-		Interrupt:   interruptOf(ctx),
-		Check:       gpu.CheckConfig{Enabled: s.Check},
-		Workers:     s.Workers,
-		PartWorkers: s.PartWorkers,
-		PhaseTime:   s.PhaseTime,
+		Cycles:    s.ProfileCycles,
+		Quota:     gpu.UniformQuota(s.cfg.NumSMs, []int{tbs}),
+		Series:    series,
+		Interrupt: interruptOf(ctx),
+		Check:     gpu.CheckConfig{Enabled: s.Check},
+		PhaseTime: s.PhaseTime,
 	}
 	if series {
 		opts.Cycles = s.cycles
@@ -402,8 +397,8 @@ func (s *Session) uncachedPoints(ds []Kernel, curves bool) []profilePoint {
 // The count is read, not reserved: callers that decide in the same
 // instant may start a few goroutines too many, which costs them a time
 // slice, not a simulation. What a helper takes is a whole simulation
-// (milliseconds to seconds), so the per-cycle hand-off cost that sank
-// the fan-out engine (DESIGN.md §16) is not paid here.
+// (milliseconds to seconds), not a slice of a cycle (microseconds): the
+// hand-off is paid once per simulation.
 func (s *Session) claimProfiles(ctx context.Context, ds []Kernel, curves bool) (err error) {
 	pts := s.uncachedPoints(ds, curves)
 	if len(pts) == 0 {
@@ -617,14 +612,12 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 	}
 
 	opts := &gpu.Options{
-		Cycles:      s.cycles,
-		Quota:       quota,
-		Series:      scheme.Series,
-		Interrupt:   interruptOf(ctx),
-		Check:       gpu.CheckConfig{Enabled: s.Check},
-		Workers:     s.Workers,
-		PartWorkers: s.PartWorkers,
-		PhaseTime:   s.PhaseTime,
+		Cycles:    s.cycles,
+		Quota:     quota,
+		Series:    scheme.Series,
+		Interrupt: interruptOf(ctx),
+		Check:     gpu.CheckConfig{Enabled: s.Check},
+		PhaseTime: s.PhaseTime,
 	}
 	var hooks []func(*gpu.GPU, int64)
 	if dynws != nil {
@@ -747,7 +740,6 @@ func (s *Session) executeCheckpointed(ctx context.Context, descs []*kern.Desc, o
 	if err != nil {
 		return nil, 0, err
 	}
-	defer func() { g.Close() }()
 	var resumedFrom int64
 	if cycle, state, ok := ck.Latest(); ok && cycle > 0 && cycle < s.cycles {
 		if sn, derr := gpu.DecodeSnapshot(state); derr == nil && sn.Cycle() == cycle {
@@ -756,7 +748,6 @@ func (s *Session) executeCheckpointed(ctx context.Context, descs []*kern.Desc, o
 			} else {
 				// A failed restore may have partially overwritten the
 				// machine; rebuild it for the from-zero fallback.
-				g.Close()
 				if g, err = gpu.New(s.cfg, descs, opts); err != nil {
 					return nil, 0, err
 				}
@@ -831,7 +822,6 @@ func (s *Session) execute(ctx context.Context, descs []*kern.Desc, quota [][]int
 	if err != nil {
 		return nil, err
 	}
-	defer g.Close()
 	if s.ForkWarmup {
 		sn, err := s.warmSnapshot(ctx, descs, quota, warmup, opts.Series)
 		if err != nil {
@@ -862,14 +852,12 @@ func (s *Session) execute(ctx context.Context, descs []*kern.Desc, quota [][]int
 // the buckets must span both legs.
 func (s *Session) warmupOptions(ctx context.Context, quota [][]int, series bool) *gpu.Options {
 	return &gpu.Options{
-		Cycles:      s.cycles,
-		Quota:       quota,
-		Series:      series,
-		Interrupt:   interruptOf(ctx),
-		Check:       gpu.CheckConfig{Enabled: s.Check},
-		Workers:     s.Workers,
-		PartWorkers: s.PartWorkers,
-		PhaseTime:   s.PhaseTime,
+		Cycles:    s.cycles,
+		Quota:     quota,
+		Series:    series,
+		Interrupt: interruptOf(ctx),
+		Check:     gpu.CheckConfig{Enabled: s.Check},
+		PhaseTime: s.PhaseTime,
 	}
 }
 
@@ -921,7 +909,6 @@ func (s *Session) warmSnapshot(ctx context.Context, descs []*kern.Desc, quota []
 		if err != nil {
 			return nil, err
 		}
-		defer g.Close()
 		leg := *warmOpts
 		leg.Cycles = warmup
 		if err := g.RunCycles(&leg); err != nil {
