@@ -46,4 +46,5 @@ func main() {
 	r := g.Result()
 	fmt.Print(r)
 	g.DumpMemState()
+	g.Close()
 }

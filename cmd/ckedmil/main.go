@@ -142,7 +142,9 @@ func trace(ctx context.Context, w io.Writer, pairSpec, quotaSpec string, cycles 
 	if err := g.RunCycles(opts); err != nil {
 		return err
 	}
-	fmt.Fprint(w, g.Result())
-	fmt.Fprintf(w, "stall=%.3f\n", g.Result().LSUStallFrac())
+	res := g.Result()
+	g.Close()
+	fmt.Fprint(w, res)
+	fmt.Fprintf(w, "stall=%.3f\n", res.LSUStallFrac())
 	return nil
 }

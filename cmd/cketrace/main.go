@@ -65,6 +65,7 @@ func main() {
 	if err := g.RunCycles(opts); err != nil {
 		log.Fatal(err)
 	}
+	g.Close() // everything reported below is in buf
 
 	fmt.Printf("workload %s on 1 SM, %d cycles, TB partition %v\n",
 		*kernels, *cycles, quota)

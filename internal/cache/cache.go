@@ -226,35 +226,48 @@ type Cache struct {
 
 // New constructs a cache from cfg for up to numKernels kernel slots.
 func New(cfg config.Cache, numKernels int) *Cache {
+	c := new(Cache)
+	c.Init(cfg, numKernels)
+	return c
+}
+
+// Init makes c the cache New returns, in the memory c already holds
+// where that is large enough (see gpu.New): line, tag and slot arrays,
+// the MSHR slab with its entries' target storage, both queues' buffers.
+// Everything else, the owner's Pool included, is zero again.
+func (c *Cache) Init(cfg config.Cache, numKernels int) {
 	sets := cfg.Sets()
-	c := &Cache{
+	c.missQ.Reset()
+	c.wbQ.Reset()
+	*c = Cache{
 		cfg:        cfg,
 		setMask:    uint64(sets - 1),
 		setShift:   log2(sets),
-		lines:      make([]line, sets*cfg.Ways),
-		tags:       make([]uint64, sets*cfg.Ways),
-		entOf:      make([]int32, sets*cfg.Ways),
-		entries:    make([]mshrEntry, cfg.MSHRs),
+		lines:      ring.Zeroed(c.lines, sets*cfg.Ways),
+		tags:       ring.Zeroed(c.tags, sets*cfg.Ways),
+		entOf:      ring.Zeroed(c.entOf, sets*cfg.Ways),
+		entries:    ring.Kept(c.entries, cfg.MSHRs),
 		mshrFree:   cfg.MSHRs,
+		missQ:      c.missQ,
 		missQCap:   cfg.MissQueue,
+		wbQ:        c.wbQ,
 		wbQCap:     8,
-		occ:        make([]int, numKernels),
+		occ:        ring.Zeroed(c.occ, numKernels),
 		numKernels: numKernels,
-		Stats:      make([]KernelStats, numKernels),
+		Stats:      ring.Zeroed(c.Stats, numKernels),
 	}
 	for i := range c.tags {
 		c.tags[i] = noTag
 	}
 	c.resetEntries()
-	return c
 }
 
-// resetEntries puts every slab slot on the free list, lowest slot first.
+// resetEntries puts every slab slot on the free list, lowest slot first,
+// with no targets and its target storage kept.
 func (c *Cache) resetEntries() {
 	for i := range c.entries {
 		e := &c.entries[i]
-		e.targets = e.targets[:0]
-		e.next = int32(i) + 1
+		*e = mshrEntry{targets: ring.Zeroed(e.targets, 0), next: int32(i) + 1}
 	}
 	c.entFree = -1
 	if n := len(c.entries); n > 0 {

@@ -69,14 +69,25 @@ type Channel struct {
 
 // New builds a channel. lineBytes is the cache line size.
 func New(cfg config.DRAM, lineBytes int) *Channel {
+	c := new(Channel)
+	c.Init(cfg, lineBytes)
+	return c
+}
+
+// Init makes c the channel New returns, in the memory c already holds
+// where that is large enough (see gpu.New).
+func (c *Channel) Init(cfg config.DRAM, lineBytes int) {
 	lpr := uint64(cfg.RowBytes / lineBytes)
 	if lpr == 0 {
 		lpr = 1
 	}
-	return &Channel{
+	c.resp.Reset()
+	*c = Channel{
 		cfg:         cfg,
 		linesPerRow: lpr,
-		banks:       make([]bank, cfg.Banks),
+		banks:       ring.Zeroed(c.banks, cfg.Banks),
+		queue:       ring.Zeroed(c.queue, 0),
+		resp:        c.resp,
 	}
 }
 
@@ -154,8 +165,12 @@ func (c *Channel) Tick(cycle int64) {
 		pick = fcfs
 	}
 	p := c.queue[pick]
+	last := len(c.queue) - 1
 	copy(c.queue[pick:], c.queue[pick+1:])
-	c.queue = c.queue[:len(c.queue)-1]
+	// The vacated tail slot must not keep naming a request that may be
+	// back on a free list by the time the queue grows into it again.
+	c.queue[last] = pending{}
+	c.queue = c.queue[:last]
 
 	row := p.row
 	bk := &c.banks[p.bank]

@@ -39,3 +39,15 @@ func InFlightOf(g *GPU) InFlight {
 	f.RespNet = g.respNet.PendingRequests()
 	return f
 }
+
+// DrainRetired empties the pool of retired machines, so the next New
+// builds in memory nothing has used.
+func DrainRetired() {
+	for retired.Get() != nil {
+	}
+}
+
+// PoolAllocs returns how many requests and instruction tokens the
+// machine's pool has allocated since New, rather than served from what
+// its predecessor owned.
+func PoolAllocs(g *GPU) (reqs, toks uint64) { return g.pool.ReqAllocs, g.pool.TokAllocs }

@@ -7,10 +7,25 @@
 // goroutine executes it (see Step); runs are independent of one another,
 // so the parallelism that pays is one whole simulation per core, which
 // is internal/runner's business, not the engine's.
+//
+// Every layer above is a stream of short simulations, so a machine's
+// memory outlives it: built (New) -> run (RunCycles) -> retired (Close)
+// -> parked in the process-wide pool `retired` -> re-initialised by the
+// next New, whatever its shape. There is one construction path: New runs
+// init on a zero GPU or on a parked one, init assigns the whole struct
+// and every component's Init does the same one level down (cache, sm,
+// icnt, dram, mem.Pool, Ring.Reset), taking each slice through
+// ring.Zeroed or ring.Kept. What survives a retirement is capacity —
+// arrays, ring buffers, MSHR target storage, warp lists, and the pool's
+// requests and tokens, in flight or not — never state: a differently
+// shaped successor costs an allocation, not a wrong answer. Results and
+// snapshots own their memory and are unaffected; policies, traces and
+// descriptors belong to the caller and are never reused.
 package gpu
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/cache"
@@ -118,9 +133,9 @@ type GPU struct {
 
 	cycle int64
 
-	// memPool recycles the requests owned by the memory side (every L2
-	// and DRAM channel); each SM has a pool of its own.
-	memPool mem.Pool
+	// pool recycles the requests and instruction tokens of the whole
+	// machine: every SM, cache and DRAM channel points here.
+	pool mem.Pool
 
 	// Per-phase wall-time accounting (Options.PhaseTime).
 	phaseTime bool
@@ -130,9 +145,21 @@ type GPU struct {
 	// kept for the snapshot layer's stateful-policy guard and the
 	// checkpoint's policy blobs (see snapshot.go).
 	policies [][3]any
+
+	// failed: a run on this machine returned an error. Close discards
+	// such a machine instead of parking it.
+	failed bool
 }
 
-// New builds a GPU running the given kernels under opts.
+// retired parks the machines Close has retired until New builds the
+// next one in their memory. It is not keyed by shape: init reuses what
+// is large enough and allocates the rest. The GC empties it under
+// pressure, so parked machines cost nothing a collection cannot take
+// back.
+var retired sync.Pool
+
+// New builds a GPU running the given kernels under opts, in the memory
+// of a retired machine when one is parked.
 func New(cfg config.Config, descs []*kern.Desc, opts *Options) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -143,63 +170,90 @@ func New(cfg config.Config, descs []*kern.Desc, opts *Options) (*GPU, error) {
 	if len(opts.Quota) != cfg.NumSMs {
 		return nil, fmt.Errorf("gpu: Quota has %d rows, want %d (one per SM)", len(opts.Quota), cfg.NumSMs)
 	}
-	g := &GPU{
+	for i, row := range opts.Quota {
+		if len(row) != len(descs) {
+			return nil, fmt.Errorf("gpu: Quota row %d has %d entries, want %d", i, len(row), len(descs))
+		}
+	}
+	g, _ := retired.Get().(*GPU)
+	if g == nil {
+		g = new(GPU)
+	}
+	g.init(cfg, descs, opts)
+	return g, nil
+}
+
+// init makes g the machine New returns: the one construction path, run
+// on a zero GPU and on a retired one alike. The whole struct is
+// assigned, so a field without a line here is zero; what survives from
+// the previous machine is capacity only — the component objects, whose
+// own Init does the same one level down, and the pool's free lists.
+func (g *GPU) init(cfg config.Config, descs []*kern.Desc, opts *Options) {
+	reqNet, respNet := g.reqNet, g.respNet
+	if reqNet == nil {
+		reqNet, respNet = new(icnt.Network), new(icnt.Network)
+	}
+	reqNet.Init(cfg.Icnt, cfg.NumSMs, cfg.NumMemParts)
+	respNet.Init(cfg.Icnt, cfg.NumMemParts, cfg.NumSMs)
+	g.pool.Init()
+	*g = GPU{
 		cfg:       cfg,
 		descs:     descs,
-		reqNet:    icnt.New(cfg.Icnt, cfg.NumSMs, cfg.NumMemParts),
-		respNet:   icnt.New(cfg.Icnt, cfg.NumMemParts, cfg.NumSMs),
+		SMs:       ring.Kept(g.SMs, cfg.NumSMs),
+		reqNet:    reqNet,
+		respNet:   respNet,
+		parts:     ring.Kept(g.parts, cfg.NumMemParts),
 		ctrlFlits: icnt.CtrlFlits(cfg.Icnt),
 		dataFlits: icnt.DataFlits(cfg.Icnt, cfg.L1D.LineBytes),
+		pool:      g.pool,
+		phaseTime: opts.PhaseTime,
 	}
 	if opts.Trace != nil {
 		opts.Trace.EnsureShards(cfg.NumSMs)
 	}
-	var policies [][3]any
-	for i := 0; i < cfg.NumSMs; i++ {
-		if len(opts.Quota[i]) != len(descs) {
-			return nil, fmt.Errorf("gpu: Quota row %d has %d entries, want %d", i, len(opts.Quota[i]), len(descs))
+	for i := range g.SMs {
+		s := g.SMs[i]
+		if s == nil {
+			s = new(sm.SM)
+			g.SMs[i] = s
 		}
-		var mp sm.MemIssuePolicy
-		var lim sm.Limiter
-		var gate sm.IssueGate
-		if opts.Policies.MemPolicy != nil {
-			mp = opts.Policies.MemPolicy(i, len(descs))
-		}
-		if opts.Policies.Limiter != nil {
-			lim = opts.Policies.Limiter(i, len(descs))
-		}
-		if opts.Policies.Gate != nil {
-			gate = opts.Policies.Gate(i, len(descs))
-		}
-		policies = append(policies, [3]any{mp, lim, gate})
-		s := sm.New(i, &g.cfg, descs, opts.Quota[i], mp, lim, gate, cfg.Seed)
+		s.Init(i, &g.cfg, descs, opts.Quota[i], nil, nil, nil, cfg.Seed)
 		if opts.Series {
 			s.EnableSeries(opts.Cycles)
 		}
-		if opts.UCP.Enabled {
-			s.L1.AttachUMON()
-		}
-		if opts.BypassL1 != nil {
-			s.L1.SetBypass(opts.BypassL1)
-		}
 		s.Trace = opts.Trace
-		pool := &mem.Pool{}
-		s.Pool = pool
-		s.L1.Pool = pool
-		g.SMs = append(g.SMs, s)
+		s.Pool, s.L1.Pool = &g.pool, &g.pool
 	}
-	for p := 0; p < cfg.NumMemParts; p++ {
-		part := &partition{
-			l2: cache.New(cfg.L2, len(descs)),
-			ch: dram.New(cfg.DRAM, cfg.L2.LineBytes),
+	for p := range g.parts {
+		part := g.parts[p]
+		if part == nil {
+			part = &partition{l2: new(cache.Cache), ch: new(dram.Channel)}
+			g.parts[p] = part
 		}
-		part.l2.Pool = &g.memPool
-		part.ch.Pool = &g.memPool
-		g.parts = append(g.parts, part)
+		part.l2.Init(cfg.L2, len(descs))
+		part.ch.Init(cfg.DRAM, cfg.L2.LineBytes)
+		part.inQ.Reset()
+		part.resp.Reset()
+		*part = partition{l2: part.l2, ch: part.ch, inQ: part.inQ, resp: part.resp}
+		part.l2.Pool, part.ch.Pool = &g.pool, &g.pool
 	}
-	g.policies = policies
-	g.phaseTime = opts.PhaseTime
-	return g, nil
+	g.InstallPolicies(opts)
+}
+
+// Close retires the machine: its memory is parked for the next New, and
+// g itself becomes the zero GPU, so a second Close does nothing and any
+// other use of a closed machine fails at once instead of disturbing the
+// machine that now runs in that memory. Take Result and snapshots
+// first; they own their memory and outlive the machine. A machine whose
+// run returned an error (an interrupt, a watchdog violation) is left as
+// it is and not parked.
+func (g *GPU) Close() {
+	if g.failed || g.SMs == nil {
+		return
+	}
+	parked := new(GPU)
+	*parked, *g = *g, GPU{}
+	retired.Put(parked)
 }
 
 // Cycle returns the current simulation cycle.
@@ -221,7 +275,9 @@ func Run(cfg config.Config, descs []*kern.Desc, opts *Options) (*stats.RunResult
 	if err := g.RunCycles(opts); err != nil {
 		return nil, err
 	}
-	return g.Result(), nil
+	r := g.Result()
+	g.Close()
+	return r, nil
 }
 
 // RunCycles advances the machine by opts.Cycles cycles. It returns nil
@@ -229,6 +285,12 @@ func Run(cfg config.Config, descs []*kern.Desc, opts *Options) (*stats.RunResult
 // opts.Interrupt reports cancellation, or a *sm.InvariantError when the
 // watchdog (opts.Check) detects a conservation violation.
 func (g *GPU) RunCycles(opts *Options) error {
+	err := g.runCycles(opts)
+	g.failed = g.failed || err != nil
+	return err
+}
+
+func (g *GPU) runCycles(opts *Options) error {
 	if opts.UCP.Enabled && opts.UCP.Interval <= 0 {
 		opts.UCP.Interval = 50 * 1024
 	}
@@ -375,13 +437,6 @@ func (g *GPU) drain() {
 	}
 }
 
-// Close does nothing.
-//
-// Deprecated: the engine starts no goroutine, so there is nothing to
-// stop. It survives because bench/engine.go:316 and bench/micro.go:339
-// call it.
-func (g *GPU) Close() {}
-
 func (g *GPU) tickPartition(p int, part *partition, c int64) {
 	// Drain the network into the partition's input buffer (the network
 	// ejection port is wide; the L2 service rate below is what bounds
@@ -413,7 +468,7 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 			} else {
 				// A store absorbed by the write-back L2 retires here:
 				// no response travels up.
-				g.memPool.Release(req)
+				g.pool.Release(req)
 			}
 		case cache.Forwarded:
 			// Write-through path is unused for the write-back L2;
@@ -448,10 +503,10 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 			if t.Kind == mem.Load {
 				part.resp.Push(l2Response{req: t, readyAt: c})
 			} else {
-				g.memPool.Release(t)
+				g.pool.Release(t)
 			}
 		}
-		g.memPool.Release(fill)
+		g.pool.Release(fill)
 	}
 
 	// Inject up to two responses per cycle into the response network.

@@ -192,7 +192,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 
 // Restore overwrites the machine's state from sn. The GPU must have the
 // geometry the snapshot was taken from (same config-derived SM count,
-// partition count, cache/queue shapes); its pools keep their free lists
+// partition count, cache/queue shapes); its pool keeps its free lists
 // and its policies are untouched — install the main leg's policies with
 // InstallPolicies afterwards. sn itself is never mutated, so concurrent
 // restores of one snapshot into different GPUs are safe.
@@ -232,9 +232,9 @@ func (g *GPU) Restore(sn *Snapshot) error {
 }
 
 // InstallPolicies replaces the per-SM issue policies and cache policy
-// attachments with the ones opts describes, exactly as New would have
-// built them: fresh policy instances from the factories, a fresh UMON
-// per L1 when UCP is enabled, and the per-kernel bypass vector.
+// attachments with the ones opts describes — New installs through here
+// too: fresh policy instances from the factories, a fresh UMON per L1
+// when UCP is enabled, and the per-kernel bypass vector.
 //
 // This is the managed-leg half of the snapshot discipline: warm the
 // machine unmanaged, snapshot or restore, then InstallPolicies and run

@@ -74,28 +74,41 @@ type Network struct {
 
 // New builds a network with nSrc sources and nDst destinations.
 func New(cfg config.Icnt, nSrc, nDst int) *Network {
+	n := new(Network)
+	n.Init(cfg, nSrc, nDst)
+	return n
+}
+
+// Init makes n the network New returns, in the memory n already holds
+// where that is large enough (see gpu.New).
+func (n *Network) Init(cfg config.Icnt, nSrc, nDst int) {
 	fpc := cfg.FlitsPerCycle
 	if fpc < 1 {
 		fpc = 1
 	}
 	words := (nSrc + 63) / 64
-	n := &Network{
+	*n = Network{
 		cfg:      cfg,
 		nSrc:     nSrc,
 		nDst:     nDst,
-		outQ:     make([]ring.Ring[Packet], nSrc),
-		heads:    make([]uint64, nDst*words),
+		outQ:     ring.Kept(n.outQ, nSrc),
+		heads:    ring.Zeroed(n.heads, nDst*words),
 		words:    words,
-		rr:       make([]int, nDst),
-		portFree: make([]int64, nDst),
-		inQ:      make([]ring.Ring[delivered], nDst),
-		inCount:  make([]int, nDst),
+		rr:       ring.Zeroed(n.rr, nDst),
+		portFree: ring.Zeroed(n.portFree, nDst),
+		inQ:      ring.Kept(n.inQ, nDst),
+		inCount:  ring.Zeroed(n.inCount, nDst),
 		// Packets in flight on the wire count toward the destination,
 		// so the cap must cover the bandwidth-delay product plus the
 		// ejection buffer proper.
 		inCap: cfg.QueueDepth + (cfg.Latency+1)*fpc,
 	}
-	return n
+	for i := range n.outQ {
+		n.outQ[i].Reset()
+	}
+	for i := range n.inQ {
+		n.inQ[i].Reset()
+	}
 }
 
 // setHead records (on) or retracts that src's head packet targets dst.

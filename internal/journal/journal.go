@@ -102,7 +102,7 @@ func Open(path string) (*Journal, error) {
 	j := &Journal{path: path, f: f, entries: make(map[string]jentry)}
 	valid := int64(0) // byte offset of the end of the last parseable line
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
+	sc.Buffer(nil, 1<<28) // starts at bufio's 4 KiB, grows to the longest line
 	for sc.Scan() {
 		line := sc.Bytes()
 		var e entry

@@ -198,3 +198,47 @@ func TestEachSortedAndComplete(t *testing.T) {
 		t.Fatalf("Each continued after an error: %d calls", n)
 	}
 }
+
+// TestLongLineReplays: Open's scanner starts at bufio's default buffer
+// and must still grow past a line longer than 1 MiB, with short entries
+// on either side of it.
+func TestLongLineReplays(t *testing.T) {
+	path := tmpJournal(t)
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long := point{WS: 2.5, Cells: make([]int, 400_000)} // > 1 MiB of JSON
+	for i := range long.Cells {
+		long.Cells[i] = 100_000 + i
+	}
+	for _, e := range []struct {
+		key string
+		val point
+	}{{"before", point{WS: 1}}, {"long", long}, {"after", point{WS: 3}}} {
+		if err := j.Append(e.key, e.val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() < 1<<20 {
+		t.Fatalf("journal is %v bytes (%v), the long line should exceed 1 MiB", fi.Size(), err)
+	}
+	j2, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if j2.Recovered() != 3 {
+		t.Fatalf("recovered %d entries, want 3", j2.Recovered())
+	}
+	var got point
+	if ok, err := j2.Lookup("long", &got); !ok || err != nil || len(got.Cells) != len(long.Cells) || got.Cells[len(got.Cells)-1] != long.Cells[len(long.Cells)-1] {
+		t.Fatalf("long entry did not replay: ok=%v err=%v cells=%d", ok, err, len(got.Cells))
+	}
+	if ok, _ := j2.Lookup("after", &got); !ok || got.WS != 3 {
+		t.Fatal("the entry after the long line did not replay")
+	}
+}

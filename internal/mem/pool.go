@@ -1,5 +1,7 @@
 package mem
 
+import "repro/internal/ring"
+
 // Pool is a free-list allocator for the memory path's two hot transient
 // objects: Requests (one per coalesced access, created by the SM's
 // coalescer and by each cache level's fetch/writeback paths) and
@@ -8,26 +10,42 @@ package mem
 // state allocates nothing on the memory path.
 //
 // A Pool is NOT safe for concurrent use; one machine is stepped by one
-// goroutine, so none of its pools needs a lock. The cycle engine gives
-// each SM its own Pool and the memory side (every L2 partition and DRAM
-// channel) one more. Objects may be released into a different pool than
-// the one that allocated them — a request allocated by an SM's
-// coalescer is often retired on the memory side and vice versa — which
-// only shifts free-list population between pools.
+// goroutine and has one Pool, shared by its SMs, caches and DRAM
+// channels, so an object retired on the memory side serves the next
+// SM-side allocation.
 //
-// The nil *Pool is valid and falls back to plain allocation (release
-// becomes a no-op), so components can run unpooled in isolation tests.
+// A Pool owns every object it allocated, wherever in the machine the
+// object currently is. Init puts all of them back on the free lists:
+// that is how the requests and tokens still in flight when a machine
+// retires (gpu.Close) reach the machine built on its memory. Objects a
+// Pool did not allocate (a restored snapshot's clones) are accepted by
+// Release and serve like any other until the next Init drops them.
+//
+// The zero Pool is ready to use. The nil *Pool is valid too and falls
+// back to plain allocation (release becomes a no-op), so components can
+// run unpooled in isolation tests.
 type Pool struct {
 	reqs []*Request
 	toks []*InstrToken
+	// ownReqs and ownToks list what this pool allocated.
+	ownReqs []*Request
+	ownToks []*InstrToken
 
-	// Statistics (allocation-profile introspection; not hot).
-	ReqAllocs   uint64 // requests served by new()
-	ReqReuses   uint64 // requests served from the free list
-	TokAllocs   uint64
-	TokReuses   uint64
-	ReqRecycled uint64 // requests released back
-	TokRecycled uint64
+	// ReqAllocs and TokAllocs count the objects allocated since Init: zero
+	// on a machine whose predecessor ran at least as much in flight.
+	ReqAllocs uint64
+	TokAllocs uint64
+}
+
+// Init makes p a pool nothing has been taken from: every object it owns
+// is free, whoever held it, and the counters are zero.
+func (p *Pool) Init() {
+	*p = Pool{
+		reqs:    append(ring.Zeroed(p.reqs, 0), p.ownReqs...),
+		toks:    append(ring.Zeroed(p.toks, 0), p.ownToks...),
+		ownReqs: p.ownReqs,
+		ownToks: p.ownToks,
+	}
 }
 
 // poisonLine is written into released requests' LineAddr so use-after-
@@ -38,13 +56,15 @@ const poisonLine = ^uint64(0) - 0xDEAD
 // Request returns a zeroed request, reusing a released one when
 // available.
 func (p *Pool) Request() *Request {
-	if p == nil || len(p.reqs) == 0 {
-		if p != nil {
-			p.ReqAllocs++
-		}
+	if p == nil {
 		return &Request{}
 	}
-	p.ReqReuses++
+	if len(p.reqs) == 0 {
+		p.ReqAllocs++
+		r := &Request{}
+		p.ownReqs = append(p.ownReqs, r)
+		return r
+	}
 	r := p.reqs[len(p.reqs)-1]
 	p.reqs = p.reqs[:len(p.reqs)-1]
 	*r = Request{}
@@ -60,7 +80,6 @@ func (p *Pool) Release(r *Request) {
 		return
 	}
 	*r = Request{LineAddr: poisonLine, Kernel: -1, SM: -1, Warp: -1}
-	p.ReqRecycled++
 	p.reqs = append(p.reqs, r)
 }
 
@@ -73,13 +92,15 @@ func (r *Request) Poisoned() bool {
 // Token returns a zeroed instruction token, reusing a released one when
 // available.
 func (p *Pool) Token() *InstrToken {
-	if p == nil || len(p.toks) == 0 {
-		if p != nil {
-			p.TokAllocs++
-		}
+	if p == nil {
 		return &InstrToken{}
 	}
-	p.TokReuses++
+	if len(p.toks) == 0 {
+		p.TokAllocs++
+		t := &InstrToken{}
+		p.ownToks = append(p.ownToks, t)
+		return t
+	}
 	t := p.toks[len(p.toks)-1]
 	p.toks = p.toks[:len(p.toks)-1]
 	*t = InstrToken{}
@@ -94,7 +115,6 @@ func (p *Pool) ReleaseToken(t *InstrToken) {
 		return
 	}
 	*t = InstrToken{Kernel: -1, SM: -1, Warp: -1, Total: 0, Done: 0}
-	p.TokRecycled++
 	p.toks = append(p.toks, t)
 }
 

@@ -14,8 +14,8 @@ func TestPoolReusesRequests(t *testing.T) {
 	if r2.LineAddr != 0 || r2.Kernel != 0 || r2.Instr != nil {
 		t.Fatalf("reused request not zeroed: %+v", r2)
 	}
-	if p.ReqReuses != 1 {
-		t.Fatalf("ReqReuses = %d, want 1", p.ReqReuses)
+	if p.ReqAllocs != 1 {
+		t.Fatalf("ReqAllocs = %d, want 1", p.ReqAllocs)
 	}
 }
 
@@ -109,5 +109,43 @@ func TestReleaseNilIsNoOp(t *testing.T) {
 	p.ReleaseToken(nil)
 	if p.FreeRequests() != 0 || p.FreeTokens() != 0 {
 		t.Fatal("releasing nil populated the free list")
+	}
+}
+
+// TestInitReclaimsEverythingThePoolAllocated is the retirement contract:
+// whatever a pool handed out and never got back — the requests and
+// tokens in flight when their machine was closed — is free again after
+// Init, the counters are zero, and an object the pool did not allocate
+// is not adopted.
+func TestInitReclaimsEverythingThePoolAllocated(t *testing.T) {
+	var p, other Pool
+	inFlight := []*Request{p.Request(), p.Request(), p.Request()}
+	p.Release(inFlight[0])
+	tok := p.Token()
+	p.Release(other.Request()) // a foreign object serves until Init
+	if p.FreeRequests() != 2 || p.ReqAllocs != 3 || p.TokAllocs != 1 {
+		t.Fatalf("before Init: %d free requests, %d/%d allocs", p.FreeRequests(), p.ReqAllocs, p.TokAllocs)
+	}
+	p.Init()
+	if p.FreeRequests() != 3 || p.FreeTokens() != 1 || p.ReqAllocs != 0 || p.TokAllocs != 0 {
+		t.Fatalf("after Init: %d free requests, %d free tokens, %d/%d allocs, want 3, 1, 0/0",
+			p.FreeRequests(), p.FreeTokens(), p.ReqAllocs, p.TokAllocs)
+	}
+	seen := map[*Request]bool{}
+	for range inFlight {
+		seen[p.Request()] = true
+	}
+	for _, r := range inFlight {
+		if !seen[r] {
+			t.Fatal("Init did not reclaim a request that was in flight")
+		}
+	}
+	if p.Token() != tok || p.ReqAllocs != 0 || p.TokAllocs != 0 {
+		t.Fatal("a run no larger than the last one allocated")
+	}
+	var zero Pool
+	zero.Init()
+	if zero.FreeRequests() != 0 || zero.Request() == nil {
+		t.Fatal("Init on the zero Pool is not the zero Pool")
 	}
 }

@@ -127,7 +127,7 @@ func Open(opts Options) (*Store, error) {
 	s.f = f
 	valid := int64(0)
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
+	sc.Buffer(nil, 1<<28) // starts at bufio's 4 KiB, grows to the longest line
 	for sc.Scan() {
 		raw := sc.Bytes()
 		var l line

@@ -354,3 +354,42 @@ func TestConcurrentUse(t *testing.T) {
 		<-done
 	}
 }
+
+// TestLongLineReplays: Open's scanner starts at bufio's default buffer
+// and must still grow past a line longer than 1 MiB, with short entries
+// on either side of it.
+func TestLongLineReplays(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	s, err := Open(Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k1, v1 := payload(1)
+	k2, v2 := payload(2)
+	long := []byte(`{"series":[` + strings.Repeat("123456,", 200_000) + `0]}`) // 1.4 MB, more in base64
+	for _, e := range []struct {
+		key string
+		val []byte
+	}{{k1, v1}, {"long", long}, {k2, v2}} {
+		if err := s.Put(e.key, e.val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if s2.Len() != 3 {
+		t.Fatalf("reopened Len = %d, want 3", s2.Len())
+	}
+	if got, ok := s2.Get("long"); !ok || !bytes.Equal(got, long) {
+		t.Fatalf("long entry did not replay: ok=%v, %d bytes of %d", ok, len(got), len(long))
+	}
+	if got, ok := s2.Get(k2); !ok || !bytes.Equal(got, v2) {
+		t.Fatal("the entry after the long line did not replay")
+	}
+}

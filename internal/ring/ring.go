@@ -10,7 +10,37 @@
 // power-of-two ring does both in O(1) with no steady-state allocation:
 // storage is only reallocated when occupancy exceeds every previous
 // high-water mark.
+//
+// That storage is also what a retired machine hands to the next one
+// (see gpu.New): every engine package builds its slices through Zeroed
+// or Kept and empties its rings with Reset, so an initialiser runs the
+// same lines on a zero value and on recycled memory and only a larger
+// shape allocates.
 package ring
+
+// Zeroed returns n zero values in s's backing array, or in a new one
+// when that is too small. The whole array is cleared, not just the first
+// n elements, so nothing it pointed to stays reachable through it.
+func Zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	clear(s[:cap(s)])
+	return s[:n]
+}
+
+// Kept returns s at length n with its elements as they are — also those
+// a shorter length had hidden — appending zero values when the backing
+// array is too small. It is Zeroed for elements that own storage of
+// their own (a slice of rings, of structs holding slices): the caller
+// initialises each element in place.
+func Kept[T any](s []T, n int) []T {
+	s = s[:cap(s)]
+	if len(s) < n {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s[:n]
+}
 
 // Ring is a growable FIFO queue. The zero value is ready to use. Ring
 // is not safe for concurrent use.
@@ -130,8 +160,10 @@ func (r *Ring[T]) Restore(elems []T, fn func(T) T) {
 	}
 }
 
-// Reset discards all elements, keeping the storage. Live references are
-// zeroed so discarded elements do not leak through the backing array.
+// Reset discards all elements, keeping the storage: the ring's in-place
+// initialiser, and on a zero value a no-op. Live references are zeroed
+// (Pop zeroes the slot it vacates), so a reset ring's backing array
+// holds nothing.
 func (r *Ring[T]) Reset() {
 	var zero T
 	for i := 0; i < r.n; i++ {

@@ -35,6 +35,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/kern"
+	"repro/internal/ring"
 )
 
 // issueKind is the port a warp's next instruction needs.
@@ -68,8 +69,9 @@ func smemMaxDegree(cfg *config.Config) int {
 	return max(cfg.SM.SmemBanks/4, 2)
 }
 
-// newIndex sizes the masks, the position map and the wake wheel for the
-// configured warp count and latencies, from one backing allocation.
+// newIndex sizes the masks and the wake wheel for the configured warp
+// count and latencies, from one backing allocation (s.index, which Init
+// carries over from the SM's previous life).
 func (s *SM) newIndex() {
 	s.words = (s.cfg.SM.MaxWarps + 63) / 64
 	s.rows = rowKernel + len(s.descs)
@@ -85,10 +87,10 @@ func (s *SM) newIndex() {
 	}
 	s.wheelMask = int64(wheelLen - 1)
 	nMasks := len(s.scheds) * s.words << s.blockShift
-	backing := make([]uint64, nMasks+s.words+wheelLen*s.words)
+	s.index = ring.Zeroed(s.index, nMasks+s.words+wheelLen*s.words)
+	backing := s.index
 	s.masks, backing = backing[:nMasks:nMasks], backing[nMasks:]
 	s.maskBuf, s.wheel = backing[:s.words:s.words], backing[s.words:]
-	s.wAt = make([]int32, len(s.warps))
 	s.woken = -1
 }
 

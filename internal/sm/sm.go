@@ -128,6 +128,7 @@ type SM struct {
 	wheelMask  int64
 	woken      int64
 	maskBuf    []uint64
+	index      []uint64 // the allocation masks, maskBuf and wheel are cut from
 
 	tbCount     []int
 	tbLaunched  []uint64
@@ -156,9 +157,8 @@ type SM struct {
 	now int64
 
 	// Pool, when non-nil, supplies this SM's requests and instruction
-	// tokens and receives them back at retirement. Owned exclusively by
-	// this SM (each SM gets its own pool so the parallel phase needs no
-	// locks); the GPU sets it and shares it with the SM's L1.
+	// tokens and receives them back at retirement. The owner sets it, on
+	// the SM and on its L1: the GPU to its one machine-wide pool.
 	Pool *mem.Pool
 
 	// smemBusyUntil serializes the banked shared memory: a conflicted
@@ -203,7 +203,7 @@ type SM struct {
 	candAges    []int64
 	lineBuf     [32]uint64
 
-	rng *xrand.Source
+	rng xrand.Source
 }
 
 // New builds an SM running the given kernel slots with per-kernel TB
@@ -211,45 +211,70 @@ type SM struct {
 func New(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
 	memPolicy MemIssuePolicy, limiter Limiter, gate IssueGate, seed uint64) *SM {
 
+	s := new(SM)
+	s.Init(id, cfg, descs, quota, memPolicy, limiter, gate, seed)
+	return s
+}
+
+// Init makes s the SM New returns, in the memory s already holds where
+// that is large enough (see gpu.New): the L1, the warp arrays, the TB
+// slots' and schedulers' warp lists, the issue index, the LSU register
+// and the completion queue. Everything else — Pool, Trace and series
+// included, which the owner attaches afterwards — is zero again.
+func (s *SM) Init(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
+	memPolicy MemIssuePolicy, limiter Limiter, gate IssueGate, seed uint64) {
+
 	n := len(descs)
-	s := &SM{
+	l1 := s.L1
+	if l1 == nil {
+		l1 = new(cache.Cache)
+	}
+	l1.Init(cfg.L1D, n)
+	s.compQ.Reset()
+	*s = SM{
 		ID:         id,
 		cfg:        cfg,
 		descs:      descs,
-		quota:      append([]int(nil), quota...),
-		L1:         cache.New(cfg.L1D, n),
+		quota:      append(ring.Zeroed(s.quota, 0), quota...),
+		L1:         l1,
 		space:      mem.NewAddrSpace(cfg.L1D.LineBytes),
-		warps:      make([]Warp, cfg.SM.MaxWarps),
-		wAddr:      make([]kern.AddrState, cfg.SM.MaxWarps),
-		wRNG:       make([]xrand.Source, cfg.SM.MaxWarps),
-		tbs:        make([]tbSlot, cfg.SM.MaxTBs),
-		scheds:     make([]scheduler, cfg.SM.Schedulers),
-		tbCount:    make([]int, n),
-		tbLaunched: make([]uint64, n),
-		inflight:   make([]int, n),
-		K:          make([]stats.KernelCounters, n),
-		rng:        xrand.New(seed ^ (uint64(id)+1)*0xA24BAED4963EE407),
+		warps:      ring.Zeroed(s.warps, cfg.SM.MaxWarps),
+		wAddr:      ring.Zeroed(s.wAddr, cfg.SM.MaxWarps),
+		wRNG:       ring.Zeroed(s.wRNG, cfg.SM.MaxWarps),
+		freeWarps:  ring.Zeroed(s.freeWarps, 0),
+		tbs:        ring.Kept(s.tbs, cfg.SM.MaxTBs),
+		scheds:     ring.Kept(s.scheds, cfg.SM.Schedulers),
+		index:      s.index,
+		wAt:        ring.Zeroed(s.wAt, cfg.SM.MaxWarps),
+		tbCount:    ring.Zeroed(s.tbCount, n),
+		tbLaunched: ring.Zeroed(s.tbLaunched, n),
+		lsuReqs:    ring.Zeroed(s.lsuReqs, 0),
+		compQ:      s.compQ,
+		inflight:   ring.Zeroed(s.inflight, n),
+		K:          ring.Zeroed(s.K, n),
+		warmLines:  ring.Zeroed(s.warmLines, n),
+		// One memory-issue candidate per kernel at most.
+		candKernels: ring.Zeroed(s.candKernels, n)[:0],
+		candWarps:   ring.Zeroed(s.candWarps, n),
+		candAges:    ring.Zeroed(s.candAges, n),
 	}
-	// One memory-issue candidate per kernel at most.
-	s.candKernels = make([]int, 0, n)
-	s.candWarps = make([]int, n)
-	s.candAges = make([]int64, n)
+	s.rng.Seed(seed ^ (uint64(id)+1)*0xA24BAED4963EE407)
 	s.SetPolicies(memPolicy, limiter, gate)
 	s.newIndex()
+	for i := range s.tbs {
+		s.tbs[i] = tbSlot{warps: s.tbs[i].warps[:0]}
+	}
 	for i := range s.scheds {
-		s.scheds[i].lastIssued = -1
-		s.scheds[i].issuedAt = -1
+		s.scheds[i] = scheduler{warps: s.scheds[i].warps[:0], lastIssued: -1, issuedAt: -1}
 	}
 	for i := len(s.warps) - 1; i >= 0; i-- {
 		s.warps[i].Gen = 1
 		s.freeWarps = append(s.freeWarps, i)
 	}
 	totalL2Lines := cfg.L2.SizeBytes / cfg.L2.LineBytes * cfg.NumMemParts
-	s.warmLines = make([]uint64, n)
 	for k, d := range descs {
 		s.warmLines[k] = d.EffectiveWarmLines(totalL2Lines)
 	}
-	return s
 }
 
 // EnableSeries turns on 1 K-cycle time-series collection for a run of

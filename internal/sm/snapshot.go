@@ -5,7 +5,8 @@
 // pool-drawn), so releasing/poisoning the originals after a snapshot
 // cannot corrupt it.
 //
-// Deliberately NOT captured: the Pool (a restored SM refills its own),
+// Deliberately NOT captured: the Pool (the machine's; a restore leaves
+// its free lists as they are),
 // the Trace buffer (an external observer, not engine state), warmLines,
 // the issue index with its wake wheel (derived; Restore rebuilds both
 // from the warps' ReadyAt) and the scratch buffers (transient), and the
@@ -98,7 +99,7 @@ func (s *SM) Snapshot(cl *mem.Cloner) *Snapshot {
 		aluIssued:     s.ALUIssued,
 		sfuIssued:     s.SFUIssued,
 		seriesOn:      s.seriesOn,
-		rng:           *s.rng,
+		rng:           s.rng,
 		l1:            s.L1.Snapshot(cl),
 	}
 	for i := range s.tbs {
@@ -191,7 +192,7 @@ func (s *SM) Restore(sn *Snapshot, cl *mem.Cloner) error {
 			copy(s.seriesL1Acc[k], sn.seriesL1Acc[k])
 		}
 	}
-	*s.rng = sn.rng
+	s.rng = sn.rng
 	s.rebuildIndex()
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 
 	"repro/internal/config"
 )
@@ -71,8 +72,8 @@ func (s *Session) LoadProfiles(path string) error {
 	for name, row := range pf.IsoIPC {
 		m := make(map[int]float64, len(row))
 		for tbsStr, ipc := range row {
-			var tbs int
-			if _, err := fmt.Sscanf(tbsStr, "%d", &tbs); err != nil {
+			tbs, err := strconv.Atoi(tbsStr)
+			if err != nil || tbs < 1 {
 				return fmt.Errorf("gcke: bad TB key %q in profiles", tbsStr)
 			}
 			m[tbs] = ipc

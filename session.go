@@ -802,7 +802,9 @@ func (s *Session) executeCheckpointed(ctx context.Context, descs []*kern.Desc, o
 	if err := g.RunCycles(&run); err != nil {
 		return nil, resumedFrom, err
 	}
-	return g.Result(), resumedFrom, nil
+	res := g.Result()
+	g.Close()
+	return res, resumedFrom, nil
 }
 
 // execute runs the evaluation simulation. With warmup <= 0 it is a
@@ -844,7 +846,9 @@ func (s *Session) execute(ctx context.Context, descs []*kern.Desc, quota [][]int
 	if err := g.RunCycles(&mainLeg); err != nil {
 		return nil, err
 	}
-	return g.Result(), nil
+	res := g.Result()
+	g.Close()
+	return res, nil
 }
 
 // warmupOptions builds the unmanaged warm leg's Options. Cycles carries
@@ -918,6 +922,7 @@ func (s *Session) warmSnapshot(ctx context.Context, descs []*kern.Desc, quota []
 		if err != nil {
 			return nil, err
 		}
+		g.Close()
 		s.mu.Lock()
 		s.snaps[key] = sn
 		s.mu.Unlock()

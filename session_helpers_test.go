@@ -486,32 +486,36 @@ func TestLoneJobHelperPanicBecomesError(t *testing.T) {
 }
 
 // TestLoadProfilesAllOrNothing: a file with a bad TB key is rejected as
-// a whole; the rows before the bad one are not merged.
+// a whole; the rows before the bad one are not merged. A key is a whole
+// positive decimal number: "12abc" (a number with a tail), "-3" and
+// "0x10" (which a %d scan reads as 12, -3 and 0) are as bad as "x".
 func TestLoadProfilesAllOrNothing(t *testing.T) {
-	s := shortSession()
-	pf := profileFile{
-		Fingerprint: s.fingerprint(),
-		IsoIPC: map[string]map[string]float64{
-			"bp": {"3": 1.5},
-			"ks": {"x": 2.5},
-		},
-	}
-	data, err := json.Marshal(pf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "profiles.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// Map iteration order decides whether the good row is reached before
-	// the bad key; over a few attempts it is.
-	for i := 0; i < 32; i++ {
-		if err := s.LoadProfiles(path); err == nil {
-			t.Fatal("bad TB key accepted")
+	for _, bad := range []string{"x", "12abc", "-3", "0x10", "0"} {
+		s := shortSession()
+		pf := profileFile{
+			Fingerprint: s.fingerprint(),
+			IsoIPC: map[string]map[string]float64{
+				"bp": {"3": 1.5},
+				"ks": {bad: 2.5},
+			},
 		}
-		if v, ok := s.lookupIPC("bp", 3); ok {
-			t.Fatalf("rejected file left bp|3 = %v in the session", v)
+		data, err := json.Marshal(pf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "profiles.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// Map iteration order decides whether the good row is reached
+		// before the bad key; over a few attempts it is.
+		for i := 0; i < 32; i++ {
+			if err := s.LoadProfiles(path); err == nil {
+				t.Fatalf("bad TB key %q accepted", bad)
+			}
+			if v, ok := s.lookupIPC("bp", 3); ok {
+				t.Fatalf("file rejected for key %q left bp|3 = %v in the session", bad, v)
+			}
 		}
 	}
 }
