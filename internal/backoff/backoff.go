@@ -13,6 +13,7 @@
 package backoff
 
 import (
+	"context"
 	"hash/fnv"
 	"time"
 
@@ -100,6 +101,19 @@ func (p Policy) Delay(key string, attempt int) time.Duration {
 		d = 1
 	}
 	return time.Duration(d)
+}
+
+// Sleep waits out d, or returns ctx's error as soon as ctx is done: the
+// one retry wait (which retry, and for how long, is the caller's).
+func Sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }
 
 // hashKey folds a job fingerprint into a 64-bit stream selector.

@@ -1,6 +1,8 @@
 package backoff
 
 import (
+	"context"
+	"errors"
 	"testing"
 	"time"
 )
@@ -83,5 +85,20 @@ func TestDelayHugeAttemptNoOverflow(t *testing.T) {
 	p := Policy{Base: time.Second, Cap: 30 * time.Second, Factor: 10, Jitter: 0}
 	if got := p.Delay("k", 1_000_000); got != 30*time.Second {
 		t.Fatalf("huge attempt: delay %v, want cap", got)
+	}
+}
+
+// TestSleep: the wait runs its course under a live context and ends at
+// once, with the context's error, under a cancelled one.
+func TestSleep(t *testing.T) {
+	start := time.Now()
+	if err := Sleep(context.Background(), 5*time.Millisecond); err != nil || time.Since(start) < 5*time.Millisecond {
+		t.Fatalf("Sleep returned %v after %s", err, time.Since(start))
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start = time.Now()
+	if err := Sleep(ctx, time.Minute); !errors.Is(err, context.Canceled) || time.Since(start) > 10*time.Second {
+		t.Fatalf("Sleep under a cancelled context returned %v after %s", err, time.Since(start))
 	}
 }

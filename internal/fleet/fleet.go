@@ -542,13 +542,9 @@ func (c *Coordinator) lifecycle(ctx context.Context, t *task, done chan<- *task)
 				delay = c.cfg.RetryBudgetWait
 			}
 		}
-		timer := time.NewTimer(delay)
-		select {
-		case <-ctx.Done():
-			timer.Stop()
-			t.errText = "fleet: sweep cancelled: " + ctx.Err().Error()
+		if err := backoff.Sleep(ctx, delay); err != nil {
+			t.errText = "fleet: sweep cancelled: " + err.Error()
 			return
-		case <-timer.C:
 		}
 	}
 }

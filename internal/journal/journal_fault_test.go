@@ -118,26 +118,3 @@ func TestAppendChaosDiskError(t *testing.T) {
 		t.Fatalf("injector reports %d journal faults, want 1", n)
 	}
 }
-
-// TestAppendAfterFailedRollback: when even the rollback fails the
-// journal poisons itself rather than appending after an untrusted tail.
-func TestAppendAfterFailedRollback(t *testing.T) {
-	path := tmpJournal(t)
-	j, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Close the fd out from under the journal so the write and the
-	// rollback's truncate both fail. (Reach into the struct: this
-	// simulates a dead disk, which no public API can produce.)
-	j.f.Close()
-	err = j.Append("bad", point{})
-	var we *WriteError
-	if !errors.As(err, &we) || we.Op != "rollback" {
-		t.Fatalf("err = %v, want rollback *WriteError", err)
-	}
-	err = j.Append("next", point{})
-	if !errors.As(err, &we) {
-		t.Fatalf("append after poisoned rollback returned %T (%v), want *WriteError", err, err)
-	}
-}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -89,46 +90,6 @@ func TestAppendExtendsRatherThanTruncates(t *testing.T) {
 	defer j.Close()
 	if j.Len() != 2 {
 		t.Fatalf("len = %d after two sessions, want 2", j.Len())
-	}
-}
-
-func TestTornTailDiscarded(t *testing.T) {
-	path := tmpJournal(t)
-	j, _ := Open(path)
-	j.Append("a", 10)
-	j.Append("b", 20)
-	j.Close()
-
-	// Simulate a crash mid-append: chop the file mid-way through the
-	// second line.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if j2.Len() != 1 || !j2.Has("a") || j2.Has("b") {
-		t.Fatalf("torn tail handling: len=%d hasA=%v hasB=%v", j2.Len(), j2.Has("a"), j2.Has("b"))
-	}
-	// The journal must stay appendable on a clean line boundary.
-	if err := j2.Append("c", 30); err != nil {
-		t.Fatal(err)
-	}
-	j2.Close()
-	j3, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	var v int
-	if ok, _ := j3.Lookup("c", &v); !ok || v != 30 {
-		t.Fatalf("post-recovery append lost: ok=%v v=%d", ok, v)
 	}
 }
 
@@ -240,5 +201,63 @@ func TestLongLineReplays(t *testing.T) {
 	}
 	if ok, _ := j2.Lookup("after", &got); !ok || got.WS != 3 {
 		t.Fatal("the entry after the long line did not replay")
+	}
+}
+
+// TestParentFormatFixture: lines exactly as the commit before the shared
+// append log wrote them — with a digest, with characters the encoder
+// escapes, and from before digests existed — load, serve their bytes
+// unchanged, and re-appending the same values adds the same lines.
+func TestParentFormatFixture(t *testing.T) {
+	lines := []string{
+		`{"key":"j1-aa","val":{"WS":1.375,"Cells":[2,4,8]},"sha":"01210b0d06f9b6ba8687b4fa52e70a05be2b06ec6dad49aacbac089f0fe59e9a"}` + "\n",
+		`{"key":"j1-\u003cb\u003e","val":{"note":"a\u003cb\u0026c","x":0.3},"sha":"dc00f6fbc8985b00a3edfab731ba892f7f0b3730e73bbb2c6f24c703ba40c57d"}` + "\n",
+		`{"key":"j1-old","val":{"WS":0.5}}` + "\n",
+	}
+	keys := []string{"j1-aa", "j1-<b>", "j1-old"}
+	vals := []string{`{"WS":1.375,"Cells":[2,4,8]}`, `{"note":"a\u003cb\u0026c","x":0.3}`, `{"WS":0.5}`}
+	fixture := strings.Join(lines, "")
+	path := tmpJournal(t)
+	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Recovered() != 3 || j.Corrupt() != 0 {
+		t.Fatalf("recovered %d, corrupt %d; want 3, 0", j.Recovered(), j.Corrupt())
+	}
+	shas := map[string]string{}
+	j.EachEntry(func(key string, _ json.RawMessage, sha string) error {
+		shas[key] = sha
+		return nil
+	})
+	for i, k := range keys {
+		wantSha := ""
+		if i < 2 {
+			wantSha = Digest([]byte(vals[i]))
+		}
+		if raw, ok := j.Raw(k); !ok || string(raw) != vals[i] || shas[k] != wantSha {
+			t.Fatalf("entry %s = %s (%v) sha %q, want %s sha %q", k, raw, ok, shas[k], vals[i], wantSha)
+		}
+	}
+	// The same values again, one through each entrance.
+	if err := j.Append(keys[0], point{WS: 1.375, Cells: []int{2, 4, 8}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendRaw(keys[1], json.RawMessage(vals[1])); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.AppendRaw("spaced", json.RawMessage(`{"WS": 1}`)); err == nil {
+		t.Fatal("AppendRaw took bytes the line would not hold verbatim")
+	}
+	j.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fixture + lines[0] + lines[1]; string(got) != want {
+		t.Fatalf("file after re-appending:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -92,44 +92,6 @@ func TestRestartSurvival(t *testing.T) {
 	}
 }
 
-// TestTornTailRecovery: a crash mid-append leaves a truncated final
-// line; Open must drop it and recover everything before it.
-func TestTornTailRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	s, err := Open(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	k1, v1 := payload(1)
-	if err := s.Put(k1, v1); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"key":"j1-9999","sum":"ab`) // torn mid-line
-	f.Close()
-
-	s2, err := Open(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 1 {
-		t.Fatalf("Len after torn-tail recovery = %d, want 1", s2.Len())
-	}
-	if got, ok := s2.Get(k1); !ok || !bytes.Equal(got, v1) {
-		t.Fatal("intact entry lost with the torn tail")
-	}
-	// The tail was truncated, so appends continue on a clean boundary.
-	k2, v2 := payload(2)
-	if err := s2.Put(k2, v2); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestLRUBound: the resident tier respects MaxEntries; evicted
 // disk-backed entries are transparently reloaded on Get, memory-only
 // entries are gone.
@@ -391,5 +353,47 @@ func TestLongLineReplays(t *testing.T) {
 	}
 	if got, ok := s2.Get(k2); !ok || !bytes.Equal(got, v2) {
 		t.Fatal("the entry after the long line did not replay")
+	}
+}
+
+// TestParentFormatFixture: lines exactly as the commit before the shared
+// append log wrote them load, serve their bytes, and putting the same
+// values again adds the same lines.
+func TestParentFormatFixture(t *testing.T) {
+	lines := []string{
+		`{"key":"j1-aa","sum":"01210b0d06f9b6ba8687b4fa52e70a05be2b06ec6dad49aacbac089f0fe59e9a","val":"eyJXUyI6MS4zNzUsIkNlbGxzIjpbMiw0LDhdfQ=="}` + "\n",
+		`{"key":"j1-bb","sum":"66e70588535f5d534786204ba2ff5d2d96c154ff1cc55e61049f23092f18060a","val":"eyJjeWNsZXMiOjIwMDAsInNlcmllcyI6WzIsMyw0XX0="}` + "\n",
+	}
+	keys := []string{"j1-aa", "j1-bb"}
+	vals := []string{`{"WS":1.375,"Cells":[2,4,8]}`, `{"cycles":2000,"series":[2,3,4]}`}
+	fixture := strings.Join(lines, "")
+	path := filepath.Join(t.TempDir(), "cache.jsonl")
+	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(Options{Path: path, MaxEntries: 1}) // j1-aa is served by offset
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range keys {
+		if got, ok := s.Get(k); !ok || string(got) != vals[i] {
+			t.Fatalf("Get(%s) = %q, %v; want %s", k, got, ok, vals[i])
+		}
+	}
+	for i, k := range keys {
+		if err := s.Put(k, []byte(vals[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.Stats(); st.Corrupt != 0 || st.PutErrors != 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+	s.Close()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fixture + fixture; string(got) != want {
+		t.Fatalf("file after re-putting:\n%s\nwant:\n%s", got, want)
 	}
 }

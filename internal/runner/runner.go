@@ -94,6 +94,10 @@ type Result struct {
 	// empty only if fingerprinting itself failed).
 	Key string
 	Res *gcke.WorkloadResult
+	// Raw is Res as JSON: marshalled once when the job simulated, the
+	// stored bytes unchanged when it was cached or replayed. The journal,
+	// the cache and the wire all carry these bytes; read, never modify.
+	Raw json.RawMessage
 	Err error
 	// Replayed reports that Res was restored from the checkpoint journal
 	// rather than simulated in this process.
@@ -256,31 +260,27 @@ func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 		out.Err = err
 		return
 	}
-	if r.Cache != nil && !j.Fresh {
-		if raw, ok := r.Cache.Get(key); ok {
-			// A checksummed entry that fails to decode means the result
-			// schema moved; fall through to re-simulation.
-			var res gcke.WorkloadResult
-			if err := json.Unmarshal(raw, &res); err == nil {
-				out.Res, out.Cached = &res, true
+	if !j.Fresh {
+		if hit, ok := r.Cached(key); ok {
+			*out = hit
+			return
+		}
+		if r.Journal != nil {
+			if raw, ok := r.Journal.Raw(key); ok {
+				res := new(gcke.WorkloadResult)
+				if err := json.Unmarshal(raw, res); err != nil {
+					out.Err = fmt.Errorf("runner: decoding journal entry %s: %w", key, err)
+					return
+				}
+				out.Res, out.Raw, out.Replayed = res, raw, true
+				r.cachePut(key, raw)
 				return
 			}
 		}
 	}
-	if r.Journal != nil && !j.Fresh {
-		var res gcke.WorkloadResult
-		if ok, err := r.Journal.Lookup(key, &res); err != nil {
-			out.Err = fmt.Errorf("runner: reading journal entry %s: %w", key, err)
-			return
-		} else if ok {
-			out.Res, out.Replayed = &res, true
-			r.cachePut(key, &res)
-			return
-		}
-	}
 	defer func() {
 		if v := recover(); v != nil {
-			out.Res = nil
+			out.Res, out.Raw = nil, nil
 			out.Err = &PanicError{Index: i, Key: key, Value: v, Stack: debug.Stack()}
 		}
 	}()
@@ -313,14 +313,22 @@ func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 		r.ckptResumes.Add(1)
 		r.ckptResumedCycles.Add(resumedFrom)
 	}
+	// The one encoding of a fresh result: the journal, the cache and the
+	// server's reply all take these bytes.
+	var raw json.RawMessage
+	if err == nil {
+		if raw, err = json.Marshal(res); err != nil {
+			err = fmt.Errorf("runner: encoding result of %s: %w", key, err)
+		}
+	}
 	if err == nil && r.Journal != nil && !j.Fresh {
-		if jerr := r.Journal.Append(key, res); jerr != nil {
+		if jerr := r.Journal.AppendRaw(key, raw); jerr != nil {
 			err = fmt.Errorf("runner: journaling %s: %w", key, jerr)
 		}
 	}
 	if err == nil {
 		if !j.Fresh {
-			r.cachePut(key, res)
+			r.cachePut(key, raw)
 		}
 		// The result is durable (or the caller's problem): the job's
 		// mid-run checkpoints are dead weight now.
@@ -328,7 +336,27 @@ func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 			r.Checkpoints.Drop(key)
 		}
 	}
-	out.Res, out.Err = res, err
+	out.Res, out.Raw, out.Err = res, raw, err
+}
+
+// Cached is the one result-cache lookup: the served bytes and their
+// decoded form, for the pool and for callers that answer a cached
+// fingerprint without queueing for it (the server's admission path).
+func (r *Runner) Cached(key string) (Result, bool) {
+	if r.Cache == nil {
+		return Result{}, false
+	}
+	raw, ok := r.Cache.Get(key)
+	if !ok {
+		return Result{}, false
+	}
+	// A checksummed entry that fails to decode means the result schema
+	// moved; report a miss so the job re-simulates.
+	res := new(gcke.WorkloadResult)
+	if err := json.Unmarshal(raw, res); err != nil {
+		return Result{}, false
+	}
+	return Result{Key: key, Res: res, Raw: raw, Cached: true}, true
 }
 
 // checkpoint binds the runner's checkpoint store to one job fingerprint
@@ -357,15 +385,10 @@ func (r *Runner) CkptStats() (resumes, resumedCycles int64) {
 // deliberately swallowed: the store counts them (Stats().PutErrors) and
 // a cache that cannot persist degrades to pass-through rather than
 // failing jobs.
-func (r *Runner) cachePut(key string, res *gcke.WorkloadResult) {
-	if r.Cache == nil {
-		return
+func (r *Runner) cachePut(key string, raw []byte) {
+	if r.Cache != nil {
+		_ = r.Cache.Put(key, raw)
 	}
-	raw, err := json.Marshal(res)
-	if err != nil {
-		return
-	}
-	_ = r.Cache.Put(key, raw)
 }
 
 // ForkStats sums warmup-fork counters over the runner's derived

@@ -36,6 +36,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"runtime"
+	"runtime/metrics"
 	"sync/atomic"
 	"time"
 
@@ -425,21 +426,23 @@ func (req *JobRequest) Family() string {
 
 // JobResponse is the wire shape of one job outcome.
 type JobResponse struct {
-	Key             string               `json:"key"`
-	Index           int                  `json:"index"`
-	Attempts        int                  `json:"attempts"`
-	Replayed        bool                 `json:"replayed,omitempty"`
-	Cached          bool                 `json:"cached,omitempty"`
-	WeightedSpeedup float64              `json:"weighted_speedup,omitempty"`
-	ANTT            float64              `json:"antt,omitempty"`
-	Fairness        float64              `json:"fairness,omitempty"`
-	Error           string               `json:"error,omitempty"`
-	Transient       bool                 `json:"transient,omitempty"`
-	Result          *gcke.WorkloadResult `json:"result,omitempty"`
+	Key             string  `json:"key"`
+	Index           int     `json:"index"`
+	Attempts        int     `json:"attempts"`
+	Replayed        bool    `json:"replayed,omitempty"`
+	Cached          bool    `json:"cached,omitempty"`
+	WeightedSpeedup float64 `json:"weighted_speedup,omitempty"`
+	ANTT            float64 `json:"antt,omitempty"`
+	Fairness        float64 `json:"fairness,omitempty"`
+	Error           string  `json:"error,omitempty"`
+	Transient       bool    `json:"transient,omitempty"`
+	// Result is the full result, when asked for: the bytes the runner
+	// encoded once (runner.Result.Raw), never re-marshalled on the way.
+	Result json.RawMessage `json:"result,omitempty"`
 	// ResumedFrom is the cycle the job resumed simulation from (0 = a
 	// full run), when mid-job checkpointing is enabled.
 	ResumedFrom int64 `json:"resumed_from,omitempty"`
-	// Digest is the hex sha256 of the marshaled Result, present when the
+	// Digest is the hex sha256 of the Result bytes, present when the
 	// full result is included. A coordinator verifies the result bytes it
 	// received against it at every hop. It is computed by the worker over
 	// whatever it is about to send — a corrupt worker's digest covers its
@@ -460,18 +463,20 @@ func (s *Server) response(index int, res runner.Result, attempts int, full bool)
 	out.ANTT = res.Res.ANTT()
 	out.Fairness = res.Res.Fairness()
 	if full {
-		out.Result = res.Res
+		out.Result = res.Raw
 		// The silent-corruption seam sits BEFORE the digest so a corrupt
 		// worker is self-consistent: digest and bytes agree, every
 		// per-hop integrity check passes, and only an independent
-		// re-execution on another worker can expose the damage.
+		// re-execution on another worker can expose the damage. It is the
+		// one place a result is encoded a second time: the lie has to be
+		// built.
 		if s.cfg.Chaos != nil && s.cfg.Chaos.ResultFault(res.Key) {
-			out.Result = corruptResult(res.Res)
-			s.corrupted.Add(1)
+			if raw, err := json.Marshal(corruptResult(res.Res)); err == nil {
+				out.Result = raw
+				s.corrupted.Add(1)
+			}
 		}
-		if raw, err := json.Marshal(out.Result); err == nil {
-			out.Digest = journal.Digest(raw)
-		}
+		out.Digest = journal.Digest(out.Result)
 	}
 	return out
 }
@@ -524,6 +529,19 @@ func (s *Server) executeSlot(ctx context.Context, job runner.Job, key, family st
 	}
 	defer func() { <-s.slots }()
 	s.waits.Observe(time.Since(enqueued))
+	// Yield once before the attempt. At saturation every P is inside a
+	// multi-millisecond attempt and each finished attempt hands its slot
+	// to the next waiter on the same P, so the runtime looks at its global
+	// run queue — where sysmon parks the accept loop and new connections
+	// — only every 61st scheduling round: requests then reach their
+	// handler, and start their deadline clock, hundreds of milliseconds
+	// after the client started its own, and successes arrive past the
+	// client's deadline that the guard below never sees as late. The two
+	// stop-the-world memory-statistics reads per attempt used to hide
+	// this (starting the world polls the network); measured with CI's
+	// overload smoke on two cores, 0 late successes with them, 331 and
+	// 533 without, 0 with this yield.
+	runtime.Gosched()
 	if !deadlineAt.IsZero() {
 		now := time.Now()
 		est, ok := s.est.Estimate(family)
@@ -560,8 +578,7 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key, family string
 		}
 		attempts++
 		start := time.Now()
-		var m0 runtime.MemStats
-		runtime.ReadMemStats(&m0)
+		a0 := heapAllocs()
 		res := s.run.Run(ctx, []runner.Job{job})[0]
 		if res.Err == nil {
 			d := time.Since(start)
@@ -569,11 +586,9 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key, family string
 				// Engine-performance gauges: concurrent jobs share the
 				// process heap, so allocs/cycle is an aggregate
 				// service-level signal, not a per-job microbenchmark.
-				var m1 runtime.MemStats
-				runtime.ReadMemStats(&m1)
 				s.simCycles.Add(job.Cycles)
 				s.simNanos.Add(d.Nanoseconds())
-				s.simAllocs.Add(int64(m1.Mallocs - m0.Mallocs))
+				s.simAllocs.Add(int64(heapAllocs() - a0))
 				// Clamp EWMA/estimator samples to the per-attempt timeout:
 				// an attempt that straggled past its timeout before
 				// succeeding can never have cost the server more slot-time
@@ -623,15 +638,20 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key, family string
 			return res, attempts
 		}
 		s.retries.Add(1)
-		t := time.NewTimer(s.cfg.Retry.Delay(key, attempts))
-		select {
-		case <-ctx.Done():
-			t.Stop()
+		if backoff.Sleep(ctx, s.cfg.Retry.Delay(key, attempts)) != nil {
 			s.failed.Add(1)
 			return res, attempts
-		case <-t.C:
 		}
 	}
+}
+
+// heapAllocs is the process's cumulative count of heap objects
+// allocated, read through runtime/metrics because that does not stop the
+// world: it runs twice per request, beside the other slot's simulation.
+func heapAllocs() uint64 {
+	s := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}}
+	metrics.Read(s)
+	return s[0].Value.Uint64()
 }
 
 // observeLatency folds one successful attempt's wall-clock into the
@@ -726,15 +746,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	// Cache-aware admission: a fingerprint already in the result cache
 	// costs no simulation, so it is served ahead of the breaker and the
 	// admission queue — repeated identical jobs cannot be shed by load.
-	if s.cfg.Cache != nil && !fresh {
-		if raw, ok := s.cfg.Cache.Get(key); ok {
-			var wres gcke.WorkloadResult
-			if err := json.Unmarshal(raw, &wres); err == nil {
-				s.completed.Add(1)
-				res := runner.Result{Key: key, Res: &wres, Cached: true}
-				writeJSON(w, http.StatusOK, s.response(0, res, 0, r.URL.Query().Get("full") == "1"))
-				return
-			}
+	if !fresh {
+		if res, ok := s.run.Cached(key); ok {
+			s.completed.Add(1)
+			writeJSON(w, http.StatusOK, s.response(0, res, 0, r.URL.Query().Get("full") == "1"))
+			return
 		}
 	}
 	if ok, wait := s.brk.allow(key); !ok {
