@@ -21,7 +21,7 @@ func main() {
 	sms := flag.Int("sms", 4, "SMs")
 	cycles := flag.Int64("cycles", 300_000, "evaluation cycles")
 	profCycles := flag.Int64("profile-cycles", 60_000, "profiling cycles")
-	warmup := flag.Int64("warmup", 0, "unmanaged warmup cycles per scheme (schemes sharing a partition form one warmup family; see -fork-warmup)")
+	warmup := flag.Int64("warmup", 0, "unmanaged warmup cycles per scheme")
 	pair := flag.String("pair", "bp,sv", "kernel pair")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	rb := cli.AddFlags(flag.CommandLine)
@@ -43,7 +43,6 @@ func main() {
 	session.ProfileCycles = *profCycles
 	session.Check = rb.Check
 	session.PhaseTime = prof.PhaseTrace
-	session.ForkWarmup = rb.ForkWarmup
 
 	names := strings.Split(*pair, ",")
 	var ds []gcke.Kernel

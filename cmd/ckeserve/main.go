@@ -42,7 +42,6 @@ func main() {
 	journalPath := flag.String("journal", "", "checkpoint journal path; completed jobs are replayed instead of re-simulated (empty = disabled)")
 	cacheOn := flag.Bool("cache", false, "serve repeated job fingerprints from the content-addressed result cache")
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to <dir>/results.jsonl across restarts (implies -cache)")
-	forkWarmup := flag.Bool("fork-warmup", false, "fork jobs sharing a warmup family from one warmed engine snapshot (needs scheme Warmup cycles)")
 	check := flag.Bool("check", false, "enable the per-cycle simulator invariant watchdog")
 	phaseTrace := flag.Bool("phasetrace", false, "measure per-phase engine time; /statz reports the breakdown under phase_ns")
 	targetLatency := flag.Duration("target-latency", 0, "AIMD per-attempt latency target; the in-flight limit adapts toward it (0 = fixed slots+queue bound)")
@@ -69,7 +68,6 @@ func main() {
 		BreakerCooldown:  *breakerCool,
 		Check:            *check,
 		PhaseTrace:       *phaseTrace,
-		ForkWarmup:       *forkWarmup,
 		Worker:           *workerMode,
 	}
 	if *cacheOn || *cacheDir != "" {

@@ -42,7 +42,7 @@ func main() {
 	cycles := flag.Int64("cycles", 150_000, "cycles per point")
 	grid := flag.String("grid", "2,4,8,16,32,64,0", "limits to sweep (0 = unlimited)")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	warmup := flag.Int64("warmup", 0, "unmanaged warmup cycles per point (grid points share one warmup family; see -fork-warmup)")
+	warmup := flag.Int64("warmup", 0, "unmanaged warmup cycles per point")
 	fleetWorkers := flag.String("fleet", "", "comma-separated ckeserve -worker URLs; shard the sweep across them (NDJSON output)")
 	fleetAddr := flag.String("fleet-addr", "", "coordinator control-plane listen address (/statz, /healthz); empty = off")
 	fleetChaos := flag.String("fleet-chaos", "", "coordinator-side network fault injection (dev only), e.g. netdrop=0.3,net5xx=0.3,seed=42,failures=1")
@@ -89,7 +89,6 @@ func main() {
 	s.ProfileCycles = 60_000
 	s.Check = rb.Check
 	s.PhaseTime = prof.PhaseTrace
-	s.ForkWarmup = rb.ForkWarmup
 
 	var ds []gcke.Kernel
 	for _, n := range strings.Split(*pair, ",") {

@@ -203,10 +203,7 @@ type Scheme struct {
 	// many cycles (no issue policies, UCP or bypass — caches and TB
 	// occupancy fill under the baseline arbiter) followed by a managed
 	// leg for the remaining cycles with the scheme's mechanisms
-	// installed. Runs sharing (config, kernels, partition, warmup
-	// length) form a warmup family: with Session.ForkWarmup the shared
-	// prefix is simulated once, snapshotted, and each family member is
-	// forked from the warmed snapshot. 0 disables (single managed run).
+	// installed. 0 disables (single managed run).
 	Warmup int64
 }
 

@@ -11,7 +11,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -157,27 +156,6 @@ func (c *Cache) PendingRequests() int {
 		n += len(c.entries[i].targets) // a free slot's targets are empty
 	}
 	return n
-}
-
-// Bytes estimates the snapshot's memory footprint (line array, MSHR
-// entries, queue pointer slots, UMON shadow tags). Cloned requests are
-// counted once at the GPU level, so pointer slots count 8 bytes here.
-func (sn *Snapshot) Bytes() int64 {
-	total := int64(len(sn.lines)) * int64(unsafe.Sizeof(line{}))
-	for _, ms := range sn.mshr {
-		total += int64(unsafe.Sizeof(mshrSnapshot{})) + int64(len(ms.targets))*8
-	}
-	total += int64(len(sn.missQ)+len(sn.wbQ)) * 8
-	total += int64(len(sn.quota))*8 + int64(len(sn.bypass))
-	total += int64(len(sn.stats)) * int64(unsafe.Sizeof(KernelStats{}))
-	if sn.umon != nil {
-		for k := range sn.umon.tags {
-			total += int64(len(sn.umon.tags[k]))*8 + int64(len(sn.umon.valid[k])) +
-				int64(len(sn.umon.wayHits[k]))*8
-		}
-		total += int64(len(sn.umon.accesses)) * 8
-	}
-	return total
 }
 
 func (u *UMON) snapshot() *umonSnapshot {

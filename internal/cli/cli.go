@@ -43,10 +43,6 @@ type Robustness struct {
 	// CacheDir, when non-empty, persists the result cache to
 	// <CacheDir>/results.jsonl; it implies Cache.
 	CacheDir string
-	// ForkWarmup forks schemes that share a warmup family (same config,
-	// kernels, partition and Scheme.Warmup length) from one warmed
-	// engine snapshot instead of re-simulating the warmup prefix.
-	ForkWarmup bool
 	// CkptDir, when non-empty, persists mid-job engine checkpoints to
 	// that directory every CkptEvery cycles: a killed long job resumes
 	// from its last durable checkpoint instead of cycle 0.
@@ -72,8 +68,6 @@ func AddFlags(fs *flag.FlagSet) *Robustness {
 		"serve repeated points from the content-addressed result cache")
 	fs.StringVar(&r.CacheDir, "cache-dir", "",
 		"persist the result cache to <dir>/results.jsonl across runs (implies -cache)")
-	fs.BoolVar(&r.ForkWarmup, "fork-warmup", false,
-		"fork schemes sharing a warmup family from one warmed engine snapshot (needs Scheme warmup cycles)")
 	fs.StringVar(&r.CkptDir, "ckpt-dir", "",
 		"persist mid-job engine checkpoints to <dir>; a killed job resumes from its last checkpoint (empty = disabled)")
 	fs.Int64Var(&r.CkptEvery, "ckpt-every", 0,
@@ -161,13 +155,11 @@ func (r *Robustness) OpenCheckpoints(logf func(format string, args ...any)) (*ck
 }
 
 // Apply configures a runner with the per-job timeout, journal, result
-// cache, warmup forking and mid-job checkpointing (j, c and ck may be
-// nil).
+// cache and mid-job checkpointing (j, c and ck may be nil).
 func (r *Robustness) Apply(run *runner.Runner, j *journal.Journal, c *resultcache.Store, ck *ckpt.Store) {
 	run.Timeout = r.Timeout
 	run.Journal = j
 	run.Cache = c
-	run.ForkWarmup = r.ForkWarmup
 	run.Checkpoints = ck
 	if ck != nil {
 		run.CheckpointEvery = r.CkptEvery

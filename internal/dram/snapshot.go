@@ -7,7 +7,6 @@ package dram
 
 import (
 	"fmt"
-	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -77,11 +76,3 @@ func (c *Channel) Restore(sn *Snapshot, cl *mem.Cloner) error {
 // PendingRequests returns how many requests the channel currently holds
 // (snapshot-footprint accounting).
 func (c *Channel) PendingRequests() int { return len(c.queue) + c.resp.Len() }
-
-// Bytes estimates the snapshot's memory footprint (cloned requests are
-// counted once at the GPU level).
-func (sn *Snapshot) Bytes() int64 {
-	return int64(len(sn.banks))*int64(unsafe.Sizeof(bank{})) +
-		int64(len(sn.queue))*int64(unsafe.Sizeof(pending{})) +
-		int64(len(sn.resp))*int64(unsafe.Sizeof(response{}))
-}

@@ -379,7 +379,9 @@ func (c *Coordinator) settle(t *task) error {
 	}
 	c.completed.Add(1)
 	if c.cfg.Journal != nil && !t.journaled {
-		if err := c.cfg.Journal.Append(t.key, t.res); err != nil {
+		// raw is the result exactly as a worker (or a journal) held it;
+		// every path that sets res sets raw.
+		if err := c.cfg.Journal.AppendRaw(t.key, t.raw); err != nil {
 			return fmt.Errorf("fleet: journaling %s: %w", t.key, err)
 		}
 		t.journaled = true
@@ -743,10 +745,8 @@ func (c *Coordinator) acquire(ctx context.Context, except ...*worker) *worker {
 		if w := c.tryAcquire(except...); w != nil {
 			return w
 		}
-		select {
-		case <-ctx.Done():
+		if backoff.Sleep(ctx, 2*time.Millisecond) != nil {
 			return nil
-		case <-time.After(2 * time.Millisecond):
 		}
 	}
 }
@@ -789,10 +789,8 @@ func (c *Coordinator) probe(ctx context.Context, w *worker) {
 	// tick forever — a self-inflicted thundering herd against its own
 	// workers' /healthz. The offset is a pure function of the worker URL,
 	// so probe timing stays reproducible run to run.
-	select {
-	case <-ctx.Done():
+	if backoff.Sleep(ctx, proberPhase(w.url, c.cfg.HealthInterval)) != nil {
 		return
-	case <-time.After(proberPhase(w.url, c.cfg.HealthInterval)):
 	}
 	tick := time.NewTicker(c.cfg.HealthInterval)
 	defer tick.Stop()

@@ -3,7 +3,9 @@ package fleet_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -290,5 +292,63 @@ func TestFleetResumeFromJournalUnion(t *testing.T) {
 	}
 	if jC2.Len() != len(reqs) {
 		t.Fatalf("coordinator journal holds %d keys after resume, want %d (worker entries back-filled)", jC2.Len(), len(reqs))
+	}
+}
+
+// resultRecorder is a coordinator transport that keeps, per job key, the
+// result bytes a worker answered with.
+type resultRecorder struct {
+	mu   sync.Mutex
+	sent map[string][]byte
+}
+
+func (r *resultRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	key := req.Header.Get(chaos.JobKeyHeader)
+	if err != nil || key == "" || resp.StatusCode != http.StatusOK {
+		return resp, err
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(body))
+	var shadow struct {
+		Result json.RawMessage `json:"result"`
+	}
+	if json.Unmarshal(body, &shadow) == nil {
+		r.mu.Lock()
+		r.sent[key] = shadow.Result
+		r.mu.Unlock()
+	}
+	return resp, nil
+}
+
+// TestFleetJournalsWorkerBytes: the coordinator journals each result as
+// the bytes a worker sent, not a re-encoding of its decoded copy.
+func TestFleetJournalsWorkerBytes(t *testing.T) {
+	reqs := []server.JobRequest{fleetJob(2), fleetJob(3), fleetJob(4), fleetJob(5)}
+	w1 := startWorker(t, server.Config{})
+	w2 := startWorker(t, server.Config{})
+	j, err := journal.Open(filepath.Join(t.TempDir(), "coord.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	rec := &resultRecorder{sent: map[string][]byte{}}
+	runFleet(t, fleet.Config{Workers: []string{w1.URL, w2.URL}, Journal: j, Transport: rec}, reqs)
+
+	if len(rec.sent) != len(reqs) || j.Len() != len(reqs) {
+		t.Fatalf("recorded %d results, journaled %d, want %d each", len(rec.sent), j.Len(), len(reqs))
+	}
+	for key, sent := range rec.sent {
+		val, ok := j.Raw(key)
+		if !ok {
+			t.Fatalf("%s: not journaled", key)
+		}
+		if !bytes.Equal(val, sent) {
+			t.Fatalf("%s: journaled val differs from the worker's result\njournal: %s\nworker:  %s", key, val, sent)
+		}
 	}
 }

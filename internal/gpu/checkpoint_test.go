@@ -10,7 +10,7 @@ import (
 )
 
 // TestCheckpointRestoreContinueMatchesUninterrupted is the checkpoint
-// layer's core contract and the piece the fork-path snapshot cannot do:
+// layer's core contract and the piece a plain Snapshot cannot do:
 // with STATEFUL policies installed (the sweep grid's SMIL, the dynamic
 // DMIL, a cross-SM shared GlobalDMIL), run-to-N → SnapshotCheckpoint →
 // encode to bytes → decode → restore into a freshly built machine with
@@ -173,7 +173,7 @@ func TestCheckpointSinkFires(t *testing.T) {
 
 // TestRestoreCheckpointShapeMismatch: a checkpoint taken under one
 // policy scheme must not restore into a machine managed by another, and
-// a fork-path snapshot (no policy state) must not restore as a
+// a plain Snapshot (no policy state) must not restore as a
 // checkpoint.
 func TestRestoreCheckpointShapeMismatch(t *testing.T) {
 	cfg := tinyCfg()
@@ -204,13 +204,13 @@ func TestRestoreCheckpointShapeMismatch(t *testing.T) {
 		t.Fatal("checkpoint with policy state restored into an unmanaged machine")
 	}
 
-	// Fork-path snapshot into RestoreCheckpoint: refused.
-	forkSn, err := gU.Snapshot()
+	// Plain Snapshot into RestoreCheckpoint: refused.
+	plainSn, err := gU.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := gU.RestoreCheckpoint(forkSn); err == nil {
-		t.Fatal("fork-path snapshot accepted by RestoreCheckpoint")
+	if err := gU.RestoreCheckpoint(plainSn); err == nil {
+		t.Fatal("plain Snapshot accepted by RestoreCheckpoint")
 	}
 }
 

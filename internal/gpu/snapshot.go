@@ -1,7 +1,8 @@
-// Whole-machine snapshot/restore, the engine half of the warm-fork
-// optimization: the sweep path simulates a family's shared warmup
-// prefix once, snapshots the machine and restores the snapshot into a
-// fresh GPU per family member instead of re-simulating the prefix.
+// Whole-machine snapshot/restore. Snapshots serve mid-job checkpoints
+// (SnapshotCheckpoint / EncodeSnapshot / DecodeSnapshot /
+// RestoreCheckpoint: a killed job resumes from its last persisted
+// cycle) and restore-and-continue tests; a scheme's Warmup prefix is
+// not a snapshot but the first of two RunCycles legs on one machine.
 //
 // One mem.Cloner spans the whole capture (and another the whole
 // restore): the requests of one memory instruction may simultaneously
@@ -15,18 +16,14 @@
 // Policies are deliberately outside the snapshot boundary. A policy
 // object may hold arbitrary cross-SM state (global limiters, hook
 // closures) that the cloner cannot see, so Snapshot refuses to run
-// while stateful (pointer-typed) policies are installed. The intended
-// sequence is: build the machine unmanaged, run the warmup leg,
-// snapshot, then InstallPolicies for the managed main leg — both the
-// cold path and the fork path execute that same sequence, which is what
-// makes them byte-identical.
+// while stateful (pointer-typed) policies are installed;
+// SnapshotCheckpoint captures their state through ckpt instead.
 
 package gpu
 
 import (
 	"fmt"
 	"reflect"
-	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/ckpt"
@@ -50,14 +47,15 @@ type Snapshot struct {
 	reqNet   *icnt.Snapshot
 	respNet  *icnt.Snapshot
 
-	// requests/tokens are the distinct in-flight objects captured, for
-	// footprint accounting.
+	// requests/tokens count the distinct in-flight objects captured.
+	// Nothing reads them; they stay because they are part of the
+	// encoded checkpoint format.
 	requests int
 	tokens   int
 
 	// policies[sm][slot] is the ckpt-encoded state of the policy
 	// instance installed in that slot, captured only by
-	// SnapshotCheckpoint (nil for fork-path snapshots and for slots
+	// SnapshotCheckpoint (nil for plain Snapshot captures and for slots
 	// holding nil or stateless value-typed policies). A shared instance
 	// encodes to identical bytes in every SM's row, so RestoreCheckpoint
 	// decoding it once per SM is idempotent.
@@ -85,8 +83,8 @@ func (g *GPU) Snapshot() (*Snapshot, error) {
 	return g.capture(), nil
 }
 
-// capture is the unguarded snapshot core shared by Snapshot (fork path,
-// which refuses stateful policies) and SnapshotCheckpoint (which
+// capture is the unguarded snapshot core shared by Snapshot (which
+// refuses stateful policies) and SnapshotCheckpoint (which
 // serializes them alongside).
 func (g *GPU) capture() *Snapshot {
 	cl := mem.NewCloner()
@@ -110,8 +108,8 @@ func (g *GPU) capture() *Snapshot {
 }
 
 // SnapshotCheckpoint captures the machine's full state for a mid-job
-// checkpoint. Unlike Snapshot (the fork path, which refuses stateful
-// policies because the restored machine installs fresh ones), a
+// checkpoint. Unlike Snapshot (which refuses stateful policies because
+// a machine restored from it installs fresh ones), a
 // checkpoint resumes the SAME run, so installed pointer-typed policy
 // instances are serialized with the machine via the ckpt codec and
 // RestoreCheckpoint decodes them back into the instances a fresh
@@ -144,7 +142,7 @@ func (g *GPU) SnapshotCheckpoint() (*Snapshot, error) {
 // with the job's original options first).
 func (g *GPU) RestoreCheckpoint(sn *Snapshot) error {
 	if sn.policies == nil {
-		return fmt.Errorf("gpu: restore checkpoint: snapshot lacks policy state (fork-path snapshot?)")
+		return fmt.Errorf("gpu: restore checkpoint: snapshot lacks policy state (taken by Snapshot, not SnapshotCheckpoint?)")
 	}
 	if len(sn.policies) != len(g.policies) {
 		return fmt.Errorf("gpu: restore checkpoint: snapshot has %d policy rows, machine has %d", len(sn.policies), len(g.policies))
@@ -278,29 +276,6 @@ func (g *GPU) SetQuota(quota [][]int) error {
 		s.SetQuota(quota[i])
 	}
 	return nil
-}
-
-// Bytes estimates the snapshot's memory footprint. The dominant terms —
-// in-flight request/token graphs, per-SM warp arrays and cache line
-// arrays — are counted exactly; fixed per-component overhead is
-// approximated. Feeds the server's snapshot_bytes gauge.
-func (sn *Snapshot) Bytes() int64 {
-	total := int64(sn.requests)*int64(unsafe.Sizeof(mem.Request{})) +
-		int64(sn.tokens)*int64(unsafe.Sizeof(mem.InstrToken{}))
-	for _, s := range sn.sms {
-		total += s.Bytes()
-	}
-	for _, l2 := range sn.l2s {
-		total += l2.Bytes()
-	}
-	for _, d := range sn.drams {
-		total += d.Bytes()
-	}
-	for p := range sn.partInQ {
-		total += int64(len(sn.partInQ[p])+len(sn.partResp[p])) * 16
-	}
-	total += sn.reqNet.Bytes() + sn.respNet.Bytes()
-	return total
 }
 
 // PendingRequests returns the number of in-flight requests held by the

@@ -6,7 +6,6 @@ package icnt
 
 import (
 	"fmt"
-	"unsafe"
 
 	"repro/internal/mem"
 )
@@ -82,19 +81,6 @@ func (n *Network) PendingRequests() int {
 	}
 	for i := range n.inQ {
 		total += n.inQ[i].Len()
-	}
-	return total
-}
-
-// Bytes estimates the snapshot's memory footprint (cloned requests are
-// counted once at the GPU level).
-func (sn *Snapshot) Bytes() int64 {
-	total := int64(len(sn.rr)+len(sn.inCount))*8 + int64(len(sn.portFree))*8
-	for i := range sn.outQ {
-		total += int64(len(sn.outQ[i])) * int64(unsafe.Sizeof(Packet{}))
-	}
-	for i := range sn.inQ {
-		total += int64(len(sn.inQ[i])) * int64(unsafe.Sizeof(delivered{}))
 	}
 	return total
 }

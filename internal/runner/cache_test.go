@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	gcke "repro"
 	"repro/internal/journal"
 	"repro/internal/resultcache"
 )
@@ -130,51 +129,5 @@ func TestJournalReplayPopulatesCache(t *testing.T) {
 	}
 	if !again[0].Cached {
 		t.Fatal("journal replay did not populate the result cache")
-	}
-}
-
-// TestForkWarmupPropagatesToDerivedSessions: derived sessions inherit
-// the runner's ForkWarmup, and family members reuse one warm snapshot.
-func TestForkWarmupPropagatesToDerivedSessions(t *testing.T) {
-	bp, _ := gcke.Benchmark("bp")
-	sv, _ := gcke.Benchmark("sv")
-	mk := func(limits []int) Job {
-		return Job{
-			Config: gcke.ScaledConfig(2), Cycles: 15_000, ProfileCycles: 10_000,
-			Kernels: []gcke.Kernel{bp, sv},
-			Scheme: gcke.Scheme{
-				Partition: gcke.PartitionEven, Limiting: gcke.LimitStatic,
-				StaticLimits: limits, Warmup: 5_000,
-			},
-		}
-	}
-	jobs := []Job{mk([]int{4, 4}), mk([]int{8, 8}), mk([]int{16, 16})}
-
-	plain := New(2)
-	ref := plain.Run(context.Background(), jobs)
-	if err := FirstErr(ref); err != nil {
-		t.Fatal(err)
-	}
-	if forks, _ := plain.ForkStats(); forks != 0 {
-		t.Fatalf("forks without ForkWarmup = %d, want 0", forks)
-	}
-
-	forked := New(2)
-	forked.ForkWarmup = true
-	got := forked.Run(context.Background(), jobs)
-	if err := FirstErr(got); err != nil {
-		t.Fatal(err)
-	}
-	forks, bytes := forked.ForkStats()
-	if forks != int64(len(jobs)) {
-		t.Fatalf("forksTaken = %d, want %d", forks, len(jobs))
-	}
-	if bytes <= 0 {
-		t.Fatalf("snapshotBytes = %d, want > 0", bytes)
-	}
-	for i := range got {
-		if !reflect.DeepEqual(*ref[i].Res.RunResult, *got[i].Res.RunResult) {
-			t.Fatalf("job %d: forked result differs from cold result", i)
-		}
 	}
 }

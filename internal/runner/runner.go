@@ -153,13 +153,6 @@ type Runner struct {
 	// pass-through), unlike journal appends, which are the sweep's
 	// durability contract.
 	Cache *resultcache.Store
-	// ForkWarmup enables warmup-snapshot forking on sessions the runner
-	// derives: jobs in one warmup family (same config, kernels,
-	// partition, warmup length) simulate the shared unmanaged prefix
-	// once and fork from the warmed snapshot. Results are byte-identical
-	// either way. Set it before the first Run; explicit job sessions
-	// keep their own setting.
-	ForkWarmup bool
 	// Check enables the per-cycle invariant watchdog on sessions the
 	// runner derives (jobs with a nil Session). Set it before the first
 	// Run; explicit job sessions keep their own Check setting.
@@ -216,7 +209,6 @@ func (r *Runner) Session(cfg gcke.Config, cycles, profileCycles int64) (*gcke.Se
 		s.ProfileCycles = profileCycles
 		s.Check = r.Check
 		s.PhaseTime = r.PhaseTime
-		s.ForkWarmup = r.ForkWarmup
 		r.sessions[key] = s
 	}
 	return s, nil
@@ -389,19 +381,6 @@ func (r *Runner) cachePut(key string, raw []byte) {
 	if r.Cache != nil {
 		_ = r.Cache.Put(key, raw)
 	}
-}
-
-// ForkStats sums warmup-fork counters over the runner's derived
-// sessions (forks taken, bytes held in warm snapshots).
-func (r *Runner) ForkStats() (forksTaken, snapshotBytes int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, s := range r.sessions {
-		f, b := s.ForkStats()
-		forksTaken += f
-		snapshotBytes += b
-	}
-	return forksTaken, snapshotBytes
 }
 
 // FirstErr returns the first error in results by submission order, so

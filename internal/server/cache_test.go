@@ -99,26 +99,3 @@ func TestChaosCacheFaultDegradesGracefully(t *testing.T) {
 		t.Fatalf("repeat after cache fault: status %d, %+v", status, second)
 	}
 }
-
-// TestStatzForkGauges: jobs with a shared warmup family under
-// ForkWarmup surface forks_taken and snapshot_bytes in /statz.
-func TestStatzForkGauges(t *testing.T) {
-	srv := New(Config{Workers: 2, ForkWarmup: true})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for _, n := range []int{4, 8} {
-		req := smallJob(n)
-		req.Scheme.Warmup = 3_000
-		if status, out := postJob(t, ts, req); status != http.StatusOK {
-			t.Fatalf("POST: status %d, body %+v", status, out)
-		}
-	}
-	st := srv.StatsSnapshot()
-	if st.ForksTaken != 2 {
-		t.Fatalf("statz forks_taken = %d, want 2", st.ForksTaken)
-	}
-	if st.SnapshotBytes <= 0 {
-		t.Fatalf("statz snapshot_bytes = %d, want > 0", st.SnapshotBytes)
-	}
-}

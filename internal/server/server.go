@@ -102,10 +102,6 @@ type Config struct {
 	// admission queue (it costs no simulation), and every newly
 	// simulated result is stored. Drain closes it.
 	Cache *resultcache.Store
-	// ForkWarmup enables warmup-snapshot forking on the runner's derived
-	// sessions (jobs with Scheme.Warmup sharing a warmup family simulate
-	// the unmanaged prefix once).
-	ForkWarmup bool
 	// Chaos, when non-nil, wires the deterministic fault injector into
 	// the runner and journal (dev/test only — the -chaos flag).
 	Chaos *chaos.Injector
@@ -235,7 +231,6 @@ func New(cfg Config) *Server {
 	r.Cache = cfg.Cache
 	r.Check = cfg.Check
 	r.PhaseTime = cfg.PhaseTrace
-	r.ForkWarmup = cfg.ForkWarmup
 	r.Checkpoints = cfg.Checkpoints
 	r.CheckpointEvery = cfg.CheckpointEvery
 	if cfg.Chaos != nil {
@@ -313,10 +308,8 @@ func (s *Server) Drain(ctx context.Context) error {
 	} else {
 		// Handler-only deployment (tests): poll the admission count.
 		for s.queued.Load() > 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(2 * time.Millisecond):
+			if err := backoff.Sleep(ctx, 2*time.Millisecond); err != nil {
+				return err
 			}
 		}
 	}
@@ -1008,11 +1001,6 @@ type Stats struct {
 	CachePutErrors int64 `json:"cache_put_errors,omitempty"`
 	CacheCorrupt   int64 `json:"cache_corrupt,omitempty"`
 	CacheLen       int   `json:"cache_len,omitempty"`
-	// Warmup-fork gauges: how many runs forked from a warmed engine
-	// snapshot instead of re-simulating their warmup prefix, and the
-	// bytes held in cached snapshots.
-	ForksTaken    int64 `json:"forks_taken"`
-	SnapshotBytes int64 `json:"snapshot_bytes"`
 	// Mid-job checkpoint gauges (zero when no checkpoint store is
 	// configured): checkpoints persisted, checkpoint files rejected by
 	// the load-time digest, jobs resumed from a checkpoint, and the sum
@@ -1073,7 +1061,6 @@ func (s *Server) StatsSnapshot() Stats {
 		st.CacheCorrupt = cs.Corrupt
 		st.CacheLen = s.cfg.Cache.Len()
 	}
-	st.ForksTaken, st.SnapshotBytes = s.run.ForkStats()
 	if s.cfg.Checkpoints != nil {
 		ck := s.cfg.Checkpoints.Stats()
 		st.CkptSaves = ck.Saves

@@ -19,7 +19,6 @@ package sm
 
 import (
 	"fmt"
-	"unsafe"
 
 	"repro/internal/cache"
 	"repro/internal/kern"
@@ -222,27 +221,4 @@ func (s *SM) SetPolicies(memPolicy MemIssuePolicy, limiter Limiter, gate IssueGa
 // accounting).
 func (s *SM) PendingRequests() int {
 	return len(s.lsuReqs[s.lsuIdx:]) + s.compQ.Len() + s.L1.PendingRequests()
-}
-
-// Bytes estimates the snapshot's memory footprint, including the
-// embedded L1 (cloned requests/tokens are counted once at the GPU
-// level).
-func (sn *Snapshot) Bytes() int64 {
-	total := int64(len(sn.warps)) * int64(unsafe.Sizeof(Warp{}))
-	total += int64(len(sn.wAddr)) * int64(unsafe.Sizeof(kern.AddrState{}))
-	total += int64(len(sn.wRNG)) * int64(unsafe.Sizeof(xrand.Source{}))
-	total += int64(len(sn.freeWarps)+len(sn.tbCount)+len(sn.inflight))*8 +
-		int64(len(sn.tbLaunched))*8
-	for i := range sn.tbs {
-		total += int64(unsafe.Sizeof(tbSlot{})) + int64(len(sn.tbs[i].warps))*8
-	}
-	for i := range sn.scheds {
-		total += int64(unsafe.Sizeof(scheduler{})) + int64(len(sn.scheds[i].warps))*8
-	}
-	total += int64(len(sn.lsuReqs))*8 + int64(len(sn.compQ))*int64(unsafe.Sizeof(compEntry{}))
-	total += int64(len(sn.counters)) * int64(unsafe.Sizeof(stats.KernelCounters{}))
-	for k := range sn.seriesIssued {
-		total += int64(len(sn.seriesIssued[k])+len(sn.seriesL1Acc[k])) * 4
-	}
-	return total + sn.l1.Bytes()
 }

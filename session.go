@@ -2,9 +2,6 @@ package gcke
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -56,35 +53,21 @@ type Session struct {
 	// (gpu.Options.PhaseTime); read the totals via gpu.PhaseTotals. Set it
 	// before sharing the Session.
 	PhaseTime bool
-	// ForkWarmup enables snapshot forking for schemes with Warmup > 0:
-	// runs in the same warmup family (identical config, kernels,
-	// partition and warmup length) simulate the shared unmanaged prefix
-	// once, and every family member forks from the warmed snapshot
-	// instead of re-simulating it. Results are byte-identical either
-	// way — both paths execute the same warm-then-manage sequence. Set
-	// it before sharing the Session.
-	ForkWarmup bool
 
-	mu       sync.Mutex                  // guards the four caches below
+	mu       sync.Mutex                  // guards the three caches below
 	isoIPC   map[string]map[int]float64  // name -> TBs -> IPC
 	isoRun   map[string]*stats.RunResult // name -> full-occupancy isolated result
 	isoSerie map[string]*stats.RunResult // name -> isolated result with series
-	snaps    map[string]*gpu.Snapshot    // warmup-family key -> warmed machine
 
 	// In-flight deduplication for cache misses (one simulation per key
 	// even under concurrent demand).
 	runFlight   flight.Group[string, *stats.RunResult]
 	serieFlight flight.Group[string, *stats.RunResult]
 	ipcFlight   flight.Group[string, float64]
-	snapFlight  flight.Group[string, *gpu.Snapshot]
 
 	// onProfile, when set (by tests), is called on the simulating
 	// goroutine before every isolated profile simulation.
 	onProfile func(ctx context.Context, kernel string, tbs int)
-
-	// Fork observability (read via ForkStats, exported by /statz).
-	forksTaken    atomic.Int64
-	snapshotBytes atomic.Int64
 }
 
 // NewSession creates a session simulating cycles cycles per run.
@@ -96,15 +79,7 @@ func NewSession(cfg Config, cycles int64) *Session {
 		isoIPC:        make(map[string]map[int]float64),
 		isoRun:        make(map[string]*stats.RunResult),
 		isoSerie:      make(map[string]*stats.RunResult),
-		snaps:         make(map[string]*gpu.Snapshot),
 	}
-}
-
-// ForkStats reports the session's snapshot-fork counters: how many runs
-// were forked from a cached warm snapshot, and the total estimated
-// footprint of the snapshots held.
-func (s *Session) ForkStats() (forksTaken, snapshotBytes int64) {
-	return s.forksTaken.Load(), s.snapshotBytes.Load()
 }
 
 // Config returns the session's architecture configuration.
@@ -145,8 +120,8 @@ var simsInFlight atomic.Int64
 // simulating counts the caller as one simulation in flight until the
 // returned function is called: defer simulating()(). A profile counts
 // from its hook on, an evaluation from building the machine to its
-// result (its warm-up legs and a wait for a shared warm snapshot
-// included: erring on the busy side starts fewer helpers, never more).
+// result (both warm-up legs included: erring on the busy side starts
+// fewer helpers, never more).
 func simulating() func() {
 	simsInFlight.Add(1)
 	return func() { simsInFlight.Add(-1) }
@@ -700,7 +675,7 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 	if ck != nil && ck.Every > 0 && opts.Hook == nil && !opts.UCP.Enabled && scheme.Warmup <= 0 {
 		res, resumedFrom, err = s.executeCheckpointed(ctx, descs, opts, ck)
 	} else {
-		res, err = s.execute(ctx, descs, quota, scheme.Warmup, opts)
+		res, err = s.execute(descs, scheme.Warmup, opts)
 	}
 	if err != nil {
 		return nil, resumedFrom, wrapInterrupt(ctx, err)
@@ -810,35 +785,30 @@ func (s *Session) executeCheckpointed(ctx context.Context, descs []*kern.Desc, o
 // execute runs the evaluation simulation. With warmup <= 0 it is a
 // plain gpu.Run. With warmup > 0 it runs the two-leg warm-then-manage
 // sequence: an unmanaged warmup leg (no issue policies, UCP or bypass),
-// then InstallPolicies and the managed remainder. The fork path
-// replaces the warm leg with a restore from the family's cached warm
-// snapshot — everything after the warm boundary is the same code in
-// both paths, which is what makes cold and forked runs byte-identical.
-func (s *Session) execute(ctx context.Context, descs []*kern.Desc, quota [][]int, warmup int64, opts *gpu.Options) (*stats.RunResult, error) {
+// then InstallPolicies and the managed remainder.
+func (s *Session) execute(descs []*kern.Desc, warmup int64, opts *gpu.Options) (*stats.RunResult, error) {
 	defer simulating()()
 	if warmup <= 0 {
 		return gpu.Run(s.cfg, descs, opts)
 	}
-	warmOpts := s.warmupOptions(ctx, quota, opts.Series)
+	// The warm leg's Cycles carries the full run length: gpu.New sizes
+	// the series buckets from it, and the buckets must span both legs.
+	warmOpts := &gpu.Options{
+		Cycles:    opts.Cycles,
+		Quota:     opts.Quota,
+		Series:    opts.Series,
+		Interrupt: opts.Interrupt,
+		Check:     opts.Check,
+		PhaseTime: opts.PhaseTime,
+	}
 	g, err := gpu.New(s.cfg, descs, warmOpts)
 	if err != nil {
 		return nil, err
 	}
-	if s.ForkWarmup {
-		sn, err := s.warmSnapshot(ctx, descs, quota, warmup, opts.Series)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.Restore(sn); err != nil {
-			return nil, err
-		}
-		s.forksTaken.Add(1)
-	} else {
-		warmLeg := *warmOpts
-		warmLeg.Cycles = warmup
-		if err := g.RunCycles(&warmLeg); err != nil {
-			return nil, err
-		}
+	warmLeg := *warmOpts
+	warmLeg.Cycles = warmup
+	if err := g.RunCycles(&warmLeg); err != nil {
+		return nil, err
 	}
 	g.InstallPolicies(opts)
 	mainLeg := *opts
@@ -849,86 +819,6 @@ func (s *Session) execute(ctx context.Context, descs []*kern.Desc, quota [][]int
 	res := g.Result()
 	g.Close()
 	return res, nil
-}
-
-// warmupOptions builds the unmanaged warm leg's Options. Cycles carries
-// the full run length — gpu.New sizes the series buckets from it, and
-// the buckets must span both legs.
-func (s *Session) warmupOptions(ctx context.Context, quota [][]int, series bool) *gpu.Options {
-	return &gpu.Options{
-		Cycles:    s.cycles,
-		Quota:     quota,
-		Series:    series,
-		Interrupt: interruptOf(ctx),
-		Check:     gpu.CheckConfig{Enabled: s.Check},
-		PhaseTime: s.PhaseTime,
-	}
-}
-
-// familyKey fingerprints a warmup family: everything that shapes the
-// warmed machine's state. Scheme mechanisms are deliberately absent —
-// they only apply after the warm boundary, which is exactly why family
-// members can share one snapshot.
-func (s *Session) familyKey(descs []*kern.Desc, quota [][]int, warmup int64, series bool) (string, error) {
-	payload := struct {
-		Config  Config
-		Kernels []*kern.Desc
-		Quota   [][]int
-		Cycles  int64
-		Warmup  int64
-		Series  bool
-	}{s.cfg, descs, quota, s.cycles, warmup, series}
-	b, err := json.Marshal(payload)
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:]), nil
-}
-
-// warmSnapshot returns the family's warmed snapshot, simulating the
-// warmup prefix once per family no matter how many concurrent runs
-// request it (flight-group deduplication, same pattern as the profile
-// caches).
-func (s *Session) warmSnapshot(ctx context.Context, descs []*kern.Desc, quota [][]int, warmup int64, series bool) (*gpu.Snapshot, error) {
-	key, err := s.familyKey(descs, quota, warmup, series)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	sn, ok := s.snaps[key]
-	s.mu.Unlock()
-	if ok {
-		return sn, nil
-	}
-	return shared(ctx, &s.snapFlight, key, true, func() (*gpu.Snapshot, error) {
-		s.mu.Lock()
-		sn, ok := s.snaps[key]
-		s.mu.Unlock()
-		if ok {
-			return sn, nil
-		}
-		warmOpts := s.warmupOptions(ctx, quota, series)
-		g, err := gpu.New(s.cfg, descs, warmOpts)
-		if err != nil {
-			return nil, err
-		}
-		leg := *warmOpts
-		leg.Cycles = warmup
-		if err := g.RunCycles(&leg); err != nil {
-			return nil, err
-		}
-		sn, err = g.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		g.Close()
-		s.mu.Lock()
-		s.snaps[key] = sn
-		s.mu.Unlock()
-		s.snapshotBytes.Add(sn.Bytes())
-		return sn, nil
-	})
 }
 
 func toPtrs(ds []Kernel) []*kern.Desc {
