@@ -30,7 +30,6 @@ import (
 	gcke "repro"
 	"repro/internal/cli"
 	"repro/internal/harness"
-	"repro/internal/journal"
 )
 
 func main() {
@@ -43,7 +42,7 @@ func main() {
 	pairsFlag := flag.String("pairs", "default", "pair set: default or all")
 	only := flag.String("only", "", "comma-separated experiment subset (e.g. fig12,fig13)")
 	paperScale := flag.Bool("paper-scale", false, "16 SMs and 2M cycles (slow)")
-	parallel := flag.Int("parallel", 0, "worker pool size per experiment (0 = GOMAXPROCS, 1 = serial)")
+	parallel := flag.Int("parallel", 0, "worker pool size, shared by every experiment (0 = GOMAXPROCS, 1 = serial)")
 	check := flag.Bool("check", false, "enable the per-cycle simulator invariant watchdog")
 	journalPath := flag.String("journal", "", "checkpoint journal path; completed points are replayed on restart (empty = disabled)")
 	prof := cli.AddProfileFlags(flag.CommandLine)
@@ -66,21 +65,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	session := gcke.NewSession(cfg, *cycles)
-	session.ProfileCycles = *profCycles
-	session.Check = *check
-	session.PhaseTime = prof.PhaseTrace
-	var jnl *journal.Journal
-	if *journalPath != "" {
-		var err error
-		jnl, err = journal.Open(*journalPath)
-		if err != nil {
-			log.Fatal(err)
-		}
+	// One runner for the whole process: experiments that share points
+	// (fig12 and paper-vs-measured) simulate them once.
+	run := harness.NewRunner(*parallel)
+	run.Check = *check
+	run.PhaseTime = prof.PhaseTrace
+	session, err := run.Session(cfg, *cycles, *profCycles)
+	if err != nil {
+		log.Fatal(err)
+	}
+	jnl, err := (&cli.Robustness{JournalPath: *journalPath}).OpenJournal(log.Printf)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if jnl != nil {
 		defer jnl.Close()
-		if n := jnl.Len(); n > 0 {
-			fmt.Printf("journal %s: resuming past %d checkpointed point(s)\n", *journalPath, n)
-		}
+		run.Journal = jnl
 	}
 	profilePath := filepath.Join(*outDir, "profiles.json")
 	if err := session.LoadProfiles(profilePath); err == nil {
@@ -117,10 +117,7 @@ func main() {
 			log.Fatal(err)
 		}
 		defer f.Close()
-		h := harness.New(session, f)
-		h.Parallel = *parallel
-		h.Ctx = ctx
-		h.Journal = jnl
+		h := &harness.Harness{S: session, Out: f, Ctx: ctx, Runner: run}
 		start := time.Now()
 		if err := fn(h); err != nil {
 			if errors.Is(err, context.Canceled) {

@@ -1,6 +1,6 @@
 // Command ckeserve runs the simulator as a long-lived HTTP job service:
-// clients POST simulation jobs (and sweeps) and the service executes
-// them on the concurrent runner pool with bounded admission, retry with
+// clients POST simulation jobs and the service executes them on the
+// concurrent runner pool with bounded admission, retry with
 // deterministic backoff, a per-fingerprint circuit breaker, journal
 // checkpointing, and SIGTERM drain. See internal/server for the
 // degradation model and DESIGN.md §10 for the architecture.
@@ -17,16 +17,11 @@ import (
 	"context"
 	"flag"
 	"log"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/chaos"
-	"repro/internal/ckpt"
 	"repro/internal/cli"
-	"repro/internal/journal"
-	"repro/internal/resultcache"
 	"repro/internal/server"
 )
 
@@ -44,7 +39,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "persist the result cache to <dir>/results.jsonl across restarts (implies -cache)")
 	check := flag.Bool("check", false, "enable the per-cycle simulator invariant watchdog")
 	phaseTrace := flag.Bool("phasetrace", false, "measure per-phase engine time; /statz reports the breakdown under phase_ns")
-	targetLatency := flag.Duration("target-latency", 0, "AIMD per-attempt latency target; the in-flight limit adapts toward it (0 = fixed slots+queue bound)")
 	retryBudget := flag.Float64("retry-budget", 0.1, "retry tokens earned per completed job (retries beyond the budget fail fast)")
 	retryBurst := flag.Float64("retry-burst", 10, "retry-budget token cap (also the initial balance)")
 	breakerN := flag.Int("breaker-threshold", 3, "invariant violations per job fingerprint before its circuit opens")
@@ -61,7 +55,6 @@ func main() {
 		JobTimeout:       *timeout,
 		MaxRetries:       *retries,
 		Retry:            backoff.Default(),
-		TargetLatency:    *targetLatency,
 		RetryBudgetRatio: *retryBudget,
 		RetryBudgetBurst: *retryBurst,
 		BreakerThreshold: *breakerN,
@@ -70,35 +63,16 @@ func main() {
 		PhaseTrace:       *phaseTrace,
 		Worker:           *workerMode,
 	}
-	if *cacheOn || *cacheDir != "" {
-		var copts resultcache.Options
-		if *cacheDir != "" {
-			if err := os.MkdirAll(*cacheDir, 0o755); err != nil {
-				log.Fatal(err)
-			}
-			copts.Path = filepath.Join(*cacheDir, "results.jsonl")
-		}
-		c, err := resultcache.Open(copts)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Cache = c
-		if n := c.Len(); n > 0 {
-			log.Printf("result cache %s: %d cached job(s) will serve without simulating", copts.Path, n)
-		}
+	stores := &cli.Robustness{JournalPath: *journalPath, Cache: *cacheOn, CacheDir: *cacheDir,
+		CkptDir: *ckptDir, CkptEvery: *ckptEvery}
+	var err error
+	if cfg.Cache, err = stores.OpenCache(log.Printf); err != nil {
+		log.Fatal(err)
 	}
-	if *ckptDir != "" {
-		if *ckptEvery <= 0 {
-			*ckptEvery = 50_000
-		}
-		st, err := ckpt.OpenStore(*ckptDir)
-		if err != nil {
-			log.Fatal(err)
-		}
-		cfg.Checkpoints = st
-		cfg.CheckpointEvery = *ckptEvery
-		log.Printf("checkpoints: %s, every %d cycles (killed jobs resume mid-flight)", *ckptDir, *ckptEvery)
+	if cfg.Checkpoints, err = stores.OpenCheckpoints(log.Printf); err != nil {
+		log.Fatal(err)
 	}
+	cfg.CheckpointEvery = stores.CkptEvery
 	if *chaosSpec != "" {
 		ccfg, err := chaos.Parse(*chaosSpec)
 		if err != nil {
@@ -109,15 +83,8 @@ func main() {
 			log.Printf("chaos armed: %s (every resilience path is live-fire)", *chaosSpec)
 		}
 	}
-	if *journalPath != "" {
-		jnl, err := journal.Open(*journalPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if n := jnl.Len(); n > 0 {
-			log.Printf("journal %s: %d checkpointed job(s) will replay without simulating", *journalPath, n)
-		}
-		cfg.Journal = jnl
+	if cfg.Journal, err = stores.OpenJournal(log.Printf); err != nil {
+		log.Fatal(err)
 	}
 	srv := server.New(cfg)
 

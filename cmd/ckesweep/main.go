@@ -119,13 +119,6 @@ func main() {
 			})
 		}
 	}
-	unique, expand, err := dedupeJobs(jobs)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if n := len(jobs) - len(unique); n > 0 {
-		log.Printf("collapsed %d duplicate grid point(s): %d unique of %d submitted", n, len(unique), len(jobs))
-	}
 	jnl, err := rb.OpenJournal(log.Printf)
 	if err != nil {
 		log.Fatal(err)
@@ -146,7 +139,7 @@ func main() {
 	}
 	r := runner.New(*parallel)
 	rb.Apply(r, jnl, rcache, ckpts)
-	results := expand(r.Run(ctx, unique))
+	results := r.Run(ctx, jobs) // a repeated limit simulates once
 	failed, err := rb.Failures(log.Printf, results)
 	if err != nil {
 		log.Fatal(err)
@@ -300,39 +293,6 @@ func fleetSweep(ctx context.Context, rb *cli.Robustness, o fleetOptions, pair st
 		return 1
 	}
 	return 0
-}
-
-// dedupeJobs collapses jobs with identical fingerprints (runner.Job.Key)
-// at parse time, before any simulation: a grid spec like "2,2,4" submits
-// duplicate points, and the engine is deterministic, so simulating a
-// fingerprint once is enough. It returns the unique jobs in
-// first-appearance order and an expand function mapping the unique
-// results back onto the original grid shape.
-func dedupeJobs(jobs []runner.Job) ([]runner.Job, func([]runner.Result) []runner.Result, error) {
-	var unique []runner.Job
-	firstOf := make(map[string]int) // fingerprint -> index in unique
-	slot := make([]int, len(jobs))  // original index -> index in unique
-	for i := range jobs {
-		key, err := jobs[i].Key()
-		if err != nil {
-			return nil, nil, err
-		}
-		u, ok := firstOf[key]
-		if !ok {
-			u = len(unique)
-			firstOf[key] = u
-			unique = append(unique, jobs[i])
-		}
-		slot[i] = u
-	}
-	expand := func(res []runner.Result) []runner.Result {
-		out := make([]runner.Result, len(slot))
-		for i, u := range slot {
-			out[i] = res[u]
-		}
-		return out
-	}
-	return unique, expand, nil
 }
 
 // parseGrid parses the comma-separated limit list, rejecting anything

@@ -4,72 +4,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro"
-	"repro/internal/runner"
 )
-
-// TestDedupeJobs: a grid with repeated limits submits duplicate
-// fingerprints; dedupeJobs must collapse them at parse time and the
-// expand function must restore the original grid shape, sharing one
-// Result across the duplicates.
-func TestDedupeJobs(t *testing.T) {
-	bp, _ := gcke.Benchmark("bp")
-	ks, _ := gcke.Benchmark("ks")
-	mk := func(l0, l1 int) runner.Job {
-		return runner.Job{
-			Config: gcke.ScaledConfig(2), Cycles: 10_000,
-			Kernels: []gcke.Kernel{bp, ks},
-			Scheme: gcke.Scheme{
-				Partition: gcke.PartitionEven, Limiting: gcke.LimitStatic,
-				StaticLimits: []int{l0, l1},
-			},
-		}
-	}
-	// The grid "4,4,8" yields 9 points, only 4 distinct: (4,4) x4,
-	// (4,8) x2, (8,4) x2, (8,8) x1.
-	var jobs []runner.Job
-	for _, l0 := range []int{4, 4, 8} {
-		for _, l1 := range []int{4, 4, 8} {
-			jobs = append(jobs, mk(l0, l1))
-		}
-	}
-	unique, expand, err := dedupeJobs(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(unique) != 4 {
-		t.Fatalf("unique jobs = %d, want 4", len(unique))
-	}
-	res := make([]runner.Result, len(unique))
-	for i := range res {
-		key, err := unique[i].Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res[i] = runner.Result{Key: key}
-	}
-	full := expand(res)
-	if len(full) != len(jobs) {
-		t.Fatalf("expanded to %d results, want %d", len(full), len(jobs))
-	}
-	for i := range jobs {
-		key, err := jobs[i].Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if full[i].Key != key {
-			t.Fatalf("slot %d: expanded result has key %s, want %s", i, full[i].Key, key)
-		}
-	}
-	// Duplicate slots share the first occurrence's result.
-	if full[0].Key != full[1].Key || full[0].Key != full[3].Key || full[0].Key != full[4].Key {
-		t.Fatal("duplicate (4,4) points did not collapse onto one result")
-	}
-	if full[2].Key == full[0].Key || full[8].Key == full[0].Key {
-		t.Fatal("distinct points collapsed")
-	}
-}
 
 func TestParseGrid(t *testing.T) {
 	lims, err := parseGrid("2,4, 8 ,0")

@@ -84,7 +84,7 @@ func drainableWorker(t *testing.T) (*httptest.Server, *atomic.Bool) {
 			case "/readyz":
 				http.Error(w, "draining", http.StatusServiceUnavailable)
 				return
-			case "/jobs", "/sweep":
+			case "/jobs":
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusServiceUnavailable)
 				json.NewEncoder(w).Encode(map[string]string{"error": "draining"})

@@ -27,7 +27,7 @@ func (h *Harness) Table2() ([]Table2Row, error) {
 	cfg := h.S.Config()
 	names := kern.Names()
 	rows := make([]Table2Row, len(names))
-	err := runner.MapErr(h.ctx(), h.Parallel, len(names), func(i int) error {
+	err := runner.MapErr(h.ctx(), h.Runner.Workers(), len(names), func(i int) error {
 		d, err := gckeBenchmark(names[i])
 		if err != nil {
 			return err

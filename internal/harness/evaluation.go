@@ -162,17 +162,26 @@ func (h *Harness) Figure14(triples []Workload) error {
 		triples, set, evaluationMetrics()[:3])
 }
 
+// on returns a harness for another machine that writes to, cancels with
+// and runs on h's writer, context and runner.
+func (h *Harness) on(cfg gcke.Config, cycles, profileCycles int64) (*Harness, error) {
+	s, err := h.Runner.Session(cfg, cycles, profileCycles)
+	if err != nil {
+		return nil, err
+	}
+	return &Harness{S: s, Out: h.Out, Ctx: h.Ctx, Runner: h.Runner}, nil
+}
+
 // SensitivityL1D re-runs the core comparison with 48KB and 96KB L1Ds
-// (Section 4.3). It builds fresh sessions since the architecture
-// changes.
+// (Section 4.3), on sessions for the changed architecture.
 func SensitivityL1D(base gcke.Config, cycles int64, profileCycles int64, pairs []Workload, out *Harness) error {
 	for _, size := range []int{48 * 1024, 96 * 1024} {
 		cfg := base
 		cfg.L1D.SizeBytes = size
-		s := gcke.NewSession(cfg, cycles)
-		s.ProfileCycles = profileCycles
-		h := New(s, out.Out)
-		h.Parallel = out.Parallel
+		h, err := out.on(cfg, cycles, profileCycles)
+		if err != nil {
+			return err
+		}
 		title := "Sensitivity — L1D capacity " + strconv.Itoa(size/1024) + "KB"
 		if err := h.compare(title, pairs, wsSchemes(), evaluationMetrics()[:2]); err != nil {
 			return err
@@ -186,10 +195,10 @@ func SensitivityL1D(base gcke.Config, cycles int64, profileCycles int64, pairs [
 func SensitivityLRR(base gcke.Config, cycles int64, profileCycles int64, pairs []Workload, out *Harness) error {
 	cfg := base
 	cfg.SM.Scheduler = config.LRR
-	s := gcke.NewSession(cfg, cycles)
-	s.ProfileCycles = profileCycles
-	h := New(s, out.Out)
-	h.Parallel = out.Parallel
+	h, err := out.on(cfg, cycles, profileCycles)
+	if err != nil {
+		return err
+	}
 	return h.compare("Sensitivity — LRR warp scheduling", pairs, wsSchemes(), evaluationMetrics()[:2])
 }
 
@@ -211,10 +220,10 @@ func (h *Harness) AblationGlobalDMIL(pairs []Workload) error {
 func AblationMSHR(base gcke.Config, cycles int64, profileCycles int64, pairs []Workload, out *Harness) error {
 	cfg := base
 	cfg.L1D.MSHRs = 256
-	s := gcke.NewSession(cfg, cycles)
-	s.ProfileCycles = profileCycles
-	h := New(s, out.Out)
-	h.Parallel = out.Parallel
+	h, err := out.on(cfg, cycles, profileCycles)
+	if err != nil {
+		return err
+	}
 	return h.compare("Sensitivity — 256 L1D MSHRs", pairs, wsSchemes(), evaluationMetrics()[:2])
 }
 

@@ -10,12 +10,10 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 
 	gcke "repro"
-	"repro/internal/flight"
-	"repro/internal/journal"
 	"repro/internal/kern"
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/stats"
 )
@@ -101,35 +99,37 @@ func DefaultTriples() []Workload {
 	return out
 }
 
-// Harness runs and caches experiments against one Session. Experiment
-// grids (every workload x scheme block) fan out over a bounded worker
-// pool; because the engine is deterministic and results are rendered in
-// submission order, the tables are byte-identical to a serial run.
+// Harness renders experiments against one Session. Every workload run
+// is a runner.Job on the harness's Runner; because the engine is
+// deterministic and results come back in submission order, the tables
+// are byte-identical to a serial run.
 type Harness struct {
 	S   *gcke.Session
 	Out io.Writer
-	// Parallel bounds the worker pool used for experiment grids
-	// (0 = GOMAXPROCS, 1 = strictly serial).
-	Parallel int
 	// Ctx, when non-nil, threads cancellation and deadlines into every
 	// simulation the harness starts (nil means context.Background()).
-	// Set it before the first Run.
 	Ctx context.Context
-	// Journal, when non-nil, checkpoints every completed workload run
-	// keyed by its deterministic job fingerprint: on restart, journaled
-	// points are replayed instead of re-simulated, and because the
-	// engine is deterministic the re-rendered tables are byte-identical
-	// to an uninterrupted run. Set it before the first Run.
-	Journal *journal.Journal
-
-	mu     sync.Mutex
-	cache  map[string]*gcke.WorkloadResult
-	flight flight.Group[string, *gcke.WorkloadResult]
+	// Runner executes the harness's simulations: its pool bounds
+	// experiment grids and the per-benchmark fan-outs, its result cache
+	// serves a point already simulated, and its journal, when set,
+	// checkpoints every completed point so a restarted run replays it.
+	// Harnesses sharing a Runner share points.
+	Runner *runner.Runner
 }
 
-// New creates a harness writing its tables to out.
+// New creates a harness writing its tables to out, on a runner from
+// NewRunner(0).
 func New(s *gcke.Session, out io.Writer) *Harness {
-	return &Harness{S: s, Out: out, cache: make(map[string]*gcke.WorkloadResult)}
+	return &Harness{S: s, Out: out, Runner: NewRunner(0)}
+}
+
+// NewRunner returns a runner with the given pool size (0 = GOMAXPROCS,
+// 1 = strictly serial) and a memory-only result cache, so a point one
+// figure simulated is served to the next.
+func NewRunner(workers int) *runner.Runner {
+	r := runner.New(workers)
+	r.Cache, _ = resultcache.Open(resultcache.Options{}) // memory-only: cannot fail
+	return r
 }
 
 func (h *Harness) printf(format string, args ...any) {
@@ -156,81 +156,40 @@ func (h *Harness) kernels(w Workload) ([]gcke.Kernel, error) {
 	return out, nil
 }
 
-// Run simulates workload w under scheme, memoized. It is safe to call
-// concurrently; concurrent calls with the same key share one simulation.
+// Run simulates workload w under scheme: RunAll of one job.
 func (h *Harness) Run(w Workload, scheme gcke.Scheme) (*gcke.WorkloadResult, error) {
-	key := w.Label() + "|" + scheme.Name() + fmt.Sprintf("|s%v|u%v|%v|q%v|b%v", scheme.Series, scheme.UCP, scheme.StaticLimits, scheme.QBMIRefreshAllZero, scheme.BypassL1) + fmt.Sprintf("|t%v", scheme.TBThrottle)
-	h.mu.Lock()
-	r, ok := h.cache[key]
-	h.mu.Unlock()
-	if ok {
-		return r, nil
+	res, err := h.RunAll([]Workload{w}, []gcke.Scheme{scheme})
+	if err != nil {
+		return nil, err
 	}
-	return h.flight.Do(key, func() (*gcke.WorkloadResult, error) {
-		h.mu.Lock()
-		r, ok := h.cache[key]
-		h.mu.Unlock()
-		if ok {
-			return r, nil
-		}
+	return res[0][0], nil
+}
+
+// RunAll runs every workload under every scheme as one runner.Run call
+// and returns results indexed [workload][scheme]. The first error (in
+// grid order) aborts with a nil matrix.
+func (h *Harness) RunAll(workloads []Workload, schemes []gcke.Scheme) ([][]*gcke.WorkloadResult, error) {
+	jobs := make([]runner.Job, 0, len(workloads)*len(schemes))
+	for _, w := range workloads {
 		ds, err := h.kernels(w)
 		if err != nil {
 			return nil, err
 		}
-		// Checkpoint fingerprint: the same identity the runner journals
-		// under, so sweeps and harness figures share one journal.
-		var ckpt string
-		if h.Journal != nil {
-			job := runner.Job{Session: h.S, Kernels: ds, Scheme: scheme}
-			ckpt, err = job.Key()
-			if err != nil {
-				return nil, fmt.Errorf("%s under %s: %w", w.Label(), scheme.Name(), err)
-			}
-			var res gcke.WorkloadResult
-			if ok, err := h.Journal.Lookup(ckpt, &res); err != nil {
-				return nil, fmt.Errorf("%s under %s: reading journal: %w", w.Label(), scheme.Name(), err)
-			} else if ok {
-				h.mu.Lock()
-				h.cache[key] = &res
-				h.mu.Unlock()
-				return &res, nil
-			}
+		for _, sc := range schemes {
+			jobs = append(jobs, runner.Job{Session: h.S, Kernels: ds, Scheme: sc})
 		}
-		r, err = h.S.RunWorkloadCtx(h.ctx(), ds, scheme)
-		if err != nil {
-			return nil, fmt.Errorf("%s under %s: %w", w.Label(), scheme.Name(), err)
-		}
-		if h.Journal != nil {
-			if err := h.Journal.Append(ckpt, r); err != nil {
-				return nil, fmt.Errorf("%s under %s: checkpointing: %w", w.Label(), scheme.Name(), err)
-			}
-		}
-		h.mu.Lock()
-		h.cache[key] = r
-		h.mu.Unlock()
-		return r, nil
-	})
-}
-
-// RunAll simulates every workload under every scheme on the harness's
-// worker pool and returns results indexed [workload][scheme]. The first
-// error (in grid order) aborts with a nil matrix.
-func (h *Harness) RunAll(workloads []Workload, schemes []gcke.Scheme) ([][]*gcke.WorkloadResult, error) {
-	results := make([][]*gcke.WorkloadResult, len(workloads))
-	for i := range results {
-		results[i] = make([]*gcke.WorkloadResult, len(schemes))
 	}
-	err := runner.MapErr(h.ctx(), h.Parallel, len(workloads)*len(schemes), func(k int) error {
-		i, j := k/len(schemes), k%len(schemes)
-		r, err := h.Run(workloads[i], schemes[j])
-		if err != nil {
-			return err
+	res := h.Runner.Run(h.ctx(), jobs)
+	results := make([][]*gcke.WorkloadResult, len(workloads))
+	for i, w := range workloads {
+		results[i] = make([]*gcke.WorkloadResult, len(schemes))
+		for j, sc := range schemes {
+			r := res[i*len(schemes)+j]
+			if r.Err != nil {
+				return nil, fmt.Errorf("%s under %s: %w", w.Label(), sc.Name(), r.Err)
+			}
+			results[i][j] = r.Res
 		}
-		results[i][j] = r
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return results, nil
 }

@@ -2,7 +2,11 @@ package harness
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,6 +70,19 @@ func TestDefaultPairSets(t *testing.T) {
 	}
 }
 
+// mustJSON is a result's bytes, the form the runner caches and journals.
+func mustJSON(t *testing.T, r *gcke.WorkloadResult) []byte {
+	t.Helper()
+	raw, err := json.Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestRunMemoizes: a second Run of the same point is served from the
+// runner's result cache without simulating, with the same bytes; a
+// different scheme is a different point.
 func TestRunMemoizes(t *testing.T) {
 	h, _ := tinyHarness(t)
 	w := NewWorkload("bp", "sv")
@@ -78,16 +95,82 @@ func TestRunMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1 != r2 {
-		t.Fatal("identical runs must be memoized")
+	if hits := h.Runner.Cache.Stats().Hits; hits != 1 {
+		t.Fatalf("second Run: %d cache hits, want 1 (served without simulating)", hits)
 	}
-	// A different scheme must not hit the same cache entry.
+	if !bytes.Equal(mustJSON(t, r1), mustJSON(t, r2)) {
+		t.Fatal("memoized result differs from the simulated one")
+	}
 	r3, err := h.Run(w, gcke.Scheme{Partition: gcke.PartitionLeftover})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3 == r1 {
+	if h.Runner.Cache.Len() != 2 || bytes.Equal(mustJSON(t, r3), mustJSON(t, r1)) {
 		t.Fatal("cache key ignores the scheme")
+	}
+}
+
+// TestRunKeysOnTheWholeScheme: points that differ only in a scheme field
+// the harness once left out of its memo key (ManualTBs, Warmup) are
+// distinct runs with their own results.
+func TestRunKeysOnTheWholeScheme(t *testing.T) {
+	h, _ := tinyHarness(t)
+	w := NewWorkload("bp", "sv")
+	a, err := h.Run(w, gcke.Scheme{Partition: gcke.PartitionManual, ManualTBs: []int{1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := h.Run(w, gcke.Scheme{Partition: gcke.PartitionManual, ManualTBs: []int{3, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(a.TBPartition, b.TBPartition) {
+		t.Fatalf("ManualTBs [1 1] and [3 1] share partition %v", a.TBPartition)
+	}
+	cold, err := h.Run(w, gcke.Scheme{Partition: gcke.PartitionEven})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := h.Run(w, gcke.Scheme{Partition: gcke.PartitionEven, Warmup: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := h.Runner.Cache.Stats().Hits; hits != 0 {
+		t.Fatalf("%d of four distinct points served from the cache", hits)
+	}
+	if bytes.Equal(mustJSON(t, cold), mustJSON(t, warm)) {
+		t.Fatal("Warmup 5000 returned the Warmup 0 result")
+	}
+}
+
+// TestDerivedSessionStudiesUseTheCallersRunner: the studies that build
+// their own machine run on the caller's runner and context, so they
+// journal their points and stop on cancellation.
+func TestDerivedSessionStudiesUseTheCallersRunner(t *testing.T) {
+	pairs := tinyPairs()[1:]
+	jnl, err := journal.Open(filepath.Join(t.TempDir(), "sens.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	h, _ := tinyHarness(t)
+	h.Runner.Journal = jnl
+	if err := SensitivityLRR(h.S.Config(), 15_000, 10_000, pairs, h); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(pairs) * len(wsSchemes().schemes); jnl.Len() != want {
+		t.Fatalf("SensitivityLRR journaled %d points, want %d", jnl.Len(), want)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	h, _ = tinyHarness(t)
+	h.Ctx = ctx
+	if err := SensitivityLRR(h.S.Config(), 15_000, 10_000, pairs, h); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled SensitivityLRR returned %v, want context.Canceled", err)
+	}
+	if n := h.Runner.Cache.Len(); n != 0 {
+		t.Fatalf("cancelled SensitivityLRR completed %d points", n)
 	}
 }
 
@@ -207,8 +290,8 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		s.ProfileCycles = 10_000
 		var buf bytes.Buffer
 		h := New(s, &buf)
-		h.Parallel = parallel
-		h.Journal = jnl
+		h.Runner = NewRunner(parallel)
+		h.Runner.Journal = jnl
 		for _, fig := range figs {
 			if err := fig(h); err != nil {
 				t.Fatal(err)

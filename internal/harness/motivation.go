@@ -21,7 +21,7 @@ func (h *Harness) Figure3(a, b string) error {
 	}
 	h.printf("Figure 3(a) — isolated IPC vs thread blocks per SM\n")
 	curves := make([][]float64, 2)
-	if err := runner.MapErr(h.ctx(), h.Parallel, len(ds), func(i int) error {
+	if err := runner.MapErr(h.ctx(), h.Runner.Workers(), len(ds), func(i int) error {
 		c, err := h.S.CurveCtx(h.ctx(), ds[i])
 		curves[i] = c
 		return err
@@ -149,7 +149,7 @@ func (h *Harness) Figure6(a, b string, buckets int) error {
 	// independent simulations; overlap them on the pool.
 	iso := make([]*gcke.RunResult, 2)
 	var co *gcke.WorkloadResult
-	if err := runner.MapErr(h.ctx(), h.Parallel, 3, func(i int) error {
+	if err := runner.MapErr(h.ctx(), h.Runner.Workers(), 3, func(i int) error {
 		var err error
 		if i < 2 {
 			iso[i], err = h.S.RunIsolatedSeriesCtx(h.ctx(), ds[i])

@@ -1,8 +1,8 @@
-// Package overload holds the adaptive overload-control mechanisms the
-// service and fleet layers share: an AIMD limit on in-flight work, a
-// token-bucket retry budget that bounds aggregate retry amplification, a
-// per-job-family service-time estimator for deadline-aware admission,
-// and a ring buffer of recent queue waits for percentile reporting.
+// Package overload holds the overload-control mechanisms the service
+// and fleet layers share: a token-bucket retry budget that bounds
+// aggregate retry amplification, a per-job-family service-time
+// estimator for deadline-aware admission, and a ring buffer of recent
+// queue waits for percentile reporting.
 //
 // The design goal is graceful degradation under sustained overload: when
 // offered load exceeds capacity, goodput (jobs completed within their
@@ -11,9 +11,6 @@
 //   - work that can no longer meet its deadline is shed on arrival (or
 //     dropped at dequeue once it has gone stale) before it burns an
 //     engine slot,
-//   - the in-flight limit shrinks multiplicatively when per-attempt
-//     latency blows past its target, so the machine is never
-//     oversubscribed into the latency regime where every job misses,
 //   - and retries can never exceed a bounded fraction of fresh traffic,
 //     closing the retry-amplification loop behind metastable collapse.
 //
@@ -29,73 +26,6 @@ import (
 	"sync"
 	"time"
 )
-
-// AIMD is an additive-increase / multiplicative-decrease limit on
-// in-flight work, driven by per-attempt latency against a target. The
-// limit starts at the ceiling (optimistic), grows by ~1 per limit's
-// worth of fast samples, and shrinks by 30% — at most once per cooldown
-// window, so one burst of queued slow samples cannot collapse it to the
-// floor in a single round — whenever a sample overruns the target. A
-// zero target disables adaptation: the limit stays pinned at the
-// ceiling, which keeps the pre-adaptive fixed bound as the exact
-// behaviour of an unconfigured server.
-type AIMD struct {
-	mu     sync.Mutex
-	target time.Duration
-	limit  float64
-	floor  float64
-	ceil   float64
-	last   time.Time // last multiplicative decrease
-}
-
-// NewAIMD returns an AIMD limiter with the given latency target and
-// hard ceiling (floor is 1). target <= 0 disables adaptation.
-func NewAIMD(target time.Duration, ceil int) *AIMD {
-	if ceil < 1 {
-		ceil = 1
-	}
-	a := &AIMD{target: target, floor: 1, ceil: float64(ceil)}
-	a.limit = a.ceil
-	return a
-}
-
-// Observe folds one per-attempt latency into the limit.
-func (a *AIMD) Observe(d time.Duration) {
-	if a.target <= 0 {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if d <= a.target {
-		a.limit += 1 / a.limit
-		if a.limit > a.ceil {
-			a.limit = a.ceil
-		}
-		return
-	}
-	cool := a.target
-	if cool < 10*time.Millisecond {
-		cool = 10 * time.Millisecond
-	}
-	if time.Since(a.last) < cool {
-		return
-	}
-	a.last = time.Now()
-	a.limit *= 0.7
-	if a.limit < a.floor {
-		a.limit = a.floor
-	}
-}
-
-// Limit returns the current in-flight limit (always >= 1).
-func (a *AIMD) Limit() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.limit < 1 {
-		return 1
-	}
-	return int(a.limit)
-}
 
 // RetryBudget is a token bucket bounding aggregate retry amplification:
 // each retry spends one token, each success earns Ratio of one, and the

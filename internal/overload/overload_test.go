@@ -6,70 +6,6 @@ import (
 	"time"
 )
 
-func TestAIMDStartsAtCeiling(t *testing.T) {
-	a := NewAIMD(10*time.Millisecond, 8)
-	if got := a.Limit(); got != 8 {
-		t.Fatalf("initial limit = %d, want 8", got)
-	}
-}
-
-func TestAIMDDisabledWhenTargetZero(t *testing.T) {
-	a := NewAIMD(0, 6)
-	for i := 0; i < 100; i++ {
-		a.Observe(time.Hour) // would collapse an enabled limiter
-	}
-	if got := a.Limit(); got != 6 {
-		t.Fatalf("disabled limiter moved: limit = %d, want 6", got)
-	}
-}
-
-func TestAIMDDecreasesOnSlowSamples(t *testing.T) {
-	a := NewAIMD(time.Millisecond, 10)
-	// One decrease fires immediately; further ones wait out the cooldown.
-	a.Observe(time.Second)
-	if got := a.Limit(); got != 7 {
-		t.Fatalf("after one slow sample limit = %d, want 7", got)
-	}
-	// Within the cooldown window more slow samples are no-ops.
-	a.Observe(time.Second)
-	if got := a.Limit(); got != 7 {
-		t.Fatalf("cooldown violated: limit = %d, want 7", got)
-	}
-}
-
-func TestAIMDFloorIsOne(t *testing.T) {
-	a := NewAIMD(time.Nanosecond, 4)
-	for i := 0; i < 50; i++ {
-		a.Observe(time.Second)
-		a.mu.Lock()
-		a.last = time.Time{} // defeat the cooldown for the test
-		a.mu.Unlock()
-	}
-	if got := a.Limit(); got != 1 {
-		t.Fatalf("limit fell through the floor: %d", got)
-	}
-}
-
-func TestAIMDRecoversAdditively(t *testing.T) {
-	a := NewAIMD(time.Second, 10)
-	a.mu.Lock()
-	a.limit = 2
-	a.mu.Unlock()
-	// 1/limit per fast sample: from 2, ~17 samples reach 4.
-	for i := 0; i < 40; i++ {
-		a.Observe(time.Millisecond)
-	}
-	if got := a.Limit(); got <= 2 {
-		t.Fatalf("limit did not recover: %d", got)
-	}
-	for i := 0; i < 10000; i++ {
-		a.Observe(time.Millisecond)
-	}
-	if got := a.Limit(); got != 10 {
-		t.Fatalf("limit overshot or undershot ceiling: %d, want 10", got)
-	}
-}
-
 func TestRetryBudgetSpendAndEarn(t *testing.T) {
 	b := NewRetryBudget(0.5, 2)
 	if !b.Spend() || !b.Spend() {
@@ -199,7 +135,6 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 func TestConcurrentUseUnderRace(t *testing.T) {
-	a := NewAIMD(time.Millisecond, 16)
 	b := NewRetryBudget(0.1, 10)
 	e := NewEstimator()
 	r := NewWaitRing(64)
@@ -209,8 +144,6 @@ func TestConcurrentUseUnderRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				a.Observe(time.Duration(i%3) * time.Millisecond)
-				a.Limit()
 				if i%2 == 0 {
 					b.Earn()
 				} else {

@@ -223,16 +223,47 @@ var testJobHook func(i int, j *Job)
 // submission order. Every job runs to completion even if earlier jobs
 // fail — a panic or an invariant violation in one point surfaces as that
 // point's error; callers decide whether a single error aborts their
-// experiment. Cancelling ctx stops feeding the pool, interrupts jobs in
-// flight, and marks never-started jobs with the context's error.
+// experiment. Jobs with equal fingerprints are simulated once, at the
+// first such index — the one a panic or fault is attributed to — and
+// every duplicate slot gets that result. Cancelling
+// ctx stops feeding the pool, interrupts jobs in flight, and marks
+// never-started jobs with the context's error.
 func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	results := make([]Result, len(jobs))
-	Map(ctx, r.workers, len(jobs), func(i int) {
+	first := make([]int, len(jobs)) // slot -> index of the job that fills it
+	run := make([]int, 0, len(jobs))
+	var seen map[string]int
+	if len(jobs) > 1 {
+		seen = make(map[string]int, len(jobs))
+	}
+	for i := range jobs {
+		first[i] = i
+		key, err := jobs[i].Key()
+		results[i].Key, results[i].Err = key, err
+		if err != nil {
+			continue
+		}
+		if seen != nil {
+			if f, ok := seen[key]; ok {
+				first[i] = f
+				continue
+			}
+			seen[key] = i
+		}
+		run = append(run, i)
+	}
+	Map(ctx, r.workers, len(run), func(n int) {
+		i := run[n]
 		r.runJob(ctx, i, &jobs[i], &results[i])
 	})
+	for i, f := range first {
+		if f != i {
+			results[i] = results[f]
+		}
+	}
 	// Jobs the cancelled feeder never dispatched: attribute the
 	// cancellation rather than returning an inexplicable zero Result.
 	if err := ctx.Err(); err != nil {
@@ -245,13 +276,11 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 	return results
 }
 
+// runJob serves or simulates job i, whose fingerprint Run has already
+// stored in out.Key.
 func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
-	key, err := j.Key()
-	out.Key = key
-	if err != nil {
-		out.Err = err
-		return
-	}
+	key := out.Key
+	var err error
 	if !j.Fresh {
 		if hit, ok := r.Cached(key); ok {
 			*out = hit

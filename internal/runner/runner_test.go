@@ -1,8 +1,10 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -209,6 +211,90 @@ func TestRunRecoversPanicIntoJobError(t *testing.T) {
 	if !strings.Contains(pe.Error(), "injected worker fault") {
 		t.Fatalf("panic value lost: %v", pe)
 	}
+}
+
+// TestRunCollapsesDuplicateFingerprints: N copies of one job plus one
+// distinct job simulate once per fingerprint, every slot gets its key's
+// result in submission order, and with a journal attached each key is
+// journaled once and a rerun replays all slots without simulating.
+func TestRunCollapsesDuplicateFingerprints(t *testing.T) {
+	var sims atomic.Int32
+	var ran [8]atomic.Int32
+	testJobHook = func(i int, j *Job) {
+		sims.Add(1)
+		ran[i].Add(1)
+	}
+	defer func() { testJobHook = nil }()
+
+	bp, _ := gcke.Benchmark("bp")
+	sv, _ := gcke.Benchmark("sv")
+	s := testSession(t)
+	dup := Job{Session: s, Kernels: []gcke.Kernel{bp, sv}, Scheme: gcke.Scheme{Partition: gcke.PartitionEven}}
+	other := dup
+	other.Scheme = gcke.Scheme{Partition: gcke.PartitionLeftover}
+	// Slots 0-2 and 4-6 share a fingerprint; slot 3 is the distinct job.
+	jobs := []Job{dup, dup, dup, other, dup, dup, dup}
+	check := func(name string, results []Result, wantSims int32, replayed bool) {
+		t.Helper()
+		if err := FirstErr(results); err != nil {
+			t.Fatal(err)
+		}
+		if got := sims.Load(); got != wantSims {
+			t.Fatalf("%s: %d simulations, want %d", name, got, wantSims)
+		}
+		for i, res := range results {
+			want := results[0]
+			if i == 3 {
+				want = results[3]
+				if res.Key == results[0].Key {
+					t.Fatalf("%s: distinct job shares slot 0's fingerprint", name)
+				}
+			}
+			if res.Key != want.Key || !bytes.Equal(res.Raw, want.Raw) || res.Replayed != replayed {
+				t.Fatalf("%s: slot %d = {%s replayed=%v}, want {%s replayed=%v} and equal bytes",
+					name, i, res.Key, res.Replayed, want.Key, replayed)
+			}
+			if !reflect.DeepEqual(*res.Res.RunResult, *want.Res.RunResult) {
+				t.Fatalf("%s: slot %d result differs from its key's first slot", name, i)
+			}
+		}
+	}
+
+	for _, workers := range []int{1, 4} {
+		sims.Store(0)
+		for i := range ran {
+			ran[i].Store(0)
+		}
+		check(fmt.Sprintf("workers=%d", workers), New(workers).Run(context.Background(), jobs), 2, false)
+		if ran[0].Load() != 1 || ran[3].Load() != 1 {
+			t.Fatalf("workers=%d: simulations not attributed to the first index of each key", workers)
+		}
+	}
+
+	path := filepath.Join(t.TempDir(), "dup.journal")
+	j1, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := New(4)
+	r.Journal = j1
+	sims.Store(0)
+	check("journal", r.Run(context.Background(), jobs), 2, false)
+	if j1.Len() != 2 {
+		t.Fatalf("journal holds %d entries, want one per fingerprint (2)", j1.Len())
+	}
+	if err := j1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := journal.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	r = New(4)
+	r.Journal = j2
+	sims.Store(0)
+	check("replay", r.Run(context.Background(), jobs), 0, true)
 }
 
 // TestRunHonorsCancellation: a cancelled context marks every

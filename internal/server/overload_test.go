@@ -264,16 +264,11 @@ func TestRetryBudgetRefillsFromSuccesses(t *testing.T) {
 	}
 }
 
-// TestStatzOverloadGaugesMoveUnderLoad: the new /statz fields —
-// queue-wait percentiles, inflight_limit, shed_deadline — move when the
-// server is actually loaded, end-to-end through the HTTP surface.
+// TestStatzOverloadGaugesMoveUnderLoad: the /statz overload fields —
+// queue-wait percentiles, shed_deadline, retry_budget_tokens — move when
+// the server is actually loaded, end-to-end through the HTTP surface.
 func TestStatzOverloadGaugesMoveUnderLoad(t *testing.T) {
-	srv := New(Config{
-		Workers: 1, QueueDepth: 4, Retry: fastRetry(),
-		// An absurd 1ns target: every real attempt overruns it, so the
-		// AIMD limit must fall below its ceiling under load.
-		TargetLatency: time.Nanosecond,
-	})
+	srv := New(Config{Workers: 1, QueueDepth: 4, Retry: fastRetry()})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -317,28 +312,10 @@ func TestStatzOverloadGaugesMoveUnderLoad(t *testing.T) {
 		t.Fatalf("percentiles out of order: p50=%v p95=%v p99=%v",
 			st.QueueWaitP50Ms, st.QueueWaitP95Ms, st.QueueWaitP99Ms)
 	}
-	if ceil := srv.cfg.Workers + srv.cfg.QueueDepth; st.InflightLimit >= ceil {
-		t.Fatalf("inflight_limit = %d, want < ceiling %d after slow attempts", st.InflightLimit, ceil)
-	}
 	if st.ShedDeadline != 1 {
 		t.Fatalf("shed_deadline = %d, want 1", st.ShedDeadline)
 	}
 	if st.RetryBudgetTokens <= 0 {
 		t.Fatalf("retry_budget_tokens = %v, want > 0 on a healthy server", st.RetryBudgetTokens)
-	}
-}
-
-// TestAIMDDisabledKeepsFixedBound: without a TargetLatency the
-// inflight limit stays pinned at Workers+QueueDepth no matter how slow
-// attempts are — pre-adaptive behaviour is the default, exactly.
-func TestAIMDDisabledKeepsFixedBound(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 2, Retry: fastRetry()})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	if status, out := postJob(t, ts, smallJob(4)); status != http.StatusOK {
-		t.Fatalf("status %d, body %+v", status, out)
-	}
-	if got := srv.StatsSnapshot().InflightLimit; got != 3 {
-		t.Fatalf("inflight_limit = %d, want fixed 3", got)
 	}
 }

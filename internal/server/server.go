@@ -124,12 +124,6 @@ type Config struct {
 	// CheckpointEvery is the checkpoint interval in simulated cycles
 	// (0 disables checkpointing even with a store configured).
 	CheckpointEvery int64
-	// TargetLatency drives the adaptive (AIMD) in-flight limit: while
-	// per-attempt latency stays at or under the target the admission
-	// limit creeps up toward Workers+QueueDepth; every overrun shrinks
-	// it multiplicatively (floor 1). Zero disables adaptation and keeps
-	// the fixed Workers+QueueDepth bound as the admission gate.
-	TargetLatency time.Duration
 	// RetryBudgetRatio is the retry-budget refill per completed success
 	// (default 0.1 — retries bounded at ~10% of fresh traffic).
 	// Negative clamps to 0.
@@ -189,11 +183,9 @@ type Server struct {
 	hs      atomic.Pointer[http.Server]
 	drainng atomic.Bool
 
-	// Overload control: the AIMD limit is the admission gate (its
-	// ceiling is the old fixed Workers+QueueDepth bound), the estimator
-	// prices deadline admission per job family, the budget meters
-	// retries, and the wait ring feeds /statz queue-wait percentiles.
-	aimd   *overload.AIMD
+	// Overload control: the estimator prices deadline admission per job
+	// family, the budget meters retries, and the wait ring feeds /statz
+	// queue-wait percentiles.
 	budget *overload.RetryBudget
 	est    *overload.Estimator
 	waits  *overload.WaitRing
@@ -251,13 +243,11 @@ func New(cfg Config) *Server {
 		slots:  make(chan struct{}, cfg.Workers),
 		brk:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		mux:    http.NewServeMux(),
-		aimd:   overload.NewAIMD(cfg.TargetLatency, cfg.Workers+cfg.QueueDepth),
 		budget: overload.NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
 		est:    overload.NewEstimator(),
 		waits:  overload.NewWaitRing(0),
 	}
 	s.mux.HandleFunc("/jobs", s.handleJob)
-	s.mux.HandleFunc("/sweep", s.handleSweep)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/statz", s.handleStatz)
@@ -419,7 +409,8 @@ func (req *JobRequest) Family() string {
 
 // JobResponse is the wire shape of one job outcome.
 type JobResponse struct {
-	Key             string  `json:"key"`
+	Key string `json:"key"`
+	// Index is always 0; it stays on the wire for clients that read it.
 	Index           int     `json:"index"`
 	Attempts        int     `json:"attempts"`
 	Replayed        bool    `json:"replayed,omitempty"`
@@ -444,8 +435,8 @@ type JobResponse struct {
 	Digest string `json:"digest,omitempty"`
 }
 
-func (s *Server) response(index int, res runner.Result, attempts int, full bool) JobResponse {
-	out := JobResponse{Key: res.Key, Index: index, Attempts: attempts,
+func (s *Server) response(res runner.Result, attempts int, full bool) JobResponse {
+	out := JobResponse{Key: res.Key, Attempts: attempts,
 		Replayed: res.Replayed, Cached: res.Cached, ResumedFrom: res.ResumedFrom}
 	if res.Err != nil {
 		out.Error = res.Err.Error()
@@ -491,13 +482,10 @@ func corruptResult(r *gcke.WorkloadResult) *gcke.WorkloadResult {
 	return &cp
 }
 
-// admit claims an admission slot, shedding when the adaptive in-flight
-// limit is reached. The limit is the AIMD value — at most the old fixed
-// Workers+QueueDepth bound (its ceiling, and the exact gate when
-// TargetLatency is unset), shrinking toward 1 while attempts overrun
-// the latency target.
+// admit claims an admission slot, shedding once Workers+QueueDepth
+// requests are in the building.
 func (s *Server) admit() bool {
-	if s.queued.Add(1) > int64(s.aimd.Limit()) {
+	if s.queued.Add(1) > s.capacity() {
 		s.queued.Add(-1)
 		s.shedQueue.Add(1)
 		return false
@@ -507,6 +495,9 @@ func (s *Server) admit() bool {
 }
 
 func (s *Server) release() { s.queued.Add(-1) }
+
+// capacity is the admission bound: executing plus waiting requests.
+func (s *Server) capacity() int64 { return int64(s.cfg.Workers + s.cfg.QueueDepth) }
 
 // executeSlot runs one job through the retry loop on an execution slot.
 // family keys the service-time estimator; deadlineAt, when non-zero, is
@@ -593,7 +584,6 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key, family string
 					clamped = s.cfg.JobTimeout
 				}
 				s.observeLatency(clamped)
-				s.aimd.Observe(d)
 				if family != "" {
 					s.est.Observe(family, clamped)
 				}
@@ -609,12 +599,6 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key, family string
 			s.budget.Earn()
 			s.completed.Add(1)
 			return res, attempts
-		}
-		if errors.Is(res.Err, context.DeadlineExceeded) {
-			// A timed-out attempt is the strongest slow-latency signal the
-			// AIMD can get; successful-only sampling would go blind right
-			// when the server tips over.
-			s.aimd.Observe(time.Since(start))
 		}
 		last = res
 		var ie *sm.InvariantError
@@ -742,7 +726,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !fresh {
 		if res, ok := s.run.Cached(key); ok {
 			s.completed.Add(1)
-			writeJSON(w, http.StatusOK, s.response(0, res, 0, r.URL.Query().Get("full") == "1"))
+			writeJSON(w, http.StatusOK, s.response(res, 0, r.URL.Query().Get("full") == "1"))
 			return
 		}
 	}
@@ -794,97 +778,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	full := r.URL.Query().Get("full") == "1"
-	resp := s.response(0, res, attempts, full)
+	resp := s.response(res, attempts, full)
 	if res.Err != nil {
 		writeJSON(w, statusOf(res.Err), resp)
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleSweep accepts a JSON array of jobs and streams one NDJSON
-// JobResponse line per job, in submission order, as results become
-// available. The sweep holds one admission slot; its points share the
-// server's execution slots and each point goes through the same
-// breaker/retry path as a single job.
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeJSON(w, http.StatusMethodNotAllowed, map[string]string{"error": "POST only"})
-		return
-	}
-	if s.drainng.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining"})
-		return
-	}
-	var reqs []JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "decoding sweep: " + err.Error()})
-		return
-	}
-	if len(reqs) == 0 {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "empty sweep"})
-		return
-	}
-	jobs := make([]runner.Job, len(reqs))
-	keys := make([]string, len(reqs))
-	fams := make([]string, len(reqs))
-	for i := range reqs {
-		job, key, _, err := reqs[i].Build()
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest,
-				map[string]string{"error": fmt.Sprintf("job %d: %v", i, err)})
-			return
-		}
-		jobs[i], keys[i], fams[i] = job, key, reqs[i].Family()
-	}
-	if !s.admit() {
-		s.shed(w, s.retryAfterHint(), "admission queue full")
-		return
-	}
-	defer s.release()
-
-	ctx := r.Context()
-	full := r.URL.Query().Get("full") == "1"
-	out := make([]JobResponse, len(jobs))
-	done := make([]chan struct{}, len(jobs))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	go func() {
-		runner.Map(ctx, s.cfg.Workers, len(jobs), func(i int) {
-			if ok, wait := s.brk.allow(keys[i]); !ok {
-				s.shedBrk.Add(1)
-				out[i] = JobResponse{Key: keys[i], Index: i,
-					Error: fmt.Sprintf("circuit open: retry after %s", wait.Round(time.Second))}
-			} else {
-				res, attempts := s.executeSlot(ctx, jobs[i], keys[i], fams[i], time.Time{})
-				out[i] = s.response(i, res, attempts, full)
-			}
-			close(done[i])
-		})
-		// Points never dispatched (cancelled feeder): attribute the
-		// cancellation. Map has returned, so no concurrent writers.
-		for i := range done {
-			select {
-			case <-done[i]:
-			default:
-				out[i] = JobResponse{Key: keys[i], Index: i, Error: context.Cause(ctx).Error()}
-				close(done[i])
-			}
-		}
-	}()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	for i := range done {
-		<-done[i]
-		enc.Encode(out[i])
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
 }
 
 // handleHealthz is liveness: 200 while the process serves at all —
@@ -901,10 +800,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case s.drainng.Load():
 		http.Error(w, "draining", http.StatusServiceUnavailable)
-	case s.queued.Load() >= int64(s.aimd.Limit()):
-		// The adaptive limit is the real admission gate, so readiness
-		// tracks it — a load balancer stops routing when the server has
-		// shrunk itself, not only when the hard ceiling is hit.
+	case s.queued.Load() >= s.capacity():
 		http.Error(w, "saturated", http.StatusServiceUnavailable)
 	default:
 		fmt.Fprintln(w, "ready")
@@ -960,9 +856,6 @@ type Stats struct {
 	Completed    int64 `json:"completed"`
 	Failed       int64 `json:"failed"`
 	Queued       int64 `json:"queued"`
-	// InflightLimit is the current adaptive admission limit (AIMD;
-	// equals Workers+QueueDepth when TargetLatency is unset).
-	InflightLimit int `json:"inflight_limit"`
 	// RetryBudgetTokens is the retry bucket's current balance.
 	RetryBudgetTokens float64 `json:"retry_budget_tokens"`
 	// QueueWaitP50/95/99Ms are percentiles of recent queue waits
@@ -1031,7 +924,6 @@ func (s *Server) StatsSnapshot() Stats {
 		Draining:        s.drainng.Load(),
 		Worker:          s.cfg.Worker,
 
-		InflightLimit:     s.aimd.Limit(),
 		RetryBudgetTokens: s.budget.Tokens(),
 		QueueWaitP50Ms:    float64(s.waits.Percentile(0.50)) / 1e6,
 		QueueWaitP95Ms:    float64(s.waits.Percentile(0.95)) / 1e6,

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -374,71 +373,6 @@ func TestDrainFinishesInFlightAndJournal(t *testing.T) {
 	}
 	if ws := replayed.WeightedSpeedup(); ws != got.out.WeightedSpeedup {
 		t.Fatalf("resumed WS %v != served WS %v", ws, got.out.WeightedSpeedup)
-	}
-}
-
-// TestSweepStreamsInOrder: /sweep streams one NDJSON line per point in
-// submission order, surviving a mid-sweep injected panic via retry.
-func TestSweepStreamsInOrder(t *testing.T) {
-	srv := New(Config{
-		Workers: 4, Retry: fastRetry(), MaxRetries: 2,
-		Chaos: chaos.New(chaos.Config{Seed: 5, PanicProb: 0.5, Failures: 1}),
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	reqs := []JobRequest{smallJob(2), smallJob(4), smallJob(8), smallJob(16)}
-	body, _ := json.Marshal(reqs)
-	resp, err := ts.Client().Post(ts.URL+"/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	var lines []JobResponse
-	for sc.Scan() {
-		var out JobResponse
-		if err := json.Unmarshal(sc.Bytes(), &out); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		lines = append(lines, out)
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != len(reqs) {
-		t.Fatalf("got %d lines, want %d", len(lines), len(reqs))
-	}
-	for i, out := range lines {
-		if out.Index != i {
-			t.Fatalf("line %d has index %d: stream out of submission order", i, out.Index)
-		}
-		if out.Error != "" {
-			t.Fatalf("point %d failed despite retry budget: %+v", i, out)
-		}
-		if out.WeightedSpeedup <= 0 {
-			t.Fatalf("point %d has no result: %+v", i, out)
-		}
-	}
-	// Deterministic engine: the same sweep resubmitted (chaos budgets
-	// spent) returns identical metrics.
-	resp2, err := ts.Client().Post(ts.URL+"/sweep", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	sc2 := bufio.NewScanner(resp2.Body)
-	for i := 0; sc2.Scan(); i++ {
-		var out JobResponse
-		if err := json.Unmarshal(sc2.Bytes(), &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.WeightedSpeedup != lines[i].WeightedSpeedup {
-			t.Fatalf("point %d: WS %v on rerun, want %v", i, out.WeightedSpeedup, lines[i].WeightedSpeedup)
-		}
 	}
 }
 
