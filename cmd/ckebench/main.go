@@ -6,14 +6,23 @@
 //
 //	ckebench [-out results] [-sms 4] [-cycles 300000] [-profile-cycles 60000]
 //	         [-pairs default|all] [-only fig12,fig13] [-paper-scale] [-parallel N]
+//	         [-fleet URL,URL...]
 //
 // -paper-scale selects the full Table 1 machine (16 SMs) and 2M-cycle
-// runs; expect hours of runtime for the full suite.
+// runs: Figure 12 alone took 816 s on two cores, profiles included (see
+// results/paper-scale/).
 //
 // Each experiment's (workload x scheme) grid fans out over a bounded
 // worker pool (-parallel, default GOMAXPROCS). The engine is
 // deterministic and results are rendered in submission order, so the
 // output files are byte-identical to a serial (-parallel 1) run.
+//
+// With -fleet the grids run on ckeserve -worker processes instead, through
+// the fault-tolerant coordinator in internal/fleet (leases, requeues,
+// hedged stragglers, audits), with the same output files; -journal then
+// lets a restarted run skip what finished, and the workers' journals are
+// unioned in as well. Isolated characterisations (Table 2, Figure 3)
+// still run in this process; the workers profile for their own jobs.
 package main
 
 import (
@@ -22,13 +31,17 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"time"
 
 	gcke "repro"
+	"repro/internal/backoff"
+	"repro/internal/chaos"
 	"repro/internal/cli"
+	"repro/internal/fleet"
 	"repro/internal/harness"
 )
 
@@ -42,11 +55,20 @@ func main() {
 	pairsFlag := flag.String("pairs", "default", "pair set: default or all")
 	only := flag.String("only", "", "comma-separated experiment subset (e.g. fig12,fig13)")
 	paperScale := flag.Bool("paper-scale", false, "16 SMs and 2M cycles (slow)")
-	parallel := flag.Int("parallel", 0, "worker pool size, shared by every experiment (0 = GOMAXPROCS, 1 = serial)")
+	parallel := flag.Int("parallel", 0, "worker pool size, shared by every experiment (0 = GOMAXPROCS, 1 = serial); with -fleet the fleet's capacity sizes the grids' pool")
 	check := flag.Bool("check", false, "enable the per-cycle simulator invariant watchdog")
 	journalPath := flag.String("journal", "", "checkpoint journal path; completed points are replayed on restart (empty = disabled)")
+	timeout := flag.Duration("timeout", 0, "per-job wall-clock timeout; with -fleet, each lease's budget (0 = none)")
+	fleetURLs := flag.String("fleet", "", "comma-separated ckeserve -worker URLs to run the grids on (empty = this process)")
+	fleetAddr := flag.String("fleet-addr", "", "with -fleet: coordinator control-plane listen address (/statz, /healthz); empty = off")
+	fleetChaos := flag.String("fleet-chaos", "", "with -fleet: network fault injection on the dispatch path (dev only), e.g. net5xx=0.2,failures=1,seed=9")
+	hedgeAfter := flag.Duration("hedge-after", 0, "with -fleet: floor of the straggler-hedge threshold (0 = hedge once a latency EWMA exists; negative disables hedging)")
+	auditRate := flag.Float64("audit-rate", 0, "with -fleet: fraction of results re-executed on another worker and byte-compared (0 = off, 1 = all)")
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
+	if *check && *fleetURLs != "" {
+		log.Fatal("-check cannot be combined with -fleet: the workers do not run the invariant watchdog")
+	}
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	stopProf, err := prof.Start()
@@ -70,13 +92,32 @@ func main() {
 	run := harness.NewRunner(*parallel)
 	run.Check = *check
 	run.PhaseTime = prof.PhaseTrace
+	run.Timeout = *timeout
+	var co *fleet.Coordinator
+	// fatalf exits 1, printing the fleet summary first when there is a
+	// fleet: a failed run's counters are what there is to debug from.
+	fatalf := func(format string, args ...any) {
+		if co != nil {
+			logFleetStats(co)
+		}
+		log.Fatalf(format, args...)
+	}
+	if *fleetURLs != "" {
+		co, err = openFleet(strings.Split(*fleetURLs, ","), *fleetAddr, *fleetChaos, *timeout, *hedgeAfter, *auditRate)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer co.Close()
+		defer logFleetStats(co)
+		run.Executor = co
+	}
 	session, err := run.Session(cfg, *cycles, *profCycles)
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	jnl, err := (&cli.Robustness{JournalPath: *journalPath}).OpenJournal(log.Printf)
 	if err != nil {
-		log.Fatal(err)
+		fatalf("%v", err)
 	}
 	if jnl != nil {
 		defer jnl.Close()
@@ -114,7 +155,7 @@ func main() {
 		path := filepath.Join(*outDir, name+".txt")
 		f, err := os.Create(path)
 		if err != nil {
-			log.Fatal(err)
+			fatalf("%v", err)
 		}
 		defer f.Close()
 		h := &harness.Harness{S: session, Out: f, Ctx: ctx, Runner: run}
@@ -123,9 +164,9 @@ func main() {
 			if errors.Is(err, context.Canceled) {
 				// SIGINT/SIGTERM: completed points are already journaled;
 				// rerunning with the same -journal resumes from here.
-				log.Fatalf("%s: interrupted; checkpointed progress preserved", name)
+				fatalf("%s: interrupted; checkpointed progress preserved", name)
 			}
-			log.Fatalf("%s: %v", name, err)
+			fatalf("%s: %v", name, err)
 		}
 		fmt.Printf("%-12s -> %s (%.1fs)\n", name, path, time.Since(start).Seconds())
 	}
@@ -201,4 +242,47 @@ func main() {
 	runExp("paper-vs-measured", func(h *harness.Harness) error {
 		return h.PaperComparison(pairs, triples)
 	})
+}
+
+// logFleetStats prints the fleet's end-of-run summary line.
+func logFleetStats(co *fleet.Coordinator) {
+	st := co.StatsSnapshot()
+	log.Printf("fleet: %d completed (%d resumed), %d failed, %d dispatches, %d requeues (%d budget-paced), %d sheds, %d hedges (%d won), %d ejections, %d audits (%d mismatched), %d quarantined",
+		st.Completed, st.Resumed, st.Failed, st.Dispatched, st.Requeues, st.RetryBudgetWaits, st.Shed429, st.Hedges, st.HedgeWins, st.Ejections, st.Audits, st.AuditMismatches, st.Quarantined)
+}
+
+// openFleet assembles the coordinator -fleet names and, with addr, serves
+// its control plane.
+func openFleet(workers []string, addr, chaosSpec string, timeout, hedgeAfter time.Duration, auditRate float64) (*fleet.Coordinator, error) {
+	cfg := fleet.Config{
+		Workers:    workers,
+		JobTimeout: timeout,
+		Retry:      backoff.Default(),
+		HedgeAfter: hedgeAfter,
+		AuditRate:  auditRate,
+		Logf:       log.Printf,
+	}
+	if chaosSpec != "" {
+		ccfg, err := chaos.Parse(chaosSpec)
+		if err != nil {
+			return nil, err
+		}
+		if ccfg.Enabled() {
+			cfg.Transport = chaos.New(ccfg).Transport(nil)
+			log.Printf("fleet chaos armed: %s (network faults on the dispatch path)", chaosSpec)
+		}
+	}
+	co, err := fleet.New(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if addr != "" {
+		go func() {
+			log.Printf("fleet control plane on %s (/statz, /healthz)", addr)
+			if err := http.ListenAndServe(addr, co.Handler()); err != nil {
+				log.Printf("fleet control plane: %v", err)
+			}
+		}()
+	}
+	return co, nil
 }

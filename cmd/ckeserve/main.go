@@ -44,7 +44,7 @@ func main() {
 	breakerN := flag.Int("breaker-threshold", 3, "invariant violations per job fingerprint before its circuit opens")
 	breakerCool := flag.Duration("breaker-cooldown", time.Minute, "how long an open circuit sheds before allowing a probe")
 	chaosSpec := flag.String("chaos", "", "deterministic fault injection (dev only), e.g. panic=0.5,hang=0.2,journal=0.1,invariant=0.05,corrupt=0.3,seed=42,failures=1")
-	workerMode := flag.Bool("worker", false, "fleet-worker mode: expose /journalz so a ckesweep -fleet coordinator can resume from this worker's journal")
+	workerMode := flag.Bool("worker", false, "fleet-worker mode: expose /journalz so a fleet coordinator can resume from this worker's journal")
 	ckptDir := flag.String("ckpt-dir", "", "persist mid-job engine checkpoints to <dir>; a killed job resumes from its last checkpoint (empty = disabled)")
 	ckptEvery := flag.Int64("ckpt-every", 0, "checkpoint interval in simulated cycles (0 = 50000 when -ckpt-dir is set)")
 	flag.Parse()

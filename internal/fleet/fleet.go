@@ -3,14 +3,20 @@
 // protocol and keeps the sweep running — and its output byte-identical —
 // while workers die, hang, shed load, or answer garbage.
 //
-// The fault model and the mechanisms, in the order a job meets them:
+// The coordinator is a runner.Executor: runner.Run fingerprints each
+// job, runs a fingerprint repeated within one call once, serves its
+// result cache and journal, and hands every remaining miss to Execute.
+// The fault model and the mechanisms, in the order a miss meets them:
 //
-//   - Sharding: jobs are deduplicated by content fingerprint
-//     (runner.Job.Key via server.JobRequest.Build) and each unique
-//     fingerprint is dispatched to one healthy worker with a free slot.
-//     Duplicate completions are harmless by construction — the result is
-//     content-addressed by the same key on both sides.
-//   - Leases: every dispatch runs under a lease (the job's timeout plus
+//   - Wire form: the job is rebuilt as a server.JobRequest (the whole
+//     machine config, Table 2 kernel names, the scheme); a job whose
+//     rebuilt fingerprint differs from the runner's key fails
+//     permanently without a dispatch.
+//   - Fleet resume: the first Execute unions every reachable worker's
+//     /journalz dump; a fingerprint found there is returned without a
+//     dispatch. The runner's journal covers the coordinator's own
+//     progress, so a restarted sweep re-dispatches neither.
+//   - Leases: every dispatch runs under a lease (the job timeout plus
 //     a margin). A worker that neither answers nor fails within the
 //     lease forfeits the job: the dispatch is cancelled and the job is
 //     requeued to another worker.
@@ -25,8 +31,9 @@
 //     alive but draining (SIGTERM'd, finishing in-flight work) stops
 //     receiving leases before its liveness goes red and rejoins when
 //     ready again.
-//   - Integrity: every full result carries the worker's sha256 digest,
-//     verified at every hop (response, journal line, /journalz resume).
+//   - Integrity: every full result carries the worker's sha256 digest
+//     and the job's key, both verified on every reply (a reply missing
+//     either is malformed) and the digest again on /journalz resume.
 //     A deterministic AuditRate sample of completed jobs is additionally
 //     re-executed from scratch on a different worker and byte-compared;
 //     divergence triggers a 2-of-3 vote and quarantines the lying worker
@@ -39,12 +46,6 @@
 //     HedgeAfter) is raced against a second dispatch on a different
 //     worker. The engine is deterministic, so whichever result arrives
 //     first is the result; the loser is cancelled.
-//   - Ordered merge: results are emitted as NDJSON in submission order,
-//     journaled (fsync'd) before they become visible, so the merged
-//     output of a fleet run is byte-identical to a single-node run.
-//   - Fleet resume: a restarted coordinator unions its own assignment
-//     journal with every reachable worker's /journalz dump and emits
-//     already-completed fingerprints without re-dispatching them.
 package fleet
 
 import (
@@ -52,12 +53,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,6 +69,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/journal"
 	"repro/internal/overload"
+	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/xrand"
 )
@@ -79,8 +83,8 @@ type Config struct {
 	// http.DefaultTransport). The chaos injector's Transport wrapper
 	// plugs in here.
 	Transport http.RoundTripper
-	// JobTimeout is the per-job budget used to size leases when a job
-	// carries no timeout of its own (0 = jobs without timeouts get no
+	// JobTimeout is the per-job budget: every request carries it as its
+	// timeout and every lease is JobTimeout plus LeaseMargin (0 = no
 	// lease deadline, only connection-level failure detection).
 	JobTimeout time.Duration
 	// LeaseMargin is added to the job timeout to form the lease: the
@@ -108,10 +112,6 @@ type Config struct {
 	// from dogpiling one node; a ckeserve -parallel 1 worker still
 	// admits 3 requests, so 2 pipelines without shedding).
 	SlotsPerWorker int
-	// Journal, when non-nil, is the coordinator's assignment journal:
-	// completed results are appended (fsync'd) before they are emitted,
-	// and a restarted coordinator resumes from it.
-	Journal *journal.Journal
 	// AuditRate is the fraction of completed jobs whose result is
 	// re-executed from scratch (fresh=1, no cache, no journal) on a
 	// DIFFERENT worker and byte-compared — the integrity net for workers
@@ -193,6 +193,17 @@ type Line struct {
 	Error           string  `json:"error,omitempty"`
 }
 
+// LineOf is the Line for the result of request index.
+func LineOf(index int, res runner.Result) Line {
+	l := Line{Index: index, Key: res.Key}
+	if res.Err != nil {
+		l.Error = res.Err.Error()
+	} else {
+		l.WeightedSpeedup, l.ANTT, l.Fairness = res.Res.WeightedSpeedup(), res.Res.ANTT(), res.Res.Fairness()
+	}
+	return l
+}
+
 // worker is one dispatch target.
 type worker struct {
 	url     string
@@ -214,39 +225,35 @@ func (w *worker) usable() bool {
 	return w.healthy.Load() && !w.draining.Load() && !w.quarantined.Load()
 }
 
-// task is one unique job fingerprint's lifecycle state. The lifecycle
-// goroutine owns res/errText until it sends the task on the done
-// channel; the emitter owns them after.
+// task is one Execute call's lifecycle state.
 type task struct {
-	key     string
-	body    []byte // marshaled JobRequest
-	timeout time.Duration
+	key  string
+	body []byte // marshaled JobRequest
 
-	res       *gcke.WorkloadResult
-	raw       json.RawMessage // the result bytes as the worker sent them
-	src       *worker         // worker whose answer res came from (nil if resumed)
-	audited   bool            // res survived (or was produced by) an audit
-	errText   string
-	journaled bool // already durable in the coordinator journal
+	res     *gcke.WorkloadResult
+	raw     json.RawMessage // the result bytes as the worker sent them
+	src     *worker         // worker whose answer res came from
+	audited bool            // res survived (or was produced by) an audit
+	err     error
 }
 
-func (t *task) line(index int) Line {
-	l := Line{Index: index, Key: t.key, Error: t.errText}
-	if t.res != nil {
-		l.WeightedSpeedup = t.res.WeightedSpeedup()
-		l.ANTT = t.res.ANTT()
-		l.Fairness = t.res.Fairness()
-	}
-	return l
-}
-
-// Coordinator shards sweeps across the worker fleet. Create with New,
-// run with Run, inspect with StatsSnapshot or the Handler's /statz.
+// Coordinator runs jobs on the worker fleet. Create with New, hand it
+// to a runner as its Executor (or call Run), stop its health probers
+// with Close, inspect with StatsSnapshot or the Handler's /statz.
 type Coordinator struct {
 	cfg     Config
 	client  *http.Client
 	workers []*worker
 	rr      atomic.Int64 // round-robin dispatch offset
+
+	// once sets up, at the first Execute, the /journalz union and the
+	// probers, which run under ctx until Close cancels it.
+	once    sync.Once
+	ctx     context.Context
+	stop    context.CancelFunc
+	probers sync.WaitGroup
+	mu      sync.Mutex                     // guards union
+	union   map[string]server.JournalEntry // worker journal entries by key, digests unchecked
 	// budget meters requeues: completed jobs refill it, each requeue
 	// spends a token, and an empty bucket paces the requeue by
 	// RetryBudgetWait instead of firing it on the backoff schedule.
@@ -288,6 +295,7 @@ func New(cfg Config) (*Coordinator, error) {
 		client: &http.Client{Transport: cfg.Transport},
 		budget: overload.NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
 	}
+	c.ctx, c.stop = context.WithCancel(context.Background())
 	for _, u := range cfg.Workers {
 		w := &worker{
 			url:   strings.TrimRight(u, "/"),
@@ -299,163 +307,137 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Run shards reqs across the fleet and writes one NDJSON Line per
-// request, in submission order, to out. Completed results are journaled
-// before they are emitted. Run returns ctx's error if cancelled
-// mid-sweep (the journal then carries the resume state) and the number
-// of jobs that exhausted their attempts is visible in StatsSnapshot.
-func (c *Coordinator) Run(ctx context.Context, reqs []server.JobRequest, out io.Writer) error {
-	tasks, slot, err := c.group(reqs)
+// Slots is the fleet's capacity, workers x SlotsPerWorker: the pool
+// size of a runner that executes through the coordinator.
+func (c *Coordinator) Slots() int { return len(c.workers) * c.cfg.SlotsPerWorker }
+
+// Execute runs one job on the fleet; runner.Run calls it for every
+// fingerprint its cache and journal miss. A result found in a worker's
+// journal is returned without a dispatch. An unaudited result whose
+// worker was quarantined before Execute returned is discarded and the
+// job run again (the quarantined worker no longer receives leases).
+func (c *Coordinator) Execute(ctx context.Context, j *runner.Job, key string) (*gcke.WorkloadResult, json.RawMessage, error) {
+	c.once.Do(c.start)
+	t, err := c.newTask(j, key)
 	if err != nil {
-		return err
+		c.failed.Add(1)
+		return nil, nil, err
 	}
-	c.resume(ctx, tasks)
-
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	for _, w := range c.workers {
-		go c.probe(pctx, w)
+	if res, raw, ok := c.fromUnion(key); ok {
+		c.completed.Add(1)
+		return res, raw, nil
 	}
-
-	done := make(chan *task, len(tasks))
-	fin := make(map[*task]bool, len(tasks))
-	for _, t := range tasks {
-		if t.res != nil {
-			// Resumed: emit without dispatching. settle back-fills the
-			// coordinator journal with entries recovered from workers.
-			fin[t] = true
-			if err := c.settle(t); err != nil {
-				return err
-			}
-			continue
+	for {
+		c.lifecycle(ctx, t)
+		if t.res == nil || t.audited || !t.src.quarantined.Load() {
+			break
 		}
-		go c.lifecycle(pctx, t, done)
+		c.requeues.Add(1)
+		c.cfg.Logf("fleet: requeue %s: produced by quarantined %s before audit", key, t.src.url)
+		t.res, t.raw, t.src = nil, nil, nil
 	}
-
-	bw := bufio.NewWriter(out)
-	enc := json.NewEncoder(bw)
-	for next := 0; next < len(slot); {
-		t := tasks[slot[next]]
-		if !fin[t] {
-			select {
-			case ft := <-done:
-				// A worker can be quarantined AFTER results it produced
-				// finished but before they settled. An unaudited result
-				// from a quarantined worker is untrusted: discard it and
-				// restart the lifecycle (the quarantined worker no longer
-				// receives leases, so the re-run lands elsewhere).
-				if ft.res != nil && ft.src != nil && ft.src.quarantined.Load() && !ft.audited {
-					c.requeues.Add(1)
-					c.cfg.Logf("fleet: requeue %s: produced by quarantined %s before audit", ft.key, ft.src.url)
-					ft.res, ft.raw, ft.src = nil, nil, nil
-					go c.lifecycle(pctx, ft, done)
-					continue
-				}
-				fin[ft] = true
-				if err := c.settle(ft); err != nil {
-					bw.Flush()
-					return err
-				}
-			case <-ctx.Done():
-				bw.Flush()
-				return ctx.Err()
-			}
-			continue
-		}
-		if err := enc.Encode(t.line(next)); err != nil {
-			return err
-		}
-		next++
-	}
-	return bw.Flush()
-}
-
-// settle journals a freshly finished task (durability before
-// visibility) and scores the fleet counters.
-func (c *Coordinator) settle(t *task) error {
 	if t.res == nil {
 		c.failed.Add(1)
-		return nil
+		return nil, nil, t.err
 	}
 	c.completed.Add(1)
-	if c.cfg.Journal != nil && !t.journaled {
-		// raw is the result exactly as a worker (or a journal) held it;
-		// every path that sets res sets raw.
-		if err := c.cfg.Journal.AppendRaw(t.key, t.raw); err != nil {
-			return fmt.Errorf("fleet: journaling %s: %w", t.key, err)
-		}
-		t.journaled = true
-	}
-	return nil
+	return t.res, t.raw, nil
 }
 
-// group validates the requests and collapses duplicate fingerprints
-// into one task each, preserving submission order via the slot map.
-func (c *Coordinator) group(reqs []server.JobRequest) ([]*task, []int, error) {
-	var tasks []*task
-	at := make(map[string]int) // fingerprint -> index in tasks
-	slot := make([]int, len(reqs))
+// newTask rebuilds job j in its wire form and checks that the worker will
+// derive the fingerprint the runner keyed it by; a job that cannot
+// cross the wire unchanged (kernels that are not Table 2's, say) fails
+// here, permanently, without a dispatch.
+func (c *Coordinator) newTask(j *runner.Job, key string) (*task, error) {
+	cfg, cycles, profileCycles := j.Config, j.Cycles, j.ProfileCycles
+	if s := j.Session; s != nil {
+		cfg, cycles, profileCycles = s.Config(), s.Cycles(), s.ProfileCycles
+	}
+	req := server.JobRequest{
+		SMs: cfg.NumSMs, Config: &cfg, Cycles: cycles, ProfileCycles: profileCycles,
+		Scheme: j.Scheme,
+	}
+	for _, k := range j.Kernels {
+		req.Kernels = append(req.Kernels, k.Name)
+	}
+	if c.cfg.JobTimeout > 0 {
+		req.Timeout = c.cfg.JobTimeout.String()
+	}
+	_, wire, _, err := req.Build()
+	if err == nil && wire != key {
+		err = fmt.Errorf("it rebuilds as %s", wire)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("fleet: job %s cannot cross the wire: %w", key, err)
+	}
+	body, err := json.Marshal(&req)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: job %s: %w", key, err)
+	}
+	return &task{key: key, body: body}, nil
+}
+
+// Run runs reqs on the fleet through one runner.Run, which runs a
+// repeated fingerprint once, and writes one NDJSON Line per request, in
+// submission order, to out. Leases come from Config.JobTimeout; a
+// request's own timeout and deadline are not read. Run stops the
+// probers before it returns, and returns ctx's error if cancelled; jobs
+// that failed are counted in StatsSnapshot.
+func (c *Coordinator) Run(ctx context.Context, reqs []server.JobRequest, out io.Writer) error {
+	defer c.Close()
+	jobs := make([]runner.Job, len(reqs))
 	for i := range reqs {
-		_, key, limits, err := reqs[i].Build()
+		job, _, _, err := reqs[i].Build()
 		if err != nil {
-			return nil, nil, fmt.Errorf("fleet: job %d: %w", i, err)
+			return fmt.Errorf("fleet: job %d: %w", i, err)
 		}
-		j, ok := at[key]
-		if !ok {
-			body, err := json.Marshal(&reqs[i])
-			if err != nil {
-				return nil, nil, fmt.Errorf("fleet: job %d: %w", i, err)
-			}
-			j = len(tasks)
-			at[key] = j
-			tasks = append(tasks, &task{key: key, body: body, timeout: limits.Timeout})
-		}
-		slot[i] = j
+		jobs[i] = job
 	}
-	return tasks, slot, nil
+	r := runner.New(0)
+	r.Executor = c
+	bw := bufio.NewWriter(out)
+	enc := json.NewEncoder(bw)
+	for i, res := range r.Run(ctx, jobs) {
+		if err := enc.Encode(LineOf(i, res)); err != nil {
+			return err
+		}
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	return ctx.Err()
 }
 
-// resume unions the coordinator's own journal with every reachable
-// worker's /journalz dump, marking already-completed tasks so Run emits
-// them without dispatching. Unreachable workers and unknown keys are
-// skipped — resume is best-effort recovery, never a correctness gate.
-func (c *Coordinator) resume(ctx context.Context, tasks []*task) {
-	byKey := make(map[string]*task, len(tasks))
-	for _, t := range tasks {
-		byKey[t.key] = t
-	}
-	adopt := func(key string, raw json.RawMessage, sha string, durable bool, src string) {
-		t := byKey[key]
-		if t == nil || t.res != nil {
-			return
-		}
-		if sha != "" && journal.Digest(raw) != sha {
-			// The entry's bytes no longer match the digest recorded when
-			// it was written — bit rot, a damaged worker journal, or a
-			// mangled /journalz stream. Adopting it would poison the
-			// merged output; skipping it just re-simulates one point.
-			c.resumeRejects.Add(1)
-			c.cfg.Logf("fleet: resume: %s entry %s failed its digest; re-simulating", src, key)
-			return
-		}
-		var res gcke.WorkloadResult
-		if err := json.Unmarshal(raw, &res); err != nil {
-			c.cfg.Logf("fleet: resume: %s entry %s does not decode: %v", src, key, err)
-			return
-		}
-		t.res = &res
-		t.raw = raw
-		t.journaled = durable
-		c.resumed.Add(1)
-	}
-	if c.cfg.Journal != nil {
-		c.cfg.Journal.EachEntry(func(key string, raw json.RawMessage, sha string) error {
-			adopt(key, raw, sha, true, "journal")
-			return nil
-		})
-	}
+// start reads every reachable worker's /journalz into the union and
+// starts one health prober per worker, which runs until Close.
+func (c *Coordinator) start() {
+	c.union = c.readJournals()
+	c.probers.Add(len(c.workers))
 	for _, w := range c.workers {
-		hctx, cancel := context.WithTimeout(ctx, c.cfg.HealthTimeout)
+		go func(w *worker) {
+			defer c.probers.Done()
+			c.probe(c.ctx, w)
+		}(w)
+	}
+}
+
+// Close stops the health probers and waits for them to exit. It is
+// final: a closed coordinator probes no more.
+func (c *Coordinator) Close() {
+	c.once.Do(func() {}) // closed before any Execute: never start
+	c.stop()
+	c.probers.Wait()
+}
+
+// readJournals unions every reachable worker's /journalz dump. Entries
+// are kept as sent; fromUnion checks a digest only when its key is
+// taken, so the cost tracks the jobs run, not the workers' history.
+// Unreachable workers are skipped — resume is best-effort recovery,
+// never a correctness gate.
+func (c *Coordinator) readJournals() map[string]server.JournalEntry {
+	union := make(map[string]server.JournalEntry)
+	for _, w := range c.workers {
+		hctx, cancel := context.WithTimeout(c.ctx, c.cfg.HealthTimeout)
 		req, err := http.NewRequestWithContext(hctx, http.MethodGet, w.url+"/journalz", nil)
 		if err != nil {
 			cancel()
@@ -473,7 +455,7 @@ func (c *Coordinator) resume(ctx context.Context, tasks []*task) {
 			for sc.Scan() {
 				var e server.JournalEntry
 				if json.Unmarshal(sc.Bytes(), &e) == nil {
-					adopt(e.Key, e.Val, e.Sha, false, w.url)
+					union[e.Key] = e
 				}
 			}
 		}
@@ -481,16 +463,43 @@ func (c *Coordinator) resume(ctx context.Context, tasks []*task) {
 		resp.Body.Close()
 		cancel()
 	}
-	if n := c.resumed.Load(); n > 0 {
-		c.cfg.Logf("fleet: resumed %d completed job(s) from journal union", n)
+	if len(union) > 0 {
+		c.cfg.Logf("fleet: resume: %d entries in the workers' journals", len(union))
 	}
+	return union
+}
+
+// fromUnion takes key's result out of the /journalz union if its bytes
+// still match the digest recorded when they were written.
+func (c *Coordinator) fromUnion(key string) (*gcke.WorkloadResult, json.RawMessage, bool) {
+	c.mu.Lock()
+	e, ok := c.union[key]
+	delete(c.union, key)
+	c.mu.Unlock()
+	if !ok {
+		return nil, nil, false
+	}
+	if e.Sha != "" && journal.Digest(e.Val) != e.Sha {
+		// Bit rot, a damaged worker journal, or a mangled stream:
+		// adopting the entry would poison the sweep; skipping it just
+		// re-simulates one point.
+		c.resumeRejects.Add(1)
+		c.cfg.Logf("fleet: resume: entry %s failed its digest", key)
+		return nil, nil, false
+	}
+	res := new(gcke.WorkloadResult)
+	if err := json.Unmarshal(e.Val, res); err != nil {
+		c.cfg.Logf("fleet: resume: entry %s does not decode: %v", key, err)
+		return nil, nil, false
+	}
+	c.resumed.Add(1)
+	return res, e.Val, true
 }
 
 // lifecycle drives one fingerprint from first dispatch to a final
 // result: requeue on transient failure with deterministic backoff,
 // give up at MaxAttempts, finish on success or permanent error.
-func (c *Coordinator) lifecycle(ctx context.Context, t *task, done chan<- *task) {
-	defer func() { done <- t }()
+func (c *Coordinator) lifecycle(ctx context.Context, t *task) {
 	for attempt := 1; ; {
 		o := c.attempt(ctx, t)
 		switch {
@@ -507,10 +516,10 @@ func (c *Coordinator) lifecycle(ctx context.Context, t *task, done chan<- *task)
 			c.budget.Earn()
 			return
 		case o.permanent:
-			t.errText = o.errText
+			t.err = errors.New(o.errText)
 			return
 		case ctx.Err() != nil:
-			t.errText = "fleet: sweep cancelled: " + ctx.Err().Error()
+			t.err = fmt.Errorf("fleet: sweep cancelled: %w", ctx.Err())
 			return
 		}
 		if o.shed {
@@ -523,7 +532,7 @@ func (c *Coordinator) lifecycle(ctx context.Context, t *task, done chan<- *task)
 			c.requeues.Add(1)
 			c.cfg.Logf("fleet: requeue %s (attempt %d): %s", t.key, attempt, o.reason)
 			if attempt >= c.cfg.MaxAttempts {
-				t.errText = fmt.Sprintf("fleet: gave up after %d attempts: %s", attempt, o.reason)
+				t.err = fmt.Errorf("fleet: gave up after %d attempts: %s", attempt, o.reason)
 				return
 			}
 			attempt++
@@ -545,7 +554,7 @@ func (c *Coordinator) lifecycle(ctx context.Context, t *task, done chan<- *task)
 			}
 		}
 		if err := backoff.Sleep(ctx, delay); err != nil {
-			t.errText = "fleet: sweep cancelled: " + err.Error()
+			t.err = fmt.Errorf("fleet: sweep cancelled: %w", err)
 			return
 		}
 	}
@@ -639,10 +648,7 @@ func (c *Coordinator) hedgeThreshold() time.Duration {
 // journal entirely — the audit path's independent re-execution.
 func (c *Coordinator) dispatch(ctx context.Context, w *worker, t *task, fresh bool) outcome {
 	defer func() { <-w.slots }()
-	lease := t.timeout
-	if lease <= 0 {
-		lease = c.cfg.JobTimeout
-	}
+	lease := c.cfg.JobTimeout
 	dctx := ctx
 	if lease > 0 {
 		lease += c.cfg.LeaseMargin
@@ -689,16 +695,29 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, t *task, fresh bo
 	switch {
 	case resp.StatusCode == http.StatusOK:
 		// Shadow-decode to get the result's exact wire bytes: the digest
-		// covers them, and the audit path byte-compares them.
+		// covers them, and the audit path byte-compares them. A worker
+		// always sends the key and, with full=1, the digest: a reply
+		// missing the digest or answering for another key was damaged on
+		// the way and must not skip the integrity check.
 		var shadow struct {
+			Key    string          `json:"key"`
 			Digest string          `json:"digest"`
 			Result json.RawMessage `json:"result"`
 		}
-		if err := json.Unmarshal(body, &shadow); err != nil || len(shadow.Result) == 0 {
-			c.eject(w, fmt.Errorf("malformed 200 body"))
-			return outcome{reason: fmt.Sprintf("%s answered 200 with an undecodable body", w.url)}
+		bad := ""
+		switch {
+		case json.Unmarshal(body, &shadow) != nil || len(shadow.Result) == 0:
+			bad = "an undecodable body"
+		case shadow.Digest == "":
+			bad = "a body without a digest"
+		case shadow.Key != t.key:
+			bad = "the result of " + shadow.Key
 		}
-		if shadow.Digest != "" && journal.Digest(shadow.Result) != shadow.Digest {
+		if bad != "" {
+			c.eject(w, fmt.Errorf("malformed 200 body"))
+			return outcome{reason: fmt.Sprintf("%s answered 200 with %s", w.url, bad)}
+		}
+		if journal.Digest(shadow.Result) != shadow.Digest {
 			// The bytes do not match the digest the worker itself sent:
 			// damage in transit or a worker too broken to hash its own
 			// output. Either way its answers cannot be trusted.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/fleet"
 	"repro/internal/journal"
+	"repro/internal/runner"
 	"repro/internal/server"
 )
 
@@ -85,18 +87,46 @@ func runFleet(t *testing.T, cfg fleet.Config, reqs []server.JobRequest) (string,
 	return out.String(), c.StatsSnapshot()
 }
 
-// killAfterFirstWrite closes a worker once the first merged line lands —
-// a deterministic "mid-sweep" crash.
-type killAfterFirstWrite struct {
-	io.Writer
+// runJournaled is runFleet through a runner that holds jnl, the
+// coordinator's own progress, and writes the Lines Coordinator.Run would.
+func runJournaled(t *testing.T, cfg fleet.Config, jnl *journal.Journal, reqs []server.JobRequest) (string, fleet.Stats) {
+	t.Helper()
+	cfg.Retry, cfg.HealthInterval, cfg.Logf = fastRetry(), 25*time.Millisecond, t.Logf
+	c, err := fleet.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	jobs := make([]runner.Job, len(reqs))
+	for i := range reqs {
+		if jobs[i], _, _, err = reqs[i].Build(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := runner.New(0)
+	r.Executor, r.Journal = c, jnl
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	for i, res := range r.Run(context.Background(), jobs) {
+		enc.Encode(fleet.LineOf(i, res))
+	}
+	return out.String(), c.StatsSnapshot()
+}
+
+// killAfterFirstReply closes a worker once the first job result reaches
+// the coordinator — a deterministic "mid-sweep" crash.
+type killAfterFirstReply struct {
+	http.RoundTripper
 	once sync.Once
 	kill func()
 }
 
-func (k *killAfterFirstWrite) Write(p []byte) (int, error) {
-	n, err := k.Writer.Write(p)
-	k.once.Do(func() { go k.kill() })
-	return n, err
+func (k *killAfterFirstReply) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := k.RoundTripper.RoundTrip(req)
+	if err == nil && resp.StatusCode == http.StatusOK && req.URL.Path == "/jobs" {
+		k.once.Do(func() { go k.kill() })
+	}
+	return resp, err
 }
 
 // TestFleetMatchesSingleNode is the headline property: a 3-worker fleet
@@ -123,8 +153,11 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 	w3 := startWorker(t, server.Config{})
 	inj := chaos.New(chaos.Config{Seed: 11, NetDropProb: 0.5, Net5xxProb: 0.5, Failures: 1})
 	cfg := fleet.Config{
-		Workers:     []string{w1.URL, w2.URL, w3.URL},
-		Transport:   inj.Transport(nil),
+		Workers: []string{w1.URL, w2.URL, w3.URL},
+		Transport: &killAfterFirstReply{RoundTripper: inj.Transport(nil), kill: func() {
+			w3.CloseClientConnections()
+			w3.Close()
+		}},
 		JobTimeout:  time.Minute,
 		MaxAttempts: 10,
 		Retry:       fastRetry(),
@@ -135,13 +168,9 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	out := &killAfterFirstWrite{Writer: &buf, kill: func() {
-		w3.CloseClientConnections()
-		w3.Close()
-	}}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	if err := c.Run(ctx, reqs, out); err != nil {
+	if err := c.Run(ctx, reqs, &buf); err != nil {
 		t.Fatalf("chaos fleet run: %v", err)
 	}
 	if buf.String() != golden {
@@ -204,10 +233,10 @@ func corrupt(t *testing.T, path string) {
 }
 
 // TestFleetResumeFromJournalUnion is the fleet-resume acceptance test:
-// two workers each hold a partial journal, the coordinator's own
+// two workers each hold a partial journal, the coordinator's runner
 // journal holds the rest plus a torn tail, and the resumed sweep must
-// union all three — re-simulating nothing (the workers are armed to
-// fail any real simulation) and emitting byte-identical merged output.
+// union all three — dispatching nothing (the workers are armed to fail
+// any real simulation) and emitting byte-identical merged output.
 func TestFleetResumeFromJournalUnion(t *testing.T) {
 	dir := t.TempDir()
 	reqs := []server.JobRequest{
@@ -247,7 +276,7 @@ func TestFleetResumeFromJournalUnion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runFleet(t, fleet.Config{Workers: []string{clean.URL}, Journal: jC}, reqs[5:6])
+	runJournaled(t, fleet.Config{Workers: []string{clean.URL}}, jC, reqs[5:6])
 	jC.Close()
 	corrupt(t, pathC)
 
@@ -276,16 +305,13 @@ func TestFleetResumeFromJournalUnion(t *testing.T) {
 	wa2 := startWorker(t, server.Config{Journal: jA2, Chaos: chaos.New(armed)})
 	wb2 := startWorker(t, server.Config{Journal: jB2, Chaos: chaos.New(armed)})
 
-	out, st := runFleet(t, fleet.Config{
-		Workers: []string{wa2.URL, wb2.URL},
-		Journal: jC2,
-	}, reqs)
+	out, st := runJournaled(t, fleet.Config{Workers: []string{wa2.URL, wb2.URL}}, jC2, reqs)
 
 	if out != golden {
 		t.Fatalf("resumed fleet output diverged:\nresumed:\n%s\ngolden:\n%s", out, golden)
 	}
-	if st.Resumed != int64(len(reqs)) {
-		t.Fatalf("resumed %d jobs, want %d (journal union covers the sweep)", st.Resumed, len(reqs))
+	if st.Resumed != 5 {
+		t.Fatalf("resumed %d jobs from worker journals, want 5 (the runner's journal holds the sixth)", st.Resumed)
 	}
 	if st.Dispatched != 0 {
 		t.Fatalf("resume dispatched %d jobs, want 0", st.Dispatched)
@@ -295,60 +321,102 @@ func TestFleetResumeFromJournalUnion(t *testing.T) {
 	}
 }
 
-// resultRecorder is a coordinator transport that keeps, per job key, the
-// result bytes a worker answered with.
-type resultRecorder struct {
-	mu   sync.Mutex
-	sent map[string][]byte
+// TestFleetResumeChecksTakenEntriesOnly: a worker's /journalz serves
+// entries whose bytes fail their digest, one for the job the run needs
+// and many the run never asks for. Only the taken entry is checked: it
+// is rejected and its job dispatched instead.
+func TestFleetResumeChecksTakenEntriesOnly(t *testing.T) {
+	req := fleetJob(2)
+	_, key, _, err := req.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := server.New(server.Config{Worker: true, Workers: 2, Retry: fastRetry()}).Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/journalz" {
+			worker.ServeHTTP(w, r)
+			return
+		}
+		enc := json.NewEncoder(w)
+		enc.Encode(server.JournalEntry{Key: key, Val: json.RawMessage(`{}`), Sha: journal.Digest([]byte(`{"x":1}`))})
+		for i := 0; i < 100; i++ {
+			enc.Encode(server.JournalEntry{Key: fmt.Sprintf("other-%d", i), Val: json.RawMessage(`{}`), Sha: "bad"})
+		}
+	}))
+	t.Cleanup(ts.Close)
+
+	out, st := runFleet(t, fleet.Config{Workers: []string{ts.URL}}, []server.JobRequest{req})
+	if st.ResumeRejects != 1 || st.Resumed != 0 || st.Dispatched != 1 || st.Failed != 0 {
+		t.Fatalf("want 1 resume reject, 0 resumed, 1 dispatch, 0 failed: %+v", st)
+	}
+	if !strings.Contains(out, `"weighted_speedup"`) {
+		t.Fatalf("job not completed: %s", out)
+	}
 }
 
-func (r *resultRecorder) RoundTrip(req *http.Request) (*http.Response, error) {
+// replyRewriter damages the first two job results each key gets on
+// their way to the coordinator: the first loses its digest, the second
+// answers for another key.
+type replyRewriter struct {
+	mu   sync.Mutex
+	seen map[string]int
+}
+
+func (r *replyRewriter) RoundTrip(req *http.Request) (*http.Response, error) {
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	key := req.Header.Get(chaos.JobKeyHeader)
 	if err != nil || key == "" || resp.StatusCode != http.StatusOK {
 		return resp, err
+	}
+	r.mu.Lock()
+	n := r.seen[key]
+	r.seen[key]++
+	r.mu.Unlock()
+	if n >= 2 {
+		return resp, nil
 	}
 	body, err := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if err != nil {
 		return nil, err
 	}
+	var reply map[string]json.RawMessage
+	if err := json.Unmarshal(body, &reply); err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		delete(reply, "digest")
+	} else {
+		reply["key"] = json.RawMessage(`"j1-another-job"`)
+	}
+	if body, err = json.Marshal(reply); err != nil {
+		return nil, err
+	}
 	resp.Body = io.NopCloser(bytes.NewReader(body))
-	var shadow struct {
-		Result json.RawMessage `json:"result"`
-	}
-	if json.Unmarshal(body, &shadow) == nil {
-		r.mu.Lock()
-		r.sent[key] = shadow.Result
-		r.mu.Unlock()
-	}
+	resp.ContentLength = int64(len(body))
+	resp.Header.Del("Content-Length")
 	return resp, nil
 }
 
-// TestFleetJournalsWorkerBytes: the coordinator journals each result as
-// the bytes a worker sent, not a re-encoding of its decoded copy.
-func TestFleetJournalsWorkerBytes(t *testing.T) {
-	reqs := []server.JobRequest{fleetJob(2), fleetJob(3), fleetJob(4), fleetJob(5)}
+// TestFleetRejectsRepliesWithoutDigestOrWithAnotherKey: a 200 reply
+// whose digest was stripped, or whose key is not the dispatched
+// fingerprint, is a malformed body — the worker is ejected and the job
+// requeued — never a result accepted unverified.
+func TestFleetRejectsRepliesWithoutDigestOrWithAnotherKey(t *testing.T) {
+	reqs := []server.JobRequest{fleetJob(2), fleetJob(3), fleetJob(4)}
+	clean := startWorker(t, server.Config{})
+	golden, _ := runFleet(t, fleet.Config{Workers: []string{clean.URL}}, reqs)
+
 	w1 := startWorker(t, server.Config{})
 	w2 := startWorker(t, server.Config{})
-	j, err := journal.Open(filepath.Join(t.TempDir(), "coord.ckpt"))
-	if err != nil {
-		t.Fatal(err)
+	out, st := runFleet(t, fleet.Config{
+		Workers:   []string{w1.URL, w2.URL},
+		Transport: &replyRewriter{seen: map[string]int{}},
+	}, reqs)
+	if out != golden {
+		t.Fatalf("output diverged:\nfleet:\n%s\nclean:\n%s", out, golden)
 	}
-	defer j.Close()
-	rec := &resultRecorder{sent: map[string][]byte{}}
-	runFleet(t, fleet.Config{Workers: []string{w1.URL, w2.URL}, Journal: j, Transport: rec}, reqs)
-
-	if len(rec.sent) != len(reqs) || j.Len() != len(reqs) {
-		t.Fatalf("recorded %d results, journaled %d, want %d each", len(rec.sent), j.Len(), len(reqs))
-	}
-	for key, sent := range rec.sent {
-		val, ok := j.Raw(key)
-		if !ok {
-			t.Fatalf("%s: not journaled", key)
-		}
-		if !bytes.Equal(val, sent) {
-			t.Fatalf("%s: journaled val differs from the worker's result\njournal: %s\nworker:  %s", key, val, sent)
-		}
+	if st.Requeues < int64(2*len(reqs)) || st.Ejections == 0 || st.Failed != 0 {
+		t.Fatalf("damaged replies were accepted: %+v (want >= %d requeues, ejections, no failures)", st, 2*len(reqs))
 	}
 }

@@ -168,6 +168,11 @@ type Runner struct {
 	// byte-identical with or without checkpointing.
 	Checkpoints     *ckpt.Store
 	CheckpointEvery int64
+	// Executor, when non-nil, runs every job the cache and journal do not
+	// serve, in place of the local simulation, and the pool then has
+	// Executor.Slots() workers. Timeout, Fault and Checkpoints bound and
+	// instrument local simulation only; an executor owns its deadlines.
+	Executor Executor
 
 	mu       sync.Mutex
 	sessions map[string]*gcke.Session // derived sessions, deduplicated
@@ -175,6 +180,16 @@ type Runner struct {
 	// Checkpoint observability (read via CkptStats, exported by /statz).
 	ckptResumes       atomic.Int64
 	ckptResumedCycles atomic.Int64
+}
+
+// Executor runs jobs somewhere other than this process (internal/fleet's
+// Coordinator runs them on remote workers). Execute returns job j's
+// result, whose fingerprint is key, decoded and as the bytes the
+// journal, the cache and the caller receive unchanged.
+type Executor interface {
+	Execute(ctx context.Context, j *Job, key string) (*gcke.WorkloadResult, json.RawMessage, error)
+	// Slots is how many jobs the executor runs at once.
+	Slots() int
 }
 
 // New creates a runner with the given worker count; workers <= 0 selects
@@ -255,7 +270,11 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 		}
 		run = append(run, i)
 	}
-	Map(ctx, r.workers, len(run), func(n int) {
+	workers := r.workers
+	if r.Executor != nil {
+		workers = r.Executor.Slots()
+	}
+	Map(ctx, workers, len(run), func(n int) {
 		i := run[n]
 		r.runJob(ctx, i, &jobs[i], &results[i])
 	})
@@ -276,11 +295,11 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 	return results
 }
 
-// runJob serves or simulates job i, whose fingerprint Run has already
-// stored in out.Key.
+// runJob serves job i from the cache or journal, or else simulates it
+// (or hands it to the executor) and stores the result; Run has already
+// stored its fingerprint in out.Key.
 func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 	key := out.Key
-	var err error
 	if !j.Fresh {
 		if hit, ok := r.Cached(key); ok {
 			*out = hit
@@ -305,42 +324,13 @@ func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 			out.Err = &PanicError{Index: i, Key: key, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	jobCtx := ctx
-	if r.Timeout > 0 {
-		var cancel context.CancelFunc
-		jobCtx, cancel = context.WithTimeout(ctx, r.Timeout)
-		defer cancel()
-	}
-	if testJobHook != nil {
-		testJobHook(i, j)
-	}
-	if r.Fault != nil {
-		if err := r.Fault(jobCtx, i, key); err != nil {
-			out.Err = err
-			return
-		}
-	}
-	s := j.Session
-	if s == nil {
-		s, err = r.Session(j.Config, j.Cycles, j.ProfileCycles)
-		if err != nil {
-			out.Err = err
-			return
-		}
-	}
-	res, resumedFrom, err := s.RunWorkloadCheckpointedCtx(jobCtx, j.Kernels, j.Scheme, r.checkpoint(key))
-	if resumedFrom > 0 {
-		out.ResumedFrom = resumedFrom
-		r.ckptResumes.Add(1)
-		r.ckptResumedCycles.Add(resumedFrom)
-	}
-	// The one encoding of a fresh result: the journal, the cache and the
-	// server's reply all take these bytes.
+	var res *gcke.WorkloadResult
 	var raw json.RawMessage
-	if err == nil {
-		if raw, err = json.Marshal(res); err != nil {
-			err = fmt.Errorf("runner: encoding result of %s: %w", key, err)
-		}
+	var err error
+	if r.Executor != nil {
+		res, raw, err = r.Executor.Execute(ctx, j, key)
+	} else {
+		res, raw, err = r.simulate(ctx, i, j, out)
 	}
 	if err == nil && r.Journal != nil && !j.Fresh {
 		if jerr := r.Journal.AppendRaw(key, raw); jerr != nil {
@@ -358,6 +348,48 @@ func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 		}
 	}
 	out.Res, out.Raw, out.Err = res, raw, err
+}
+
+// simulate runs job i in this process under the per-job timeout and the
+// fault seam, resuming from a mid-job checkpoint when one exists.
+func (r *Runner) simulate(ctx context.Context, i int, j *Job, out *Result) (*gcke.WorkloadResult, json.RawMessage, error) {
+	key := out.Key
+	if r.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
+		defer cancel()
+	}
+	if testJobHook != nil {
+		testJobHook(i, j)
+	}
+	if r.Fault != nil {
+		if err := r.Fault(ctx, i, key); err != nil {
+			return nil, nil, err
+		}
+	}
+	s := j.Session
+	if s == nil {
+		var err error
+		if s, err = r.Session(j.Config, j.Cycles, j.ProfileCycles); err != nil {
+			return nil, nil, err
+		}
+	}
+	res, resumedFrom, err := s.RunWorkloadCheckpointedCtx(ctx, j.Kernels, j.Scheme, r.checkpoint(key))
+	if resumedFrom > 0 {
+		out.ResumedFrom = resumedFrom
+		r.ckptResumes.Add(1)
+		r.ckptResumedCycles.Add(resumedFrom)
+	}
+	if err != nil {
+		return res, nil, err
+	}
+	// The one encoding of a fresh result: the journal, the cache and the
+	// server's reply all take these bytes.
+	raw, err := json.Marshal(res)
+	if err != nil {
+		return res, nil, fmt.Errorf("runner: encoding result of %s: %w", key, err)
+	}
+	return res, raw, nil
 }
 
 // Cached is the one result-cache lookup: the served bytes and their

@@ -326,6 +326,10 @@ type JobRequest struct {
 	ProfileCycles int64       `json:"profile_cycles,omitempty"`
 	Kernels       []string    `json:"kernels"`
 	Scheme        gcke.Scheme `json:"scheme"`
+	// Config, when set, is the whole machine (a sensitivity study's L1D,
+	// scheduler or MSHR change): it overrides sms and must pass
+	// Config.Validate.
+	Config *gcke.Config `json:"config,omitempty"`
 	// Timeout, when set (Go duration string), bounds the job's whole
 	// retry loop — layered on the server's per-attempt JobTimeout.
 	Timeout string `json:"timeout,omitempty"`
@@ -347,9 +351,8 @@ type Limits struct {
 
 // Build validates the request into a runnable job plus its fingerprint
 // and request-level limits. It is exported for the fleet coordinator,
-// which shards and journals by the same fingerprint the worker will
-// compute — content addressing only dedupes duplicate completions if
-// both sides derive the key from the identical job.
+// which checks that a job rebuilds from its wire form to the
+// fingerprint its runner keyed it by before dispatching it.
 func (req *JobRequest) Build() (runner.Job, string, Limits, error) {
 	if req.SMs <= 0 {
 		req.SMs = 4
@@ -386,8 +389,16 @@ func (req *JobRequest) Build() (runner.Job, string, Limits, error) {
 		}
 		lim.Deadline = d
 	}
+	cfg := gcke.ScaledConfig(req.SMs)
+	if req.Config != nil {
+		if err := req.Config.Validate(); err != nil {
+			return runner.Job{}, "", Limits{}, err
+		}
+		cfg = *req.Config
+		req.SMs = cfg.NumSMs
+	}
 	job := runner.Job{
-		Config:        gcke.ScaledConfig(req.SMs),
+		Config:        cfg,
 		Cycles:        req.Cycles,
 		ProfileCycles: req.ProfileCycles,
 		Kernels:       ds,

@@ -469,3 +469,33 @@ func TestFullResult(t *testing.T) {
 		t.Fatalf("scheme did not round-trip: %+v", res.Scheme)
 	}
 }
+
+// TestJobConfig: a request's config is the whole machine. One that
+// fails Config.Validate is a 400; one equal to ScaledConfig(n) is the
+// job sms: n describes, with the same fingerprint.
+func TestJobConfig(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
+	defer ts.Close()
+	bad := smallJob(2)
+	cfg := gcke.ScaledConfig(2)
+	cfg.L1D.SizeBytes = 40 * 1024 // not a power-of-two set count
+	bad.Config = &cfg
+	if code, resp := postJob(t, ts, bad); code != http.StatusBadRequest || !strings.Contains(resp.Error, "L1D") {
+		t.Fatalf("invalid config: status %d, error %q; want 400 naming the L1D", code, resp.Error)
+	}
+
+	bySMs, byConfig := smallJob(2), smallJob(2)
+	scaled := gcke.ScaledConfig(2)
+	byConfig.SMs, byConfig.Config = 0, &scaled
+	_, k1, _, err := bySMs.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, k2, _, err := byConfig.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k1 != k2 {
+		t.Fatalf("config ScaledConfig(2) keys as %s, sms 2 as %s", k2, k1)
+	}
+}
