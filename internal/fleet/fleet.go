@@ -380,8 +380,8 @@ func (c *Coordinator) newTask(j *runner.Job, key string) (*task, error) {
 // Run runs reqs on the fleet through one runner.Run, which runs a
 // repeated fingerprint once, and writes one NDJSON Line per request, in
 // submission order, to out. Leases come from Config.JobTimeout; a
-// request's own timeout and deadline are not read. Run stops the
-// probers before it returns, and returns ctx's error if cancelled; jobs
+// request's own timeout and deadline are not read. Run closes the
+// coordinator before it returns, and returns ctx's error if cancelled; jobs
 // that failed are counted in StatsSnapshot.
 func (c *Coordinator) Run(ctx context.Context, reqs []server.JobRequest, out io.Writer) error {
 	defer c.Close()
