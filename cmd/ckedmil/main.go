@@ -120,20 +120,21 @@ func trace(ctx context.Context, w io.Writer, pairSpec, quotaSpec string, cycles 
 				return d
 			},
 		},
-		Hook: func(g *gpu.GPU, cycle int64) {
-			if cycle%50000 == 0 {
-				fmt.Fprintf(w, "cycle=%7d sm0:", cycle)
-				for k := range descs {
-					fmt.Fprintf(w, "  k%d lim=%3d inf=%3d", k, dmils[0].Limit(k), g.SMs[0].Inflight(k))
-				}
-				fmt.Fprintln(w)
-			}
-		},
-		HookInterval: 1000,
-		Interrupt:    func() bool { return ctx.Err() != nil },
-		Check:        gpu.CheckConfig{Enabled: check},
-		PhaseTime:    prof.PhaseTrace,
+		PhaseTime: prof.PhaseTrace,
 	}
+	if check {
+		opts.Observers = []gpu.Observer{gpu.Watchdog(0, gpu.DefaultProgressWindow)}
+	}
+	opts.Observers = append(opts.Observers,
+		gpu.Periodic(0, 50_000, func(g *gpu.GPU) error {
+			fmt.Fprintf(w, "cycle=%7d sm0:", g.Cycle())
+			for k := range descs {
+				fmt.Fprintf(w, "  k%d lim=%3d inf=%3d", k, dmils[0].Limit(k), g.SMs[0].Inflight(k))
+			}
+			fmt.Fprintln(w)
+			return nil
+		}),
+		gpu.Interrupt(0, cycles, func() bool { return ctx.Err() != nil }))
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {
 		return err

@@ -27,9 +27,9 @@ type dynAssign struct {
 	tbs    int
 }
 
-// DynWS is the online profiling controller. Create one per run and
-// install its Hook in gpu.Options (HookInterval must divide the settle
-// and window times; 1024 works).
+// DynWS is the online profiling controller. Create one per run and run
+// its Hook from a gpu.Periodic observer (the period must divide the
+// settle and window times; 1024 works).
 type DynWS struct {
 	cfg   *config.Config
 	descs []*kern.Desc
@@ -98,18 +98,19 @@ func (d *DynWS) ProfilingCycles() int64 {
 	return int64(len(d.rounds)) * (d.SettleCycles + d.WindowCycles)
 }
 
-// Hook drives the controller; install it as gpu.Options.Hook with an
-// interval dividing SettleCycles and WindowCycles.
-func (d *DynWS) Hook(g *gpu.GPU, cycle int64) {
+// Hook drives the controller; run it from a gpu.Periodic observer
+// whose period divides SettleCycles and WindowCycles.
+func (d *DynWS) Hook(g *gpu.GPU) error {
 	if d.done {
-		return
+		return nil
 	}
+	cycle := g.Cycle()
 	if !d.started {
 		d.started = true
 		d.phase = 0
 		d.phaseStart = cycle
 		d.applyRound(g)
-		return
+		return nil
 	}
 	switch d.phase {
 	case 0: // settling
@@ -124,13 +125,14 @@ func (d *DynWS) Hook(g *gpu.GPU, cycle int64) {
 			d.round++
 			if d.round >= len(d.rounds) {
 				d.finish(g)
-				return
+				return nil
 			}
 			d.phase = 0
 			d.phaseStart = cycle
 			d.applyRound(g)
 		}
 	}
+	return nil
 }
 
 // applyRound points each SM at its profiling configuration. SMs beyond

@@ -50,10 +50,9 @@ func TestDynWSConverges(t *testing.T) {
 	cfg, descs := dynPair(t)
 	d := NewDynWS(&cfg, descs)
 	opts := &gpu.Options{
-		Cycles:       d.ProfilingCycles() + 50_000,
-		Quota:        gpu.UniformQuota(cfg.NumSMs, EvenQuota(&cfg, descs)),
-		Hook:         d.Hook,
-		HookInterval: 1024,
+		Cycles:    d.ProfilingCycles() + 50_000,
+		Quota:     gpu.UniformQuota(cfg.NumSMs, EvenQuota(&cfg, descs)),
+		Observers: []gpu.Observer{gpu.Periodic(0, 1024, d.Hook)},
 	}
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {

@@ -67,11 +67,12 @@ var _ sm.Limiter = (*L2MIL)(nil)
 // Limit exposes kernel k's current machine-wide limit.
 func (l *L2MIL) Limit(k int) int { return l.limits[k] }
 
-// Hook drives the controller; install with HookInterval dividing the
-// 4096-cycle decision period.
-func (l *L2MIL) Hook(g *gpu.GPU, cycle int64) {
+// Hook drives the controller; run it from a gpu.Periodic observer
+// whose period divides the 4096-cycle decision period.
+func (l *L2MIL) Hook(g *gpu.GPU) error {
+	cycle := g.Cycle()
 	if cycle-l.lastComp < milgInterval {
-		return
+		return nil
 	}
 	elapsed := cycle - l.lastComp
 	if elapsed <= 0 {
@@ -118,4 +119,5 @@ func (l *L2MIL) Hook(g *gpu.GPU, cycle int64) {
 			}
 		}
 	}
+	return nil
 }

@@ -37,8 +37,7 @@ func TestL2MILThrottlesDRAMBoundKernel(t *testing.T) {
 		Policies: gpu.PolicyFactory{
 			Limiter: func(smID, n int) sm.Limiter { return l },
 		},
-		Hook:         l.Hook,
-		HookInterval: 1024,
+		Observers: []gpu.Observer{gpu.Periodic(0, 1024, l.Hook)},
 	}
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {
@@ -68,8 +67,7 @@ func TestL2MILRecoversWhenHealthy(t *testing.T) {
 		Policies: gpu.PolicyFactory{
 			Limiter: func(smID, n int) sm.Limiter { return l },
 		},
-		Hook:         l.Hook,
-		HookInterval: 1024,
+		Observers: []gpu.Observer{gpu.Periodic(0, 1024, l.Hook)},
 	}
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {

@@ -146,8 +146,8 @@ func TestL2MILAllowIsAPureQuery(t *testing.T) {
 		for i := rng.Intn(6); i > 0; i-- {
 			asked.Allow(rng.Intn(2), rng.Intn(200))
 		}
-		quiet.Hook(g, g.Cycle())
-		asked.Hook(g, g.Cycle())
+		quiet.Hook(g)
+		asked.Hook(g)
 		for k := 0; k < 2; k++ {
 			if quiet.Limit(k) != asked.Limit(k) {
 				t.Fatalf("hook %d: Limit(%d) = %d on the quiet twin, %d on the pestered one", step, k, quiet.Limit(k), asked.Limit(k))

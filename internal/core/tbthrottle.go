@@ -44,10 +44,11 @@ func NewTBThrottle(target []int) *TBThrottle {
 	}
 }
 
-// Hook implements the gpu.Options hook.
-func (t *TBThrottle) Hook(g *gpu.GPU, cycle int64) {
+// Hook drives the controller; run it from a gpu.Periodic observer.
+func (t *TBThrottle) Hook(g *gpu.GPU) error {
+	cycle := g.Cycle()
 	if cycle-t.lastComp < t.Period {
-		return
+		return nil
 	}
 	elapsed := cycle - t.lastComp
 	if elapsed <= 0 {
@@ -93,4 +94,5 @@ func (t *TBThrottle) Hook(g *gpu.GPU, cycle int64) {
 		}
 		s.SetQuota(quota)
 	}
+	return nil
 }

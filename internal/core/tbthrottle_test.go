@@ -16,10 +16,9 @@ func TestTBThrottleReducesQuotaUnderStall(t *testing.T) {
 	target := []int{7, 5}
 	tt := NewTBThrottle(target)
 	opts := &gpu.Options{
-		Cycles:       120_000,
-		Quota:        gpu.UniformQuota(cfg.NumSMs, target),
-		Hook:         tt.Hook,
-		HookInterval: 1024,
+		Cycles:    120_000,
+		Quota:     gpu.UniformQuota(cfg.NumSMs, target),
+		Observers: []gpu.Observer{gpu.Periodic(0, 1024, tt.Hook)},
 	}
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {
@@ -53,10 +52,9 @@ func TestTBThrottleRecoversWhenHealthy(t *testing.T) {
 	tt := NewTBThrottle(target)
 	// Start below target with a healthy pipeline: quota must recover.
 	opts := &gpu.Options{
-		Cycles:       60_000,
-		Quota:        gpu.UniformQuota(1, []int{2}),
-		Hook:         tt.Hook,
-		HookInterval: 1024,
+		Cycles:    60_000,
+		Quota:     gpu.UniformQuota(1, []int{2}),
+		Observers: []gpu.Observer{gpu.Periodic(0, 1024, tt.Hook)},
 	}
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {

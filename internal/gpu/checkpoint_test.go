@@ -1,6 +1,7 @@
 package gpu_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -118,19 +119,18 @@ func TestCheckpointRestoreContinueMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestCheckpointSinkFires: RunCycles calls the Checkpoint sink at every
-// multiple of CheckpointEvery, and a sink error disables further
-// checkpoints without failing the run.
+// TestCheckpointSinkFires: a Checkpoints observer calls its sink at
+// every multiple of its period, and a sink error turns it off without
+// failing the run.
 func TestCheckpointSinkFires(t *testing.T) {
 	cfg := tinyCfg()
 	descs := []*kern.Desc{getKernel(t, "bp")}
 	var fired []int64
 	o := snapshotOpts(&cfg, descs, 5000, 1, false)
-	o.CheckpointEvery = 1000
-	o.Checkpoint = func(g *gpu.GPU, cycle int64) error {
-		fired = append(fired, cycle)
+	o.Observers = []gpu.Observer{gpu.Checkpoints(0, 1000, func(g *gpu.GPU) error {
+		fired = append(fired, g.Cycle())
 		return nil
-	}
+	})}
 	g, err := gpu.New(cfg, descs, o)
 	if err != nil {
 		t.Fatal(err)
@@ -138,24 +138,17 @@ func TestCheckpointSinkFires(t *testing.T) {
 	if err := g.RunCycles(o); err != nil {
 		t.Fatal(err)
 	}
-	want := []int64{1000, 2000, 3000, 4000, 5000}
-	if len(fired) != len(want) {
+	if want := []int64{1000, 2000, 3000, 4000, 5000}; !reflect.DeepEqual(fired, want) {
 		t.Fatalf("sink fired at %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("sink fired at %v, want %v", fired, want)
-		}
 	}
 
 	// A failing sink disables checkpointing, not the run.
 	fails := 0
 	o2 := snapshotOpts(&cfg, descs, 5000, 1, false)
-	o2.CheckpointEvery = 1000
-	o2.Checkpoint = func(g *gpu.GPU, cycle int64) error {
+	o2.Observers = []gpu.Observer{gpu.Checkpoints(0, 1000, func(g *gpu.GPU) error {
 		fails++
 		return errSink
-	}
+	})}
 	g2, err := gpu.New(cfg, descs, o2)
 	if err != nil {
 		t.Fatal(err)

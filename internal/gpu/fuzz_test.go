@@ -48,7 +48,8 @@ func TestFuzzRandomWorkloads(t *testing.T) {
 		case 2:
 			opts.Policies.Limiter = func(smID, n int) sm.Limiter { return core.NewDMIL(n) }
 		case 3:
-			opts.UCP = gpu.UCPConfig{Enabled: true, Interval: 4000, MinWays: 1}
+			opts.UCP = true
+			opts.Observers = []gpu.Observer{gpu.Repartition(0, 4000)}
 		}
 
 		run := func() *gpu.GPU {

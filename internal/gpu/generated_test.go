@@ -77,14 +77,17 @@ func (c *genCase) String() string {
 		c.scheme, c.cfg.NumSMs, c.cfg.SM.Scheduler, len(c.descs), c.quota[0], c.cycles, c.splitAt)
 }
 
-// options builds fully instrumented Options with fresh policy instances.
-func (c *genCase) options() *gpu.Options {
-	o := &gpu.Options{
+// options builds fully instrumented Options with fresh policy instances
+// and the observers of a leg from cycle 0. observers builds those of a
+// leg of the same machine from start: the watchdog, UCP repartitioning
+// when o.UCP is set, and the DynWS controller of the dynws scheme.
+func (c *genCase) options() (o *gpu.Options, observers func(start int64) []gpu.Observer) {
+	o = &gpu.Options{
 		Cycles: c.cycles,
 		Quota:  c.quota,
 		Trace:  trace.New(1 << 20),
-		Check:  gpu.CheckConfig{Enabled: true},
 	}
+	var hook func(*gpu.GPU) error
 	switch c.scheme {
 	case "smk-gate":
 		o.Policies.Gate = func(smID, n int) sm.IssueGate { return core.NewSMKGate(c.smkIPC, 700) }
@@ -100,9 +103,20 @@ func (c *genCase) options() *gpu.Options {
 		// round boundary, then the chosen partition.
 		d := core.NewDynWS(&c.cfg, c.descs)
 		d.SettleCycles, d.WindowCycles = 200, 300
-		o.Hook, o.HookInterval = d.Hook, 100
+		hook = d.Hook
 	}
-	return o
+	observers = func(start int64) []gpu.Observer {
+		obs := []gpu.Observer{gpu.Watchdog(start, gpu.DefaultProgressWindow)}
+		if o.UCP {
+			obs = append(obs, gpu.Repartition(start, 1500))
+		}
+		if hook != nil {
+			obs = append(obs, gpu.Periodic(start, 100, hook))
+		}
+		return obs
+	}
+	o.Observers = observers(0)
+	return o, observers
 }
 
 // run simulates the case. With split > 0 the run stops there, goes
@@ -111,7 +125,7 @@ func (c *genCase) options() *gpu.Options {
 // events from split on.
 func (c *genCase) run(t testing.TB, split int64) (string, *trace.Buffer) {
 	t.Helper()
-	o := c.options()
+	o, observers := c.options()
 	g, err := gpu.New(c.cfg, c.descs, o)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, c)
@@ -134,7 +148,7 @@ func (c *genCase) run(t testing.TB, split int64) (string, *trace.Buffer) {
 		if err != nil {
 			t.Fatalf("%v\n%s", err, c)
 		}
-		o = c.options()
+		o, observers = c.options()
 		g2, err := gpu.New(c.cfg, c.descs, o)
 		if err != nil {
 			t.Fatalf("%v\n%s", err, c)
@@ -144,6 +158,7 @@ func (c *genCase) run(t testing.TB, split int64) (string, *trace.Buffer) {
 		}
 		g = g2
 		o.Cycles = c.cycles - split
+		o.Observers = observers(split)
 	}
 	if err := g.RunCycles(o); err != nil {
 		t.Fatalf("split=%d: %v\n%s", split, err, c)

@@ -49,13 +49,6 @@ type PolicyFactory struct {
 	Gate      func(smID, numKernels int) sm.IssueGate
 }
 
-// UCPConfig enables utility-based L1D way partitioning.
-type UCPConfig struct {
-	Enabled  bool
-	Interval int64 // repartition period in cycles
-	MinWays  int
-}
-
 // Options configures one simulation run.
 type Options struct {
 	Cycles int64
@@ -64,33 +57,17 @@ type Options struct {
 	// disjoint rows.
 	Quota    [][]int
 	Policies PolicyFactory
-	UCP      UCPConfig
+	// UCP attaches a utility monitor to every L1D; a Repartition
+	// observer partitions the ways from them.
+	UCP bool
 	// BypassL1[k]: kernel k's load misses bypass the L1 (Section 4.5).
 	BypassL1 []bool
 	// Trace, when non-nil, receives cycle-level events from every SM.
 	Trace  *trace.Buffer
 	Series bool
-	// Hook, if non-nil, runs every HookInterval cycles (dynamic
-	// profiling schemes re-partition through it).
-	Hook         func(g *GPU, cycle int64)
-	HookInterval int64
-	// Interrupt, if non-nil, is polled every 1024 cycles; when it
-	// reports true, RunCycles stops early and returns ErrInterrupted
-	// (cancellation and per-job timeouts thread through here).
-	Interrupt func() bool
-	// Checkpoint, if non-nil, runs at every multiple of CheckpointEvery
-	// the cycle counter reaches (after the cycle's hook) so the caller
-	// can persist a mid-job checkpoint (see SnapshotCheckpoint). That
-	// includes the leg's last cycle: the engine does not know whether
-	// the leg ends the job, so callers that do filter (the Session skips
-	// the job's final cycle, which nobody could resume from). A sink
-	// error disables further checkpoints for the run instead of failing
-	// it: checkpointing is a recovery optimization, never a correctness
-	// dependency.
-	Checkpoint      func(g *GPU, cycle int64) error
-	CheckpointEvery int64
-	// Check enables the per-cycle invariant watchdog (see watchdog.go).
-	Check CheckConfig
+	// Observers run between cycles, in this order when several are due
+	// at once (see Observer).
+	Observers []Observer
 	// Deprecated: Workers is never read. The intra-cycle fan-out it
 	// selected is gone; the field survives because bench/engine.go:256
 	// assigns it.
@@ -280,10 +257,11 @@ func Run(cfg config.Config, descs []*kern.Desc, opts *Options) (*stats.RunResult
 	return r, nil
 }
 
-// RunCycles advances the machine by opts.Cycles cycles. It returns nil
-// on completion, ErrInterrupted (wrapped with the cycle reached) when
-// opts.Interrupt reports cancellation, or a *sm.InvariantError when the
-// watchdog (opts.Check) detects a conservation violation.
+// RunCycles advances the machine by opts.Cycles cycles, running
+// opts.Observers between them. It returns nil on completion or the first
+// error an observer returns: ErrInterrupted (wrapped with the cycle
+// reached) from Interrupt, a *sm.InvariantError from Watchdog. opts is
+// only read.
 func (g *GPU) RunCycles(opts *Options) error {
 	err := g.runCycles(opts)
 	g.failed = g.failed || err != nil
@@ -291,72 +269,39 @@ func (g *GPU) RunCycles(opts *Options) error {
 }
 
 func (g *GPU) runCycles(opts *Options) error {
-	if opts.UCP.Enabled && opts.UCP.Interval <= 0 {
-		opts.UCP.Interval = 50 * 1024
-	}
-	var wd *watchdog
-	if opts.Check.Enabled {
-		wd = newWatchdog(opts.Check, g.cycle)
-	}
-	// Hoist the per-cycle polling conditions into precomputed next-fire
-	// cycles: the loop body compares one int64 per feature instead of
-	// re-evaluating nil checks and modulo arithmetic every cycle.
-	const never = int64(^uint64(0) >> 1)
-	nextInterrupt := never
-	if opts.Interrupt != nil {
-		nextInterrupt = g.cycle - g.cycle%interruptInterval
-		if nextInterrupt < g.cycle {
-			nextInterrupt += interruptInterval
-		}
-	}
-	nextHook := never
-	if opts.Hook != nil && opts.HookInterval > 0 {
-		// The hook fires after Step, at the first multiple of
-		// HookInterval the cycle counter reaches.
-		nextHook = (g.cycle/opts.HookInterval + 1) * opts.HookInterval
-	}
-	ucpNext := never
-	if opts.UCP.Enabled {
-		ucpNext = g.cycle
-	}
-	nextCkpt := never
-	if opts.Checkpoint != nil && opts.CheckpointEvery > 0 {
-		nextCkpt = (g.cycle/opts.CheckpointEvery + 1) * opts.CheckpointEvery
-	}
 	if g.phaseTime {
 		start := g.phase
 		defer func() { addPhaseTotals(g.phase.sub(start)) }()
 	}
-	for c := int64(0); c < opts.Cycles; c++ {
-		if g.cycle == nextInterrupt {
-			if opts.Interrupt() {
-				return fmt.Errorf("%w at cycle %d of %d", ErrInterrupted, g.cycle, opts.Cycles)
+	const never = int64(^uint64(0) >> 1)
+	obs := opts.Observers
+	next := make([]int64, len(obs))
+	for i := range obs {
+		next[i] = max(obs[i].At, g.cycle)
+	}
+	// due is the least of next: the loop's one compare per cycle.
+	end, due := g.cycle+opts.Cycles, g.cycle
+	for {
+		if g.cycle == due {
+			due = never
+			for i := range obs {
+				if next[i] == g.cycle {
+					if err := obs[i].Fn(g); err != nil {
+						return err
+					}
+					next[i] = never
+					if obs[i].Every > 0 {
+						next[i] = g.cycle + obs[i].Every
+					}
+				}
+				due = min(due, next[i])
 			}
-			nextInterrupt += interruptInterval
+		}
+		if g.cycle >= end {
+			return nil
 		}
 		g.Step()
-		if wd != nil {
-			if err := wd.check(g); err != nil {
-				return err
-			}
-		}
-		if g.cycle >= ucpNext {
-			g.repartitionL1(opts.UCP.MinWays)
-			ucpNext = g.cycle + opts.UCP.Interval
-		}
-		if g.cycle == nextHook {
-			opts.Hook(g, g.cycle)
-			nextHook += opts.HookInterval
-		}
-		if g.cycle == nextCkpt {
-			if err := opts.Checkpoint(g, g.cycle); err != nil {
-				nextCkpt = never
-			} else {
-				nextCkpt += opts.CheckpointEvery
-			}
-		}
 	}
-	return nil
 }
 
 // lap adds the time since *t0 to *acc and restarts the clock.
@@ -516,22 +461,6 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 		}
 		r := part.resp.Pop().req
 		g.respNet.Push(p, icnt.Packet{Req: r, Dst: r.SM, Flits: g.dataFlits})
-	}
-}
-
-// repartitionL1 recomputes every SM's L1D way partition from its UMON
-// (the UCP lookahead algorithm).
-func (g *GPU) repartitionL1(minWays int) {
-	if len(g.descs) < 2 {
-		return
-	}
-	for _, s := range g.SMs {
-		u := s.L1.UMONRef()
-		if u == nil {
-			continue
-		}
-		s.L1.SetPartition(u.Lookahead(minWays))
-		u.ResetCounters()
 	}
 }
 

@@ -1,6 +1,7 @@
 package gpu_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/config"
@@ -131,9 +132,10 @@ func TestUCPRepartitions(t *testing.T) {
 	a, b := getKernel(t, "bp"), getKernel(t, "sv")
 	descs := []*kern.Desc{a, b}
 	opts := &gpu.Options{
-		Cycles: 30000,
-		Quota:  gpu.UniformQuota(cfg.NumSMs, []int{6, 6}),
-		UCP:    gpu.UCPConfig{Enabled: true, Interval: 5000, MinWays: 1},
+		Cycles:    30000,
+		Quota:     gpu.UniformQuota(cfg.NumSMs, []int{6, 6}),
+		UCP:       true,
+		Observers: []gpu.Observer{gpu.Repartition(0, 5000)},
 	}
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {
@@ -148,27 +150,43 @@ func TestUCPRepartitions(t *testing.T) {
 		t.Fatalf("partition %v does not sum to associativity %d", part, cfg.L1D.Ways)
 	}
 	if part[0] < 1 || part[1] < 1 {
-		t.Fatalf("partition %v violates MinWays", part)
+		t.Fatalf("partition %v leaves a kernel without a way", part)
 	}
 }
 
-func TestHookRuns(t *testing.T) {
+// TestRunCyclesLeavesOptionsAlone: a run only reads its Options, so one
+// *Options may drive several machines at once. %#v prints every field
+// and slice element reachable from the struct, functions by their code
+// pointer.
+func TestRunCyclesLeavesOptionsAlone(t *testing.T) {
 	cfg := tinyCfg()
-	d := getKernel(t, "bp")
-	calls := 0
-	opts := &gpu.Options{
-		Cycles:       5000,
-		Quota:        gpu.UniformQuota(cfg.NumSMs, []int{4}),
-		Hook:         func(g *gpu.GPU, cycle int64) { calls++ },
-		HookInterval: 1000,
-	}
-	g, err := gpu.New(cfg, []*kern.Desc{d}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.RunCycles(opts)
-	if calls < 4 {
-		t.Fatalf("hook ran %d times, want >= 4", calls)
+	descs := []*kern.Desc{getKernel(t, "bp"), getKernel(t, "sv")}
+	for name, observers := range map[string][]gpu.Observer{
+		"ucp": {gpu.Repartition(0, 1000)},
+		"checkpointed": {gpu.Checkpoints(0, 1000, func(g *gpu.GPU) error {
+			_, err := g.SnapshotCheckpoint()
+			return err
+		})},
+	} {
+		t.Run(name, func(t *testing.T) {
+			o := snapshotOpts(&cfg, descs, 3000, 1, false)
+			o.Policies.Limiter = func(smID, n int) sm.Limiter { return core.NewDMIL(n) }
+			o.UCP = name == "ucp"
+			o.BypassL1 = []bool{false, true}
+			o.Observers = observers
+			before := fmt.Sprintf("%#v", *o)
+			g, err := gpu.New(cfg, descs, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g.RunCycles(o); err != nil {
+				t.Fatal(err)
+			}
+			g.Close()
+			if after := fmt.Sprintf("%#v", *o); after != before {
+				t.Fatalf("the run changed its Options\nbefore: %s\nafter:  %s", before, after)
+			}
+		})
 	}
 }
 

@@ -69,22 +69,17 @@ func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) eng
 		Quota:       gpu.UniformQuota(cfg.NumSMs, quota),
 		Workers:     workers,
 		PartWorkers: partWorkers,
-		Interrupt: func() bool {
-			run.maxGoroutines = max(run.maxGoroutines, runtime.NumGoroutine())
-			return false
-		},
 	}
 	if w.full {
 		o.Trace = trace.New(1 << 12)
 		o.Series = true
-		o.Check = gpu.CheckConfig{Enabled: true}
+		o.Observers = append(o.Observers, gpu.Watchdog(0, gpu.DefaultProgressWindow))
 	}
 	ckptHash := sha256.New()
 	asleepAtCkpt := 0
 	if w.ckpt {
 		o.Trace = trace.New(1 << 12)
-		o.CheckpointEvery = w.cycles / 3
-		o.Checkpoint = func(g *gpu.GPU, cycle int64) error {
+		o.Observers = append(o.Observers, gpu.Checkpoints(0, w.cycles/3, func(g *gpu.GPU) error {
 			asleepAtCkpt += sleepingCandidates(g)
 			sn, err := g.SnapshotCheckpoint()
 			if err != nil {
@@ -96,8 +91,12 @@ func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) eng
 			}
 			ckptHash.Write(data)
 			return nil
-		}
+		}))
 	}
+	o.Observers = append(o.Observers, gpu.Interrupt(0, w.cycles, func() bool {
+		run.maxGoroutines = max(run.maxGoroutines, runtime.NumGoroutine())
+		return false
+	}))
 	res, err := gpu.Run(cfg, descs, o)
 	if err != nil {
 		t.Fatalf("%s workers=%d partWorkers=%d: %v", w.name, workers, partWorkers, err)

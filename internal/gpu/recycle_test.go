@@ -40,16 +40,23 @@ func (d donor) park(t testing.TB) *sm.SM {
 	}
 	if d.attached {
 		o.Series = true
-		o.UCP = gpu.UCPConfig{Enabled: true, Interval: 1000, MinWays: 1}
+		o.UCP = true
 		o.BypassL1 = []bool{false, true}
 	}
 	g, err := gpu.New(cfg, descs, o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leg := *o
-	leg.Cycles = settle
-	if err := g.RunCycles(&leg); err != nil {
+	// UCP, when attached, restarts its schedule with every leg.
+	run := func(cycles int64) error {
+		leg := *o
+		leg.Cycles = cycles
+		if o.UCP {
+			leg.Observers = []gpu.Observer{gpu.Repartition(g.Cycle(), 1000)}
+		}
+		return g.RunCycles(&leg)
+	}
+	if err := run(settle); err != nil {
 		t.Fatal(err)
 	}
 	// Step on to a cycle with requests in every holder, armed stall memos,
@@ -58,7 +65,6 @@ func (d donor) park(t testing.TB) *sm.SM {
 	// set has been allocated in. (An L1 with a bypassing kernel ends no
 	// cycle with its memo armed: its miss queue never runs dry, and every
 	// PopMiss drops the memo.)
-	leg.Cycles = 1
 	for {
 		f := gpu.InFlightOf(g)
 		l1memo, l2memo := gpu.ArmedStallMemos(g)
@@ -74,7 +80,7 @@ func (d donor) park(t testing.TB) *sm.SM {
 			t.Fatalf("donor not dirty at any cycle in [%d,%d]: at the last, in flight %+v, armed memos %d/%d, sleepers %d",
 				settle, limit, f, l1memo, l2memo, sleepingCandidates(g))
 		}
-		if err := g.RunCycles(&leg); err != nil {
+		if err := run(1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,12 +141,13 @@ type outcome struct {
 // the attachments toggled as asked, taking an encoded checkpoint mid-run.
 func (c *genCase) runOn(t testing.TB, d *donor, attached bool) outcome {
 	t.Helper()
-	o := c.options()
+	o, observers := c.options()
 	if attached {
 		o.Series = true
-		o.UCP = gpu.UCPConfig{Enabled: true, Interval: 1500, MinWays: 1}
+		o.UCP = true
 		o.BypassL1 = make([]bool, len(c.descs))
 		o.BypassL1[len(c.descs)-1] = true
+		o.Observers = observers(0)
 	}
 	g := newOn(t, d, c.cfg, c.descs, o)
 	leg := *o
@@ -157,6 +164,7 @@ func (c *genCase) runOn(t testing.TB, d *donor, attached bool) outcome {
 		t.Fatalf("%v\n%s", err, c)
 	}
 	leg.Cycles = c.cycles - c.splitAt
+	leg.Observers = observers(c.splitAt)
 	if err := g.RunCycles(&leg); err != nil {
 		t.Fatalf("%v\n%s", err, c)
 	}
@@ -275,10 +283,10 @@ func TestResultAndSnapshotOwnTheirMemory(t *testing.T) {
 	// parked, closed once or twice: interrupted, then failed by the
 	// watchdog.
 	interrupted := opts(4000)
-	interrupted.Interrupt = func() bool { return true }
+	interrupted.Observers = []gpu.Observer{gpu.Interrupt(0, 4000, func() bool { return true })}
 	wedged := opts(4000)
 	wedged.Policies.Gate = func(smID, n int) sm.IssueGate { return blockedGate{} }
-	wedged.Check = gpu.CheckConfig{Enabled: true, ProgressWindow: 500}
+	wedged.Observers = []gpu.Observer{gpu.Watchdog(0, 500)}
 	for name, o := range map[string]*gpu.Options{"interrupted": interrupted, "watchdog": wedged} {
 		g := newOn(t, nil, cfg, descs, o)
 		err := g.RunCycles(o)

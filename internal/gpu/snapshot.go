@@ -255,7 +255,7 @@ func (g *GPU) InstallPolicies(opts *Options) {
 		}
 		policies = append(policies, [3]any{mp, lim, gate})
 		s.SetPolicies(mp, lim, gate)
-		if opts.UCP.Enabled {
+		if opts.UCP {
 			s.L1.AttachUMON()
 		}
 		if opts.BypassL1 != nil {

@@ -33,9 +33,21 @@ func snapshotOpts(cfg *config.Config, descs []*kern.Desc, totalCycles int64, wor
 	if full {
 		o.Trace = trace.New(1 << 16)
 		o.Series = true
-		o.Check = gpu.CheckConfig{Enabled: true}
+		o.Observers = []gpu.Observer{gpu.Watchdog(0, gpu.DefaultProgressWindow)}
 	}
 	return o
+}
+
+// legOf returns the leg of o that runs the next n cycles of g. Observers
+// belong to the leg they were built for, so a fully instrumented leg
+// gets a watchdog of its own.
+func legOf(o *gpu.Options, g *gpu.GPU, n int64, full bool) *gpu.Options {
+	leg := *o
+	leg.Cycles = n
+	if full {
+		leg.Observers = []gpu.Observer{gpu.Watchdog(g.Cycle(), gpu.DefaultProgressWindow)}
+	}
+	return &leg
 }
 
 // TestSnapshotRestoreContinueMatchesUninterrupted is the snapshot
@@ -101,8 +113,7 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				legWarm := *oB
-				legWarm.Cycles = 4000
+				step := int64(4000)
 				derivedLive := func() bool {
 					l1, l2 := gpu.ArmedStallMemos(gB)
 					return sleepingCandidates(gB) > 0 && l1 > 0 && l2 > 0
@@ -111,10 +122,10 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 					if gB.Cycle() >= total/2+500 {
 						t.Fatalf("no cycle in 4000..%d with an issue candidate asleep and a stall memo armed in an L1 and an L2; pick another workload", gB.Cycle())
 					}
-					if err := gB.RunCycles(&legWarm); err != nil {
+					if err := gB.RunCycles(legOf(oB, gB, step, tc.full)); err != nil {
 						t.Fatal(err)
 					}
-					legWarm.Cycles = 1
+					step = 1
 				}
 				warm := gB.Cycle()
 				cont := total - warm
@@ -129,9 +140,7 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				if sn.Cycle() != warm {
 					t.Fatalf("snapshot cycle = %d, want %d", sn.Cycle(), warm)
 				}
-				legCont := *oB
-				legCont.Cycles = cont
-				if err := gB.RunCycles(&legCont); err != nil {
+				if err := gB.RunCycles(legOf(oB, gB, cont, tc.full)); err != nil {
 					t.Fatal(err)
 				}
 				// Taking the snapshot must not perturb the run.
@@ -150,9 +159,7 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				if err := gC.Restore(sn); err != nil {
 					t.Fatal(err)
 				}
-				legC := *oC
-				legC.Cycles = cont
-				if err := gC.RunCycles(&legC); err != nil {
+				if err := gC.RunCycles(legOf(oC, gC, cont, tc.full)); err != nil {
 					t.Fatal(err)
 				}
 				if js := marshalResult(t, gC); js != refJS {
@@ -173,16 +180,13 @@ func TestSnapshotRestoreContinueMatchesUninterrupted(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				legD := *oD
-				legD.Cycles = 1500
-				if err := gD.RunCycles(&legD); err != nil {
+				if err := gD.RunCycles(legOf(oD, gD, 1500, tc.full)); err != nil {
 					t.Fatal(err)
 				}
 				if err := gD.Restore(sn); err != nil {
 					t.Fatal(err)
 				}
-				legD.Cycles = cont
-				if err := gD.RunCycles(&legD); err != nil {
+				if err := gD.RunCycles(legOf(oD, gD, cont, tc.full)); err != nil {
 					t.Fatal(err)
 				}
 				if js := marshalResult(t, gD); js != refJS {

@@ -56,7 +56,7 @@ func TestWatchdogCleanOnHealthyRuns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg, descs, opts := watchdogWorkload(t)
 			tc.setup(opts, len(descs))
-			opts.Check = gpu.CheckConfig{Enabled: true}
+			opts.Observers = []gpu.Observer{gpu.Watchdog(0, gpu.DefaultProgressWindow)}
 			res, err := gpu.Run(cfg, descs, opts)
 			if err != nil {
 				t.Fatalf("healthy run flagged: %v", err)
@@ -80,7 +80,7 @@ func (blockedGate) Tick(cycle int64)         {}
 func TestWatchdogDetectsNoProgress(t *testing.T) {
 	cfg, descs, opts := watchdogWorkload(t)
 	opts.Policies.Gate = func(smID, n int) sm.IssueGate { return blockedGate{} }
-	opts.Check = gpu.CheckConfig{Enabled: true, ProgressWindow: 2_000}
+	opts.Observers = []gpu.Observer{gpu.Watchdog(0, 2_000)}
 	_, err := gpu.Run(cfg, descs, opts)
 	var ie *sm.InvariantError
 	if !errors.As(err, &ie) {
@@ -112,7 +112,7 @@ func TestWatchdogSurfacesInjectedPolicyViolation(t *testing.T) {
 	opts.Policies.MemPolicy = func(smID, n int) sm.MemIssuePolicy {
 		return &corruptPolicy{failAfter: 50}
 	}
-	opts.Check = gpu.CheckConfig{Enabled: true}
+	opts.Observers = []gpu.Observer{gpu.Watchdog(0, gpu.DefaultProgressWindow)}
 	_, err := gpu.Run(cfg, descs, opts)
 	var ie *sm.InvariantError
 	if !errors.As(err, &ie) {
@@ -127,19 +127,18 @@ func TestRunCyclesInterrupt(t *testing.T) {
 	cfg, descs, opts := watchdogWorkload(t)
 	opts.Cycles = 1_000_000
 	stop := false
-	cycles := 0
-	opts.Interrupt = func() bool { cycles++; return stop }
 	g, err := gpu.New(cfg, descs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let a few polls pass, then trip the interrupt via the hook.
-	opts.Hook = func(gg *gpu.GPU, cycle int64) {
-		if cycle >= 10_000 {
-			stop = true
-		}
+	// Let a few polls pass, then trip the interrupt via a hook.
+	opts.Observers = []gpu.Observer{
+		gpu.Periodic(0, 1_000, func(g *gpu.GPU) error {
+			stop = stop || g.Cycle() >= 10_000
+			return nil
+		}),
+		gpu.Interrupt(0, opts.Cycles, func() bool { return stop }),
 	}
-	opts.HookInterval = 1_000
 	err = g.RunCycles(opts)
 	if !errors.Is(err, gpu.ErrInterrupted) {
 		t.Fatalf("err = %v, want ErrInterrupted", err)
@@ -149,7 +148,7 @@ func TestRunCyclesInterrupt(t *testing.T) {
 	}
 	// A non-interrupted run completes and returns nil.
 	opts2 := &gpu.Options{Cycles: 5_000, Quota: opts.Quota,
-		Interrupt: func() bool { return false }}
+		Observers: []gpu.Observer{gpu.Interrupt(0, 5_000, func() bool { return false })}}
 	g2, err := gpu.New(cfg, descs, opts2)
 	if err != nil {
 		t.Fatal(err)
@@ -222,13 +221,15 @@ func TestWatchdogNamesStaleIndex(t *testing.T) {
 			cfg = config.Scaled(2)
 			even := core.EvenQuota(&cfg, descs)
 			opts.Quota = [][]int{{even[0], 0}, even}
-			opts.Check = gpu.CheckConfig{Enabled: true}
-			opts.HookInterval = 1
 			corruptedAt := int64(-1)
-			opts.Hook = func(g *gpu.GPU, cycle int64) {
-				if cycle >= corruptFrom && corruptedAt < 0 && tc.corrupt(g) {
-					corruptedAt = cycle
-				}
+			opts.Observers = []gpu.Observer{
+				gpu.Watchdog(0, gpu.DefaultProgressWindow),
+				gpu.Periodic(0, 1, func(g *gpu.GPU) error {
+					if g.Cycle() >= corruptFrom && corruptedAt < 0 && tc.corrupt(g) {
+						corruptedAt = g.Cycle()
+					}
+					return nil
+				}),
 			}
 			_, err := gpu.Run(cfg, descs, opts)
 			var ie *sm.InvariantError

@@ -4,8 +4,8 @@
 // are conservation laws: a silent violation — an in-flight counter that
 // leaks, a quota that never refreshes — does not crash the run, it
 // quietly corrupts every downstream table. The optional watchdog
-// (gpu.Options.Check) calls CheckInvariants every cycle and turns the
-// first violation into a structured error instead.
+// (gpu.Watchdog) calls CheckInvariants every cycle and turns the first
+// violation into a structured error instead.
 package sm
 
 import "fmt"

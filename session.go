@@ -88,14 +88,22 @@ func (s *Session) Config() Config { return s.cfg }
 // Cycles returns the evaluation run length.
 func (s *Session) Cycles() int64 { return s.cycles }
 
-// interruptOf adapts ctx cancellation to the simulator's polled
-// Interrupt hook (the cycle loop is synchronous, so cancellation is
-// polled every 1024 cycles rather than select-driven).
-func interruptOf(ctx context.Context) func() bool {
-	if ctx == nil || ctx.Done() == nil {
-		return nil
+// observers lists what runs between the cycles of one leg, from start
+// to end, in the order the engine runs them when several are due at
+// once: the invariant watchdog (with Check), then extra — UCP
+// repartitioning, the scheme's controller hooks, the checkpoint sink —
+// then the poll of ctx (the cycle loop is synchronous, so cancellation
+// is polled every 1024 cycles rather than select-driven).
+func (s *Session) observers(ctx context.Context, start, end int64, extra ...gpu.Observer) []gpu.Observer {
+	var obs []gpu.Observer
+	if s.Check {
+		obs = append(obs, gpu.Watchdog(start, gpu.DefaultProgressWindow))
 	}
-	return func() bool { return ctx.Err() != nil }
+	obs = append(obs, extra...)
+	if ctx != nil && ctx.Done() != nil {
+		obs = append(obs, gpu.Interrupt(start, end, func() bool { return ctx.Err() != nil }))
+	}
+	return obs
 }
 
 // wrapInterrupt attaches the context's cancellation cause to a run
@@ -215,19 +223,17 @@ func (s *Session) runIsolatedTBs(ctx context.Context, d Kernel, tbs int, series 
 	if s.onProfile != nil {
 		s.onProfile(ctx, d.Name, tbs)
 	}
-	descs := []*kern.Desc{&d}
-	opts := &gpu.Options{
-		Cycles:    s.ProfileCycles,
+	cycles := s.ProfileCycles
+	if series {
+		cycles = s.cycles
+	}
+	r, err := gpu.Run(s.cfg, []*kern.Desc{&d}, &gpu.Options{
+		Cycles:    cycles,
 		Quota:     gpu.UniformQuota(s.cfg.NumSMs, []int{tbs}),
 		Series:    series,
-		Interrupt: interruptOf(ctx),
-		Check:     gpu.CheckConfig{Enabled: s.Check},
+		Observers: s.observers(ctx, 0, cycles),
 		PhaseTime: s.PhaseTime,
-	}
-	if series {
-		opts.Cycles = s.cycles
-	}
-	r, err := gpu.Run(s.cfg, descs, opts)
+	})
 	return r, wrapInterrupt(ctx, err)
 }
 
@@ -590,17 +596,27 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 		Cycles:    s.cycles,
 		Quota:     quota,
 		Series:    scheme.Series,
-		Interrupt: interruptOf(ctx),
-		Check:     gpu.CheckConfig{Enabled: s.Check},
 		PhaseTime: s.PhaseTime,
 	}
-	var hooks []func(*gpu.GPU, int64)
+	// What the managed leg, which starts after the warm-up, runs between
+	// cycles, in this order: UCP cache partitioning, then the
+	// controllers' hooks every 1024 cycles.
+	start := max(scheme.Warmup, 0)
+	var managed []gpu.Observer
+	if scheme.UCP {
+		every := scheme.UCPInterval
+		if every <= 0 {
+			every = 50 * 1024
+		}
+		opts.UCP = true
+		managed = append(managed, gpu.Repartition(start, every))
+	}
 	if dynws != nil {
-		hooks = append(hooks, dynws.Hook)
+		managed = append(managed, gpu.Periodic(start, 1024, dynws.Hook))
 	}
 	if scheme.TBThrottle {
 		// Validate already rejected the partitionless kinds.
-		hooks = append(hooks, core.NewTBThrottle(row).Hook)
+		managed = append(managed, gpu.Periodic(start, 1024, core.NewTBThrottle(row).Hook))
 	}
 
 	// Memory issue policy.
@@ -633,7 +649,7 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 	case LimitL2MIL:
 		shared := core.NewL2MIL(len(ds))
 		opts.Policies.Limiter = func(smID, n int) sm.Limiter { return shared }
-		hooks = append(hooks, shared.Hook)
+		managed = append(managed, gpu.Periodic(start, 1024, shared.Hook))
 	}
 
 	// SMK warp-instruction quota.
@@ -650,33 +666,12 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 		opts.Policies.Gate = func(smID, n int) sm.IssueGate { return core.NewSMKGate(iso, epoch) }
 	}
 
-	// UCP cache partitioning.
-	if scheme.UCP {
-		opts.UCP = gpu.UCPConfig{Enabled: true, Interval: scheme.UCPInterval, MinWays: 1}
-	}
-
 	// Cache bypassing (Section 4.5 interplay study).
 	if scheme.BypassL1 != nil {
 		opts.BypassL1 = append([]bool(nil), scheme.BypassL1...)
 	}
 
-	if len(hooks) > 0 {
-		opts.HookInterval = 1024
-		opts.Hook = func(g *gpu.GPU, cycle int64) {
-			for _, h := range hooks {
-				h(g, cycle)
-			}
-		}
-	}
-
-	var res *stats.RunResult
-	var resumedFrom int64
-	var err error
-	if ck != nil && ck.Every > 0 && opts.Hook == nil && !opts.UCP.Enabled && scheme.Warmup <= 0 {
-		res, resumedFrom, err = s.executeCheckpointed(ctx, descs, opts, ck)
-	} else {
-		res, err = s.execute(descs, scheme.Warmup, opts)
-	}
+	res, resumedFrom, err := s.execute(ctx, descs, opts, scheme.Warmup, managed, ck)
 	if err != nil {
 		return nil, resumedFrom, wrapInterrupt(ctx, err)
 	}
@@ -693,14 +688,23 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 	}, resumedFrom, nil
 }
 
-// executeCheckpointed runs the evaluation simulation with mid-job
-// checkpointing: build the machine exactly as a from-zero run would
-// (gpu.New installs the scheme's policies and sizes series buckets from
-// the full run length), adopt the latest valid checkpoint if one exists
-// and run only the remaining cycles, persisting fresh checkpoints along
-// the way. Every failure mode degrades — bad checkpoint bytes mean a
-// from-zero run, a failing sink disables further checkpoints — so the
-// result is byte-identical to an uncheckpointed run in all cases.
+// execute builds the evaluation machine and runs it, the one path of
+// every evaluation simulation; it returns the cycle the run resumed from
+// (0 for a from-zero run). managed is what the scheme runs between the
+// cycles of its managed leg.
+//
+// With warmup > 0 the run has two legs on one machine: an unmanaged warm
+// leg (no issue policies, UCP or bypass), then InstallPolicies and the
+// managed remainder. With a checkpoint store (ck) and neither a warm-up
+// nor anything managed — their state lives outside the snapshot, and
+// resuming them would diverge from an unfaulted run — the machine is
+// built exactly as a from-zero run's (gpu.New installs the scheme's
+// policies and sizes series buckets from the full run length), adopts
+// the latest valid checkpoint if one exists and runs only the remaining
+// cycles, persisting fresh checkpoints along the way. Every checkpoint
+// failure degrades — bad checkpoint bytes mean a from-zero run, a
+// failing save turns the sink off — so the result is byte-identical to
+// an uncheckpointed run in all cases.
 //
 // Persistence is write-behind with one save in flight: the sink only
 // takes the snapshot (which owns its memory) on the simulating
@@ -709,116 +713,95 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 // out of this function join the helper first, so a save error surfaces
 // one checkpoint late and ck.Save is never running once the caller has
 // the result, the interruption or the panic.
-func (s *Session) executeCheckpointed(ctx context.Context, descs []*kern.Desc, opts *gpu.Options, ck *Checkpoint) (*stats.RunResult, int64, error) {
+func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Options, warmup int64, managed []gpu.Observer, ck *Checkpoint) (*stats.RunResult, int64, error) {
 	defer simulating()()
-	g, err := gpu.New(s.cfg, descs, opts)
+	// The warm leg's Cycles carries the full run length: gpu.New sizes
+	// the series buckets from it, and the buckets must span both legs.
+	build := opts
+	if warmup > 0 {
+		build = &gpu.Options{Cycles: opts.Cycles, Quota: opts.Quota, Series: opts.Series, PhaseTime: opts.PhaseTime}
+	}
+	g, err := gpu.New(s.cfg, descs, build)
 	if err != nil {
 		return nil, 0, err
 	}
-	var resumedFrom int64
-	if cycle, state, ok := ck.Latest(); ok && cycle > 0 && cycle < s.cycles {
-		if sn, derr := gpu.DecodeSnapshot(state); derr == nil && sn.Cycle() == cycle {
-			if rerr := g.RestoreCheckpoint(sn); rerr == nil {
-				resumedFrom = cycle
-			} else {
-				// A failed restore may have partially overwritten the
-				// machine; rebuild it for the from-zero fallback.
-				if g, err = gpu.New(s.cfg, descs, opts); err != nil {
+	var start int64
+	if ck != nil && ck.Every > 0 && warmup <= 0 && len(managed) == 0 {
+		if cycle, state, ok := ck.Latest(); ok && cycle > 0 && cycle < s.cycles {
+			if sn, derr := gpu.DecodeSnapshot(state); derr == nil && sn.Cycle() == cycle {
+				if rerr := g.RestoreCheckpoint(sn); rerr == nil {
+					start = cycle
+				} else if g, err = gpu.New(s.cfg, descs, opts); err != nil {
+					// A failed restore may have partially overwritten the
+					// machine; the from-zero fallback runs on a new one.
 					return nil, 0, err
 				}
 			}
 		}
-	}
-	run := *opts
-	run.Cycles = s.cycles - resumedFrom
-	run.CheckpointEvery = ck.Every
-	var inFlight chan error // the helper's verdict; nil when none is running
-	join := func() error {
-		if inFlight == nil {
-			return nil
-		}
-		err := <-inFlight
-		inFlight = nil
-		return err
-	}
-	defer join()
-	run.Checkpoint = func(g *gpu.GPU, cycle int64) error {
-		// The engine fires the sink at the leg's last cycle too; only the
-		// session knows that is where the job ends.
-		if cycle >= s.cycles {
-			return nil
-		}
-		if err := join(); err != nil {
-			return err
-		}
-		sn, err := g.SnapshotCheckpoint()
-		if err != nil {
-			return err
-		}
-		done := make(chan error, 1)
-		inFlight = done
-		go func() {
-			// The runner contains a job's panics; one on this goroutine
-			// would take the process down instead, so it becomes the
-			// save's error.
-			defer func() {
-				if r := recover(); r != nil {
-					done <- fmt.Errorf("gcke: checkpoint at cycle %d panicked: %v", cycle, r)
-				}
-			}()
-			state, err := gpu.EncodeSnapshot(sn)
-			if err == nil {
-				err = ck.Save(cycle, state)
+		var inFlight chan error // the helper's verdict; nil when none is running
+		join := func() error {
+			if inFlight == nil {
+				return nil
 			}
-			done <- err
-		}()
-		return nil
+			err := <-inFlight
+			inFlight = nil
+			return err
+		}
+		defer join()
+		managed = []gpu.Observer{gpu.Checkpoints(start, ck.Every, func(g *gpu.GPU) error {
+			// The sink fires at the leg's last cycle too, where nobody
+			// could resume from a checkpoint.
+			cycle := g.Cycle()
+			if cycle >= s.cycles {
+				return nil
+			}
+			if err := join(); err != nil {
+				return err
+			}
+			sn, err := g.SnapshotCheckpoint()
+			if err != nil {
+				return err
+			}
+			done := make(chan error, 1)
+			inFlight = done
+			go func() {
+				// The runner contains a job's panics; one on this goroutine
+				// would take the process down instead, so it becomes the
+				// save's error.
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Errorf("gcke: checkpoint at cycle %d panicked: %v", cycle, r)
+					}
+				}()
+				state, err := gpu.EncodeSnapshot(sn)
+				if err == nil {
+					err = ck.Save(cycle, state)
+				}
+				done <- err
+			}()
+			return nil
+		})}
 	}
-	if err := g.RunCycles(&run); err != nil {
+	resumedFrom := start
+	if warmup > 0 {
+		leg := *build
+		leg.Cycles = warmup
+		leg.Observers = s.observers(ctx, 0, warmup)
+		if err := g.RunCycles(&leg); err != nil {
+			return nil, 0, err
+		}
+		g.InstallPolicies(opts)
+		start = warmup
+	}
+	leg := *opts
+	leg.Cycles = s.cycles - start
+	leg.Observers = s.observers(ctx, start, s.cycles, managed...)
+	if err := g.RunCycles(&leg); err != nil {
 		return nil, resumedFrom, err
 	}
 	res := g.Result()
 	g.Close()
 	return res, resumedFrom, nil
-}
-
-// execute runs the evaluation simulation. With warmup <= 0 it is a
-// plain gpu.Run. With warmup > 0 it runs the two-leg warm-then-manage
-// sequence: an unmanaged warmup leg (no issue policies, UCP or bypass),
-// then InstallPolicies and the managed remainder.
-func (s *Session) execute(descs []*kern.Desc, warmup int64, opts *gpu.Options) (*stats.RunResult, error) {
-	defer simulating()()
-	if warmup <= 0 {
-		return gpu.Run(s.cfg, descs, opts)
-	}
-	// The warm leg's Cycles carries the full run length: gpu.New sizes
-	// the series buckets from it, and the buckets must span both legs.
-	warmOpts := &gpu.Options{
-		Cycles:    opts.Cycles,
-		Quota:     opts.Quota,
-		Series:    opts.Series,
-		Interrupt: opts.Interrupt,
-		Check:     opts.Check,
-		PhaseTime: opts.PhaseTime,
-	}
-	g, err := gpu.New(s.cfg, descs, warmOpts)
-	if err != nil {
-		return nil, err
-	}
-	warmLeg := *warmOpts
-	warmLeg.Cycles = warmup
-	if err := g.RunCycles(&warmLeg); err != nil {
-		return nil, err
-	}
-	g.InstallPolicies(opts)
-	mainLeg := *opts
-	mainLeg.Cycles = opts.Cycles - warmup
-	if err := g.RunCycles(&mainLeg); err != nil {
-		return nil, err
-	}
-	res := g.Result()
-	g.Close()
-	return res, nil
 }
 
 func toPtrs(ds []Kernel) []*kern.Desc {

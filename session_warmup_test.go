@@ -60,12 +60,14 @@ func TestWarmupIsTwoLegs(t *testing.T) {
 			rpm := []int{bp.ReqPerMinst, sv.ReqPerMinst}
 			managed.Policies.MemPolicy = func(smID, n int) sm.MemIssuePolicy { return core.NewQBMI(n, rpm) }
 		}
-		if sc.UCP {
-			managed.UCP = gpu.UCPConfig{Enabled: true, MinWays: 1}
-		}
+		managed.UCP = sc.UCP
 		g.InstallPolicies(&managed)
 		mainLeg := managed
 		mainLeg.Cycles = s.Cycles() - sc.Warmup
+		if sc.UCP {
+			// UCP's default period, restarted by the managed leg.
+			mainLeg.Observers = []gpu.Observer{gpu.Repartition(sc.Warmup, 50*1024)}
+		}
 		if err := g.RunCycles(&mainLeg); err != nil {
 			t.Fatal(err)
 		}
