@@ -1,44 +1,55 @@
 package gcke
 
 import (
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"os"
 	"strconv"
 
-	"repro/internal/config"
+	"repro/internal/kern"
 )
 
-// profileFile is the serialized form of a Session's isolated-execution
-// profile cache. The architecture fingerprint guards against reusing
-// profiles across different machine configurations or run lengths.
+// profileFile is the serialized form of a Session's isolated-IPC
+// profiles. The fingerprint guards against reusing profiles across
+// different machine configurations, run lengths or built-in kernels.
 type profileFile struct {
 	Fingerprint string                        `json:"fingerprint"`
 	IsoIPC      map[string]map[string]float64 `json:"isolated_ipc"` // name -> TB count -> IPC
 }
 
-// fingerprint captures everything the isolated profiles depend on.
-func (s *Session) fingerprint() string {
+// fingerprint captures everything the isolated profiles depend on: the
+// configuration, ProfileCycles and the descriptors of the built-in
+// kernels (builtins, kern.Benchmarks() outside tests), whose names key
+// the file's rows.
+func (s *Session) fingerprint(builtins []Kernel) string {
 	cfg, _ := json.Marshal(s.cfg)
-	return fmt.Sprintf("v1|cycles=%d|%s", s.ProfileCycles, cfg)
+	kernels, _ := json.Marshal(builtins)
+	return fmt.Sprintf("v2|cycles=%d|kernels=%x|%s", s.ProfileCycles, sha256.Sum256(kernels), cfg)
 }
 
-// SaveProfiles writes the session's isolated-IPC cache to path as JSON.
-// Loading it into a future session with the same configuration and
-// ProfileCycles skips the profiling runs (useful for the Warped-Slicer
-// scalability curves, which need one run per TB count per kernel).
+// SaveProfiles writes the session's isolated IPCs of the built-in
+// kernels to path as JSON; a custom kernel is not saved, even under a
+// built-in's name. Loading the file into a future session with the same
+// configuration and ProfileCycles skips the profiling runs (useful for
+// the Warped-Slicer scalability curves, which need one run per TB count
+// per kernel).
 func (s *Session) SaveProfiles(path string) error {
 	pf := profileFile{
-		Fingerprint: s.fingerprint(),
+		Fingerprint: s.fingerprint(kern.Benchmarks()),
 		IsoIPC:      make(map[string]map[string]float64),
 	}
 	s.mu.Lock()
-	for name, m := range s.isoIPC {
-		row := make(map[string]float64, len(m))
-		for tbs, ipc := range m {
-			row[fmt.Sprint(tbs)] = ipc
+	for k, e := range s.profiles {
+		if b, err := kern.ByName(k.d.Name); k.series || !e.settled() || err != nil || b != k.d {
+			continue
 		}
-		pf.IsoIPC[name] = row
+		row, ok := pf.IsoIPC[k.d.Name]
+		if !ok {
+			row = make(map[string]float64)
+			pf.IsoIPC[k.d.Name] = row
+		}
+		row[strconv.Itoa(k.tbs)] = e.ipc
 	}
 	s.mu.Unlock()
 	data, err := json.MarshalIndent(pf, "", "  ")
@@ -52,10 +63,12 @@ func (s *Session) SaveProfiles(path string) error {
 	return os.Rename(tmp, path)
 }
 
-// LoadProfiles merges previously saved isolated-IPC profiles into the
-// session. Profiles recorded under a different architecture or profile
-// length are rejected, and so is a file with a malformed row — as a
-// whole: nothing of a rejected file reaches the session.
+// LoadProfiles merges previously saved isolated IPCs into the session,
+// each under the built-in kernel of its row's name. Profiles recorded
+// under a different architecture, profile length or set of built-in
+// descriptors are rejected, and so is a file with a malformed row — as a
+// whole: nothing of a rejected file reaches the session. A point the
+// session already holds or is simulating keeps its entry.
 func (s *Session) LoadProfiles(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -65,39 +78,31 @@ func (s *Session) LoadProfiles(path string) error {
 	if err := json.Unmarshal(data, &pf); err != nil {
 		return fmt.Errorf("gcke: decoding profiles: %w", err)
 	}
-	if pf.Fingerprint != s.fingerprint() {
-		return fmt.Errorf("gcke: profile fingerprint mismatch (different config or ProfileCycles)")
+	if pf.Fingerprint != s.fingerprint(kern.Benchmarks()) {
+		return fmt.Errorf("gcke: profile fingerprint mismatch (different config, ProfileCycles or built-in kernels)")
 	}
-	loaded := make(map[string]map[int]float64, len(pf.IsoIPC))
+	loaded := make(map[profileKey]float64)
 	for name, row := range pf.IsoIPC {
-		m := make(map[int]float64, len(row))
+		d, err := kern.ByName(name)
+		if err != nil {
+			return fmt.Errorf("gcke: profiles: %w", err)
+		}
 		for tbsStr, ipc := range row {
 			tbs, err := strconv.Atoi(tbsStr)
-			if err != nil || tbs < 1 {
-				return fmt.Errorf("gcke: bad TB key %q in profiles", tbsStr)
+			if err != nil || tbs < 1 || tbs > d.MaxTBsPerSM(&s.cfg) {
+				return fmt.Errorf("gcke: bad TB key %q for %s in profiles", tbsStr, name)
 			}
-			m[tbs] = ipc
+			loaded[profileKey{d, tbs, false}] = ipc
 		}
-		loaded[name] = m
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for name, row := range loaded {
-		m, ok := s.isoIPC[name]
-		if !ok {
-			s.isoIPC[name] = row
-			continue
-		}
-		for tbs, ipc := range row {
-			m[tbs] = ipc
+	for k, ipc := range loaded {
+		if _, ok := s.profiles[k]; !ok {
+			e := &profileEntry{done: make(chan struct{}), ipc: ipc}
+			close(e.done)
+			s.profiles[k] = e
 		}
 	}
 	return nil
 }
-
-// Interface checks: the config must stay JSON-serializable for the
-// fingerprint.
-var _ = func() bool {
-	_, err := json.Marshal(config.Default())
-	return err == nil
-}()

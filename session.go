@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/flight"
 	"repro/internal/gpu"
 	"repro/internal/kern"
 	"repro/internal/sm"
@@ -21,7 +20,7 @@ import (
 // which Warped-Slicer, SMK-(P+W) and the normalization of every metric
 // depend on.
 //
-// A Session is safe for concurrent use: the profile caches are guarded
+// A Session is safe for concurrent use: its one profile table is guarded
 // by a mutex and concurrent requests for the same uncached profile are
 // deduplicated, so exactly one profiling simulation runs per (kernel,
 // occupancy) point no matter how many workers need it; workers that
@@ -54,16 +53,8 @@ type Session struct {
 	// before sharing the Session.
 	PhaseTime bool
 
-	mu       sync.Mutex                  // guards the three caches below
-	isoIPC   map[string]map[int]float64  // name -> TBs -> IPC
-	isoRun   map[string]*stats.RunResult // name -> full-occupancy isolated result
-	isoSerie map[string]*stats.RunResult // name -> isolated result with series
-
-	// In-flight deduplication for cache misses (one simulation per key
-	// even under concurrent demand).
-	runFlight   flight.Group[string, *stats.RunResult]
-	serieFlight flight.Group[string, *stats.RunResult]
-	ipcFlight   flight.Group[string, float64]
+	mu       sync.Mutex
+	profiles map[profileKey]*profileEntry // the profile table, guarded by mu
 
 	// onProfile, when set (by tests), is called on the simulating
 	// goroutine before every isolated profile simulation.
@@ -76,9 +67,7 @@ func NewSession(cfg Config, cycles int64) *Session {
 		cfg:           cfg,
 		cycles:        cycles,
 		ProfileCycles: cycles,
-		isoIPC:        make(map[string]map[int]float64),
-		isoRun:        make(map[string]*stats.RunResult),
-		isoSerie:      make(map[string]*stats.RunResult),
+		profiles:      make(map[profileKey]*profileEntry),
 	}
 }
 
@@ -135,30 +124,118 @@ func simulating() func() {
 	return func() { simsInFlight.Add(-1) }
 }
 
-// shared runs fn through g under key. With wait it is g.Do — the caller
-// gets the result whoever simulates it; without, it is g.TryDo — a key
-// another goroutine is simulating is left to it and the zero value
-// returned at once (the claim pass of claimProfiles). fn must consult
-// the cache first: it runs again after an interruption.
+// profileKey names one isolated profile simulation: kernel d alone at
+// tbs TBs per SM, with 1 K-cycle series or without. The whole descriptor
+// is the key, as it is of a job's fingerprint, so a custom kernel never
+// shares a profile with another kernel of the same name.
+type profileKey struct {
+	d      Kernel
+	tbs    int
+	series bool
+}
+
+// profileEntry is one row of the profile table: in flight until done is
+// closed, cached after. The leader fills r, ipc and err before it closes
+// done, and takes the entry out of the table first when its simulation
+// fails, so an entry settled in the table always holds a result. r is nil
+// for a point loaded from a profile file, which holds its IPC alone.
+type profileEntry struct {
+	done chan struct{}
+	r    *RunResult
+	ipc  float64
+	err  error
+}
+
+// settled reports whether e's leader has finished.
+func (e *profileEntry) settled() bool {
+	select {
+	case <-e.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// cached reports whether the table holds point k: its whole result with
+// full, its IPC without. s.mu must be held.
+func (s *Session) cached(k profileKey, full bool) bool {
+	e := s.profiles[k]
+	return e != nil && e.settled() && (e.r != nil || !full)
+}
+
+// profile returns the table's entry for point k — with full, one holding
+// the whole result, not an IPC loaded from a file — simulating the point
+// when the table has no such entry. With wait it waits for an entry in
+// flight; without, it returns (nil, nil) at once for one (the claim pass
+// of claimProfiles).
 //
-// A shared simulation runs under its leader's ctx, so a leader that is
-// cancelled hands gpu.ErrInterrupted to every waiter. Nothing
-// interrupted is ever cached; a caller whose own ctx is still live
-// claims the point again and, if it is free by then, leads it.
-func shared[V any](ctx context.Context, g *flight.Group[string, V], key string, wait bool, fn func() (V, error)) (V, error) {
+// A point is simulated under its leader's ctx, so a leader that is
+// cancelled hands gpu.ErrInterrupted to every waiter. Nothing interrupted
+// is ever cached; a caller whose own ctx is still live claims the point
+// again and, if it is free by then, leads it.
+func (s *Session) profile(ctx context.Context, k profileKey, full, wait bool) (*profileEntry, error) {
 	for {
-		var v V
-		var err error
-		if wait {
-			v, err = g.Do(key, fn)
-		} else {
-			v, _, err = g.TryDo(key, fn)
+		s.mu.Lock()
+		e := s.profiles[k]
+		lead := e == nil || full && e.settled() && e.r == nil
+		if lead {
+			e = &profileEntry{done: make(chan struct{})}
+			s.profiles[k] = e
 		}
-		if errors.Is(err, gpu.ErrInterrupted) && (ctx == nil || ctx.Err() == nil) {
+		s.mu.Unlock()
+		if lead {
+			s.lead(ctx, k, e)
+		} else if !wait && !e.settled() {
+			return nil, nil
+		}
+		<-e.done
+		if errors.Is(e.err, gpu.ErrInterrupted) && (ctx == nil || ctx.Err() == nil) {
 			continue
 		}
-		return v, err
+		return e, e.err
 	}
+}
+
+// lead simulates point k into e, the entry this goroutine put in the
+// table. A simulation that fails or panics takes e out of the table
+// before it releases the waiters; a panic reaches them as an error naming
+// it and goes on in the leader.
+func (s *Session) lead(ctx context.Context, k profileKey, e *profileEntry) {
+	defer func() {
+		p := recover()
+		if p != nil {
+			e.err = fmt.Errorf("gcke: profile of %s at %d TBs per SM panicked: %v", k.d.Name, k.tbs, p)
+		}
+		if e.err != nil {
+			s.mu.Lock()
+			delete(s.profiles, k)
+			s.mu.Unlock()
+		}
+		close(e.done)
+		if p != nil {
+			panic(p)
+		}
+	}()
+	defer simulating()()
+	if s.onProfile != nil {
+		s.onProfile(ctx, k.d.Name, k.tbs)
+	}
+	cycles := s.ProfileCycles
+	if k.series {
+		cycles = s.cycles
+	}
+	e.r, e.err = gpu.Run(s.cfg, []*kern.Desc{&k.d}, &gpu.Options{
+		Cycles:    cycles,
+		Quota:     gpu.UniformQuota(s.cfg.NumSMs, []int{k.tbs}),
+		Series:    k.series,
+		Observers: s.observers(ctx, 0, cycles),
+		PhaseTime: s.PhaseTime,
+	})
+	if e.err != nil {
+		e.err = wrapInterrupt(ctx, e.err)
+		return
+	}
+	e.ipc = e.r.Kernels[0].IPC
 }
 
 // RunIsolated simulates kernel d alone at full occupancy and caches the
@@ -173,7 +250,7 @@ func (s *Session) RunIsolated(d Kernel) (*RunResult, error) {
 // is cancelled; interrupted results are never cached, and a waiter
 // whose own ctx is live re-runs the profile.
 func (s *Session) RunIsolatedCtx(ctx context.Context, d Kernel) (*RunResult, error) {
-	return s.isolatedRun(ctx, d, false, true)
+	return s.isolated(ctx, d, false)
 }
 
 // RunIsolatedSeries is RunIsolated with 1 K-cycle series collection.
@@ -183,114 +260,35 @@ func (s *Session) RunIsolatedSeries(d Kernel) (*RunResult, error) {
 
 // RunIsolatedSeriesCtx is RunIsolatedSeries honouring ctx cancellation.
 func (s *Session) RunIsolatedSeriesCtx(ctx context.Context, d Kernel) (*RunResult, error) {
-	return s.isolatedRun(ctx, d, true, true)
+	return s.isolated(ctx, d, true)
 }
 
-// isolatedRun is the one body of the full-occupancy profile point (with
-// or without series), for the wait pass (RunIsolatedCtx) and the claim
-// pass alike; see shared.
-func (s *Session) isolatedRun(ctx context.Context, d Kernel, series, wait bool) (*RunResult, error) {
-	cache, g := s.isoRun, &s.runFlight
-	if series {
-		cache, g = s.isoSerie, &s.serieFlight
+// isolated is kernel d's full-occupancy point, which without series is
+// also the last point of its scalability curve.
+func (s *Session) isolated(ctx context.Context, d Kernel, series bool) (*RunResult, error) {
+	e, err := s.profile(ctx, profileKey{d, d.MaxTBsPerSM(&s.cfg), series}, true, true)
+	if err != nil {
+		return nil, err
 	}
-	cached := func() (*stats.RunResult, bool) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		r, ok := cache[d.Name]
-		return r, ok
-	}
-	if r, ok := cached(); ok {
-		return r, nil
-	}
-	return shared(ctx, g, d.Name, wait, func() (*stats.RunResult, error) {
-		if r, ok := cached(); ok {
-			return r, nil
-		}
-		r, err := s.runIsolatedTBs(ctx, d, d.MaxTBsPerSM(&s.cfg), series)
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		cache[d.Name] = r
-		s.mu.Unlock()
-		return r, nil
-	})
+	return e.r, nil
 }
 
-func (s *Session) runIsolatedTBs(ctx context.Context, d Kernel, tbs int, series bool) (*RunResult, error) {
-	defer simulating()()
-	if s.onProfile != nil {
-		s.onProfile(ctx, d.Name, tbs)
-	}
-	cycles := s.ProfileCycles
-	if series {
-		cycles = s.cycles
-	}
-	r, err := gpu.Run(s.cfg, []*kern.Desc{&d}, &gpu.Options{
-		Cycles:    cycles,
-		Quota:     gpu.UniformQuota(s.cfg.NumSMs, []int{tbs}),
-		Series:    series,
-		Observers: s.observers(ctx, 0, cycles),
-		PhaseTime: s.PhaseTime,
-	})
-	return r, wrapInterrupt(ctx, err)
-}
-
-// IsolatedIPC returns kernel d's isolated IPC at n TBs per SM (cached).
+// IsolatedIPC returns kernel d's isolated IPC at n TBs per SM (cached),
+// for n in 1..d.MaxTBsPerSM.
 func (s *Session) IsolatedIPC(d Kernel, n int) (float64, error) {
 	return s.IsolatedIPCCtx(context.Background(), d, n)
 }
 
 // IsolatedIPCCtx is IsolatedIPC honouring ctx cancellation.
 func (s *Session) IsolatedIPCCtx(ctx context.Context, d Kernel, n int) (float64, error) {
-	return s.isolatedIPC(ctx, d, n, true)
-}
-
-// isolatedIPC is the one body of a scalability-curve point, for the
-// wait pass (IsolatedIPCCtx) and the claim pass alike; see shared.
-func (s *Session) isolatedIPC(ctx context.Context, d Kernel, n int, wait bool) (float64, error) {
-	if v, ok := s.lookupIPC(d.Name, n); ok {
-		return v, nil
+	if max := d.MaxTBsPerSM(&s.cfg); n < 1 || n > max {
+		return 0, fmt.Errorf("gcke: %s runs 1..%d TBs per SM, not %d", d.Name, max, n)
 	}
-	key := fmt.Sprintf("%s|%d", d.Name, n)
-	return shared(ctx, &s.ipcFlight, key, wait, func() (float64, error) {
-		if v, ok := s.lookupIPC(d.Name, n); ok {
-			return v, nil
-		}
-		var r *RunResult
-		var err error
-		if n == d.MaxTBsPerSM(&s.cfg) {
-			// Share the cached full-occupancy run.
-			r, err = s.RunIsolatedCtx(ctx, d)
-		} else {
-			r, err = s.runIsolatedTBs(ctx, d, n, false)
-		}
-		if err != nil {
-			return 0, err
-		}
-		v := r.Kernels[0].IPC
-		s.storeIPC(d.Name, n, v)
-		return v, nil
-	})
-}
-
-func (s *Session) lookupIPC(name string, n int) (float64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.isoIPC[name][n]
-	return v, ok
-}
-
-func (s *Session) storeIPC(name string, n int, v float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m, ok := s.isoIPC[name]
-	if !ok {
-		m = make(map[int]float64)
-		s.isoIPC[name] = m
+	e, err := s.profile(ctx, profileKey{d, n, false}, false, true)
+	if err != nil {
+		return 0, err
 	}
-	m[n] = v
+	return e.ipc, nil
 }
 
 // Curve returns kernel d's scalability curve: isolated IPC with 1..max
@@ -318,17 +316,11 @@ func (s *Session) CurveCtx(ctx context.Context, d Kernel) ([]float64, error) {
 	return out, nil
 }
 
-// profilePoint is one isolated simulation of the profile plane.
-type profilePoint struct {
-	d   *Kernel
-	tbs int // TBs per SM of a scalability-curve point; 0 is the full-occupancy run
-}
-
 // uncachedPoints lists, under one lock, the profile points of ds that
 // are not cached, costliest first: the full-occupancy runs, then (with
 // curves) the curve points below full occupancy by descending TB count,
 // so that a pass shared between goroutines ends on a short simulation.
-func (s *Session) uncachedPoints(ds []Kernel, curves bool) []profilePoint {
+func (s *Session) uncachedPoints(ds []Kernel, curves bool) []profileKey {
 	top := 0 // the largest full occupancy; 0 without curves
 	if curves {
 		for i := range ds {
@@ -337,10 +329,10 @@ func (s *Session) uncachedPoints(ds []Kernel, curves bool) []profilePoint {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var pts []profilePoint
+	var pts []profileKey
 	for i := range ds {
-		if _, ok := s.isoRun[ds[i].Name]; !ok {
-			pts = append(pts, profilePoint{&ds[i], 0})
+		if k := (profileKey{ds[i], ds[i].MaxTBsPerSM(&s.cfg), false}); !s.cached(k, true) {
+			pts = append(pts, k)
 		}
 	}
 	for n := top - 1; n >= 1; n-- {
@@ -348,8 +340,8 @@ func (s *Session) uncachedPoints(ds []Kernel, curves bool) []profilePoint {
 			if n >= ds[i].MaxTBsPerSM(&s.cfg) {
 				continue
 			}
-			if _, ok := s.isoIPC[ds[i].Name][n]; !ok {
-				pts = append(pts, profilePoint{&ds[i], n})
+			if k := (profileKey{ds[i], n, false}); !s.cached(k, false) {
+				pts = append(pts, k)
 			}
 		}
 	}
@@ -389,17 +381,12 @@ func (s *Session) claimProfiles(ctx context.Context, ds []Kernel, curves bool) (
 	// (or panics): its error is the job's, more profiles are not wanted.
 	var stop atomic.Bool
 	claim := func() error {
-		for _, p := range pts {
+		for _, k := range pts {
 			if stop.Load() {
 				return nil
 			}
-			var perr error
-			if p.tbs == 0 {
-				_, perr = s.isolatedRun(ctx, *p.d, false, false)
-			} else {
-				_, perr = s.isolatedIPC(ctx, *p.d, p.tbs, false)
-			}
-			if perr != nil {
+			// A job needs its full-occupancy runs whole, its curves' IPCs.
+			if _, perr := s.profile(ctx, k, k.tbs == k.d.MaxTBsPerSM(&s.cfg), false); perr != nil {
 				stop.Store(true)
 				return perr
 			}
@@ -479,7 +466,7 @@ func (s *Session) PartitionCtx(ctx context.Context, ds []Kernel, kind PartitionK
 			}
 			curves[i] = c
 		}
-		return wsSweetSpot(&s.cfg, descs, curves)
+		return core.SweetSpot(&s.cfg, descs, curves)
 	case PartitionSMK:
 		return core.DRFPartition(&s.cfg, descs), 0, nil
 	case PartitionLeftover:
@@ -496,10 +483,6 @@ func (s *Session) PartitionCtx(ctx context.Context, ds []Kernel, kind PartitionK
 	default:
 		return nil, 0, fmt.Errorf("gcke: unknown partition kind %v", kind)
 	}
-}
-
-func wsSweetSpot(cfg *Config, descs []*kern.Desc, curves [][]float64) ([]int, float64, error) {
-	return core.SweetSpot(cfg, descs, curves)
 }
 
 // Checkpoint wires a persistent checkpoint store into one workload run.

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/flight/flighttest"
 	"repro/internal/gpu"
 )
 
@@ -117,7 +116,7 @@ func TestWaiterSurvivesLeaderCancel(t *testing.T) {
 		res, err := s.RunWorkloadCtx(context.Background(), wl, scheme)
 		waiter <- outcome{res, err}
 	}()
-	flighttest.AwaitWaitersInDo(1)
+	awaitProfileWaiters(1)
 	cancel()
 
 	if err := <-leaderErr; !errors.Is(err, context.Canceled) {

@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/flight/flighttest"
 	"repro/internal/gpu"
+	"repro/internal/kern"
 )
 
 // goid names the calling goroutine ("17"), so that onProfile can tell
@@ -52,6 +52,48 @@ func noGoroutineLeft(t *testing.T) {
 			t.Errorf("%d goroutines before, %d after", before, after)
 		}
 	})
+}
+
+// profileWaiters counts the goroutines parked in Session.profile on a
+// point another goroutine is simulating. A goroutine only parks there
+// after it has found the point's entry, so once it is counted it is
+// certain to share that entry's outcome.
+func profileWaiters() int {
+	recs := make([]runtime.StackRecord, 64)
+	n, ok := runtime.GoroutineProfile(recs)
+	for !ok {
+		recs = make([]runtime.StackRecord, 2*n)
+		n, ok = runtime.GoroutineProfile(recs)
+	}
+	waiters := 0
+	for _, rec := range recs[:n] {
+		frames := runtime.CallersFrames(rec.Stack())
+		for {
+			f, more := frames.Next()
+			if !strings.HasPrefix(f.Function, "runtime.") {
+				// The first frame outside the runtime is what the
+				// goroutine is blocked in.
+				if strings.HasSuffix(f.Function, ".(*Session).profile") {
+					waiters++
+				}
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return waiters
+}
+
+// awaitProfileWaiters returns once at least n goroutines wait in
+// Session.profile. It sleeps between polls: a goroutine profile stops
+// the world, and the goroutines being waited for may have simulations to
+// run first.
+func awaitProfileWaiters(n int) {
+	for profileWaiters() < n {
+		time.Sleep(200 * time.Microsecond)
+	}
 }
 
 // profileLog records, through onProfile, which goroutine simulated which
@@ -385,7 +427,7 @@ func TestLoneJobCancellation(t *testing.T) {
 		res, err := s.RunWorkloadCtx(context.Background(), wl, loneScheme)
 		second <- outcome{res, err}
 	}()
-	flighttest.AwaitWaitersInDo(1)
+	awaitProfileWaiters(1)
 
 	cancel()
 	err = <-cancelled
@@ -406,7 +448,7 @@ func TestLoneJobCancellation(t *testing.T) {
 }
 
 // TestLoneJobCancelCachesNothing: a lone cancelled claim pass leaves
-// the profile caches empty.
+// the profile table empty.
 func TestLoneJobCancelCachesNothing(t *testing.T) {
 	wl := loneWorkload(t)
 	atGOMAXPROCS(t, 4)
@@ -424,11 +466,8 @@ func TestLoneJobCancelCachesNothing(t *testing.T) {
 	if _, err := s.RunWorkloadCtx(ctx, wl, loneScheme); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled in chain", err)
 	}
-	s.mu.Lock()
-	runs, ipcs := len(s.isoRun), len(s.isoIPC)
-	s.mu.Unlock()
-	if runs != 0 || ipcs != 0 {
-		t.Errorf("cancelled claim pass cached %d isolated runs and %d curves", runs, ipcs)
+	if n := tableLen(s); n != 0 {
+		t.Errorf("cancelled claim pass left %d profile points in the table", n)
 	}
 	// Each of at most GOMAXPROCS participants gets as far as one point.
 	if len(log.runs) > 4 {
@@ -460,7 +499,7 @@ func TestLoneJobHelperPanicBecomesError(t *testing.T) {
 		// parked on it, then panic.
 		once.Do(func() {
 			doomed <- point{kernel, tbs}
-			flighttest.AwaitWaitersInDo(1)
+			awaitProfileWaiters(1)
 			panic("injected on a helper")
 		})
 	}
@@ -493,7 +532,7 @@ func TestLoadProfilesAllOrNothing(t *testing.T) {
 	for _, bad := range []string{"x", "12abc", "-3", "0x10", "0"} {
 		s := shortSession()
 		pf := profileFile{
-			Fingerprint: s.fingerprint(),
+			Fingerprint: s.fingerprint(kern.Benchmarks()),
 			IsoIPC: map[string]map[string]float64{
 				"bp": {"3": 1.5},
 				"ks": {bad: 2.5},
@@ -513,8 +552,8 @@ func TestLoadProfilesAllOrNothing(t *testing.T) {
 			if err := s.LoadProfiles(path); err == nil {
 				t.Fatalf("bad TB key %q accepted", bad)
 			}
-			if v, ok := s.lookupIPC("bp", 3); ok {
-				t.Fatalf("file rejected for key %q left bp|3 = %v in the session", bad, v)
+			if n := tableLen(s); n != 0 {
+				t.Fatalf("file rejected for key %q left %d points in the session", bad, n)
 			}
 		}
 	}
