@@ -17,12 +17,12 @@
 // deterministic and results are rendered in submission order, so the
 // output files are byte-identical to a serial (-parallel 1) run.
 //
-// With -fleet the grids run on ckeserve -worker processes instead, through
-// the fault-tolerant coordinator in internal/fleet (leases, requeues,
-// hedged stragglers, audits), with the same output files; -journal then
-// lets a restarted run skip what finished, and the workers' journals are
-// unioned in as well. Isolated characterisations (Table 2, Figure 3)
-// still run in this process; the workers profile for their own jobs.
+// With -fleet the grids run on ckeserve processes instead, through the
+// fault-tolerant coordinator in internal/fleet (leases, requeues, hedged
+// stragglers, audits), with the same output files; -journal then lets a
+// restarted run skip what finished. Isolated characterisations (Table 2,
+// Figure 3) still run in this process; the workers profile for their own
+// jobs.
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 	"time"
 
 	gcke "repro"
-	"repro/internal/backoff"
 	"repro/internal/chaos"
 	"repro/internal/cli"
 	"repro/internal/fleet"
@@ -56,17 +55,15 @@ func main() {
 	only := flag.String("only", "", "comma-separated experiment subset (e.g. fig12,fig13)")
 	paperScale := flag.Bool("paper-scale", false, "16 SMs and 2M cycles (slow)")
 	parallel := flag.Int("parallel", 0, "worker pool size, shared by every experiment (0 = GOMAXPROCS, 1 = serial); with -fleet the fleet's capacity sizes the grids' pool")
-	check := flag.Bool("check", false, "enable the per-cycle simulator invariant watchdog")
-	journalPath := flag.String("journal", "", "checkpoint journal path; completed points are replayed on restart (empty = disabled)")
-	timeout := flag.Duration("timeout", 0, "per-job wall-clock timeout; with -fleet, each lease's budget (0 = none)")
-	fleetURLs := flag.String("fleet", "", "comma-separated ckeserve -worker URLs to run the grids on (empty = this process)")
+	rb := cli.AddFlags(flag.CommandLine, "check", "journal", "timeout")
+	fleetURLs := flag.String("fleet", "", "comma-separated ckeserve URLs to run the grids on, -timeout bounding each lease (empty = this process)")
 	fleetAddr := flag.String("fleet-addr", "", "with -fleet: coordinator control-plane listen address (/statz, /healthz); empty = off")
 	fleetChaos := flag.String("fleet-chaos", "", "with -fleet: network fault injection on the dispatch path (dev only), e.g. net5xx=0.2,failures=1,seed=9")
 	hedgeAfter := flag.Duration("hedge-after", 0, "with -fleet: floor of the straggler-hedge threshold (0 = hedge once a latency EWMA exists; negative disables hedging)")
 	auditRate := flag.Float64("audit-rate", 0, "with -fleet: fraction of results re-executed on another worker and byte-compared (0 = off, 1 = all)")
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
-	if *check && *fleetURLs != "" {
+	if rb.Check && *fleetURLs != "" {
 		log.Fatal("-check cannot be combined with -fleet: the workers do not run the invariant watchdog")
 	}
 	ctx, stop := cli.SignalContext()
@@ -90,9 +87,9 @@ func main() {
 	// One runner for the whole process: experiments that share points
 	// (fig12 and paper-vs-measured) simulate them once.
 	run := harness.NewRunner(*parallel)
-	run.Check = *check
+	run.Check = rb.Check
 	run.PhaseTime = prof.PhaseTrace
-	run.Timeout = *timeout
+	run.Timeout = rb.Timeout
 	var co *fleet.Coordinator
 	// fatalf exits 1, printing the fleet summary first when there is a
 	// fleet: a failed run's counters are what there is to debug from.
@@ -103,7 +100,7 @@ func main() {
 		log.Fatalf(format, args...)
 	}
 	if *fleetURLs != "" {
-		co, err = openFleet(strings.Split(*fleetURLs, ","), *fleetAddr, *fleetChaos, *timeout, *hedgeAfter, *auditRate)
+		co, err = openFleet(strings.Split(*fleetURLs, ","), *fleetAddr, *fleetChaos, rb.Timeout, *hedgeAfter, *auditRate)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -115,7 +112,7 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
-	jnl, err := (&cli.Robustness{JournalPath: *journalPath}).OpenJournal(log.Printf)
+	jnl, err := rb.OpenJournal(log.Printf)
 	if err != nil {
 		fatalf("%v", err)
 	}
@@ -247,8 +244,8 @@ func main() {
 // logFleetStats prints the fleet's end-of-run summary line.
 func logFleetStats(co *fleet.Coordinator) {
 	st := co.StatsSnapshot()
-	log.Printf("fleet: %d completed (%d resumed), %d failed, %d dispatches, %d requeues (%d budget-paced), %d sheds, %d hedges (%d won), %d ejections, %d audits (%d mismatched), %d quarantined",
-		st.Completed, st.Resumed, st.Failed, st.Dispatched, st.Requeues, st.RetryBudgetWaits, st.Shed429, st.Hedges, st.HedgeWins, st.Ejections, st.Audits, st.AuditMismatches, st.Quarantined)
+	log.Printf("fleet: %d completed, %d failed, %d dispatches, %d requeues (%d budget-paced), %d sheds, %d hedges (%d won), %d ejections, %d audits (%d mismatched), %d quarantined",
+		st.Completed, st.Failed, st.Dispatched, st.Requeues, st.RetryBudgetWaits, st.Shed429, st.Hedges, st.HedgeWins, st.Ejections, st.Audits, st.AuditMismatches, st.Quarantined)
 }
 
 // openFleet assembles the coordinator -fleet names and, with addr, serves
@@ -257,7 +254,6 @@ func openFleet(workers []string, addr, chaosSpec string, timeout, hedgeAfter tim
 	cfg := fleet.Config{
 		Workers:    workers,
 		JobTimeout: timeout,
-		Retry:      backoff.Default(),
 		HedgeAfter: hedgeAfter,
 		AuditRate:  auditRate,
 		Logf:       log.Printf,

@@ -39,7 +39,7 @@ func main() {
 	benchList := flag.String("bench", "", "comma-separated benchmark subset (default: all)")
 	verbose := flag.Bool("v", false, "print reservation-failure breakdown")
 	parallel := flag.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
-	check := flag.Bool("check", false, "enable the per-cycle simulator invariant watchdog")
+	rb := cli.AddFlags(flag.CommandLine, "check")
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 	ctx, stop := cli.SignalContext()
@@ -52,7 +52,7 @@ func main() {
 
 	cfg := gcke.ScaledConfig(*sms)
 	s := gcke.NewSession(cfg, *cycles)
-	s.Check = *check
+	s.Check = rb.Check
 	s.PhaseTime = prof.PhaseTrace
 
 	names := gcke.BenchmarkNames()

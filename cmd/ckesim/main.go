@@ -77,7 +77,7 @@ func main() {
 	sms := flag.Int("sms", 4, "number of SMs")
 	cycles := flag.Int64("cycles", 300_000, "evaluation cycles")
 	profCycles := flag.Int64("profile-cycles", 60_000, "profiling cycles")
-	check := flag.Bool("check", false, "enable the per-cycle simulator invariant watchdog")
+	rb := cli.AddFlags(flag.CommandLine, "check")
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
 	ctx, stop := cli.SignalContext()
@@ -91,7 +91,7 @@ func main() {
 	cfg := gcke.ScaledConfig(*sms)
 	session := gcke.NewSession(cfg, *cycles)
 	session.ProfileCycles = *profCycles
-	session.Check = *check
+	session.Check = rb.Check
 	session.PhaseTime = prof.PhaseTrace
 
 	var wl []gcke.Kernel

@@ -48,9 +48,6 @@ type Policy struct {
 	// becomes uniform in [d*(1-Jitter), d]. 0 disables jitter; values
 	// outside [0,1] are clamped.
 	Jitter float64
-	// Seed perturbs the jitter stream (e.g. per-service), on top of the
-	// per-key stream separation.
-	Seed uint64
 }
 
 func (p Policy) withDefaults() Policy {
@@ -91,10 +88,10 @@ func (p Policy) Delay(key string, attempt int) time.Duration {
 		d = float64(p.Cap)
 	}
 	if p.Jitter > 0 {
-		// One independent deterministic stream per (seed, key, attempt):
+		// One independent deterministic stream per (key, attempt):
 		// the draw does not depend on how many delays were computed
 		// before it, so concurrent retry loops stay reproducible.
-		src := xrand.New(p.Seed ^ hashKey(key)).Fork(uint64(attempt))
+		src := xrand.New(hashKey(key)).Fork(uint64(attempt))
 		d *= 1 - p.Jitter*src.Float64()
 	}
 	if d < 1 {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDelayDeterministic(t *testing.T) {
-	p := Policy{Base: 10 * time.Millisecond, Cap: time.Second, Factor: 2, Jitter: 0.5, Seed: 7}
+	p := Policy{Base: 10 * time.Millisecond, Cap: time.Second, Factor: 2, Jitter: 0.5}
 	for attempt := 1; attempt <= 8; attempt++ {
 		a := p.Delay("j1-abc", attempt)
 		b := p.Delay("j1-abc", attempt)
@@ -16,7 +16,7 @@ func TestDelayDeterministic(t *testing.T) {
 			t.Fatalf("attempt %d: delay not deterministic: %v vs %v", attempt, a, b)
 		}
 	}
-	// Different keys (and different seeds) must draw from different
+	// Different keys must draw from different
 	// jitter streams, or concurrent retries synchronize into bursts.
 	same := 0
 	for attempt := 1; attempt <= 8; attempt++ {

@@ -52,26 +52,39 @@ type Robustness struct {
 	CkptEvery int64
 }
 
-// AddFlags registers the shared -check, -on-error, -journal and -timeout
-// flags on fs (use flag.CommandLine from a driver's main).
-func AddFlags(fs *flag.FlagSet) *Robustness {
+// AddFlags registers the shared flags named (without their dash) on fs,
+// or all of them when none is named: -check, -on-error, -journal,
+// -timeout, -cache, -cache-dir, -ckpt-dir and -ckpt-every. Use
+// flag.CommandLine from a driver's main.
+func AddFlags(fs *flag.FlagSet, names ...string) *Robustness {
 	r := &Robustness{}
-	fs.BoolVar(&r.Check, "check", false,
+	all := flag.NewFlagSet("", flag.PanicOnError)
+	all.BoolVar(&r.Check, "check", false,
 		"enable the per-cycle simulator invariant watchdog")
-	fs.StringVar(&r.OnError, "on-error", "abort",
+	all.StringVar(&r.OnError, "on-error", "abort",
 		"failed-point policy: abort (stop at first error) or skip (report failures, keep the rest)")
-	fs.StringVar(&r.JournalPath, "journal", "",
+	all.StringVar(&r.JournalPath, "journal", "",
 		"checkpoint journal path; completed points are replayed on restart (empty = disabled)")
-	fs.DurationVar(&r.Timeout, "timeout", 0,
+	all.DurationVar(&r.Timeout, "timeout", 0,
 		"per-job wall-clock timeout, e.g. 90s or 10m (0 = none)")
-	fs.BoolVar(&r.Cache, "cache", false,
+	all.BoolVar(&r.Cache, "cache", false,
 		"serve repeated points from the content-addressed result cache")
-	fs.StringVar(&r.CacheDir, "cache-dir", "",
+	all.StringVar(&r.CacheDir, "cache-dir", "",
 		"persist the result cache to <dir>/results.jsonl across runs (implies -cache)")
-	fs.StringVar(&r.CkptDir, "ckpt-dir", "",
+	all.StringVar(&r.CkptDir, "ckpt-dir", "",
 		"persist mid-job engine checkpoints to <dir>; a killed job resumes from its last checkpoint (empty = disabled)")
-	fs.Int64Var(&r.CkptEvery, "ckpt-every", 0,
+	all.Int64Var(&r.CkptEvery, "ckpt-every", 0,
 		"checkpoint interval in simulated cycles (0 = 50000 when -ckpt-dir is set)")
+	if len(names) == 0 {
+		all.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	}
+	for _, name := range names {
+		f := all.Lookup(name)
+		if f == nil {
+			panic("cli: no shared flag -" + name)
+		}
+		fs.Var(f.Value, f.Name, f.Usage)
+	}
 	return r
 }
 

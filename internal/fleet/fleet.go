@@ -12,17 +12,15 @@
 //     machine config, Table 2 kernel names, the scheme); a job whose
 //     rebuilt fingerprint differs from the runner's key fails
 //     permanently without a dispatch.
-//   - Fleet resume: the first Execute unions every reachable worker's
-//     /journalz dump; a fingerprint found there is returned without a
-//     dispatch. The runner's journal covers the coordinator's own
-//     progress, so a restarted sweep re-dispatches neither.
+//   - Resume: the runner's journal holds the coordinator's progress, so
+//     a restarted sweep dispatches only the fingerprints it lacks.
 //   - Leases: every dispatch runs under a lease (the job timeout plus
 //     a margin). A worker that neither answers nor fails within the
 //     lease forfeits the job: the dispatch is cancelled and the job is
 //     requeued to another worker.
 //   - Requeue with deterministic backoff: worker 5xx, connection
 //     failure, shed (429) and lease expiry all requeue the job, spaced
-//     by the per-fingerprint backoff policy, capped at MaxAttempts.
+//     by the per-fingerprint backoff policy, capped at maxAttempts.
 //   - Health: each worker is probed at /healthz on an interval;
 //     a failing prober ejects the worker from the dispatch set,
 //     a succeeding one re-admits it. Connection errors and unparseable
@@ -33,7 +31,7 @@
 //     ready again.
 //   - Integrity: every full result carries the worker's sha256 digest
 //     and the job's key, both verified on every reply (a reply missing
-//     either is malformed) and the digest again on /journalz resume.
+//     either is malformed).
 //     A deterministic AuditRate sample of completed jobs is additionally
 //     re-executed from scratch on a different worker and byte-compared;
 //     divergence triggers a 2-of-3 vote and quarantines the lying worker
@@ -42,7 +40,7 @@
 //     wrong (bad RAM, sabotage): their digests cover their corrupt
 //     bytes, so only independent re-execution exposes them.
 //   - Hedged stragglers: a dispatch that outlives the straggler
-//     threshold (HedgeFactor x the fleet latency EWMA, floored at
+//     threshold (hedgeFactor x the fleet latency EWMA, floored at
 //     HedgeAfter) is raced against a second dispatch on a different
 //     worker. The engine is deterministic, so whichever result arrives
 //     first is the result; the loser is cancelled.
@@ -74,8 +72,10 @@ import (
 	"repro/internal/xrand"
 )
 
-// Config assembles a coordinator. Workers is required; every other
-// field's zero value selects a sensible default.
+// Config assembles a coordinator: the settings its callers vary.
+// Workers is required; every other field's zero value selects a
+// sensible default. The settings no caller varies are the constants
+// below.
 type Config struct {
 	// Workers is the base URL of each worker (e.g. http://10.0.0.1:8080).
 	Workers []string
@@ -84,34 +84,13 @@ type Config struct {
 	// plugs in here.
 	Transport http.RoundTripper
 	// JobTimeout is the per-job budget: every request carries it as its
-	// timeout and every lease is JobTimeout plus LeaseMargin (0 = no
+	// timeout and every lease is JobTimeout plus leaseMargin (0 = no
 	// lease deadline, only connection-level failure detection).
 	JobTimeout time.Duration
-	// LeaseMargin is added to the job timeout to form the lease: the
-	// slack a worker gets for queueing and transfer before the
-	// coordinator declares the assignment lost (default 10s).
-	LeaseMargin time.Duration
-	// MaxAttempts caps how many times one fingerprint is dispatched
-	// before the coordinator gives up on it (default 8).
-	MaxAttempts int
-	// Retry spaces a fingerprint's requeues (zero value = backoff
-	// defaults; delays are a pure function of (fingerprint, attempt)).
-	Retry backoff.Policy
-	// HealthInterval is the /healthz probe period (default 250ms);
-	// HealthTimeout bounds each probe and journal fetch (default 2s).
-	HealthInterval time.Duration
-	HealthTimeout  time.Duration
 	// HedgeAfter floors the straggler threshold (default 0: hedging
 	// stays off until a latency sample exists; negative disables hedging
-	// entirely). HedgeFactor scales the fleet latency EWMA into the
-	// threshold (default 4).
-	HedgeAfter  time.Duration
-	HedgeFactor float64
-	// SlotsPerWorker bounds concurrent dispatches per worker (default 2
-	// — workers shed excess themselves, this only keeps the coordinator
-	// from dogpiling one node; a ckeserve -parallel 1 worker still
-	// admits 3 requests, so 2 pipelines without shedding).
-	SlotsPerWorker int
+	// entirely).
+	HedgeAfter time.Duration
 	// AuditRate is the fraction of completed jobs whose result is
 	// re-executed from scratch (fresh=1, no cache, no journal) on a
 	// DIFFERENT worker and byte-compared — the integrity net for workers
@@ -119,67 +98,49 @@ type Config struct {
 	// deterministic, so any divergence proves a lie; a 2-of-3 vote on a
 	// third worker decides which side lied, and the liar is quarantined:
 	// ejected for good (probes never re-admit it) with its unaudited
-	// results requeued. Which keys are audited is a pure function of
-	// (AuditSeed, fingerprint) — deterministic and independent of worker
-	// assignment. 0 disables auditing; 1 audits everything.
+	// results requeued. Which keys are audited is a pure function of the
+	// fingerprint — deterministic and independent of worker assignment.
+	// 0 disables auditing; 1 audits everything.
 	AuditRate float64
-	// AuditSeed salts audit selection (default 0).
-	AuditSeed uint64
-	// RetryBudgetRatio is the coordinator's retry-budget refill per
-	// completed job (default 0.1); RetryBudgetBurst is the bucket's
-	// capacity and initial balance (default 32; negative = literal 0).
-	// The budget paces requeues rather than failing them: a requeue with
-	// no token waits out RetryBudgetWait (default 15s) first, so a fleet
-	// whose dispatches are all failing stops hammering itself without
-	// ever abandoning a job the MaxAttempts cap would still allow. 429
-	// sheds are backpressure, not retries — they stay exempt.
-	RetryBudgetRatio float64
-	RetryBudgetBurst float64
-	RetryBudgetWait  time.Duration
 	// Logf receives operational events (ejections, requeues, hedges);
 	// nil discards them.
 	Logf func(format string, args ...any)
 }
 
-func (c Config) withDefaults() Config {
-	if c.LeaseMargin <= 0 {
-		c.LeaseMargin = 10 * time.Second
-	}
-	if c.MaxAttempts <= 0 {
-		c.MaxAttempts = 8
-	}
-	if c.HealthInterval <= 0 {
-		c.HealthInterval = 250 * time.Millisecond
-	}
-	if c.HealthTimeout <= 0 {
-		c.HealthTimeout = 2 * time.Second
-	}
-	if c.HedgeFactor <= 0 {
-		c.HedgeFactor = 4
-	}
-	if c.SlotsPerWorker <= 0 {
-		c.SlotsPerWorker = 2
-	}
-	if c.RetryBudgetRatio == 0 {
-		c.RetryBudgetRatio = 0.1
-	}
-	if c.RetryBudgetRatio < 0 {
-		c.RetryBudgetRatio = 0
-	}
-	if c.RetryBudgetBurst == 0 {
-		c.RetryBudgetBurst = 32
-	}
-	if c.RetryBudgetBurst < 0 {
-		c.RetryBudgetBurst = 0
-	}
-	if c.RetryBudgetWait <= 0 {
-		c.RetryBudgetWait = 15 * time.Second
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
-	}
-	return c
-}
+// The settings no caller varies. Tests that need other values overwrite
+// the Coordinator fields New seeds from them.
+const (
+	// leaseMargin is added to the job timeout to form the lease: the
+	// slack a worker gets for queueing and transfer before the
+	// coordinator declares the assignment lost.
+	leaseMargin = 10 * time.Second
+	// maxAttempts caps how many times one fingerprint is dispatched
+	// before the coordinator gives up on it; backoff.Default() spaces
+	// the requeues.
+	maxAttempts = 8
+	// healthInterval is the /healthz and /readyz probe period;
+	// healthTimeout bounds each probe and an audit's wait for a slot.
+	healthInterval = 250 * time.Millisecond
+	healthTimeout  = 2 * time.Second
+	// hedgeFactor scales the fleet latency EWMA into the straggler
+	// threshold.
+	hedgeFactor = 4
+	// slotsPerWorker bounds concurrent dispatches per worker: workers
+	// shed excess themselves, this only keeps the coordinator from
+	// dogpiling one node (a ckeserve -parallel 1 worker still admits 3
+	// requests, so 2 pipeline without shedding).
+	slotsPerWorker = 2
+	// The retry budget paces requeues rather than failing them: each
+	// completed job refills retryBudgetRatio tokens into a bucket of
+	// retryBudgetBurst, each requeue spends one, and a requeue with no
+	// token waits out retryBudgetWait first — so a fleet whose dispatches
+	// are all failing stops hammering itself without ever abandoning a
+	// job maxAttempts would still allow. 429 sheds are backpressure, not
+	// retries: they stay exempt.
+	retryBudgetRatio = 0.1
+	retryBudgetBurst = 32
+	retryBudgetWait  = 15 * time.Second
+)
 
 // Line is one merged-output NDJSON record. It carries only
 // deterministic content — no attempt counts, no worker identity — so a
@@ -246,18 +207,23 @@ type Coordinator struct {
 	workers []*worker
 	rr      atomic.Int64 // round-robin dispatch offset
 
-	// once sets up, at the first Execute, the /journalz union and the
-	// probers, which run under ctx until Close cancels it.
+	// once starts, at the first Execute, the probers, which run under
+	// ctx until Close cancels it.
 	once    sync.Once
 	ctx     context.Context
 	stop    context.CancelFunc
 	probers sync.WaitGroup
-	mu      sync.Mutex                     // guards union
-	union   map[string]server.JournalEntry // worker journal entries by key, digests unchecked
 	// budget meters requeues: completed jobs refill it, each requeue
 	// spends a token, and an empty bucket paces the requeue by
-	// RetryBudgetWait instead of firing it on the backoff schedule.
+	// budgetWait instead of firing it on the backoff schedule.
 	budget *overload.RetryBudget
+
+	// Seeded from the constants; tests shorten them before the first
+	// Execute.
+	maxAttempts    int
+	retry          backoff.Policy
+	healthInterval time.Duration
+	budgetWait     time.Duration
 
 	// latEWMA is the moving average of successful dispatch latencies in
 	// nanoseconds; it sizes the straggler-hedge threshold.
@@ -271,35 +237,39 @@ type Coordinator struct {
 	hedgeWins     atomic.Int64
 	ejections     atomic.Int64
 	readmissions  atomic.Int64
-	resumed       atomic.Int64
 	completed     atomic.Int64
 	failed        atomic.Int64
 
 	audits           atomic.Int64 // audit re-executions compared
 	auditMismatches  atomic.Int64 // audits whose bytes diverged
 	quarantines      atomic.Int64 // workers quarantined
-	digestMismatches atomic.Int64 // responses/entries failing their own digest
+	digestMismatches atomic.Int64 // responses failing their own digest
 	drainSkips       atomic.Int64 // draining transitions observed by /readyz probes
-	resumeRejects    atomic.Int64 // resume entries rejected by digest verification
 	budgetWaits      atomic.Int64 // requeues paced because the retry budget ran dry
 }
 
 // New assembles a coordinator for the given worker set.
 func New(cfg Config) (*Coordinator, error) {
-	cfg = cfg.withDefaults()
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("fleet: no workers configured")
 	}
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
+	}
 	c := &Coordinator{
-		cfg:    cfg,
-		client: &http.Client{Transport: cfg.Transport},
-		budget: overload.NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
+		cfg:            cfg,
+		client:         &http.Client{Transport: cfg.Transport},
+		budget:         overload.NewRetryBudget(retryBudgetRatio, retryBudgetBurst),
+		maxAttempts:    maxAttempts,
+		retry:          backoff.Default(),
+		healthInterval: healthInterval,
+		budgetWait:     retryBudgetWait,
 	}
 	c.ctx, c.stop = context.WithCancel(context.Background())
 	for _, u := range cfg.Workers {
 		w := &worker{
 			url:   strings.TrimRight(u, "/"),
-			slots: make(chan struct{}, cfg.SlotsPerWorker),
+			slots: make(chan struct{}, slotsPerWorker),
 		}
 		w.healthy.Store(true) // optimistic until the first probe says otherwise
 		c.workers = append(c.workers, w)
@@ -307,13 +277,12 @@ func New(cfg Config) (*Coordinator, error) {
 	return c, nil
 }
 
-// Slots is the fleet's capacity, workers x SlotsPerWorker: the pool
+// Slots is the fleet's capacity, workers x slots per worker: the pool
 // size of a runner that executes through the coordinator.
-func (c *Coordinator) Slots() int { return len(c.workers) * c.cfg.SlotsPerWorker }
+func (c *Coordinator) Slots() int { return len(c.workers) * cap(c.workers[0].slots) }
 
 // Execute runs one job on the fleet; runner.Run calls it for every
-// fingerprint its cache and journal miss. A result found in a worker's
-// journal is returned without a dispatch. An unaudited result whose
+// fingerprint its cache and journal miss. An unaudited result whose
 // worker was quarantined before Execute returned is discarded and the
 // job run again (the quarantined worker no longer receives leases).
 func (c *Coordinator) Execute(ctx context.Context, j *runner.Job, key string) (*gcke.WorkloadResult, json.RawMessage, error) {
@@ -322,10 +291,6 @@ func (c *Coordinator) Execute(ctx context.Context, j *runner.Job, key string) (*
 	if err != nil {
 		c.failed.Add(1)
 		return nil, nil, err
-	}
-	if res, raw, ok := c.fromUnion(key); ok {
-		c.completed.Add(1)
-		return res, raw, nil
 	}
 	for {
 		c.lifecycle(ctx, t)
@@ -408,10 +373,8 @@ func (c *Coordinator) Run(ctx context.Context, reqs []server.JobRequest, out io.
 	return ctx.Err()
 }
 
-// start reads every reachable worker's /journalz into the union and
-// starts one health prober per worker, which runs until Close.
+// start starts one health prober per worker, which runs until Close.
 func (c *Coordinator) start() {
-	c.union = c.readJournals()
 	c.probers.Add(len(c.workers))
 	for _, w := range c.workers {
 		go func(w *worker) {
@@ -429,76 +392,9 @@ func (c *Coordinator) Close() {
 	c.probers.Wait()
 }
 
-// readJournals unions every reachable worker's /journalz dump. Entries
-// are kept as sent; fromUnion checks a digest only when its key is
-// taken, so the cost tracks the jobs run, not the workers' history.
-// Unreachable workers are skipped — resume is best-effort recovery,
-// never a correctness gate.
-func (c *Coordinator) readJournals() map[string]server.JournalEntry {
-	union := make(map[string]server.JournalEntry)
-	for _, w := range c.workers {
-		hctx, cancel := context.WithTimeout(c.ctx, c.cfg.HealthTimeout)
-		req, err := http.NewRequestWithContext(hctx, http.MethodGet, w.url+"/journalz", nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		resp, err := c.client.Do(req)
-		if err != nil {
-			cancel()
-			c.cfg.Logf("fleet: resume: %s unreachable: %v", w.url, err)
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			sc := bufio.NewScanner(resp.Body)
-			sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-			for sc.Scan() {
-				var e server.JournalEntry
-				if json.Unmarshal(sc.Bytes(), &e) == nil {
-					union[e.Key] = e
-				}
-			}
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		cancel()
-	}
-	if len(union) > 0 {
-		c.cfg.Logf("fleet: resume: %d entries in the workers' journals", len(union))
-	}
-	return union
-}
-
-// fromUnion takes key's result out of the /journalz union if its bytes
-// still match the digest recorded when they were written.
-func (c *Coordinator) fromUnion(key string) (*gcke.WorkloadResult, json.RawMessage, bool) {
-	c.mu.Lock()
-	e, ok := c.union[key]
-	delete(c.union, key)
-	c.mu.Unlock()
-	if !ok {
-		return nil, nil, false
-	}
-	if e.Sha != "" && journal.Digest(e.Val) != e.Sha {
-		// Bit rot, a damaged worker journal, or a mangled stream:
-		// adopting the entry would poison the sweep; skipping it just
-		// re-simulates one point.
-		c.resumeRejects.Add(1)
-		c.cfg.Logf("fleet: resume: entry %s failed its digest", key)
-		return nil, nil, false
-	}
-	res := new(gcke.WorkloadResult)
-	if err := json.Unmarshal(e.Val, res); err != nil {
-		c.cfg.Logf("fleet: resume: entry %s does not decode: %v", key, err)
-		return nil, nil, false
-	}
-	c.resumed.Add(1)
-	return res, e.Val, true
-}
-
 // lifecycle drives one fingerprint from first dispatch to a final
 // result: requeue on transient failure with deterministic backoff,
-// give up at MaxAttempts, finish on success or permanent error.
+// give up at maxAttempts, finish on success or permanent error.
 func (c *Coordinator) lifecycle(ctx context.Context, t *task) {
 	for attempt := 1; ; {
 		o := c.attempt(ctx, t)
@@ -531,26 +427,26 @@ func (c *Coordinator) lifecycle(ctx context.Context, t *task) {
 		} else {
 			c.requeues.Add(1)
 			c.cfg.Logf("fleet: requeue %s (attempt %d): %s", t.key, attempt, o.reason)
-			if attempt >= c.cfg.MaxAttempts {
+			if attempt >= c.maxAttempts {
 				t.err = fmt.Errorf("fleet: gave up after %d attempts: %s", attempt, o.reason)
 				return
 			}
 			attempt++
 		}
-		delay := c.cfg.Retry.Delay(t.key, attempt)
+		delay := c.retry.Delay(t.key, attempt)
 		if o.retryAfter > delay {
 			delay = o.retryAfter
 		}
 		if !o.shed && !c.budget.Spend() {
 			// The retry budget ran dry: the fleet's failures are no longer
 			// a bounded fraction of its successes, so this requeue is load
-			// amplification. Pace it — stretch the wait to RetryBudgetWait
-			// and then proceed; MaxAttempts stays the only thing that
-			// abandons a job. (429 backpressure never reaches here.)
+			// amplification. Pace it — stretch the wait to budgetWait and
+			// then proceed; maxAttempts stays the only thing that abandons
+			// a job. (429 backpressure never reaches here.)
 			c.budgetWaits.Add(1)
-			c.cfg.Logf("fleet: retry budget dry: pacing requeue of %s by %s", t.key, c.cfg.RetryBudgetWait)
-			if c.cfg.RetryBudgetWait > delay {
-				delay = c.cfg.RetryBudgetWait
+			c.cfg.Logf("fleet: retry budget dry: pacing requeue of %s by %s", t.key, c.budgetWait)
+			if c.budgetWait > delay {
+				delay = c.budgetWait
 			}
 		}
 		if err := backoff.Sleep(ctx, delay); err != nil {
@@ -567,7 +463,7 @@ type outcome struct {
 	raw        json.RawMessage // worker-sent result bytes (audit comparand)
 	src        *worker         // worker that produced result
 	permanent  bool
-	shed       bool // 429: backpressure, not failure — exempt from MaxAttempts
+	shed       bool // 429: backpressure, not failure — exempt from maxAttempts
 	errText    string
 	reason     string
 	retryAfter time.Duration
@@ -620,7 +516,7 @@ func (c *Coordinator) attempt(ctx context.Context, t *task) outcome {
 			} else {
 				// No second worker free yet: the primary is still a
 				// straggler, so keep trying to hedge it.
-				hedgeTimer.Reset(c.cfg.HealthInterval)
+				hedgeTimer.Reset(c.healthInterval)
 			}
 		case <-ctx.Done():
 			return outcome{reason: "cancelled: " + ctx.Err().Error()}
@@ -628,14 +524,14 @@ func (c *Coordinator) attempt(ctx context.Context, t *task) outcome {
 	}
 }
 
-// hedgeThreshold is the straggler cutoff: HedgeFactor times the fleet
+// hedgeThreshold is the straggler cutoff: hedgeFactor times the fleet
 // latency EWMA, floored at HedgeAfter. Zero disables hedging for this
 // attempt (no samples yet and no configured floor).
 func (c *Coordinator) hedgeThreshold() time.Duration {
 	if c.cfg.HedgeAfter < 0 {
 		return 0
 	}
-	th := time.Duration(float64(c.latEWMA.Load()) * c.cfg.HedgeFactor)
+	th := time.Duration(c.latEWMA.Load() * hedgeFactor)
 	if th < c.cfg.HedgeAfter {
 		th = c.cfg.HedgeAfter
 	}
@@ -651,7 +547,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, t *task, fresh bo
 	lease := c.cfg.JobTimeout
 	dctx := ctx
 	if lease > 0 {
-		lease += c.cfg.LeaseMargin
+		lease += leaseMargin
 		var cancel context.CancelFunc
 		dctx, cancel = context.WithTimeout(ctx, lease)
 		defer cancel()
@@ -808,10 +704,10 @@ func (c *Coordinator) probe(ctx context.Context, w *worker) {
 	// tick forever — a self-inflicted thundering herd against its own
 	// workers' /healthz. The offset is a pure function of the worker URL,
 	// so probe timing stays reproducible run to run.
-	if backoff.Sleep(ctx, proberPhase(w.url, c.cfg.HealthInterval)) != nil {
+	if backoff.Sleep(ctx, proberPhase(w.url, c.healthInterval)) != nil {
 		return
 	}
-	tick := time.NewTicker(c.cfg.HealthInterval)
+	tick := time.NewTicker(c.healthInterval)
 	defer tick.Stop()
 	for {
 		select {
@@ -861,7 +757,7 @@ func proberPhase(url string, interval time.Duration) time.Duration {
 
 // get performs one bounded control-plane GET, reporting a 200.
 func (c *Coordinator) get(ctx context.Context, url string) bool {
-	hctx, cancel := context.WithTimeout(ctx, c.cfg.HealthTimeout)
+	hctx, cancel := context.WithTimeout(ctx, healthTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(hctx, http.MethodGet, url, nil)
 	if err != nil {
@@ -894,8 +790,8 @@ func (c *Coordinator) quarantine(w *worker, cause string) {
 }
 
 // shouldAudit deterministically selects which fingerprints get their
-// result re-executed and byte-compared: a pure function of (AuditSeed,
-// fingerprint), independent of worker assignment and arrival order, so
+// result re-executed and byte-compared: a pure function of the
+// fingerprint, independent of worker assignment and arrival order, so
 // the same sweep audits the same keys on every run.
 func (c *Coordinator) shouldAudit(key string) bool {
 	if c.cfg.AuditRate <= 0 {
@@ -907,7 +803,7 @@ func (c *Coordinator) shouldAudit(key string) bool {
 	h := fnv.New64a()
 	h.Write([]byte(key))
 	h.Write([]byte("/audit"))
-	return xrand.New(c.cfg.AuditSeed^h.Sum64()).Float64() < c.cfg.AuditRate
+	return xrand.New(h.Sum64()).Float64() < c.cfg.AuditRate
 }
 
 // audit re-executes t's finished result from scratch on a different
@@ -960,12 +856,12 @@ func (c *Coordinator) audit(ctx context.Context, t *task) bool {
 }
 
 // auditDispatch runs one fresh re-execution of t on a worker not in
-// except, bounded by HealthTimeout for slot acquisition (an audit must
+// except, bounded by healthTimeout for slot acquisition (an audit must
 // not stall the sweep when the fleet is saturated). nil = no slot or
 // the re-execution failed; the audit is skipped, not retried — the
 // deterministic sampler will audit this worker again on other keys.
 func (c *Coordinator) auditDispatch(ctx context.Context, t *task, except ...*worker) *outcome {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.HealthTimeout)
+	actx, cancel := context.WithTimeout(ctx, healthTimeout)
 	w := c.acquire(actx, except...)
 	cancel()
 	if w == nil {
@@ -1009,22 +905,20 @@ type Stats struct {
 	HedgeWins     int64          `json:"hedge_wins"`
 	Ejections     int64          `json:"ejections"`
 	Readmissions  int64          `json:"readmissions"`
-	Resumed       int64          `json:"resumed"`
 	Completed     int64          `json:"completed"`
 	Failed        int64          `json:"failed"`
 	LatencyEWMAMs float64        `json:"latency_ewma_ms,omitempty"`
 	// Integrity-layer counters: audit re-executions compared, audits
-	// whose bytes diverged, workers quarantined, responses or resume
-	// entries that failed their own digest, and draining transitions
-	// observed by the /readyz probes.
+	// whose bytes diverged, workers quarantined, responses that failed
+	// their own digest, and draining transitions observed by the /readyz
+	// probes.
 	Audits           int64 `json:"audits"`
 	AuditMismatches  int64 `json:"audit_mismatches"`
 	Quarantined      int64 `json:"quarantined"`
 	DigestMismatches int64 `json:"digest_mismatches"`
-	ResumeRejects    int64 `json:"resume_rejects"`
 	DrainSkips       int64 `json:"drain_skips"`
 	// Retry-budget gauges: the bucket's current balance and how many
-	// requeues were paced (delayed by RetryBudgetWait) because it ran
+	// requeues were paced (delayed by retryBudgetWait) because it ran
 	// dry.
 	RetryBudgetTokens float64 `json:"retry_budget_tokens"`
 	RetryBudgetWaits  int64   `json:"retry_budget_waits"`
@@ -1041,7 +935,6 @@ func (c *Coordinator) StatsSnapshot() Stats {
 		HedgeWins:     c.hedgeWins.Load(),
 		Ejections:     c.ejections.Load(),
 		Readmissions:  c.readmissions.Load(),
-		Resumed:       c.resumed.Load(),
 		Completed:     c.completed.Load(),
 		Failed:        c.failed.Load(),
 		LatencyEWMAMs: float64(c.latEWMA.Load()) / 1e6,
@@ -1050,7 +943,6 @@ func (c *Coordinator) StatsSnapshot() Stats {
 		AuditMismatches:  c.auditMismatches.Load(),
 		Quarantined:      c.quarantines.Load(),
 		DigestMismatches: c.digestMismatches.Load(),
-		ResumeRejects:    c.resumeRejects.Load(),
 		DrainSkips:       c.drainSkips.Load(),
 
 		RetryBudgetTokens: c.budget.Tokens(),

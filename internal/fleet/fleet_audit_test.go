@@ -76,7 +76,7 @@ func TestFleetAuditQuarantinesCorruptWorker(t *testing.T) {
 // satellite draining-awareness targets.
 func drainableWorker(t *testing.T) (*httptest.Server, *atomic.Bool) {
 	t.Helper()
-	inner := server.New(server.Config{Workers: 2, Worker: true, Retry: fastRetry()})
+	inner := server.New(server.Config{Workers: 2})
 	var draining atomic.Bool
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if draining.Load() {
@@ -105,16 +105,11 @@ func TestFleetDrainingAwareDispatch(t *testing.T) {
 	w2 := startWorker(t, server.Config{})
 	draining.Store(true)
 
-	c, err := fleet.New(fleet.Config{
-		Workers:        []string{w1.URL, w2.URL},
-		HealthInterval: 5 * time.Millisecond,
-		MaxAttempts:    10,
-		Retry:          fastRetry(),
-		Logf:           t.Logf,
-	})
+	c, err := fleet.New(fleet.Config{Workers: []string{w1.URL, w2.URL}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.Shorten(c, 5*time.Millisecond, 2)
 	reqs := make([]server.JobRequest, 8)
 	for i := range reqs {
 		reqs[i] = fleetJob(2 + i)
@@ -186,17 +181,15 @@ func TestFleetHedgeLoserDiscardedOnce(t *testing.T) {
 		reqs[i] = fleetJob(20 + i)
 	}
 	c, err := fleet.New(fleet.Config{
-		Workers:        []string{w1.URL, w2.URL},
-		Transport:      inj.Transport(nil),
-		HedgeAfter:     50 * time.Millisecond,
-		SlotsPerWorker: 6,
-		MaxAttempts:    10,
-		Retry:          fastRetry(),
-		Logf:           t.Logf,
+		Workers:    []string{w1.URL, w2.URL},
+		Transport:  inj.Transport(nil),
+		HedgeAfter: 50 * time.Millisecond,
+		Logf:       t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.Shorten(c, 250*time.Millisecond, 6)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var out bytes.Buffer

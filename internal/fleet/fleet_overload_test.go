@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/overload"
 	"repro/internal/server"
 )
 
@@ -47,8 +48,8 @@ func TestProberPhaseJitterDeterministicAndSpread(t *testing.T) {
 }
 
 // TestRetryBudgetPacesRequeues: with the budget drained, a transient
-// worker failure is still requeued (MaxAttempts stays the only cap) but
-// only after RetryBudgetWait — and the pacing is visible in stats.
+// worker failure is still requeued (maxAttempts stays the only cap) but
+// only after budgetWait — and the pacing is visible in stats.
 func TestRetryBudgetPacesRequeues(t *testing.T) {
 	var hits atomic.Int64
 	var times [3]atomic.Int64
@@ -72,16 +73,14 @@ func TestRetryBudgetPacesRequeues(t *testing.T) {
 	defer worker.Close()
 
 	const pace = 120 * time.Millisecond
-	c, err := New(Config{
-		Workers:          []string{worker.URL},
-		MaxAttempts:      3,
-		Retry:            backoff.Policy{Base: time.Millisecond, Cap: time.Millisecond, Factor: 1},
-		RetryBudgetBurst: -1, // literal zero: every requeue is paced
-		RetryBudgetWait:  pace,
-	})
+	c, err := New(Config{Workers: []string{worker.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.maxAttempts = 3
+	c.retry = backoff.Policy{Base: time.Millisecond, Cap: time.Millisecond, Factor: 1}
+	c.budget = overload.NewRetryBudget(retryBudgetRatio, 0) // every requeue is paced
+	c.budgetWait = pace
 
 	req := server.JobRequest{
 		SMs: 2, Cycles: 1000, Kernels: []string{"bp"},
@@ -101,7 +100,7 @@ func TestRetryBudgetPacesRequeues(t *testing.T) {
 	if st.RetryBudgetTokens != 0 {
 		t.Fatalf("retry_budget_tokens = %v, want 0", st.RetryBudgetTokens)
 	}
-	// Each paced requeue must have waited out RetryBudgetWait, not the
+	// Each paced requeue must have waited out budgetWait, not the
 	// millisecond backoff.
 	for i := 0; i < 2; i++ {
 		gap := time.Duration(times[i+1].Load() - times[i].Load())
@@ -143,16 +142,14 @@ func TestRetryBudgetExemptFrom429(t *testing.T) {
 	}))
 	defer worker.Close()
 
-	c, err := New(Config{
-		Workers:          []string{worker.URL},
-		MaxAttempts:      2,
-		Retry:            backoff.Policy{Base: time.Millisecond, Cap: time.Millisecond, Factor: 1},
-		RetryBudgetBurst: -1, // zero tokens: any spend attempt would pace
-		RetryBudgetWait:  time.Hour,
-	})
+	c, err := New(Config{Workers: []string{worker.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.maxAttempts = 2
+	c.retry = backoff.Policy{Base: time.Millisecond, Cap: time.Millisecond, Factor: 1}
+	c.budget = overload.NewRetryBudget(retryBudgetRatio, 0) // any spend attempt would pace
+	c.budgetWait = time.Hour
 	req := server.JobRequest{SMs: 2, Cycles: 1000, Kernels: []string{"bp"}}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	gcke "repro"
-	"repro/internal/backoff"
 	"repro/internal/chaos"
 	"repro/internal/fleet"
 	"repro/internal/journal"
@@ -40,19 +38,11 @@ func fleetJob(n int) server.JobRequest {
 	}
 }
 
-func fastRetry() backoff.Policy {
-	return backoff.Policy{Base: time.Millisecond, Cap: 5 * time.Millisecond, Factor: 2, Jitter: 0.5}
-}
-
 // startWorker spins an in-process ckeserve worker.
 func startWorker(t *testing.T, cfg server.Config) *httptest.Server {
 	t.Helper()
-	cfg.Worker = true
 	if cfg.Workers == 0 {
 		cfg.Workers = 2
-	}
-	if cfg.Retry == (backoff.Policy{}) {
-		cfg.Retry = fastRetry()
 	}
 	ts := httptest.NewServer(server.New(cfg).Handler())
 	t.Cleanup(ts.Close)
@@ -62,15 +52,6 @@ func startWorker(t *testing.T, cfg server.Config) *httptest.Server {
 // runFleet runs one coordinator over reqs and returns the merged NDJSON.
 func runFleet(t *testing.T, cfg fleet.Config, reqs []server.JobRequest) (string, fleet.Stats) {
 	t.Helper()
-	if cfg.MaxAttempts == 0 {
-		cfg.MaxAttempts = 10
-	}
-	if cfg.Retry == (backoff.Policy{}) {
-		cfg.Retry = fastRetry()
-	}
-	if cfg.HealthInterval == 0 {
-		cfg.HealthInterval = 25 * time.Millisecond
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = t.Logf
 	}
@@ -78,6 +59,7 @@ func runFleet(t *testing.T, cfg fleet.Config, reqs []server.JobRequest) (string,
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.Shorten(c, 25*time.Millisecond, 2)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	var out bytes.Buffer
@@ -91,11 +73,12 @@ func runFleet(t *testing.T, cfg fleet.Config, reqs []server.JobRequest) (string,
 // coordinator's own progress, and writes the Lines Coordinator.Run would.
 func runJournaled(t *testing.T, cfg fleet.Config, jnl *journal.Journal, reqs []server.JobRequest) (string, fleet.Stats) {
 	t.Helper()
-	cfg.Retry, cfg.HealthInterval, cfg.Logf = fastRetry(), 25*time.Millisecond, t.Logf
+	cfg.Logf = t.Logf
 	c, err := fleet.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.Shorten(c, 25*time.Millisecond, 2)
 	defer c.Close()
 	jobs := make([]runner.Job, len(reqs))
 	for i := range reqs {
@@ -158,15 +141,14 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 			w3.CloseClientConnections()
 			w3.Close()
 		}},
-		JobTimeout:  time.Minute,
-		MaxAttempts: 10,
-		Retry:       fastRetry(),
-		Logf:        t.Logf,
+		JobTimeout: time.Minute,
+		Logf:       t.Logf,
 	}
 	c, err := fleet.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.Shorten(c, 250*time.Millisecond, 2)
 	var buf bytes.Buffer
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -191,8 +173,8 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 // populated.
 func TestFleetHedgesStraggler(t *testing.T) {
 	slow := startWorker(t, server.Config{
-		JobTimeout: time.Hour, MaxRetries: -1,
-		Chaos: chaos.New(chaos.Config{Seed: 7, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
+		JobTimeout: time.Hour,
+		Chaos:      chaos.New(chaos.Config{Seed: 7, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
 	})
 	fast := startWorker(t, server.Config{})
 
@@ -232,125 +214,45 @@ func corrupt(t *testing.T, path string) {
 	f.Close()
 }
 
-// TestFleetResumeFromJournalUnion is the fleet-resume acceptance test:
-// two workers each hold a partial journal, the coordinator's runner
-// journal holds the rest plus a torn tail, and the resumed sweep must
-// union all three — dispatching nothing (the workers are armed to fail
-// any real simulation) and emitting byte-identical merged output.
-func TestFleetResumeFromJournalUnion(t *testing.T) {
-	dir := t.TempDir()
+// TestFleetResumeFromCoordinatorJournal is the fleet-resume acceptance
+// test: the coordinator's runner journal holds five of six jobs and a
+// torn tail, as if the coordinator died mid-append, and the resumed
+// sweep must dispatch only the sixth, emit byte-identical merged output,
+// and leave all six keys journaled.
+func TestFleetResumeFromCoordinatorJournal(t *testing.T) {
 	reqs := []server.JobRequest{
 		fleetJob(2), fleetJob(3), fleetJob(4), fleetJob(5), fleetJob(6), fleetJob(7),
 	}
-
-	// Golden: the whole sweep on one clean worker.
 	clean := startWorker(t, server.Config{})
 	golden, _ := runFleet(t, fleet.Config{Workers: []string{clean.URL}}, reqs)
 
-	// Seed worker A's journal with jobs 0-2 and worker B's with 3-4 by
-	// running partial sweeps against journaled workers.
-	pathA := filepath.Join(dir, "workerA.ckpt")
-	pathB := filepath.Join(dir, "workerB.ckpt")
-	pathC := filepath.Join(dir, "coord.ckpt")
-	jA, err := journal.Open(pathA)
+	path := filepath.Join(t.TempDir(), "coord.ckpt")
+	jnl, err := journal.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wa := startWorker(t, server.Config{Journal: jA})
-	runFleet(t, fleet.Config{Workers: []string{wa.URL}}, reqs[0:3])
-	wa.Close()
-	jA.Close()
+	runJournaled(t, fleet.Config{Workers: []string{clean.URL}}, jnl, reqs[:5])
+	jnl.Close()
+	corrupt(t, path)
 
-	jB, err := journal.Open(pathB)
+	resumed, err := journal.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wb := startWorker(t, server.Config{Journal: jB})
-	runFleet(t, fleet.Config{Workers: []string{wb.URL}}, reqs[3:5])
-	wb.Close()
-	jB.Close()
-
-	// Seed the coordinator journal with job 5, then tear its tail as if
-	// the coordinator died mid-append.
-	jC, err := journal.Open(pathC)
-	if err != nil {
-		t.Fatal(err)
+	defer resumed.Close()
+	if resumed.Recovered() != 5 {
+		t.Fatalf("coordinator journal recovered %d entries, want 5 (torn tail dropped)", resumed.Recovered())
 	}
-	runJournaled(t, fleet.Config{Workers: []string{clean.URL}}, jC, reqs[5:6])
-	jC.Close()
-	corrupt(t, pathC)
-
-	// Resurrect the fleet. Every worker is armed with an unconditional
-	// invariant fault: any job that actually simulates fails loudly, so
-	// byte-identical output proves zero re-simulation.
-	armed := chaos.Config{Seed: 3, InvariantProb: 1, Failures: 1 << 30}
-	jA2, err := journal.Open(pathA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jA2.Close()
-	jB2, err := journal.Open(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jB2.Close()
-	jC2, err := journal.Open(pathC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jC2.Close()
-	if jC2.Recovered() != 1 {
-		t.Fatalf("coordinator journal recovered %d entries, want 1 (torn tail dropped)", jC2.Recovered())
-	}
-	wa2 := startWorker(t, server.Config{Journal: jA2, Chaos: chaos.New(armed)})
-	wb2 := startWorker(t, server.Config{Journal: jB2, Chaos: chaos.New(armed)})
-
-	out, st := runJournaled(t, fleet.Config{Workers: []string{wa2.URL, wb2.URL}}, jC2, reqs)
-
+	w := startWorker(t, server.Config{})
+	out, st := runJournaled(t, fleet.Config{Workers: []string{w.URL}}, resumed, reqs)
 	if out != golden {
 		t.Fatalf("resumed fleet output diverged:\nresumed:\n%s\ngolden:\n%s", out, golden)
 	}
-	if st.Resumed != 5 {
-		t.Fatalf("resumed %d jobs from worker journals, want 5 (the runner's journal holds the sixth)", st.Resumed)
+	if st.Dispatched != 1 {
+		t.Fatalf("resume dispatched %d jobs, want 1", st.Dispatched)
 	}
-	if st.Dispatched != 0 {
-		t.Fatalf("resume dispatched %d jobs, want 0", st.Dispatched)
-	}
-	if jC2.Len() != len(reqs) {
-		t.Fatalf("coordinator journal holds %d keys after resume, want %d (worker entries back-filled)", jC2.Len(), len(reqs))
-	}
-}
-
-// TestFleetResumeChecksTakenEntriesOnly: a worker's /journalz serves
-// entries whose bytes fail their digest, one for the job the run needs
-// and many the run never asks for. Only the taken entry is checked: it
-// is rejected and its job dispatched instead.
-func TestFleetResumeChecksTakenEntriesOnly(t *testing.T) {
-	req := fleetJob(2)
-	_, key, _, err := req.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	worker := server.New(server.Config{Worker: true, Workers: 2, Retry: fastRetry()}).Handler()
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/journalz" {
-			worker.ServeHTTP(w, r)
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.Encode(server.JournalEntry{Key: key, Val: json.RawMessage(`{}`), Sha: journal.Digest([]byte(`{"x":1}`))})
-		for i := 0; i < 100; i++ {
-			enc.Encode(server.JournalEntry{Key: fmt.Sprintf("other-%d", i), Val: json.RawMessage(`{}`), Sha: "bad"})
-		}
-	}))
-	t.Cleanup(ts.Close)
-
-	out, st := runFleet(t, fleet.Config{Workers: []string{ts.URL}}, []server.JobRequest{req})
-	if st.ResumeRejects != 1 || st.Resumed != 0 || st.Dispatched != 1 || st.Failed != 0 {
-		t.Fatalf("want 1 resume reject, 0 resumed, 1 dispatch, 0 failed: %+v", st)
-	}
-	if !strings.Contains(out, `"weighted_speedup"`) {
-		t.Fatalf("job not completed: %s", out)
+	if resumed.Len() != len(reqs) {
+		t.Fatalf("coordinator journal holds %d keys after resume, want %d", resumed.Len(), len(reqs))
 	}
 }
 

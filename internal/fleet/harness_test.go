@@ -44,13 +44,11 @@ func TestHarnessFiguresMatchOnAFleet(t *testing.T) {
 
 	w1 := startWorker(t, server.Config{})
 	w2 := startWorker(t, server.Config{})
-	c, err := fleet.New(fleet.Config{
-		Workers: []string{w1.URL, w2.URL}, Retry: fastRetry(),
-		HealthInterval: 25 * time.Millisecond, Logf: t.Logf,
-	})
+	c, err := fleet.New(fleet.Config{Workers: []string{w1.URL, w2.URL}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
+	fleet.Shorten(c, 25*time.Millisecond, 2)
 	defer c.Close()
 	run := harness.NewRunner(0)
 	run.Executor = c

@@ -14,7 +14,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/applog"
@@ -32,8 +31,8 @@ type entry struct {
 }
 
 // Digest returns the hex sha256 of a journal value's raw bytes — THE
-// integrity fingerprint carried end-to-end (journal line, /journalz,
-// fleet adoption, audit comparison).
+// integrity fingerprint carried end-to-end (journal line, result reply,
+// audit comparison).
 func Digest(raw []byte) string { return applog.Digest(raw) }
 
 // WriteError is a failed append (applog.WriteError): the value never
@@ -124,34 +123,6 @@ func (j *Journal) Lookup(key string, v any) (bool, error) {
 func (j *Journal) Has(key string) bool {
 	_, ok := j.Raw(key)
 	return ok
-}
-
-// Each calls fn once per journaled entry, in sorted key order, with the
-// entry's raw JSON value (shared with the index: read, never modify). A
-// non-nil error from fn stops the iteration and is returned.
-func (j *Journal) Each(fn func(key string, raw json.RawMessage) error) error {
-	return j.EachEntry(func(key string, raw json.RawMessage, _ string) error {
-		return fn(key, raw)
-	})
-}
-
-// EachEntry is Each with the entry's digest alongside the value, for
-// consumers that carry integrity end-to-end (/journalz, fleet adoption).
-// Sha is "" for entries written before digests existed.
-func (j *Journal) EachEntry(fn func(key string, raw json.RawMessage, sha string) error) error {
-	j.mu.Lock()
-	ents := make([]entry, 0, len(j.entries))
-	for _, e := range j.entries {
-		ents = append(ents, e)
-	}
-	j.mu.Unlock()
-	sort.Slice(ents, func(a, b int) bool { return ents[a].Key < ents[b].Key })
-	for _, e := range ents {
-		if err := fn(e.Key, e.Val, e.Sha); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Append records v under key: one JSON line, fsynced before returning so

@@ -2,8 +2,6 @@ package journal
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -18,6 +16,25 @@ type point struct {
 func tmpJournal(t *testing.T) string {
 	t.Helper()
 	return filepath.Join(t.TempDir(), "journal.jsonl")
+}
+
+// fileEntries decodes the journal file at path line by line, a later
+// line for a key winning as it does in Open.
+func fileEntries(t *testing.T, path string) map[string]entry {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ents := map[string]entry{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		var e entry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("journal line %q: %v", line, err)
+		}
+		ents[e.Key] = e
+	}
+	return ents
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -121,45 +138,6 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	}
 }
 
-// TestEachSortedAndComplete: Each visits every entry exactly once in
-// sorted key order with decodable values, and a stopping error halts the
-// iteration.
-func TestEachSortedAndComplete(t *testing.T) {
-	j, _ := Open(tmpJournal(t))
-	defer j.Close()
-	for _, k := range []string{"c", "a", "b"} {
-		if err := j.Append(k, map[string]string{"v": k}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var keys []string
-	err := j.Each(func(key string, raw json.RawMessage) error {
-		var v map[string]string
-		if err := json.Unmarshal(raw, &v); err != nil {
-			return err
-		}
-		if v["v"] != key {
-			t.Fatalf("entry %s holds %v", key, v)
-		}
-		keys = append(keys, key)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(keys); got != "[a b c]" {
-		t.Fatalf("Each order = %v, want sorted [a b c]", keys)
-	}
-	stop := errors.New("stop")
-	n := 0
-	if err := j.Each(func(string, json.RawMessage) error { n++; return stop }); err != stop {
-		t.Fatalf("Each did not propagate fn's error: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("Each continued after an error: %d calls", n)
-	}
-}
-
 // TestLongLineReplays: Open's scanner starts at bufio's default buffer
 // and must still grow past a line longer than 1 MiB, with short entries
 // on either side of it.
@@ -228,18 +206,14 @@ func TestParentFormatFixture(t *testing.T) {
 	if j.Recovered() != 3 || j.Corrupt() != 0 {
 		t.Fatalf("recovered %d, corrupt %d; want 3, 0", j.Recovered(), j.Corrupt())
 	}
-	shas := map[string]string{}
-	j.EachEntry(func(key string, _ json.RawMessage, sha string) error {
-		shas[key] = sha
-		return nil
-	})
+	ents := fileEntries(t, path)
 	for i, k := range keys {
 		wantSha := ""
 		if i < 2 {
 			wantSha = Digest([]byte(vals[i]))
 		}
-		if raw, ok := j.Raw(k); !ok || string(raw) != vals[i] || shas[k] != wantSha {
-			t.Fatalf("entry %s = %s (%v) sha %q, want %s sha %q", k, raw, ok, shas[k], vals[i], wantSha)
+		if raw, ok := j.Raw(k); !ok || string(raw) != vals[i] || ents[k].Sha != wantSha {
+			t.Fatalf("entry %s = %s (%v) sha %q, want %s sha %q", k, raw, ok, ents[k].Sha, vals[i], wantSha)
 		}
 	}
 	// The same values again, one through each entrance.

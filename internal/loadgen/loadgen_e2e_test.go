@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/loadgen"
 	"repro/internal/server"
 )
@@ -33,10 +32,7 @@ func TestGracefulDegradationUnderOverload(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("an open-loop client needs a P of its own beside the in-process server")
 	}
-	srv := server.New(server.Config{
-		Workers: 1, QueueDepth: 1000,
-		Retry: backoff.Policy{Base: time.Millisecond, Cap: 5 * time.Millisecond, Factor: 2},
-	})
+	srv := server.New(server.Config{Workers: 1, QueueDepth: 1000})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -6,9 +6,9 @@
 // covers everything that feeds it.
 //
 // The store is two-tiered. A bounded in-memory LRU holds the hot
-// result bytes (MaxEntries / MaxBytes caps); an optional append-only
-// JSONL file (internal/applog owns its crash safety) makes every entry
-// durable across restarts. Eviction only drops the resident bytes — the
+// result bytes (DefaultMaxEntries / DefaultMaxBytes caps); an optional
+// append-only JSONL file (internal/applog owns its crash safety) makes
+// every entry durable across restarts. Eviction only drops the resident bytes — the
 // disk tier keeps the entry, and a later Get re-reads and re-verifies
 // it. Each persisted line carries a sha256 of the value, verified lazily
 // on first Get; a mismatch demotes the entry to a miss, so the caller
@@ -58,15 +58,11 @@ type Options struct {
 	// Path is the backing JSONL file; empty runs the store memory-only
 	// (eviction then discards entries entirely).
 	Path string
-	// MaxEntries bounds the resident tier's entry count; 0 = default.
-	MaxEntries int
-	// MaxBytes bounds the resident tier's value bytes; 0 = default.
-	MaxBytes int64
 }
 
 const (
-	// DefaultMaxEntries and DefaultMaxBytes bound the resident tier
-	// when Options leaves them zero.
+	// DefaultMaxEntries and DefaultMaxBytes bound the resident tier's
+	// entry count and value bytes.
 	DefaultMaxEntries = 4096
 	DefaultMaxBytes   = 256 << 20
 )
@@ -96,17 +92,16 @@ type Store struct {
 // entries are indexed and their bytes made resident newest-first up to
 // the caps; a later line for the same key wins.
 func Open(opts Options) (*Store, error) {
+	return open(opts, DefaultMaxEntries, DefaultMaxBytes)
+}
+
+// open is Open with the resident tier's caps given (tests shrink them).
+func open(opts Options, maxEntries int, maxBytes int64) (*Store, error) {
 	s := &Store{
-		maxEntries: opts.MaxEntries,
-		maxBytes:   opts.MaxBytes,
+		maxEntries: maxEntries,
+		maxBytes:   maxBytes,
 		index:      make(map[string]*entry),
 		lru:        list.New(),
-	}
-	if s.maxEntries <= 0 {
-		s.maxEntries = DefaultMaxEntries
-	}
-	if s.maxBytes <= 0 {
-		s.maxBytes = DefaultMaxBytes
 	}
 	if opts.Path == "" {
 		return s, nil

@@ -92,12 +92,12 @@ func TestRestartSurvival(t *testing.T) {
 	}
 }
 
-// TestLRUBound: the resident tier respects MaxEntries; evicted
+// TestLRUBound: the resident tier respects its entry cap; evicted
 // disk-backed entries are transparently reloaded on Get, memory-only
 // entries are gone.
 func TestLRUBound(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	s, err := Open(Options{Path: path, MaxEntries: 4})
+	s, err := open(Options{Path: path}, 4, DefaultMaxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestLRUBound(t *testing.T) {
 	}
 
 	// Memory-only store: eviction is terminal.
-	m, err := Open(Options{MaxEntries: 4})
+	m, err := open(Options{}, 4, DefaultMaxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestLRUBound(t *testing.T) {
 
 // TestMaxBytesBound: the resident tier also respects the byte cap.
 func TestMaxBytesBound(t *testing.T) {
-	s, err := Open(Options{Path: filepath.Join(t.TempDir(), "cache.jsonl"), MaxBytes: 200})
+	s, err := open(Options{Path: filepath.Join(t.TempDir(), "cache.jsonl")}, DefaultMaxEntries, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +293,7 @@ func TestPutFaultDegradesGracefully(t *testing.T) {
 // TestConcurrentUse hammers one store from many goroutines (meaningful
 // under -race).
 func TestConcurrentUse(t *testing.T) {
-	s, err := Open(Options{Path: filepath.Join(t.TempDir(), "cache.jsonl"), MaxEntries: 8})
+	s, err := open(Options{Path: filepath.Join(t.TempDir(), "cache.jsonl")}, 8, DefaultMaxBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +371,7 @@ func TestParentFormatFixture(t *testing.T) {
 	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(Options{Path: path, MaxEntries: 1}) // j1-aa is served by offset
+	s, err := open(Options{Path: path}, 1, DefaultMaxBytes) // j1-aa is served by offset
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/overload"
 )
 
 // TestBurstAdmissionExactLimitNoSlotLeak: N concurrent POSTs against a
@@ -22,10 +23,11 @@ import (
 func TestBurstAdmissionExactLimitNoSlotLeak(t *testing.T) {
 	const burst = 12
 	srv := New(Config{
-		Workers: 1, QueueDepth: 2, Retry: fastRetry(), MaxRetries: 0,
+		Workers: 1, QueueDepth: 2,
 		JobTimeout: time.Hour,
 		Chaos:      chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
 	})
+	srv.maxRetries = 0
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	limit := srv.cfg.Workers + srv.cfg.QueueDepth
@@ -109,7 +111,7 @@ func TestBurstAdmissionExactLimitNoSlotLeak(t *testing.T) {
 // arrival with 429 + Retry-After and the distinct shed_deadline counter
 // — it never touches the admission queue.
 func TestDeadlineShedOnArrival(t *testing.T) {
-	srv := New(Config{Workers: 1, Retry: fastRetry()})
+	srv := fast(New(Config{Workers: 1}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -215,11 +217,12 @@ func TestDeadlineMissedNeverServedAsSuccess(t *testing.T) {
 // transient failure is not retried — the budget counter moves and the
 // job fails with its last error instead of amplifying load.
 func TestRetryBudgetExhaustedStopsRetries(t *testing.T) {
-	srv := New(Config{
-		Workers: 2, Retry: fastRetry(), MaxRetries: 5,
-		RetryBudgetBurst: -1, // literal zero tokens
-		Chaos:            chaos.New(chaos.Config{Seed: 5, PanicProb: 1, Failures: 1 << 30}),
-	})
+	srv := fast(New(Config{
+		Workers: 2,
+		Chaos:   chaos.New(chaos.Config{Seed: 5, PanicProb: 1, Failures: 1 << 30}),
+	}))
+	srv.maxRetries = 5
+	srv.budget = overload.NewRetryBudget(retryBudgetRatio, 0) // zero tokens
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -242,12 +245,12 @@ func TestRetryBudgetExhaustedStopsRetries(t *testing.T) {
 // TestRetryBudgetRefillsFromSuccesses: successes earn tokens back, so a
 // drained budget recovers once traffic is healthy again.
 func TestRetryBudgetRefillsFromSuccesses(t *testing.T) {
-	srv := New(Config{
-		Workers: 1, Retry: fastRetry(), MaxRetries: 2,
-		RetryBudgetRatio: 1, RetryBudgetBurst: 1,
+	srv := fast(New(Config{
+		Workers: 1,
 		// First attempt of each fingerprint panics, then succeeds.
 		Chaos: chaos.New(chaos.Config{Seed: 5, PanicProb: 1, Failures: 1}),
-	})
+	}))
+	srv.budget = overload.NewRetryBudget(1, 1)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -268,7 +271,7 @@ func TestRetryBudgetRefillsFromSuccesses(t *testing.T) {
 // queue-wait percentiles, shed_deadline, retry_budget_tokens — move when
 // the server is actually loaded, end-to-end through the HTTP surface.
 func TestStatzOverloadGaugesMoveUnderLoad(t *testing.T) {
-	srv := New(Config{Workers: 1, QueueDepth: 4, Retry: fastRetry()})
+	srv := fast(New(Config{Workers: 1, QueueDepth: 4}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

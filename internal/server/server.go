@@ -16,7 +16,7 @@
 //     bounds the whole retry loop on top.
 //   - Retry with deterministic backoff: attempts that fail transiently
 //     (recovered panic, deadline expiry — runner.IsTransient) are
-//     retried up to MaxRetries times, spaced by internal/backoff delays
+//     retried up to maxRetries times, spaced by backoff.Default delays
 //     jittered deterministically per job fingerprint.
 //   - Drain: once draining starts, new work is refused (503, /readyz
 //     red) while in-flight jobs run to completion and the journal is
@@ -65,8 +65,9 @@ var ErrStale = errors.New("deadline overrun while queued")
 // caring, and counting it as goodput would hide overload.
 var ErrDeadlineMiss = errors.New("completed past deadline")
 
-// Config assembles the service. The zero value of every field selects a
-// sensible default (see the field comments).
+// Config assembles the service: the settings its callers vary. The zero
+// value of every field selects a sensible default (see the field
+// comments); the settings no caller varies are the constants below.
 type Config struct {
 	// Workers is the number of concurrent simulation slots (default
 	// GOMAXPROCS).
@@ -77,22 +78,6 @@ type Config struct {
 	QueueDepth int
 	// JobTimeout bounds each attempt's wall-clock time (0 = unbounded).
 	JobTimeout time.Duration
-	// MaxRetries is how many times a transiently-failed job is re-run
-	// (default 2; negative disables retries).
-	MaxRetries int
-	// Retry is the backoff schedule between attempts (zero value =
-	// backoff defaults without jitter; backoff.Default() is recommended).
-	Retry backoff.Policy
-	// BreakerThreshold is how many invariant-watchdog violations a job
-	// fingerprint accrues before its circuit opens (default 3).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open circuit sheds before allowing
-	// a probe (default 1m).
-	BreakerCooldown time.Duration
-	// RetryAfter is the Retry-After hint on queue-shed responses
-	// (default 1s). Breaker sheds report the circuit's remaining
-	// cooldown instead.
-	RetryAfter time.Duration
 	// Journal, when non-nil, checkpoints completed jobs and replays
 	// already-journaled fingerprints without re-simulating. Drain closes
 	// it.
@@ -112,11 +97,6 @@ type Config struct {
 	// every derived session; /statz then reports the process-wide
 	// per-phase breakdown under "phase_ns".
 	PhaseTrace bool
-	// Worker enables fleet-worker mode: the server additionally exposes
-	// /journalz, an NDJSON dump of its checkpoint journal, so a fleet
-	// coordinator can resume a sweep from the union of worker journals
-	// without re-dispatching completed fingerprints.
-	Worker bool
 	// Checkpoints, when non-nil, persists mid-job engine checkpoints
 	// every CheckpointEvery cycles, so a job interrupted by a crash or
 	// kill resumes from its last durable checkpoint instead of cycle 0.
@@ -124,15 +104,29 @@ type Config struct {
 	// CheckpointEvery is the checkpoint interval in simulated cycles
 	// (0 disables checkpointing even with a store configured).
 	CheckpointEvery int64
-	// RetryBudgetRatio is the retry-budget refill per completed success
-	// (default 0.1 — retries bounded at ~10% of fresh traffic).
-	// Negative clamps to 0.
-	RetryBudgetRatio float64
-	// RetryBudgetBurst is the retry token bucket's capacity and initial
-	// balance (default 10). Negative selects a literal 0 — no retries
-	// ever, for tests pinning exhaustion behaviour.
-	RetryBudgetBurst float64
 }
+
+// The settings no caller varies. Tests in this package that need other
+// values overwrite the Server fields New seeds from them.
+const (
+	// maxRetries is how many times a transiently failed job is re-run,
+	// paced by backoff.Default().
+	maxRetries = 2
+	// breakerThreshold is how many invariant-watchdog violations a job
+	// fingerprint accrues before its circuit opens; breakerCooldown is
+	// how long an open circuit sheds before it lets a probe through.
+	breakerThreshold = 3
+	breakerCooldown  = time.Minute
+	// retryAfterFloor is the least Retry-After a queue shed reports, and
+	// the whole hint until the first latency sample. Breaker sheds report
+	// the circuit's remaining cooldown instead.
+	retryAfterFloor = time.Second
+	// retryBudgetRatio is the retry-budget refill per completed success
+	// (retries bounded at about 10% of fresh traffic); retryBudgetBurst is
+	// the token bucket's capacity and opening balance.
+	retryBudgetRatio = 0.1
+	retryBudgetBurst = 10
+)
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -140,33 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 2 * c.Workers
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 2
-	}
-	if c.MaxRetries < 0 {
-		c.MaxRetries = 0
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = time.Minute
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
-	if c.RetryBudgetRatio == 0 {
-		c.RetryBudgetRatio = 0.1
-	}
-	if c.RetryBudgetRatio < 0 {
-		c.RetryBudgetRatio = 0
-	}
-	if c.RetryBudgetBurst == 0 {
-		c.RetryBudgetBurst = 10
-	}
-	if c.RetryBudgetBurst < 0 {
-		c.RetryBudgetBurst = 0
 	}
 	return c
 }
@@ -182,6 +149,11 @@ type Server struct {
 	mux     *http.ServeMux
 	hs      atomic.Pointer[http.Server]
 	drainng atomic.Bool
+
+	// The retry loop's bound and pacing: maxRetries and backoff.Default()
+	// (tests in this package shorten them).
+	maxRetries int
+	retry      backoff.Policy
 
 	// Overload control: the estimator prices deadline admission per job
 	// family, the budget meters retries, and the wait ring feeds /statz
@@ -238,22 +210,21 @@ func New(cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		cfg:    cfg,
-		run:    r,
-		slots:  make(chan struct{}, cfg.Workers),
-		brk:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		mux:    http.NewServeMux(),
-		budget: overload.NewRetryBudget(cfg.RetryBudgetRatio, cfg.RetryBudgetBurst),
-		est:    overload.NewEstimator(),
-		waits:  overload.NewWaitRing(0),
+		cfg:        cfg,
+		run:        r,
+		slots:      make(chan struct{}, cfg.Workers),
+		brk:        newBreaker(breakerThreshold, breakerCooldown),
+		maxRetries: maxRetries,
+		retry:      backoff.Default(),
+		mux:        http.NewServeMux(),
+		budget:     overload.NewRetryBudget(retryBudgetRatio, retryBudgetBurst),
+		est:        overload.NewEstimator(),
+		waits:      overload.NewWaitRing(0),
 	}
 	s.mux.HandleFunc("/jobs", s.handleJob)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/readyz", s.handleReadyz)
 	s.mux.HandleFunc("/statz", s.handleStatz)
-	if cfg.Worker {
-		s.mux.HandleFunc("/journalz", s.handleJournalz)
-	}
 	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -550,7 +521,7 @@ func (s *Server) executeSlot(ctx context.Context, job runner.Job, key, family st
 
 // execute is the retry loop: run, classify, back off, re-run. Transient
 // failures (recovered panic, per-attempt deadline) are retried up to
-// MaxRetries times with deterministic per-fingerprint backoff jitter —
+// maxRetries times with deterministic per-fingerprint backoff jitter —
 // each retry also spends a retry-budget token, so aggregate retries stay
 // a bounded fraction of fresh traffic even when everything is failing.
 // Everything else — cancellation, validation, invariant violations,
@@ -616,7 +587,7 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key, family string
 		if errors.As(res.Err, &ie) {
 			s.brk.failure(key)
 		}
-		if !runner.IsTransient(res.Err) || attempts > s.cfg.MaxRetries {
+		if !runner.IsTransient(res.Err) || attempts > s.maxRetries {
 			s.failed.Add(1)
 			return res, attempts
 		}
@@ -626,7 +597,7 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key, family string
 			return res, attempts
 		}
 		s.retries.Add(1)
-		if backoff.Sleep(ctx, s.cfg.Retry.Delay(key, attempts)) != nil {
+		if backoff.Sleep(ctx, s.retry.Delay(key, attempts)) != nil {
 			s.failed.Add(1)
 			return res, attempts
 		}
@@ -658,17 +629,17 @@ func (s *Server) observeLatency(d time.Duration) {
 // load: with q requests in the building and Workers slots draining at
 // one job per EWMA latency, the queue turns over in about q*EWMA/Workers
 // — a client that waits that long meets a queue with room, instead of
-// hammering a fixed 1s hint into repeated 429s. Config.RetryAfter is the
+// hammering a fixed 1s hint into repeated 429s. retryAfterFloor is the
 // floor (and the whole answer until the first sample); the hint is
 // capped at a minute so a latency spike cannot park clients forever.
 func (s *Server) retryAfterHint() time.Duration {
 	ewma := s.latEWMA.Load()
 	if ewma <= 0 {
-		return s.cfg.RetryAfter
+		return retryAfterFloor
 	}
 	est := time.Duration(ewma * s.queued.Load() / int64(s.cfg.Workers))
-	if est < s.cfg.RetryAfter {
-		est = s.cfg.RetryAfter
+	if est < retryAfterFloor {
+		est = retryAfterFloor
 	}
 	if est > time.Minute {
 		est = time.Minute
@@ -818,36 +789,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// JournalEntry is one /journalz NDJSON line: a checkpointed job
-// fingerprint and its raw result — the same (key, val) pair the journal
-// stores on disk, so a coordinator unioning worker journals sees exactly
-// what a local resume would.
-type JournalEntry struct {
-	Key string          `json:"key"`
-	Val json.RawMessage `json:"val"`
-	// Sha is the hex sha256 of Val as recorded at append time ("" for
-	// entries that predate digests). The coordinator verifies Val
-	// against it before adopting the entry on fleet resume.
-	Sha string `json:"sha,omitempty"`
-}
-
-// handleJournalz streams the worker's checkpoint journal as NDJSON, one
-// JournalEntry per line in sorted key order. It is the fleet-resume
-// export: a restarted coordinator asks every reachable worker what it
-// already completed instead of re-dispatching the whole grid.
-func (s *Server) handleJournalz(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Journal == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": "no journal configured"})
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	s.cfg.Journal.EachEntry(func(key string, raw json.RawMessage, sha string) error {
-		return enc.Encode(JournalEntry{Key: key, Val: raw, Sha: sha})
-	})
-}
-
 // Stats is the /statz snapshot.
 type Stats struct {
 	Accepted    int64 `json:"accepted"`
@@ -879,11 +820,9 @@ type Stats struct {
 	// with failure history): open/half-open/accumulating, violation
 	// count, and remaining cooldown — the per-job view fleet health is
 	// debugged from.
-	Breakers []BreakerInfo `json:"breakers,omitempty"`
-	Draining bool          `json:"draining"`
-	// Worker reports fleet-worker mode (/journalz exposed).
-	Worker     bool `json:"worker,omitempty"`
-	JournalLen int  `json:"journal_len,omitempty"`
+	Breakers   []BreakerInfo `json:"breakers,omitempty"`
+	Draining   bool          `json:"draining"`
+	JournalLen int           `json:"journal_len,omitempty"`
 	// LatencyEWMAMs is the moving average of successful attempt
 	// latencies; with Queued it derives the load-proportional
 	// Retry-After hint (RetryAfterHintMs) queue sheds report.
@@ -933,7 +872,6 @@ func (s *Server) StatsSnapshot() Stats {
 		BreakerOpen:     s.brk.openCount(),
 		Breakers:        s.brk.snapshot(),
 		Draining:        s.drainng.Load(),
-		Worker:          s.cfg.Worker,
 
 		RetryBudgetTokens: s.budget.Tokens(),
 		QueueWaitP50Ms:    float64(s.waits.Percentile(0.50)) / 1e6,

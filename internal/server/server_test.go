@@ -36,10 +36,11 @@ func smallJob(n int) JobRequest {
 	}
 }
 
-// fastRetry keeps test wall-clock negligible while still exercising the
-// deterministic-jitter path.
-func fastRetry() backoff.Policy {
-	return backoff.Policy{Base: time.Millisecond, Cap: 5 * time.Millisecond, Factor: 2, Jitter: 0.5}
+// fast paces srv's retries in milliseconds: test wall-clock stays
+// negligible while the deterministic-jitter path is still exercised.
+func fast(srv *Server) *Server {
+	srv.retry = backoff.Policy{Base: time.Millisecond, Cap: 5 * time.Millisecond, Factor: 2, Jitter: 0.5}
+	return srv
 }
 
 func postJob(t *testing.T, ts *httptest.Server, req JobRequest) (int, JobResponse) {
@@ -73,10 +74,10 @@ func getStatus(t *testing.T, ts *httptest.Server, path string) int {
 // TestChaosPanicRetrySucceeds: injected worker panic on the first
 // attempt → backoff retry → success, with /healthz green throughout.
 func TestChaosPanicRetrySucceeds(t *testing.T) {
-	srv := New(Config{
-		Workers: 2, Retry: fastRetry(), MaxRetries: 2,
-		Chaos: chaos.New(chaos.Config{Seed: 5, PanicProb: 1, Failures: 1}),
-	})
+	srv := fast(New(Config{
+		Workers: 2,
+		Chaos:   chaos.New(chaos.Config{Seed: 5, PanicProb: 1, Failures: 1}),
+	}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -102,13 +103,13 @@ func TestChaosPanicRetrySucceeds(t *testing.T) {
 // TestChaosHangDeadlineKillRetry: injected hang → per-attempt deadline
 // kills it (transient) → retry succeeds.
 func TestChaosHangDeadlineKillRetry(t *testing.T) {
-	srv := New(Config{
-		Workers: 2, Retry: fastRetry(), MaxRetries: 2,
+	srv := fast(New(Config{
+		Workers: 2,
 		// Generous enough that a real (race-detector-slowed) simulation
 		// never trips it; only the injected infinite hang can.
 		JobTimeout: 5 * time.Second,
 		Chaos:      chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1}),
-	})
+	}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -127,11 +128,8 @@ func TestChaosHangDeadlineKillRetry(t *testing.T) {
 // liveness are unaffected.
 func TestInvariantCircuitBreaker(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 5, InvariantProb: 1, Failures: 1 << 30})
-	srv := New(Config{
-		Workers: 2, Retry: fastRetry(), MaxRetries: 2,
-		BreakerThreshold: 2, BreakerCooldown: time.Hour,
-		Chaos: inj,
-	})
+	srv := fast(New(Config{Workers: 2, Chaos: inj}))
+	srv.brk = newBreaker(2, time.Hour)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -189,11 +187,11 @@ func TestJournalFaultTypedAndConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{
-		Workers: 2, Retry: fastRetry(), MaxRetries: 2,
+	srv := fast(New(Config{
+		Workers: 2,
 		Journal: jnl,
 		Chaos:   chaos.New(chaos.Config{Seed: 5, JournalProb: 1, Failures: 1}),
-	})
+	}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -238,10 +236,11 @@ func TestJournalFaultTypedAndConsistent(t *testing.T) {
 func TestAdmissionQueueSheds(t *testing.T) {
 	// Jobs hang forever (budget unlimited) so the building stays full.
 	srv := New(Config{
-		Workers: 1, QueueDepth: 1, Retry: fastRetry(), MaxRetries: 0,
+		Workers: 1, QueueDepth: 1,
 		JobTimeout: time.Hour,
 		Chaos:      chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
 	})
+	srv.maxRetries = 0
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -301,7 +300,7 @@ func TestDrainFinishesInFlightAndJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Workers: 2, Retry: fastRetry(), Journal: jnl})
+	srv := fast(New(Config{Workers: 2, Journal: jnl}))
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -417,10 +416,11 @@ func TestBadRequests(t *testing.T) {
 // TestRequestTimeoutLayered: a request-level timeout bounds the whole
 // retry loop even when each attempt would pass the per-attempt deadline.
 func TestRequestTimeoutLayered(t *testing.T) {
-	srv := New(Config{
-		Workers: 1, Retry: fastRetry(), MaxRetries: 10,
-		Chaos: chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
-	})
+	srv := fast(New(Config{
+		Workers: 1,
+		Chaos:   chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
+	}))
+	srv.maxRetries = 10
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

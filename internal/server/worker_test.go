@@ -1,21 +1,17 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	gcke "repro"
 	"repro/internal/backoff"
 	"repro/internal/chaos"
-	"repro/internal/journal"
 )
 
 // TestRetryCancelRace pins the fix for the drain/timeout retry race: a
@@ -27,10 +23,9 @@ import (
 // 2. Run with -race: the assertion is attempts == 1, every time.
 func TestRetryCancelRace(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		srv := New(Config{
-			Workers: 1, MaxRetries: 10,
-			Retry: backoff.Policy{Base: time.Nanosecond, Cap: time.Nanosecond, Factor: 1},
-		})
+		srv := New(Config{Workers: 1})
+		srv.maxRetries = 10
+		srv.retry = backoff.Policy{Base: time.Nanosecond, Cap: time.Nanosecond, Factor: 1}
 		ctx, cancel := context.WithCancel(context.Background())
 		var calls atomic.Int64
 		srv.run.Fault = func(fctx context.Context, index int, key string) error {
@@ -57,78 +52,13 @@ func TestRetryCancelRace(t *testing.T) {
 	}
 }
 
-// TestJournalzDumpsWorkerJournal: in worker mode, /journalz streams the
-// checkpoint journal as NDJSON (key + raw result) so a coordinator can
-// union worker state; without a journal it 404s, and outside worker
-// mode the route does not exist.
-func TestJournalzDumpsWorkerJournal(t *testing.T) {
-	jnl, err := journal.Open(filepath.Join(t.TempDir(), "worker.ckpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(Config{Workers: 1, Journal: jnl, Worker: true})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	status, out := postJob(t, ts, smallJob(9))
-	if status != http.StatusOK {
-		t.Fatalf("job failed: %d %+v", status, out)
-	}
-	resp, err := ts.Client().Get(ts.URL + "/journalz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("journalz status = %d", resp.StatusCode)
-	}
-	var entries []JournalEntry
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<26)
-	for sc.Scan() {
-		var e JournalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad journalz line %q: %v", sc.Text(), err)
-		}
-		entries = append(entries, e)
-	}
-	if len(entries) != 1 || entries[0].Key != out.Key {
-		t.Fatalf("journalz entries = %+v, want the one completed key %s", entries, out.Key)
-	}
-	var res gcke.WorkloadResult
-	if err := json.Unmarshal(entries[0].Val, &res); err != nil {
-		t.Fatalf("journalz value does not decode: %v", err)
-	}
-	if ws := res.WeightedSpeedup(); ws != out.WeightedSpeedup {
-		t.Fatalf("journalz WS %v != served WS %v", ws, out.WeightedSpeedup)
-	}
-
-	// No journal → 404 (worker mode without checkpointing has nothing to
-	// dump); non-worker mode → route absent.
-	nojnl := New(Config{Workers: 1, Worker: true})
-	ts2 := httptest.NewServer(nojnl.Handler())
-	defer ts2.Close()
-	if got := getStatus(t, ts2, "/journalz"); got != http.StatusNotFound {
-		t.Fatalf("journalz without journal = %d, want 404", got)
-	}
-	plain := New(Config{Workers: 1, Journal: jnl})
-	ts3 := httptest.NewServer(plain.Handler())
-	defer ts3.Close()
-	if got := getStatus(t, ts3, "/journalz"); got == http.StatusOK {
-		t.Fatal("non-worker server exposes /journalz")
-	}
-}
-
 // TestStatzPerFingerprintBreakers: /statz reports each unhealthy
 // fingerprint's circuit state — accumulating below threshold, open with
 // remaining cooldown at threshold, half-open once the cooldown elapses.
 func TestStatzPerFingerprintBreakers(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 5, InvariantProb: 1, Failures: 1 << 30})
-	srv := New(Config{
-		Workers: 2, Retry: fastRetry(), MaxRetries: 2,
-		BreakerThreshold: 2, BreakerCooldown: time.Hour,
-		Chaos: inj,
-	})
+	srv := fast(New(Config{Workers: 2, Chaos: inj}))
+	srv.brk = newBreaker(2, time.Hour)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -178,10 +108,10 @@ func TestStatzPerFingerprintBreakers(t *testing.T) {
 }
 
 // TestRetryAfterLoadProportional: the Retry-After hint scales with queue
-// depth times the latency EWMA, floored at Config.RetryAfter and capped
+// depth times the latency EWMA, floored at retryAfterFloor (1s) and capped
 // at a minute — and the header on a real queue shed reflects it.
 func TestRetryAfterLoadProportional(t *testing.T) {
-	srv := New(Config{Workers: 2, QueueDepth: 1, RetryAfter: time.Second})
+	srv := New(Config{Workers: 2, QueueDepth: 1})
 	if got := srv.retryAfterHint(); got != time.Second {
 		t.Fatalf("no samples: hint = %v, want the 1s floor", got)
 	}
@@ -205,10 +135,10 @@ func TestRetryAfterLoadProportional(t *testing.T) {
 	// Workers=1 with the defaulted queue depth (2x workers) admits three
 	// requests; the fourth is shed.
 	hang := New(Config{
-		Workers: 1, Retry: fastRetry(), MaxRetries: 0,
-		RetryAfter: time.Second, JobTimeout: time.Hour,
+		Workers: 1, JobTimeout: time.Hour,
 		Chaos: chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
 	})
+	hang.maxRetries = 0
 	hang.latEWMA.Store(int64(10 * time.Second))
 	ts := httptest.NewServer(hang.Handler())
 	defer ts.Close()
