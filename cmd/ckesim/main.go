@@ -1,128 +1,235 @@
-// Command ckesim runs one workload under one scheme and prints the
-// paper's metrics.
+// Command ckesim is the simulate driver: it runs every workload of a
+// grid under every scheme of a list as one runner.Run, and prints each
+// job's metrics in grid order whatever the pool size.
 //
-// Usage:
+//	ckesim -kernels 'bp,sv;bp,ks' -scheme 'ws;ws-dmil' [-sms 4] [-cycles 300000]
+//	ckesim -kernels bp,ks -scheme even -sms 1 -cycles 20000 -trace 120 [-kind rsfail]
 //
-//	ckesim -kernels bp,sv -scheme ws-dmil [-sms 4] [-cycles 300000]
-//
-// Schemes: spatial, leftover, even, ws, dynws, ws-rbmi, ws-qbmi,
-// ws-dmil, ws-l2mil, ws-ucp, smk, smk-qbmi, smk-dmil, and
-// ws-smil:<l0>,<l1>,... with per-kernel static limits (0 = unlimited).
+// A scheme is a TB partition (spatial, leftover, even, ws, dynws, smk, or
+// tbs:<t0>,<t1>,... TBs per SM) optionally followed by one mechanism
+// (-rbmi, -qbmi, -dmil, -l2mil, -ucp, or -smil:<l0>,<l1>,... static
+// limits, 0 = unlimited). A bare smk is SMK-(P+W); a mechanism takes the
+// place of its warp quota. -trace prints one job's event mix and last N
+// events; -series prints each job's 1 K-cycle series as TSV.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strconv"
 	"strings"
 
 	gcke "repro"
 	"repro/internal/cli"
+	"repro/internal/runner"
+	"repro/internal/trace"
 )
 
-func parseScheme(s string, nKernels int) (gcke.Scheme, error) {
-	if rest, ok := strings.CutPrefix(s, "ws-smil:"); ok {
-		parts := strings.Split(rest, ",")
-		if len(parts) != nKernels {
-			return gcke.Scheme{}, fmt.Errorf("ws-smil needs %d limits, got %d", nKernels, len(parts))
-		}
-		lims := make([]int, len(parts))
-		for i, p := range parts {
-			v, err := strconv.Atoi(strings.TrimSpace(p))
-			if err != nil {
-				return gcke.Scheme{}, fmt.Errorf("bad limit %q: %v", p, err)
-			}
-			lims[i] = v
-		}
-		return gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitStatic, StaticLimits: lims}, nil
+// partitions are the TB partitions a scheme starts from; tbs is the
+// manual one and takes one count per kernel.
+var partitions = map[string]gcke.Scheme{
+	"spatial":  {Partition: gcke.PartitionSpatial},
+	"leftover": {Partition: gcke.PartitionLeftover},
+	"even":     {Partition: gcke.PartitionEven},
+	"ws":       {Partition: gcke.PartitionWarpedSlicer},
+	"dynws":    {Partition: gcke.PartitionWarpedSlicerDyn},
+	"smk":      {Partition: gcke.PartitionSMK, SMKQuota: true},
+	"tbs":      {Partition: gcke.PartitionManual},
+}
+
+// mechanisms are what a scheme layers on its partition; smil takes one
+// limit per kernel.
+var mechanisms = map[string]gcke.Scheme{
+	"rbmi":  {MemIssue: gcke.MemIssueRBMI},
+	"qbmi":  {MemIssue: gcke.MemIssueQBMI},
+	"dmil":  {Limiting: gcke.LimitDMIL},
+	"l2mil": {Limiting: gcke.LimitL2MIL},
+	"ucp":   {UCP: true},
+	"smil":  {Limiting: gcke.LimitStatic},
+}
+
+// parseScheme composes <partition>[-<mechanism>]; Scheme.Validate judges
+// the combination against a workload.
+func parseScheme(s string) (gcke.Scheme, error) {
+	part, mech, layered := strings.Cut(s, "-")
+	sc, tbs, err := lookup(partitions, part)
+	if err != nil {
+		return sc, err
 	}
-	switch s {
-	case "spatial":
-		return gcke.Scheme{Partition: gcke.PartitionSpatial}, nil
-	case "leftover":
-		return gcke.Scheme{Partition: gcke.PartitionLeftover}, nil
-	case "even":
-		return gcke.Scheme{Partition: gcke.PartitionEven}, nil
-	case "ws":
-		return gcke.Scheme{Partition: gcke.PartitionWarpedSlicer}, nil
-	case "ws-rbmi":
-		return gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueRBMI}, nil
-	case "ws-qbmi":
-		return gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI}, nil
-	case "ws-dmil":
-		return gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL}, nil
-	case "ws-ucp":
-		return gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, UCP: true}, nil
-	case "smk":
-		return gcke.Scheme{Partition: gcke.PartitionSMK, SMKQuota: true}, nil
-	case "smk-qbmi":
-		return gcke.Scheme{Partition: gcke.PartitionSMK, MemIssue: gcke.MemIssueQBMI}, nil
-	case "smk-dmil":
-		return gcke.Scheme{Partition: gcke.PartitionSMK, Limiting: gcke.LimitDMIL}, nil
-	case "dynws":
-		return gcke.Scheme{Partition: gcke.PartitionWarpedSlicerDyn}, nil
-	case "ws-l2mil":
-		return gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitL2MIL}, nil
-	default:
-		return gcke.Scheme{}, fmt.Errorf("unknown scheme %q", s)
+	sc.ManualTBs = tbs
+	if layered {
+		m, limits, err := lookup(mechanisms, mech)
+		if err != nil {
+			return sc, err
+		}
+		sc.SMKQuota = false
+		sc.MemIssue, sc.Limiting, sc.StaticLimits, sc.UCP = m.MemIssue, m.Limiting, limits, m.UCP
 	}
+	if (tbs != nil) != (sc.Partition == gcke.PartitionManual) || (sc.StaticLimits != nil) != (sc.Limiting == gcke.LimitStatic) {
+		return sc, errors.New("tbs and smil take counts, nothing else does")
+	}
+	return sc, nil
+}
+
+// lookup finds name[:<c0>,<c1>,...] in table and parses the counts.
+func lookup(table map[string]gcke.Scheme, s string) (gcke.Scheme, []int, error) {
+	name, list, hasCounts := strings.Cut(s, ":")
+	sc, ok := table[name]
+	if !ok {
+		return sc, nil, fmt.Errorf("unknown partition or mechanism %q", name)
+	}
+	if !hasCounts {
+		return sc, nil, nil
+	}
+	var counts []int
+	for _, f := range strings.Split(list, ",") {
+		v, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return sc, nil, fmt.Errorf("bad count %q in %q", f, s)
+		}
+		counts = append(counts, v)
+	}
+	return sc, counts, nil
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("ckesim: ")
-	kernels := flag.String("kernels", "bp,sv", "comma-separated kernel names")
-	schemeName := flag.String("scheme", "ws", "CKE scheme")
-	sms := flag.Int("sms", 4, "number of SMs")
-	cycles := flag.Int64("cycles", 300_000, "evaluation cycles")
-	profCycles := flag.Int64("profile-cycles", 60_000, "profiling cycles")
-	rb := cli.AddFlags(flag.CommandLine, "check")
-	prof := cli.AddProfileFlags(flag.CommandLine)
-	flag.Parse()
-	ctx, stop := cli.SignalContext()
-	defer stop()
-	stopProf, err := prof.Start()
-	if err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatal(err)
 	}
-	defer stopProf()
+}
 
-	cfg := gcke.ScaledConfig(*sms)
-	session := gcke.NewSession(cfg, *cycles)
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("ckesim", flag.ContinueOnError)
+	kernels := fs.String("kernels", "bp,sv", "workloads: comma-separated kernel names, workloads separated by ';'")
+	schemeList := fs.String("scheme", "ws", "schemes separated by ';' (see the command doc)")
+	sms := fs.Int("sms", 4, "number of SMs")
+	cycles := fs.Int64("cycles", 300_000, "evaluation cycles")
+	profCycles := fs.Int64("profile-cycles", 60_000, "profiling cycles")
+	warmup := fs.Int64("warmup", 0, "unmanaged warm-up cycles per job")
+	parallel := fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	tail := fs.Int("trace", 0, "trace the one job and print its event mix and last N events (0 = off)")
+	kind := fs.String("kind", "", "with -trace, print only events of this kind (e.g. rsfail, mem-issue)")
+	series := fs.Bool("series", false, "print each job's 1 K-cycle series as TSV")
+	rb := cli.AddFlags(fs)
+	prof := cli.AddProfileFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+
+	session := gcke.NewSession(gcke.ScaledConfig(*sms), *cycles)
 	session.ProfileCycles = *profCycles
 	session.Check = rb.Check
 	session.PhaseTime = prof.PhaseTrace
-
-	var wl []gcke.Kernel
-	for _, n := range strings.Split(*kernels, ",") {
-		d, err := gcke.Benchmark(strings.TrimSpace(n))
-		if err != nil {
-			log.Fatal(err)
+	var jobs []runner.Job
+	var labels []string
+	for _, spec := range strings.Split(*kernels, ";") {
+		var wl []gcke.Kernel
+		for _, n := range strings.Split(spec, ",") {
+			d, err := gcke.Benchmark(strings.TrimSpace(n))
+			if err != nil {
+				return err
+			}
+			wl = append(wl, d)
 		}
-		wl = append(wl, d)
+		for _, s := range strings.Split(*schemeList, ";") {
+			sc, err := parseScheme(strings.TrimSpace(s))
+			if err == nil {
+				sc.Warmup, sc.Series = *warmup, *series
+				err = sc.Validate(len(wl))
+			}
+			if err != nil {
+				return fmt.Errorf("scheme %q: %w", s, err)
+			}
+			jobs = append(jobs, runner.Job{Session: session, Kernels: wl, Scheme: sc})
+			labels = append(labels, fmt.Sprintf("%s under %s", strings.TrimSpace(spec), sc.Name()))
+		}
 	}
-	scheme, err := parseScheme(*schemeName, len(wl))
-	if err != nil {
-		log.Fatal(err)
+	if *tail > 0 {
+		// A replayed or cached result has no events.
+		if len(jobs) != 1 || rb.JournalPath != "" || rb.Cache || rb.CacheDir != "" {
+			return errors.New("-trace needs exactly one job and no -journal, -cache or -cache-dir")
+		}
+		session.Trace = trace.New(1 << 16)
 	}
 
-	res, err := session.RunWorkloadCtx(ctx, wl, scheme)
+	stopProf, err := prof.Start()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
+	defer stopProf()
+	ctx, stop := cli.SignalContext()
+	defer stop()
+	r, closeStores, err := rb.Runner(*parallel, log.Printf)
+	if err != nil {
+		return err
+	}
+	defer closeStores()
+	results := r.Run(ctx, jobs)
+	failed, err := rb.Failures(log.Printf, results)
+	if err != nil {
+		return err
+	}
+	for i, res := range results {
+		fmt.Fprintf(w, "== %s (%d SMs, %d cycles)\n", labels[i], *sms, *cycles)
+		if res.Err != nil {
+			fmt.Fprintf(w, "fail: %v\n", res.Err)
+			continue
+		}
+		printResult(w, res.Res)
+		if *series {
+			printSeries(w, res.Res)
+		}
+	}
+	if session.Trace != nil {
+		session.Trace.Summary(w, *tail, *kind)
+	}
+	if failed > 0 {
+		return errors.New(cli.FailureSummary(results))
+	}
+	return nil
+}
 
-	fmt.Printf("workload %s under %s (%d SMs, %d cycles)\n",
-		*kernels, scheme.Name(), *sms, *cycles)
-	if res.TBPartition != nil {
-		fmt.Printf("TB partition per SM: %v\n", res.TBPartition)
-	}
+func printResult(w io.Writer, res *gcke.WorkloadResult) {
+	fmt.Fprintf(w, "partition %v  theoWS %.3f\n", res.TBPartition, res.TheoreticalWS)
+	fmt.Fprintf(w, "WS %.3f  ANTT %.3f  fairness %.3f  stall %.3f  computeUtil %.3f\n",
+		res.WeightedSpeedup(), res.ANTT(), res.Fairness(), res.LSUStallFrac(), res.ComputeUtil())
 	sp := res.SpeedupsOf()
-	fmt.Printf("WeightedSpeedup %.3f  ANTT %.3f  Fairness %.3f  LSUStall %.1f%%  ComputeUtil %.3f\n",
-		res.WeightedSpeedup(), res.ANTT(), res.Fairness(),
-		res.LSUStallFrac()*100, res.ComputeUtil())
 	for i, k := range res.Kernels {
-		fmt.Printf("  %-4s speedup=%.3f ipc=%7.3f l1dMiss=%.3f l1dRsfail=%7.3f\n",
-			k.Name, sp[i], k.IPC, k.L1D.MissRate(), k.L1D.RsFailRate())
+		fmt.Fprintf(w, "  %-4s speedup=%.3f ipc=%7.3f mem=%8d req=%9d l1dMiss=%.3f l1dRsfail=%.3f rsfail[mshr=%d missq=%d line=%d]\n",
+			k.Name, sp[i], k.IPC, k.MemInstrs, k.Requests, k.L1D.MissRate(), k.L1D.RsFailRate(),
+			k.L1D.RsFailMSHR, k.L1D.RsFailMQ, k.L1D.RsFailLine)
 	}
+}
+
+// printSeries writes one row per 1 K-cycle bucket. The in-flight and
+// limit samples are taken at the ends of the buckets before the last,
+// partial, one; a bucket without a sample (in the warm-up, the last, and
+// every limit cell without DMIL) leaves its cell empty.
+func printSeries(w io.Writer, res *gcke.WorkloadResult) {
+	fmt.Fprint(w, "bucket")
+	for _, k := range res.Kernels {
+		fmt.Fprintf(w, "\t%s.issued\t%s.l1acc\t%s.inflight\t%s.limit", k.Name, k.Name, k.Name, k.Name)
+	}
+	for b := range res.Kernels[0].Series.Issued {
+		fmt.Fprintf(w, "\n%d", b)
+		for _, k := range res.Kernels {
+			s := k.Series
+			i := b - (len(s.Issued) - 1 - len(s.Inflight)) // the bucket's sample
+			fmt.Fprintf(w, "\t%d\t%d\t%s\t%s", s.Issued[b], s.L1Acc[b], cell(s.Inflight, i), cell(s.Limit, i))
+		}
+	}
+	fmt.Fprintln(w)
+}
+
+func cell(samples []uint32, i int) string {
+	if i < 0 || i >= len(samples) {
+		return ""
+	}
+	return strconv.Itoa(int(samples[i]))
 }

@@ -13,15 +13,21 @@ import (
 //   - Validate catches every per-kernel arity mismatch it documents, so
 //     a scheme it accepts can never fail an arity check deeper in the
 //     engine;
+//   - an accepted manual partition gives every kernel at least one TB
+//     and an accepted SMIL cap is never negative;
 //   - Name always renders something (labels key result tables).
 func FuzzSchemeValidate(f *testing.F) {
-	f.Add(0, 0, 0, 2, uint8(0), false, false, false, 2)
-	f.Add(int(PartitionSMK), int(MemIssueQBMI), int(LimitNone), 2, uint8(1), true, false, false, 2)
-	f.Add(int(PartitionManual), 0, int(LimitStatic), 3, uint8(2), false, true, true, 3)
-	f.Add(int(PartitionWarpedSlicerDyn), int(MemIssueRBMI), int(LimitL2MIL), 1, uint8(3), false, false, true, -1)
-	f.Add(-5, 99, 42, 0, uint8(255), true, true, true, 100)
+	f.Add(0, 0, 0, 2, uint8(0), false, false, false, 2, 1)
+	f.Add(int(PartitionSMK), int(MemIssueQBMI), int(LimitNone), 2, uint8(1), true, false, false, 2, 1)
+	f.Add(int(PartitionManual), 0, int(LimitStatic), 3, uint8(2), false, true, true, 3, 1)
+	f.Add(int(PartitionWarpedSlicerDyn), int(MemIssueRBMI), int(LimitL2MIL), 1, uint8(3), false, false, true, -1, 1)
+	f.Add(-5, 99, 42, 0, uint8(255), true, true, true, 100, 1)
+	// Entries that cannot run: no TBs, negative TBs, a negative cap.
+	f.Add(int(PartitionManual), 0, int(LimitNone), 2, uint8(0), false, false, false, 2, 0)
+	f.Add(int(PartitionManual), 0, int(LimitStatic), 2, uint8(2), false, false, false, 2, -1)
+	f.Add(int(PartitionWarpedSlicer), 0, int(LimitStatic), 2, uint8(2), false, false, false, 0, -1)
 	f.Fuzz(func(t *testing.T, part, mem, lim, nKernels int, arity uint8,
-		smkQuota, ucp, tbt bool, manualLen int) {
+		smkQuota, ucp, tbt bool, manualLen, entry int) {
 		if nKernels < 0 || nKernels > 8 {
 			nKernels = 2
 		}
@@ -43,6 +49,7 @@ func FuzzSchemeValidate(f *testing.F) {
 		}
 		if staticLen > 0 {
 			s.StaticLimits = make([]int, staticLen)
+			s.StaticLimits[0] = entry
 		}
 		if bypassLen > 0 {
 			s.BypassL1 = make([]bool, bypassLen)
@@ -52,6 +59,7 @@ func FuzzSchemeValidate(f *testing.F) {
 			for i := range s.ManualTBs {
 				s.ManualTBs[i] = 1
 			}
+			s.ManualTBs[0] = entry
 		}
 
 		err := s.Validate(nKernels)
@@ -71,6 +79,16 @@ func FuzzSchemeValidate(f *testing.F) {
 		}
 		if s.BypassL1 != nil && len(s.BypassL1) != nKernels {
 			t.Fatalf("accepted BypassL1 with %d entries for %d kernels", len(s.BypassL1), nKernels)
+		}
+		for _, n := range s.ManualTBs {
+			if s.Partition == PartitionManual && n < 1 {
+				t.Fatalf("accepted PartitionManual with ManualTBs %v", s.ManualTBs)
+			}
+		}
+		for _, l := range s.StaticLimits {
+			if s.Limiting == LimitStatic && l < 0 {
+				t.Fatalf("accepted LimitStatic with StaticLimits %v", s.StaticLimits)
+			}
 		}
 		if s.SMKQuota && (s.MemIssue != MemIssueDefault || s.Limiting != LimitNone) {
 			t.Fatal("accepted SMKQuota combined with a memory mechanism")

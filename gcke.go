@@ -197,7 +197,11 @@ type Scheme struct {
 	// (the related-work baseline the paper contrasts with: coarser
 	// granularity than MIL).
 	TBThrottle bool
-	// Series enables 1 K-cycle time-series collection.
+	// Series enables 1 K-cycle time-series collection: per-kernel
+	// issued instructions and L1D accesses per bucket, and, sampled at
+	// the managed leg's multiples of 1024 cycles, in-flight memory
+	// instructions and, under LimitDMIL, the limiting number (see
+	// stats.Series).
 	Series bool
 	// Warmup splits the run into an unmanaged warmup prefix of this
 	// many cycles (no issue policies, UCP or bypass — caches and TB
@@ -218,11 +222,25 @@ func (s Scheme) Validate(nKernels int) error {
 	if s.SMKQuota && s.Limiting != LimitNone {
 		return fmt.Errorf("gcke: SMKQuota is mutually exclusive with Limiting=%s (the paper layers either +W or a memory mechanism on SMK, never both)", s.Limiting)
 	}
-	if s.Limiting == LimitStatic && len(s.StaticLimits) != nKernels {
-		return fmt.Errorf("gcke: StaticLimits has %d entries for %d kernels", len(s.StaticLimits), nKernels)
+	if s.Limiting == LimitStatic {
+		if len(s.StaticLimits) != nKernels {
+			return fmt.Errorf("gcke: StaticLimits has %d entries for %d kernels", len(s.StaticLimits), nKernels)
+		}
+		for _, l := range s.StaticLimits {
+			if l < 0 {
+				return fmt.Errorf("gcke: StaticLimits %v: a cap is at least 0 (0 = unlimited)", s.StaticLimits)
+			}
+		}
 	}
-	if s.Partition == PartitionManual && len(s.ManualTBs) != nKernels {
-		return fmt.Errorf("gcke: ManualTBs has %d entries for %d kernels", len(s.ManualTBs), nKernels)
+	if s.Partition == PartitionManual {
+		if len(s.ManualTBs) != nKernels {
+			return fmt.Errorf("gcke: ManualTBs has %d entries for %d kernels", len(s.ManualTBs), nKernels)
+		}
+		for _, n := range s.ManualTBs {
+			if n < 1 {
+				return fmt.Errorf("gcke: ManualTBs %v: every kernel needs at least 1 TB per SM", s.ManualTBs)
+			}
+		}
 	}
 	if s.BypassL1 != nil && len(s.BypassL1) != nKernels {
 		return fmt.Errorf("gcke: BypassL1 has %d entries for %d kernels", len(s.BypassL1), nKernels)

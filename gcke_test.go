@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func testSession(t *testing.T) *Session {
@@ -253,6 +255,11 @@ func TestSchemeValidate(t *testing.T) {
 		{"SMIL wrong arity", Scheme{Partition: PartitionWarpedSlicer, Limiting: LimitStatic, StaticLimits: []int{4}}, 2, false},
 		{"manual right arity", Scheme{Partition: PartitionManual, ManualTBs: []int{2, 2}}, 2, true},
 		{"manual wrong arity", Scheme{Partition: PartitionManual, ManualTBs: []int{2, 2, 2}}, 2, false},
+		{"manual zero TBs", Scheme{Partition: PartitionManual, ManualTBs: []int{0, 2}}, 2, false},
+		{"manual negative TBs", Scheme{Partition: PartitionManual, ManualTBs: []int{-1, 2}}, 2, false},
+		{"SMIL negative cap", Scheme{Partition: PartitionWarpedSlicer, Limiting: LimitStatic, StaticLimits: []int{-1, 4}}, 2, false},
+		{"SMIL unlimited", Scheme{Partition: PartitionWarpedSlicer, Limiting: LimitStatic, StaticLimits: []int{core.Unlimited, 4}}, 2, true},
+		{"SMIL cap of 1000", Scheme{Partition: PartitionWarpedSlicer, Limiting: LimitStatic, StaticLimits: []int{1000, 1000}}, 2, true},
 		{"bypass right arity", Scheme{Partition: PartitionEven, BypassL1: []bool{false, true}}, 2, true},
 		{"bypass wrong arity", Scheme{Partition: PartitionEven, BypassL1: []bool{true}}, 2, false},
 		{"TBT on WS", Scheme{Partition: PartitionWarpedSlicer, TBThrottle: true}, 2, true},

@@ -167,16 +167,36 @@ func (r *Robustness) OpenCheckpoints(logf func(format string, args ...any)) (*ck
 	return s, nil
 }
 
-// Apply configures a runner with the per-job timeout, journal, result
-// cache and mid-job checkpointing (j, c and ck may be nil).
-func (r *Robustness) Apply(run *runner.Runner, j *journal.Journal, c *resultcache.Store, ck *ckpt.Store) {
-	run.Timeout = r.Timeout
-	run.Journal = j
-	run.Cache = c
-	run.Checkpoints = ck
-	if ck != nil {
-		run.CheckpointEvery = r.CkptEvery
+// Runner validates the options and returns a pool of workers (0 =
+// GOMAXPROCS) running under the per-job timeout with the journal, result
+// cache and mid-job checkpoints the flags ask for, and a function that
+// closes those stores.
+func (r *Robustness) Runner(workers int, logf func(format string, args ...any)) (*runner.Runner, func(), error) {
+	if err := r.Validate(); err != nil {
+		return nil, nil, err
 	}
+	run := runner.New(workers)
+	run.Timeout = r.Timeout
+	closeStores := func() {
+		if run.Journal != nil {
+			run.Journal.Close()
+		}
+		if run.Cache != nil {
+			run.Cache.Close()
+		}
+	}
+	var err error
+	if run.Journal, err = r.OpenJournal(logf); err == nil {
+		if run.Cache, err = r.OpenCache(logf); err == nil {
+			run.Checkpoints, err = r.OpenCheckpoints(logf)
+			run.CheckpointEvery = r.CkptEvery
+		}
+	}
+	if err != nil {
+		closeStores()
+		return nil, nil, err
+	}
+	return run, closeStores, nil
 }
 
 // Failures applies the failed-point policy to a finished grid. Under

@@ -542,38 +542,6 @@ func UniformQuota(numSMs int, perSM []int) [][]int {
 	return q
 }
 
-// DumpMemState prints memory-system occupancy and statistics to stdout
-// (development and debugging aid used by cmd/ckedebug). Reservation
-// failures are split by the resource that was missing — MSHR, miss
-// queue, line — for every L2 partition and every L1: which one a
-// workload starves on is the paper's Figure 6 question.
-func (g *GPU) DumpMemState() {
-	fmt.Printf("reqNet flits=%d respNet flits=%d\n", g.reqNet.TransferredFlits, g.respNet.TransferredFlits)
-	sum := func(st []cache.KernelStats) (t cache.KernelStats) {
-		for _, s := range st {
-			t.Accesses += s.Accesses
-			t.Misses += s.Misses
-			t.RsFailMSHR += s.RsFailMSHR
-			t.RsFailMQ += s.RsFailMQ
-			t.RsFailLine += s.RsFailLine
-		}
-		return t
-	}
-	for p, part := range g.parts {
-		t := sum(part.l2.Stats)
-		fmt.Printf("part%d: l2 acc=%d miss=%d rsfail[mshr=%d missq=%d line=%d] mshr=%d missq=%d inQ=%d resp=%d dram: served=%d rowhit=%d q=%d\n",
-			p, t.Accesses, t.Misses, t.RsFailMSHR, t.RsFailMQ, t.RsFailLine,
-			part.l2.MSHRInUse(), part.l2.MissQueueLen(),
-			part.inQ.Len(), part.resp.Len(),
-			part.ch.Served, part.ch.RowHits, part.ch.QueueLen())
-	}
-	for _, s := range g.SMs {
-		t := sum(s.L1.Stats)
-		fmt.Printf("sm%d: l1 rsfail[mshr=%d missq=%d line=%d] mshr=%d missq=%d lsuStall=%d\n",
-			s.ID, t.RsFailMSHR, t.RsFailMQ, t.RsFailLine, s.L1.MSHRInUse(), s.L1.MissQueueLen(), s.LSUStall)
-	}
-}
-
 // L2KernelStats aggregates kernel k's L2 statistics across partitions
 // (used by L2-congestion-driven controllers).
 func (g *GPU) L2KernelStats(k int) cache.KernelStats {

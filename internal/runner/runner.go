@@ -72,7 +72,11 @@ func (j *Job) Key() (string, error) {
 		ProfileCycles int64
 		Kernels       []gcke.Kernel
 		Scheme        gcke.Scheme
-	}{j.Config, j.Cycles, j.ProfileCycles, j.Kernels, j.Scheme}
+		// Samples marks a Series job: its result carries the in-flight
+		// and limit samples, which a result stored before they existed
+		// lacks, so such a result is never served for it.
+		Samples bool `json:",omitempty"`
+	}{j.Config, j.Cycles, j.ProfileCycles, j.Kernels, j.Scheme, j.Scheme.Series}
 	if s := j.Session; s != nil {
 		fp.Config = s.Config()
 		fp.Cycles = s.Cycles()

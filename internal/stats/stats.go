@@ -32,6 +32,13 @@ const SeriesInterval = 1024
 type Series struct {
 	Issued []uint32 // warp instructions issued per bucket
 	L1Acc  []uint32 // successful L1D accesses per bucket
+	// Inflight and Limit are sampled, summed over SMs, at every multiple
+	// of 1024 cycles of a Session evaluation run's managed leg (after its
+	// warm-up): the kernel's in-flight memory instructions and its DMIL
+	// limiting number. Limit is nil unless the scheme runs DMIL; both are
+	// nil for runs the Session does not sample (profiles, bare gpu runs).
+	Inflight []uint32 `json:",omitempty"`
+	Limit    []uint32 `json:",omitempty"`
 }
 
 // KernelResult is the per-kernel outcome of a run.

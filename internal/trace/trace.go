@@ -1,12 +1,13 @@
 // Package trace provides a lightweight cycle-level event tracer for the
 // simulator: a fixed-capacity ring buffer of compact events that the SM
 // and memory system append to when tracing is enabled (a nil buffer
-// costs one pointer check on the hot path). cmd/cketrace renders traces
-// for pipeline debugging and teaching.
+// costs one pointer check on the hot path). Summary renders a trace for
+// pipeline debugging and teaching (ckesim -trace).
 package trace
 
 import (
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -244,4 +245,24 @@ func (b *Buffer) CountByKind() map[Kind]int {
 		out[e.Kind]++
 	}
 	return out
+}
+
+// Summary writes the event counts, the mix of the retained window by
+// kind, and its last tail events, only those of kind when kind is set.
+func (b *Buffer) Summary(w io.Writer, tail int, kind string) {
+	evs := b.Snapshot()
+	fmt.Fprintf(w, "%d events recorded (%d retained)\n\nevent mix (retained window):\n", b.Total(), len(evs))
+	counts := b.CountByKind()
+	for k := IssueCompute; k <= TBDone; k++ { // every kind, in order
+		if counts[k] > 0 {
+			fmt.Fprintf(w, "  %-10s %8d\n", k, counts[k])
+		}
+	}
+	if kind != "" {
+		evs = b.Filter(func(e Event) bool { return e.Kind.String() == kind })
+	}
+	if len(evs) > tail {
+		evs = evs[len(evs)-tail:]
+	}
+	fmt.Fprintf(w, "\ntrace tail (%d events):\n%s", len(evs), Render(evs))
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/kern"
 	"repro/internal/sm"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Session runs simulations against one fixed architecture configuration
@@ -52,6 +53,12 @@ type Session struct {
 	// (gpu.Options.PhaseTime); read the totals via gpu.PhaseTotals. Set it
 	// before sharing the Session.
 	PhaseTime bool
+	// Trace, when non-nil, receives the cycle-level events of every
+	// evaluation run (profiles are never traced). Runs that share it
+	// interleave their events, and a run resumed from a checkpoint would
+	// miss the cycles it skipped, so a traced run never resumes. Set it
+	// before sharing the Session.
+	Trace *trace.Buffer
 
 	mu       sync.Mutex
 	profiles map[profileKey]*profileEntry // the profile table, guarded by mu
@@ -477,6 +484,14 @@ func (s *Session) PartitionCtx(ctx context.Context, ds []Kernel, kind PartitionK
 		if len(manual) != len(ds) {
 			return nil, 0, fmt.Errorf("gcke: ManualTBs must have one entry per kernel")
 		}
+		for i, n := range manual {
+			if max := ds[i].MaxTBsPerSM(&s.cfg); n < 1 || n > max {
+				return nil, 0, fmt.Errorf("gcke: ManualTBs %v: %s runs 1..%d TBs per SM, not %d", manual, ds[i].Name, max, n)
+			}
+		}
+		if !core.Fits(&s.cfg, descs, manual) {
+			return nil, 0, fmt.Errorf("gcke: ManualTBs %v does not fit one SM", manual)
+		}
 		return append([]int(nil), manual...), 0, nil
 	case PartitionSpatial:
 		return nil, 0, nil // spatial uses a per-SM matrix, not one row
@@ -525,9 +540,11 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 // from-zero run) and persists a new checkpoint every ck.Every cycles.
 // Schemes whose evaluation leg re-enters the Session-side control plane
 // mid-run — hook-driven controllers (DynWS, TBThrottle, L2MIL), UCP
-// repartitioning, warmup legs — are silently ineligible and run
-// normally: their out-of-engine state is not in the snapshot, and
-// resuming them would diverge from an unfaulted run.
+// repartitioning, Series sampling, warmup legs — are silently
+// ineligible and run normally: their out-of-engine state is not in the
+// snapshot, and resuming them would diverge from an unfaulted run. So is
+// every run of a traced Session, whose trace would lack the skipped
+// cycles.
 func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, scheme Scheme, ck *Checkpoint) (*WorkloadResult, int64, error) {
 	if len(ds) == 0 {
 		return nil, 0, fmt.Errorf("gcke: empty workload")
@@ -540,20 +557,9 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 	}
 	descs := toPtrs(ds)
 
-	// Normalization base and profile-driven inputs: claim what nobody
-	// has started, then collect.
-	if err := s.claimProfiles(ctx, ds, scheme.Partition == PartitionWarpedSlicer); err != nil {
-		return nil, 0, err
-	}
-	isolated := make([]float64, len(ds))
-	for i := range ds {
-		r, err := s.RunIsolatedCtx(ctx, ds[i])
-		if err != nil {
-			return nil, 0, err
-		}
-		isolated[i] = r.Kernels[0].IPC
-	}
-
+	// The partition first: a manual one that cannot run fails before any
+	// simulation, and Warped-Slicer's claims every curve, the
+	// full-occupancy runs included.
 	var quota [][]int
 	var row []int
 	var theoWS float64
@@ -575,9 +581,23 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 		quota = gpu.UniformQuota(s.cfg.NumSMs, row)
 	}
 
+	// Normalization base: claim what nobody has started, then collect.
+	if err := s.claimProfiles(ctx, ds, false); err != nil {
+		return nil, 0, err
+	}
+	isolated := make([]float64, len(ds))
+	for i := range ds {
+		r, err := s.RunIsolatedCtx(ctx, ds[i])
+		if err != nil {
+			return nil, 0, err
+		}
+		isolated[i] = r.Kernels[0].IPC
+	}
+
 	opts := &gpu.Options{
 		Cycles:    s.cycles,
 		Quota:     quota,
+		Trace:     s.Trace,
 		Series:    scheme.Series,
 		PhaseTime: s.PhaseTime,
 	}
@@ -654,9 +674,23 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 		opts.BypassL1 = append([]bool(nil), scheme.BypassL1...)
 	}
 
+	// Last between cycles: the in-flight and limit samples, which see
+	// what the controllers' hooks left.
+	var samples *memSeries
+	if scheme.Series {
+		samples = newMemSeries(len(ds))
+		if scheme.Limiting == LimitDMIL {
+			samples.watch(&opts.Policies, s.cfg.NumSMs)
+		}
+		managed = append(managed, gpu.Periodic(start, 1024, samples.sample))
+	}
+
 	res, resumedFrom, err := s.execute(ctx, descs, opts, scheme.Warmup, managed, ck)
 	if err != nil {
 		return nil, resumedFrom, wrapInterrupt(ctx, err)
+	}
+	if samples != nil {
+		samples.attach(res)
 	}
 	if dynws != nil {
 		row = dynws.Partition
@@ -702,14 +736,14 @@ func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Opt
 	// the series buckets from it, and the buckets must span both legs.
 	build := opts
 	if warmup > 0 {
-		build = &gpu.Options{Cycles: opts.Cycles, Quota: opts.Quota, Series: opts.Series, PhaseTime: opts.PhaseTime}
+		build = &gpu.Options{Cycles: opts.Cycles, Quota: opts.Quota, Trace: opts.Trace, Series: opts.Series, PhaseTime: opts.PhaseTime}
 	}
 	g, err := gpu.New(s.cfg, descs, build)
 	if err != nil {
 		return nil, 0, err
 	}
 	var start int64
-	if ck != nil && ck.Every > 0 && warmup <= 0 && len(managed) == 0 {
+	if ck != nil && ck.Every > 0 && warmup <= 0 && len(managed) == 0 && opts.Trace == nil {
 		if cycle, state, ok := ck.Latest(); ok && cycle > 0 && cycle < s.cycles {
 			if sn, derr := gpu.DecodeSnapshot(state); derr == nil && sn.Cycle() == cycle {
 				if rerr := g.RestoreCheckpoint(sn); rerr == nil {
@@ -785,6 +819,56 @@ func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Opt
 	res := g.Result()
 	g.Close()
 	return res, resumedFrom, nil
+}
+
+// memSeries samples what Scheme.Series adds to the bucketed series: per
+// kernel, the in-flight memory instructions and, when watching DMIL, the
+// limiting number, each summed over SMs (see stats.Series).
+type memSeries struct {
+	dmils    []*core.DMIL // per SM; nil when not watching DMIL
+	inflight [][]uint32   // [kernel][sample]
+	limit    [][]uint32
+}
+
+func newMemSeries(kernels int) *memSeries {
+	return &memSeries{inflight: make([][]uint32, kernels), limit: make([][]uint32, kernels)}
+}
+
+// watch wraps p's DMIL factory so that the samples can read the limiter
+// each SM holds.
+func (m *memSeries) watch(p *gpu.PolicyFactory, numSMs int) {
+	m.dmils = make([]*core.DMIL, numSMs)
+	build := p.Limiter
+	p.Limiter = func(smID, n int) sm.Limiter {
+		l := build(smID, n)
+		m.dmils[smID] = l.(*core.DMIL)
+		return l
+	}
+}
+
+func (m *memSeries) sample(g *gpu.GPU) error {
+	for k := range m.inflight {
+		var inflight, limit uint32
+		for i, smi := range g.SMs {
+			inflight += uint32(smi.Inflight(k))
+			if m.dmils != nil {
+				limit += uint32(m.dmils[i].Limit(k))
+			}
+		}
+		m.inflight[k] = append(m.inflight[k], inflight)
+		if m.dmils != nil {
+			m.limit[k] = append(m.limit[k], limit)
+		}
+	}
+	return nil
+}
+
+// attach stores the samples in res, whose kernels carry series already.
+func (m *memSeries) attach(res *stats.RunResult) {
+	for k := range res.Kernels {
+		res.Kernels[k].Series.Inflight = m.inflight[k]
+		res.Kernels[k].Series.Limit = m.limit[k]
+	}
 }
 
 func toPtrs(ds []Kernel) []*kern.Desc {

@@ -14,7 +14,9 @@ import (
 // InstallPolicies and a managed leg for the rest of the run, on one
 // machine. RunWorkload must equal that sequence driven by hand through
 // gpu, byte for byte in JSON, and a second run of the same scheme on the
-// same session must equal the first.
+// same session must equal the first. The in-flight and DMIL limit series
+// are sampled by hand too, from the managed leg's first multiple of 1024
+// on.
 func TestWarmupIsTwoLegs(t *testing.T) {
 	const warmup = 6_000
 	schemes := []Scheme{
@@ -53,8 +55,13 @@ func TestWarmupIsTwoLegs(t *testing.T) {
 			t.Fatal(err)
 		}
 		managed := gpu.Options{Cycles: s.Cycles(), Quota: quota, Series: sc.Series}
+		var dmils []*core.DMIL
 		if sc.Limiting == LimitDMIL {
-			managed.Policies.Limiter = func(smID, n int) sm.Limiter { return core.NewDMIL(n) }
+			dmils = make([]*core.DMIL, cfg.NumSMs)
+			managed.Policies.Limiter = func(smID, n int) sm.Limiter {
+				dmils[smID] = core.NewDMIL(n)
+				return dmils[smID]
+			}
 		}
 		if sc.MemIssue == MemIssueQBMI {
 			rpm := []int{bp.ReqPerMinst, sv.ReqPerMinst}
@@ -68,11 +75,32 @@ func TestWarmupIsTwoLegs(t *testing.T) {
 			// UCP's default period, restarted by the managed leg.
 			mainLeg.Observers = []gpu.Observer{gpu.Repartition(sc.Warmup, 50*1024)}
 		}
+		inflight := make([][]uint32, len(wl))
+		limit := make([][]uint32, len(wl))
+		mainLeg.Observers = append(mainLeg.Observers, gpu.Periodic(sc.Warmup, 1024, func(g *gpu.GPU) error {
+			for k := range wl {
+				var inf, lim uint32
+				for i := range g.SMs {
+					inf += uint32(g.SMs[i].Inflight(k))
+					if dmils != nil {
+						lim += uint32(dmils[i].Limit(k))
+					}
+				}
+				inflight[k] = append(inflight[k], inf)
+				if dmils != nil {
+					limit[k] = append(limit[k], lim)
+				}
+			}
+			return nil
+		}))
 		if err := g.RunCycles(&mainLeg); err != nil {
 			t.Fatal(err)
 		}
 		res := g.Result()
 		g.Close()
+		for k := range res.Kernels {
+			res.Kernels[k].Series.Inflight, res.Kernels[k].Series.Limit = inflight[k], limit[k]
+		}
 		return &WorkloadResult{RunResult: res, Scheme: sc, TBPartition: row, IsolatedIPC: isolated}
 	}
 	marshal := func(r *WorkloadResult) string {
