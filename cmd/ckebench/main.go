@@ -8,6 +8,11 @@
 //	         [-pairs default|all] [-only fig12,fig13] [-paper-scale] [-parallel N]
 //	         [-fleet URL,URL...]
 //
+// -only names experiments from the table in experiments (table2 is
+// Table 2 and Figure 2, measured on isolated runs of -profile-cycles);
+// an unknown name, or a -pairs value other than default or all, is
+// refused before anything is simulated or written.
+//
 // -paper-scale selects the full Table 1 machine (16 SMs) and 2M-cycle
 // runs: Figure 12 alone took 816 s on two cores, profiles included (see
 // results/paper-scale/).
@@ -66,6 +71,16 @@ func main() {
 	if rb.Check && *fleetURLs != "" {
 		log.Fatal("-check cannot be combined with -fleet: the workers do not run the invariant watchdog")
 	}
+	cfg := gcke.ScaledConfig(*sms)
+	if *paperScale {
+		cfg = gcke.DefaultConfig()
+		*cycles = 2_000_000
+		*profCycles = 200_000
+	}
+	exps, err := experiments(cfg, *cycles, *profCycles, *pairsFlag, *only)
+	if err != nil {
+		log.Fatal(err)
+	}
 	ctx, stop := cli.SignalContext()
 	defer stop()
 	stopProf, err := prof.Start()
@@ -74,12 +89,6 @@ func main() {
 	}
 	defer stopProf()
 
-	cfg := gcke.ScaledConfig(*sms)
-	if *paperScale {
-		cfg = gcke.DefaultConfig()
-		*cycles = 2_000_000
-		*profCycles = 200_000
-	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		log.Fatal(err)
 	}
@@ -120,125 +129,108 @@ func main() {
 		defer jnl.Close()
 		run.Journal = jnl
 	}
-	profilePath := filepath.Join(*outDir, "profiles.json")
-	if err := session.LoadProfiles(profilePath); err == nil {
-		fmt.Println("loaded cached isolated profiles from", profilePath)
-	}
-	defer func() {
-		if err := session.SaveProfiles(profilePath); err != nil {
-			log.Printf("saving profiles: %v", err)
-		}
-	}()
-
-	pairs := harness.DefaultPairs()
-	if *pairsFlag == "all" {
-		pairs = harness.AllPairs()
-	}
-	selected := harness.DefaultPairs()[:6] // the paper's six study pairs
-	triples := harness.DefaultTriples()
-
-	want := map[string]bool{}
-	if *only != "" {
-		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
-		}
-	}
-	enabled := func(name string) bool { return len(want) == 0 || want[name] }
-
-	runExp := func(name string, fn func(h *harness.Harness) error) {
-		if !enabled(name) {
-			return
-		}
-		path := filepath.Join(*outDir, name+".txt")
+	for _, e := range exps {
+		path := filepath.Join(*outDir, e.name+".txt")
 		f, err := os.Create(path)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		defer f.Close()
 		h := &harness.Harness{S: session, Out: f, Ctx: ctx, Runner: run}
 		start := time.Now()
-		if err := fn(h); err != nil {
-			if errors.Is(err, context.Canceled) {
-				// SIGINT/SIGTERM: completed points are already journaled;
-				// rerunning with the same -journal resumes from here.
-				fatalf("%s: interrupted; checkpointed progress preserved", name)
-			}
-			fatalf("%s: %v", name, err)
+		err = e.run(h)
+		f.Close()
+		if errors.Is(err, context.Canceled) {
+			// SIGINT/SIGTERM: completed points are already journaled;
+			// rerunning with the same -journal resumes from here.
+			fatalf("%s: interrupted; checkpointed progress preserved", e.name)
+		} else if err != nil {
+			fatalf("%s: %v", e.name, err)
 		}
-		fmt.Printf("%-12s -> %s (%.1fs)\n", name, path, time.Since(start).Seconds())
+		fmt.Printf("%-12s -> %s (%.1fs)\n", e.name, path, time.Since(start).Seconds())
 	}
+}
 
-	runExp("table2", func(h *harness.Harness) error { return h.PrintTable2() })
-	runExp("fig3", func(h *harness.Harness) error { return h.Figure3("bp", "sv") })
-	runExp("fig4", func(h *harness.Harness) error { _, err := h.Figure4(pairs); return err })
-	runExp("fig5", func(h *harness.Harness) error { _, err := h.Figure5(selected); return err })
-	runExp("fig6", func(h *harness.Harness) error { return h.Figure6("bp", "sv", 64) })
-	runExp("fig8", func(h *harness.Harness) error { return h.Figure8("bp", "sv", 0) })
-	runExp("fig9", func(h *harness.Harness) error {
-		grid := []int{2, 4, 8, 16, 32, 64, 0}
-		if err := h.Figure9("pf", "bp", grid); err != nil { // C+C
-			return err
-		}
-		if err := h.Figure9("bp", "ks", grid); err != nil { // C+M
-			return err
-		}
-		return h.Figure9("sv", "ks", grid) // M+M
-	})
-	runExp("fig11", func(h *harness.Harness) error { return h.Figure11(pairs, selected) })
-	runExp("fig12", func(h *harness.Harness) error { return h.Figure12(pairs) })
-	runExp("fig13", func(h *harness.Harness) error { return h.Figure13(pairs) })
-	runExp("fig14", func(h *harness.Harness) error { return h.Figure14(triples) })
+// experiment is one output file of ckebench: results/<name>.txt.
+type experiment struct {
+	name string
+	run  func(h *harness.Harness) error
+}
 
+// experiments is the table of every experiment ckebench runs, in run
+// order, on the pair set pairSet (default or all), cut to the
+// comma-separated names in only (empty = all of them).
+func experiments(cfg gcke.Config, cycles, profCycles int64, pairSet, only string) ([]experiment, error) {
+	var pairs []harness.Workload
+	switch pairSet {
+	case "default":
+		pairs = harness.DefaultPairs()
+	case "all":
+		pairs = harness.AllPairs()
+	default:
+		return nil, fmt.Errorf("-pairs %q: want default or all", pairSet)
+	}
+	selected := harness.DefaultPairs()[:6] // the paper's six study pairs
+	triples := harness.DefaultTriples()
 	// Sensitivity and ablation studies build their own sessions; the
 	// shortened pair list keeps them tractable.
 	sens := pairs
 	if len(sens) > 6 {
 		sens = sens[:6]
 	}
-	runExp("sens-l1d", func(h *harness.Harness) error {
-		return harness.SensitivityL1D(cfg, *cycles, *profCycles, sens, h)
-	})
-	runExp("sens-lrr", func(h *harness.Harness) error {
-		return harness.SensitivityLRR(cfg, *cycles, *profCycles, sens, h)
-	})
-	runExp("sens-mshr", func(h *harness.Harness) error {
-		return harness.AblationMSHR(cfg, *cycles, *profCycles, sens, h)
-	})
-	runExp("abl-gdmil", func(h *harness.Harness) error {
-		return h.AblationGlobalDMIL(sens)
-	})
-	runExp("abl-bypass", func(h *harness.Harness) error {
+	cm := []harness.Workload{harness.NewWorkload("bp", "sv"), harness.NewWorkload("bp", "ks")}
+	all := []experiment{
+		{"table2", func(h *harness.Harness) error { return h.PrintTable2() }},
+		{"fig3", func(h *harness.Harness) error { return h.Figure3("bp", "sv") }},
+		{"fig4", func(h *harness.Harness) error { _, err := h.Figure4(pairs); return err }},
+		{"fig5", func(h *harness.Harness) error { _, err := h.Figure5(selected); return err }},
+		{"fig6", func(h *harness.Harness) error { return h.Figure6("bp", "sv", 64) }},
+		{"fig8", func(h *harness.Harness) error { return h.Figure8("bp", "sv", 0) }},
+		{"fig9", func(h *harness.Harness) error {
+			grid := []int{2, 4, 8, 16, 32, 64, 0}
+			for _, p := range [][2]string{{"pf", "bp"}, {"bp", "ks"}, {"sv", "ks"}} { // C+C, C+M, M+M
+				if err := h.Figure9(p[0], p[1], grid); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"fig11", func(h *harness.Harness) error { return h.Figure11(pairs, selected) }},
+		{"fig12", func(h *harness.Harness) error { return h.Figure12(pairs) }},
+		{"fig13", func(h *harness.Harness) error { return h.Figure13(pairs) }},
+		{"fig14", func(h *harness.Harness) error { return h.Figure14(triples) }},
+		{"sens-l1d", func(h *harness.Harness) error { return harness.SensitivityL1D(cfg, cycles, profCycles, sens, h) }},
+		{"sens-lrr", func(h *harness.Harness) error { return harness.SensitivityLRR(cfg, cycles, profCycles, sens, h) }},
+		{"sens-mshr", func(h *harness.Harness) error { return harness.AblationMSHR(cfg, cycles, profCycles, sens, h) }},
+		{"abl-gdmil", func(h *harness.Harness) error { return h.AblationGlobalDMIL(sens) }},
 		// C+M pairs: bypass the memory-intensive kernel's L1.
-		return h.AblationBypass([]harness.Workload{
-			harness.NewWorkload("bp", "sv"),
-			harness.NewWorkload("bp", "ks"),
-		})
-	})
-	runExp("abl-dynws", func(h *harness.Harness) error {
-		return h.AblationDynWS(sens)
-	})
-	runExp("abl-l2mil", func(h *harness.Harness) error {
-		return h.AblationL2MIL([]harness.Workload{
-			harness.NewWorkload("bp", "sv"),
-			harness.NewWorkload("bp", "ks"),
-		})
-	})
-	runExp("energy", func(h *harness.Harness) error {
-		return h.EnergyStudy(sens)
-	})
-	runExp("abl-qbmi", func(h *harness.Harness) error {
-		return h.AblationQBMIRefresh(sens)
-	})
-	runExp("abl-tbt", func(h *harness.Harness) error {
-		return h.AblationTBThrottle([]harness.Workload{
-			harness.NewWorkload("bp", "sv"),
-			harness.NewWorkload("bp", "ks"),
-			harness.NewWorkload("sv", "ks"),
-		})
-	})
-	runExp("paper-vs-measured", func(h *harness.Harness) error {
-		return h.PaperComparison(pairs, triples)
-	})
+		{"abl-bypass", func(h *harness.Harness) error { return h.AblationBypass(cm) }},
+		{"abl-dynws", func(h *harness.Harness) error { return h.AblationDynWS(sens) }},
+		{"abl-l2mil", func(h *harness.Harness) error { return h.AblationL2MIL(cm) }},
+		{"energy", func(h *harness.Harness) error { return h.EnergyStudy(sens) }},
+		{"abl-qbmi", func(h *harness.Harness) error { return h.AblationQBMIRefresh(sens) }},
+		{"abl-tbt", func(h *harness.Harness) error {
+			return h.AblationTBThrottle(append(cm, harness.NewWorkload("sv", "ks")))
+		}},
+		{"paper-vs-measured", func(h *harness.Harness) error { return h.PaperComparison(pairs, triples) }},
+	}
+	if only == "" {
+		return all, nil
+	}
+	want := map[string]bool{}
+	for _, name := range strings.Split(only, ",") {
+		want[strings.TrimSpace(name)] = true
+	}
+	var out []experiment
+	for _, e := range all {
+		if want[e.name] {
+			out = append(out, e)
+			delete(want, e.name)
+		}
+	}
+	for name := range want { // what is left names no experiment
+		return nil, fmt.Errorf("-only: no experiment named %q", name)
+	}
+	return out, nil
 }
 
 // logFleetStats prints the fleet's end-of-run summary line.

@@ -1,8 +1,10 @@
 package gcke
 
 import (
+	"context"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -50,6 +52,8 @@ func TestSessionIsolatedCached(t *testing.T) {
 
 func TestSessionCurveShape(t *testing.T) {
 	s := testSession(t)
+	var sims atomic.Int32 // Curve profiles on the idle cores too
+	s.onProfile = func(ctx context.Context, kernel string, tbs int) { sims.Add(1) }
 	bp, _ := Benchmark("bp")
 	curve, err := s.Curve(bp)
 	if err != nil {
@@ -63,6 +67,24 @@ func TestSessionCurveShape(t *testing.T) {
 	// (the paper's near-linear scaling in Figure 3a).
 	if curve[len(curve)-1] < 2*curve[0] {
 		t.Fatalf("bp scalability too flat: %v", curve)
+	}
+
+	// Every point the table holds is a whole result: the curve's last
+	// point is the isolated run, which starts no further simulation.
+	r, err := s.RunIsolated(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := int(sims.Load()); n != len(curve) {
+		t.Fatalf("%d simulations for a %d-point curve and its isolated run, want %d", n, len(curve), len(curve))
+	}
+	ipc, err := s.IsolatedIPC(bp, len(curve))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ipc != r.Kernels[0].IPC || curve[len(curve)-1] != ipc {
+		t.Fatalf("IsolatedIPC at full occupancy %v, curve's last point %v, RunIsolated IPC %v: want all equal",
+			ipc, curve[len(curve)-1], r.Kernels[0].IPC)
 	}
 }
 
@@ -434,40 +456,6 @@ func TestEnergyAccounting(t *testing.T) {
 	eff := r.InstrsPerMicroJoule(m)
 	if eff <= 0 {
 		t.Fatalf("efficiency %v", eff)
-	}
-}
-
-func TestProfilePersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/profiles.json"
-
-	s1 := testSession(t)
-	bp, _ := Benchmark("bp")
-	if _, err := s1.IsolatedIPC(bp, 3); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := s1.IsolatedIPC(bp, 3)
-	if err := s1.SaveProfiles(path); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := testSession(t)
-	if err := s2.LoadProfiles(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s2.IsolatedIPC(bp, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("loaded IPC %v != saved %v", got, want)
-	}
-
-	// A session with a different configuration must reject the file.
-	s3 := NewSession(ScaledConfig(4), 20_000)
-	s3.ProfileCycles = 15_000
-	if err := s3.LoadProfiles(path); err == nil {
-		t.Fatal("mismatched fingerprint accepted")
 	}
 }
 

@@ -2,22 +2,16 @@ package gcke
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/kern"
 )
 
 // TestIsolatedIPCRejectsOutOfRange: a curve point exists for 1..max TBs
-// per SM only. Zero once simulated an empty machine and cached IPC 0,
-// which SaveProfiles wrote as a row its own LoadProfiles rejected; above
-// max once duplicated the full-occupancy run.
+// per SM only. Zero once simulated an empty machine and cached IPC 0;
+// above max once duplicated the full-occupancy run.
 func TestIsolatedIPCRejectsOutOfRange(t *testing.T) {
 	s := shortSession()
 	calls := 0
@@ -32,28 +26,9 @@ func TestIsolatedIPCRejectsOutOfRange(t *testing.T) {
 	if calls != 0 {
 		t.Errorf("out-of-range points simulated %d times, want 0", calls)
 	}
-	path := filepath.Join(t.TempDir(), "profiles.json")
-	if err := s.SaveProfiles(path); err != nil {
-		t.Fatal(err)
+	if n := tableLen(s); n != 0 {
+		t.Errorf("out-of-range points left %d entries in the table, want 0", n)
 	}
-	if err := shortSession().LoadProfiles(path); err != nil {
-		t.Fatalf("a session's own profile file rejected: %v", err)
-	}
-}
-
-// writeProfiles writes a profile file with the given fingerprint and
-// rows.
-func writeProfiles(t *testing.T, fingerprint string, rows map[string]map[string]float64) string {
-	t.Helper()
-	data, err := json.Marshal(profileFile{Fingerprint: fingerprint, IsoIPC: rows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "profiles.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
 }
 
 // tableLen is the number of points in s's profile table.
@@ -61,72 +36,6 @@ func tableLen(s *Session) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.profiles)
-}
-
-// TestLoadProfilesRejectsChangedKernels: the rows of a profile file are
-// keyed by kernel name, so a file written before a built-in descriptor
-// changed would feed the old kernel's profiles to the new one. Such a
-// file is rejected as a whole, and a row naming no built-in kernel is
-// malformed.
-func TestLoadProfilesRejectsChangedKernels(t *testing.T) {
-	rows := map[string]map[string]float64{"bp": {"3": 1.5}, "sv": {"2": 0.5}}
-	s := shortSession()
-	if err := s.LoadProfiles(writeProfiles(t, s.fingerprint(kern.Benchmarks()), rows)); err != nil {
-		t.Fatalf("file of the current built-ins rejected: %v", err)
-	}
-	if n := tableLen(s); n != 2 {
-		t.Fatalf("loaded %d points, want 2", n)
-	}
-
-	before := kern.Benchmarks()
-	before[0].CPerM++ // the built-ins as they were when the file was written
-	s = shortSession()
-	if err := s.LoadProfiles(writeProfiles(t, s.fingerprint(before), rows)); err == nil {
-		t.Fatal("file written under other built-in descriptors accepted")
-	}
-	if n := tableLen(s); n != 0 {
-		t.Fatalf("rejected file left %d points in the session", n)
-	}
-
-	rows["zz"] = map[string]float64{"1": 1}
-	if err := s.LoadProfiles(writeProfiles(t, s.fingerprint(kern.Benchmarks()), rows)); err == nil {
-		t.Fatal("row of an unknown kernel accepted")
-	}
-	if n := tableLen(s); n != 0 {
-		t.Fatalf("rejected file left %d points in the session", n)
-	}
-}
-
-// TestSaveProfilesKeepsBuiltinsOnly: a custom kernel that shares a
-// built-in's name is profiled under its own descriptor and never written
-// to the file, whose rows load under the built-in descriptors.
-func TestSaveProfilesKeepsBuiltinsOnly(t *testing.T) {
-	bp, _ := Benchmark("bp")
-	variant := bp
-	variant.CPerM = 1
-	s := shortSession()
-	want, err := s.IsolatedIPC(bp, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.IsolatedIPC(variant, 2); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "profiles.json")
-	if err := s.SaveProfiles(path); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pf profileFile
-	if err := json.Unmarshal(data, &pf); err != nil {
-		t.Fatal(err)
-	}
-	if got := fmt.Sprint(pf.IsoIPC); got != fmt.Sprint(map[string]map[string]float64{"bp": {"1": want}}) {
-		t.Fatalf("saved rows %s, want bp's point 1 only", got)
-	}
 }
 
 // TestProfileLeaderPanicReleasesWaiters: a panic in a profile simulation

@@ -142,14 +142,12 @@ type profileKey struct {
 }
 
 // profileEntry is one row of the profile table: in flight until done is
-// closed, cached after. The leader fills r, ipc and err before it closes
-// done, and takes the entry out of the table first when its simulation
-// fails, so an entry settled in the table always holds a result. r is nil
-// for a point loaded from a profile file, which holds its IPC alone.
+// closed, cached after. The leader fills r and err before it closes done,
+// and takes the entry out of the table first when its simulation fails,
+// so an entry settled in the table always holds a whole result.
 type profileEntry struct {
 	done chan struct{}
 	r    *RunResult
-	ipc  float64
 	err  error
 }
 
@@ -163,28 +161,27 @@ func (e *profileEntry) settled() bool {
 	}
 }
 
-// cached reports whether the table holds point k: its whole result with
-// full, its IPC without. s.mu must be held.
-func (s *Session) cached(k profileKey, full bool) bool {
+// cached reports whether the table holds point k settled. s.mu must be
+// held.
+func (s *Session) cached(k profileKey) bool {
 	e := s.profiles[k]
-	return e != nil && e.settled() && (e.r != nil || !full)
+	return e != nil && e.settled()
 }
 
-// profile returns the table's entry for point k — with full, one holding
-// the whole result, not an IPC loaded from a file — simulating the point
-// when the table has no such entry. With wait it waits for an entry in
-// flight; without, it returns (nil, nil) at once for one (the claim pass
-// of claimProfiles).
+// profile returns the table's entry for point k, simulating the point
+// when the table has none. With wait it waits for an entry in flight;
+// without, it returns (nil, nil) at once for one (the claim pass of
+// claimProfiles).
 //
 // A point is simulated under its leader's ctx, so a leader that is
 // cancelled hands gpu.ErrInterrupted to every waiter. Nothing interrupted
 // is ever cached; a caller whose own ctx is still live claims the point
 // again and, if it is free by then, leads it.
-func (s *Session) profile(ctx context.Context, k profileKey, full, wait bool) (*profileEntry, error) {
+func (s *Session) profile(ctx context.Context, k profileKey, wait bool) (*profileEntry, error) {
 	for {
 		s.mu.Lock()
 		e := s.profiles[k]
-		lead := e == nil || full && e.settled() && e.r == nil
+		lead := e == nil
 		if lead {
 			e = &profileEntry{done: make(chan struct{})}
 			s.profiles[k] = e
@@ -238,11 +235,7 @@ func (s *Session) lead(ctx context.Context, k profileKey, e *profileEntry) {
 		Observers: s.observers(ctx, 0, cycles),
 		PhaseTime: s.PhaseTime,
 	})
-	if e.err != nil {
-		e.err = wrapInterrupt(ctx, e.err)
-		return
-	}
-	e.ipc = e.r.Kernels[0].IPC
+	e.err = wrapInterrupt(ctx, e.err)
 }
 
 // RunIsolated simulates kernel d alone at full occupancy and caches the
@@ -273,7 +266,7 @@ func (s *Session) RunIsolatedSeriesCtx(ctx context.Context, d Kernel) (*RunResul
 // isolated is kernel d's full-occupancy point, which without series is
 // also the last point of its scalability curve.
 func (s *Session) isolated(ctx context.Context, d Kernel, series bool) (*RunResult, error) {
-	e, err := s.profile(ctx, profileKey{d, d.MaxTBsPerSM(&s.cfg), series}, true, true)
+	e, err := s.profile(ctx, profileKey{d, d.MaxTBsPerSM(&s.cfg), series}, true)
 	if err != nil {
 		return nil, err
 	}
@@ -291,11 +284,11 @@ func (s *Session) IsolatedIPCCtx(ctx context.Context, d Kernel, n int) (float64,
 	if max := d.MaxTBsPerSM(&s.cfg); n < 1 || n > max {
 		return 0, fmt.Errorf("gcke: %s runs 1..%d TBs per SM, not %d", d.Name, max, n)
 	}
-	e, err := s.profile(ctx, profileKey{d, n, false}, false, true)
+	e, err := s.profile(ctx, profileKey{d, n, false}, true)
 	if err != nil {
 		return 0, err
 	}
-	return e.ipc, nil
+	return e.r.Kernels[0].IPC, nil
 }
 
 // Curve returns kernel d's scalability curve: isolated IPC with 1..max
@@ -338,7 +331,7 @@ func (s *Session) uncachedPoints(ds []Kernel, curves bool) []profileKey {
 	defer s.mu.Unlock()
 	var pts []profileKey
 	for i := range ds {
-		if k := (profileKey{ds[i], ds[i].MaxTBsPerSM(&s.cfg), false}); !s.cached(k, true) {
+		if k := (profileKey{ds[i], ds[i].MaxTBsPerSM(&s.cfg), false}); !s.cached(k) {
 			pts = append(pts, k)
 		}
 	}
@@ -347,7 +340,7 @@ func (s *Session) uncachedPoints(ds []Kernel, curves bool) []profileKey {
 			if n >= ds[i].MaxTBsPerSM(&s.cfg) {
 				continue
 			}
-			if k := (profileKey{ds[i], n, false}); !s.cached(k, false) {
+			if k := (profileKey{ds[i], n, false}); !s.cached(k) {
 				pts = append(pts, k)
 			}
 		}
@@ -392,8 +385,7 @@ func (s *Session) claimProfiles(ctx context.Context, ds []Kernel, curves bool) (
 			if stop.Load() {
 				return nil
 			}
-			// A job needs its full-occupancy runs whole, its curves' IPCs.
-			if _, perr := s.profile(ctx, k, k.tbs == k.d.MaxTBsPerSM(&s.cfg), false); perr != nil {
+			if _, perr := s.profile(ctx, k, false); perr != nil {
 				stop.Store(true)
 				return perr
 			}

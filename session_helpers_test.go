@@ -6,16 +6,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/gpu"
-	"repro/internal/kern"
 )
 
 // goid names the calling goroutine ("17"), so that onProfile can tell
@@ -141,21 +139,29 @@ func (l *profileLog) checkOncePerPoint(t *testing.T, s *Session, wl []Kernel) {
 }
 
 // resultAndProfiles is what a job leaves behind: the marshalled result
-// and the bytes SaveProfiles writes.
+// and a dump of every point of the session's profile table — kernel, TBs
+// per SM, series, IPC and the point's result JSON — in key order.
 func resultAndProfiles(t *testing.T, s *Session, res *WorkloadResult) (result, profiles []byte) {
 	t.Helper()
 	result, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "profiles.json")
-	if err := s.SaveProfiles(path); err != nil {
-		t.Fatal(err)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var rows []string
+	for k, e := range s.profiles {
+		if !e.settled() {
+			t.Fatalf("%s at %d TBs per SM still in flight", k.d.Name, k.tbs)
+		}
+		r, err := json.Marshal(e.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, fmt.Sprintf("%s %d %t %v %s\n", k.d.Name, k.tbs, k.series, e.r.Kernels[0].IPC, r))
 	}
-	if profiles, err = os.ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	return result, profiles
+	sort.Strings(rows)
+	return result, []byte(strings.Join(rows, ""))
 }
 
 // The lone job: the pair and scheme of the bench's serve-mixed requests.
@@ -177,7 +183,7 @@ func loneWorkload(t *testing.T) []Kernel {
 // TestLoneJobProfilesOnIdleCores pins the helper claimers: a caller with
 // no pool beside it profiles on up to GOMAXPROCS goroutines, every point
 // is still simulated exactly once, and what the job returns and what the
-// session saves are byte-identical to a one-core run's.
+// session's profile table holds are byte-identical to a one-core run's.
 func TestLoneJobProfilesOnIdleCores(t *testing.T) {
 	wl := loneWorkload(t)
 
@@ -249,7 +255,7 @@ func TestLoneJobProfilesOnIdleCores(t *testing.T) {
 				t.Error("result differs from the GOMAXPROCS=1 run's")
 			}
 			if !bytes.Equal(gotProfiles, wantProfiles) {
-				t.Error("saved profiles differ from the GOMAXPROCS=1 run's")
+				t.Error("profile table differs from the GOMAXPROCS=1 run's")
 			}
 
 			// Curve alone goes through the same plane.
@@ -521,40 +527,5 @@ func TestLoneJobHelperPanicBecomesError(t *testing.T) {
 	s.onProfile = nil
 	if _, err := s.RunWorkload(wl, loneScheme); err != nil {
 		t.Fatalf("run after the panic: %v", err)
-	}
-}
-
-// TestLoadProfilesAllOrNothing: a file with a bad TB key is rejected as
-// a whole; the rows before the bad one are not merged. A key is a whole
-// positive decimal number: "12abc" (a number with a tail), "-3" and
-// "0x10" (which a %d scan reads as 12, -3 and 0) are as bad as "x".
-func TestLoadProfilesAllOrNothing(t *testing.T) {
-	for _, bad := range []string{"x", "12abc", "-3", "0x10", "0"} {
-		s := shortSession()
-		pf := profileFile{
-			Fingerprint: s.fingerprint(kern.Benchmarks()),
-			IsoIPC: map[string]map[string]float64{
-				"bp": {"3": 1.5},
-				"ks": {bad: 2.5},
-			},
-		}
-		data, err := json.Marshal(pf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "profiles.json")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// Map iteration order decides whether the good row is reached
-		// before the bad key; over a few attempts it is.
-		for i := 0; i < 32; i++ {
-			if err := s.LoadProfiles(path); err == nil {
-				t.Fatalf("bad TB key %q accepted", bad)
-			}
-			if n := tableLen(s); n != 0 {
-				t.Fatalf("file rejected for key %q left %d points in the session", bad, n)
-			}
-		}
 	}
 }
