@@ -68,6 +68,9 @@ func main() {
 	auditRate := flag.Float64("audit-rate", 0, "with -fleet: fraction of results re-executed on another worker and byte-compared (0 = off, 1 = all)")
 	prof := cli.AddProfileFlags(flag.CommandLine)
 	flag.Parse()
+	if err := rb.Validate(); err != nil {
+		log.Fatal(err)
+	}
 	if rb.Check && *fleetURLs != "" {
 		log.Fatal("-check cannot be combined with -fleet: the workers do not run the invariant watchdog")
 	}
@@ -142,7 +145,7 @@ func main() {
 		if errors.Is(err, context.Canceled) {
 			// SIGINT/SIGTERM: completed points are already journaled;
 			// rerunning with the same -journal resumes from here.
-			fatalf("%s: interrupted; checkpointed progress preserved", e.name)
+			fatalf("%s: interrupted; journaled progress preserved", e.name)
 		} else if err != nil {
 			fatalf("%s: %v", e.name, err)
 		}

@@ -1,11 +1,11 @@
 // Command ckeserve runs the simulator as a long-lived HTTP job service:
 // clients POST simulation jobs and the service executes them on the
 // concurrent runner pool with bounded admission, retry with
-// deterministic backoff, a per-fingerprint circuit breaker, journal
-// checkpointing, and SIGTERM drain. See internal/server for the
+// deterministic backoff, a per-fingerprint circuit breaker, a result
+// journal, and SIGTERM drain. See internal/server for the
 // degradation model and DESIGN.md §10 for the architecture.
 //
-//	ckeserve -addr :8329 -parallel 8 -timeout 10m -journal serve.ckpt
+//	ckeserve -addr :8329 -parallel 8 -timeout 10m -journal serve.jsonl
 //	curl -s localhost:8329/jobs -d '{"sms":4,"cycles":150000,
 //	    "kernels":["bp","ks"],"scheme":{"Partition":0,"Limiting":2}}'
 //
@@ -34,7 +34,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Minute, "how long SIGTERM waits for in-flight jobs before giving up")
 	phaseTrace := flag.Bool("phasetrace", false, "measure per-phase engine time; /statz reports the breakdown under phase_ns")
 	chaosSpec := flag.String("chaos", "", "deterministic fault injection (dev only), e.g. panic=0.5,hang=0.2,journal=0.1,invariant=0.05,corrupt=0.3,seed=42,failures=1")
-	stores := cli.AddFlags(flag.CommandLine, "check", "journal", "cache", "cache-dir", "ckpt-dir", "ckpt-every")
+	stores := cli.AddFlags(flag.CommandLine, "check", "journal", "cache", "cache-dir")
 	flag.Parse()
 
 	cfg := server.Config{
@@ -48,10 +48,6 @@ func main() {
 	if cfg.Cache, err = stores.OpenCache(log.Printf); err != nil {
 		log.Fatal(err)
 	}
-	if cfg.Checkpoints, err = stores.OpenCheckpoints(log.Printf); err != nil {
-		log.Fatal(err)
-	}
-	cfg.CheckpointEvery = stores.CkptEvery
 	if *chaosSpec != "" {
 		ccfg, err := chaos.Parse(*chaosSpec)
 		if err != nil {

@@ -1,5 +1,5 @@
 // Package applog is the crash-safe append-only line log under the
-// checkpoint journal and the result cache. It owns the crash discipline
+// result journal and the result cache. It owns the crash discipline
 // both stores share and neither decides: one newline-terminated line per
 // entry, written and fsynced before Append returns; a failed append rolled
 // back to the end of the last durable line; a torn tail dropped on Open.

@@ -39,7 +39,7 @@ const (
 	// KindHang blocks the job until its deadline context expires
 	// (exercises per-job deadline kill and retry).
 	KindHang Kind = "hang"
-	// KindJournal fails the journal write for the job's checkpoint
+	// KindJournal fails the journal write for the job's result
 	// (exercises journal append rollback and typed write errors).
 	KindJournal Kind = "journal"
 	// KindInvariant fails the job with a deterministic
@@ -64,12 +64,11 @@ const (
 	// executes, so the retried job must still produce the one true
 	// result).
 	KindNet5xx Kind = "net5xx"
-	// KindCorrupt silently flips bytes in the job's result or persisted
-	// checkpoint AFTER digests are computed — the silently-wrong-worker
-	// / lying-disk model. The damage is self-consistent at the source
-	// (digest covers the corrupt bytes), so per-hop digest verification
-	// cannot catch it; only an independent re-execution (the audit
-	// path) or the checkpoint store's load-time digest can.
+	// KindCorrupt silently flips bytes in the job's result AFTER its
+	// digest is computed — the silently-wrong-worker model. The damage
+	// is self-consistent at the source (the digest covers the corrupt
+	// bytes), so per-hop digest verification cannot catch it; only an
+	// independent re-execution (the audit path) can.
 	KindCorrupt Kind = "corrupt"
 	// KindNone means the key was not selected for any fault.
 	KindNone Kind = "none"
@@ -261,20 +260,6 @@ func (inj *Injector) ResultFault(key string) bool {
 		return false
 	}
 	return inj.spend(key, KindCorrupt)
-}
-
-// CheckpointFault is the ckpt.Store.FaultHook seam: a returned error for
-// keys planned KindCorrupt makes the store silently flip a payload byte
-// AFTER the digest is computed (a lying disk). The store's load-time
-// digest check must then reject the file and fall back.
-func (inj *Injector) CheckpointFault(op, key string) error {
-	if inj.Plan(key) != KindCorrupt {
-		return nil
-	}
-	if !inj.spend(key, KindCorrupt) {
-		return nil
-	}
-	return fmt.Errorf("chaos: injected checkpoint %s corruption for %s", op, key)
 }
 
 // JobKeyHeader carries the job fingerprint on fleet HTTP requests so the

@@ -1,6 +1,10 @@
-// Package ckpt persists mid-job engine checkpoints: a deep codec for the
+// Package ckpt persists engine checkpoints: a deep codec for the
 // engine's snapshot object graph plus an atomic on-disk store with
 // sha256 integrity and fall-back-on-corruption reads.
+//
+// Every job runs from cycle 0, so no job reads a checkpoint: bench/ (the
+// serve-mixed store and the ckpt.* drive) is the package's only non-test
+// caller, and the package goes when bench/ stops naming it.
 //
 // The codec is deliberately schema-free: the concrete Go type handed to
 // Marshal and Unmarshal IS the schema, so both sides of a round trip

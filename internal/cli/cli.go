@@ -1,7 +1,7 @@
 // Package cli holds the sweep-robustness plumbing every driver shares:
 // the -check/-on-error/-journal/-timeout flag set, the SIGINT/SIGTERM
 // cancellation context, and uniform failed-point reporting. Drivers stay
-// thin; the behaviour (drain-and-checkpoint on interrupt, skip-or-abort
+// thin; the behaviour (drain-and-journal on interrupt, skip-or-abort
 // on per-point failure) is identical across commands.
 package cli
 
@@ -15,7 +15,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/journal"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
@@ -29,7 +28,7 @@ type Robustness struct {
 	// error (submission order); "skip" reports every failed point and
 	// keeps the rest of the grid.
 	OnError string
-	// JournalPath, when non-empty, checkpoints completed points to a
+	// JournalPath, when non-empty, records completed points in a
 	// crash-safe journal; on restart, journaled points are replayed
 	// instead of re-simulated.
 	JournalPath string
@@ -43,19 +42,12 @@ type Robustness struct {
 	// CacheDir, when non-empty, persists the result cache to
 	// <CacheDir>/results.jsonl; it implies Cache.
 	CacheDir string
-	// CkptDir, when non-empty, persists mid-job engine checkpoints to
-	// that directory every CkptEvery cycles: a killed long job resumes
-	// from its last durable checkpoint instead of cycle 0.
-	CkptDir string
-	// CkptEvery is the checkpoint interval in simulated cycles (default
-	// 50000 when CkptDir is set).
-	CkptEvery int64
 }
 
 // AddFlags registers the shared flags named (without their dash) on fs,
 // or all of them when none is named: -check, -on-error, -journal,
-// -timeout, -cache, -cache-dir, -ckpt-dir and -ckpt-every. Use
-// flag.CommandLine from a driver's main.
+// -timeout, -cache and -cache-dir. Use flag.CommandLine from a driver's
+// main.
 func AddFlags(fs *flag.FlagSet, names ...string) *Robustness {
 	r := &Robustness{}
 	all := flag.NewFlagSet("", flag.PanicOnError)
@@ -64,17 +56,13 @@ func AddFlags(fs *flag.FlagSet, names ...string) *Robustness {
 	all.StringVar(&r.OnError, "on-error", "abort",
 		"failed-point policy: abort (stop at first error) or skip (report failures, keep the rest)")
 	all.StringVar(&r.JournalPath, "journal", "",
-		"checkpoint journal path; completed points are replayed on restart (empty = disabled)")
+		"result journal path; completed points are replayed on restart (empty = disabled)")
 	all.DurationVar(&r.Timeout, "timeout", 0,
 		"per-job wall-clock timeout, e.g. 90s or 10m (0 = none)")
 	all.BoolVar(&r.Cache, "cache", false,
 		"serve repeated points from the content-addressed result cache")
 	all.StringVar(&r.CacheDir, "cache-dir", "",
 		"persist the result cache to <dir>/results.jsonl across runs (implies -cache)")
-	all.StringVar(&r.CkptDir, "ckpt-dir", "",
-		"persist mid-job engine checkpoints to <dir>; a killed job resumes from its last checkpoint (empty = disabled)")
-	all.Int64Var(&r.CkptEvery, "ckpt-every", 0,
-		"checkpoint interval in simulated cycles (0 = 50000 when -ckpt-dir is set)")
 	if len(names) == 0 {
 		all.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	}
@@ -93,6 +81,9 @@ func (r *Robustness) Validate() error {
 	if r.OnError != "abort" && r.OnError != "skip" {
 		return fmt.Errorf("-on-error=%q: want abort or skip", r.OnError)
 	}
+	if r.Timeout < 0 {
+		return fmt.Errorf("-timeout=%s: want a duration >= 0 (0 = none)", r.Timeout)
+	}
 	return nil
 }
 
@@ -100,7 +91,7 @@ func (r *Robustness) Validate() error {
 // aborting the run.
 func (r *Robustness) Skip() bool { return r.OnError == "skip" }
 
-// OpenJournal opens the checkpoint journal when one was requested and
+// OpenJournal opens the result journal when one was requested and
 // reports how much prior progress it holds. Returns (nil, nil) when
 // journaling is disabled.
 func (r *Robustness) OpenJournal(logf func(format string, args ...any)) (*journal.Journal, error) {
@@ -112,7 +103,7 @@ func (r *Robustness) OpenJournal(logf func(format string, args ...any)) (*journa
 		return nil, err
 	}
 	if n := j.Len(); n > 0 && logf != nil {
-		logf("journal %s: resuming past %d checkpointed point(s)", r.JournalPath, n)
+		logf("journal %s: resuming past %d journaled point(s)", r.JournalPath, n)
 	}
 	return j, nil
 }
@@ -148,29 +139,10 @@ func plural(n int, one, many string) string {
 	return many
 }
 
-// OpenCheckpoints opens the mid-job checkpoint store when one was
-// requested (-ckpt-dir). Returns (nil, nil) when disabled.
-func (r *Robustness) OpenCheckpoints(logf func(format string, args ...any)) (*ckpt.Store, error) {
-	if r.CkptDir == "" {
-		return nil, nil
-	}
-	if r.CkptEvery <= 0 {
-		r.CkptEvery = 50_000
-	}
-	s, err := ckpt.OpenStore(r.CkptDir)
-	if err != nil {
-		return nil, fmt.Errorf("-ckpt-dir: %w", err)
-	}
-	if logf != nil {
-		logf("checkpoints: %s, every %d cycles", r.CkptDir, r.CkptEvery)
-	}
-	return s, nil
-}
-
 // Runner validates the options and returns a pool of workers (0 =
-// GOMAXPROCS) running under the per-job timeout with the journal, result
-// cache and mid-job checkpoints the flags ask for, and a function that
-// closes those stores.
+// GOMAXPROCS) running under the per-job timeout with the journal and
+// result cache the flags ask for, and a function that closes those
+// stores.
 func (r *Robustness) Runner(workers int, logf func(format string, args ...any)) (*runner.Runner, func(), error) {
 	if err := r.Validate(); err != nil {
 		return nil, nil, err
@@ -187,10 +159,7 @@ func (r *Robustness) Runner(workers int, logf func(format string, args ...any)) 
 	}
 	var err error
 	if run.Journal, err = r.OpenJournal(logf); err == nil {
-		if run.Cache, err = r.OpenCache(logf); err == nil {
-			run.Checkpoints, err = r.OpenCheckpoints(logf)
-			run.CheckpointEvery = r.CkptEvery
-		}
+		run.Cache, err = r.OpenCache(logf)
 	}
 	if err != nil {
 		closeStores()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/runner"
 	"repro/internal/sm"
@@ -91,5 +92,35 @@ func TestFailureSummary(t *testing.T) {
 	}
 	if s := FailureSummary([]runner.Result{{Key: "a"}}); s != "" {
 		t.Fatalf("FailureSummary(clean) = %q, want empty", s)
+	}
+}
+
+// TestValidateRefusesBadOptions: an option value that would silently
+// mean something else is refused, with a message naming its flag.
+func TestValidateRefusesBadOptions(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rb   Robustness
+		want string // "" = valid
+	}{
+		{"defaults", Robustness{OnError: "abort"}, ""},
+		{"skip", Robustness{OnError: "skip"}, ""},
+		{"timeout", Robustness{OnError: "abort", Timeout: time.Minute}, ""},
+		{"unknown-on-error", Robustness{OnError: "retry"}, "-on-error"},
+		{"negative-timeout", Robustness{OnError: "abort", Timeout: -time.Minute}, "-timeout"},
+		{"negative-nanosecond", Robustness{OnError: "skip", Timeout: -1}, "-timeout"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.rb.Validate()
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Validate = %v, want nil", err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Validate = %v, want an error naming %s", err, tc.want)
+			}
+		})
 	}
 }

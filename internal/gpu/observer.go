@@ -40,7 +40,8 @@ func Periodic(start, every int64, fn func(g *GPU) error) Observer {
 // Checkpoints is Periodic for a checkpoint sink (see SnapshotCheckpoint).
 // A save error turns it off for the rest of the leg instead of failing
 // the run: checkpointing is a recovery optimisation, never a correctness
-// dependency.
+// dependency. Every job runs from cycle 0, so only the engine's tests
+// install it.
 func Checkpoints(start, every int64, save func(g *GPU) error) Observer {
 	off := false
 	return Periodic(start, every, func(g *GPU) error {

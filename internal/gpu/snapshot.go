@@ -1,8 +1,10 @@
-// Whole-machine snapshot/restore. Snapshots serve mid-job checkpoints
-// (SnapshotCheckpoint / EncodeSnapshot / DecodeSnapshot /
-// RestoreCheckpoint: a killed job resumes from its last persisted
-// cycle) and restore-and-continue tests; a scheme's Warmup prefix is
-// not a snapshot but the first of two RunCycles legs on one machine.
+// Whole-machine snapshot/restore: Snapshot / Restore and the checkpoint
+// forms SnapshotCheckpoint / EncodeSnapshot / DecodeSnapshot /
+// RestoreCheckpoint. Every job runs from cycle 0, so no job restores a
+// snapshot: bench/ (its snapshot and checkpoint drives) is this file's
+// only non-test caller, beside the restore-and-continue tests. A
+// scheme's Warmup prefix is not a snapshot but the first of two
+// RunCycles legs on one machine.
 //
 // One mem.Cloner spans the whole capture (and another the whole
 // restore): the requests of one memory instruction may simultaneously

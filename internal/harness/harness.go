@@ -112,7 +112,7 @@ type Harness struct {
 	// Runner executes the harness's simulations: its pool bounds
 	// experiment grids and the per-benchmark fan-outs, its result cache
 	// serves a point already simulated, and its journal, when set,
-	// checkpoints every completed point so a restarted run replays it.
+	// records every completed point so a restarted run replays it.
 	// Harnesses sharing a Runner share points.
 	Runner *runner.Runner
 }

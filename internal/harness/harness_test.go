@@ -282,7 +282,7 @@ func TestFigure12And13And14(t *testing.T) {
 // TestParallelOutputByteIdentical pins the runner contract at the table
 // level: a figure rendered from a parallel grid must be byte-identical
 // to the strictly serial render — and a render interrupted partway and
-// resumed from its checkpoint journal in a "new process" must be
+// resumed from its result journal in a "new process" must be
 // byte-identical too.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	render := func(parallel int, jnl *journal.Journal, figs ...func(h *Harness) error) string {
@@ -310,7 +310,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 
 	// "Interrupted" sweep: only Figure 12 completes before the process
 	// dies. The resumed render — fresh session and harness, same journal
-	// file — must replay the checkpointed points and produce the exact
+	// file — must replay the journaled points and produce the exact
 	// bytes of the uninterrupted run.
 	path := filepath.Join(t.TempDir(), "bench.journal")
 	j1, err := journal.Open(path)
@@ -327,7 +327,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	}
 	defer j2.Close()
 	if j2.Len() == 0 {
-		t.Fatal("interrupted render checkpointed nothing")
+		t.Fatal("interrupted render journaled nothing")
 	}
 	before := j2.Len()
 	resumed := render(8, j2, fig12, fig9)
@@ -335,7 +335,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		t.Fatalf("resumed output differs from uninterrupted run:\n--- uninterrupted ---\n%s\n--- resumed ---\n%s", serial, resumed)
 	}
 	if j2.Len() <= before {
-		t.Fatal("resumed render checkpointed no new points")
+		t.Fatal("resumed render journaled no new points")
 	}
 }
 

@@ -1,4 +1,4 @@
-// Package journal is the checkpoint/resume layer of the sweep pipeline:
+// Package journal is the resume layer of the sweep pipeline:
 // an append-only JSONL file mapping deterministic job keys to completed
 // results. Drivers append every finished grid point as it completes and,
 // after a crash or SIGINT, reopen the journal and skip the points it

@@ -2,10 +2,12 @@ package runner
 
 import (
 	"context"
+	"encoding/json"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	gcke "repro"
 	"repro/internal/journal"
 	"repro/internal/resultcache"
 )
@@ -93,7 +95,7 @@ func TestRunCachePersistsAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestJournalReplayPopulatesCache: a point restored from the checkpoint
+// TestJournalReplayPopulatesCache: a point restored from the result
 // journal lands in the result cache, so the next repeat is a cache hit
 // (journal lookups and cache hits stay distinguishable in Result).
 func TestJournalReplayPopulatesCache(t *testing.T) {
@@ -129,5 +131,58 @@ func TestJournalReplayPopulatesCache(t *testing.T) {
 	}
 	if !again[0].Cached {
 		t.Fatal("journal replay did not populate the result cache")
+	}
+}
+
+// TestFreshBypassesCacheAndJournal: a Fresh job re-simulates even when
+// the journal already holds its fingerprint, and writes nothing back.
+func TestFreshBypassesCacheAndJournal(t *testing.T) {
+	j, err := journal.Open(filepath.Join(t.TempDir(), "fresh.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	bp, _ := gcke.Benchmark("bp")
+	sv, _ := gcke.Benchmark("sv")
+	job := Job{Session: testSession(t), Kernels: []gcke.Kernel{bp, sv},
+		Scheme: gcke.Scheme{Partition: gcke.PartitionEven}}
+
+	r := New(1)
+	r.Journal = j
+	first := r.Run(context.Background(), []Job{job})
+	if err := FirstErr(first); err != nil {
+		t.Fatal(err)
+	}
+	if first[0].Replayed {
+		t.Fatal("first run replayed")
+	}
+
+	// Same job again: replayed from the journal.
+	replay := r.Run(context.Background(), []Job{job})
+	if !replay[0].Replayed {
+		t.Fatal("repeat run did not replay from journal")
+	}
+
+	// Fresh: must simulate despite the journal entry, and not append.
+	fresh := job
+	fresh.Fresh = true
+	before := j.Len()
+	res := r.Run(context.Background(), []Job{fresh})
+	if err := FirstErr(res); err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Replayed || res[0].Cached {
+		t.Fatal("fresh run served from storage")
+	}
+	if j.Len() != before {
+		t.Fatal("fresh run wrote to the journal")
+	}
+	if res[0].Key != first[0].Key {
+		t.Fatalf("Fresh changed the fingerprint: %q vs %q", res[0].Key, first[0].Key)
+	}
+	a, _ := json.Marshal(first[0].Res)
+	b, _ := json.Marshal(res[0].Res)
+	if string(a) != string(b) {
+		t.Fatal("fresh re-execution diverged from the original run")
 	}
 }

@@ -12,7 +12,7 @@
 // The pool is also the robustness boundary for sweeps: cancellation and
 // per-job deadlines thread through a context, a panicking job is
 // recovered into that one job's error instead of killing the process,
-// and an attached journal checkpoints each completed point so an
+// and an attached journal records each completed point so an
 // interrupted sweep resumes without recomputing.
 package runner
 
@@ -25,11 +25,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	gcke "repro"
-	"repro/internal/ckpt"
 	"repro/internal/journal"
 	"repro/internal/resultcache"
 )
@@ -63,7 +61,7 @@ type Job struct {
 // Key returns the job's deterministic fingerprint: a hash over the full
 // machine description (config, run lengths), the kernel descriptors and
 // the scheme. Two jobs that would produce the same simulation result
-// have the same key, across process restarts — it is the checkpoint
+// have the same key, across process restarts — it is the result
 // journal's index.
 func (j *Job) Key() (string, error) {
 	fp := struct {
@@ -103,16 +101,12 @@ type Result struct {
 	// the cache and the wire all carry these bytes; read, never modify.
 	Raw json.RawMessage
 	Err error
-	// Replayed reports that Res was restored from the checkpoint journal
+	// Replayed reports that Res was restored from the result journal
 	// rather than simulated in this process.
 	Replayed bool
 	// Cached reports that Res was served from the content-addressed
 	// result cache rather than simulated.
 	Cached bool
-	// ResumedFrom is the cycle the simulation resumed from via a mid-job
-	// checkpoint (0 when the run started from cycle zero or was served
-	// without simulating).
-	ResumedFrom int64
 }
 
 // PanicError is a worker panic recovered into one job's error: the rest
@@ -140,7 +134,7 @@ type Runner struct {
 	// expired job fails with an error wrapping context.DeadlineExceeded
 	// while the rest of the grid continues.
 	Timeout time.Duration
-	// Journal, when non-nil, checkpoints completed jobs: Run restores
+	// Journal, when non-nil, records completed jobs: Run restores
 	// journaled results instead of re-simulating and appends each newly
 	// completed result. Failures are never journaled, so a fixed build
 	// re-runs them on resume.
@@ -165,25 +159,14 @@ type Runner struct {
 	// sessions (gcke.Session.PhaseTime); totals are process-wide via
 	// gpu.PhaseTotals. Set it before the first Run.
 	PhaseTime bool
-	// Checkpoints, when non-nil (and CheckpointEvery > 0), persists
-	// mid-job engine checkpoints keyed by job fingerprint: an eligible
-	// job resumes from its latest valid checkpoint instead of cycle 0,
-	// and drops its checkpoints once the result is durable. Results are
-	// byte-identical with or without checkpointing.
-	Checkpoints     *ckpt.Store
-	CheckpointEvery int64
 	// Executor, when non-nil, runs every job the cache and journal do not
 	// serve, in place of the local simulation, and the pool then has
-	// Executor.Slots() workers. Timeout, Fault and Checkpoints bound and
-	// instrument local simulation only; an executor owns its deadlines.
+	// Executor.Slots() workers. Timeout and Fault bound and instrument
+	// local simulation only; an executor owns its deadlines.
 	Executor Executor
 
 	mu       sync.Mutex
 	sessions map[string]*gcke.Session // derived sessions, deduplicated
-
-	// Checkpoint observability (read via CkptStats, exported by /statz).
-	ckptResumes       atomic.Int64
-	ckptResumedCycles atomic.Int64
 }
 
 // Executor runs jobs somewhere other than this process (internal/fleet's
@@ -334,30 +317,22 @@ func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 	if r.Executor != nil {
 		res, raw, err = r.Executor.Execute(ctx, j, key)
 	} else {
-		res, raw, err = r.simulate(ctx, i, j, out)
+		res, raw, err = r.simulate(ctx, i, j, key)
 	}
 	if err == nil && r.Journal != nil && !j.Fresh {
 		if jerr := r.Journal.AppendRaw(key, raw); jerr != nil {
 			err = fmt.Errorf("runner: journaling %s: %w", key, jerr)
 		}
 	}
-	if err == nil {
-		if !j.Fresh {
-			r.cachePut(key, raw)
-		}
-		// The result is durable (or the caller's problem): the job's
-		// mid-run checkpoints are dead weight now.
-		if r.Checkpoints != nil {
-			r.Checkpoints.Drop(key)
-		}
+	if err == nil && !j.Fresh {
+		r.cachePut(key, raw)
 	}
 	out.Res, out.Raw, out.Err = res, raw, err
 }
 
-// simulate runs job i in this process under the per-job timeout and the
-// fault seam, resuming from a mid-job checkpoint when one exists.
-func (r *Runner) simulate(ctx context.Context, i int, j *Job, out *Result) (*gcke.WorkloadResult, json.RawMessage, error) {
-	key := out.Key
+// simulate runs job i, whose fingerprint is key, in this process under
+// the per-job timeout and the fault seam.
+func (r *Runner) simulate(ctx context.Context, i int, j *Job, key string) (*gcke.WorkloadResult, json.RawMessage, error) {
 	if r.Timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.Timeout)
@@ -378,12 +353,7 @@ func (r *Runner) simulate(ctx context.Context, i int, j *Job, out *Result) (*gck
 			return nil, nil, err
 		}
 	}
-	res, resumedFrom, err := s.RunWorkloadCheckpointedCtx(ctx, j.Kernels, j.Scheme, r.checkpoint(key))
-	if resumedFrom > 0 {
-		out.ResumedFrom = resumedFrom
-		r.ckptResumes.Add(1)
-		r.ckptResumedCycles.Add(resumedFrom)
-	}
+	res, err := s.RunWorkloadCtx(ctx, j.Kernels, j.Scheme)
 	if err != nil {
 		return res, nil, err
 	}
@@ -414,28 +384,6 @@ func (r *Runner) Cached(key string) (Result, bool) {
 		return Result{}, false
 	}
 	return Result{Key: key, Res: res, Raw: raw, Cached: true}, true
-}
-
-// checkpoint binds the runner's checkpoint store to one job fingerprint
-// for the Session (which never sees keys). Nil when checkpointing is
-// not configured.
-func (r *Runner) checkpoint(key string) *gcke.Checkpoint {
-	if r.Checkpoints == nil || r.CheckpointEvery <= 0 {
-		return nil
-	}
-	st := r.Checkpoints
-	return &gcke.Checkpoint{
-		Every:  r.CheckpointEvery,
-		Latest: func() (int64, []byte, bool) { return st.Latest(key) },
-		Save:   func(cycle int64, state []byte) error { return st.Save(key, cycle, state) },
-	}
-}
-
-// CkptStats reports checkpoint-resume counters: how many jobs resumed
-// from a mid-job checkpoint and how many simulation cycles those
-// resumes skipped.
-func (r *Runner) CkptStats() (resumes, resumedCycles int64) {
-	return r.ckptResumes.Load(), r.ckptResumedCycles.Load()
 }
 
 // cachePut stores a completed result in the result cache. Failures are

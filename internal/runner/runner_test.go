@@ -331,7 +331,7 @@ func TestRunPerJobTimeout(t *testing.T) {
 	}
 }
 
-// TestRunJournalResume pins checkpoint/resume: a partially journaled
+// TestRunJournalResume pins journal resume: a partially journaled
 // grid, resumed by a fresh runner and session against the same journal,
 // replays the finished points and produces results identical to an
 // uninterrupted run.

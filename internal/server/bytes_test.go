@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/ckpt"
 	"repro/internal/journal"
 )
 
@@ -123,6 +124,46 @@ func TestAllocGaugeWithoutStoppingTheWorld(t *testing.T) {
 		}
 		if !strings.HasSuffix(f, "_test.go") && bytes.Contains(src, []byte("ReadMem"+"Stats")) {
 			t.Fatalf("%s reads runtime memory statistics by stopping the world", f)
+		}
+	}
+}
+
+// TestCheckpointFieldsAreInert: every job runs from cycle 0, so a server
+// given a checkpoint store and an interval of half the job serves the
+// bytes one without them serves, writes nothing into the store's
+// directory and reports no checkpoint gauge.
+func TestCheckpointFieldsAreInert(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "ckpt")
+	store, err := ckpt.OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := smallJob(5)
+	with := New(Config{Workers: 1, Checkpoints: store, CheckpointEvery: job.Cycles / 2})
+	wts := httptest.NewServer(with.Handler())
+	defer wts.Close()
+	plain := httptest.NewServer(New(Config{Workers: 1}).Handler())
+	defer plain.Close()
+
+	got, want := postFull(t, wts, job, ""), postFull(t, plain, job, "")
+	if got.Attempts != 1 || !bytes.Equal(got.Result, want.Result) {
+		t.Fatalf("with a checkpoint store: attempts %d, result bytes equal %v", got.Attempts, bytes.Equal(got.Result, want.Result))
+	}
+	if files, err := os.ReadDir(dir); err != nil || len(files) != 0 {
+		t.Fatalf("the store's directory holds %d entries (%v), want none", len(files), err)
+	}
+	resp, err := wts.Client().Get(wts.URL + "/statz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var statz map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&statz); err != nil {
+		t.Fatal(err)
+	}
+	for k := range statz {
+		if strings.HasPrefix(k, "ckpt_") {
+			t.Errorf("/statz reports %s", k)
 		}
 	}
 }

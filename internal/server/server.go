@@ -78,7 +78,7 @@ type Config struct {
 	QueueDepth int
 	// JobTimeout bounds each attempt's wall-clock time (0 = unbounded).
 	JobTimeout time.Duration
-	// Journal, when non-nil, checkpoints completed jobs and replays
+	// Journal, when non-nil, records completed jobs and replays
 	// already-journaled fingerprints without re-simulating. Drain closes
 	// it.
 	Journal *journal.Journal
@@ -97,12 +97,11 @@ type Config struct {
 	// every derived session; /statz then reports the process-wide
 	// per-phase breakdown under "phase_ns".
 	PhaseTrace bool
-	// Checkpoints, when non-nil, persists mid-job engine checkpoints
-	// every CheckpointEvery cycles, so a job interrupted by a crash or
-	// kill resumes from its last durable checkpoint instead of cycle 0.
+	// Deprecated: Checkpoints is never read; every job runs from cycle
+	// 0. The field survives because bench/serve.go:74 assigns it.
 	Checkpoints *ckpt.Store
-	// CheckpointEvery is the checkpoint interval in simulated cycles
-	// (0 disables checkpointing even with a store configured).
+	// Deprecated: CheckpointEvery is never read; see Checkpoints
+	// (bench/serve.go:74).
 	CheckpointEvery int64
 }
 
@@ -195,8 +194,6 @@ func New(cfg Config) *Server {
 	r.Cache = cfg.Cache
 	r.Check = cfg.Check
 	r.PhaseTime = cfg.PhaseTrace
-	r.Checkpoints = cfg.Checkpoints
-	r.CheckpointEvery = cfg.CheckpointEvery
 	if cfg.Chaos != nil {
 		r.Fault = cfg.Chaos.JobFault
 		if cfg.Journal != nil {
@@ -204,9 +201,6 @@ func New(cfg Config) *Server {
 		}
 		if cfg.Cache != nil {
 			cfg.Cache.FaultHook = cfg.Chaos.CacheFault
-		}
-		if cfg.Checkpoints != nil {
-			cfg.Checkpoints.FaultHook = cfg.Chaos.CheckpointFault
 		}
 	}
 	s := &Server{
@@ -405,9 +399,6 @@ type JobResponse struct {
 	// Result is the full result, when asked for: the bytes the runner
 	// encoded once (runner.Result.Raw), never re-marshalled on the way.
 	Result json.RawMessage `json:"result,omitempty"`
-	// ResumedFrom is the cycle the job resumed simulation from (0 = a
-	// full run), when mid-job checkpointing is enabled.
-	ResumedFrom int64 `json:"resumed_from,omitempty"`
 	// Digest is the hex sha256 of the Result bytes, present when the
 	// full result is included. A coordinator verifies the result bytes it
 	// received against it at every hop. It is computed by the worker over
@@ -419,7 +410,7 @@ type JobResponse struct {
 
 func (s *Server) response(res runner.Result, attempts int, full bool) JobResponse {
 	out := JobResponse{Key: res.Key, Attempts: attempts,
-		Replayed: res.Replayed, Cached: res.Cached, ResumedFrom: res.ResumedFrom}
+		Replayed: res.Replayed, Cached: res.Cached}
 	if res.Err != nil {
 		out.Error = res.Err.Error()
 		out.Transient = runner.IsTransient(res.Err)
@@ -844,14 +835,6 @@ type Stats struct {
 	CachePutErrors int64 `json:"cache_put_errors,omitempty"`
 	CacheCorrupt   int64 `json:"cache_corrupt,omitempty"`
 	CacheLen       int   `json:"cache_len,omitempty"`
-	// Mid-job checkpoint gauges (zero when no checkpoint store is
-	// configured): checkpoints persisted, checkpoint files rejected by
-	// the load-time digest, jobs resumed from a checkpoint, and the sum
-	// of cycles those resumes skipped re-simulating.
-	CkptSaves         int64 `json:"ckpt_saves,omitempty"`
-	CkptCorrupt       int64 `json:"ckpt_corrupt,omitempty"`
-	CkptResumes       int64 `json:"ckpt_resumes,omitempty"`
-	CkptResumedCycles int64 `json:"ckpt_resumed_cycles,omitempty"`
 	// Corrupted counts chaos-damaged responses sent (dev/test only).
 	Corrupted int64 `json:"corrupted,omitempty"`
 }
@@ -902,12 +885,6 @@ func (s *Server) StatsSnapshot() Stats {
 		st.CacheCorrupt = cs.Corrupt
 		st.CacheLen = s.cfg.Cache.Len()
 	}
-	if s.cfg.Checkpoints != nil {
-		ck := s.cfg.Checkpoints.Stats()
-		st.CkptSaves = ck.Saves
-		st.CkptCorrupt = ck.Corrupt
-	}
-	st.CkptResumes, st.CkptResumedCycles = s.run.CkptStats()
 	st.Corrupted = s.corrupted.Load()
 	return st
 }

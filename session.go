@@ -27,11 +27,10 @@ import (
 // occupancy) point no matter how many workers need it; workers that
 // need the same points share them out instead of queuing, and a caller
 // with idle cores beside it profiles on those too (see claimProfiles) —
-// the only goroutines a Session starts besides the checkpoint writer,
-// each joined before the call that started it returns. Cached results
-// are shared and must be treated as immutable by callers. The only
-// exception is ProfileCycles, which must be set before the Session is
-// shared across goroutines.
+// the only goroutines a Session starts, each joined before the call
+// that started it returns. Cached results are shared and must be
+// treated as immutable by callers. The only exception is ProfileCycles,
+// which must be set before the Session is shared across goroutines.
 type Session struct {
 	cfg    Config
 	cycles int64
@@ -55,9 +54,7 @@ type Session struct {
 	PhaseTime bool
 	// Trace, when non-nil, receives the cycle-level events of every
 	// evaluation run (profiles are never traced). Runs that share it
-	// interleave their events, and a run resumed from a checkpoint would
-	// miss the cycles it skipped, so a traced run never resumes. Set it
-	// before sharing the Session.
+	// interleave their events. Set it before sharing the Session.
 	Trace *trace.Buffer
 
 	mu       sync.Mutex
@@ -87,9 +84,9 @@ func (s *Session) Cycles() int64 { return s.cycles }
 // observers lists what runs between the cycles of one leg, from start
 // to end, in the order the engine runs them when several are due at
 // once: the invariant watchdog (with Check), then extra — UCP
-// repartitioning, the scheme's controller hooks, the checkpoint sink —
-// then the poll of ctx (the cycle loop is synchronous, so cancellation
-// is polled every 1024 cycles rather than select-driven).
+// repartitioning, the scheme's controller hooks — then the poll of ctx
+// (the cycle loop is synchronous, so cancellation is polled every 1024
+// cycles rather than select-driven).
 func (s *Session) observers(ctx context.Context, start, end int64, extra ...gpu.Observer) []gpu.Observer {
 	var obs []gpu.Observer
 	if s.Check {
@@ -492,26 +489,6 @@ func (s *Session) PartitionCtx(ctx context.Context, ds []Kernel, kind PartitionK
 	}
 }
 
-// Checkpoint wires a persistent checkpoint store into one workload run.
-// Latest is consulted once at run start (a valid checkpoint short-cuts
-// the first cycles). Save receives the encoded machine state at every
-// multiple of Every strictly inside the job — a checkpoint at the job's
-// last cycle could never be resumed from. Save is called from a helper
-// goroutine while the simulation runs on, one call at a time, and never
-// after the run has returned (the run joins the helper on every way
-// out), so whatever the caller does next — drop the job's checkpoints,
-// retry it — cannot race a write. Both closures are pre-bound to the
-// job's fingerprint by the caller (internal/runner) — the Session never
-// sees keys. Checkpointing is strictly a recovery optimization: any
-// Latest/Save failure degrades to a from-zero run / no further
-// checkpoints, never to a run failure, and results are byte-identical
-// either way.
-type Checkpoint struct {
-	Every  int64
-	Latest func() (cycle int64, state []byte, ok bool)
-	Save   func(cycle int64, state []byte) error
-}
-
 // RunWorkload simulates the kernels concurrently under scheme.
 func (s *Session) RunWorkload(ds []Kernel, scheme Scheme) (*WorkloadResult, error) {
 	return s.RunWorkloadCtx(context.Background(), ds, scheme)
@@ -522,30 +499,14 @@ func (s *Session) RunWorkload(ds []Kernel, scheme Scheme) (*WorkloadResult, erro
 // triggers, returning an error wrapping both gpu.ErrInterrupted and the
 // context's cause.
 func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme) (*WorkloadResult, error) {
-	res, _, err := s.RunWorkloadCheckpointedCtx(ctx, ds, scheme, nil)
-	return res, err
-}
-
-// RunWorkloadCheckpointedCtx is RunWorkloadCtx with optional mid-job
-// checkpointing: with a non-nil ck the evaluation run resumes from the
-// latest valid checkpoint (resumedFrom reports the cycle, 0 for a
-// from-zero run) and persists a new checkpoint every ck.Every cycles.
-// Schemes whose evaluation leg re-enters the Session-side control plane
-// mid-run — hook-driven controllers (DynWS, TBThrottle, L2MIL), UCP
-// repartitioning, Series sampling, warmup legs — are silently
-// ineligible and run normally: their out-of-engine state is not in the
-// snapshot, and resuming them would diverge from an unfaulted run. So is
-// every run of a traced Session, whose trace would lack the skipped
-// cycles.
-func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, scheme Scheme, ck *Checkpoint) (*WorkloadResult, int64, error) {
 	if len(ds) == 0 {
-		return nil, 0, fmt.Errorf("gcke: empty workload")
+		return nil, fmt.Errorf("gcke: empty workload")
 	}
 	if err := scheme.Validate(len(ds)); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if scheme.Warmup >= s.cycles {
-		return nil, 0, fmt.Errorf("gcke: Warmup (%d) must be shorter than the run (%d cycles)", scheme.Warmup, s.cycles)
+		return nil, fmt.Errorf("gcke: Warmup (%d) must be shorter than the run (%d cycles)", scheme.Warmup, s.cycles)
 	}
 	descs := toPtrs(ds)
 
@@ -568,20 +529,20 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 		var err error
 		row, theoWS, err = s.PartitionCtx(ctx, ds, scheme.Partition, scheme.ManualTBs)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		quota = gpu.UniformQuota(s.cfg.NumSMs, row)
 	}
 
 	// Normalization base: claim what nobody has started, then collect.
 	if err := s.claimProfiles(ctx, ds, false); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	isolated := make([]float64, len(ds))
 	for i := range ds {
 		r, err := s.RunIsolatedCtx(ctx, ds[i])
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		isolated[i] = r.Kernels[0].IPC
 	}
@@ -677,9 +638,9 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 		managed = append(managed, gpu.Periodic(start, 1024, samples.sample))
 	}
 
-	res, resumedFrom, err := s.execute(ctx, descs, opts, scheme.Warmup, managed, ck)
+	res, err := s.execute(ctx, descs, opts, scheme.Warmup, managed)
 	if err != nil {
-		return nil, resumedFrom, wrapInterrupt(ctx, err)
+		return nil, wrapInterrupt(ctx, err)
 	}
 	if samples != nil {
 		samples.attach(res)
@@ -694,35 +655,17 @@ func (s *Session) RunWorkloadCheckpointedCtx(ctx context.Context, ds []Kernel, s
 		TBPartition:   row,
 		IsolatedIPC:   isolated,
 		TheoreticalWS: theoWS,
-	}, resumedFrom, nil
+	}, nil
 }
 
-// execute builds the evaluation machine and runs it, the one path of
-// every evaluation simulation; it returns the cycle the run resumed from
-// (0 for a from-zero run). managed is what the scheme runs between the
-// cycles of its managed leg.
+// execute builds the evaluation machine and runs it from cycle 0, the
+// one path of every evaluation simulation. managed is what the scheme
+// runs between the cycles of its managed leg.
 //
 // With warmup > 0 the run has two legs on one machine: an unmanaged warm
 // leg (no issue policies, UCP or bypass), then InstallPolicies and the
-// managed remainder. With a checkpoint store (ck) and neither a warm-up
-// nor anything managed — their state lives outside the snapshot, and
-// resuming them would diverge from an unfaulted run — the machine is
-// built exactly as a from-zero run's (gpu.New installs the scheme's
-// policies and sizes series buckets from the full run length), adopts
-// the latest valid checkpoint if one exists and runs only the remaining
-// cycles, persisting fresh checkpoints along the way. Every checkpoint
-// failure degrades — bad checkpoint bytes mean a from-zero run, a
-// failing save turns the sink off — so the result is byte-identical to
-// an uncheckpointed run in all cases.
-//
-// Persistence is write-behind with one save in flight: the sink only
-// takes the snapshot (which owns its memory) on the simulating
-// goroutine; encoding and ck.Save — hashing, writing, two fsyncs — run
-// on a helper started per checkpoint. The next checkpoint and every way
-// out of this function join the helper first, so a save error surfaces
-// one checkpoint late and ck.Save is never running once the caller has
-// the result, the interruption or the panic.
-func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Options, warmup int64, managed []gpu.Observer, ck *Checkpoint) (*stats.RunResult, int64, error) {
+// managed remainder.
+func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Options, warmup int64, managed []gpu.Observer) (*stats.RunResult, error) {
 	defer simulating()()
 	// The warm leg's Cycles carries the full run length: gpu.New sizes
 	// the series buckets from it, and the buckets must span both legs.
@@ -732,72 +675,15 @@ func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Opt
 	}
 	g, err := gpu.New(s.cfg, descs, build)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	var start int64
-	if ck != nil && ck.Every > 0 && warmup <= 0 && len(managed) == 0 && opts.Trace == nil {
-		if cycle, state, ok := ck.Latest(); ok && cycle > 0 && cycle < s.cycles {
-			if sn, derr := gpu.DecodeSnapshot(state); derr == nil && sn.Cycle() == cycle {
-				if rerr := g.RestoreCheckpoint(sn); rerr == nil {
-					start = cycle
-				} else if g, err = gpu.New(s.cfg, descs, opts); err != nil {
-					// A failed restore may have partially overwritten the
-					// machine; the from-zero fallback runs on a new one.
-					return nil, 0, err
-				}
-			}
-		}
-		var inFlight chan error // the helper's verdict; nil when none is running
-		join := func() error {
-			if inFlight == nil {
-				return nil
-			}
-			err := <-inFlight
-			inFlight = nil
-			return err
-		}
-		defer join()
-		managed = []gpu.Observer{gpu.Checkpoints(start, ck.Every, func(g *gpu.GPU) error {
-			// The sink fires at the leg's last cycle too, where nobody
-			// could resume from a checkpoint.
-			cycle := g.Cycle()
-			if cycle >= s.cycles {
-				return nil
-			}
-			if err := join(); err != nil {
-				return err
-			}
-			sn, err := g.SnapshotCheckpoint()
-			if err != nil {
-				return err
-			}
-			done := make(chan error, 1)
-			inFlight = done
-			go func() {
-				// The runner contains a job's panics; one on this goroutine
-				// would take the process down instead, so it becomes the
-				// save's error.
-				defer func() {
-					if r := recover(); r != nil {
-						done <- fmt.Errorf("gcke: checkpoint at cycle %d panicked: %v", cycle, r)
-					}
-				}()
-				state, err := gpu.EncodeSnapshot(sn)
-				if err == nil {
-					err = ck.Save(cycle, state)
-				}
-				done <- err
-			}()
-			return nil
-		})}
-	}
-	resumedFrom := start
 	if warmup > 0 {
 		leg := *build
 		leg.Cycles = warmup
 		leg.Observers = s.observers(ctx, 0, warmup)
 		if err := g.RunCycles(&leg); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		g.InstallPolicies(opts)
 		start = warmup
@@ -806,11 +692,11 @@ func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Opt
 	leg.Cycles = s.cycles - start
 	leg.Observers = s.observers(ctx, start, s.cycles, managed...)
 	if err := g.RunCycles(&leg); err != nil {
-		return nil, resumedFrom, err
+		return nil, err
 	}
 	res := g.Result()
 	g.Close()
-	return res, resumedFrom, nil
+	return res, nil
 }
 
 // memSeries samples what Scheme.Series adds to the bucketed series: per

@@ -34,10 +34,9 @@ func atGOMAXPROCS(t *testing.T, n int) {
 }
 
 // noGoroutineLeft fails the test if more goroutines exist when it ends
-// than when it started. A claim pass joins its helpers with a WaitGroup
-// and a checkpointed run its writer by receiving its verdict, so a helper
-// may still be a few instructions from exiting when the call returns:
-// give it a moment, not forever.
+// than when it started. A claim pass joins its helpers with a WaitGroup,
+// so a helper may still be a few instructions from exiting when the call
+// returns: give it a moment, not forever.
 func noGoroutineLeft(t *testing.T) {
 	t.Helper()
 	before := runtime.NumGoroutine()
@@ -50,6 +49,26 @@ func noGoroutineLeft(t *testing.T) {
 			t.Errorf("%d goroutines before, %d after", before, after)
 		}
 	})
+}
+
+// pollCtx is a context whose Err — the engine's Interrupt poll, made
+// once per 1024 simulated cycles — also reports each poll to the test.
+type pollCtx struct {
+	context.Context
+	onPoll func()
+}
+
+func (c pollCtx) Err() error {
+	c.onPoll()
+	return c.Context.Err()
+}
+
+// newPollCtx wraps a cancellable context: the engine does not poll one
+// that can never be cancelled (context.Background).
+func newPollCtx(t *testing.T, onPoll func()) pollCtx {
+	inner, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	return pollCtx{inner, onPoll}
 }
 
 // profileWaiters counts the goroutines parked in Session.profile on a
@@ -318,30 +337,29 @@ func TestBusyPoolStartsNoHelpers(t *testing.T) {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d/evaluations-in-flight", procs), func(t *testing.T) {
 			atGOMAXPROCS(t, procs)
 			noGoroutineLeft(t)
-			// Park procs-1 evaluations of another session at the start of
-			// their run (in the checkpoint lookup): with the caller itself
-			// that is one simulation per P.
+			// Park procs-1 evaluations of another session at their first
+			// interrupt poll: with the caller itself that is one
+			// simulation per P. The session is warm, so the poll is the
+			// evaluation's, made once it counts as in flight.
 			busy := shortSession()
 			even := Scheme{Partition: PartitionEven}
 			if _, err := busy.RunWorkload(wl, even); err != nil {
 				t.Fatal(err)
 			}
 			parked, release := make(chan struct{}), make(chan struct{})
-			ck := &Checkpoint{
-				Every: 2_000,
-				Latest: func() (int64, []byte, bool) {
-					parked <- struct{}{}
-					<-release
-					return 0, nil, false
-				},
-				Save: func(int64, []byte) error { return nil },
-			}
 			var wg sync.WaitGroup
 			for i := 0; i < procs-1; i++ {
+				var once sync.Once
+				ctx := newPollCtx(t, func() {
+					once.Do(func() {
+						parked <- struct{}{}
+						<-release
+					})
+				})
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					if _, _, err := busy.RunWorkloadCheckpointedCtx(context.Background(), wl, even, ck); err != nil {
+					if _, err := busy.RunWorkloadCtx(ctx, wl, even); err != nil {
 						t.Errorf("parked evaluation: %v", err)
 					}
 				}()
