@@ -1,9 +1,10 @@
 // Command ckeserve runs the simulator as a long-lived HTTP job service:
-// clients POST simulation jobs and the service executes them on the
-// concurrent runner pool with bounded admission, retry with
-// deterministic backoff, a per-fingerprint circuit breaker, a result
-// journal, and SIGTERM drain. See internal/server for the
-// degradation model and DESIGN.md §10 for the architecture.
+// clients POST simulation jobs and the service executes each admitted
+// job once on the concurrent runner pool, with bounded admission,
+// deadlines, a result journal, and SIGTERM drain. A transient failure
+// is answered "transient": true for the client (or the fleet
+// coordinator) to resubmit. See internal/server for the degradation
+// model and DESIGN.md §10 for the architecture.
 //
 //	ckeserve -addr :8329 -parallel 8 -timeout 10m -journal serve.jsonl
 //	curl -s localhost:8329/jobs -d '{"sms":4,"cycles":150000,
@@ -36,6 +37,16 @@ func main() {
 	chaosSpec := flag.String("chaos", "", "deterministic fault injection (dev only), e.g. panic=0.5,hang=0.2,journal=0.1,invariant=0.05,corrupt=0.3,seed=42,failures=1")
 	stores := cli.AddFlags(flag.CommandLine, "check", "journal", "cache", "cache-dir")
 	flag.Parse()
+	switch {
+	case *parallel < 0:
+		log.Fatalf("-parallel=%d: want a count >= 0 (0 = GOMAXPROCS)", *parallel)
+	case *queue < 0:
+		log.Fatalf("-queue=%d: want a count >= 0 (0 = 2x slots)", *queue)
+	case *timeout < 0:
+		log.Fatalf("-timeout=%s: want a duration >= 0 (0 = none)", *timeout)
+	case *drainTimeout <= 0:
+		log.Fatalf("-drain-timeout=%s: want a positive duration", *drainTimeout)
+	}
 
 	cfg := server.Config{
 		Workers:    *parallel,

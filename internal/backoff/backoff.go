@@ -1,9 +1,10 @@
 // Package backoff implements capped exponential backoff with
 // deterministic jitter for retrying transient job failures.
 //
-// The service retries jobs whose failure is plausibly environmental (a
-// recovered worker panic, a per-attempt deadline) rather than a property
-// of the job itself. Retrying in lockstep would synchronize retries from
+// The fleet coordinator requeues jobs whose failure is plausibly
+// environmental (a worker's transient answer, a dropped connection, an
+// expired lease) rather than a property of the job itself; a worker runs
+// each job once. Retrying in lockstep would synchronize retries from
 // concurrent jobs into bursts, so each delay is jittered — but the
 // simulator's reproducibility contract extends to its failure handling:
 // the jitter is drawn from internal/xrand seeded by the job fingerprint

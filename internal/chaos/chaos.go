@@ -2,9 +2,11 @@
 // and fleet pipelines: it forces worker panics, artificial hangs,
 // journal and result-cache write errors, invariant-watchdog violations
 // and network faults (connection drops, added latency, synthetic 5xx) so
-// every degradation path (retry, deadline kill, circuit breaker, journal
-// rollback, fleet requeue/hedge/eject) has a failing-then-recovering
-// test instead of an untested error branch.
+// every degradation path (transient answer, deadline kill, permanent
+// failure, journal rollback, fleet requeue/hedge/eject) has a
+// failing-then-recovering test instead of an untested error branch. A
+// panic or a hang makes the server answer a transient 5xx, which the
+// fleet coordinator requeues; an invariant violation is a permanent 500.
 //
 // Determinism is the point. Whether a job is faulted, and how, is a pure
 // function of (seed, job fingerprint): the same seed replays the same
@@ -34,17 +36,18 @@ type Kind string
 
 const (
 	// KindPanic makes the job's worker goroutine panic (exercises
-	// runner panic isolation and transient-error retry).
+	// runner panic isolation, the server's transient answer and the
+	// coordinator's requeue).
 	KindPanic Kind = "panic"
 	// KindHang blocks the job until its deadline context expires
-	// (exercises per-job deadline kill and retry).
+	// (exercises per-job deadline kill and the coordinator's requeue).
 	KindHang Kind = "hang"
 	// KindJournal fails the journal write for the job's result
 	// (exercises journal append rollback and typed write errors).
 	KindJournal Kind = "journal"
 	// KindInvariant fails the job with a deterministic
-	// *sm.InvariantError (exercises the circuit breaker: retrying a
-	// deterministic violation is futile, so the service must shed).
+	// *sm.InvariantError (exercises the permanent classification: the
+	// service answers 500 and nothing re-runs the job).
 	KindInvariant Kind = "invariant"
 	// KindCache fails the result cache's persistence write (exercises
 	// the cache's pass-through degradation: the job must still succeed,

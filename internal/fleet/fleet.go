@@ -20,7 +20,9 @@
 //     requeued to another worker.
 //   - Requeue with deterministic backoff: worker 5xx, connection
 //     failure, shed (429) and lease expiry all requeue the job, spaced
-//     by the per-fingerprint backoff policy, capped at maxAttempts.
+//     by the per-fingerprint backoff policy, capped at maxAttempts. It
+//     is the one retry layer: a worker runs each job once and answers a
+//     transient failure with "transient": true.
 //   - Health: each worker is probed at /healthz on an interval;
 //     a failing prober ejects the worker from the dispatch set,
 //     a succeeding one re-admits it. Connection errors and unparseable

@@ -167,6 +167,27 @@ func TestFleetMatchesSingleNode(t *testing.T) {
 	}
 }
 
+// TestCoordinatorIsTheOneRetry: a worker answers each fingerprint's
+// first dispatch with a transient 500 (an injected panic) and does not
+// re-run it itself; the coordinator's requeue is what recovers the job,
+// and the merged output is byte-identical to a clean single-node run.
+func TestCoordinatorIsTheOneRetry(t *testing.T) {
+	reqs := []server.JobRequest{fleetJob(2), fleetJob(3), fleetJob(4)}
+	clean := startWorker(t, server.Config{})
+	golden, _ := runFleet(t, fleet.Config{Workers: []string{clean.URL}}, reqs)
+
+	panicky := startWorker(t, server.Config{
+		Chaos: chaos.New(chaos.Config{Seed: 5, PanicProb: 1, Failures: 1}),
+	})
+	out, st := runFleet(t, fleet.Config{Workers: []string{panicky.URL}}, reqs)
+	if out != golden {
+		t.Fatalf("output diverged:\nfleet:\n%s\nclean:\n%s", out, golden)
+	}
+	if st.Requeues < int64(len(reqs)) || st.Failed != 0 {
+		t.Fatalf("stats = %+v, want >= %d requeues (one per fingerprint) and 0 failed", st, len(reqs))
+	}
+}
+
 // TestFleetHedgesStraggler: one worker hangs every job it is handed;
 // the straggler threshold hedges those dispatches to the healthy worker
 // and the hedge's result wins, so the sweep completes with every line

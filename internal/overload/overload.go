@@ -1,7 +1,8 @@
-// Package overload holds the overload-control mechanisms the service
-// and fleet layers share: a token-bucket retry budget that bounds
-// aggregate retry amplification, a per-job-family service-time
-// estimator for deadline-aware admission, and a ring buffer of recent
+// Package overload holds the overload-control mechanisms of the service
+// and fleet layers: a token-bucket retry budget that bounds the fleet
+// coordinator's aggregate requeue amplification (the one retry layer: a
+// server runs each job once), a per-job-family service-time estimator
+// for the server's deadline-aware admission, and a ring buffer of recent
 // queue waits for percentile reporting.
 //
 // The design goal is graceful degradation under sustained overload: when

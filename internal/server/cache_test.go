@@ -71,11 +71,11 @@ func TestRepeatedJobIsCacheHit(t *testing.T) {
 // from the memory tier.
 func TestChaosCacheFaultDegradesGracefully(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "results.jsonl")
-	srv := fast(New(Config{
+	srv := New(Config{
 		Workers: 2,
 		Cache:   newCache(t, path),
 		Chaos:   chaos.New(chaos.Config{Seed: 7, CacheProb: 1, Failures: 1}),
-	}))
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/overload"
 )
 
 // TestBurstAdmissionExactLimitNoSlotLeak: N concurrent POSTs against a
@@ -27,7 +26,6 @@ func TestBurstAdmissionExactLimitNoSlotLeak(t *testing.T) {
 		JobTimeout: time.Hour,
 		Chaos:      chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
 	})
-	srv.maxRetries = 0
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	limit := srv.cfg.Workers + srv.cfg.QueueDepth
@@ -111,7 +109,7 @@ func TestBurstAdmissionExactLimitNoSlotLeak(t *testing.T) {
 // arrival with 429 + Retry-After and the distinct shed_deadline counter
 // — it never touches the admission queue.
 func TestDeadlineShedOnArrival(t *testing.T) {
-	srv := fast(New(Config{Workers: 1}))
+	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -213,65 +211,11 @@ func TestDeadlineMissedNeverServedAsSuccess(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExhaustedStopsRetries: with a zero retry budget a
-// transient failure is not retried — the budget counter moves and the
-// job fails with its last error instead of amplifying load.
-func TestRetryBudgetExhaustedStopsRetries(t *testing.T) {
-	srv := fast(New(Config{
-		Workers: 2,
-		Chaos:   chaos.New(chaos.Config{Seed: 5, PanicProb: 1, Failures: 1 << 30}),
-	}))
-	srv.maxRetries = 5
-	srv.budget = overload.NewRetryBudget(retryBudgetRatio, 0) // zero tokens
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	status, out := postJob(t, ts, smallJob(4))
-	if status != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", status)
-	}
-	if out.Attempts != 1 {
-		t.Fatalf("attempts = %d, want 1 (no budget, no retry)", out.Attempts)
-	}
-	st := srv.StatsSnapshot()
-	if st.ShedRetryBudget != 1 {
-		t.Fatalf("shed_retry_budget = %d, want 1", st.ShedRetryBudget)
-	}
-	if st.Retries != 0 {
-		t.Fatalf("retries = %d with an empty budget, want 0", st.Retries)
-	}
-}
-
-// TestRetryBudgetRefillsFromSuccesses: successes earn tokens back, so a
-// drained budget recovers once traffic is healthy again.
-func TestRetryBudgetRefillsFromSuccesses(t *testing.T) {
-	srv := fast(New(Config{
-		Workers: 1,
-		// First attempt of each fingerprint panics, then succeeds.
-		Chaos: chaos.New(chaos.Config{Seed: 5, PanicProb: 1, Failures: 1}),
-	}))
-	srv.budget = overload.NewRetryBudget(1, 1)
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	// Job 1 spends the only token on its retry and succeeds, earning one
-	// back; job 2 needs that earned token for its own retry.
-	for n := 4; n <= 5; n++ {
-		if status, out := postJob(t, ts, smallJob(n)); status != http.StatusOK {
-			t.Fatalf("job %d status %d, body %+v", n, status, out)
-		}
-	}
-	st := srv.StatsSnapshot()
-	if st.Retries != 2 || st.ShedRetryBudget != 0 {
-		t.Fatalf("refill failed: %+v", st)
-	}
-}
-
 // TestStatzOverloadGaugesMoveUnderLoad: the /statz overload fields —
-// queue-wait percentiles, shed_deadline, retry_budget_tokens — move when
+// queue-wait percentiles, shed_deadline — move when
 // the server is actually loaded, end-to-end through the HTTP surface.
 func TestStatzOverloadGaugesMoveUnderLoad(t *testing.T) {
-	srv := fast(New(Config{Workers: 1, QueueDepth: 4}))
+	srv := New(Config{Workers: 1, QueueDepth: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -317,8 +261,5 @@ func TestStatzOverloadGaugesMoveUnderLoad(t *testing.T) {
 	}
 	if st.ShedDeadline != 1 {
 		t.Fatalf("shed_deadline = %d, want 1", st.ShedDeadline)
-	}
-	if st.RetryBudgetTokens <= 0 {
-		t.Fatalf("retry_budget_tokens = %v, want > 0 on a healthy server", st.RetryBudgetTokens)
 	}
 }

@@ -5,26 +5,26 @@
 //
 // The degradation mechanisms, in the order a request meets them:
 //
-//   - Circuit breaker: a job fingerprint that keeps tripping the
-//     invariant watchdog is shed with 429 before execution — the engine
-//     is deterministic, so retrying a *sm.InvariantError is futile.
 //   - Bounded admission: at most Workers+QueueDepth requests are in the
 //     building; excess load is shed immediately with 429 + Retry-After
 //     rather than queued without bound.
-//   - Per-attempt deadlines: Runner.Timeout bounds each attempt's
-//     wall-clock; a request-level deadline (the job's "timeout" field)
-//     bounds the whole retry loop on top.
-//   - Retry with deterministic backoff: attempts that fail transiently
-//     (recovered panic, deadline expiry — runner.IsTransient) are
-//     retried up to maxRetries times, spaced by backoff.Default delays
-//     jittered deterministically per job fingerprint.
+//   - Deadlines: Runner.Timeout bounds the job's attempt; a
+//     request-level timeout (the job's "timeout" field) bounds the whole
+//     request, slot wait included, on top.
+//   - One attempt: an admitted job runs exactly once. A transient
+//     failure (recovered panic, deadline expiry — runner.IsTransient) is
+//     answered with its status and "transient": true; re-running it is
+//     the fleet coordinator's requeue, which already has the lease,
+//     backoff and retry budget. A permanent failure (an invariant
+//     violation, a journal write error) is answered 500; the engine is
+//     deterministic, so an invariant violation recurs on every
+//     submission.
 //   - Drain: once draining starts, new work is refused (503, /readyz
 //     red) while in-flight jobs run to completion and the journal is
 //     flushed — SIGTERM never abandons a half-simulated job.
 //
 // Every mechanism is exercised end-to-end by the chaos tests in this
-// package: each resilience claim has a failing-then-recovering test
-// driven by the deterministic internal/chaos injector.
+// package, driven by the deterministic internal/chaos injector.
 package server
 
 import (
@@ -49,7 +49,6 @@ import (
 	"repro/internal/overload"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
-	"repro/internal/sm"
 	"repro/internal/stats"
 )
 
@@ -76,16 +75,17 @@ type Config struct {
 	// beyond the ones executing (default 2*Workers). Past
 	// Workers+QueueDepth, requests are shed with 429.
 	QueueDepth int
-	// JobTimeout bounds each attempt's wall-clock time (0 = unbounded).
+	// JobTimeout bounds the wall-clock time of a job's one attempt (0 =
+	// unbounded).
 	JobTimeout time.Duration
 	// Journal, when non-nil, records completed jobs and replays
 	// already-journaled fingerprints without re-simulating. Drain closes
 	// it.
 	Journal *journal.Journal
 	// Cache, when non-nil, is the content-addressed result store: a job
-	// whose fingerprint is cached is served before the breaker and the
-	// admission queue (it costs no simulation), and every newly
-	// simulated result is stored. Drain closes it.
+	// whose fingerprint is cached is served before the admission queue
+	// (it costs no simulation), and every newly simulated result is
+	// stored. Drain closes it.
 	Cache *resultcache.Store
 	// Chaos, when non-nil, wires the deterministic fault injector into
 	// the runner and journal (dev/test only — the -chaos flag).
@@ -105,27 +105,9 @@ type Config struct {
 	CheckpointEvery int64
 }
 
-// The settings no caller varies. Tests in this package that need other
-// values overwrite the Server fields New seeds from them.
-const (
-	// maxRetries is how many times a transiently failed job is re-run,
-	// paced by backoff.Default().
-	maxRetries = 2
-	// breakerThreshold is how many invariant-watchdog violations a job
-	// fingerprint accrues before its circuit opens; breakerCooldown is
-	// how long an open circuit sheds before it lets a probe through.
-	breakerThreshold = 3
-	breakerCooldown  = time.Minute
-	// retryAfterFloor is the least Retry-After a queue shed reports, and
-	// the whole hint until the first latency sample. Breaker sheds report
-	// the circuit's remaining cooldown instead.
-	retryAfterFloor = time.Second
-	// retryBudgetRatio is the retry-budget refill per completed success
-	// (retries bounded at about 10% of fresh traffic); retryBudgetBurst is
-	// the token bucket's capacity and opening balance.
-	retryBudgetRatio = 0.1
-	retryBudgetBurst = 10
-)
+// retryAfterFloor is the least Retry-After a shed reports, and the whole
+// hint until the first latency sample.
+const retryAfterFloor = time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -144,30 +126,19 @@ type Server struct {
 	run     *runner.Runner
 	slots   chan struct{} // execution slots (capacity Workers)
 	queued  atomic.Int64  // admitted requests (waiting + executing)
-	brk     *breaker
 	mux     *http.ServeMux
 	hs      atomic.Pointer[http.Server]
 	drainng atomic.Bool
 
-	// The retry loop's bound and pacing: maxRetries and backoff.Default()
-	// (tests in this package shorten them).
-	maxRetries int
-	retry      backoff.Policy
-
 	// Overload control: the estimator prices deadline admission per job
-	// family, the budget meters retries, and the wait ring feeds /statz
-	// queue-wait percentiles.
-	budget *overload.RetryBudget
-	est    *overload.Estimator
-	waits  *overload.WaitRing
+	// family, and the wait ring feeds /statz queue-wait percentiles.
+	est   *overload.Estimator
+	waits *overload.WaitRing
 
 	accepted  atomic.Int64
 	shedQueue atomic.Int64
-	shedBrk   atomic.Int64
 	shedDline atomic.Int64 // deadline sheds (arrival + dequeue-stale)
-	shedRetry atomic.Int64 // retries denied by the exhausted budget
 	dlineLate atomic.Int64 // successes converted to 504 by the deadline guard
-	retries   atomic.Int64
 	completed atomic.Int64
 	failed    atomic.Int64
 	corrupted atomic.Int64 // chaos-corrupted responses sent (dev/test)
@@ -204,16 +175,12 @@ func New(cfg Config) *Server {
 		}
 	}
 	s := &Server{
-		cfg:        cfg,
-		run:        r,
-		slots:      make(chan struct{}, cfg.Workers),
-		brk:        newBreaker(breakerThreshold, breakerCooldown),
-		maxRetries: maxRetries,
-		retry:      backoff.Default(),
-		mux:        http.NewServeMux(),
-		budget:     overload.NewRetryBudget(retryBudgetRatio, retryBudgetBurst),
-		est:        overload.NewEstimator(),
-		waits:      overload.NewWaitRing(0),
+		cfg:   cfg,
+		run:   r,
+		slots: make(chan struct{}, cfg.Workers),
+		mux:   http.NewServeMux(),
+		est:   overload.NewEstimator(),
+		waits: overload.NewWaitRing(0),
 	}
 	s.mux.HandleFunc("/jobs", s.handleJob)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -244,6 +211,10 @@ func (s *Server) ListenAndServe(addr string) error {
 func (s *Server) Serve(ln net.Listener) error {
 	hs := &http.Server{Handler: s.mux}
 	s.hs.Store(hs)
+	if s.drainng.Load() {
+		// Drain started before hs was stored, so it shut nothing down.
+		return ln.Close()
+	}
 	if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
@@ -295,8 +266,9 @@ type JobRequest struct {
 	// scheduler or MSHR change): it overrides sms and must pass
 	// Config.Validate.
 	Config *gcke.Config `json:"config,omitempty"`
-	// Timeout, when set (Go duration string), bounds the job's whole
-	// retry loop — layered on the server's per-attempt JobTimeout.
+	// Timeout, when set (Go duration string), bounds the request: the
+	// wait for an execution slot and the job's one attempt — layered on
+	// the server's JobTimeout, which bounds the attempt alone.
 	Timeout string `json:"timeout,omitempty"`
 	// Deadline, when set (Go duration string), is the client's
 	// end-to-end latency budget: the server sheds the job as soon as
@@ -307,8 +279,8 @@ type JobRequest struct {
 }
 
 // Limits are the request-level time bounds parsed out of a JobRequest.
-// Timeout bounds the retry loop; Deadline is the admission-control
-// budget (zero = the client did not state one).
+// Timeout bounds the request's slot wait and its one attempt; Deadline
+// is the admission-control budget (zero = the client did not state one).
 type Limits struct {
 	Timeout  time.Duration
 	Deadline time.Duration
@@ -472,7 +444,7 @@ func (s *Server) release() { s.queued.Add(-1) }
 // capacity is the admission bound: executing plus waiting requests.
 func (s *Server) capacity() int64 { return int64(s.cfg.Workers + s.cfg.QueueDepth) }
 
-// executeSlot runs one job through the retry loop on an execution slot.
+// executeSlot runs one job's attempt on an execution slot.
 // family keys the service-time estimator; deadlineAt, when non-zero, is
 // the job's absolute deadline — re-checked here, at dequeue, so work
 // that went stale while queued is dropped (ErrStale) before it burns
@@ -510,89 +482,56 @@ func (s *Server) executeSlot(ctx context.Context, job runner.Job, key, family st
 	return s.execute(ctx, job, key, family, deadlineAt)
 }
 
-// execute is the retry loop: run, classify, back off, re-run. Transient
-// failures (recovered panic, per-attempt deadline) are retried up to
-// maxRetries times with deterministic per-fingerprint backoff jitter —
-// each retry also spends a retry-budget token, so aggregate retries stay
-// a bounded fraction of fresh traffic even when everything is failing.
-// Everything else — cancellation, validation, invariant violations,
-// journal write errors — returns immediately. Invariant violations are
-// additionally scored against the fingerprint's circuit breaker.
+// execute runs the job's one attempt. A failure — transient or not —
+// is returned as it is: the server never re-runs a job, so the fleet
+// coordinator's requeue is the one layer that does. The returned count
+// is the attempts made: 0 when ctx was already done, else 1.
 func (s *Server) execute(ctx context.Context, job runner.Job, key, family string, deadlineAt time.Time) (runner.Result, int) {
-	attempts := 0
-	var last runner.Result
-	for {
-		// Gate every attempt on the context, not just the backoff select:
-		// a cancellation (SIGTERM drain, request-level deadline, client
-		// gone) that lands between the backoff timer firing and the next
-		// attempt starting must not buy the job one more execution.
-		if err := ctx.Err(); err != nil {
-			if attempts == 0 {
-				return runner.Result{Key: key, Err: err}, 0
-			}
-			s.failed.Add(1)
-			return last, attempts
+	// Gate the attempt on the context: a cancellation (SIGTERM drain,
+	// request-level deadline, client gone) that landed while the job
+	// waited for its slot must not buy it an execution.
+	if err := ctx.Err(); err != nil {
+		return runner.Result{Key: key, Err: err}, 0
+	}
+	start := time.Now()
+	a0 := heapAllocs()
+	res := s.run.Run(ctx, []runner.Job{job})[0]
+	if res.Err != nil {
+		s.failed.Add(1)
+		return res, 1
+	}
+	d := time.Since(start)
+	if !res.Replayed {
+		// Engine-performance gauges: concurrent jobs share the process
+		// heap, so allocs/cycle is an aggregate service-level signal, not
+		// a per-job microbenchmark.
+		s.simCycles.Add(job.Cycles)
+		s.simNanos.Add(d.Nanoseconds())
+		s.simAllocs.Add(int64(heapAllocs() - a0))
+		// Clamp EWMA/estimator samples to the per-attempt timeout: an
+		// attempt that straggled past its timeout before succeeding can
+		// never have cost the server more slot-time than the timeout, so
+		// letting the raw duration through would inflate Retry-After
+		// (toward its 1m cap) and deadline estimates for everyone after
+		// it.
+		clamped := d
+		if s.cfg.JobTimeout > 0 && clamped > s.cfg.JobTimeout {
+			clamped = s.cfg.JobTimeout
 		}
-		attempts++
-		start := time.Now()
-		a0 := heapAllocs()
-		res := s.run.Run(ctx, []runner.Job{job})[0]
-		if res.Err == nil {
-			d := time.Since(start)
-			if !res.Replayed {
-				// Engine-performance gauges: concurrent jobs share the
-				// process heap, so allocs/cycle is an aggregate
-				// service-level signal, not a per-job microbenchmark.
-				s.simCycles.Add(job.Cycles)
-				s.simNanos.Add(d.Nanoseconds())
-				s.simAllocs.Add(int64(heapAllocs() - a0))
-				// Clamp EWMA/estimator samples to the per-attempt timeout:
-				// an attempt that straggled past its timeout before
-				// succeeding can never have cost the server more slot-time
-				// than the timeout, so letting the raw duration through
-				// would inflate Retry-After (toward its 1m cap) and
-				// deadline estimates for everyone after it.
-				clamped := d
-				if s.cfg.JobTimeout > 0 && clamped > s.cfg.JobTimeout {
-					clamped = s.cfg.JobTimeout
-				}
-				s.observeLatency(clamped)
-				if family != "" {
-					s.est.Observe(family, clamped)
-				}
-			}
-			s.brk.success(key)
-			if !deadlineAt.IsZero() && time.Now().After(deadlineAt) {
-				// Finished, but past the deadline: the client stopped
-				// caring, so this is overload debt, not goodput.
-				s.dlineLate.Add(1)
-				s.failed.Add(1)
-				return runner.Result{Key: key, Err: ErrDeadlineMiss}, attempts
-			}
-			s.budget.Earn()
-			s.completed.Add(1)
-			return res, attempts
-		}
-		last = res
-		var ie *sm.InvariantError
-		if errors.As(res.Err, &ie) {
-			s.brk.failure(key)
-		}
-		if !runner.IsTransient(res.Err) || attempts > s.maxRetries {
-			s.failed.Add(1)
-			return res, attempts
-		}
-		if !s.budget.Spend() {
-			s.shedRetry.Add(1)
-			s.failed.Add(1)
-			return res, attempts
-		}
-		s.retries.Add(1)
-		if backoff.Sleep(ctx, s.retry.Delay(key, attempts)) != nil {
-			s.failed.Add(1)
-			return res, attempts
+		s.observeLatency(clamped)
+		if family != "" {
+			s.est.Observe(family, clamped)
 		}
 	}
+	if !deadlineAt.IsZero() && time.Now().After(deadlineAt) {
+		// Finished, but past the deadline: the client stopped caring, so
+		// this is overload debt, not goodput.
+		s.dlineLate.Add(1)
+		s.failed.Add(1)
+		return runner.Result{Key: key, Err: ErrDeadlineMiss}, 1
+	}
+	s.completed.Add(1)
+	return res, 1
 }
 
 // heapAllocs is the process's cumulative count of heap objects
@@ -694,19 +633,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	fresh := r.URL.Query().Get("fresh") == "1"
 	job.Fresh = fresh
 	// Cache-aware admission: a fingerprint already in the result cache
-	// costs no simulation, so it is served ahead of the breaker and the
-	// admission queue — repeated identical jobs cannot be shed by load.
+	// costs no simulation, so it is served ahead of the admission queue —
+	// repeated identical jobs cannot be shed by load.
 	if !fresh {
 		if res, ok := s.run.Cached(key); ok {
 			s.completed.Add(1)
 			writeJSON(w, http.StatusOK, s.response(res, 0, r.URL.Query().Get("full") == "1"))
 			return
 		}
-	}
-	if ok, wait := s.brk.allow(key); !ok {
-		s.shedBrk.Add(1)
-		s.shed(w, wait, "circuit open for "+key+": repeated invariant violations")
-		return
 	}
 	// Deadline-aware admission: before taking a queue slot, price the
 	// job — current queue turns over in about queued*estimate/Workers,
@@ -738,9 +672,9 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	if !deadlineAt.IsZero() {
-		// Running past the deadline is pure waste — cap the whole retry
-		// loop at it, so a deadline-missing attempt is cancelled instead
-		// of finishing a result nobody will accept.
+		// Running past the deadline is pure waste — cap the attempt at
+		// it, so a deadline-missing attempt is cancelled instead of
+		// finishing a result nobody will accept.
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, deadlineAt)
 		defer cancel()
@@ -760,7 +694,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleHealthz is liveness: 200 while the process serves at all —
-// chaos faults, open circuits and shed load do not make it red.
+// chaos faults and shed load do not make it red.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ok")
@@ -782,38 +716,31 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 // Stats is the /statz snapshot.
 type Stats struct {
-	Accepted    int64 `json:"accepted"`
-	ShedQueue   int64 `json:"shed_queue"`
-	ShedBreaker int64 `json:"shed_breaker"`
+	Accepted  int64 `json:"accepted"`
+	ShedQueue int64 `json:"shed_queue"`
+	// Deprecated: always 0; bench/serve.go:301-302 reads it.
+	ShedBreaker int64 `json:"-"`
 	// ShedDeadline counts jobs shed because their deadline was already
 	// unmeetable — at arrival (queue-wait + estimate > budget) or at
 	// dequeue (went stale while queued).
 	ShedDeadline int64 `json:"shed_deadline"`
-	// ShedRetryBudget counts retries denied by the exhausted budget (the
-	// job fails with its last error instead of amplifying load).
-	ShedRetryBudget int64 `json:"shed_retry_budget"`
+	// Deprecated: always 0; bench/serve.go:301-302 reads it.
+	ShedRetryBudget int64 `json:"-"`
 	// DeadlineLate counts simulations that finished past their deadline
 	// and were returned as 504 instead of success.
 	DeadlineLate int64 `json:"deadline_late,omitempty"`
-	Retries      int64 `json:"retries"`
-	Completed    int64 `json:"completed"`
-	Failed       int64 `json:"failed"`
-	Queued       int64 `json:"queued"`
-	// RetryBudgetTokens is the retry bucket's current balance.
-	RetryBudgetTokens float64 `json:"retry_budget_tokens"`
+	// Deprecated: always 0; bench/serve.go:301-302 reads it.
+	Retries   int64 `json:"-"`
+	Completed int64 `json:"completed"`
+	Failed    int64 `json:"failed"`
+	Queued    int64 `json:"queued"`
 	// QueueWaitP50/95/99Ms are percentiles of recent queue waits
 	// (admission to engine-slot acquisition) over a 1024-sample ring.
 	QueueWaitP50Ms float64 `json:"queue_wait_ms_p50"`
 	QueueWaitP95Ms float64 `json:"queue_wait_ms_p95"`
 	QueueWaitP99Ms float64 `json:"queue_wait_ms_p99"`
-	BreakerOpen    int     `json:"breaker_open"`
-	// Breakers is the per-fingerprint circuit state (every fingerprint
-	// with failure history): open/half-open/accumulating, violation
-	// count, and remaining cooldown — the per-job view fleet health is
-	// debugged from.
-	Breakers   []BreakerInfo `json:"breakers,omitempty"`
-	Draining   bool          `json:"draining"`
-	JournalLen int           `json:"journal_len,omitempty"`
+	Draining       bool    `json:"draining"`
+	JournalLen     int     `json:"journal_len,omitempty"`
 	// LatencyEWMAMs is the moving average of successful attempt
 	// latencies; with Queued it derives the load-proportional
 	// Retry-After hint (RetryAfterHintMs) queue sheds report.
@@ -842,24 +769,18 @@ type Stats struct {
 // StatsSnapshot returns current counters (also served at /statz).
 func (s *Server) StatsSnapshot() Stats {
 	st := Stats{
-		Accepted:        s.accepted.Load(),
-		ShedQueue:       s.shedQueue.Load(),
-		ShedBreaker:     s.shedBrk.Load(),
-		ShedDeadline:    s.shedDline.Load(),
-		ShedRetryBudget: s.shedRetry.Load(),
-		DeadlineLate:    s.dlineLate.Load(),
-		Retries:         s.retries.Load(),
-		Completed:       s.completed.Load(),
-		Failed:          s.failed.Load(),
-		Queued:          s.queued.Load(),
-		BreakerOpen:     s.brk.openCount(),
-		Breakers:        s.brk.snapshot(),
-		Draining:        s.drainng.Load(),
+		Accepted:     s.accepted.Load(),
+		ShedQueue:    s.shedQueue.Load(),
+		ShedDeadline: s.shedDline.Load(),
+		DeadlineLate: s.dlineLate.Load(),
+		Completed:    s.completed.Load(),
+		Failed:       s.failed.Load(),
+		Queued:       s.queued.Load(),
+		Draining:     s.drainng.Load(),
 
-		RetryBudgetTokens: s.budget.Tokens(),
-		QueueWaitP50Ms:    float64(s.waits.Percentile(0.50)) / 1e6,
-		QueueWaitP95Ms:    float64(s.waits.Percentile(0.95)) / 1e6,
-		QueueWaitP99Ms:    float64(s.waits.Percentile(0.99)) / 1e6,
+		QueueWaitP50Ms: float64(s.waits.Percentile(0.50)) / 1e6,
+		QueueWaitP95Ms: float64(s.waits.Percentile(0.95)) / 1e6,
+		QueueWaitP99Ms: float64(s.waits.Percentile(0.99)) / 1e6,
 
 		LatencyEWMAMs:    float64(s.latEWMA.Load()) / 1e6,
 		RetryAfterHintMs: s.retryAfterHint().Milliseconds(),

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	gcke "repro"
-	"repro/internal/backoff"
 	"repro/internal/chaos"
 	"repro/internal/journal"
 )
@@ -34,13 +33,6 @@ func smallJob(n int) JobRequest {
 			StaticLimits: []int{n, n},
 		},
 	}
-}
-
-// fast paces srv's retries in milliseconds: test wall-clock stays
-// negligible while the deterministic-jitter path is still exercised.
-func fast(srv *Server) *Server {
-	srv.retry = backoff.Policy{Base: time.Millisecond, Cap: 5 * time.Millisecond, Factor: 2, Jitter: 0.5}
-	return srv
 }
 
 func postJob(t *testing.T, ts *httptest.Server, req JobRequest) (int, JobResponse) {
@@ -71,110 +63,103 @@ func getStatus(t *testing.T, ts *httptest.Server, path string) int {
 	return resp.StatusCode
 }
 
-// TestChaosPanicRetrySucceeds: injected worker panic on the first
-// attempt → backoff retry → success, with /healthz green throughout.
-func TestChaosPanicRetrySucceeds(t *testing.T) {
-	srv := fast(New(Config{
+// TestChaosPanicAnsweredOnceThenResubmitSucceeds: an injected worker
+// panic is answered as a transient 500 after one attempt — the server
+// does not re-run the job — and resubmitting it, the coordinator's
+// requeue, succeeds in one attempt, with /healthz green throughout.
+func TestChaosPanicAnsweredOnceThenResubmitSucceeds(t *testing.T) {
+	srv := New(Config{
 		Workers: 2,
 		Chaos:   chaos.New(chaos.Config{Seed: 5, PanicProb: 1, Failures: 1}),
-	}))
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	status, out := postJob(t, ts, smallJob(4))
-	if status != http.StatusOK {
-		t.Fatalf("status %d, body %+v", status, out)
-	}
-	if out.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (one injected panic, one retry)", out.Attempts)
-	}
-	if out.WeightedSpeedup <= 0 {
-		t.Fatalf("no result after recovery: %+v", out)
+	if status != http.StatusInternalServerError || !out.Transient || out.Attempts != 1 {
+		t.Fatalf("status %d, body %+v; want a transient 500 after 1 attempt", status, out)
 	}
 	if got := getStatus(t, ts, "/healthz"); got != http.StatusOK {
 		t.Fatalf("healthz = %d during chaos, want 200", got)
 	}
-	st := srv.StatsSnapshot()
-	if st.Retries != 1 || st.Completed != 1 {
-		t.Fatalf("stats = %+v, want 1 retry, 1 completed", st)
+	status, out = postJob(t, ts, smallJob(4))
+	if status != http.StatusOK || out.Attempts != 1 || out.WeightedSpeedup <= 0 {
+		t.Fatalf("resubmit: status %d, body %+v; want a result after 1 attempt", status, out)
+	}
+	if st := srv.StatsSnapshot(); st.Failed != 1 || st.Completed != 1 {
+		t.Fatalf("stats = %+v, want 1 failed, 1 completed", st)
 	}
 }
 
-// TestChaosHangDeadlineKillRetry: injected hang → per-attempt deadline
-// kills it (transient) → retry succeeds.
-func TestChaosHangDeadlineKillRetry(t *testing.T) {
-	srv := fast(New(Config{
-		Workers: 2,
-		// Generous enough that a real (race-detector-slowed) simulation
-		// never trips it; only the injected infinite hang can.
-		JobTimeout: 5 * time.Second,
-		Chaos:      chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1}),
-	}))
+// TestChaosHangAnswered504AfterOneAttempt: an injected hang is killed
+// by the per-attempt deadline and answered 504 (transient) without a
+// second attempt on this server.
+func TestChaosHangAnswered504AfterOneAttempt(t *testing.T) {
+	inj := chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1})
+	srv := New(Config{Workers: 2, JobTimeout: 500 * time.Millisecond, Chaos: inj})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	status, out := postJob(t, ts, smallJob(8))
-	if status != http.StatusOK {
-		t.Fatalf("status %d, body %+v", status, out)
+	if status != http.StatusGatewayTimeout || !out.Transient || out.Attempts != 1 {
+		t.Fatalf("status %d, body %+v; want a transient 504 after 1 attempt", status, out)
 	}
-	if out.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (one deadline kill, one retry)", out.Attempts)
+	if got := inj.Counts()[chaos.KindHang]; got != 1 {
+		t.Fatalf("%d hangs injected, want 1", got)
 	}
 }
 
-// TestInvariantCircuitBreaker: repeated deterministic invariant
-// violations for one fingerprint open its circuit; further submissions
-// shed with 429 + Retry-After without executing; other fingerprints and
-// liveness are unaffected.
-func TestInvariantCircuitBreaker(t *testing.T) {
+// TestInvariantExecutedEverySubmission: a fingerprint that trips the
+// invariant watchdog is executed each time it is submitted and answered
+// 500 (permanent) each time — never shed with 429 on its history, which
+// a coordinator would read as backpressure and wait out.
+func TestInvariantExecutedEverySubmission(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 5, InvariantProb: 1, Failures: 1 << 30})
-	srv := fast(New(Config{Workers: 2, Chaos: inj}))
-	srv.brk = newBreaker(2, time.Hour)
+	srv := New(Config{Workers: 2, Chaos: inj})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	for i := 0; i < 2; i++ {
+	const submits = 4
+	for i := 1; i <= submits; i++ {
 		status, out := postJob(t, ts, smallJob(16))
-		if status != http.StatusInternalServerError {
-			t.Fatalf("submit %d: status %d, body %+v", i, status, out)
+		if status != http.StatusInternalServerError || out.Transient || out.Attempts != 1 {
+			t.Fatalf("submit %d: status %d, body %+v; want a permanent 500 after 1 attempt", i, status, out)
 		}
-		if out.Transient {
-			t.Fatalf("submit %d: invariant violation classified transient", i)
-		}
-		if out.Attempts != 1 {
-			t.Fatalf("submit %d: attempts = %d — invariant violations must not be retried", i, out.Attempts)
+		if got := inj.Counts()[chaos.KindInvariant]; got != i {
+			t.Fatalf("submit %d: %d violations injected, want %d (one execution per submission)", i, got, i)
 		}
 	}
-	// Threshold reached: the circuit is open, submissions shed.
-	body, _ := json.Marshal(smallJob(16))
-	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if st := srv.StatsSnapshot(); st.Failed != submits {
+		t.Fatalf("failed = %d, want %d", st.Failed, submits)
+	}
+}
+
+// TestStatzHasNoRetryOrBreakerKeys: /statz renders no gauge of a retry
+// loop, a retry budget or a circuit breaker, which the server does not
+// have.
+func TestStatzHasNoRetryOrBreakerKeys(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
+	defer ts.Close()
+	if status, out := postJob(t, ts, smallJob(2)); status != http.StatusOK {
+		t.Fatalf("status %d, body %+v", status, out)
+	}
+	resp, err := ts.Client().Get(ts.URL + "/statz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("post-trip status = %d, want 429", resp.StatusCode)
+	var keys map[string]json.RawMessage
+	if err := json.NewDecoder(resp.Body).Decode(&keys); err != nil {
+		t.Fatal(err)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 shed without Retry-After")
+	if _, ok := keys["failed"]; !ok {
+		t.Fatalf("/statz = %v, want the failed counter", keys)
 	}
-	executed := inj.Counts()[chaos.KindInvariant]
-	if executed != 2 {
-		t.Fatalf("open circuit still executed the job: %d faults injected, want 2", executed)
-	}
-	if srv.StatsSnapshot().BreakerOpen != 1 {
-		t.Fatalf("stats report %d open circuits, want 1", srv.StatsSnapshot().BreakerOpen)
-	}
-	// The circuit is per-fingerprint: a different job still executes
-	// (and takes its own first violation, a 500 — not a 429 shed).
-	if status, out := postJob(t, ts, smallJob(17)); status != http.StatusInternalServerError {
-		t.Fatalf("unrelated fingerprint: status %d, body %+v — want it executed, not shed", status, out)
-	}
-	if got := inj.Counts()[chaos.KindInvariant]; got != executed+1 {
-		t.Fatalf("unrelated fingerprint did not execute: %d faults, want %d", got, executed+1)
-	}
-	if got := getStatus(t, ts, "/healthz"); got != http.StatusOK {
-		t.Fatalf("healthz = %d with an open circuit, want 200", got)
+	for _, k := range []string{"retries", "shed_retry_budget", "retry_budget_tokens",
+		"shed_breaker", "breaker_open", "breakers"} {
+		if v, ok := keys[k]; ok {
+			t.Errorf("/statz renders %q = %s", k, v)
+		}
 	}
 }
 
@@ -187,11 +172,11 @@ func TestJournalFaultTypedAndConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := fast(New(Config{
+	srv := New(Config{
 		Workers: 2,
 		Journal: jnl,
 		Chaos:   chaos.New(chaos.Config{Seed: 5, JournalProb: 1, Failures: 1}),
-	}))
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -240,7 +225,6 @@ func TestAdmissionQueueSheds(t *testing.T) {
 		JobTimeout: time.Hour,
 		Chaos:      chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
 	})
-	srv.maxRetries = 0
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -300,7 +284,7 @@ func TestDrainFinishesInFlightAndJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := fast(New(Config{Workers: 2, Journal: jnl}))
+	srv := New(Config{Workers: 2, Journal: jnl})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -413,14 +397,14 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestRequestTimeoutLayered: a request-level timeout bounds the whole
-// retry loop even when each attempt would pass the per-attempt deadline.
+// TestRequestTimeoutLayered: a request-level timeout bounds the job's
+// one attempt when the server sets no per-attempt deadline: the hung
+// attempt is cancelled and answered 504, transient, once.
 func TestRequestTimeoutLayered(t *testing.T) {
-	srv := fast(New(Config{
+	srv := New(Config{
 		Workers: 1,
 		Chaos:   chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
-	}))
-	srv.maxRetries = 10
+	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -429,13 +413,16 @@ func TestRequestTimeoutLayered(t *testing.T) {
 	start := time.Now()
 	status, out := postJob(t, ts, req)
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Fatalf("request-level timeout did not bound the retry loop (%v)", elapsed)
+		t.Fatalf("request-level timeout did not bound the attempt (%v)", elapsed)
 	}
 	if status != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d (body %+v), want 504", status, out)
 	}
 	if !out.Transient {
 		t.Fatal("deadline expiry not classified transient")
+	}
+	if out.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1", out.Attempts)
 	}
 }
 
