@@ -80,7 +80,7 @@ func main() {
 		*cycles = 2_000_000
 		*profCycles = 200_000
 	}
-	exps, err := experiments(cfg, *cycles, *profCycles, *pairsFlag, *only)
+	exps, err := experiments(*pairsFlag, *only)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -162,7 +162,7 @@ type experiment struct {
 // experiments is the table of every experiment ckebench runs, in run
 // order, on the pair set pairSet (default or all), cut to the
 // comma-separated names in only (empty = all of them).
-func experiments(cfg gcke.Config, cycles, profCycles int64, pairSet, only string) ([]experiment, error) {
+func experiments(pairSet, only string) ([]experiment, error) {
 	var pairs []harness.Workload
 	switch pairSet {
 	case "default":
@@ -174,13 +174,16 @@ func experiments(cfg gcke.Config, cycles, profCycles int64, pairSet, only string
 	}
 	selected := harness.DefaultPairs()[:6] // the paper's six study pairs
 	triples := harness.DefaultTriples()
-	// Sensitivity and ablation studies build their own sessions; the
-	// shortened pair list keeps them tractable.
+	// Sensitivity studies build their own sessions; the shortened pair
+	// list keeps them and the ablations tractable.
 	sens := pairs
 	if len(sens) > 6 {
 		sens = sens[:6]
 	}
 	cm := []harness.Workload{harness.NewWorkload("bp", "sv"), harness.NewWorkload("bp", "ks")}
+	compare := func(name string, workloads []harness.Workload) experiment {
+		return experiment{name, func(h *harness.Harness) error { return h.Compare(name, workloads) }}
+	}
 	all := []experiment{
 		{"table2", func(h *harness.Harness) error { return h.PrintTable2() }},
 		{"fig3", func(h *harness.Harness) error { return h.Figure3("bp", "sv") }},
@@ -198,22 +201,20 @@ func experiments(cfg gcke.Config, cycles, profCycles int64, pairSet, only string
 			return nil
 		}},
 		{"fig11", func(h *harness.Harness) error { return h.Figure11(pairs, selected) }},
-		{"fig12", func(h *harness.Harness) error { return h.Figure12(pairs) }},
-		{"fig13", func(h *harness.Harness) error { return h.Figure13(pairs) }},
-		{"fig14", func(h *harness.Harness) error { return h.Figure14(triples) }},
-		{"sens-l1d", func(h *harness.Harness) error { return harness.SensitivityL1D(cfg, cycles, profCycles, sens, h) }},
-		{"sens-lrr", func(h *harness.Harness) error { return harness.SensitivityLRR(cfg, cycles, profCycles, sens, h) }},
-		{"sens-mshr", func(h *harness.Harness) error { return harness.AblationMSHR(cfg, cycles, profCycles, sens, h) }},
-		{"abl-gdmil", func(h *harness.Harness) error { return h.AblationGlobalDMIL(sens) }},
+		compare("fig12", pairs),
+		compare("fig13", pairs),
+		compare("fig14", triples),
+		compare("sens-l1d", sens),
+		compare("sens-lrr", sens),
+		compare("sens-mshr", sens),
+		compare("abl-gdmil", sens),
 		// C+M pairs: bypass the memory-intensive kernel's L1.
-		{"abl-bypass", func(h *harness.Harness) error { return h.AblationBypass(cm) }},
-		{"abl-dynws", func(h *harness.Harness) error { return h.AblationDynWS(sens) }},
-		{"abl-l2mil", func(h *harness.Harness) error { return h.AblationL2MIL(cm) }},
+		compare("abl-bypass", cm),
+		compare("abl-dynws", sens),
+		compare("abl-l2mil", cm),
 		{"energy", func(h *harness.Harness) error { return h.EnergyStudy(sens) }},
-		{"abl-qbmi", func(h *harness.Harness) error { return h.AblationQBMIRefresh(sens) }},
-		{"abl-tbt", func(h *harness.Harness) error {
-			return h.AblationTBThrottle(append(cm, harness.NewWorkload("sv", "ks")))
-		}},
+		compare("abl-qbmi", sens),
+		compare("abl-tbt", append(cm, harness.NewWorkload("sv", "ks"))),
 		{"paper-vs-measured", func(h *harness.Harness) error { return h.PaperComparison(pairs, triples) }},
 	}
 	if only == "" {

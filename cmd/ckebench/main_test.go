@@ -4,6 +4,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -63,5 +65,32 @@ func TestRefusesUnknownExperimentsAndPairSets(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Fatalf("-only table2 wrote %v, want [table2.txt]", names)
+	}
+}
+
+// TestExperimentsAreTheResults: a default run writes exactly the
+// committed results/*.txt, so a row dropped or renamed in the experiment
+// table shows here. Nothing is simulated.
+func TestExperimentsAreTheResults(t *testing.T) {
+	exps, err := experiments("default", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, e := range exps {
+		got = append(got, e.name+".txt")
+	}
+	sort.Strings(got)
+	paths, err := filepath.Glob(filepath.Join("..", "..", "results", "*.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, p := range paths {
+		want = append(want, filepath.Base(p))
+	}
+	sort.Strings(want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("experiments write %v\nresults/ holds %v", got, want)
 	}
 }

@@ -32,10 +32,10 @@ func TestHarnessFiguresMatchOnAFleet(t *testing.T) {
 		if err := h.Figure9("bp", "ks", []int{2, 8, 0}); err != nil {
 			t.Fatal(err)
 		}
-		if err := h.Figure12(pairs); err != nil {
+		if err := h.Compare("fig12", pairs); err != nil {
 			t.Fatal(err)
 		}
-		if err := harness.AblationMSHR(cfg, 8_000, 6_000, pairs[1:2], h); err != nil {
+		if err := h.Compare("sens-mshr", pairs[1:2]); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -15,34 +15,31 @@ import (
 func TestComparisonsGolden(t *testing.T) {
 	h, buf := tinyHarness(t)
 	pairs, triples := tinyPairs(), []Workload{NewWorkload("bp", "sv", "dc")}
-	cfg := h.S.Config()
-	sections := []struct {
-		name string
-		run  func() error
-	}{
-		{"fig12", func() error { return h.Figure12(pairs) }},
-		{"fig13", func() error { return h.Figure13(pairs) }},
-		{"fig14", func() error { return h.Figure14(triples) }},
-		{"sens-l1d", func() error { return SensitivityL1D(cfg, 15_000, 10_000, pairs, h) }},
-		{"sens-lrr", func() error { return SensitivityLRR(cfg, 15_000, 10_000, pairs, h) }},
-		{"sens-mshr", func() error { return AblationMSHR(cfg, 15_000, 10_000, pairs, h) }},
-		{"abl-gdmil", func() error { return h.AblationGlobalDMIL(pairs) }},
-		{"abl-bypass", func() error { return h.AblationBypass(pairs) }},
-		{"abl-dynws", func() error { return h.AblationDynWS(pairs) }},
-		{"abl-l2mil", func() error { return h.AblationL2MIL(pairs) }},
-		{"energy", func() error { return h.EnergyStudy(pairs) }},
-		{"abl-qbmi", func() error { return h.AblationQBMIRefresh(pairs) }},
-		{"abl-tbt", func() error { return h.AblationTBThrottle(pairs) }},
-		{"fig11", func() error { return h.Figure11(pairs, pairs[1:]) }},
-		{"paper-vs-measured", func() error { return h.PaperComparison(pairs, triples) }},
+	if err := h.Compare("fig15", pairs); err == nil {
+		t.Fatal("Compare ran a comparison named fig15")
 	}
 	var got bytes.Buffer
-	for _, s := range sections {
+	for _, name := range []string{"fig12", "fig13", "fig14", "sens-l1d", "sens-lrr", "sens-mshr",
+		"abl-gdmil", "abl-bypass", "abl-dynws", "abl-l2mil", "energy", "abl-qbmi", "abl-tbt",
+		"fig11", "paper-vs-measured"} {
 		buf.Reset()
-		if err := s.run(); err != nil {
-			t.Fatalf("%s: %v", s.name, err)
+		var err error
+		switch name {
+		case "fig14":
+			err = h.Compare(name, triples)
+		case "energy":
+			err = h.EnergyStudy(pairs)
+		case "fig11":
+			err = h.Figure11(pairs, pairs[1:])
+		case "paper-vs-measured":
+			err = h.PaperComparison(pairs, triples)
+		default:
+			err = h.Compare(name, pairs)
 		}
-		fmt.Fprintf(&got, "=== %s\n%s", s.name, buf.Bytes())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(&got, "=== %s\n%s", name, buf.Bytes())
 	}
 	want, err := os.ReadFile(filepath.Join("testdata", "comparisons.golden"))
 	if err != nil {

@@ -1,15 +1,25 @@
 // The headline evaluation: Figure 12 (QBMI/DMIL on Warped-Slicer vs
 // spatial multitasking), Figure 13 (on SMK), Figure 14 (3-kernel
 // workloads), the Section 4.3 sensitivity studies and the design
-// ablations DESIGN.md calls out.
+// ablations DESIGN.md calls out. Each is a row of comparisons, keyed by
+// its results/ file and printed by Compare; the energy study and the
+// paper-vs-measured headlines run the same scheme sets.
 
 package harness
 
 import (
-	"strconv"
+	"fmt"
 
 	gcke "repro"
 	"repro/internal/config"
+)
+
+// The Warped-Slicer schemes the figures, ablations and headlines share,
+// each written once.
+var (
+	warpedSlicer = gcke.Scheme{Partition: gcke.PartitionWarpedSlicer}
+	wsQBMI       = gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI}
+	wsDMIL       = gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL}
 )
 
 // schemeSet is a labelled list of schemes compared side by side.
@@ -18,28 +28,23 @@ type schemeSet struct {
 	schemes []gcke.Scheme
 }
 
-func wsSchemes() schemeSet {
-	return schemeSet{
-		labels: []string{"Spatial", "WS", "WS-QBMI", "WS-DMIL"},
-		schemes: []gcke.Scheme{
-			{Partition: gcke.PartitionSpatial},
-			{Partition: gcke.PartitionWarpedSlicer},
-			{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI},
-			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL},
-		},
+// The scheme sets of Figures 12–14. The sensitivity rows and the energy
+// study rerun Figure 12's; the headlines run all three.
+var (
+	fig12 = schemeSet{
+		[]string{"Spatial", "WS", "WS-QBMI", "WS-DMIL"},
+		[]gcke.Scheme{{Partition: gcke.PartitionSpatial}, warpedSlicer, wsQBMI, wsDMIL},
 	}
-}
-
-func smkSchemes() schemeSet {
-	return schemeSet{
-		labels: []string{"SMK-(P+W)", "SMK-(P+QBMI)", "SMK-(P+DMIL)"},
-		schemes: []gcke.Scheme{
+	fig13 = schemeSet{
+		[]string{"SMK-(P+W)", "SMK-(P+QBMI)", "SMK-(P+DMIL)"},
+		[]gcke.Scheme{
 			{Partition: gcke.PartitionSMK, SMKQuota: true},
 			{Partition: gcke.PartitionSMK, MemIssue: gcke.MemIssueQBMI},
 			{Partition: gcke.PartitionSMK, Limiting: gcke.LimitDMIL},
 		},
 	}
-}
+	fig14 = schemeSet{fig12.labels[1:], fig12.schemes[1:]}
+)
 
 // metric extracts one number from a result.
 type metric struct {
@@ -49,232 +54,217 @@ type metric struct {
 	gmean bool
 }
 
-func evaluationMetrics() []metric {
-	return []metric{
-		{"WeightedSpeedup", func(r *gcke.WorkloadResult) float64 { return r.WeightedSpeedup() }, true},
-		{"ANTT", func(r *gcke.WorkloadResult) float64 { return r.ANTT() }, true},
-		{"Fairness", func(r *gcke.WorkloadResult) float64 { return r.Fairness() }, true},
-		{"L1DMissRate", func(r *gcke.WorkloadResult) float64 {
-			var acc, miss float64
-			for _, k := range r.Kernels {
-				acc += float64(k.L1D.Accesses)
-				miss += float64(k.L1D.Misses - k.L1D.Merged)
-			}
-			if acc == 0 {
-				return 0
-			}
-			return miss / acc
-		}, false},
-		{"L1DRsfailRate", func(r *gcke.WorkloadResult) float64 {
-			var acc, rsf float64
-			for _, k := range r.Kernels {
-				acc += float64(k.L1D.Accesses)
-				rsf += float64(k.L1D.RsFail)
-			}
-			if acc == 0 {
-				return 0
-			}
-			return rsf / acc
-		}, false},
-		{"LSUStallFrac", func(r *gcke.WorkloadResult) float64 { return r.LSUStallFrac() }, false},
-		{"ComputeUtil", func(r *gcke.WorkloadResult) float64 { return r.ComputeUtil() }, false},
-	}
+// metrics are the evaluation's metrics in print order; a comparison
+// prints a prefix of them.
+var metrics = []metric{
+	{"WeightedSpeedup", (*gcke.WorkloadResult).WeightedSpeedup, true},
+	{"ANTT", (*gcke.WorkloadResult).ANTT, true},
+	{"Fairness", (*gcke.WorkloadResult).Fairness, true},
+	{"L1DMissRate", func(r *gcke.WorkloadResult) float64 {
+		var acc, miss float64
+		for _, k := range r.Kernels {
+			acc += float64(k.L1D.Accesses)
+			miss += float64(k.L1D.Misses - k.L1D.Merged)
+		}
+		if acc == 0 {
+			return 0
+		}
+		return miss / acc
+	}, false},
+	{"L1DRsfailRate", func(r *gcke.WorkloadResult) float64 {
+		var acc, rsf float64
+		for _, k := range r.Kernels {
+			acc += float64(k.L1D.Accesses)
+			rsf += float64(k.L1D.RsFail)
+		}
+		if acc == 0 {
+			return 0
+		}
+		return rsf / acc
+	}, false},
+	{"LSUStallFrac", (*gcke.WorkloadResult).LSUStallFrac, false},
+	{"ComputeUtil", (*gcke.WorkloadResult).ComputeUtil, false},
 }
 
-// compare runs every workload under every scheme (fanned out over the
-// harness's worker pool) and prints one block per metric with
-// class-aggregated rows.
-func (h *Harness) compare(title string, workloads []Workload, set schemeSet, metrics []metric) error {
-	// results[workload][scheme]
-	results, err := h.RunAll(workloads, set.schemes)
+// comparison is one table Compare prints: every workload under every
+// scheme of set, the first metrics of metrics by class, then weighted
+// speedup per workload.
+type comparison struct {
+	title   string
+	set     schemeSet
+	metrics int
+	// machine, when set, changes the harness's Config for this table
+	// (a sensitivity study); the run lengths stay the harness's.
+	machine func(*gcke.Config)
+}
+
+// sensitivity re-runs Figure 12's schemes, by weighted speedup and ANTT,
+// on a machine that machine changes (Section 4.3).
+func sensitivity(title string, machine func(*gcke.Config)) comparison {
+	return comparison{"Sensitivity — " + title, fig12, 2, machine}
+}
+
+// comparisons is every table Compare prints, keyed by the results/ file
+// it lands in; a key with several tables prints them in turn.
+var comparisons = map[string][]comparison{
+	"fig12": {{"Figure 12 — QBMI and DMIL on top of Warped-Slicer", fig12, len(metrics), nil}},
+	// The paper reports WS and ANTT for SMK and for 3 kernels.
+	"fig13": {{"Figure 13 — QBMI and DMIL on top of SMK", fig13, 3, nil}},
+	"fig14": {{"Figure 14 — 3-kernel concurrent execution on Warped-Slicer", fig14, 3, nil}},
+	"sens-l1d": {
+		sensitivity("L1D capacity 48KB", func(c *gcke.Config) { c.L1D.SizeBytes = 48 * 1024 }),
+		sensitivity("L1D capacity 96KB", func(c *gcke.Config) { c.L1D.SizeBytes = 96 * 1024 }),
+	},
+	"sens-lrr": {sensitivity("LRR warp scheduling", func(c *gcke.Config) { c.SM.Scheduler = config.LRR })},
+	// The schemes stay effective with larger MSHR files.
+	"sens-mshr": {sensitivity("256 L1D MSHRs", func(c *gcke.Config) { c.L1D.MSHRs = 256 })},
+	// The paper's local (per-SM) DMIL against one MILG set shared by all
+	// SMs.
+	"abl-gdmil": {{"Ablation — local vs global DMIL", schemeSet{
+		[]string{"WS-DMIL", "WS-gDMIL"},
+		[]gcke.Scheme{wsDMIL, {Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitGlobalDMIL}},
+	}, 2, nil}},
+	// Bypassing the L1 for a C+M pair's memory-intensive kernel, with and
+	// without DMIL constraining the bypassed stream: the paper argues
+	// uncontrolled bypassing just moves the congestion down the hierarchy
+	// and that MIL remains effective on top.
+	"abl-bypass": {{"Ablation — L1 bypassing for the memory-intensive kernel (Section 4.5)", schemeSet{
+		[]string{"WS", "WS-Bypass", "WS-Byp+DMIL", "WS-DMIL"},
+		[]gcke.Scheme{
+			warpedSlicer,
+			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}},
+			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}, Limiting: gcke.LimitDMIL},
+			wsDMIL,
+		},
+	}, 2, nil}},
+	// Statically profiled Warped-Slicer against the paper's
+	// online-profiled dynamic variant.
+	"abl-dynws": {{"Ablation — static vs online-profiled Warped-Slicer", schemeSet{
+		[]string{"WS(static)", "WS(dynamic)"},
+		[]gcke.Scheme{warpedSlicer, {Partition: gcke.PartitionWarpedSlicerDyn}},
+	}, 3, nil}},
+	// L1-signal DMIL against the L2/DRAM-signal variant, alone and under
+	// bypassing, where the interference point moves below the L1.
+	"abl-l2mil": {{"Ablation — L2/DRAM-congestion-driven MIL (Section 4.5 future work)", schemeSet{
+		[]string{"WS", "WS-DMIL", "WS-L2MIL", "WS-Byp+L2MIL"},
+		[]gcke.Scheme{
+			warpedSlicer,
+			wsDMIL,
+			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitL2MIL},
+			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}, Limiting: gcke.LimitL2MIL},
+		},
+	}, 2, nil}},
+	// The paper's refresh-on-any-zero QBMI against an SMK-style
+	// refresh-on-all-zero variant.
+	"abl-qbmi": {{"Ablation — QBMI quota refresh policy", schemeSet{
+		[]string{"QBMI(any0)", "QBMI(all0)"},
+		[]gcke.Scheme{wsQBMI, {Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI, QBMIRefreshAllZero: true}},
+	}, 2, nil}},
+	// TB-granularity throttling (the related-work approach) against the
+	// paper's in-flight access limiting, whose finer granularity the
+	// paper argues wins when the memory kernel holds few TBs.
+	"abl-tbt": {{"Ablation — TB-granularity throttling vs memory instruction limiting", schemeSet{
+		[]string{"WS", "WS-TBT", "WS-DMIL"},
+		[]gcke.Scheme{warpedSlicer, {Partition: gcke.PartitionWarpedSlicer, TBThrottle: true}, wsDMIL},
+	}, 3, nil}},
+}
+
+// Compare prints the comparison tables stored under name, the results/
+// file they land in (fig12, fig13, fig14, sens-* and abl-*), for
+// workloads. A sensitivity table runs on a session for its changed
+// machine, on h's runner, writer and context.
+func (h *Harness) Compare(name string, workloads []Workload) error {
+	cs, ok := comparisons[name]
+	if !ok {
+		return fmt.Errorf("harness: no comparison named %q", name)
+	}
+	for _, c := range cs {
+		on := h
+		if c.machine != nil {
+			cfg := h.S.Config()
+			c.machine(&cfg)
+			s, err := h.Runner.Session(cfg, h.S.Cycles(), h.S.ProfileCycles)
+			if err != nil {
+				return err
+			}
+			on = &Harness{S: s, Out: h.Out, Ctx: h.Ctx, Runner: h.Runner}
+		}
+		if err := on.compare(c, workloads); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// compare runs every workload under every scheme as one grid and prints
+// c's metrics by class, then weighted speedup per workload.
+func (h *Harness) compare(c comparison, workloads []Workload) error {
+	grid, err := h.RunAll(workloads, c.set.schemes)
 	if err != nil {
 		return err
 	}
-	h.printf("%s\n", title)
-	for _, m := range metrics {
-		aggs := make([]*classAgg, len(set.schemes))
+	h.printf("%s\n", c.title)
+	for _, m := range metrics[:c.metrics] {
+		h.printf("\n%s (%s by class)\n", m.name, map[bool]string{true: "gmean", false: "mean"}[m.gmean])
+		h.printClasses(c.set.labels, byClass(workloads, grid, len(c.set.schemes), m.get), m.gmean)
+	}
+	h.printf("\nper-workload WeightedSpeedup\n")
+	h.printWorkloads(c.set.labels, workloads, grid, metrics[0].get, " %13.3f")
+	h.printf("\n")
+	return nil
+}
+
+// byClass folds get of every result in grid, indexed [workload][scheme]
+// over n schemes, into one classAgg per scheme.
+func byClass(workloads []Workload, grid [][]*gcke.WorkloadResult, n int, get func(*gcke.WorkloadResult) float64) []*classAgg {
+	aggs := make([]*classAgg, n)
+	for j := range aggs {
+		aggs[j] = newClassAgg()
+	}
+	for i, w := range workloads {
 		for j := range aggs {
-			aggs[j] = newClassAgg()
-		}
-		for i, w := range workloads {
-			for j := range set.schemes {
-				aggs[j].add(w.Class, m.get(results[i][j]))
-			}
-		}
-		h.printf("\n%s (%s by class)\n%-8s", m.name, map[bool]string{true: "gmean", false: "mean"}[m.gmean], "class")
-		for _, l := range set.labels {
-			h.printf(" %13s", l)
-		}
-		h.printf("\n")
-		for _, c := range aggs[0].rows() {
-			h.printf("%-8s", c)
-			for j := range set.schemes {
-				v := aggs[j].mean(c)
-				if m.gmean {
-					v = aggs[j].gmean(c)
-				}
-				h.printf(" %13.3f", v)
-			}
-			h.printf("\n")
+			aggs[j].add(w.Class, get(grid[i][j]))
 		}
 	}
-	// Per-workload weighted speedup detail.
-	h.printf("\nper-workload WeightedSpeedup\n%-10s %-6s", "workload", "class")
-	for _, l := range set.labels {
+	return aggs
+}
+
+// printClasses prints one column per label and one row per class of
+// aggs, the classes' gmeans or means.
+func (h *Harness) printClasses(labels []string, aggs []*classAgg, gmean bool) {
+	h.printf("%-8s", "class")
+	for _, l := range labels {
+		h.printf(" %13s", l)
+	}
+	h.printf("\n")
+	for _, c := range aggs[0].rows() {
+		h.printf("%-8s", c)
+		for _, a := range aggs {
+			v := a.mean(c)
+			if gmean {
+				v = a.gmean(c)
+			}
+			h.printf(" %13.3f", v)
+		}
+		h.printf("\n")
+	}
+}
+
+// printWorkloads prints one column per label and one row per workload of
+// get, each value in format.
+func (h *Harness) printWorkloads(labels []string, workloads []Workload, grid [][]*gcke.WorkloadResult, get func(*gcke.WorkloadResult) float64, format string) {
+	h.printf("%-10s %-6s", "workload", "class")
+	for _, l := range labels {
 		h.printf(" %13s", l)
 	}
 	h.printf("\n")
 	for i, w := range workloads {
 		h.printf("%-10s %-6s", w.Label(), w.Class)
-		for j := range set.schemes {
-			h.printf(" %13.3f", results[i][j].WeightedSpeedup())
+		for _, r := range grid[i] {
+			h.printf(format, get(r))
 		}
 		h.printf("\n")
 	}
-	h.printf("\n")
-	return nil
-}
-
-// Figure12 is the headline comparison on Warped-Slicer.
-func (h *Harness) Figure12(pairs []Workload) error {
-	return h.compare("Figure 12 — QBMI and DMIL on top of Warped-Slicer",
-		pairs, wsSchemes(), evaluationMetrics())
-}
-
-// Figure13 is the comparison on SMK.
-func (h *Harness) Figure13(pairs []Workload) error {
-	return h.compare("Figure 13 — QBMI and DMIL on top of SMK",
-		pairs, smkSchemes(),
-		evaluationMetrics()[:3]) // the paper reports WS and ANTT for SMK
-}
-
-// Figure14 is the 3-kernel study.
-func (h *Harness) Figure14(triples []Workload) error {
-	set := schemeSet{
-		labels: []string{"WS", "WS-QBMI", "WS-DMIL"},
-		schemes: []gcke.Scheme{
-			{Partition: gcke.PartitionWarpedSlicer},
-			{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI},
-			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL},
-		},
-	}
-	return h.compare("Figure 14 — 3-kernel concurrent execution on Warped-Slicer",
-		triples, set, evaluationMetrics()[:3])
-}
-
-// on returns a harness for another machine that writes to, cancels with
-// and runs on h's writer, context and runner.
-func (h *Harness) on(cfg gcke.Config, cycles, profileCycles int64) (*Harness, error) {
-	s, err := h.Runner.Session(cfg, cycles, profileCycles)
-	if err != nil {
-		return nil, err
-	}
-	return &Harness{S: s, Out: h.Out, Ctx: h.Ctx, Runner: h.Runner}, nil
-}
-
-// SensitivityL1D re-runs the core comparison with 48KB and 96KB L1Ds
-// (Section 4.3), on sessions for the changed architecture.
-func SensitivityL1D(base gcke.Config, cycles int64, profileCycles int64, pairs []Workload, out *Harness) error {
-	for _, size := range []int{48 * 1024, 96 * 1024} {
-		cfg := base
-		cfg.L1D.SizeBytes = size
-		h, err := out.on(cfg, cycles, profileCycles)
-		if err != nil {
-			return err
-		}
-		title := "Sensitivity — L1D capacity " + strconv.Itoa(size/1024) + "KB"
-		if err := h.compare(title, pairs, wsSchemes(), evaluationMetrics()[:2]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// SensitivityLRR re-runs the core comparison under loose round-robin
-// warp scheduling (Section 4.3).
-func SensitivityLRR(base gcke.Config, cycles int64, profileCycles int64, pairs []Workload, out *Harness) error {
-	cfg := base
-	cfg.SM.Scheduler = config.LRR
-	h, err := out.on(cfg, cycles, profileCycles)
-	if err != nil {
-		return err
-	}
-	return h.compare("Sensitivity — LRR warp scheduling", pairs, wsSchemes(), evaluationMetrics()[:2])
-}
-
-// AblationGlobalDMIL compares the paper's local (per-SM) DMIL with a
-// global variant sharing one MILG set across SMs.
-func (h *Harness) AblationGlobalDMIL(pairs []Workload) error {
-	set := schemeSet{
-		labels: []string{"WS-DMIL", "WS-gDMIL"},
-		schemes: []gcke.Scheme{
-			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL},
-			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitGlobalDMIL},
-		},
-	}
-	return h.compare("Ablation — local vs global DMIL", pairs, set, evaluationMetrics()[:2])
-}
-
-// AblationMSHR checks that the schemes stay effective with larger MSHR
-// files (Section 4.3's claim).
-func AblationMSHR(base gcke.Config, cycles int64, profileCycles int64, pairs []Workload, out *Harness) error {
-	cfg := base
-	cfg.L1D.MSHRs = 256
-	h, err := out.on(cfg, cycles, profileCycles)
-	if err != nil {
-		return err
-	}
-	return h.compare("Sensitivity — 256 L1D MSHRs", pairs, wsSchemes(), evaluationMetrics()[:2])
-}
-
-// AblationBypass studies the Section 4.5 interplay: bypassing the L1
-// for the memory-intensive kernel of a C+M pair, with and without DMIL
-// constraining the bypassed stream. The paper argues uncontrolled
-// bypassing just moves the congestion down the hierarchy, and that MIL
-// remains effective on top.
-func (h *Harness) AblationBypass(pairs []Workload) error {
-	set := schemeSet{
-		labels: []string{"WS", "WS-Bypass", "WS-Byp+DMIL", "WS-DMIL"},
-		schemes: []gcke.Scheme{
-			{Partition: gcke.PartitionWarpedSlicer},
-			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}},
-			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}, Limiting: gcke.LimitDMIL},
-			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL},
-		},
-	}
-	return h.compare("Ablation — L1 bypassing for the memory-intensive kernel (Section 4.5)",
-		pairs, set, evaluationMetrics()[:2])
-}
-
-// AblationDynWS compares statically-profiled Warped-Slicer with the
-// paper's online-profiled dynamic variant.
-func (h *Harness) AblationDynWS(pairs []Workload) error {
-	set := schemeSet{
-		labels: []string{"WS(static)", "WS(dynamic)"},
-		schemes: []gcke.Scheme{
-			{Partition: gcke.PartitionWarpedSlicer},
-			{Partition: gcke.PartitionWarpedSlicerDyn},
-		},
-	}
-	return h.compare("Ablation — static vs online-profiled Warped-Slicer",
-		pairs, set, evaluationMetrics()[:3])
-}
-
-// AblationL2MIL compares L1-signal DMIL with the L2/DRAM-signal variant
-// (Section 4.5 future work), alone and under cache bypassing where the
-// interference point moves below the L1.
-func (h *Harness) AblationL2MIL(pairs []Workload) error {
-	set := schemeSet{
-		labels: []string{"WS", "WS-DMIL", "WS-L2MIL", "WS-Byp+L2MIL"},
-		schemes: []gcke.Scheme{
-			{Partition: gcke.PartitionWarpedSlicer},
-			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL},
-			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitL2MIL},
-			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}, Limiting: gcke.LimitL2MIL},
-		},
-	}
-	return h.compare("Ablation — L2/DRAM-congestion-driven MIL (Section 4.5 future work)",
-		pairs, set, evaluationMetrics()[:2])
 }
 
 // EnergyStudy reports the Section 4.5 energy-efficiency claim: higher
@@ -282,64 +272,17 @@ func (h *Harness) AblationL2MIL(pairs []Workload) error {
 // work wins overall.
 func (h *Harness) EnergyStudy(pairs []Workload) error {
 	model := gcke.DefaultEnergyModel()
-	set := wsSchemes()
-	results, err := h.RunAll(pairs, set.schemes)
+	eff := func(r *gcke.WorkloadResult) float64 { return r.InstrsPerMicroJoule(model) }
+	grid, err := h.RunAll(pairs, fig12.schemes)
 	if err != nil {
 		return err
 	}
 	h.printf("Energy study (Section 4.5): instructions per microjoule, %v\n\n", "higher is better")
-	h.printf("%-10s %-6s", "workload", "class")
-	for _, l := range set.labels {
-		h.printf(" %13s", l)
-	}
-	h.printf("\n")
-	aggs := make([]*classAgg, len(set.schemes))
-	for j := range aggs {
-		aggs[j] = newClassAgg()
-	}
-	for i, w := range pairs {
-		h.printf("%-10s %-6s", w.Label(), w.Class)
-		for j := range set.schemes {
-			eff := results[i][j].InstrsPerMicroJoule(model)
-			aggs[j].add(w.Class, eff)
-			h.printf(" %13.1f", eff)
-		}
-		h.printf("\n")
-	}
+	h.printWorkloads(fig12.labels, pairs, grid, eff, " %13.1f")
 	h.printf("\n%-10s %-6s", "gmean", "")
-	for j := range set.schemes {
-		h.printf(" %13.1f", aggs[j].gmean("ALL"))
+	for _, a := range byClass(pairs, grid, len(fig12.schemes), eff) {
+		h.printf(" %13.1f", a.gmean("ALL"))
 	}
 	h.printf("\n")
 	return nil
-}
-
-// AblationQBMIRefresh compares the paper's refresh-on-any-zero QBMI
-// with an SMK-style refresh-on-all-zero variant.
-func (h *Harness) AblationQBMIRefresh(pairs []Workload) error {
-	set := schemeSet{
-		labels: []string{"QBMI(any0)", "QBMI(all0)"},
-		schemes: []gcke.Scheme{
-			{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI},
-			{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI, QBMIRefreshAllZero: true},
-		},
-	}
-	return h.compare("Ablation — QBMI quota refresh policy", pairs, set, evaluationMetrics()[:2])
-}
-
-// AblationTBThrottle compares TB-granularity dynamic throttling (the
-// related-work approach) with the paper's in-flight access limiting:
-// the paper argues MIL's finer granularity wins, especially when the
-// memory-intensive kernel holds few TBs.
-func (h *Harness) AblationTBThrottle(pairs []Workload) error {
-	set := schemeSet{
-		labels: []string{"WS", "WS-TBT", "WS-DMIL"},
-		schemes: []gcke.Scheme{
-			{Partition: gcke.PartitionWarpedSlicer},
-			{Partition: gcke.PartitionWarpedSlicer, TBThrottle: true},
-			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL},
-		},
-	}
-	return h.compare("Ablation — TB-granularity throttling vs memory instruction limiting",
-		pairs, set, evaluationMetrics()[:3])
 }

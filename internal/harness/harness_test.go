@@ -155,10 +155,10 @@ func TestDerivedSessionStudiesUseTheCallersRunner(t *testing.T) {
 	defer jnl.Close()
 	h, _ := tinyHarness(t)
 	h.Runner.Journal = jnl
-	if err := SensitivityLRR(h.S.Config(), 15_000, 10_000, pairs, h); err != nil {
+	if err := h.Compare("sens-lrr", pairs); err != nil {
 		t.Fatal(err)
 	}
-	if want := len(pairs) * len(wsSchemes().schemes); jnl.Len() != want {
+	if want := len(pairs) * len(fig12.schemes); jnl.Len() != want {
 		t.Fatalf("SensitivityLRR journaled %d points, want %d", jnl.Len(), want)
 	}
 
@@ -166,7 +166,7 @@ func TestDerivedSessionStudiesUseTheCallersRunner(t *testing.T) {
 	cancel()
 	h, _ = tinyHarness(t)
 	h.Ctx = ctx
-	if err := SensitivityLRR(h.S.Config(), 15_000, 10_000, pairs, h); !errors.Is(err, context.Canceled) {
+	if err := h.Compare("sens-lrr", pairs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled SensitivityLRR returned %v, want context.Canceled", err)
 	}
 	if n := h.Runner.Cache.Len(); n != 0 {
@@ -261,13 +261,13 @@ func TestFigure9RendersGrid(t *testing.T) {
 
 func TestFigure12And13And14(t *testing.T) {
 	h, buf := tinyHarness(t)
-	if err := h.Figure12(tinyPairs()); err != nil {
+	if err := h.Compare("fig12", tinyPairs()); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Figure13(tinyPairs()); err != nil {
+	if err := h.Compare("fig13", tinyPairs()); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Figure14([]Workload{NewWorkload("bp", "sv", "dc")}); err != nil {
+	if err := h.Compare("fig14", []Workload{NewWorkload("bp", "sv", "dc")}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -299,7 +299,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		}
 		return buf.String()
 	}
-	fig12 := func(h *Harness) error { return h.Figure12(tinyPairs()) }
+	fig12 := func(h *Harness) error { return h.Compare("fig12", tinyPairs()) }
 	fig9 := func(h *Harness) error { return h.Figure9("bp", "sv", []int{4, 16, 0}) }
 
 	serial := render(1, nil, fig12, fig9)

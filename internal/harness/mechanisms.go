@@ -106,11 +106,8 @@ func (h *Harness) Figure9(a, b string, grid []int) error {
 // Figure11 compares QBMI, DMIL and QBMI+DMIL on top of Warped-Slicer:
 // weighted speedup by class plus per-pair L1D miss and rsfail rates.
 func (h *Harness) Figure11(pairs []Workload, selected []Workload) error {
-	schemes := []gcke.Scheme{
-		{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI},
-		{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL},
-		{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI, Limiting: gcke.LimitDMIL},
-	}
+	schemes := []gcke.Scheme{wsQBMI, wsDMIL,
+		{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI, Limiting: gcke.LimitDMIL}}
 	labels := []string{"WS-QBMI", "WS-DMIL", "WS-QBMI+DMIL"}
 
 	h.printf("Figure 11(a) — Weighted Speedup (class gmean)\n")
@@ -118,27 +115,7 @@ func (h *Harness) Figure11(pairs []Workload, selected []Workload) error {
 	if err != nil {
 		return err
 	}
-	aggs := make([]*classAgg, len(schemes))
-	for i := range aggs {
-		aggs[i] = newClassAgg()
-	}
-	for wi, w := range pairs {
-		for i := range schemes {
-			aggs[i].add(w.Class, results[wi][i].WeightedSpeedup())
-		}
-	}
-	h.printf("%-8s", "class")
-	for _, l := range labels {
-		h.printf(" %13s", l)
-	}
-	h.printf("\n")
-	for _, c := range aggs[0].rows() {
-		h.printf("%-8s", c)
-		for i := range schemes {
-			h.printf(" %13.3f", aggs[i].gmean(c))
-		}
-		h.printf("\n")
-	}
+	h.printClasses(labels, byClass(pairs, results, len(schemes), metrics[0].get), true)
 
 	h.printf("\nFigure 11(b,c) — per-kernel L1D miss rate and rsfail rate on selected pairs\n")
 	h.printf("%-8s %-13s %11s %13s\n", "pair", "scheme", "miss k0/k1", "rsfail k0/k1")

@@ -94,112 +94,86 @@ func (h *Harness) PaperComparison(pairs []Workload, triples []Workload) error {
 	}
 	h.printf("classification agreement: %d/13\n\n", classOK)
 
-	// Headline gains over the WS baseline.
-	pub := Published()
-	gather := func(sc gcke.Scheme, ws []Workload) (wsv, antt, fair float64, err error) {
-		results, err := h.RunAll(ws, []gcke.Scheme{sc})
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		aggWS, aggANTT, aggFair := newClassAgg(), newClassAgg(), newClassAgg()
-		for i, w := range ws {
-			r := results[i][0]
-			aggWS.add(w.Class, r.WeightedSpeedup())
-			aggANTT.add(w.Class, r.ANTT())
-			aggFair.add(w.Class, r.Fairness())
-		}
-		return aggWS.gmean("ALL"), aggANTT.gmean("ALL"), aggFair.gmean("ALL"), nil
+	m, err := h.headlines(pairs, triples)
+	if err != nil {
+		return err
 	}
-	type schemeRow struct {
-		label string
-		sc    gcke.Scheme
-	}
-	wsRows := []schemeRow{
-		{"Spatial", gcke.Scheme{Partition: gcke.PartitionSpatial}},
-		{"WS", gcke.Scheme{Partition: gcke.PartitionWarpedSlicer}},
-		{"WS-QBMI", gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI}},
-		{"WS-DMIL", gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL}},
-	}
-	vals := map[string][3]float64{}
-	for _, sr := range wsRows {
-		ws, antt, fair, err := gather(sr.sc, pairs)
-		if err != nil {
-			return err
-		}
-		vals[sr.label] = [3]float64{ws, antt, fair}
-	}
-	base := vals["WS"]
-	gain := func(label string, idx int) float64 {
-		if base[idx] == 0 {
-			return 0
-		}
-		if idx == 1 { // ANTT: lower is better
-			return 1 - vals[label][idx]/base[idx]
-		}
-		return vals[label][idx]/base[idx] - 1
-	}
+	pub, meas := Published().gains(), m.gains()
 	h.printf("Headline gains over the WS baseline (2-kernel set, gmean) — paper vs measured\n")
 	h.printf("%-22s %8s %9s\n", "metric", "paper", "measured")
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "WS-QBMI WeightedSpd", (pub.WSQBMIWS/pub.WSWS-1)*100, gain("WS-QBMI", 0)*100)
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "WS-DMIL WeightedSpd", (pub.WSDMILWS/pub.WSWS-1)*100, gain("WS-DMIL", 0)*100)
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "WS-QBMI ANTT", pub.QBMIANTTGain*100, gain("WS-QBMI", 1)*100)
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "WS-DMIL ANTT", pub.DMILANTTGain*100, gain("WS-DMIL", 1)*100)
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "WS-QBMI Fairness", pub.QBMIFairGain*100, gain("WS-QBMI", 2)*100)
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "WS-DMIL Fairness", pub.DMILFairGain*100, gain("WS-DMIL", 2)*100)
-
-	// SMK stack.
-	smkRows := []schemeRow{
-		{"SMK-(P+W)", gcke.Scheme{Partition: gcke.PartitionSMK, SMKQuota: true}},
-		{"SMK-(P+QBMI)", gcke.Scheme{Partition: gcke.PartitionSMK, MemIssue: gcke.MemIssueQBMI}},
-		{"SMK-(P+DMIL)", gcke.Scheme{Partition: gcke.PartitionSMK, Limiting: gcke.LimitDMIL}},
+	for i, label := range gainLabels {
+		h.printf("%-22s %7.1f%% %8.1f%%\n", label, pub[i]*100, meas[i]*100)
 	}
-	svals := map[string][3]float64{}
-	for _, sr := range smkRows {
-		ws, antt, fair, err := gather(sr.sc, pairs)
-		if err != nil {
-			return err
-		}
-		svals[sr.label] = [3]float64{ws, antt, fair}
-	}
-	sbase := svals["SMK-(P+W)"]
-	sgain := func(label string, idx int) float64 {
-		if sbase[idx] == 0 {
-			return 0
-		}
-		if idx == 1 {
-			return 1 - svals[label][idx]/sbase[idx]
-		}
-		return svals[label][idx]/sbase[idx] - 1
-	}
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "SMK+QBMI WeightedSpd", pub.SMKQBMIWSGain*100, sgain("SMK-(P+QBMI)", 0)*100)
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "SMK+DMIL WeightedSpd", pub.SMKDMILWSGain*100, sgain("SMK-(P+DMIL)", 0)*100)
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "SMK+QBMI ANTT", pub.SMKQBMIANTTGain*100, sgain("SMK-(P+QBMI)", 1)*100)
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "SMK+DMIL ANTT", pub.SMKDMILANTTGain*100, sgain("SMK-(P+DMIL)", 1)*100)
-
-	// 3-kernel stack.
-	tri := map[string][3]float64{}
-	for _, sr := range []schemeRow{
-		{"WS", gcke.Scheme{Partition: gcke.PartitionWarpedSlicer}},
-		{"WS-QBMI", gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI}},
-		{"WS-DMIL", gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitDMIL}},
-	} {
-		ws, antt, fair, err := gather(sr.sc, triples)
-		if err != nil {
-			return err
-		}
-		tri[sr.label] = [3]float64{ws, antt, fair}
-	}
-	tbase := tri["WS"]
-	tgain := func(label string, idx int) float64 {
-		if tbase[idx] == 0 {
-			return 0
-		}
-		if idx == 1 {
-			return 1 - tri[label][idx]/tbase[idx]
-		}
-		return tri[label][idx]/tbase[idx] - 1
-	}
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "3-kern QBMI WeightedS", pub.TriQBMIWSGain*100, tgain("WS-QBMI", 0)*100)
-	h.printf("%-22s %7.1f%% %8.1f%%\n", "3-kern DMIL WeightedS", pub.TriDMILWSGain*100, tgain("WS-DMIL", 0)*100)
 	return nil
+}
+
+// gainLabels names the rows of PaperHeadlines.gains.
+var gainLabels = []string{
+	"WS-QBMI WeightedSpd", "WS-DMIL WeightedSpd", "WS-QBMI ANTT", "WS-DMIL ANTT",
+	"WS-QBMI Fairness", "WS-DMIL Fairness", "SMK+QBMI WeightedSpd", "SMK+DMIL WeightedSpd",
+	"SMK+QBMI ANTT", "SMK+DMIL ANTT", "3-kern QBMI WeightedS", "3-kern DMIL WeightedS",
+}
+
+// gains lists x's relative gains in the order gainLabels names them.
+func (x PaperHeadlines) gains() []float64 {
+	return []float64{
+		relGain(x.WSQBMIWS, x.WSWS, false), relGain(x.WSDMILWS, x.WSWS, false),
+		x.QBMIANTTGain, x.DMILANTTGain, x.QBMIFairGain, x.DMILFairGain,
+		x.SMKQBMIWSGain, x.SMKDMILWSGain, x.SMKQBMIANTTGain, x.SMKDMILANTTGain,
+		x.TriQBMIWSGain, x.TriDMILWSGain,
+	}
+}
+
+// headlines measures what Published reports: Figures 12 and 13's schemes
+// on pairs and Figure 14's on triples, each metric the gmean over all
+// workloads.
+func (h *Harness) headlines(pairs, triples []Workload) (PaperHeadlines, error) {
+	two, err := h.gmeans(pairs, append(append([]gcke.Scheme(nil), fig12.schemes...), fig13.schemes...))
+	if err != nil {
+		return PaperHeadlines{}, err
+	}
+	three, err := h.gmeans(triples, fig14.schemes)
+	if err != nil {
+		return PaperHeadlines{}, err
+	}
+	// Indexed by scheme: Spatial, WS, WS-QBMI, WS-DMIL, then SMK-(P+W),
+	// SMK-(P+QBMI), SMK-(P+DMIL); for triples WS, WS-QBMI, WS-DMIL.
+	ws, antt, fair, tri := two[0], two[1], two[2], three[0]
+	return PaperHeadlines{
+		SpatialWS: ws[0], WSWS: ws[1], WSQBMIWS: ws[2], WSDMILWS: ws[3],
+		QBMIANTTGain: relGain(antt[2], antt[1], true), DMILANTTGain: relGain(antt[3], antt[1], true),
+		QBMIFairGain: relGain(fair[2], fair[1], false), DMILFairGain: relGain(fair[3], fair[1], false),
+		SMKQBMIWSGain: relGain(ws[5], ws[4], false), SMKDMILWSGain: relGain(ws[6], ws[4], false),
+		SMKQBMIANTTGain: relGain(antt[5], antt[4], true), SMKDMILANTTGain: relGain(antt[6], antt[4], true),
+		TriQBMIWSGain: relGain(tri[1], tri[0], false), TriDMILWSGain: relGain(tri[2], tri[0], false),
+	}, nil
+}
+
+// gmeans runs workloads under schemes and returns each scheme's gmean,
+// over all workloads, of weighted speedup, ANTT and fairness, indexed
+// [metric][scheme].
+func (h *Harness) gmeans(workloads []Workload, schemes []gcke.Scheme) ([3][]float64, error) {
+	var out [3][]float64
+	grid, err := h.RunAll(workloads, schemes)
+	if err != nil {
+		return out, err
+	}
+	for i := range out {
+		for _, a := range byClass(workloads, grid, len(schemes), metrics[i].get) {
+			out[i] = append(out[i], a.gmean("ALL"))
+		}
+	}
+	return out, nil
+}
+
+// relGain is v's relative gain over base (0 when base is): the rise for
+// a higher-is-better metric, the fall when lowerBetter (ANTT).
+func relGain(v, base float64, lowerBetter bool) float64 {
+	switch {
+	case base == 0:
+		return 0
+	case lowerBetter:
+		return 1 - v/base
+	}
+	return v/base - 1
 }
