@@ -30,16 +30,16 @@
 // per-SM structure, but decide once per fixed 4096-cycle interval with
 // cross-kernel comparison inside each SM's DMIL unit:
 //
-//   - The pipeline is "unhealthy" when its reservation-failure (stall)
-//     cycles exceed a quarter of the interval.
+//   - The pipeline is "unhealthy" when its kernels' reservation-failure
+//     (stall) cycles, summed, reach a quarter of the interval.
 //   - When unhealthy, the kernels holding miss resources the longest
 //     per request (time-integrated in-flight occupancy over completions
 //     — residency, by Little's law) AND above an absolute floor that
 //     only DRAM-bound traffic reaches are cut to half their observed
-//     peak; everyone else keeps their window.
-//   - Otherwise every window reopens past its observed peak with
-//     exponentially growing steps (phase-change recovery, which the
-//     paper's monotone formula lacks).
+//     peak.
+//   - Every kernel not cut, healthy interval or not, reopens its window
+//     past its observed peak with exponentially growing steps
+//     (phase-change recovery, which the paper's monotone formula lacks).
 
 package core
 
@@ -118,10 +118,11 @@ const milgInterval = 4096
 // MILG is one memory instruction limiting number generator.
 //
 // It deviates from the paper's formula in one documented way: failures
-// are normalized per interval cycle rather than per own request. A
-// kernel whose instructions block the LSU head for a quarter of the
-// interval is throttled multiplicatively; below a twelfth the limit
-// recovers with exponential steps. Per-request normalization (the
+// are normalized per interval cycle rather than per own request. When an
+// SM's kernels together block the LSU head for a quarter of the interval
+// or more, the aggressor among them is throttled multiplicatively (cut);
+// every other generator's limit recovers with exponential steps
+// (reopen). Per-request normalization (the
 // paper's rsfail >> 10) hides the asymmetry between an aggressor that
 // monopolizes the memory pipeline with long-running bursts and its
 // victims, because both see similar per-request failure rates while the
@@ -147,11 +148,6 @@ func (m *MILG) cut() {
 	if m.Limit < 1 {
 		m.Limit = 1
 	}
-	m.recover = 1
-}
-
-// hold keeps the current window (another kernel is the aggressor).
-func (m *MILG) hold() {
 	m.recover = 1
 }
 
@@ -256,13 +252,13 @@ func (d *DMIL) NoteInflight(kernel, inflight int) {
 
 // Tick implements sm.Limiter. Every cycle it integrates each kernel's
 // in-flight access count; every milgInterval cycles the generators
-// decide: when the memory pipeline spent more than a sixteenth of the
-// interval stalled, the kernels holding at least an average share of
-// the miss resources the longest per request (residency — a DRAM-bound
+// decide: when the kernels' summed stall cycles reach a quarter of the
+// interval, each kernel whose residency is at least the SM's average and
+// at least milgMinCutResidency is cut in half (residency — a DRAM-bound
 // kernel's requests linger in MSHRs several times longer than an
 // L2-resident kernel's, and neither failure counts nor raw occupancy
-// separate aggressor from victim) are cut in half and the rest hold;
-// otherwise every kernel's window reopens.
+// separate aggressor from victim); every other kernel's window reopens,
+// and so does every window after a healthy interval.
 func (d *DMIL) Tick(cycle int64) {
 	d.cycle = cycle
 	for _, g := range d.gens {
@@ -283,14 +279,11 @@ func (d *DMIL) Tick(cycle int64) {
 	unhealthy := totalStall*4 >= elapsed
 	n := int64(len(d.gens))
 	for _, g := range d.gens {
-		switch {
-		case unhealthy && g.residency()*n >= totalRes && g.residency() >= milgMinCutResidency:
+		if unhealthy && g.residency()*n >= totalRes && g.residency() >= milgMinCutResidency {
 			g.cut()
-		case unhealthy:
+		} else {
 			// Victims reopen even while the pipeline is unhealthy: only
 			// the aggressor should shrink.
-			g.reopen()
-		default:
 			g.reopen()
 		}
 		g.endInterval(cycle)

@@ -9,8 +9,8 @@
 //
 // The paper argues this granularity is too coarse — "WS loses the
 // memory instruction limiting capability when there is only one TB from
-// the memory-intensive kernel" — and the ablation
-// (harness.AblationTBThrottle) measures exactly that comparison.
+// the memory-intensive kernel" — and the harness's abl-tbt comparison
+// measures exactly that.
 
 package core
 

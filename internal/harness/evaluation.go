@@ -11,6 +11,7 @@ import (
 	"fmt"
 
 	gcke "repro"
+	"repro/internal/cache"
 	"repro/internal/config"
 )
 
@@ -60,30 +61,22 @@ var metrics = []metric{
 	{"WeightedSpeedup", (*gcke.WorkloadResult).WeightedSpeedup, true},
 	{"ANTT", (*gcke.WorkloadResult).ANTT, true},
 	{"Fairness", (*gcke.WorkloadResult).Fairness, true},
-	{"L1DMissRate", func(r *gcke.WorkloadResult) float64 {
-		var acc, miss float64
-		for _, k := range r.Kernels {
-			acc += float64(k.L1D.Accesses)
-			miss += float64(k.L1D.Misses - k.L1D.Merged)
-		}
-		if acc == 0 {
-			return 0
-		}
-		return miss / acc
-	}, false},
-	{"L1DRsfailRate", func(r *gcke.WorkloadResult) float64 {
-		var acc, rsf float64
-		for _, k := range r.Kernels {
-			acc += float64(k.L1D.Accesses)
-			rsf += float64(k.L1D.RsFail)
-		}
-		if acc == 0 {
-			return 0
-		}
-		return rsf / acc
-	}, false},
+	{"L1DMissRate", func(r *gcke.WorkloadResult) float64 { return l1d(r).MissRate() }, false},
+	{"L1DRsfailRate", func(r *gcke.WorkloadResult) float64 { return l1d(r).RsFailRate() }, false},
 	{"LSUStallFrac", (*gcke.WorkloadResult).LSUStallFrac, false},
 	{"ComputeUtil", (*gcke.WorkloadResult).ComputeUtil, false},
+}
+
+// l1d sums r's per-kernel L1D statistics.
+func l1d(r *gcke.WorkloadResult) cache.KernelStats {
+	var s cache.KernelStats
+	for _, k := range r.Kernels {
+		s.Accesses += k.L1D.Accesses
+		s.Misses += k.L1D.Misses
+		s.Merged += k.L1D.Merged
+		s.RsFail += k.L1D.RsFail
+	}
+	return s
 }
 
 // comparison is one table Compare prints: every workload under every
@@ -108,65 +101,42 @@ func sensitivity(title string, machine func(*gcke.Config)) comparison {
 // it lands in; a key with several tables prints them in turn.
 var comparisons = map[string][]comparison{
 	"fig12": {{"Figure 12 — QBMI and DMIL on top of Warped-Slicer", fig12, len(metrics), nil}},
-	// The paper reports WS and ANTT for SMK and for 3 kernels.
+	// The paper reports WS and ANTT for SMK and for 3 kernels; these
+	// tables stop after fairness.
 	"fig13": {{"Figure 13 — QBMI and DMIL on top of SMK", fig13, 3, nil}},
 	"fig14": {{"Figure 14 — 3-kernel concurrent execution on Warped-Slicer", fig14, 3, nil}},
 	"sens-l1d": {
 		sensitivity("L1D capacity 48KB", func(c *gcke.Config) { c.L1D.SizeBytes = 48 * 1024 }),
 		sensitivity("L1D capacity 96KB", func(c *gcke.Config) { c.L1D.SizeBytes = 96 * 1024 }),
 	},
-	"sens-lrr": {sensitivity("LRR warp scheduling", func(c *gcke.Config) { c.SM.Scheduler = config.LRR })},
-	// The schemes stay effective with larger MSHR files.
+	"sens-lrr":  {sensitivity("LRR warp scheduling", func(c *gcke.Config) { c.SM.Scheduler = config.LRR })},
 	"sens-mshr": {sensitivity("256 L1D MSHRs", func(c *gcke.Config) { c.L1D.MSHRs = 256 })},
-	// The paper's local (per-SM) DMIL against one MILG set shared by all
-	// SMs.
-	"abl-gdmil": {{"Ablation — local vs global DMIL", schemeSet{
-		[]string{"WS-DMIL", "WS-gDMIL"},
-		[]gcke.Scheme{wsDMIL, {Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitGlobalDMIL}},
-	}, 2, nil}},
-	// Bypassing the L1 for a C+M pair's memory-intensive kernel, with and
-	// without DMIL constraining the bypassed stream: the paper argues
-	// uncontrolled bypassing just moves the congestion down the hierarchy
-	// and that MIL remains effective on top.
+	// The paper's per-SM DMIL against one MILG set shared by all SMs.
+	"abl-gdmil": {{"Ablation — local vs global DMIL", schemeSet{[]string{"WS-DMIL", "WS-gDMIL"},
+		[]gcke.Scheme{wsDMIL, {Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitGlobalDMIL}}}, 2, nil}},
+	// Bypassing a C+M pair's memory kernel's L1, with and without DMIL on
+	// the bypassed stream: the paper argues bypassing alone moves the
+	// congestion down the hierarchy and MIL stays effective on top.
 	"abl-bypass": {{"Ablation — L1 bypassing for the memory-intensive kernel (Section 4.5)", schemeSet{
 		[]string{"WS", "WS-Bypass", "WS-Byp+DMIL", "WS-DMIL"},
-		[]gcke.Scheme{
-			warpedSlicer,
-			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}},
-			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}, Limiting: gcke.LimitDMIL},
-			wsDMIL,
-		},
-	}, 2, nil}},
-	// Statically profiled Warped-Slicer against the paper's
-	// online-profiled dynamic variant.
-	"abl-dynws": {{"Ablation — static vs online-profiled Warped-Slicer", schemeSet{
-		[]string{"WS(static)", "WS(dynamic)"},
-		[]gcke.Scheme{warpedSlicer, {Partition: gcke.PartitionWarpedSlicerDyn}},
-	}, 3, nil}},
+		[]gcke.Scheme{warpedSlicer, {Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}},
+			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}, Limiting: gcke.LimitDMIL}, wsDMIL}}, 2, nil}},
+	"abl-dynws": {{"Ablation — static vs online-profiled Warped-Slicer", schemeSet{[]string{"WS(static)", "WS(dynamic)"},
+		[]gcke.Scheme{warpedSlicer, {Partition: gcke.PartitionWarpedSlicerDyn}}}, 3, nil}},
 	// L1-signal DMIL against the L2/DRAM-signal variant, alone and under
 	// bypassing, where the interference point moves below the L1.
 	"abl-l2mil": {{"Ablation — L2/DRAM-congestion-driven MIL (Section 4.5 future work)", schemeSet{
 		[]string{"WS", "WS-DMIL", "WS-L2MIL", "WS-Byp+L2MIL"},
-		[]gcke.Scheme{
-			warpedSlicer,
-			wsDMIL,
-			{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitL2MIL},
-			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}, Limiting: gcke.LimitL2MIL},
-		},
-	}, 2, nil}},
-	// The paper's refresh-on-any-zero QBMI against an SMK-style
-	// refresh-on-all-zero variant.
-	"abl-qbmi": {{"Ablation — QBMI quota refresh policy", schemeSet{
-		[]string{"QBMI(any0)", "QBMI(all0)"},
-		[]gcke.Scheme{wsQBMI, {Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI, QBMIRefreshAllZero: true}},
-	}, 2, nil}},
-	// TB-granularity throttling (the related-work approach) against the
-	// paper's in-flight access limiting, whose finer granularity the
-	// paper argues wins when the memory kernel holds few TBs.
+		[]gcke.Scheme{warpedSlicer, wsDMIL, {Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitL2MIL},
+			{Partition: gcke.PartitionWarpedSlicer, BypassL1: []bool{false, true}, Limiting: gcke.LimitL2MIL}}}, 2, nil}},
+	// The paper's refresh-on-any-zero QBMI against SMK's refresh-on-all-zero.
+	"abl-qbmi": {{"Ablation — QBMI quota refresh policy", schemeSet{[]string{"QBMI(any0)", "QBMI(all0)"},
+		[]gcke.Scheme{wsQBMI, {Partition: gcke.PartitionWarpedSlicer, MemIssue: gcke.MemIssueQBMI, QBMIRefreshAllZero: true}}}, 2, nil}},
+	// TB-granularity throttling (related work) against MIL, whose finer
+	// granularity the paper argues wins when the memory kernel holds few TBs.
 	"abl-tbt": {{"Ablation — TB-granularity throttling vs memory instruction limiting", schemeSet{
 		[]string{"WS", "WS-TBT", "WS-DMIL"},
-		[]gcke.Scheme{warpedSlicer, {Partition: gcke.PartitionWarpedSlicer, TBThrottle: true}, wsDMIL},
-	}, 3, nil}},
+		[]gcke.Scheme{warpedSlicer, {Partition: gcke.PartitionWarpedSlicer, TBThrottle: true}, wsDMIL}}, 3, nil}},
 }
 
 // Compare prints the comparison tables stored under name, the results/

@@ -1,7 +1,10 @@
 // Package harness drives the paper's experiments: it owns the workload
 // pair/triple sets, caches simulation results across figures, and
 // renders the text tables that stand in for each figure and table of
-// the evaluation (see DESIGN.md's experiment index).
+// the evaluation (see DESIGN.md's experiment index). Figures 12–14 and
+// every sensitivity and ablation table are rows of one comparison table,
+// printed by Compare; PaperComparison measures the headlines on the same
+// scheme sets.
 package harness
 
 import (

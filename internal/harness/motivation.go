@@ -54,7 +54,7 @@ type Figure4Row struct {
 // theoretical weighted speedup at the chosen partition with the
 // achieved one.
 func (h *Harness) Figure4(pairs []Workload) ([]Figure4Row, error) {
-	results, err := h.RunAll(pairs, []gcke.Scheme{{Partition: gcke.PartitionWarpedSlicer}})
+	results, err := h.RunAll(pairs, []gcke.Scheme{warpedSlicer})
 	if err != nil {
 		return nil, err
 	}
@@ -95,10 +95,7 @@ type Figure5Row struct {
 // Figure5 evaluates UCP cache partitioning on the paper's six selected
 // pairs (plus class geometric means over the full set).
 func (h *Harness) Figure5(pairs []Workload) ([]Figure5Row, error) {
-	results, err := h.RunAll(pairs, []gcke.Scheme{
-		{Partition: gcke.PartitionWarpedSlicer},
-		{Partition: gcke.PartitionWarpedSlicer, UCP: true},
-	})
+	results, err := h.RunAll(pairs, []gcke.Scheme{warpedSlicer, {Partition: gcke.PartitionWarpedSlicer, UCP: true}})
 	if err != nil {
 		return nil, err
 	}

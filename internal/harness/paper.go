@@ -98,30 +98,43 @@ func (h *Harness) PaperComparison(pairs []Workload, triples []Workload) error {
 	if err != nil {
 		return err
 	}
-	pub, meas := Published().gains(), m.gains()
+	pub := Published()
 	h.printf("Headline gains over the WS baseline (2-kernel set, gmean) — paper vs measured\n")
 	h.printf("%-22s %8s %9s\n", "metric", "paper", "measured")
-	for i, label := range gainLabels {
-		h.printf("%-22s %7.1f%% %8.1f%%\n", label, pub[i]*100, meas[i]*100)
+	for _, r := range headlineRows {
+		if r.pct {
+			h.printf("%-22s %7.1f%% %8.1f%%\n", r.label, r.of(pub)*100, r.of(m)*100)
+		} else {
+			h.printf("%-22s %8.3f %9.3f\n", r.label, r.of(pub), r.of(m))
+		}
 	}
 	return nil
 }
 
-// gainLabels names the rows of PaperHeadlines.gains.
-var gainLabels = []string{
-	"WS-QBMI WeightedSpd", "WS-DMIL WeightedSpd", "WS-QBMI ANTT", "WS-DMIL ANTT",
-	"WS-QBMI Fairness", "WS-DMIL Fairness", "SMK+QBMI WeightedSpd", "SMK+DMIL WeightedSpd",
-	"SMK+QBMI ANTT", "SMK+DMIL ANTT", "3-kern QBMI WeightedS", "3-kern DMIL WeightedS",
-}
-
-// gains lists x's relative gains in the order gainLabels names them.
-func (x PaperHeadlines) gains() []float64 {
-	return []float64{
-		relGain(x.WSQBMIWS, x.WSWS, false), relGain(x.WSDMILWS, x.WSWS, false),
-		x.QBMIANTTGain, x.DMILANTTGain, x.QBMIFairGain, x.DMILFairGain,
-		x.SMKQBMIWSGain, x.SMKDMILWSGain, x.SMKQBMIANTTGain, x.SMKDMILANTTGain,
-		x.TriQBMIWSGain, x.TriDMILWSGain,
-	}
+// headlineRows are PaperComparison's rows: each reads one number from a
+// PaperHeadlines, paper or measured, printed in percent when pct.
+var headlineRows = []struct {
+	label string
+	pct   bool
+	of    func(PaperHeadlines) float64
+}{
+	{"WS-QBMI WeightedSpd", true, func(x PaperHeadlines) float64 { return relGain(x.WSQBMIWS, x.WSWS, false) }},
+	{"WS-DMIL WeightedSpd", true, func(x PaperHeadlines) float64 { return relGain(x.WSDMILWS, x.WSWS, false) }},
+	{"WS-QBMI ANTT", true, func(x PaperHeadlines) float64 { return x.QBMIANTTGain }},
+	{"WS-DMIL ANTT", true, func(x PaperHeadlines) float64 { return x.DMILANTTGain }},
+	{"WS-QBMI Fairness", true, func(x PaperHeadlines) float64 { return x.QBMIFairGain }},
+	{"WS-DMIL Fairness", true, func(x PaperHeadlines) float64 { return x.DMILFairGain }},
+	{"SMK+QBMI WeightedSpd", true, func(x PaperHeadlines) float64 { return x.SMKQBMIWSGain }},
+	{"SMK+DMIL WeightedSpd", true, func(x PaperHeadlines) float64 { return x.SMKDMILWSGain }},
+	{"SMK+QBMI ANTT", true, func(x PaperHeadlines) float64 { return x.SMKQBMIANTTGain }},
+	{"SMK+DMIL ANTT", true, func(x PaperHeadlines) float64 { return x.SMKDMILANTTGain }},
+	{"3-kern QBMI WeightedS", true, func(x PaperHeadlines) float64 { return x.TriQBMIWSGain }},
+	{"3-kern DMIL WeightedS", true, func(x PaperHeadlines) float64 { return x.TriDMILWSGain }},
+	// Absolute weighted speedups, the level the gains above hide.
+	{"Spatial WS (absolute)", false, func(x PaperHeadlines) float64 { return x.SpatialWS }},
+	{"WS WS (absolute)", false, func(x PaperHeadlines) float64 { return x.WSWS }},
+	{"WS-QBMI WS (absolute)", false, func(x PaperHeadlines) float64 { return x.WSQBMIWS }},
+	{"WS-DMIL WS (absolute)", false, func(x PaperHeadlines) float64 { return x.WSDMILWS }},
 }
 
 // headlines measures what Published reports: Figures 12 and 13's schemes
