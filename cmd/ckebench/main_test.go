@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -65,6 +66,31 @@ func TestRefusesUnknownExperimentsAndPairSets(t *testing.T) {
 			names = append(names, e.Name())
 		}
 		t.Fatalf("-only table2 wrote %v, want [table2.txt]", names)
+	}
+}
+
+// TestRefusesBadMachineFlags: an out-of-range -sms, -cycles,
+// -profile-cycles or -parallel is refused, naming the flag, before
+// anything is simulated or written.
+func TestRefusesBadMachineFlags(t *testing.T) {
+	small := []string{"-only", "table2", "-sms", "1", "-cycles", "2000", "-profile-cycles", "2000"}
+	for _, bad := range [][]string{
+		{"-sms", "0"},
+		{"-cycles", "-5"},
+		{"-profile-cycles", "-1"},
+		{"-parallel", "-1"},
+	} {
+		out := filepath.Join(t.TempDir(), "out")
+		msg, err := ckebench(t, out, append(append([]string(nil), small...), bad...)...)
+		if err == nil {
+			t.Errorf("%v: exit 0, want a refusal:\n%s", bad, msg)
+		}
+		if !strings.Contains(string(msg), bad[0]+"=") {
+			t.Errorf("%v: message %q does not name the flag", bad, msg)
+		}
+		if _, serr := os.Stat(out); !os.IsNotExist(serr) {
+			t.Errorf("%v: %s exists (stat: %v), want nothing written", bad, out, serr)
+		}
 	}
 }
 

@@ -110,7 +110,7 @@ func run(args []string, w io.Writer) error {
 	schemeList := fs.String("scheme", "ws", "schemes separated by ';' (see the command doc)")
 	sms := fs.Int("sms", 4, "number of SMs")
 	cycles := fs.Int64("cycles", 300_000, "evaluation cycles")
-	profCycles := fs.Int64("profile-cycles", 60_000, "profiling cycles")
+	profCycles := fs.Int64("profile-cycles", 60_000, "isolated profiling cycles (0 = -cycles)")
 	warmup := fs.Int64("warmup", 0, "unmanaged warm-up cycles per job")
 	parallel := fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	tail := fs.Int("trace", 0, "trace the one job and print its event mix and last N events (0 = off)")
@@ -121,11 +121,14 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if err := cli.CheckMachine(*sms, *cycles, *profCycles, *parallel); err != nil {
+		return err
+	}
+	if *tail < 0 {
+		return fmt.Errorf("-trace=%d: want a count >= 0 (0 = off)", *tail)
+	}
 
-	session := gcke.NewSession(gcke.ScaledConfig(*sms), *cycles)
-	session.ProfileCycles = *profCycles
-	session.Check = rb.Check
-	session.PhaseTime = prof.PhaseTrace
+	cfg := gcke.ScaledConfig(*sms)
 	var jobs []runner.Job
 	var labels []string
 	for _, spec := range strings.Split(*kernels, ";") {
@@ -146,16 +149,13 @@ func run(args []string, w io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("scheme %q: %w", s, err)
 			}
-			jobs = append(jobs, runner.Job{Session: session, Kernels: wl, Scheme: sc})
+			jobs = append(jobs, runner.Job{Config: cfg, Cycles: *cycles, ProfileCycles: *profCycles, Kernels: wl, Scheme: sc})
 			labels = append(labels, fmt.Sprintf("%s under %s", strings.TrimSpace(spec), sc.Name()))
 		}
 	}
-	if *tail > 0 {
-		// A replayed or cached result has no events.
-		if len(jobs) != 1 || rb.JournalPath != "" || rb.Cache || rb.CacheDir != "" {
-			return errors.New("-trace needs exactly one job and no -journal, -cache or -cache-dir")
-		}
-		session.Trace = trace.New(1 << 16)
+	// A replayed or cached result has no events.
+	if *tail > 0 && (len(jobs) != 1 || rb.JournalPath != "" || rb.Cache || rb.CacheDir != "") {
+		return errors.New("-trace needs exactly one job and no -journal, -cache or -cache-dir")
 	}
 
 	stopProf, err := prof.Start()
@@ -170,6 +170,15 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	defer closeStores()
+	r.PhaseTime = prof.PhaseTrace
+	// Every job runs on the runner's one session for the machine.
+	s, err := r.Session(cfg, *cycles, *profCycles)
+	if err != nil {
+		return err
+	}
+	if *tail > 0 {
+		s.Trace = trace.New(1 << 16)
+	}
 	results := r.Run(ctx, jobs)
 	failed, err := rb.Failures(log.Printf, results)
 	if err != nil {
@@ -186,8 +195,8 @@ func run(args []string, w io.Writer) error {
 			printSeries(w, res.Res)
 		}
 	}
-	if session.Trace != nil {
-		session.Trace.Summary(w, *tail, *kind)
+	if s.Trace != nil {
+		s.Trace.Summary(w, *tail, *kind)
 	}
 	if failed > 0 {
 		return errors.New(cli.FailureSummary(results))

@@ -108,3 +108,45 @@ func TestTraceNeedsOneFreshJob(t *testing.T) {
 		t.Fatalf("traced run printed no event mix or tail:\n%s", out)
 	}
 }
+
+// TestRefusesBadMachineFlags: an out-of-range -sms, -cycles,
+// -profile-cycles, -parallel or -trace is refused, naming the flag,
+// before anything is simulated or printed.
+func TestRefusesBadMachineFlags(t *testing.T) {
+	base := []string{"-kernels", "bp,sv", "-scheme", "even", "-sms", "1", "-cycles", "2000", "-profile-cycles", "2000"}
+	for _, bad := range [][]string{
+		{"-sms", "0"},
+		{"-sms", "-2"},
+		{"-cycles", "0"},
+		{"-cycles", "-5"},
+		{"-profile-cycles", "-1"},
+		{"-parallel", "-1"},
+		{"-trace", "-1"},
+	} {
+		out, err := runOut(t, append(append([]string(nil), base...), bad...)...)
+		if err == nil || out != "" {
+			t.Errorf("%v: err %v, output %q; want a refusal before any output", bad, err, out)
+			continue
+		}
+		if !strings.Contains(err.Error(), bad[0]+"=") {
+			t.Errorf("%v: error %q does not name the flag", bad, err)
+		}
+	}
+}
+
+// TestProfileCyclesZeroMeansCycles: -profile-cycles 0 profiles for
+// -cycles, so it prints what -profile-cycles <cycles> prints.
+func TestProfileCyclesZeroMeansCycles(t *testing.T) {
+	base := []string{"-kernels", "bp,sv", "-scheme", "even", "-sms", "1", "-cycles", "2000"}
+	zero, err := runOut(t, append(base, "-profile-cycles", "0")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := runOut(t, append(base, "-profile-cycles", "2000")...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if zero != full {
+		t.Fatalf("-profile-cycles 0 and -profile-cycles 2000 differ:\n%s\n---\n%s", zero, full)
+	}
+}

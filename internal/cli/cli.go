@@ -87,6 +87,23 @@ func (r *Robustness) Validate() error {
 	return nil
 }
 
+// CheckMachine refuses the machine and pool flags a simulate driver
+// shares — -sms, -cycles, -profile-cycles and -parallel — when out of
+// range, naming the flag, before anything is simulated or written.
+func CheckMachine(sms int, cycles, profileCycles int64, parallel int) error {
+	switch {
+	case sms < 1:
+		return fmt.Errorf("-sms=%d: want a count >= 1", sms)
+	case cycles < 1:
+		return fmt.Errorf("-cycles=%d: want a count >= 1", cycles)
+	case profileCycles < 0:
+		return fmt.Errorf("-profile-cycles=%d: want a count >= 0 (0 = -cycles)", profileCycles)
+	case parallel < 0:
+		return fmt.Errorf("-parallel=%d: want a count >= 0 (0 = GOMAXPROCS)", parallel)
+	}
+	return nil
+}
+
 // Skip reports whether failed points should be skipped rather than
 // aborting the run.
 func (r *Robustness) Skip() bool { return r.OnError == "skip" }
@@ -140,15 +157,16 @@ func plural(n int, one, many string) string {
 }
 
 // Runner validates the options and returns a pool of workers (0 =
-// GOMAXPROCS) running under the per-job timeout with the journal and
-// result cache the flags ask for, and a function that closes those
-// stores.
+// GOMAXPROCS) running under the per-job timeout and the invariant
+// watchdog (-check) with the journal and result cache the flags ask
+// for, and a function that closes those stores.
 func (r *Robustness) Runner(workers int, logf func(format string, args ...any)) (*runner.Runner, func(), error) {
 	if err := r.Validate(); err != nil {
 		return nil, nil, err
 	}
 	run := runner.New(workers)
 	run.Timeout = r.Timeout
+	run.Check = r.Check
 	closeStores := func() {
 		if run.Journal != nil {
 			run.Journal.Close()

@@ -124,3 +124,18 @@ func TestValidateRefusesBadOptions(t *testing.T) {
 		})
 	}
 }
+
+// TestRunnerAppliesCheck: -check reaches the runner, and through it every
+// session the runner makes.
+func TestRunnerAppliesCheck(t *testing.T) {
+	for _, check := range []bool{false, true} {
+		run, closeStores, err := (&Robustness{OnError: "abort", Check: check}).Runner(1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closeStores()
+		if run.Check != check {
+			t.Fatalf("Check=%v: runner.Check = %v", check, run.Check)
+		}
+	}
+}

@@ -23,12 +23,8 @@ func TestHarnessFiguresMatchOnAFleet(t *testing.T) {
 	cfg := gcke.ScaledConfig(2)
 	render := func(run *runner.Runner) string {
 		t.Helper()
-		s, err := run.Session(cfg, 8_000, 6_000)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		h := &harness.Harness{S: s, Out: &buf, Runner: run}
+		h := &harness.Harness{Config: cfg, Cycles: 8_000, ProfileCycles: 6_000, Out: &buf, Runner: run}
 		if err := h.Figure9("bp", "ks", []int{2, 8, 0}); err != nil {
 			t.Fatal(err)
 		}

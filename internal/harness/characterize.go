@@ -24,23 +24,26 @@ type Table2Row struct {
 // Figure 2 series in one pass); the thirteen isolated runs execute
 // concurrently on the harness's pool.
 func (h *Harness) Table2() ([]Table2Row, error) {
-	cfg := h.S.Config()
+	s, err := h.session()
+	if err != nil {
+		return nil, err
+	}
 	names := kern.Names()
 	rows := make([]Table2Row, len(names))
-	err := runner.MapErr(h.ctx(), h.Runner.Workers(), len(names), func(i int) error {
-		d, err := gckeBenchmark(names[i])
+	err = runner.MapErr(h.ctx(), h.Runner.Workers(), len(names), func(i int) error {
+		d, err := kern.ByName(names[i])
 		if err != nil {
 			return err
 		}
-		r, err := h.S.RunIsolatedCtx(h.ctx(), d)
+		r, err := s.RunIsolatedCtx(h.ctx(), d)
 		if err != nil {
 			return err
 		}
-		cls, err := h.S.ClassifyCtx(h.ctx(), d)
+		cls, err := s.ClassifyCtx(h.ctx(), d)
 		if err != nil {
 			return err
 		}
-		occ := d.OccupancyAt(&cfg, d.MaxTBsPerSM(&cfg))
+		occ := d.OccupancyAt(&h.Config, d.MaxTBsPerSM(&h.Config))
 		k := r.Kernels[0]
 		row := Table2Row{
 			Name:         d.Name,
@@ -90,10 +93,3 @@ func (h *Harness) PrintTable2() error {
 	}
 	return nil
 }
-
-// gckeBenchmark adapts kern.ByName to the facade type.
-func gckeBenchmark(name string) (kernDesc, error) {
-	return kern.ByName(name)
-}
-
-type kernDesc = kern.Desc

@@ -141,8 +141,8 @@ var comparisons = map[string][]comparison{
 
 // Compare prints the comparison tables stored under name, the results/
 // file they land in (fig12, fig13, fig14, sens-* and abl-*), for
-// workloads. A sensitivity table runs on a session for its changed
-// machine, on h's runner, writer and context.
+// workloads. A sensitivity table runs on its changed machine, on h's
+// runner, writer and context.
 func (h *Harness) Compare(name string, workloads []Workload) error {
 	cs, ok := comparisons[name]
 	if !ok {
@@ -151,13 +151,9 @@ func (h *Harness) Compare(name string, workloads []Workload) error {
 	for _, c := range cs {
 		on := h
 		if c.machine != nil {
-			cfg := h.S.Config()
-			c.machine(&cfg)
-			s, err := h.Runner.Session(cfg, h.S.Cycles(), h.S.ProfileCycles)
-			if err != nil {
-				return err
-			}
-			on = &Harness{S: s, Out: h.Out, Ctx: h.Ctx, Runner: h.Runner}
+			changed := *h
+			c.machine(&changed.Config)
+			on = &changed
 		}
 		if err := on.compare(c, workloads); err != nil {
 			return err

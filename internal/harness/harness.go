@@ -102,13 +102,18 @@ func DefaultTriples() []Workload {
 	return out
 }
 
-// Harness renders experiments against one Session. Every workload run
-// is a runner.Job on the harness's Runner; because the engine is
+// Harness renders experiments on one machine. Every workload run is a
+// runner.Job on the harness's Runner, and every isolated profile runs on
+// that Runner's session for the machine; because the engine is
 // deterministic and results come back in submission order, the tables
 // are byte-identical to a serial run.
 type Harness struct {
-	S   *gcke.Session
-	Out io.Writer
+	// Config, Cycles and ProfileCycles describe the machine, as on a
+	// runner.Job (ProfileCycles of 0 means Cycles).
+	Config        gcke.Config
+	Cycles        int64
+	ProfileCycles int64
+	Out           io.Writer
 	// Ctx, when non-nil, threads cancellation and deadlines into every
 	// simulation the harness starts (nil means context.Background()).
 	Ctx context.Context
@@ -120,10 +125,10 @@ type Harness struct {
 	Runner *runner.Runner
 }
 
-// New creates a harness writing its tables to out, on a runner from
-// NewRunner(0).
-func New(s *gcke.Session, out io.Writer) *Harness {
-	return &Harness{S: s, Out: out, Runner: NewRunner(0)}
+// New creates a harness for the machine writing its tables to out, on a
+// runner from NewRunner(0).
+func New(cfg gcke.Config, cycles, profileCycles int64, out io.Writer) *Harness {
+	return &Harness{Config: cfg, Cycles: cycles, ProfileCycles: profileCycles, Out: out, Runner: NewRunner(0)}
 }
 
 // NewRunner returns a runner with the given pool size (0 = GOMAXPROCS,
@@ -144,6 +149,12 @@ func (h *Harness) ctx() context.Context {
 		return h.Ctx
 	}
 	return context.Background()
+}
+
+// session is the runner's session for the harness's machine: the one the
+// harness's jobs run on, so a profile measured here is theirs too.
+func (h *Harness) session() (*gcke.Session, error) {
+	return h.Runner.Session(h.Config, h.Cycles, h.ProfileCycles)
 }
 
 // kernels resolves a workload's descriptors.
@@ -179,7 +190,8 @@ func (h *Harness) RunAll(workloads []Workload, schemes []gcke.Scheme) ([][]*gcke
 			return nil, err
 		}
 		for _, sc := range schemes {
-			jobs = append(jobs, runner.Job{Session: h.S, Kernels: ds, Scheme: sc})
+			jobs = append(jobs, runner.Job{Config: h.Config, Cycles: h.Cycles, ProfileCycles: h.ProfileCycles,
+				Kernels: ds, Scheme: sc})
 		}
 	}
 	res := h.Runner.Run(h.ctx(), jobs)

@@ -16,10 +16,8 @@ import (
 
 func tinyHarness(t *testing.T) (*Harness, *bytes.Buffer) {
 	t.Helper()
-	s := gcke.NewSession(gcke.ScaledConfig(2), 15_000)
-	s.ProfileCycles = 10_000
 	var buf bytes.Buffer
-	return New(s, &buf), &buf
+	return New(gcke.ScaledConfig(2), 15_000, 10_000, &buf), &buf
 }
 
 func tinyPairs() []Workload {
@@ -286,10 +284,8 @@ func TestFigure12And13And14(t *testing.T) {
 // byte-identical too.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	render := func(parallel int, jnl *journal.Journal, figs ...func(h *Harness) error) string {
-		s := gcke.NewSession(gcke.ScaledConfig(2), 15_000)
-		s.ProfileCycles = 10_000
 		var buf bytes.Buffer
-		h := New(s, &buf)
+		h := New(gcke.ScaledConfig(2), 15_000, 10_000, &buf)
 		h.Runner = NewRunner(parallel)
 		h.Runner.Journal = jnl
 		for _, fig := range figs {

@@ -19,11 +19,14 @@ func (h *Harness) Figure3(a, b string) error {
 	if err != nil {
 		return err
 	}
+	s, err := h.session()
+	if err != nil {
+		return err
+	}
 	h.printf("Figure 3(a) — isolated IPC vs thread blocks per SM\n")
 	curves := make([][]float64, 2)
-	if err := runner.MapErr(h.ctx(), h.Runner.Workers(), len(ds), func(i int) error {
-		c, err := h.S.CurveCtx(h.ctx(), ds[i])
-		curves[i] = c
+	if err := runner.MapErr(h.ctx(), h.Runner.Workers(), len(ds), func(i int) (err error) {
+		curves[i], err = s.CurveCtx(h.ctx(), ds[i])
 		return err
 	}); err != nil {
 		return err
@@ -35,7 +38,7 @@ func (h *Harness) Figure3(a, b string) error {
 		}
 		h.printf("\n")
 	}
-	row, theo, err := h.S.Partition(ds, gcke.PartitionWarpedSlicer, nil)
+	row, theo, err := s.Partition(ds, gcke.PartitionWarpedSlicer, nil)
 	if err != nil {
 		return err
 	}
@@ -140,16 +143,19 @@ func (h *Harness) Figure6(a, b string, buckets int) error {
 	if err != nil {
 		return err
 	}
+	s, err := h.session()
+	if err != nil {
+		return err
+	}
 	h.printf("Figure 6 — L1D accesses per %d cycles (%s compute, %s memory)\n",
 		stats.SeriesInterval, a, b)
 	// The two isolated series runs and the concurrent run are
 	// independent simulations; overlap them on the pool.
 	iso := make([]*gcke.RunResult, 2)
 	var co *gcke.WorkloadResult
-	if err := runner.MapErr(h.ctx(), h.Runner.Workers(), 3, func(i int) error {
-		var err error
+	if err := runner.MapErr(h.ctx(), h.Runner.Workers(), 3, func(i int) (err error) {
 		if i < 2 {
-			iso[i], err = h.S.RunIsolatedSeriesCtx(h.ctx(), ds[i])
+			iso[i], err = s.RunIsolatedSeriesCtx(h.ctx(), ds[i])
 		} else {
 			co, err = h.Run(w, gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Series: true})
 		}

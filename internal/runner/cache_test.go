@@ -21,7 +21,7 @@ func TestRunCacheHit(t *testing.T) {
 	}
 	r := New(2)
 	r.Cache = c
-	jobs := testJobs(t, testSession(t))[:3]
+	jobs := testJobs(t)[:3]
 	ctx := context.Background()
 
 	cold := r.Run(ctx, jobs)
@@ -65,7 +65,7 @@ func TestRunCachePersistsAcrossProcesses(t *testing.T) {
 	}
 	r1 := New(2)
 	r1.Cache = c1
-	jobs := testJobs(t, testSession(t))[:2]
+	jobs := testJobs(t)[:2]
 	cold := r1.Run(context.Background(), jobs)
 	if err := FirstErr(cold); err != nil {
 		t.Fatal(err)
@@ -81,7 +81,7 @@ func TestRunCachePersistsAcrossProcesses(t *testing.T) {
 	defer c2.Close()
 	r2 := New(2)
 	r2.Cache = c2
-	warm := r2.Run(context.Background(), testJobs(t, testSession(t))[:2])
+	warm := r2.Run(context.Background(), testJobs(t)[:2])
 	if err := FirstErr(warm); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestJournalReplayPopulatesCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := testJobs(t, testSession(t))[:1]
+	jobs := testJobs(t)[:1]
 	r1 := New(1)
 	r1.Journal = jnl
 	if err := FirstErr(r1.Run(context.Background(), jobs)); err != nil {
@@ -144,8 +144,7 @@ func TestFreshBypassesCacheAndJournal(t *testing.T) {
 	defer j.Close()
 	bp, _ := gcke.Benchmark("bp")
 	sv, _ := gcke.Benchmark("sv")
-	job := Job{Session: testSession(t), Kernels: []gcke.Kernel{bp, sv},
-		Scheme: gcke.Scheme{Partition: gcke.PartitionEven}}
+	job := testJob([]gcke.Kernel{bp, sv}, gcke.Scheme{Partition: gcke.PartitionEven})
 
 	r := New(1)
 	r.Journal = j

@@ -32,16 +32,13 @@ import (
 	"repro/internal/resultcache"
 )
 
-// Job is one simulation point: a workload run under a scheme against an
-// architecture. Either set Session explicitly (to share profile caches
-// with other jobs and with non-runner code) or leave it nil and fill
-// Config/Cycles/ProfileCycles, in which case the Runner derives a
-// Session and shares it between all jobs with the same parameters.
+// Job is one simulation point: a workload run under a scheme on a
+// machine named by value. The Runner makes the machine's Session
+// (Runner.Session) and shares it, and so its profile caches, between
+// all jobs with the same Config, Cycles and ProfileCycles.
 type Job struct {
-	// Session to run against; overrides Config/Cycles when non-nil.
-	Session *gcke.Session
-	// Config, Cycles and ProfileCycles describe the machine when
-	// Session is nil. ProfileCycles of 0 means Cycles.
+	// Config, Cycles and ProfileCycles describe the machine.
+	// ProfileCycles of 0 means Cycles.
 	Config        gcke.Config
 	Cycles        int64
 	ProfileCycles int64
@@ -75,11 +72,7 @@ func (j *Job) Key() (string, error) {
 		// lacks, so such a result is never served for it.
 		Samples bool `json:",omitempty"`
 	}{j.Config, j.Cycles, j.ProfileCycles, j.Kernels, j.Scheme, j.Scheme.Series}
-	if s := j.Session; s != nil {
-		fp.Config = s.Config()
-		fp.Cycles = s.Cycles()
-		fp.ProfileCycles = s.ProfileCycles
-	} else if fp.ProfileCycles <= 0 {
+	if fp.ProfileCycles <= 0 {
 		fp.ProfileCycles = fp.Cycles
 	}
 	raw, err := json.Marshal(fp)
@@ -151,13 +144,12 @@ type Runner struct {
 	// pass-through), unlike journal appends, which are the sweep's
 	// durability contract.
 	Cache *resultcache.Store
-	// Check enables the per-cycle invariant watchdog on sessions the
-	// runner derives (jobs with a nil Session). Set it before the first
-	// Run; explicit job sessions keep their own Check setting.
+	// Check enables the per-cycle invariant watchdog on the runner's
+	// sessions. Set it before the first Run or Session call.
 	Check bool
-	// PhaseTime enables per-phase engine wall-clock counters on derived
-	// sessions (gcke.Session.PhaseTime); totals are process-wide via
-	// gpu.PhaseTotals. Set it before the first Run.
+	// PhaseTime enables per-phase engine wall-clock counters on the
+	// runner's sessions (gcke.Session.PhaseTime); totals are process-wide
+	// via gpu.PhaseTotals. Set it before the first Run or Session call.
 	PhaseTime bool
 	// Executor, when non-nil, runs every job the cache and journal do not
 	// serve, in place of the local simulation, and the pool then has
@@ -166,7 +158,7 @@ type Runner struct {
 	Executor Executor
 
 	mu       sync.Mutex
-	sessions map[string]*gcke.Session // derived sessions, deduplicated
+	sessions map[string]*gcke.Session // one per machine description
 }
 
 // Executor runs jobs somewhere other than this process (internal/fleet's
@@ -192,8 +184,9 @@ func New(workers int) *Runner {
 func (r *Runner) Workers() int { return r.workers }
 
 // Session returns the runner's shared session for a machine description,
-// creating it on first use. Jobs with equal (Config, Cycles,
-// ProfileCycles) share one session and therefore one profile cache.
+// creating it on first use; it is the one place a job's session is
+// made. Jobs with equal (Config, Cycles, ProfileCycles) share one
+// session and therefore one profile cache.
 func (r *Runner) Session(cfg gcke.Config, cycles, profileCycles int64) (*gcke.Session, error) {
 	if profileCycles <= 0 {
 		profileCycles = cycles
@@ -346,12 +339,9 @@ func (r *Runner) simulate(ctx context.Context, i int, j *Job, key string) (*gcke
 			return nil, nil, err
 		}
 	}
-	s := j.Session
-	if s == nil {
-		var err error
-		if s, err = r.Session(j.Config, j.Cycles, j.ProfileCycles); err != nil {
-			return nil, nil, err
-		}
+	s, err := r.Session(j.Config, j.Cycles, j.ProfileCycles)
+	if err != nil {
+		return nil, nil, err
 	}
 	res, err := s.RunWorkloadCtx(ctx, j.Kernels, j.Scheme)
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 	"repro/internal/journal"
 )
 
-func testJobs(t *testing.T, s *gcke.Session) []Job {
+func testJobs(t *testing.T) []Job {
 	t.Helper()
 	bp, _ := gcke.Benchmark("bp")
 	sv, _ := gcke.Benchmark("sv")
@@ -30,17 +30,16 @@ func testJobs(t *testing.T, s *gcke.Session) []Job {
 	var jobs []Job
 	for _, wl := range [][]gcke.Kernel{{bp, sv}, {bp, ks}} {
 		for _, sc := range schemes {
-			jobs = append(jobs, Job{Session: s, Kernels: wl, Scheme: sc})
+			jobs = append(jobs, testJob(wl, sc))
 		}
 	}
 	return jobs
 }
 
-func testSession(t *testing.T) *gcke.Session {
-	t.Helper()
-	s := gcke.NewSession(gcke.ScaledConfig(2), 15_000)
-	s.ProfileCycles = 10_000
-	return s
+// testJob runs kernels under sc on the small machine the runner tests
+// share.
+func testJob(kernels []gcke.Kernel, sc gcke.Scheme) Job {
+	return Job{Config: gcke.ScaledConfig(2), Cycles: 15_000, ProfileCycles: 10_000, Kernels: kernels, Scheme: sc}
 }
 
 // TestParallelMatchesSerial pins the "parallelism never changes results"
@@ -48,9 +47,9 @@ func testSession(t *testing.T) *gcke.Session {
 // through the parallel pool must produce identical RunResult stats.
 func TestParallelMatchesSerial(t *testing.T) {
 	ctx := context.Background()
-	serial1 := New(1).Run(ctx, testJobs(t, testSession(t)))
-	serial2 := New(1).Run(ctx, testJobs(t, testSession(t)))
-	parallel := New(8).Run(ctx, testJobs(t, testSession(t)))
+	serial1 := New(1).Run(ctx, testJobs(t))
+	serial2 := New(1).Run(ctx, testJobs(t))
+	parallel := New(8).Run(ctx, testJobs(t))
 
 	if err := FirstErr(serial1); err != nil {
 		t.Fatal(err)
@@ -83,26 +82,34 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestSharedSessionUnderConcurrency hammers one session's profile cache
 // from many jobs needing the same profiles; with -race this doubles as
-// the Session thread-safety check.
+// the Session thread-safety check. The jobs differ in their static
+// limits, so each has its own fingerprint and every one simulates.
 func TestSharedSessionUnderConcurrency(t *testing.T) {
-	s := testSession(t)
+	var sims atomic.Int32
+	testJobHook = func(i int, j *Job) { sims.Add(1) }
+	defer func() { testJobHook = nil }()
+
 	bp, _ := gcke.Benchmark("bp")
 	sv, _ := gcke.Benchmark("sv")
 	jobs := make([]Job, 12)
 	for i := range jobs {
-		jobs[i] = Job{Session: s, Kernels: []gcke.Kernel{bp, sv},
-			Scheme: gcke.Scheme{Partition: gcke.PartitionEven}}
+		jobs[i] = testJob([]gcke.Kernel{bp, sv}, gcke.Scheme{Partition: gcke.PartitionEven,
+			Limiting: gcke.LimitStatic, StaticLimits: []int{i + 1, i + 1}})
 	}
-	results := New(6).Run(context.Background(), jobs)
+	r := New(6)
+	results := r.Run(context.Background(), jobs)
 	if err := FirstErr(results); err != nil {
 		t.Fatal(err)
 	}
-	for i := 1; i < len(results); i++ {
-		if !reflect.DeepEqual(*results[0].Res.RunResult, *results[i].Res.RunResult) {
-			t.Fatalf("identical jobs %d disagree", i)
-		}
+	if n := sims.Load(); n != int32(len(jobs)) {
+		t.Fatalf("%d of %d jobs simulated", n, len(jobs))
 	}
-	// The shared full-occupancy profiles must be cached as one object.
+	// The shared full-occupancy profiles must be cached as one object
+	// in the runner's session.
+	s, err := r.Session(jobs[0].Config, jobs[0].Cycles, jobs[0].ProfileCycles)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r1, err := s.RunIsolated(bp)
 	if err != nil {
 		t.Fatal(err)
@@ -155,13 +162,10 @@ func TestRunnerDerivesAndDedupsSessions(t *testing.T) {
 }
 
 func TestRunReportsErrorsInOrder(t *testing.T) {
-	s := testSession(t)
 	bp, _ := gcke.Benchmark("bp")
 	sv, _ := gcke.Benchmark("sv")
-	good := Job{Session: s, Kernels: []gcke.Kernel{bp, sv},
-		Scheme: gcke.Scheme{Partition: gcke.PartitionEven}}
-	bad := Job{Session: s, Kernels: []gcke.Kernel{bp, sv},
-		Scheme: gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitStatic}}
+	good := testJob([]gcke.Kernel{bp, sv}, gcke.Scheme{Partition: gcke.PartitionEven})
+	bad := testJob([]gcke.Kernel{bp, sv}, gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Limiting: gcke.LimitStatic})
 	results := New(4).Run(context.Background(), []Job{good, bad, good})
 	if results[0].Err != nil || results[2].Err != nil {
 		t.Fatalf("good jobs failed: %v %v", results[0].Err, results[2].Err)
@@ -188,7 +192,7 @@ func TestRunRecoversPanicIntoJobError(t *testing.T) {
 	}
 	defer func() { testJobHook = nil }()
 
-	jobs := testJobs(t, testSession(t))
+	jobs := testJobs(t)
 	results := New(4).Run(context.Background(), jobs)
 	for i, res := range results {
 		if i == 2 {
@@ -228,8 +232,7 @@ func TestRunCollapsesDuplicateFingerprints(t *testing.T) {
 
 	bp, _ := gcke.Benchmark("bp")
 	sv, _ := gcke.Benchmark("sv")
-	s := testSession(t)
-	dup := Job{Session: s, Kernels: []gcke.Kernel{bp, sv}, Scheme: gcke.Scheme{Partition: gcke.PartitionEven}}
+	dup := testJob([]gcke.Kernel{bp, sv}, gcke.Scheme{Partition: gcke.PartitionEven})
 	other := dup
 	other.Scheme = gcke.Scheme{Partition: gcke.PartitionLeftover}
 	// Slots 0-2 and 4-6 share a fingerprint; slot 3 is the distinct job.
@@ -303,7 +306,7 @@ func TestRunHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		results := New(workers).Run(ctx, testJobs(t, testSession(t)))
+		results := New(workers).Run(ctx, testJobs(t))
 		for i, res := range results {
 			if !errors.Is(res.Err, context.Canceled) {
 				t.Fatalf("workers=%d job %d: err=%v, want context.Canceled", workers, i, res.Err)
@@ -316,14 +319,13 @@ func TestRunHonorsCancellation(t *testing.T) {
 // fail with context.DeadlineExceeded (wrapped over gpu.ErrInterrupted)
 // rather than hanging the sweep.
 func TestRunPerJobTimeout(t *testing.T) {
-	// A session big enough that the run cannot finish in a millisecond.
-	s := gcke.NewSession(gcke.ScaledConfig(2), 50_000_000)
+	// A run long enough that it cannot finish in a millisecond.
 	bp, _ := gcke.Benchmark("bp")
 	sv, _ := gcke.Benchmark("sv")
 	r := New(2)
 	r.Timeout = time.Millisecond
 	results := r.Run(context.Background(), []Job{{
-		Session: s, Kernels: []gcke.Kernel{bp, sv},
+		Config: gcke.ScaledConfig(2), Cycles: 50_000_000, Kernels: []gcke.Kernel{bp, sv},
 		Scheme: gcke.Scheme{Partition: gcke.PartitionEven},
 	}})
 	if !errors.Is(results[0].Err, context.DeadlineExceeded) {
@@ -336,8 +338,8 @@ func TestRunPerJobTimeout(t *testing.T) {
 // replays the finished points and produces results identical to an
 // uninterrupted run.
 func TestRunJournalResume(t *testing.T) {
-	jobs := testJobs(t, testSession(t))
-	golden := New(4).Run(context.Background(), testJobs(t, testSession(t)))
+	jobs := testJobs(t)
+	golden := New(4).Run(context.Background(), testJobs(t))
 	if err := FirstErr(golden); err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +367,7 @@ func TestRunJournalResume(t *testing.T) {
 	defer j2.Close()
 	r2 := New(4)
 	r2.Journal = j2
-	resumed := r2.Run(context.Background(), testJobs(t, testSession(t)))
+	resumed := r2.Run(context.Background(), testJobs(t))
 	if err := FirstErr(resumed); err != nil {
 		t.Fatal(err)
 	}
@@ -392,30 +394,34 @@ func TestRunJournalResume(t *testing.T) {
 	}
 }
 
-// TestJobKeyStability: the fingerprint must not depend on whether the
-// machine is described inline or via a derived session, and must change
-// when any dimension of the point changes.
+// TestJobKeyStability: one machine has one fingerprint — ProfileCycles
+// 0 means Cycles, so the two spellings key alike — and the fingerprint
+// changes when any dimension of the point changes.
 func TestJobKeyStability(t *testing.T) {
 	cfg := gcke.ScaledConfig(2)
 	bp, _ := gcke.Benchmark("bp")
 	sv, _ := gcke.Benchmark("sv")
 	inline := Job{Config: cfg, Cycles: 15_000, ProfileCycles: 10_000,
 		Kernels: []gcke.Kernel{bp, sv}, Scheme: gcke.Scheme{Partition: gcke.PartitionEven}}
-	s := gcke.NewSession(cfg, 15_000)
-	s.ProfileCycles = 10_000
-	viaSession := inline
-	viaSession.Session = s
-
 	k1, err := inline.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	k2, err := viaSession.Key()
+	zero, full := inline, inline
+	zero.ProfileCycles, full.ProfileCycles = 0, inline.Cycles
+	kz, err := zero.Key()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if k1 != k2 {
-		t.Fatalf("same point fingerprints differently: %q vs %q", k1, k2)
+	kf, err := full.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kz != kf {
+		t.Fatalf("ProfileCycles 0 and ProfileCycles = Cycles fingerprint differently: %q vs %q", kz, kf)
+	}
+	if kz == k1 {
+		t.Fatal("different profile lengths share a fingerprint")
 	}
 	other := inline
 	other.Scheme = gcke.Scheme{Partition: gcke.PartitionSMK}

@@ -49,7 +49,7 @@ func TestIsTransient(t *testing.T) {
 // TestRunFaultSeam: an error returned by the Fault hook fails exactly
 // that job; a panicking hook is recovered like any worker panic.
 func TestRunFaultSeam(t *testing.T) {
-	jobs := testJobs(t, testSession(t))
+	jobs := testJobs(t)
 	r := New(4)
 	r.Fault = func(ctx context.Context, index int, key string) error {
 		switch index {
@@ -86,11 +86,10 @@ func TestRunFaultSeam(t *testing.T) {
 // recovering shape the service retry loop depends on.
 func TestRunChaosPanicThenRecover(t *testing.T) {
 	inj := chaos.New(chaos.Config{Seed: 3, PanicProb: 1, Failures: 1})
-	s := testSession(t)
 	r := New(4)
 	r.Fault = inj.JobFault
 
-	first := r.Run(context.Background(), testJobs(t, s))
+	first := r.Run(context.Background(), testJobs(t))
 	for i, res := range first {
 		var pe *PanicError
 		if !errors.As(res.Err, &pe) {
@@ -100,7 +99,7 @@ func TestRunChaosPanicThenRecover(t *testing.T) {
 			t.Fatalf("job %d: injected panic not classified transient", i)
 		}
 	}
-	second := r.Run(context.Background(), testJobs(t, s))
+	second := r.Run(context.Background(), testJobs(t))
 	if err := FirstErr(second); err != nil {
 		t.Fatalf("retry after chaos budget spent still fails: %v", err)
 	}
@@ -113,12 +112,11 @@ func TestRunChaosPanicThenRecover(t *testing.T) {
 // silent zero Result, never a mixed or missing attribution.
 func TestRunTimeoutCancelRace(t *testing.T) {
 	// A run far too long to finish, so only the two deadlines can end it.
-	s := gcke.NewSession(gcke.ScaledConfig(2), 500_000_000)
 	bp, _ := gcke.Benchmark("bp")
 	sv, _ := gcke.Benchmark("sv")
 	jobs := make([]Job, 8)
 	for i := range jobs {
-		jobs[i] = Job{Session: s, Kernels: []gcke.Kernel{bp, sv},
+		jobs[i] = Job{Config: gcke.ScaledConfig(2), Cycles: 500_000_000, Kernels: []gcke.Kernel{bp, sv},
 			Scheme: gcke.Scheme{Partition: gcke.PartitionEven}}
 	}
 	r := New(4)
