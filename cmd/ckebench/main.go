@@ -235,8 +235,8 @@ func experiments(pairSet, only string) ([]experiment, error) {
 // logFleetStats prints the fleet's end-of-run summary line.
 func logFleetStats(co *fleet.Coordinator) {
 	st := co.StatsSnapshot()
-	log.Printf("fleet: %d completed, %d failed, %d dispatches, %d requeues (%d budget-paced), %d sheds, %d hedges (%d won), %d ejections, %d audits (%d mismatched), %d quarantined",
-		st.Completed, st.Failed, st.Dispatched, st.Requeues, st.RetryBudgetWaits, st.Shed429, st.Hedges, st.HedgeWins, st.Ejections, st.Audits, st.AuditMismatches, st.Quarantined)
+	log.Printf("fleet: %d completed, %d failed, %d dispatches, %d requeues, %d sheds, %d hedges (%d won), %d ejections, %d audits (%d mismatched), %d quarantined",
+		st.Completed, st.Failed, st.Dispatched, st.Requeues, st.Shed429, st.Hedges, st.HedgeWins, st.Ejections, st.Audits, st.AuditMismatches, st.Quarantined)
 }
 
 // openFleet assembles the coordinator -fleet names and, with addr, serves

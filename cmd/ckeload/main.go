@@ -53,6 +53,9 @@ func main() {
 	out := flag.String("out", "", "write the JSON report here (empty = stdout)")
 	flag.Parse()
 
+	if err := cli.CheckMachine(*sms, *cycles, *profileCycles, 0); err != nil {
+		log.Fatal(err)
+	}
 	ms, err := loadgen.ParseMultipliers(*multipliers)
 	if err != nil {
 		log.Fatal(err)

@@ -20,9 +20,11 @@
 //     requeued to another worker.
 //   - Requeue with deterministic backoff: worker 5xx, connection
 //     failure, shed (429) and lease expiry all requeue the job, spaced
-//     by the per-fingerprint backoff policy, capped at maxAttempts. It
-//     is the one retry layer: a worker runs each job once and answers a
-//     transient failure with "transient": true.
+//     by the per-fingerprint backoff policy or the worker's Retry-After,
+//     whichever is longer. It is the one retry layer, bounded per job by
+//     maxAttempts (a 429 spends no attempt) and in load by the
+//     slotsPerWorker dispatches each worker may hold: a worker runs each
+//     job once and answers a transient failure with "transient": true.
 //   - Health: each worker is probed at /healthz on an interval;
 //     a failing prober ejects the worker from the dispatch set,
 //     a succeeding one re-admits it. Connection errors and unparseable
@@ -132,16 +134,6 @@ const (
 	// dogpiling one node (a ckeserve -parallel 1 worker still admits 3
 	// requests, so 2 pipeline without shedding).
 	slotsPerWorker = 2
-	// The retry budget paces requeues rather than failing them: each
-	// completed job refills retryBudgetRatio tokens into a bucket of
-	// retryBudgetBurst, each requeue spends one, and a requeue with no
-	// token waits out retryBudgetWait first — so a fleet whose dispatches
-	// are all failing stops hammering itself without ever abandoning a
-	// job maxAttempts would still allow. 429 sheds are backpressure, not
-	// retries: they stay exempt.
-	retryBudgetRatio = 0.1
-	retryBudgetBurst = 32
-	retryBudgetWait  = 15 * time.Second
 )
 
 // Line is one merged-output NDJSON record. It carries only
@@ -215,12 +207,8 @@ type Coordinator struct {
 	ctx     context.Context
 	stop    context.CancelFunc
 	probers sync.WaitGroup
-	// budget meters requeues: completed jobs refill it, each requeue
-	// spends a token, and an empty bucket paces the requeue by
-	// budgetWait instead of firing it on the backoff schedule.
-	budget *overload.RetryBudget
-	// est holds the successful-dispatch latency of every job, under
-	// overload.AllFamilies; it sizes the straggler-hedge threshold.
+	// est holds the successful-dispatch latency of every job; it sizes
+	// the straggler-hedge threshold.
 	est *overload.Estimator
 
 	// Seeded from the constants; tests shorten them before the first
@@ -228,7 +216,6 @@ type Coordinator struct {
 	maxAttempts    int
 	retry          backoff.Policy
 	healthInterval time.Duration
-	budgetWait     time.Duration
 
 	dispatched    atomic.Int64
 	requeues      atomic.Int64
@@ -246,7 +233,6 @@ type Coordinator struct {
 	quarantines      atomic.Int64 // workers quarantined
 	digestMismatches atomic.Int64 // responses failing their own digest
 	drainSkips       atomic.Int64 // draining transitions observed by /readyz probes
-	budgetWaits      atomic.Int64 // requeues paced because the retry budget ran dry
 }
 
 // New assembles a coordinator for the given worker set.
@@ -260,12 +246,10 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:            cfg,
 		client:         &http.Client{Transport: cfg.Transport},
-		budget:         overload.NewRetryBudget(retryBudgetRatio, retryBudgetBurst),
 		est:            overload.NewEstimator(),
 		maxAttempts:    maxAttempts,
 		retry:          backoff.Default(),
 		healthInterval: healthInterval,
-		budgetWait:     retryBudgetWait,
 	}
 	c.ctx, c.stop = context.WithCancel(context.Background())
 	for _, u := range cfg.Workers {
@@ -408,7 +392,6 @@ func (c *Coordinator) lifecycle(ctx context.Context, t *task) {
 				o.ok, o.reason = false, "audit condemned the result"
 				break
 			}
-			c.budget.Earn()
 			return
 		case o.permanent:
 			t.err = errors.New(o.errText)
@@ -435,18 +418,6 @@ func (c *Coordinator) lifecycle(ctx context.Context, t *task) {
 		delay := c.retry.Delay(t.key, attempt)
 		if o.retryAfter > delay {
 			delay = o.retryAfter
-		}
-		if !o.shed && !c.budget.Spend() {
-			// The retry budget ran dry: the fleet's failures are no longer
-			// a bounded fraction of its successes, so this requeue is load
-			// amplification. Pace it — stretch the wait to budgetWait and
-			// then proceed; maxAttempts stays the only thing that abandons
-			// a job. (429 backpressure never reaches here.)
-			c.budgetWaits.Add(1)
-			c.cfg.Logf("fleet: retry budget dry: pacing requeue of %s by %s", t.key, c.budgetWait)
-			if c.budgetWait > delay {
-				delay = c.budgetWait
-			}
 		}
 		if err := backoff.Sleep(ctx, delay); err != nil {
 			t.err = fmt.Errorf("fleet: sweep cancelled: %w", err)
@@ -530,8 +501,7 @@ func (c *Coordinator) hedgeThreshold() time.Duration {
 	if c.cfg.HedgeAfter < 0 {
 		return 0
 	}
-	est, _ := c.est.Estimate(overload.AllFamilies)
-	return max(est*hedgeFactor, c.cfg.HedgeAfter)
+	return max(c.est.Estimate()*hedgeFactor, c.cfg.HedgeAfter)
 }
 
 // dispatch posts one job to one worker under a lease and classifies
@@ -622,7 +592,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, t *task, fresh bo
 			c.eject(w, fmt.Errorf("malformed result body"))
 			return outcome{reason: fmt.Sprintf("%s answered 200 with an undecodable result", w.url)}
 		}
-		c.est.Observe(overload.AllFamilies, time.Since(start))
+		c.est.Observe(time.Since(start))
 		return outcome{ok: true, result: &res, raw: shadow.Result, src: w}
 	case resp.StatusCode == http.StatusTooManyRequests:
 		o := outcome{shed: true, reason: fmt.Sprintf("%s shed the job (429)", w.url)}
@@ -901,11 +871,6 @@ type Stats struct {
 	Quarantined      int64 `json:"quarantined"`
 	DigestMismatches int64 `json:"digest_mismatches"`
 	DrainSkips       int64 `json:"drain_skips"`
-	// Retry-budget gauges: the bucket's current balance and how many
-	// requeues were paced (delayed by retryBudgetWait) because it ran
-	// dry.
-	RetryBudgetTokens float64 `json:"retry_budget_tokens"`
-	RetryBudgetWaits  int64   `json:"retry_budget_waits"`
 }
 
 // StatsSnapshot returns current fleet counters.
@@ -927,9 +892,6 @@ func (c *Coordinator) StatsSnapshot() Stats {
 		Quarantined:      c.quarantines.Load(),
 		DigestMismatches: c.digestMismatches.Load(),
 		DrainSkips:       c.drainSkips.Load(),
-
-		RetryBudgetTokens: c.budget.Tokens(),
-		RetryBudgetWaits:  c.budgetWaits.Load(),
 	}
 	for _, w := range c.workers {
 		st.Workers = append(st.Workers, WorkerStatus{

@@ -1,9 +1,10 @@
 package fleet
 
 // Internal-package tests for the overload-control seams: prober phase
-// jitter and retry-budget requeue pacing. The end-to-end fleet
-// behaviour lives in the external fleet_test package; these pin the
-// mechanisms directly.
+// jitter and the requeue's attempt cap, which a transient failure
+// spends and a 429 shed does not. The end-to-end fleet behaviour lives
+// in the external fleet_test package; these pin the mechanisms
+// directly.
 
 import (
 	"bytes"
@@ -16,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/backoff"
-	"repro/internal/overload"
 	"repro/internal/server"
 )
 
@@ -47,23 +47,17 @@ func TestProberPhaseJitterDeterministicAndSpread(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetPacesRequeues: with the budget drained, a transient
-// worker failure is still requeued (maxAttempts stays the only cap) but
-// only after budgetWait — and the pacing is visible in stats.
-func TestRetryBudgetPacesRequeues(t *testing.T) {
-	var hits atomic.Int64
-	var times [3]atomic.Int64
+// TestTransientFailureRequeuedUpToMaxAttempts: a transient worker
+// failure is requeued until maxAttempts dispatches have failed, and
+// the job then ends as an attempts-exhausted failure line.
+func TestTransientFailureRequeuedUpToMaxAttempts(t *testing.T) {
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/healthz", "/readyz":
 			w.WriteHeader(http.StatusOK)
 		case "/jobs":
-			n := hits.Add(1)
-			if n <= int64(len(times)) {
-				times[n-1].Store(time.Now().UnixNano())
-			}
 			// Parseable transient failure: requeued without ejecting the
-			// worker, so the budget path (not the health path) decides.
+			// worker, so the attempt cap (not the health path) decides.
 			w.WriteHeader(http.StatusInternalServerError)
 			json.NewEncoder(w).Encode(server.JobResponse{Error: "injected transient", Transient: true})
 		default:
@@ -72,15 +66,12 @@ func TestRetryBudgetPacesRequeues(t *testing.T) {
 	}))
 	defer worker.Close()
 
-	const pace = 120 * time.Millisecond
 	c, err := New(Config{Workers: []string{worker.URL}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.maxAttempts = 3
 	c.retry = backoff.Policy{Base: time.Millisecond, Cap: time.Millisecond, Factor: 1}
-	c.budget = overload.NewRetryBudget(retryBudgetRatio, 0) // every requeue is paced
-	c.budgetWait = pace
 
 	req := server.JobRequest{
 		SMs: 2, Cycles: 1000, Kernels: []string{"bp"},
@@ -92,23 +83,9 @@ func TestRetryBudgetPacesRequeues(t *testing.T) {
 
 	st := c.StatsSnapshot()
 	if st.Dispatched != 3 {
-		t.Fatalf("dispatched = %d, want 3 (budget must pace, not abandon)", st.Dispatched)
+		t.Fatalf("dispatched = %d, want 3 (one per allowed attempt)", st.Dispatched)
 	}
-	if st.RetryBudgetWaits != 2 {
-		t.Fatalf("retry_budget_waits = %d, want 2", st.RetryBudgetWaits)
-	}
-	if st.RetryBudgetTokens != 0 {
-		t.Fatalf("retry_budget_tokens = %v, want 0", st.RetryBudgetTokens)
-	}
-	// Each paced requeue must have waited out budgetWait, not the
-	// millisecond backoff.
-	for i := 0; i < 2; i++ {
-		gap := time.Duration(times[i+1].Load() - times[i].Load())
-		if gap < pace {
-			t.Fatalf("requeue %d fired after %v, want >= %v (paced)", i+1, gap, pace)
-		}
-	}
-	// The job still ends as a normal attempts-exhausted failure.
+	// The job ends as a normal attempts-exhausted failure.
 	var line Line
 	if err := json.Unmarshal(out.Bytes(), &line); err != nil {
 		t.Fatalf("output %q: %v", out.String(), err)
@@ -118,9 +95,9 @@ func TestRetryBudgetPacesRequeues(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetExemptFrom429: sheds are backpressure, not retries —
-// they must not spend budget tokens or trigger pacing.
-func TestRetryBudgetExemptFrom429(t *testing.T) {
+// TestShedsSpendNoAttempts: sheds are backpressure, not failures — two
+// 429s do not use up maxAttempts 2, so the third dispatch still runs.
+func TestShedsSpendNoAttempts(t *testing.T) {
 	var hits atomic.Int64
 	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
@@ -148,8 +125,6 @@ func TestRetryBudgetExemptFrom429(t *testing.T) {
 	}
 	c.maxAttempts = 2
 	c.retry = backoff.Policy{Base: time.Millisecond, Cap: time.Millisecond, Factor: 1}
-	c.budget = overload.NewRetryBudget(retryBudgetRatio, 0) // any spend attempt would pace
-	c.budgetWait = time.Hour
 	req := server.JobRequest{SMs: 2, Cycles: 1000, Kernels: []string{"bp"}}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -162,7 +137,7 @@ func TestRetryBudgetExemptFrom429(t *testing.T) {
 	if st.Shed429 != 2 {
 		t.Fatalf("shed_429 = %d, want 2", st.Shed429)
 	}
-	if st.RetryBudgetWaits != 0 {
-		t.Fatalf("429s consulted the retry budget: waits = %d, want 0", st.RetryBudgetWaits)
+	if st.Dispatched != 3 {
+		t.Fatalf("dispatched = %d, want 3 (429s must not spend attempts)", st.Dispatched)
 	}
 }

@@ -3,8 +3,6 @@ package fleet
 import (
 	"testing"
 	"time"
-
-	"repro/internal/overload"
 )
 
 // TestHedgeThresholdDefaultFloor: at the default HedgeAfter (0) nothing
@@ -19,7 +17,7 @@ func TestHedgeThresholdDefaultFloor(t *testing.T) {
 	if th := c.hedgeThreshold(); th != 0 {
 		t.Fatalf("no samples: threshold = %v, want 0 (hedging off)", th)
 	}
-	c.est.Observe(overload.AllFamilies, 50*time.Millisecond)
+	c.est.Observe(50 * time.Millisecond)
 	if th := c.hedgeThreshold(); th != hedgeFactor*50*time.Millisecond {
 		t.Fatalf("one sample: threshold = %v, want %v", th, hedgeFactor*50*time.Millisecond)
 	}

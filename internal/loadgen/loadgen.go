@@ -94,7 +94,7 @@ type Config struct {
 	// misclassify boundary jobs.
 	Grace time.Duration
 	// Job shape: machine size, run lengths, kernel mix (defaults: 2 SMs,
-	// 8000 cycles, 6000 profile cycles, bp+ks).
+	// 8000 cycles, profile cycles 0 = cycles, bp+ks).
 	SMs           int
 	Cycles        int64
 	ProfileCycles int64
@@ -120,9 +120,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Cycles <= 0 {
 		c.Cycles = 8000
-	}
-	if c.ProfileCycles < 0 {
-		c.ProfileCycles = 0
 	}
 	if len(c.Kernels) == 0 {
 		c.Kernels = []string{"bp", "ks"}

@@ -1,20 +1,17 @@
 // Package overload holds the overload-control mechanisms of the service
-// and fleet layers: a token-bucket retry budget that bounds the fleet
-// coordinator's aggregate requeue amplification (the one retry layer: a
-// server runs each job once), a per-job-family service-time estimator —
-// the one latency estimate, behind the server's deadline-aware admission
-// and Retry-After hint and the fleet's straggler-hedge threshold — and a
-// ring buffer of recent queue waits for percentile reporting.
+// and fleet layers: a service-time estimator — the one latency
+// estimate, behind the server's deadline-aware admission and Retry-After
+// hint and the fleet's straggler-hedge threshold — and a ring buffer of
+// recent queue waits for percentile reporting.
 //
 // The design goal is graceful degradation under sustained overload: when
 // offered load exceeds capacity, goodput (jobs completed within their
 // deadline) should plateau at capacity instead of collapsing, because
-//
-//   - work that can no longer meet its deadline is shed on arrival (or
-//     dropped at dequeue once it has gone stale) before it burns an
-//     engine slot,
-//   - and retries can never exceed a bounded fraction of fresh traffic,
-//     closing the retry-amplification loop behind metastable collapse.
+// work that can no longer meet its deadline is shed on arrival (or
+// dropped at dequeue once it has gone stale) before it burns an engine
+// slot. Retries are bounded elsewhere: a server runs each job once, and
+// the fleet coordinator's requeue is capped per job by its attempt limit
+// and in load by its per-worker dispatch slots.
 //
 // Every type here is safe for concurrent use and deliberately free of
 // background goroutines: state advances only when callers observe
@@ -22,128 +19,46 @@
 package overload
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
 
-// RetryBudget is a token bucket bounding aggregate retry amplification:
-// each retry spends one token, each success earns Ratio of one, and the
-// balance is capped at Burst (also the initial balance). Retries are
-// therefore bounded by Burst + Ratio x successes — a fleet or server
-// whose fresh traffic is all failing runs out of tokens instead of
-// amplifying its own overload.
-type RetryBudget struct {
-	mu     sync.Mutex
-	tokens float64
-	burst  float64
-	ratio  float64
-}
-
-// NewRetryBudget returns a budget refilled by ratio per success, capped
-// at (and starting from) burst. Negative arguments clamp to zero; a
-// zero burst with a zero ratio never grants a retry.
-func NewRetryBudget(ratio, burst float64) *RetryBudget {
-	if ratio < 0 {
-		ratio = 0
-	}
-	if burst < 0 {
-		burst = 0
-	}
-	return &RetryBudget{tokens: burst, burst: burst, ratio: ratio}
-}
-
-// Earn credits one success's worth of refill.
-func (b *RetryBudget) Earn() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tokens += b.ratio
-	if b.tokens > b.burst {
-		b.tokens = b.burst
-	}
-}
-
-// Spend consumes one retry token, reporting whether one was available.
-func (b *RetryBudget) Spend() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
-
-// Tokens returns the current balance (for observability).
-func (b *RetryBudget) Tokens() float64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
-}
-
-// maxFamilies bounds the estimator map: families are coarse (machine
-// size, run length, kernel mix — not schemes), so real deployments hold
-// a handful; the bound only guards against a client minting unbounded
-// distinct cycle counts to leak memory.
-const maxFamilies = 4096
-
-// AllFamilies is the estimator key a caller folds every sample under,
-// whatever its family, for a load-wide estimate. No Family is empty.
-const AllFamilies = ""
-
-// Estimator tracks a service-time EWMA per job family: the server's
-// estimate of how long a job will hold an engine slot. Under AllFamilies
-// it is also the server's load-wide estimate, behind its Retry-After
-// hint, and the fleet coordinator's of how long a dispatch takes.
-// Families deliberately exclude the scheme: schemes steer the simulated
-// machine, not the simulation's cost, so a new scheme inherits its
-// family's estimate instead of being admitted blind.
+// Estimator tracks one service-time EWMA: the server's estimate of how
+// long a job will hold an engine slot, behind its deadline admission,
+// dequeue staleness check and Retry-After hint, and the fleet
+// coordinator's of how long a dispatch takes, behind its straggler-hedge
+// threshold. It is deliberately not split by job: a sweep's jobs share
+// one machine and run length, and a job of a kernel mix never served is
+// priced like the rest instead of being admitted blind.
 type Estimator struct {
 	mu   sync.Mutex
-	ewma map[string]int64 // family -> nanoseconds
+	ewma int64 // nanoseconds; 0 until the first sample
 }
 
 // NewEstimator returns an empty estimator.
-func NewEstimator() *Estimator {
-	return &Estimator{ewma: make(map[string]int64)}
-}
+func NewEstimator() *Estimator { return &Estimator{} }
 
-// Observe folds one attempt's service time into the family's EWMA
-// (alpha 0.2, integer nanoseconds; the first sample is taken as is).
-// The server clamps d to its per-attempt timeout first, so a straggling
-// attempt cannot inflate the estimate beyond what it would ever spend
-// on a job.
-func (e *Estimator) Observe(family string, d time.Duration) {
+// Observe folds one attempt's service time into the EWMA (alpha 0.2,
+// integer nanoseconds; the first sample is taken as is). The server
+// clamps d to its per-attempt timeout first, so a straggling attempt
+// cannot inflate the estimate beyond what it would ever spend on a job.
+func (e *Estimator) Observe(d time.Duration) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if len(e.ewma) >= maxFamilies {
-		if _, ok := e.ewma[family]; !ok {
-			e.ewma = make(map[string]int64) // reset; estimates re-warm in a few samples
-		}
-	}
 	ns := d.Nanoseconds()
-	if old := e.ewma[family]; old > 0 {
-		ns = old + (ns-old)/5
+	if e.ewma > 0 {
+		ns = e.ewma + (ns-e.ewma)/5
 	}
-	e.ewma[family] = ns
+	e.ewma = ns
 }
 
-// Estimate returns the family's current service-time estimate; ok is
-// false when the family has never been observed.
-func (e *Estimator) Estimate(family string) (time.Duration, bool) {
+// Estimate returns the current service-time estimate, 0 before the
+// first sample.
+func (e *Estimator) Estimate() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ns, ok := e.ewma[family]
-	return time.Duration(ns), ok
-}
-
-// Family derives the estimator key for a job: the machine size, run
-// length and kernel mix that dominate simulation cost. Two jobs in one
-// family differ only in scheme, which leaves cost essentially unchanged.
-func Family(sms int, cycles int64, kernels []string) string {
-	return fmt.Sprintf("sms=%d|cycles=%d|kernels=%s", sms, cycles, strings.Join(kernels, "+"))
+	return time.Duration(e.ewma)
 }
 
 // WaitRing records the most recent queue waits (admission to slot

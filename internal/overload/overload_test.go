@@ -6,92 +6,21 @@ import (
 	"time"
 )
 
-func TestRetryBudgetSpendAndEarn(t *testing.T) {
-	b := NewRetryBudget(0.5, 2)
-	if !b.Spend() || !b.Spend() {
-		t.Fatal("burst tokens not spendable")
-	}
-	if b.Spend() {
-		t.Fatal("spend granted beyond burst")
-	}
-	b.Earn() // 0.5 — still below one token
-	if b.Spend() {
-		t.Fatal("spend granted on fractional token")
-	}
-	b.Earn() // 1.0
-	if !b.Spend() {
-		t.Fatal("earned token not spendable")
-	}
-}
-
-func TestRetryBudgetCapsAtBurst(t *testing.T) {
-	b := NewRetryBudget(1, 3)
-	for i := 0; i < 100; i++ {
-		b.Earn()
-	}
-	if got := b.Tokens(); got != 3 {
-		t.Fatalf("tokens = %v, want capped at 3", got)
-	}
-}
-
-func TestRetryBudgetZeroNeverGrants(t *testing.T) {
-	b := NewRetryBudget(0, 0)
-	if b.Spend() {
-		t.Fatal("zero budget granted a retry")
-	}
-}
-
 func TestEstimatorWarmsAndConverges(t *testing.T) {
 	e := NewEstimator()
-	if _, ok := e.Estimate("f"); ok {
-		t.Fatal("estimate for unobserved family")
+	if d := e.Estimate(); d != 0 {
+		t.Fatalf("estimate before any sample = %v, want 0", d)
 	}
-	e.Observe("f", 100*time.Millisecond)
-	if d, ok := e.Estimate("f"); !ok || d != 100*time.Millisecond {
-		t.Fatalf("first sample should seed the EWMA: %v %v", d, ok)
+	e.Observe(100 * time.Millisecond)
+	if d := e.Estimate(); d != 100*time.Millisecond {
+		t.Fatalf("first sample should seed the EWMA: %v", d)
 	}
 	for i := 0; i < 64; i++ {
-		e.Observe("f", 10*time.Millisecond)
+		e.Observe(10 * time.Millisecond)
 	}
-	d, _ := e.Estimate("f")
+	d := e.Estimate()
 	if d > 12*time.Millisecond {
 		t.Fatalf("EWMA failed to converge: %v", d)
-	}
-}
-
-func TestEstimatorFamiliesIndependent(t *testing.T) {
-	e := NewEstimator()
-	e.Observe("fast", time.Millisecond)
-	e.Observe("slow", time.Second)
-	f, _ := e.Estimate("fast")
-	s, _ := e.Estimate("slow")
-	if f >= s {
-		t.Fatalf("families bled together: fast=%v slow=%v", f, s)
-	}
-}
-
-func TestEstimatorBoundsFamilies(t *testing.T) {
-	e := NewEstimator()
-	for i := 0; i < maxFamilies+10; i++ {
-		e.Observe(Family(2, int64(i), []string{"bp"}), time.Millisecond)
-	}
-	e.mu.Lock()
-	n := len(e.ewma)
-	e.mu.Unlock()
-	if n > maxFamilies {
-		t.Fatalf("family map unbounded: %d", n)
-	}
-}
-
-func TestFamilyIgnoresNothingItShould(t *testing.T) {
-	a := Family(2, 8000, []string{"bp", "ks"})
-	b := Family(2, 8000, []string{"bp", "ks"})
-	c := Family(4, 8000, []string{"bp", "ks"})
-	if a != b {
-		t.Fatalf("identical inputs differ: %q vs %q", a, b)
-	}
-	if a == c {
-		t.Fatalf("different SMs collide: %q", a)
 	}
 }
 
@@ -135,7 +64,6 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 func TestConcurrentUseUnderRace(t *testing.T) {
-	b := NewRetryBudget(0.1, 10)
 	e := NewEstimator()
 	r := NewWaitRing(64)
 	var wg sync.WaitGroup
@@ -144,13 +72,8 @@ func TestConcurrentUseUnderRace(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if i%2 == 0 {
-					b.Earn()
-				} else {
-					b.Spend()
-				}
-				e.Observe(Family(g, int64(i%4), []string{"bp"}), time.Millisecond)
-				e.Estimate(Family(g, int64(i%4), []string{"bp"}))
+				e.Observe(time.Duration(g+1) * time.Millisecond)
+				e.Estimate()
 				r.Observe(time.Duration(i) * time.Microsecond)
 				r.Percentile(0.95)
 			}

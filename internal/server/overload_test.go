@@ -104,22 +104,21 @@ func TestBurstAdmissionExactLimitNoSlotLeak(t *testing.T) {
 	}
 }
 
-// TestDeadlineShedOnArrival: once the estimator knows a family's
-// service time, a job whose deadline cannot fit even one run is shed at
-// arrival with 429 + Retry-After and the distinct shed_deadline counter
+// TestDeadlineShedOnArrival: once the estimator has a service time, a
+// job whose deadline cannot fit even one run is shed at arrival with 429 + Retry-After and the distinct shed_deadline counter
 // — it never touches the admission queue.
 func TestDeadlineShedOnArrival(t *testing.T) {
 	srv := New(Config{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	// Warm the estimator with a real run of the family.
+	// Warm the estimator with a real run.
 	warm := smallJob(4)
 	if status, out := postJob(t, ts, warm); status != http.StatusOK {
 		t.Fatalf("warm job status %d, body %+v", status, out)
 	}
 
-	// Same family, microscopic deadline: estimate alone overruns it.
+	// Microscopic deadline: the estimate alone overruns it.
 	doomed := smallJob(5)
 	doomed.Deadline = "1ns"
 	body, _ := json.Marshal(doomed)
@@ -142,11 +141,38 @@ func TestDeadlineShedOnArrival(t *testing.T) {
 		t.Fatalf("deadline shed miscounted as queue shed: %+v", st)
 	}
 
-	// A meetable deadline on the same family is admitted and served.
+	// A meetable deadline is admitted and served.
 	fine := smallJob(6)
 	fine.Deadline = "1h"
 	if status, out := postJob(t, ts, fine); status != http.StatusOK {
 		t.Fatalf("meetable-deadline job status %d, body %+v", status, out)
+	}
+}
+
+// TestDeadlineShedPricesNeverServedMix: the one estimate prices every
+// job, so a deadline job of a kernel mix the server has never run is
+// shed on arrival when the estimate says it cannot fit — it is not
+// admitted blind for want of a sample of its own.
+func TestDeadlineShedPricesNeverServedMix(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	srv.est.Observe(time.Hour)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	unseen := smallJob(4)
+	unseen.Kernels = []string{"sv", "ax"}
+	unseen.Deadline = "1m"
+	body, _ := json.Marshal(unseen)
+	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status = %d, want 429", resp.StatusCode)
+	}
+	if st := srv.StatsSnapshot(); st.ShedDeadline != 1 || st.Accepted != 0 {
+		t.Fatalf("shed_deadline = %d, accepted = %d; want 1 and 0", st.ShedDeadline, st.Accepted)
 	}
 }
 
@@ -160,12 +186,11 @@ func TestDeadlineStaleDroppedAtDequeue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fam := req.Family()
-	// The family is known to cost an hour; the deadline is 50ms out. The
+	// A job is known to cost an hour; the deadline is 50ms out. The
 	// arrival check was passed when the queue was shorter — by dequeue
 	// the budget no longer fits one run.
-	srv.est.Observe(fam, time.Hour)
-	res, attempts := srv.executeSlot(context.Background(), job, key, fam, time.Now().Add(50*time.Millisecond))
+	srv.est.Observe(time.Hour)
+	res, attempts := srv.executeSlot(context.Background(), job, key, time.Now().Add(50*time.Millisecond))
 	if !errors.Is(res.Err, ErrStale) {
 		t.Fatalf("err = %v, want ErrStale", res.Err)
 	}
@@ -177,7 +202,7 @@ func TestDeadlineStaleDroppedAtDequeue(t *testing.T) {
 	}
 	// A deadline already in the past is stale regardless of estimates.
 	srv2 := New(Config{Workers: 1})
-	res, _ = srv2.executeSlot(context.Background(), job, key, fam, time.Now().Add(-time.Second))
+	res, _ = srv2.executeSlot(context.Background(), job, key, time.Now().Add(-time.Second))
 	if !errors.Is(res.Err, ErrStale) {
 		t.Fatalf("past-deadline err = %v, want ErrStale", res.Err)
 	}
@@ -195,7 +220,7 @@ func TestDeadlineMissedNeverServedAsSuccess(t *testing.T) {
 	}
 	// Deadline a hair in the future: any real simulation takes far
 	// longer, so the run completes past it and hits the guard.
-	res, attempts := srv.execute(context.Background(), job, key, req.Family(), time.Now().Add(time.Microsecond))
+	res, attempts := srv.execute(context.Background(), job, key, time.Now().Add(time.Microsecond))
 	if !errors.Is(res.Err, ErrDeadlineMiss) {
 		t.Fatalf("err = %v, want ErrDeadlineMiss", res.Err)
 	}

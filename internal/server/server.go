@@ -15,7 +15,7 @@
 //     failure (recovered panic, deadline expiry — runner.IsTransient) is
 //     answered with its status and "transient": true; re-running it is
 //     the fleet coordinator's requeue, which already has the lease,
-//     backoff and retry budget. A permanent failure (an invariant
+//     backoff and attempt cap. A permanent failure (an invariant
 //     violation, a journal write error) is answered 500; the engine is
 //     deterministic, so an invariant violation recurs on every
 //     submission.
@@ -130,9 +130,9 @@ type Server struct {
 	hs      atomic.Pointer[http.Server]
 	drainng atomic.Bool
 
-	// Overload control: the estimator prices deadline admission per job
-	// family and the Retry-After hint under overload.AllFamilies, and the
-	// wait ring feeds /statz queue-wait percentiles.
+	// Overload control: the estimator prices deadline admission, the
+	// dequeue staleness check and the Retry-After hint, and the wait ring
+	// feeds /statz queue-wait percentiles.
 	est   *overload.Estimator
 	waits *overload.WaitRing
 
@@ -287,11 +287,16 @@ type Limits struct {
 // which checks that a job rebuilds from its wire form to the
 // fingerprint its runner keyed it by before dispatching it.
 func (req *JobRequest) Build() (runner.Job, string, Limits, error) {
-	if req.SMs <= 0 {
-		req.SMs = 4
-	}
-	if req.Cycles <= 0 {
+	switch {
+	case req.SMs < 0:
+		return runner.Job{}, "", Limits{}, fmt.Errorf("sms %d: want a count >= 1 (0 = 4)", req.SMs)
+	case req.Cycles <= 0:
 		return runner.Job{}, "", Limits{}, fmt.Errorf("cycles must be positive")
+	case req.ProfileCycles < 0:
+		return runner.Job{}, "", Limits{}, fmt.Errorf("profile_cycles %d: want a count >= 0 (0 = cycles)", req.ProfileCycles)
+	}
+	if req.SMs == 0 {
+		req.SMs = 4
 	}
 	if len(req.Kernels) == 0 {
 		return runner.Job{}, "", Limits{}, fmt.Errorf("kernels must name at least one benchmark")
@@ -342,13 +347,6 @@ func (req *JobRequest) Build() (runner.Job, string, Limits, error) {
 		return runner.Job{}, "", Limits{}, err
 	}
 	return job, key, lim, nil
-}
-
-// Family is the service-time estimator key for this request: machine
-// size, run length and kernel mix — the cost-dominating fields. Call
-// after Build (which defaults SMs).
-func (req *JobRequest) Family() string {
-	return overload.Family(req.SMs, req.Cycles, req.Kernels)
 }
 
 // JobResponse is the wire shape of one job outcome.
@@ -440,12 +438,11 @@ func (s *Server) release() { s.queued.Add(-1) }
 // capacity is the admission bound: executing plus waiting requests.
 func (s *Server) capacity() int64 { return int64(s.cfg.Workers + s.cfg.QueueDepth) }
 
-// executeSlot runs one job's attempt on an execution slot.
-// family keys the service-time estimator; deadlineAt, when non-zero, is
-// the job's absolute deadline — re-checked here, at dequeue, so work
-// that went stale while queued is dropped (ErrStale) before it burns
-// the slot it just acquired.
-func (s *Server) executeSlot(ctx context.Context, job runner.Job, key, family string, deadlineAt time.Time) (runner.Result, int) {
+// executeSlot runs one job's attempt on an execution slot. deadlineAt,
+// when non-zero, is the job's absolute deadline — re-checked here, at
+// dequeue, so work that went stale while queued is dropped (ErrStale)
+// before it burns the slot it just acquired.
+func (s *Server) executeSlot(ctx context.Context, job runner.Job, key string, deadlineAt time.Time) (runner.Result, int) {
 	enqueued := time.Now()
 	select {
 	case s.slots <- struct{}{}:
@@ -468,20 +465,19 @@ func (s *Server) executeSlot(ctx context.Context, job runner.Job, key, family st
 	// 533 without, 0 with this yield.
 	runtime.Gosched()
 	if !deadlineAt.IsZero() {
-		est, _ := s.est.Estimate(family) // 0 for a family never observed
-		if time.Now().Add(est).After(deadlineAt) {
+		if time.Now().Add(s.est.Estimate()).After(deadlineAt) {
 			s.shedDline.Add(1)
 			return runner.Result{Key: key, Err: ErrStale}, 0
 		}
 	}
-	return s.execute(ctx, job, key, family, deadlineAt)
+	return s.execute(ctx, job, key, deadlineAt)
 }
 
 // execute runs the job's one attempt. A failure — transient or not —
 // is returned as it is: the server never re-runs a job, so the fleet
 // coordinator's requeue is the one layer that does. The returned count
 // is the attempts made: 0 when ctx was already done, else 1.
-func (s *Server) execute(ctx context.Context, job runner.Job, key, family string, deadlineAt time.Time) (runner.Result, int) {
+func (s *Server) execute(ctx context.Context, job runner.Job, key string, deadlineAt time.Time) (runner.Result, int) {
 	// Gate the attempt on the context: a cancellation (SIGTERM drain,
 	// request-level deadline, client gone) that landed while the job
 	// waited for its slot must not buy it an execution.
@@ -513,8 +509,7 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key, family string
 		if s.cfg.JobTimeout > 0 && clamped > s.cfg.JobTimeout {
 			clamped = s.cfg.JobTimeout
 		}
-		s.est.Observe(family, clamped)
-		s.est.Observe(overload.AllFamilies, clamped)
+		s.est.Observe(clamped)
 	}
 	if !deadlineAt.IsZero() && time.Now().After(deadlineAt) {
 		// Finished, but past the deadline: the client stopped caring, so
@@ -536,24 +531,23 @@ func heapAllocs() uint64 {
 	return s[0].Value.Uint64()
 }
 
-// queueDrain returns family's service-time estimate (0 for a family
-// never observed) and how long the requests in the building take to
-// clear the slots at it: with q of them and Workers slots each draining
-// one job per estimate, about q*estimate/Workers.
-func (s *Server) queueDrain(family string) (est, wait time.Duration) {
-	est, _ = s.est.Estimate(family)
+// queueDrain returns the service-time estimate (0 before the first
+// sample) and how long the requests in the building take to clear the
+// slots at it: with q of them and Workers slots each draining one job
+// per estimate, about q*estimate/Workers.
+func (s *Server) queueDrain() (est, wait time.Duration) {
+	est = s.est.Estimate()
 	return est, time.Duration(s.queued.Load() * est.Nanoseconds() / int64(s.cfg.Workers))
 }
 
 // retryAfterHint derives the Retry-After for sheds from current load:
-// the queue drain time at the load-wide estimate, after which a client
-// meets a queue with room instead of hammering a fixed 1s hint into
-// repeated 429s. Every job's sample feeds it, so a shed job of a family
-// never served gets the same hint as any other. retryAfterFloor is the
-// floor (and the whole answer until the first sample); the hint is
-// capped at a minute so a latency spike cannot park clients forever.
+// the queue drain time at the service-time estimate, after which a
+// client meets a queue with room instead of hammering a fixed 1s hint
+// into repeated 429s. retryAfterFloor is the floor (and the whole
+// answer until the first sample); the hint is capped at a minute so a
+// latency spike cannot park clients forever.
 func (s *Server) retryAfterHint() time.Duration {
-	_, wait := s.queueDrain(overload.AllFamilies)
+	_, wait := s.queueDrain()
 	return min(max(wait, retryAfterFloor), time.Minute)
 }
 
@@ -606,7 +600,6 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	family := req.Family()
 	// fresh=1 is the audit seam: bypass the cache and journal (read AND
 	// write) and re-simulate from scratch, so a coordinator can obtain a
 	// result that shares no storage with the one it is auditing.
@@ -630,7 +623,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	var deadlineAt time.Time
 	if limits.Deadline > 0 {
 		deadlineAt = time.Now().Add(limits.Deadline)
-		if est, wait := s.queueDrain(family); wait+est > limits.Deadline {
+		if est, wait := s.queueDrain(); wait+est > limits.Deadline {
 			s.shedDline.Add(1)
 			s.shed(w, s.retryAfterHint(), "deadline unmeetable at current load")
 			return
@@ -656,7 +649,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithDeadline(ctx, deadlineAt)
 		defer cancel()
 	}
-	res, attempts := s.executeSlot(ctx, job, key, family, deadlineAt)
+	res, attempts := s.executeSlot(ctx, job, key, deadlineAt)
 	if errors.Is(res.Err, ErrStale) {
 		s.shed(w, s.retryAfterHint(), "deadline overrun while queued")
 		return

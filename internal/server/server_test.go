@@ -63,6 +63,42 @@ func getStatus(t *testing.T, ts *httptest.Server, path string) int {
 	return resp.StatusCode
 }
 
+// TestRefusesOutOfRangeMachine: a negative sms or profile_cycles on the
+// wire answers 400 naming the field, instead of being keyed and
+// simulated as the default machine; an omitted sms still means 4 and an
+// omitted profile_cycles still means cycles.
+func TestRefusesOutOfRangeMachine(t *testing.T) {
+	ts := httptest.NewServer(New(Config{Workers: 1}).Handler())
+	defer ts.Close()
+	job := func(sms int, profileCycles int64) JobRequest {
+		req := smallJob(4)
+		req.SMs, req.Cycles, req.ProfileCycles = sms, 2_000, profileCycles
+		return req
+	}
+	for _, c := range []struct {
+		req   JobRequest
+		field string
+	}{
+		{job(-3, -7), "sms"},
+		{job(0, -7), "profile_cycles"},
+		{job(4, -7), "profile_cycles"},
+	} {
+		status, out := postJob(t, ts, c.req)
+		if status != http.StatusBadRequest || !strings.HasPrefix(out.Error, c.field+" ") {
+			t.Errorf("sms %d, profile_cycles %d: status %d, error %q; want 400 naming %s",
+				c.req.SMs, c.req.ProfileCycles, status, out.Error, c.field)
+		}
+	}
+	explicit, defaulted := job(4, 2_000), job(0, 0)
+	_, want, _, err := explicit.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, got, _, err := defaulted.Build(); err != nil || got != want {
+		t.Fatalf("sms 0, profile_cycles 0 keys %q (%v), want %q", got, err, want)
+	}
+}
+
 // TestChaosPanicAnsweredOnceThenResubmitSucceeds: an injected worker
 // panic is answered as a transient 500 after one attempt — the server
 // does not re-run the job — and resubmitting it, the coordinator's

@@ -10,19 +10,18 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/overload"
 )
 
 // TestRetryAfterLoadProportional: the Retry-After hint scales with queue
-// depth times the load-wide service-time estimate, floored at
-// retryAfterFloor (1s) and capped at a minute — and the header on a real
-// queue shed reflects it, whatever the shed job's family.
+// depth times the service-time estimate, floored at retryAfterFloor
+// (1s) and capped at a minute — and the header on a real queue shed
+// reflects it, whatever the shed job's kernel mix.
 func TestRetryAfterLoadProportional(t *testing.T) {
 	srv := New(Config{Workers: 2, QueueDepth: 1})
 	if got := srv.retryAfterHint(); got != time.Second {
 		t.Fatalf("no samples: hint = %v, want the 1s floor", got)
 	}
-	srv.est.Observe(overload.AllFamilies, 2*time.Second)
+	srv.est.Observe(2 * time.Second)
 	srv.queued.Store(6)
 	if got := srv.retryAfterHint(); got != 6*time.Second {
 		t.Fatalf("hint = %v, want 6s (6 queued x 2s estimate / 2 workers)", got)
@@ -31,37 +30,36 @@ func TestRetryAfterLoadProportional(t *testing.T) {
 	if got := srv.retryAfterHint(); got != time.Second {
 		t.Fatalf("light load: hint = %v, want the 1s floor", got)
 	}
-	srv.est.Observe(overload.AllFamilies, time.Hour)
+	srv.est.Observe(time.Hour)
 	srv.queued.Store(100)
 	if got := srv.retryAfterHint(); got != time.Minute {
 		t.Fatalf("overload: hint = %v, want the 1m cap", got)
 	}
 
-	// Every served job feeds the load-wide estimate, not only its own
-	// family's.
+	// A served job feeds the estimate.
 	fresh := New(Config{Workers: 1})
 	req := smallJob(4)
 	job, key, _, err := req.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, _ := fresh.execute(context.Background(), job, key, req.Family(), time.Time{}); res.Err != nil {
+	if res, _ := fresh.execute(context.Background(), job, key, time.Time{}); res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if _, ok := fresh.est.Estimate(overload.AllFamilies); !ok {
-		t.Fatal("a served job left no load-wide estimate")
+	if fresh.est.Estimate() == 0 {
+		t.Fatal("a served job left no estimate")
 	}
 
-	// End-to-end: saturate a hang-chaos server whose load-wide estimate
-	// is primed and check that the shed's Retry-After header carries the
-	// derived hint, though the shed job's family was never served.
+	// End-to-end: saturate a hang-chaos server whose estimate is primed
+	// and check that the shed's Retry-After header carries the derived
+	// hint, though the shed job's kernel mix was never served.
 	// Workers=1 with the defaulted queue depth (2x workers) admits three
 	// requests; the fourth is shed.
 	hang := New(Config{
 		Workers: 1, JobTimeout: time.Hour,
 		Chaos: chaos.New(chaos.Config{Seed: 5, HangProb: 1, Hang: time.Hour, Failures: 1 << 30}),
 	})
-	hang.est.Observe(overload.AllFamilies, 10*time.Second)
+	hang.est.Observe(10 * time.Second)
 	ts := httptest.NewServer(hang.Handler())
 	defer ts.Close()
 	ctx, cancel := context.WithCancel(context.Background())
