@@ -12,11 +12,9 @@
 // a checkpoint is only ever consumed by the binary (version) that wrote
 // it, and the store's digest rejects everything else.
 //
-// The two directions are built differently on purpose. Marshal runs once
-// per checkpoint of every job, on trusted in-memory values, so it is
-// compiled per type (plan.go). Unmarshal runs once per RESUMED job, on
-// bytes from disk and from other workers, so it stays a reflective walk
-// guarded by recover: that it never panics is worth more than its speed.
+// Both directions are reflective walks over the same kinds in the same
+// order. Unmarshal reads bytes from disk, so it is guarded by recover:
+// corrupt input yields an error, never a panic.
 package ckpt
 
 import (
@@ -28,6 +26,115 @@ import (
 )
 
 const streamVersion = 1
+
+// Marshal deep-encodes the value v points to. v must be a non-nil
+// pointer. Unexported fields are included (the snapshot graph is built
+// from them), pointer aliasing and cycles are preserved through an
+// identity table, and kinds the engine graph never contains — maps,
+// chans, funcs, interfaces — are rejected rather than silently skipped.
+func Marshal(v any) ([]byte, error) {
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return nil, fmt.Errorf("ckpt: Marshal needs a non-nil pointer, got %T", v)
+	}
+	e := &encoder{buf: []byte{streamVersion}, ids: make(map[typedPtr]uint64)}
+	// Register the root so an interior pointer back to it aliases
+	// instead of re-encoding the graph.
+	e.ids[typedPtr{rv.Type(), rv.Pointer()}] = 0
+	if err := e.value(rv.Elem()); err != nil {
+		return nil, err
+	}
+	return e.buf, nil
+}
+
+// typedPtr keys the encoder's pointer-identity table. The type is part
+// of the key so two distinct types at one address (a struct and its
+// first field) never alias.
+type typedPtr struct {
+	t reflect.Type
+	p uintptr
+}
+
+type encoder struct {
+	buf []byte
+	ids map[typedPtr]uint64
+}
+
+func (e *encoder) byte(b byte) { e.buf = append(e.buf, b) }
+
+func (e *encoder) u64(x uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, x) }
+
+func (e *encoder) uvarint(x uint64) { e.buf = binary.AppendUvarint(e.buf, x) }
+
+// value appends v's encoding. Every integer travels as 8 bytes, sign-
+// or zero-extended, and every float as a float64.
+func (e *encoder) value(v reflect.Value) error {
+	v = access(v)
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			e.byte(1)
+		} else {
+			e.byte(0)
+		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		e.u64(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		e.u64(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		e.u64(math.Float64bits(v.Float()))
+	case reflect.String:
+		s := v.String()
+		e.uvarint(uint64(len(s)))
+		e.buf = append(e.buf, s...)
+	case reflect.Slice:
+		if v.IsNil() {
+			e.byte(0)
+			return nil
+		}
+		e.byte(1)
+		n := v.Len()
+		e.uvarint(uint64(n))
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			e.buf = append(e.buf, v.Bytes()...)
+			return nil
+		}
+		for i := 0; i < n; i++ {
+			if err := e.value(v.Index(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			if err := e.value(v.Index(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if err := e.value(v.Field(i)); err != nil {
+				return err
+			}
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			e.byte(0)
+			return nil
+		}
+		key := typedPtr{v.Type(), v.Pointer()}
+		if id, ok := e.ids[key]; ok {
+			e.byte(2)
+			e.uvarint(id)
+			return nil
+		}
+		e.ids[key] = uint64(len(e.ids))
+		e.byte(1)
+		return e.value(v.Elem())
+	default:
+		return fmt.Errorf("ckpt: cannot encode kind %s (%s)", v.Kind(), v.Type())
+	}
+	return nil
+}
 
 // Unmarshal decodes data (produced by Marshal on the same Go type) into
 // the value v points to. Arbitrary or corrupt input never panics: any
@@ -58,9 +165,10 @@ func Unmarshal(data []byte, v any) (err error) {
 	return nil
 }
 
-// access lifts the read-only flag reflect puts on unexported fields.
-// Everything the codec traverses hangs off an addressable root (Marshal
-// and Unmarshal both take pointers), so NewAt is always available.
+// access lifts the read-only flag reflect puts on unexported fields: the
+// one place the codec touches unsafe. Everything it traverses hangs off
+// an addressable root (Marshal and Unmarshal both take pointers), so
+// NewAt is always available.
 func access(v reflect.Value) reflect.Value {
 	if !v.CanInterface() && v.CanAddr() {
 		return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()

@@ -4,7 +4,4 @@ package ckpt
 // import internal/gpu and so can put real snapshots through the codec.
 type Graph = graph
 
-var (
-	BuildGraph       = buildGraph
-	ReferenceMarshal = referenceMarshal
-)
+var BuildGraph = buildGraph

@@ -2,7 +2,6 @@ package ckpt_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -14,9 +13,8 @@ import (
 	"repro/internal/sm"
 )
 
-// machine builds the 2-SM bp+ks machine under a static limiter (so the
-// snapshot carries policy blobs) with fresh policy instances, as a
-// resuming process would.
+// machine builds the 2-SM bp+ks machine under a static limiter, so its
+// checkpoint snapshot carries policy blobs.
 func machine(t testing.TB, cycles int64) (*gpu.GPU, *gpu.Options) {
 	t.Helper()
 	cfg := config.Scaled(2)
@@ -49,59 +47,6 @@ func runFor(t testing.TB, g *gpu.GPU, o *gpu.Options, cycles int64) {
 	leg.Cycles = cycles
 	if err := g.RunCycles(&leg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func resultJSON(t testing.TB, g *gpu.GPU) string {
-	t.Helper()
-	js, err := json.Marshal(g.Result())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(js)
-}
-
-// TestCheckpointsCrossTheEncoderChange: a checkpoint written by the
-// reflective encoder (what every binary before the compiled one wrote)
-// is byte-for-byte what the compiled encoder writes for the same
-// machine, and decoding it into a fresh machine and continuing matches
-// an uninterrupted run — so old files resume under new binaries and new
-// files under old ones.
-func TestCheckpointsCrossTheEncoderChange(t *testing.T) {
-	const at, total = 3_000, 6_000
-	ref, o := machine(t, total)
-	runFor(t, ref, o, total)
-	want := resultJSON(t, ref)
-
-	g, o := machine(t, total)
-	runFor(t, g, o, at)
-	sn, err := g.SnapshotCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old, err := ckpt.ReferenceMarshal(sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compiled, err := gpu.EncodeSnapshot(sn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(old, compiled) {
-		t.Fatalf("compiled encoder wrote %d bytes that differ from the reference encoder's %d", len(compiled), len(old))
-	}
-
-	dec, err := gpu.DecodeSnapshot(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, o := machine(t, total)
-	if err := resumed.RestoreCheckpoint(dec); err != nil {
-		t.Fatal(err)
-	}
-	runFor(t, resumed, o, total-at)
-	if got := resultJSON(t, resumed); got != want {
-		t.Fatalf("run resumed from a reference-encoded checkpoint diverged\nwant: %s\ngot:  %s", want, got)
 	}
 }
 
@@ -188,8 +133,7 @@ const (
 	allocSlack  = 1 << 20
 )
 
-// BenchmarkEncodeSnapshot times the compiled encoder against the
-// reflective reference on a real machine snapshot.
+// BenchmarkEncodeSnapshot times the encoder on a real machine snapshot.
 func BenchmarkEncodeSnapshot(b *testing.B) {
 	g, o := machine(b, 3_000)
 	runFor(b, g, o, 3_000)
@@ -197,18 +141,11 @@ func BenchmarkEncodeSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, enc := range []struct {
-		name string
-		fn   func(any) ([]byte, error)
-	}{{"compiled", ckpt.Marshal}, {"reference", ckpt.ReferenceMarshal}} {
-		b.Run(enc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				blob, err := enc.fn(sn)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(int64(len(blob)))
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		blob, err := gpu.EncodeSnapshot(sn)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(blob)))
 	}
 }

@@ -27,25 +27,17 @@ const keepPerKey = 2
 // concurrently; reads verify a sha256 digest and fall back to the next
 // older checkpoint on mismatch. Safe for concurrent use.
 type Store struct {
-	// FaultHook, when non-nil, is consulted before each write with
-	// (op, key); returning an error makes the store silently corrupt the
-	// payload it writes — modelling a disk that lies — so the read path's
-	// digest verification is what must catch it.
-	FaultHook func(op, key string) error
-
 	dir string
 
 	mu      sync.Mutex
 	saves   int64
 	corrupt int64
-	drops   int64
 }
 
 // StoreStats counts store activity for /statz-style gauges.
 type StoreStats struct {
 	Saves   int64 `json:"saves"`
 	Corrupt int64 `json:"corrupt"`
-	Drops   int64 `json:"drops"`
 }
 
 // OpenStore opens (creating if needed) a checkpoint directory.
@@ -66,7 +58,7 @@ func (s *Store) Dir() string { return s.dir }
 func (s *Store) Stats() StoreStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return StoreStats{Saves: s.saves, Corrupt: s.corrupt, Drops: s.drops}
+	return StoreStats{Saves: s.saves, Corrupt: s.corrupt}
 }
 
 // checkKey rejects keys that cannot be file names. Job keys are
@@ -92,18 +84,6 @@ func (s *Store) Save(key string, cycle int64, state []byte) error {
 		return fmt.Errorf("ckpt: save %s at non-positive cycle %d", key, cycle)
 	}
 	sum := sha256.Sum256(state)
-	payload := state
-	if s.FaultHook != nil {
-		if err := s.FaultHook("write", key); err != nil {
-			// A lying disk: the digest above covers the pristine bytes,
-			// the file gets a flipped one. Latest must detect this and
-			// fall back.
-			payload = append([]byte(nil), state...)
-			if len(payload) > 0 {
-				payload[len(payload)/2] ^= 0x40
-			}
-		}
-	}
 
 	f, err := os.CreateTemp(s.dir, "tmp-*.ckpt")
 	if err != nil {
@@ -111,7 +91,7 @@ func (s *Store) Save(key string, cycle int64, state []byte) error {
 	}
 	tmp := f.Name()
 	var hdr [8]byte
-	binary.BigEndian.PutUint64(hdr[:], uint64(len(payload)))
+	binary.BigEndian.PutUint64(hdr[:], uint64(len(state)))
 	_, err = f.WriteString(magic)
 	if err == nil {
 		_, err = f.Write(hdr[:])
@@ -120,7 +100,7 @@ func (s *Store) Save(key string, cycle int64, state []byte) error {
 		_, err = f.Write(sum[:])
 	}
 	if err == nil {
-		_, err = f.Write(payload)
+		_, err = f.Write(state)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -220,21 +200,4 @@ func (s *Store) read(key string, cycle int64) ([]byte, error) {
 		return nil, fmt.Errorf("ckpt: %s@%d: digest mismatch", key, cycle)
 	}
 	return payload, nil
-}
-
-// Drop removes every checkpoint for key (called once the job's final
-// result is durable — the checkpoints are then dead weight).
-func (s *Store) Drop(key string) {
-	if checkKey(key) != nil {
-		return
-	}
-	cs := s.cycles(key)
-	for _, c := range cs {
-		os.Remove(s.path(key, c))
-	}
-	if len(cs) > 0 {
-		s.mu.Lock()
-		s.drops++
-		s.mu.Unlock()
-	}
 }

@@ -1,6 +1,7 @@
 package gpu_test
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -16,9 +17,9 @@ import (
 // Generated-input equivalence for the whole machine: each seed draws a
 // machine size, a 2- or 3-kernel mix of random kernels, GTO or LRR, a
 // scheme and a checkpoint cycle, and two runs must agree byte for byte
-// on result and trace with the watchdog on: uninterrupted; and
-// checkpointed mid-run through the byte codec and continued on a fresh
-// machine (which rebuilds every derived index in Restore). The fixed
+// on result and trace with the watchdog on: uninterrupted; and split in
+// two legs at the checkpoint cycle, where the checkpoint must survive
+// encode -> decode -> encode byte for byte. The fixed
 // workloads of TestParallelStepMatchesSerial and the snapshot tests
 // exercise no issue gate, no LRR and no Drain; this does. The SM-level
 // twin that compares against the full-scan reference issue stage is
@@ -119,10 +120,10 @@ func (c *genCase) options() (o *gpu.Options, observers func(start int64) []gpu.O
 	return o, observers
 }
 
-// run simulates the case. With split > 0 the run stops there, goes
-// through SnapshotCheckpoint -> encode -> decode -> RestoreCheckpoint
-// into a fresh machine and continues; the returned trace then holds the
-// events from split on.
+// run simulates the case. With split > 0 the run stops there, takes a
+// SnapshotCheckpoint, requires EncodeSnapshot -> DecodeSnapshot ->
+// EncodeSnapshot to give back the same bytes, and continues on the same
+// machine in a second leg.
 func (c *genCase) run(t testing.TB, split int64) (string, *trace.Buffer) {
 	t.Helper()
 	o, observers := c.options()
@@ -130,8 +131,8 @@ func (c *genCase) run(t testing.TB, split int64) (string, *trace.Buffer) {
 	if err != nil {
 		t.Fatalf("%v\n%s", err, c)
 	}
+	leg := *o
 	if split > 0 {
-		leg := *o
 		leg.Cycles = split
 		if err := g.RunCycles(&leg); err != nil {
 			t.Fatalf("%v\n%s", err, c)
@@ -148,19 +149,17 @@ func (c *genCase) run(t testing.TB, split int64) (string, *trace.Buffer) {
 		if err != nil {
 			t.Fatalf("%v\n%s", err, c)
 		}
-		o, observers = c.options()
-		g2, err := gpu.New(c.cfg, c.descs, o)
+		again, err := gpu.EncodeSnapshot(dec)
 		if err != nil {
 			t.Fatalf("%v\n%s", err, c)
 		}
-		if err := g2.RestoreCheckpoint(dec); err != nil {
-			t.Fatalf("%v\n%s", err, c)
+		if !bytes.Equal(again, blob) {
+			t.Fatalf("checkpoint at cycle %d re-encodes differently after a decode\n%s", split, c)
 		}
-		g = g2
-		o.Cycles = c.cycles - split
-		o.Observers = observers(split)
+		leg.Cycles = c.cycles - split
+		leg.Observers = observers(split)
 	}
-	if err := g.RunCycles(o); err != nil {
+	if err := g.RunCycles(&leg); err != nil {
 		t.Fatalf("split=%d: %v\n%s", split, err, c)
 	}
 	return marshalResult(t, g), o.Trace
@@ -173,19 +172,12 @@ func checkCase(t testing.TB, seed uint64) {
 		t.Fatalf("generated case invalid: %v", err)
 	}
 	wantJS, wantTr := c.run(t, 0)
-
-	// The DynWS controller lives in the hook closure, outside what a
-	// checkpoint carries (the runner never checkpoints hooked runs), so
-	// its cases end here: SetQuota and Drain under the watchdog.
-	if c.scheme == "dynws" {
-		return
-	}
 	js, tr := c.run(t, c.splitAt)
 	if js != wantJS {
-		t.Fatalf("seed %d: checkpoint-restored result diverged from uninterrupted\n%s\nwant: %s\ngot:  %s", seed, &c, wantJS, js)
+		t.Fatalf("seed %d: checkpointed two-leg result diverged from uninterrupted\n%s\nwant: %s\ngot:  %s", seed, &c, wantJS, js)
 	}
 	if renderSince(tr, c.splitAt) != renderSince(wantTr, c.splitAt) {
-		t.Fatalf("seed %d: checkpoint-restored trace diverged from uninterrupted after the split\n%s", seed, &c)
+		t.Fatalf("seed %d: checkpointed two-leg trace diverged from uninterrupted after the split\n%s", seed, &c)
 	}
 }
 

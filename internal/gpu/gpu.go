@@ -76,8 +76,8 @@ type Options struct {
 	// (bench/engine.go:256).
 	PartWorkers int
 	// PhaseTime enables per-phase wall-time accounting (sm/drain/
-	// reqnet/partition/respnet); read it back with PhaseStats or the
-	// package-wide PhaseTotals. Off by default: it costs two clock
+	// reqnet/partition/respnet); read it back with the package-wide
+	// PhaseTotals. Off by default: it costs two clock
 	// reads per phase per cycle.
 	PhaseTime bool
 }

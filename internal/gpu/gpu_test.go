@@ -163,7 +163,7 @@ func TestRunCyclesLeavesOptionsAlone(t *testing.T) {
 	descs := []*kern.Desc{getKernel(t, "bp"), getKernel(t, "sv")}
 	for name, observers := range map[string][]gpu.Observer{
 		"ucp": {gpu.Repartition(0, 1000)},
-		"checkpointed": {gpu.Checkpoints(0, 1000, func(g *gpu.GPU) error {
+		"checkpointed": {gpu.Periodic(0, 1000, func(g *gpu.GPU) error {
 			_, err := g.SnapshotCheckpoint()
 			return err
 		})},

@@ -1,9 +1,9 @@
 // Observers: the one way code runs between cycles. Everything that acts
 // on a machine during a run without being part of it — the invariant
 // watchdog, UCP's L1 repartitioning, the scheme controllers' hooks,
-// mid-job checkpoints, cancellation — is an Observer in
-// Options.Observers, and the cycle loop compares the cycle counter with
-// one next-fire cycle to know whether any is due.
+// cancellation — is an Observer in Options.Observers, and the cycle loop
+// compares the cycle counter with one next-fire cycle to know whether any
+// is due.
 package gpu
 
 import (
@@ -35,19 +35,6 @@ type Observer struct {
 // hooks.
 func Periodic(start, every int64, fn func(g *GPU) error) Observer {
 	return Observer{At: (start/every + 1) * every, Every: every, Fn: fn}
-}
-
-// Checkpoints is Periodic for a checkpoint sink (see SnapshotCheckpoint).
-// A save error turns it off for the rest of the leg instead of failing
-// the run: checkpointing is a recovery optimisation, never a correctness
-// dependency. Every job runs from cycle 0, so only the engine's tests
-// install it.
-func Checkpoints(start, every int64, save func(g *GPU) error) Observer {
-	off := false
-	return Periodic(start, every, func(g *GPU) error {
-		off = off || save(g) != nil
-		return nil
-	})
 }
 
 // ErrInterrupted is returned (wrapped with the cycle reached) when an

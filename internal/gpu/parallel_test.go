@@ -79,7 +79,7 @@ func runWorkload(t *testing.T, w parallelWorkload, workers, partWorkers int) eng
 	asleepAtCkpt := 0
 	if w.ckpt {
 		o.Trace = trace.New(1 << 12)
-		o.Observers = append(o.Observers, gpu.Checkpoints(0, w.cycles/3, func(g *gpu.GPU) error {
+		o.Observers = append(o.Observers, gpu.Periodic(0, w.cycles/3, func(g *gpu.GPU) error {
 			asleepAtCkpt += sleepingCandidates(g)
 			sn, err := g.SnapshotCheckpoint()
 			if err != nil {

@@ -37,10 +37,6 @@ func (s PhaseStats) TotalNs() int64 {
 	return s.SMNs + s.DrainNs + s.ReqNetNs + s.PartNs + s.RespNetNs
 }
 
-// PhaseStats returns this machine's cumulative phase times. All zeros
-// unless Options.PhaseTime was set.
-func (g *GPU) PhaseStats() PhaseStats { return g.phase }
-
 // phaseTotals accumulates phase time across every run in the process
 // (ckeserve exports it via /statz; driver -phasetrace summaries read it
 // at exit). Atomic because runs execute concurrently on the runner

@@ -12,11 +12,11 @@ import (
 )
 
 // Periods of the schedule test's observers. They are chosen so that
-// several observers come due on one cycle (1536: UCP, hook, checkpoint;
-// 3072: hook, checkpoint, interrupt poll), which pins their order.
+// several observers come due on one cycle (1536: UCP, hook, sink;
+// 3072: hook, sink, interrupt poll), which pins their order.
 const (
 	hookEvery = 512
-	ckptEvery = 1536
+	sinkEvery = 1536
 	ucpEvery  = 1535
 )
 
@@ -29,7 +29,7 @@ type firing struct {
 
 func (f firing) String() string { return fmt.Sprintf("%d:%s", f.cycle, f.name) }
 
-// recorder logs the firings of one run. Hooks, checkpoint sinks and the
+// recorder logs the firings of one run. Hooks, sinks and the
 // interrupt poll log themselves. The watchdog and the UCP repartition
 // have no callback of their own, so probes on SM 0 watch them: a memory
 // policy whose CheckInvariant (called only by the watchdog) logs
@@ -90,11 +90,15 @@ func (r *recorder) probes() gpu.PolicyFactory {
 	}
 }
 
-// legObservers gives the leg [start, end) all five between-cycle
-// mechanisms, in the order a Session lists them: the watchdog, UCP
-// repartitioning, a hook, a checkpoint sink (failing on its first call
-// when *failSink is set) and the interrupt poll.
-func legObservers(leg *gpu.Options, r *recorder, start, end int64, failSink *bool) {
+// errSink is what a failing sink returns.
+var errSink = errors.New("sink unavailable")
+
+// legObservers gives the leg [start, end) the watchdog, UCP
+// repartitioning, two periodic observers (a hook and a sink, the sink
+// failing on its second call when failSink is set) and the interrupt
+// poll, in that order.
+func legObservers(leg *gpu.Options, r *recorder, start, end int64, failSink bool) {
+	sinkCalls := 0
 	leg.Observers = []gpu.Observer{
 		gpu.Watchdog(start, gpu.DefaultProgressWindow),
 		gpu.Repartition(start, ucpEvery),
@@ -102,11 +106,10 @@ func legObservers(leg *gpu.Options, r *recorder, start, end int64, failSink *boo
 			r.add("hook")
 			return nil
 		}),
-		gpu.Checkpoints(start, ckptEvery, func(g *gpu.GPU) error {
-			r.add("ckpt")
-			if *failSink {
-				*failSink = false
-				return errors.New("sink unavailable")
+		gpu.Periodic(start, sinkEvery, func(g *gpu.GPU) error {
+			r.add("sink")
+			if sinkCalls++; failSink && sinkCalls == 2 {
+				return errSink
 			}
 			return nil
 		}),
@@ -120,57 +123,56 @@ func legObservers(leg *gpu.Options, r *recorder, start, end int64, failSink *boo
 // TestObserverSchedule pins when code runs between cycles, on four
 // runs: a plain one, a two-leg one (policies reinstalled between the
 // legs, as a Warmup run does), one resumed from a snapshot mid-run and
-// one whose checkpoint sink fails once. want lists every firing but the
+// one whose sink fails once. want lists every firing but the
 // watchdog's, which runs at every cycle after the run's first, before
 // anything else of that cycle. The rules it pins:
 //
-//   - within a cycle: watchdog, UCP, hook, checkpoint, interrupt poll;
-//   - hooks and checkpoints fire on multiples of their period strictly
+//   - within a cycle: watchdog, UCP, then the observers in list order;
+//   - periodic observers fire on multiples of their period strictly
 //     after the cycle a leg starts at, the leg's last cycle included;
 //   - UCP fires one cycle after a leg starts, then every interval;
 //   - the interrupt poll runs on multiples of 1024, the leg's first
 //     cycle included and never after its last step;
-//   - a failing checkpoint sink is not called again, and the run
-//     completes.
+//   - an observer's error ends the run on the cycle it fired, before
+//     the observers after it in the list, and RunCycles returns it.
 func TestObserverSchedule(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
 		legs     []int64 // the cycles the run starts at, changes leg at and ends at
 		failSink bool
+		stop     int64 // when failSink is set: the cycle the failing sink ends the run at
 		want     []firing
 	}{
 		{name: "plain", legs: []int64{0, 4096}, want: []firing{
 			{0, "interrupt"}, {1, "ucp"}, {512, "hook"},
 			{1024, "hook"}, {1024, "interrupt"},
-			{1536, "ucp"}, {1536, "hook"}, {1536, "ckpt"},
+			{1536, "ucp"}, {1536, "hook"}, {1536, "sink"},
 			{2048, "hook"}, {2048, "interrupt"}, {2560, "hook"}, {3071, "ucp"},
-			{3072, "hook"}, {3072, "ckpt"}, {3072, "interrupt"},
+			{3072, "hook"}, {3072, "sink"}, {3072, "interrupt"},
 			{3584, "hook"}, {4096, "hook"},
 		}},
 		{name: "two-leg", legs: []int64{0, 2048, 4608}, want: []firing{
 			{0, "interrupt"}, {1, "ucp"}, {512, "hook"},
 			{1024, "hook"}, {1024, "interrupt"},
-			{1536, "ucp"}, {1536, "hook"}, {1536, "ckpt"},
+			{1536, "ucp"}, {1536, "hook"}, {1536, "sink"},
 			{2048, "hook"}, {2048, "interrupt"},
 			{2049, "ucp"}, {2560, "hook"},
-			{3072, "hook"}, {3072, "ckpt"}, {3072, "interrupt"},
+			{3072, "hook"}, {3072, "sink"}, {3072, "interrupt"},
 			{3584, "ucp"}, {3584, "hook"},
 			{4096, "hook"}, {4096, "interrupt"},
-			{4608, "hook"}, {4608, "ckpt"},
+			{4608, "hook"}, {4608, "sink"},
 		}},
 		{name: "resumed", legs: []int64{3072, 4608}, want: []firing{
 			{3072, "interrupt"}, {3073, "ucp"}, {3584, "hook"},
 			{4096, "hook"}, {4096, "interrupt"},
-			{4608, "ucp"}, {4608, "hook"}, {4608, "ckpt"},
+			{4608, "ucp"}, {4608, "hook"}, {4608, "sink"},
 		}},
-		{name: "sink-fails-once", legs: []int64{0, 4608}, failSink: true, want: []firing{
+		{name: "sink-fails-once", legs: []int64{0, 4608}, failSink: true, stop: 3072, want: []firing{
 			{0, "interrupt"}, {1, "ucp"}, {512, "hook"},
 			{1024, "hook"}, {1024, "interrupt"},
-			{1536, "ucp"}, {1536, "hook"}, {1536, "ckpt"},
+			{1536, "ucp"}, {1536, "hook"}, {1536, "sink"},
 			{2048, "hook"}, {2048, "interrupt"}, {2560, "hook"}, {3071, "ucp"},
-			{3072, "hook"}, {3072, "interrupt"},
-			{3584, "hook"}, {4096, "hook"}, {4096, "interrupt"},
-			{4606, "ucp"}, {4608, "hook"},
+			{3072, "hook"}, {3072, "sink"},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,15 +208,22 @@ func TestObserverSchedule(t *testing.T) {
 				}
 			}
 			r.g = g
-			failSink := tc.failSink
 			for i := 1; i < len(tc.legs); i++ {
 				if i > 1 {
 					g.InstallPolicies(opts)
 				}
 				leg := *opts
 				leg.Cycles = tc.legs[i] - tc.legs[i-1]
-				legObservers(&leg, r, tc.legs[i-1], tc.legs[i], &failSink)
-				if err := g.RunCycles(&leg); err != nil {
+				legObservers(&leg, r, tc.legs[i-1], tc.legs[i], tc.failSink)
+				err := g.RunCycles(&leg)
+				if tc.failSink {
+					if !errors.Is(err, errSink) {
+						t.Fatalf("leg %d: RunCycles returned %v, want the sink's error", i, err)
+					}
+					last = tc.stop
+					break
+				}
+				if err != nil {
 					t.Fatalf("leg %d: %v", i, err)
 				}
 			}

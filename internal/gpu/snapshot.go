@@ -1,10 +1,9 @@
 // Whole-machine snapshot/restore: Snapshot / Restore and the checkpoint
-// forms SnapshotCheckpoint / EncodeSnapshot / DecodeSnapshot /
-// RestoreCheckpoint. Every job runs from cycle 0, so no job restores a
-// snapshot: bench/ (its snapshot and checkpoint drives) is this file's
-// only non-test caller, beside the restore-and-continue tests. A
-// scheme's Warmup prefix is not a snapshot but the first of two
-// RunCycles legs on one machine.
+// forms SnapshotCheckpoint / EncodeSnapshot / DecodeSnapshot. Every job
+// runs from cycle 0, so no job restores a snapshot: bench/ (its snapshot
+// and checkpoint drives) is this file's only non-test caller, beside the
+// restore-and-continue tests. A scheme's Warmup prefix is not a snapshot
+// but the first of two RunCycles legs on one machine.
 //
 // One mem.Cloner spans the whole capture (and another the whole
 // restore): the requests of one memory instruction may simultaneously
@@ -19,7 +18,8 @@
 // object may hold arbitrary cross-SM state (global limiters, hook
 // closures) that the cloner cannot see, so Snapshot refuses to run
 // while stateful (pointer-typed) policies are installed;
-// SnapshotCheckpoint captures their state through ckpt instead.
+// SnapshotCheckpoint encodes their state through ckpt instead, and
+// nothing decodes it back into a machine.
 
 package gpu
 
@@ -59,8 +59,9 @@ type Snapshot struct {
 	// instance installed in that slot, captured only by
 	// SnapshotCheckpoint (nil for plain Snapshot captures and for slots
 	// holding nil or stateless value-typed policies). A shared instance
-	// encodes to identical bytes in every SM's row, so RestoreCheckpoint
-	// decoding it once per SM is idempotent.
+	// encodes to identical bytes in every SM's row. Restore ignores
+	// them: they are part of the encoded checkpoint, which is what
+	// bench/ sizes and times.
 	policies [][3][]byte
 }
 
@@ -109,15 +110,12 @@ func (g *GPU) capture() *Snapshot {
 	return sn
 }
 
-// SnapshotCheckpoint captures the machine's full state for a mid-job
-// checkpoint. Unlike Snapshot (which refuses stateful policies because
-// a machine restored from it installs fresh ones), a
-// checkpoint resumes the SAME run, so installed pointer-typed policy
-// instances are serialized with the machine via the ckpt codec and
-// RestoreCheckpoint decodes them back into the instances a fresh
-// machine's factories built. Policies holding state the codec cannot
-// express (maps, closures) fail here, which callers treat as
-// "checkpointing unavailable", never as a run failure.
+// SnapshotCheckpoint captures the machine's full state for a checkpoint.
+// Unlike Snapshot (which refuses stateful policies because a machine
+// restored from it installs fresh ones), it serializes installed
+// pointer-typed policy instances with the machine via the ckpt codec.
+// Policies holding state the codec cannot express (maps, closures) fail
+// here.
 func (g *GPU) SnapshotCheckpoint() (*Snapshot, error) {
 	sn := g.capture()
 	sn.policies = make([][3][]byte, len(g.policies))
@@ -137,51 +135,13 @@ func (g *GPU) SnapshotCheckpoint() (*Snapshot, error) {
 	return sn, nil
 }
 
-// RestoreCheckpoint overwrites the machine's state from a checkpoint
-// snapshot, including the installed policy instances' state. The GPU
-// must have the snapshot's geometry AND the same policies installed
-// (built by the same factories — the normal resume path runs gpu.New
-// with the job's original options first).
-func (g *GPU) RestoreCheckpoint(sn *Snapshot) error {
-	if sn.policies == nil {
-		return fmt.Errorf("gpu: restore checkpoint: snapshot lacks policy state (taken by Snapshot, not SnapshotCheckpoint?)")
-	}
-	if len(sn.policies) != len(g.policies) {
-		return fmt.Errorf("gpu: restore checkpoint: snapshot has %d policy rows, machine has %d", len(sn.policies), len(g.policies))
-	}
-	for i, row := range g.policies {
-		for slot := 0; slot < 3; slot++ {
-			p := row[slot]
-			blob := sn.policies[i][slot]
-			stateful := p != nil && reflect.ValueOf(p).Kind() == reflect.Pointer
-			if stateful != (blob != nil) {
-				return fmt.Errorf("gpu: restore checkpoint: sm %d slot %d: policy shape mismatch (%T vs %d-byte blob)", i, slot, p, len(blob))
-			}
-		}
-	}
-	if err := g.Restore(sn); err != nil {
-		return err
-	}
-	for i, row := range g.policies {
-		for slot := 0; slot < 3; slot++ {
-			if blob := sn.policies[i][slot]; blob != nil {
-				if err := ckpt.Unmarshal(blob, row[slot]); err != nil {
-					return fmt.Errorf("gpu: restore checkpoint: sm %d policy %T: %w", i, row[slot], err)
-				}
-			}
-		}
-	}
-	return nil
-}
-
 // EncodeSnapshot serializes a snapshot to bytes for persistence.
 func EncodeSnapshot(sn *Snapshot) ([]byte, error) {
 	return ckpt.Marshal(sn)
 }
 
 // DecodeSnapshot deserializes a snapshot produced by EncodeSnapshot.
-// Corrupt input yields an error, never a panic; callers degrade to a
-// from-zero run.
+// Corrupt input yields an error, never a panic.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
 	sn := &Snapshot{}
 	if err := ckpt.Unmarshal(data, sn); err != nil {
@@ -265,32 +225,4 @@ func (g *GPU) InstallPolicies(opts *Options) {
 		}
 	}
 	g.policies = policies
-}
-
-// SetQuota installs a new per-SM TB quota matrix (resident TBs drain
-// naturally). The managed leg of a warmed run uses this to switch from
-// the warmup partition to the scheme's partition.
-func (g *GPU) SetQuota(quota [][]int) error {
-	if len(quota) != len(g.SMs) {
-		return fmt.Errorf("gpu: SetQuota: %d rows, want %d", len(quota), len(g.SMs))
-	}
-	for i, s := range g.SMs {
-		s.SetQuota(quota[i])
-	}
-	return nil
-}
-
-// PendingRequests returns the number of in-flight requests held by the
-// live machine across every component (debugging/accounting aid).
-func (g *GPU) PendingRequests() int {
-	total := 0
-	for _, s := range g.SMs {
-		total += s.PendingRequests()
-	}
-	for _, part := range g.parts {
-		total += part.l2.PendingRequests() + part.ch.PendingRequests()
-		total += part.inQ.Len() + part.resp.Len()
-	}
-	total += g.reqNet.PendingRequests() + g.respNet.PendingRequests()
-	return total
 }

@@ -246,9 +246,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	return nil
 }
 
-// Draining reports whether Drain has started.
-func (s *Server) Draining() bool { return s.drainng.Load() }
-
 // JobRequest is the wire shape of one simulation job. The machine is
 // described by size (sms) and run lengths; kernels are Table 2 names;
 // scheme uses the gcke.Scheme JSON encoding (Go field names).
