@@ -20,9 +20,9 @@ import (
 // not a side effect.
 func TestEncodeSnapshotGolden(t *testing.T) {
 	const (
-		cycle  = 2844
-		golden = "00a1141da4dd8e6285e46f8e30da4843ad5026d2216f911a41e60814dab5bdf2"
-		size   = 142743
+		cycle  = 5335
+		golden = "06dd1c95127a1f61a7e8735fcefeb79828100d2cb241500fe8a62f8b2a3b9667"
+		size   = 141649
 	)
 	cfg := tinyCfg()
 	descs := []*kern.Desc{getKernel(t, "bp"), getKernel(t, "ks")}

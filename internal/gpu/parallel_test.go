@@ -125,21 +125,21 @@ const shaEmpty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b8
 
 var parallelWorkloads = []parallelWorkload{
 	{name: "1kernel", kernels: []string{"bp"}, cycles: 6000,
-		goldResult: "01cd1e1ad18c23fb3aba76613fe51f9b3b3e0722ac621f56128c78e3ee96bfe3",
+		goldResult: "4150983ca5a9c7d773459ef8f298766dce420791f45ea77cb60b7ceec1e612e0",
 		goldTrace:  shaEmpty,
 		goldCkpt:   shaEmpty},
 	{name: "2kernelCKE", kernels: []string{"bp", "sv"}, cycles: 6000,
-		goldResult: "0967d0e0bcf515cabf3b705ff45a1fa7a6e013214991692e85fc007c2e29d802",
+		goldResult: "57287d695153e4e56407cf82c826a8c3198a2377ebe8d836becc5f42f9aecec9",
 		goldTrace:  shaEmpty,
 		goldCkpt:   shaEmpty},
 	{name: "2kernelCKE-full", kernels: []string{"sv", "cd"}, cycles: 6000, full: true,
-		goldResult: "4691858a3ad533d1b877335d3224cf934f5a5fd2d0a364611ee2c1f03aeca55d",
-		goldTrace:  "fee7e355545d0a165ec1cfc7e4b6d6744206a6819b283e91e9e69e49095a12c7",
+		goldResult: "ed57f0994372da7074a3cc74d5288fd9baf880e04943f3280e9e889d1970645b",
+		goldTrace:  "8f635f6b6513b307095569873e58b9e14ad6facbcefad1cdde2018bfa4247bb6",
 		goldCkpt:   shaEmpty},
 	{name: "2kernelCKE-trace-ckpt", kernels: []string{"bp", "cd"}, cycles: 6000, ckpt: true,
-		goldResult: "111030b42b2373b1a8b899aa44b7bb4647f6f161206ac21fd6f2608bf553ae70",
-		goldTrace:  "f6f5c17c12aaa31a2abe16da966aacdbeaafcbe9f35af3197a8fb15bbe125718",
-		goldCkpt:   "2f3754938667ab91904c5f42472189b6eec6af09727ee526e4e421985ec1f200"},
+		goldResult: "d60f2df72e179b6bdb45f2bd5b57433cc2a0fdba4012cd29305a833a63b9d270",
+		goldTrace:  "151a244159a6605f16f90561d7fe8eaad49c3300281f96a1dc6445f2a716ee7d",
+		goldCkpt:   "53e224e2cd4a3b4cc208552e9db4865fd3e9ce3e6db876fd1f910bff6b40372d"},
 }
 
 func (w *parallelWorkload) check(t *testing.T, label string, got engineRun) {

@@ -28,7 +28,7 @@ func Benchmarks() []Desc {
 			CPerM: 4, SFUFrac: 0.35, ReqPerMinst: 2, StoreFrac: 0.05,
 			DepDist: 4, MaxPendingLoads: 2,
 			FootprintLines: 2048, ReuseProb: 0.50, ReuseWindow: 4,
-			WarmProb: 0.80, WarmL2Frac: 0.25,
+			WarmProb: 0.80, WarmL2Frac: 0.10,
 			InstrsPerWarp: 3000,
 		},
 		{
@@ -39,7 +39,7 @@ func Benchmarks() []Desc {
 			CPerM: 7, SFUFrac: 0.10, ReqPerMinst: 3, StoreFrac: 0.08,
 			DepDist: 7, MaxPendingLoads: 2,
 			FootprintLines: 4096, ReuseProb: 0.02, ReuseWindow: 4,
-			WarmProb: 0.97, WarmL2Frac: 0.50,
+			WarmProb: 0.97, WarmL2Frac: 0.20,
 			InstrsPerWarp: 3000,
 		},
 		{
@@ -50,7 +50,7 @@ func Benchmarks() []Desc {
 			DepDist: 5, MaxPendingLoads: 2,
 			FootprintLines: 1024, ReuseProb: 0.35, ReuseWindow: 4,
 			HotProb: 0.88, HotLines: 24,
-			WarmProb: 0.05, WarmL2Frac: 0.125,
+			WarmProb: 0.05, WarmL2Frac: 0.05,
 			InstrsPerWarp: 3000,
 		},
 		{
@@ -61,7 +61,7 @@ func Benchmarks() []Desc {
 			CPerM: 6, SFUFrac: 0.05, ReqPerMinst: 2, StoreFrac: 0.08,
 			DepDist: 3, MaxPendingLoads: 1,
 			FootprintLines: 1024, ReuseProb: 0.01, ReuseWindow: 2,
-			WarmProb: 0.975, WarmL2Frac: 0.50,
+			WarmProb: 0.975, WarmL2Frac: 0.20,
 			InstrsPerWarp: 3000,
 		},
 		{
@@ -71,7 +71,7 @@ func Benchmarks() []Desc {
 			CPerM: 6, SFUFrac: 0.10, ReqPerMinst: 2, StoreFrac: 0.10,
 			DepDist: 4, MaxPendingLoads: 2,
 			FootprintLines: 2048, ReuseProb: 0.20, ReuseWindow: 4,
-			WarmProb: 0.92, WarmL2Frac: 0.375,
+			WarmProb: 0.92, WarmL2Frac: 0.15,
 			InstrsPerWarp: 3000,
 		},
 		{
@@ -81,7 +81,7 @@ func Benchmarks() []Desc {
 			CPerM: 4, SFUFrac: 0.05, ReqPerMinst: 1, StoreFrac: 0.05,
 			DepDist: 4, MaxPendingLoads: 1,
 			FootprintLines: 2048, ReuseProb: 0, ReuseWindow: 0,
-			WarmProb: 0.97, WarmL2Frac: 0.50,
+			WarmProb: 0.97, WarmL2Frac: 0.20,
 			InstrsPerWarp: 3000,
 		},
 		{
@@ -91,7 +91,7 @@ func Benchmarks() []Desc {
 			CPerM: 4, SFUFrac: 0.05, ReqPerMinst: 1, StoreFrac: 0.10,
 			DepDist: 4, MaxPendingLoads: 2,
 			FootprintLines: 2048, ReuseProb: 0.30, ReuseWindow: 4,
-			WarmProb: 0.88, WarmL2Frac: 0.45,
+			WarmProb: 0.88, WarmL2Frac: 0.18,
 			InstrsPerWarp: 3000,
 		},
 		{

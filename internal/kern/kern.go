@@ -79,7 +79,7 @@ type Desc struct {
 	// ~1.0 L1 miss rate with near-zero reservation failures (short L2
 	// hit latency turns MSHRs over quickly). WarmL2Frac is a fraction of
 	// the aggregate L2 capacity so behaviour is preserved on scaled
-	// machines; warps stream through the region from staggered starts.
+	// machines; each SM's warps walk the region with one cursor (Warm).
 	WarmProb   float64
 	WarmL2Frac float64
 	Scatter    bool // true: requests hit random lines (uncoalesced)
@@ -201,7 +201,6 @@ const (
 type AddrState struct {
 	Base      uint64 // first line of this warp's streaming region (kernel-relative)
 	StreamPos uint64
-	WarmPos   uint64
 	prev      [8]uint64 // lines of the previous memory instruction
 	prevN     int
 	cur       [8]uint64 // lines of the instruction being generated
@@ -210,7 +209,7 @@ type AddrState struct {
 
 // InitAddrState seeds a warp's address state. seq must be unique per
 // (kernel, TB instance, warp-in-TB) so fresh TBs stream fresh data.
-// warm is the effective warm-region size in lines (see GenLines).
+// warm is the warm region's size in lines (see Warm).
 func (d *Desc) InitAddrState(s *AddrState, seq uint64, warm uint64) {
 	// Keep regions inside the kernel's address-space slice; see
 	// mem.AddrSpace. The hot region occupies [0, HotLines), the warm
@@ -219,17 +218,19 @@ func (d *Desc) InitAddrState(s *AddrState, seq uint64, warm uint64) {
 	lo := d.HotLines + warm
 	s.Base = lo + (seq*d.FootprintLines)%(regionLimit-d.FootprintLines-lo)
 	s.StreamPos = 0
-	if warm > 0 {
-		// Stagger warp starting points through the warm region with a
-		// golden-ratio low-discrepancy sequence: successive warps land
-		// maximally far apart, so no two warps trail each other closely
-		// (which would overlap their fetches and inflate MSHR merges).
-		const phi32 = 2654435769            // 2^32 * (golden ratio - 1)
-		frac := uint64(uint32(seq * phi32)) // (seq*phi) mod 1, in 2^-32 units
-		s.WarmPos = frac * warm >> 32
-	}
 	s.prevN = 0
 	s.curN = 0
+}
+
+// Warm is one (SM, kernel) pair's cursor through the kernel's warm
+// region: every warm read of the kernel's warps on that SM takes line
+// Pos and advances it mod Lines, so a warm line's reuse distance on the
+// SM is exactly Lines warm reads. A warm read therefore misses the L1
+// iff Lines exceeds the L1's line count, and hits the L2 while the
+// co-runners' regions fit in it together.
+type Warm struct {
+	Lines uint64 // region size in lines (0: the kernel has none)
+	Pos   uint64 // next line to read, in [0, Lines)
 }
 
 // NextKind returns the instruction kind at loop position pos and the
@@ -257,9 +258,8 @@ func (d *Desc) NextKind(pos int, rng *xrand.Source) (InstrKind, int) {
 // Stores target the streaming output region only (they never pollute the
 // hot/warm read regions — write-evict would otherwise destroy read
 // locality, which real kernels avoid by writing to separate arrays).
-// warm is the effective warm-region size in lines, derived from
-// WarmL2Frac and the machine's aggregate L2 capacity.
-func (d *Desc) GenLines(s *AddrState, rng *xrand.Source, buf []uint64, isStore bool, warm uint64) int {
+// Warm reads take their lines from, and advance, the SM's cursor warm.
+func (d *Desc) GenLines(s *AddrState, rng *xrand.Source, buf []uint64, isStore bool, warm *Warm) int {
 	n := d.ReqPerMinst
 	if n > len(buf) {
 		n = len(buf)
@@ -286,12 +286,9 @@ func (d *Desc) GenLines(s *AddrState, rng *xrand.Source, buf []uint64, isStore b
 			line = s.prev[rng.Intn(s.prevN)]
 		case d.HotLines > 0 && rng.Bool(d.HotProb):
 			line = rng.Uint64n(d.HotLines)
-		case warm > 0 && rng.Bool(d.WarmProb):
-			line = d.HotLines + s.WarmPos
-			s.WarmPos++
-			if s.WarmPos >= warm {
-				s.WarmPos = 0
-			}
+		case warm.Lines > 0 && rng.Bool(d.WarmProb):
+			line = d.HotLines + warm.Pos
+			warm.Pos = (warm.Pos + 1) % warm.Lines
 		case d.Scatter:
 			line = s.Base + rng.Uint64n(d.FootprintLines)
 		default:

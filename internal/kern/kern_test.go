@@ -134,7 +134,7 @@ func TestGenLinesCount(t *testing.T) {
 	var s AddrState
 	d.InitAddrState(&s, 0, 0)
 	var buf [32]uint64
-	if n := d.GenLines(&s, rng, buf[:], false, 0); n != 17 {
+	if n := d.GenLines(&s, rng, buf[:], false, &Warm{}); n != 17 {
 		t.Fatalf("ks GenLines = %d requests, want 17", n)
 	}
 }
@@ -143,12 +143,12 @@ func TestGenLinesStoreAvoidsReadRegions(t *testing.T) {
 	d, _ := ByName("dc") // has a hot region
 	rng := xrand.New(3)
 	var s AddrState
-	warm := uint64(512)
-	d.InitAddrState(&s, 1, warm)
-	lo := d.HotLines + warm
+	warm := Warm{Lines: 512}
+	d.InitAddrState(&s, 1, warm.Lines)
+	lo := d.HotLines + warm.Lines
 	var buf [32]uint64
 	for i := 0; i < 1000; i++ {
-		n := d.GenLines(&s, rng, buf[:], true, warm)
+		n := d.GenLines(&s, rng, buf[:], true, &warm)
 		for j := 0; j < n; j++ {
 			if buf[j] < lo {
 				t.Fatalf("store touched read region line %d (< %d)", buf[j], lo)
@@ -167,8 +167,8 @@ func TestGenLinesReusePullsFromPreviousInstr(t *testing.T) {
 	var s AddrState
 	d.InitAddrState(&s, 0, 0)
 	var first, second [32]uint64
-	n1 := d.GenLines(&s, rng, first[:], false, 0)
-	n2 := d.GenLines(&s, rng, second[:], false, 0)
+	n1 := d.GenLines(&s, rng, first[:], false, &Warm{})
+	n2 := d.GenLines(&s, rng, second[:], false, &Warm{})
 	// With ReuseProb 1 every request of the second instruction must be a
 	// line of the first.
 	for i := 0; i < n2; i++ {

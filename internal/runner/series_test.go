@@ -26,7 +26,7 @@ func TestSeriesJobKey(t *testing.T) {
 		series bool
 		before string
 	}{
-		{false, "j1-2fc7e9f0d7521dab709d7d5cfb1e91f488f1f76def7a1a7582d5b9f9c1fbb407"},
+		{false, "j1-638849c167737d53f0a76be10cb118a7a3e22f6a0fce235b5e20ba8df1cb852a"},
 		{true, "j1-a18416dee396eb712ec89266acf7a5582b83c29f76262701820eedb22d441f49"},
 	} {
 		j := seriesJob(c.series)

@@ -190,9 +190,9 @@ type SM struct {
 	seriesIssued [][]uint32
 	seriesL1Acc  [][]uint32
 
-	// warmLines[k] is kernel k's effective warm-region size in lines
-	// (WarmL2Frac scaled by the machine's aggregate L2 capacity).
-	warmLines []uint64
+	// warm[k] is kernel k's cursor through its warm region on this SM,
+	// which SM ID starts ID/NumSMs of the way in.
+	warm []kern.Warm
 
 	// Trace, when non-nil, receives cycle-level events.
 	Trace *trace.Buffer
@@ -252,7 +252,7 @@ func (s *SM) Init(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
 		compQ:      s.compQ,
 		inflight:   ring.Zeroed(s.inflight, n),
 		K:          ring.Zeroed(s.K, n),
-		warmLines:  ring.Zeroed(s.warmLines, n),
+		warm:       ring.Zeroed(s.warm, n),
 		// One memory-issue candidate per kernel at most.
 		candKernels: ring.Zeroed(s.candKernels, n)[:0],
 		candWarps:   ring.Zeroed(s.candWarps, n),
@@ -271,9 +271,9 @@ func (s *SM) Init(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
 		s.warps[i].Gen = 1
 		s.freeWarps = append(s.freeWarps, i)
 	}
-	totalL2Lines := cfg.L2.SizeBytes / cfg.L2.LineBytes * cfg.NumMemParts
 	for k, d := range descs {
-		s.warmLines[k] = d.EffectiveWarmLines(totalL2Lines)
+		w := d.EffectiveWarmLines(cfg.L2.SizeBytes / cfg.L2.LineBytes * cfg.NumMemParts)
+		s.warm[k] = kern.Warm{Lines: w, Pos: uint64(id) * w / uint64(cfg.NumSMs)}
 	}
 }
 
@@ -443,7 +443,7 @@ func (s *SM) launchTB(k, slot, wpt int, cycle int64) {
 		seq := tbSeq*uint64(wpt) + uint64(wi)
 		s.wRNG[slotW].Seed(uint64(s.ID)<<32 ^ seq*0x9E3779B97F4A7C15 ^ uint64(k)<<56 ^ s.cfg.Seed)
 		s.wAddr[slotW] = kern.AddrState{}
-		d.InitAddrState(&s.wAddr[slotW], seq, s.warmLines[k])
+		d.InitAddrState(&s.wAddr[slotW], seq, s.warm[k].Lines)
 		w.NextKind, w.pos = d.NextKind(0, &s.wRNG[slotW])
 		w.ReadyAt = cycle
 		w.lastCycle = -1
@@ -599,7 +599,7 @@ func (s *SM) issueMemCandidate(cycle int64) int {
 	if w.NextKind == kern.MemStore {
 		kind = mem.Store
 	}
-	nreq := d.GenLines(&s.wAddr[slotW], &s.wRNG[slotW], s.lineBuf[:], kind == mem.Store, s.warmLines[k])
+	nreq := d.GenLines(&s.wAddr[slotW], &s.wRNG[slotW], s.lineBuf[:], kind == mem.Store, &s.warm[k])
 	barrier := uint64(noBarrier)
 	if kind == mem.Load {
 		barrier = w.IssuedInstrs + uint64(d.DepDist)

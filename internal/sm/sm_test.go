@@ -53,7 +53,8 @@ type perfectMem struct {
 		req *mem.Request
 		at  int64
 	}
-	lat int64
+	lat   int64
+	lines []uint64 // every fetched line, in the order the SM sent them
 }
 
 func (p *perfectMem) tick(s *SM, cycle int64) {
@@ -63,6 +64,7 @@ func (p *perfectMem) tick(s *SM, cycle int64) {
 			break
 		}
 		s.PopOutbound()
+		p.lines = append(p.lines, r.LineAddr)
 		if r.Kind == mem.Load {
 			p.pending = append(p.pending, struct {
 				req *mem.Request
@@ -171,6 +173,30 @@ func TestMemoryInstructionsGenerateRequests(t *testing.T) {
 	reqPerM := float64(s.K[0].Requests) / float64(s.K[0].MemInstrs)
 	if reqPerM < 3.5 || reqPerM > 4.5 {
 		t.Fatalf("requests per memory instruction = %v, want ~4", reqPerM)
+	}
+
+	// Warm reads: all of a kernel's warps on an SM share one cursor,
+	// which SM ID starts ID·W/NumSMs into the W-line region. With W above
+	// the L1's line count every warm read misses, so the SM fetches
+	// consecutive warm lines mod W: a warm line's reuse distance is
+	// exactly W warm reads.
+	cfg := config.Scaled(4)
+	d.WarmProb, d.WarmL2Frac = 1, 0.125
+	w := d.EffectiveWarmLines(cfg.L2.SizeBytes / cfg.L2.LineBytes * cfg.NumMemParts)
+	if l1Lines := uint64(cfg.L1D.SizeBytes / cfg.L1D.LineBytes); w <= l1Lines {
+		t.Fatalf("warm region %d lines fits the %d-line L1", w, l1Lines)
+	}
+	s = New(3, &cfg, []*kern.Desc{&d}, []int{4}, nil, nil, nil, 1)
+	pm = &perfectMem{lat: 40}
+	run(s, pm, 3000)
+	if uint64(len(pm.lines)) <= w {
+		t.Fatalf("%d warm fetches never wrap the %d-line region", len(pm.lines), w)
+	}
+	start := 3 * w / 4
+	for i, line := range pm.lines {
+		if want := s.space.LineOf(0, d.HotLines+(start+uint64(i))%w); line != want {
+			t.Fatalf("warm fetch %d is line %d, want %d", i, line, want)
+		}
 	}
 }
 

