@@ -99,9 +99,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// One runner for the whole process, with a memory-only result cache:
-	// experiments that share points (fig12 and paper-vs-measured)
-	// simulate them once.
+	// One runner for the whole process, with a result store (memory-only
+	// without -journal): experiments that share points (fig12 and
+	// paper-vs-measured) simulate them once.
 	rb.Cache = true
 	run, closeStores, err := rb.Runner(*parallel, log.Printf)
 	if err != nil {

@@ -48,7 +48,7 @@ func main() {
 	cycles := flag.Int64("cycles", 8000, "measured cycles per job")
 	profileCycles := flag.Int64("profile-cycles", 6000, "profiling cycles per job")
 	kernels := flag.String("kernels", "bp,ks", "comma-separated kernel mix per job")
-	fresh := flag.Bool("fresh", true, "send fresh=1 so cache/journal replay cannot stand in for simulation")
+	fresh := flag.Bool("fresh", true, "send fresh=1 so the result store cannot stand in for simulation")
 	settle := flag.Duration("settle", 2*time.Second, "pause between stages so queue residue cannot bleed across")
 	out := flag.String("out", "", "write the JSON report here (empty = stdout)")
 	flag.Parse()

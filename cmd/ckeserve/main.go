@@ -1,7 +1,7 @@
 // Command ckeserve runs the simulator as a long-lived HTTP job service:
 // clients POST simulation jobs and the service executes each admitted
 // job once on the concurrent runner pool, with bounded admission,
-// deadlines, a result journal, and SIGTERM drain. A transient failure
+// deadlines, a result store, and SIGTERM drain. A transient failure
 // is answered "transient": true for the client (or the fleet
 // coordinator) to resubmit. See internal/server for the degradation
 // model and DESIGN.md §10 for the architecture.
@@ -35,7 +35,7 @@ func main() {
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Minute, "how long SIGTERM waits for in-flight jobs before giving up")
 	phaseTrace := flag.Bool("phasetrace", false, "measure per-phase engine time; /statz reports the breakdown under phase_ns")
 	chaosSpec := flag.String("chaos", "", "deterministic fault injection (dev only), e.g. panic=0.5,hang=0.2,journal=0.1,invariant=0.05,corrupt=0.3,seed=42,failures=1")
-	stores := cli.AddFlags(flag.CommandLine, "check", "journal", "cache", "cache-dir")
+	stores := cli.AddFlags(flag.CommandLine, "check", "journal", "cache")
 	flag.Parse()
 	switch {
 	case *parallel < 0:
@@ -56,7 +56,7 @@ func main() {
 		PhaseTrace: *phaseTrace,
 	}
 	var err error
-	if cfg.Cache, err = stores.OpenCache(log.Printf); err != nil {
+	if cfg.Cache, err = stores.OpenStore(log.Printf); err != nil {
 		log.Fatal(err)
 	}
 	if *chaosSpec != "" {
@@ -68,9 +68,6 @@ func main() {
 			cfg.Chaos = chaos.New(ccfg)
 			log.Printf("chaos armed: %s (every resilience path is live-fire)", *chaosSpec)
 		}
-	}
-	if cfg.Journal, err = stores.OpenJournal(log.Printf); err != nil {
-		log.Fatal(err)
 	}
 	srv := server.New(cfg)
 
@@ -96,6 +93,6 @@ func main() {
 		if err := <-errc; err != nil {
 			log.Fatal(err)
 		}
-		log.Printf("drained cleanly; journal flushed")
+		log.Printf("drained cleanly; result store closed")
 	}
 }

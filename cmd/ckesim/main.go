@@ -153,9 +153,9 @@ func run(args []string, w io.Writer) error {
 			labels = append(labels, fmt.Sprintf("%s under %s", strings.TrimSpace(spec), sc.Name()))
 		}
 	}
-	// A replayed or cached result has no events.
-	if *tail > 0 && (len(jobs) != 1 || rb.JournalPath != "" || rb.Cache || rb.CacheDir != "") {
-		return errors.New("-trace needs exactly one job and no -journal, -cache or -cache-dir")
+	// A stored result has no events.
+	if *tail > 0 && (len(jobs) != 1 || rb.JournalPath != "" || rb.Cache) {
+		return errors.New("-trace needs exactly one job and no -journal or -cache")
 	}
 
 	stopProf, err := prof.Start()

@@ -93,7 +93,6 @@ func TestTraceNeedsOneFreshJob(t *testing.T) {
 		{"-kernels", "bp,ks;bp,sv", "-scheme", "even"},
 		{"-scheme", "even", "-journal", t.TempDir() + "/j.jsonl"},
 		{"-scheme", "even", "-cache"},
-		{"-scheme", "even", "-cache-dir", t.TempDir()},
 	} {
 		out, err := runOut(t, append(append([]string(nil), base...), extra...)...)
 		if err == nil || out != "" {

@@ -1,28 +1,19 @@
 // Package applog is the crash-safe append-only line log under the
-// result journal and the result cache. It owns the crash discipline
-// both stores share and neither decides: one newline-terminated line per
-// entry, written and fsynced before Append returns; a failed append rolled
-// back to the end of the last durable line; a torn tail dropped on Open.
-// What a line means (keys, digests, which entry wins) is the view's.
+// result store (internal/resultcache). It owns the crash discipline: one
+// newline-terminated line per entry, written and fsynced before Append
+// returns; a failed append rolled back to the end of the last durable
+// line; a torn tail dropped on Open. What a line means (keys, digests,
+// which entry wins, whether the file is a store at all) is the store's.
 // DESIGN.md §12 tabulates the crash cases.
 package applog
 
 import (
 	"bufio"
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
 )
-
-// Digest returns the hex sha256 of b: the checksum both views record
-// beside a value and verify before they serve it.
-func Digest(b []byte) string {
-	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
-}
 
 // maxLine caps one line on Open. A variable so that tests can provoke a
 // read error without a 256 MiB file.
@@ -44,7 +35,7 @@ func (e *WriteError) Error() string {
 
 func (e *WriteError) Unwrap() error { return e.Err }
 
-// Log is one open log file. It is not safe for concurrent use: each view
+// Log is one open log file. It is not safe for concurrent use: the store
 // calls it under the mutex that also guards its index.
 type Log struct {
 	path   string
@@ -56,12 +47,13 @@ type Log struct {
 // Open opens the log at path (creating it if absent), hands load every
 // complete line in file order — without its newline, with its byte
 // offset — and leaves the log ending after the last line load accepted.
-// The first line load rejects is the crash point: it and everything after
-// it is truncated away, as is a final line with no newline even if it
-// would parse, because a tear can fall exactly there. A read error (or a
-// line over the cap) fails Open and leaves the file as it is: what cannot
-// be read must not be taken for a torn tail.
-func Open(path string, load func(line []byte, off int64) bool) (*Log, error) {
+// The first line load rejects (false) is the crash point: it and
+// everything after it is truncated away, as is a final line with no
+// newline even if it would parse, because a tear can fall exactly there.
+// A read error (or a line over the cap) or an error from load fails Open
+// and leaves the file as it is: what cannot be read, or is not this
+// log's, must not be taken for a torn tail.
+func Open(path string, load func(line []byte, off int64) (bool, error)) (*Log, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
@@ -75,10 +67,15 @@ func Open(path string, load func(line []byte, off int64) bool) (*Log, error) {
 		}
 		return 0, nil, nil // unterminated: read on or, at EOF, the torn tail
 	})
-	for sc.Scan() && load(sc.Bytes(), l.off) {
-		l.off += int64(len(sc.Bytes())) + 1
+	ok := true
+	for ok && err == nil && sc.Scan() {
+		if ok, err = load(sc.Bytes(), l.off); ok {
+			l.off += int64(len(sc.Bytes())) + 1
+		}
 	}
-	if err = sc.Err(); err != nil {
+	if err != nil {
+		err = fmt.Errorf("%s: %w", path, err)
+	} else if err = sc.Err(); err != nil {
 		err = fmt.Errorf("reading %s: %w", path, err)
 	} else if err = f.Truncate(l.off); err != nil {
 		err = fmt.Errorf("truncating torn tail of %s: %w", path, err)

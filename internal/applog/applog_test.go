@@ -11,7 +11,7 @@ import (
 // hands to load both address the line for ReadAt, across a reopen.
 func TestOffsetsAddressLines(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "log")
-	l, err := Open(path, func([]byte, int64) bool { t.Fatal("load called on an empty file"); return false })
+	l, err := Open(path, func([]byte, int64) (bool, error) { t.Fatal("load called on an empty file"); return false, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,12 +33,12 @@ func TestOffsetsAddressLines(t *testing.T) {
 	}
 
 	i := 0
-	l, err = Open(path, func(line []byte, off int64) bool {
+	l, err = Open(path, func(line []byte, off int64) (bool, error) {
 		if string(line)+"\n" != lines[i] || off != offs[i] {
 			t.Fatalf("line %d loaded as %q at %d, want %q at %d", i, line, off, lines[i], offs[i])
 		}
 		i++
-		return true
+		return true, nil
 	})
 	if err != nil {
 		t.Fatal(err)

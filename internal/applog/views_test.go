@@ -3,6 +3,7 @@ package applog_test
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -15,7 +16,9 @@ import (
 	"repro/internal/resultcache"
 )
 
-// store is what the crash tests need of a view over the log.
+// store is what the crash tests need of the result store, through each
+// of its two entrances: resultcache's Put/Get and the journal view's
+// Append/Lookup.
 type store interface {
 	put(key string, val []byte) error
 	get(key string) ([]byte, bool)
@@ -24,8 +27,12 @@ type store interface {
 
 type journalView struct{ *journal.Journal }
 
-func (v journalView) put(key string, val []byte) error { return v.AppendRaw(key, val) }
-func (v journalView) get(key string) ([]byte, bool)    { return v.Raw(key) }
+func (v journalView) put(key string, val []byte) error { return v.Append(key, json.RawMessage(val)) }
+func (v journalView) get(key string) ([]byte, bool) {
+	var raw json.RawMessage
+	ok, err := v.Lookup(key, &raw)
+	return raw, ok && err == nil
+}
 
 type cacheView struct{ *resultcache.Store }
 

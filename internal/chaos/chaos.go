@@ -1,9 +1,9 @@
 // Package chaos is a deterministic fault injector for the service, sweep
 // and fleet pipelines: it forces worker panics, artificial hangs,
-// journal and result-cache write errors, invariant-watchdog violations
-// and network faults (connection drops, added latency, synthetic 5xx) so
-// every degradation path (transient answer, deadline kill, permanent
-// failure, journal rollback, fleet requeue/hedge/eject) has a
+// result-store write errors, invariant-watchdog violations and network
+// faults (connection drops, added latency, synthetic 5xx) so every
+// degradation path (transient answer, deadline kill, permanent failure,
+// store rollback, fleet requeue/hedge/eject) has a
 // failing-then-recovering test instead of an untested error branch. A
 // panic or a hang makes the server answer a transient 5xx, which the
 // fleet coordinator requeues; an invariant violation is a permanent 500.
@@ -42,17 +42,14 @@ const (
 	// KindHang blocks the job until its deadline context expires
 	// (exercises per-job deadline kill and the coordinator's requeue).
 	KindHang Kind = "hang"
-	// KindJournal fails the journal write for the job's result
-	// (exercises journal append rollback and typed write errors).
+	// KindJournal fails the durable result store's append of the job's
+	// result — the -journal file (exercises the append rollback, the
+	// typed write error and the job failing with it).
 	KindJournal Kind = "journal"
 	// KindInvariant fails the job with a deterministic
 	// *sm.InvariantError (exercises the permanent classification: the
 	// service answers 500 and nothing re-runs the job).
 	KindInvariant Kind = "invariant"
-	// KindCache fails the result cache's persistence write (exercises
-	// the cache's pass-through degradation: the job must still succeed,
-	// only the entry's durability is lost).
-	KindCache Kind = "cache"
 	// KindNetDrop fails the HTTP round trip with a connection error
 	// before the request reaches the worker (exercises the fleet
 	// coordinator's requeue-on-connection-failure path; from the
@@ -88,7 +85,6 @@ type Config struct {
 	HangProb      float64
 	JournalProb   float64
 	InvariantProb float64
-	CacheProb     float64
 	NetDropProb   float64
 	NetDelayProb  float64
 	Net5xxProb    float64
@@ -109,7 +105,7 @@ type Config struct {
 // Enabled reports whether any fault class has a non-zero probability.
 func (c Config) Enabled() bool {
 	return c.PanicProb > 0 || c.HangProb > 0 || c.JournalProb > 0 ||
-		c.InvariantProb > 0 || c.CacheProb > 0 ||
+		c.InvariantProb > 0 ||
 		c.NetDropProb > 0 || c.NetDelayProb > 0 || c.Net5xxProb > 0 ||
 		c.CorruptProb > 0
 }
@@ -155,7 +151,6 @@ func (inj *Injector) Plan(key string) Kind {
 		{inj.cfg.HangProb, KindHang},
 		{inj.cfg.JournalProb, KindJournal},
 		{inj.cfg.InvariantProb, KindInvariant},
-		{inj.cfg.CacheProb, KindCache},
 		{inj.cfg.NetDropProb, KindNetDrop},
 		{inj.cfg.NetDelayProb, KindNetDelay},
 		{inj.cfg.Net5xxProb, KindNet5xx},
@@ -228,8 +223,9 @@ func (inj *Injector) JobFault(ctx context.Context, index int, key string) error 
 	return nil
 }
 
-// JournalFault is the journal.Journal.FaultHook seam: it fails the
-// write or sync step of an append for keys planned KindJournal.
+// JournalFault is the resultcache.Store.FaultHook seam: it fails the
+// write or sync step of a durable store's append for keys planned
+// KindJournal.
 func (inj *Injector) JournalFault(op, key string) error {
 	if inj.Plan(key) != KindJournal {
 		return nil
@@ -238,18 +234,6 @@ func (inj *Injector) JournalFault(op, key string) error {
 		return nil
 	}
 	return fmt.Errorf("chaos: injected journal %s error for %s", op, key)
-}
-
-// CacheFault is the resultcache.Store.FaultHook seam: it fails the
-// write or sync step of a cache persist for keys planned KindCache.
-func (inj *Injector) CacheFault(op, key string) error {
-	if inj.Plan(key) != KindCache {
-		return nil
-	}
-	if !inj.spend(key, KindCache) {
-		return nil
-	}
-	return fmt.Errorf("chaos: injected cache %s error for %s", op, key)
 }
 
 // ResultFault is the worker's silent-corruption seam: it reports whether
@@ -339,8 +323,8 @@ func (t *netTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // Parse decodes a -chaos flag spec: comma-separated key=value pairs with
-// keys panic, hang, journal, invariant, cache, netdrop, netdelay,
-// net5xx, corrupt (probabilities in [0,1]),
+// keys panic, hang, journal, invariant, netdrop, netdelay, net5xx,
+// corrupt (probabilities in [0,1]),
 // seed (uint64), failures (int), hangdur and netdelaydur (Go durations).
 // Example:
 //
@@ -360,7 +344,7 @@ func Parse(spec string) (Config, error) {
 		}
 		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
 		switch k {
-		case "panic", "hang", "journal", "invariant", "cache", "netdrop", "netdelay", "net5xx", "corrupt":
+		case "panic", "hang", "journal", "invariant", "netdrop", "netdelay", "net5xx", "corrupt":
 			p, err := strconv.ParseFloat(v, 64)
 			if err != nil || p < 0 || p > 1 {
 				return Config{}, fmt.Errorf("chaos: %s=%q: want a probability in [0,1]", k, v)
@@ -374,8 +358,6 @@ func Parse(spec string) (Config, error) {
 				cfg.JournalProb = p
 			case "invariant":
 				cfg.InvariantProb = p
-			case "cache":
-				cfg.CacheProb = p
 			case "netdrop":
 				cfg.NetDropProb = p
 			case "netdelay":
@@ -410,7 +392,7 @@ func Parse(spec string) (Config, error) {
 			}
 			cfg.NetDelay = d
 		default:
-			return Config{}, fmt.Errorf("chaos: unknown key %q (want panic, hang, journal, invariant, cache, netdrop, netdelay, net5xx, corrupt, seed, failures, hangdur or netdelaydur)", k)
+			return Config{}, fmt.Errorf("chaos: unknown key %q (want panic, hang, journal, invariant, netdrop, netdelay, net5xx, corrupt, seed, failures, hangdur or netdelaydur)", k)
 		}
 	}
 	return cfg, nil

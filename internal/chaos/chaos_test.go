@@ -128,36 +128,13 @@ func TestJournalFaultOnlyForJournalPlan(t *testing.T) {
 	}
 }
 
-func TestCacheFaultOnlyForCachePlan(t *testing.T) {
-	inj := New(Config{Seed: 7, CacheProb: 1, Failures: 1})
-	if err := inj.CacheFault("write", "key"); err == nil {
-		t.Fatal("cache fault not injected for cache-planned key")
-	}
-	if err := inj.CacheFault("write", "key"); err != nil {
-		t.Fatalf("budget ignored: %v", err)
-	}
-	// Cross-class isolation: a cache-planned key faults neither the job
-	// nor the journal, and vice versa.
-	cinj := New(Config{Seed: 7, CacheProb: 1})
-	if err := cinj.JobFault(context.Background(), 0, "key"); err != nil {
-		t.Fatalf("cache-planned key faulted the job itself: %v", err)
-	}
-	if err := cinj.JournalFault("sync", "key"); err != nil {
-		t.Fatalf("cache-planned key faulted a journal write: %v", err)
-	}
-	jinj := New(Config{Seed: 7, JournalProb: 1})
-	if err := jinj.CacheFault("write", "key"); err != nil {
-		t.Fatalf("journal-planned key faulted a cache write: %v", err)
-	}
-}
-
 func TestParse(t *testing.T) {
-	cfg, err := Parse("panic=0.5, hang=0.25, journal=0.1, invariant=0.05, cache=0.1, seed=42, failures=3, hangdur=2s")
+	cfg, err := Parse("panic=0.5, hang=0.25, journal=0.1, invariant=0.05, seed=42, failures=3, hangdur=2s")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := Config{Seed: 42, PanicProb: 0.5, HangProb: 0.25, JournalProb: 0.1,
-		InvariantProb: 0.05, CacheProb: 0.1, Hang: 2 * time.Second, Failures: 3}
+		InvariantProb: 0.05, Hang: 2 * time.Second, Failures: 3}
 	if cfg != want {
 		t.Fatalf("cfg = %+v, want %+v", cfg, want)
 	}
@@ -170,6 +147,7 @@ func TestParse(t *testing.T) {
 	for _, bad := range []string{
 		"panic", "panic=2", "panic=-0.1", "panic=x", "seed=-1", "seed=abc",
 		"failures=0", "failures=x", "hangdur=0", "hangdur=x", "bogus=1",
+		"cache=0.1", // the one store fault kind is journal
 	} {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q) accepted", bad)

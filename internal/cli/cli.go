@@ -15,7 +15,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/journal"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
 )
@@ -28,26 +27,21 @@ type Robustness struct {
 	// error (submission order); "skip" reports every failed point and
 	// keeps the rest of the grid.
 	OnError string
-	// JournalPath, when non-empty, records completed points in a
-	// crash-safe journal; on restart, journaled points are replayed
-	// instead of re-simulated.
+	// JournalPath, when non-empty, is the durable result store's file:
+	// every completed point is stored there, and on restart the points
+	// it holds are served instead of re-simulated.
 	JournalPath string
 	// Timeout bounds each job's wall-clock time (0 = none).
 	Timeout time.Duration
-	// Cache enables the content-addressed result cache: points whose
-	// job fingerprint was already simulated (by this process, or — with
-	// CacheDir — by an earlier one) are served from the cache instead of
-	// re-simulated.
+	// Cache, without JournalPath, enables a memory-only result store:
+	// a point whose job fingerprint this process already simulated is
+	// served from it instead of re-simulated.
 	Cache bool
-	// CacheDir, when non-empty, persists the result cache to
-	// <CacheDir>/results.jsonl; it implies Cache.
-	CacheDir string
 }
 
 // AddFlags registers the shared flags named (without their dash) on fs,
 // or all of them when none is named: -check, -on-error, -journal,
-// -timeout, -cache and -cache-dir. Use flag.CommandLine from a driver's
-// main.
+// -timeout and -cache. Use flag.CommandLine from a driver's main.
 func AddFlags(fs *flag.FlagSet, names ...string) *Robustness {
 	r := &Robustness{}
 	all := flag.NewFlagSet("", flag.PanicOnError)
@@ -56,13 +50,11 @@ func AddFlags(fs *flag.FlagSet, names ...string) *Robustness {
 	all.StringVar(&r.OnError, "on-error", "abort",
 		"failed-point policy: abort (stop at first error) or skip (report failures, keep the rest)")
 	all.StringVar(&r.JournalPath, "journal", "",
-		"result journal path; completed points are replayed on restart (empty = disabled)")
+		"durable result store file; completed points are served from it on restart (empty = none)")
 	all.DurationVar(&r.Timeout, "timeout", 0,
 		"per-job wall-clock timeout, e.g. 90s or 10m (0 = none)")
 	all.BoolVar(&r.Cache, "cache", false,
-		"serve repeated points from the content-addressed result cache")
-	all.StringVar(&r.CacheDir, "cache-dir", "",
-		"persist the result cache to <dir>/results.jsonl across runs (implies -cache)")
+		"serve repeated points from a memory-only result store (-journal's store does already)")
 	if len(names) == 0 {
 		all.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
 	}
@@ -108,82 +100,44 @@ func CheckMachine(sms int, cycles, profileCycles int64, parallel int) error {
 // aborting the run.
 func (r *Robustness) Skip() bool { return r.OnError == "skip" }
 
-// OpenJournal opens the result journal when one was requested and
-// reports how much prior progress it holds. Returns (nil, nil) when
-// journaling is disabled.
-func (r *Robustness) OpenJournal(logf func(format string, args ...any)) (*journal.Journal, error) {
-	if r.JournalPath == "" {
+// OpenStore opens the result store the flags ask for — durable at
+// -journal, else memory-only with -cache — and reports how many points a
+// durable one already holds. Returns (nil, nil) when neither is set.
+func (r *Robustness) OpenStore(logf func(format string, args ...any)) (*resultcache.Store, error) {
+	if r.JournalPath == "" && !r.Cache {
 		return nil, nil
 	}
-	j, err := journal.Open(r.JournalPath)
+	s, err := resultcache.Open(resultcache.Options{Path: r.JournalPath})
 	if err != nil {
 		return nil, err
 	}
-	if n := j.Len(); n > 0 && logf != nil {
-		logf("journal %s: resuming past %d journaled point(s)", r.JournalPath, n)
+	if n := s.Len(); n > 0 && logf != nil {
+		logf("journal %s: resuming past %d stored point(s)", r.JournalPath, n)
 	}
-	return j, nil
-}
-
-// OpenCache opens the result cache when one was requested (-cache or
-// -cache-dir) and reports how many entries the persistent tier holds.
-// Returns (nil, nil) when caching is disabled.
-func (r *Robustness) OpenCache(logf func(format string, args ...any)) (*resultcache.Store, error) {
-	if !r.Cache && r.CacheDir == "" {
-		return nil, nil
-	}
-	var opts resultcache.Options
-	if r.CacheDir != "" {
-		if err := os.MkdirAll(r.CacheDir, 0o755); err != nil {
-			return nil, fmt.Errorf("-cache-dir: %w", err)
-		}
-		opts.Path = r.CacheDir + string(os.PathSeparator) + "results.jsonl"
-	}
-	c, err := resultcache.Open(opts)
-	if err != nil {
-		return nil, err
-	}
-	if n := c.Len(); n > 0 && logf != nil {
-		logf("result cache %s: %d entr%s available", opts.Path, n, plural(n, "y", "ies"))
-	}
-	return c, nil
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
+	return s, nil
 }
 
 // Runner validates the options and returns a pool of workers (0 =
 // GOMAXPROCS) running under the per-job timeout and the invariant
-// watchdog (-check) with the journal and result cache the flags ask
-// for, and a function that closes those stores.
+// watchdog (-check) with the result store the flags ask for, and a
+// function that closes it.
 func (r *Robustness) Runner(workers int, logf func(format string, args ...any)) (*runner.Runner, func(), error) {
 	if err := r.Validate(); err != nil {
+		return nil, nil, err
+	}
+	store, err := r.OpenStore(logf)
+	if err != nil {
 		return nil, nil, err
 	}
 	run := runner.New(workers)
 	run.Timeout = r.Timeout
 	run.Check = r.Check
-	closeStores := func() {
-		if run.Journal != nil {
-			run.Journal.Close()
+	run.Cache = store
+	return run, func() {
+		if store != nil {
+			store.Close()
 		}
-		if run.Cache != nil {
-			run.Cache.Close()
-		}
-	}
-	var err error
-	if run.Journal, err = r.OpenJournal(logf); err == nil {
-		run.Cache, err = r.OpenCache(logf)
-	}
-	if err != nil {
-		closeStores()
-		return nil, nil, err
-	}
-	return run, closeStores, nil
+	}, nil
 }
 
 // Failures applies the failed-point policy to a finished grid. Under

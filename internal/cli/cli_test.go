@@ -2,11 +2,15 @@ package cli
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"io"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/sm"
 )
@@ -137,5 +141,50 @@ func TestRunnerAppliesCheck(t *testing.T) {
 		if run.Check != check {
 			t.Fatalf("Check=%v: runner.Check = %v", check, run.Check)
 		}
+	}
+}
+
+// TestOpenStoreFollowsTheFlags: two store flags, one opener. -journal
+// opens the durable store at its path (and reports what it holds on a
+// restart), -cache alone a memory-only one, neither none; -cache-dir is
+// gone.
+func TestOpenStoreFollowsTheFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	open := func(args ...string) (*resultcache.Store, []string) {
+		t.Helper()
+		fs := flag.NewFlagSet("", flag.ContinueOnError)
+		rb := AddFlags(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		logf, lines := collectLog()
+		s, err := rb.OpenStore(logf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, *lines
+	}
+	if s, _ := open(); s != nil {
+		t.Fatal("a store opened without -journal or -cache")
+	}
+	mem, _ := open("-cache")
+	if err := mem.Put("k", []byte("1")); err != nil || mem.Len() != 1 {
+		t.Fatalf("-cache store: Put = %v, Len %d", err, mem.Len())
+	}
+	s, _ := open("-journal", path, "-cache")
+	if err := s.Put("k", []byte("1")); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s, lines := open("-journal", path)
+	defer s.Close()
+	if s.Len() != 1 || len(lines) != 1 || !strings.Contains(lines[0], "resuming past 1 stored point") {
+		t.Fatalf("reopened -journal store: Len %d, log %q", s.Len(), lines)
+	}
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	AddFlags(fs)
+	if err := fs.Parse([]string{"-cache-dir", t.TempDir()}); err == nil {
+		t.Fatal("-cache-dir still accepted")
 	}
 }

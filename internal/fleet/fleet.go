@@ -5,14 +5,14 @@
 //
 // The coordinator is a runner.Executor: runner.Run fingerprints each
 // job, runs a fingerprint repeated within one call once, serves its
-// result cache and journal, and hands every remaining miss to Execute.
+// result store, and hands every remaining miss to Execute.
 // The fault model and the mechanisms, in the order a miss meets them:
 //
 //   - Wire form: the job is rebuilt as a server.JobRequest (the whole
 //     machine config, Table 2 kernel names, the scheme); a job whose
 //     rebuilt fingerprint differs from the runner's key fails
 //     permanently without a dispatch.
-//   - Resume: the runner's journal holds the coordinator's progress, so
+//   - Resume: the runner's durable store holds the coordinator's progress, so
 //     a restarted sweep dispatches only the fingerprints it lacks.
 //   - Leases: every dispatch runs under a lease (the job timeout plus
 //     a margin). A worker that neither answers nor fails within the
@@ -69,8 +69,8 @@ import (
 	gcke "repro"
 	"repro/internal/backoff"
 	"repro/internal/chaos"
-	"repro/internal/journal"
 	"repro/internal/overload"
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/server"
 	"repro/internal/xrand"
@@ -96,7 +96,7 @@ type Config struct {
 	// disables hedging entirely).
 	HedgeAfter time.Duration
 	// AuditRate is the fraction of completed jobs whose result is
-	// re-executed from scratch (fresh=1, no cache, no journal) on a
+	// re-executed from scratch (fresh=1, no result store) on a
 	// DIFFERENT worker and byte-compared — the integrity net for workers
 	// that answer promptly, self-consistently, and wrong. The engine is
 	// deterministic, so any divergence proves a lie; a 2-of-3 vote on a
@@ -268,7 +268,7 @@ func New(cfg Config) (*Coordinator, error) {
 func (c *Coordinator) Slots() int { return len(c.workers) * cap(c.workers[0].slots) }
 
 // Execute runs one job on the fleet; runner.Run calls it for every
-// fingerprint its cache and journal miss. An unaudited result whose
+// fingerprint its result store misses. An unaudited result whose
 // worker was quarantined before Execute returned is discarded and the
 // job run again (the quarantined worker no longer receives leases).
 func (c *Coordinator) Execute(ctx context.Context, j *runner.Job, key string) (*gcke.WorkloadResult, json.RawMessage, error) {
@@ -506,8 +506,8 @@ func (c *Coordinator) hedgeThreshold() time.Duration {
 
 // dispatch posts one job to one worker under a lease and classifies
 // the answer. It owns (and releases) the worker slot acquired for it.
-// fresh dispatches carry fresh=1: the worker bypasses its cache and
-// journal entirely — the audit path's independent re-execution.
+// fresh dispatches carry fresh=1: the worker bypasses its result store
+// entirely — the audit path's independent re-execution.
 func (c *Coordinator) dispatch(ctx context.Context, w *worker, t *task, fresh bool) outcome {
 	defer func() { <-w.slots }()
 	lease := c.cfg.JobTimeout
@@ -579,7 +579,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *worker, t *task, fresh bo
 			c.eject(w, fmt.Errorf("malformed 200 body"))
 			return outcome{reason: fmt.Sprintf("%s answered 200 with %s", w.url, bad)}
 		}
-		if journal.Digest(shadow.Result) != shadow.Digest {
+		if resultcache.Digest(shadow.Result) != shadow.Digest {
 			// The bytes do not match the digest the worker itself sent:
 			// damage in transit or a worker too broken to hash its own
 			// output. Either way its answers cannot be trusted.

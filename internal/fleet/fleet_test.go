@@ -17,7 +17,7 @@ import (
 	gcke "repro"
 	"repro/internal/chaos"
 	"repro/internal/fleet"
-	"repro/internal/journal"
+	"repro/internal/resultcache"
 	"repro/internal/runner"
 	"repro/internal/server"
 )
@@ -71,7 +71,7 @@ func runFleet(t *testing.T, cfg fleet.Config, reqs []server.JobRequest) (string,
 
 // runJournaled is runFleet through a runner that holds jnl, the
 // coordinator's own progress, and writes the Lines Coordinator.Run would.
-func runJournaled(t *testing.T, cfg fleet.Config, jnl *journal.Journal, reqs []server.JobRequest) (string, fleet.Stats) {
+func runJournaled(t *testing.T, cfg fleet.Config, jnl *resultcache.Store, reqs []server.JobRequest) (string, fleet.Stats) {
 	t.Helper()
 	cfg.Logf = t.Logf
 	c, err := fleet.New(cfg)
@@ -87,7 +87,7 @@ func runJournaled(t *testing.T, cfg fleet.Config, jnl *journal.Journal, reqs []s
 		}
 	}
 	r := runner.New(0)
-	r.Executor, r.Journal = c, jnl
+	r.Executor, r.Cache = c, jnl
 	var out bytes.Buffer
 	enc := json.NewEncoder(&out)
 	for i, res := range r.Run(context.Background(), jobs) {
@@ -248,7 +248,7 @@ func TestFleetResumeFromCoordinatorJournal(t *testing.T) {
 	golden, _ := runFleet(t, fleet.Config{Workers: []string{clean.URL}}, reqs)
 
 	path := filepath.Join(t.TempDir(), "coord.ckpt")
-	jnl, err := journal.Open(path)
+	jnl, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +256,13 @@ func TestFleetResumeFromCoordinatorJournal(t *testing.T) {
 	jnl.Close()
 	corrupt(t, path)
 
-	resumed, err := journal.Open(path)
+	resumed, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resumed.Close()
-	if resumed.Recovered() != 5 {
-		t.Fatalf("coordinator journal recovered %d entries, want 5 (torn tail dropped)", resumed.Recovered())
+	if resumed.Len() != 5 {
+		t.Fatalf("coordinator journal recovered %d entries, want 5 (torn tail dropped)", resumed.Len())
 	}
 	w := startWorker(t, server.Config{})
 	out, st := runJournaled(t, fleet.Config{Workers: []string{w.URL}}, resumed, reqs)

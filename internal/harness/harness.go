@@ -118,8 +118,8 @@ type Harness struct {
 	// simulation the harness starts (nil means context.Background()).
 	Ctx context.Context
 	// Runner executes the harness's simulations: its pool bounds
-	// experiment grids and the per-benchmark fan-outs, its result cache
-	// serves a point already simulated, and its journal, when set,
+	// experiment grids and the per-benchmark fan-outs, and its result
+	// store serves a point already simulated and, when durable,
 	// records every completed point so a restarted run replays it.
 	// Harnesses sharing a Runner share points.
 	Runner *runner.Runner
@@ -132,7 +132,7 @@ func New(cfg gcke.Config, cycles, profileCycles int64, out io.Writer) *Harness {
 }
 
 // NewRunner returns a runner with the given pool size (0 = GOMAXPROCS,
-// 1 = strictly serial) and a memory-only result cache, so a point one
+// 1 = strictly serial) and a memory-only result store, so a point one
 // figure simulated is served to the next.
 func NewRunner(workers int) *runner.Runner {
 	r := runner.New(workers)

@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	gcke "repro"
-	"repro/internal/journal"
+	"repro/internal/resultcache"
 )
 
 func tinyHarness(t *testing.T) (*Harness, *bytes.Buffer) {
@@ -68,7 +68,7 @@ func TestDefaultPairSets(t *testing.T) {
 	}
 }
 
-// mustJSON is a result's bytes, the form the runner caches and journals.
+// mustJSON is a result's bytes, the form the runner stores.
 func mustJSON(t *testing.T, r *gcke.WorkloadResult) []byte {
 	t.Helper()
 	raw, err := json.Marshal(r)
@@ -146,13 +146,13 @@ func TestRunKeysOnTheWholeScheme(t *testing.T) {
 // journal their points and stop on cancellation.
 func TestDerivedSessionStudiesUseTheCallersRunner(t *testing.T) {
 	pairs := tinyPairs()[1:]
-	jnl, err := journal.Open(filepath.Join(t.TempDir(), "sens.journal"))
+	jnl, err := resultcache.Open(resultcache.Options{Path: filepath.Join(t.TempDir(), "sens.journal")})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer jnl.Close()
 	h, _ := tinyHarness(t)
-	h.Runner.Journal = jnl
+	h.Runner.Cache = jnl
 	if err := h.Compare("sens-lrr", pairs); err != nil {
 		t.Fatal(err)
 	}
@@ -283,11 +283,13 @@ func TestFigure12And13And14(t *testing.T) {
 // resumed from its result journal in a "new process" must be
 // byte-identical too.
 func TestParallelOutputByteIdentical(t *testing.T) {
-	render := func(parallel int, jnl *journal.Journal, figs ...func(h *Harness) error) string {
+	render := func(parallel int, jnl *resultcache.Store, figs ...func(h *Harness) error) string {
 		var buf bytes.Buffer
 		h := New(gcke.ScaledConfig(2), 15_000, 10_000, &buf)
 		h.Runner = NewRunner(parallel)
-		h.Runner.Journal = jnl
+		if jnl != nil {
+			h.Runner.Cache = jnl
+		}
 		for _, fig := range figs {
 			if err := fig(h); err != nil {
 				t.Fatal(err)
@@ -309,7 +311,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	// file — must replay the journaled points and produce the exact
 	// bytes of the uninterrupted run.
 	path := filepath.Join(t.TempDir(), "bench.journal")
-	j1, err := journal.Open(path)
+	j1, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +319,7 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := journal.Open(path)
+	j2, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,10 @@ import (
 )
 
 // TestDigestMismatchSkipsEntryAndContinues: a parseable line whose
-// payload fails its digest is dropped from the index (the point
-// re-simulates), but — unlike the torn tail — scanning continues, so
-// entries after the damaged one survive and the durable offset covers
-// the whole file.
+// payload fails its digest is never served (the lookup misses, so the
+// point re-simulates), but — unlike the torn tail — it is not a crash
+// point: entries after the damaged one survive and the durable offset
+// covers the whole file.
 func TestDigestMismatchSkipsEntryAndContinues(t *testing.T) {
 	path := tmpJournal(t)
 	j, err := Open(path)
@@ -47,18 +47,18 @@ func TestDigestMismatchSkipsEntryAndContinues(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.Corrupt() != 1 {
-		t.Fatalf("Corrupt() = %d, want 1", j2.Corrupt())
+	var got point
+	if ok, _ := j2.Lookup("b", &got); ok {
+		t.Fatal("digest-mismatched entry served")
 	}
-	if j2.Has("b") {
-		t.Fatal("digest-mismatched entry still indexed")
+	if c := j2.Stats().Corrupt; c != 1 {
+		t.Fatalf("Corrupt = %d, want 1", c)
 	}
 	// The entries before AND after the damaged line both survive.
-	if !j2.Has("a") || !j2.Has("c") {
-		t.Fatalf("digest skip did not continue scanning: a=%v c=%v", j2.Has("a"), j2.Has("c"))
-	}
-	if j2.Recovered() != 2 {
-		t.Fatalf("Recovered() = %d, want 2", j2.Recovered())
+	okA, _ := j2.Lookup("a", &got)
+	okC, _ := j2.Lookup("c", &got)
+	if !okA || !okC || j2.Len() != 2 {
+		t.Fatalf("digest skip did not continue scanning: a=%v c=%v len=%d", okA, okC, j2.Len())
 	}
 
 	// The damaged line's bytes still count toward the durable offset:
@@ -70,18 +70,29 @@ func TestDigestMismatchSkipsEntryAndContinues(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if n := bytes.Count(mustRead(t, path), []byte("\n")); n != 4 {
+		t.Fatalf("file holds %d lines after the repair, want 4", n)
+	}
 	j3, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j3.Close()
-	if j3.Corrupt() != 1 || j3.Len() != 3 {
-		t.Fatalf("after repair: corrupt=%d len=%d, want 1/3", j3.Corrupt(), j3.Len())
+	if ok, err := j3.Lookup("b", &got); !ok || err != nil || got.WS != 2 || j3.Len() != 3 {
+		t.Fatalf("repaired entry: ok=%v err=%v ws=%v len=%d", ok, err, got.WS, j3.Len())
 	}
-	var got point
-	if ok, err := j3.Lookup("b", &got); !ok || err != nil || got.WS != 2 {
-		t.Fatalf("repaired entry: ok=%v err=%v ws=%v", ok, err, got.WS)
+	if c := j3.Stats().Corrupt; c != 0 {
+		t.Fatalf("the damaged line was served after the repair: Corrupt = %d", c)
 	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestEachEntryCarriesDigest: each appended entry's line carries a
@@ -99,7 +110,7 @@ func TestEachEntryCarriesDigest(t *testing.T) {
 	check := func(j *Journal) {
 		t.Helper()
 		e, onDisk := fileEntries(t, path)["k"]
-		raw, served := j.Raw("k")
+		raw, served := raw(j, "k")
 		if !onDisk || !served || e.Sha == "" || Digest(raw) != e.Sha || string(e.Val) != string(raw) {
 			t.Fatalf("line %+v, served %s: want a digest over the served bytes", e, raw)
 		}
@@ -129,12 +140,9 @@ func TestLegacyLinesWithoutShaReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if j.Corrupt() != 0 || !j.Has("old") {
-		t.Fatalf("legacy entry rejected: corrupt=%d has=%v", j.Corrupt(), j.Has("old"))
-	}
 	var got point
-	if ok, _ := j.Lookup("old", &got); !ok || got.WS != 3.25 {
-		t.Fatalf("legacy lookup: ok=%v ws=%v", ok, got.WS)
+	if ok, _ := j.Lookup("old", &got); !ok || got.WS != 3.25 || j.Stats().Corrupt != 0 {
+		t.Fatalf("legacy lookup: ok=%v ws=%v corrupt=%d", ok, got.WS, j.Stats().Corrupt)
 	}
 	// New appends on the same journal do carry digests; the legacy line
 	// stays as it was.

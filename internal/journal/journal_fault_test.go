@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/resultcache"
 )
 
 // TestAppendFaultAtomic pins the append atomicity contract on both
@@ -38,14 +39,14 @@ func TestAppendFaultAtomic(t *testing.T) {
 				return nil
 			}
 			err = j.Append("bad", point{WS: 2})
-			var we *WriteError
+			var we *resultcache.WriteError
 			if !errors.As(err, &we) {
 				t.Fatalf("append error is %T (%v), want *WriteError", err, err)
 			}
 			if we.Key != "bad" || we.Op != op || we.Path != path {
 				t.Fatalf("WriteError attribution: %+v", we)
 			}
-			if j.Has("bad") {
+			if _, ok := raw(j, "bad"); ok {
 				t.Fatal("failed append recorded in the index")
 			}
 			after, err := os.ReadFile(path)
@@ -66,9 +67,11 @@ func TestAppendFaultAtomic(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer j2.Close()
-			if !j2.Has("good") || !j2.Has("later") || j2.Has("bad") {
-				t.Fatalf("reopened index diverged: good=%v later=%v bad=%v",
-					j2.Has("good"), j2.Has("later"), j2.Has("bad"))
+			_, good := raw(j2, "good")
+			_, later := raw(j2, "later")
+			_, bad := raw(j2, "bad")
+			if !good || !later || bad {
+				t.Fatalf("reopened index diverged: good=%v later=%v bad=%v", good, later, bad)
 			}
 		})
 	}
@@ -89,11 +92,11 @@ func TestAppendChaosDiskError(t *testing.T) {
 	j.FaultHook = inj.JournalFault
 
 	err = j.Append("k1", point{WS: 1.25, Cells: []int{1, 2}})
-	var we *WriteError
+	var we *resultcache.WriteError
 	if !errors.As(err, &we) {
 		t.Fatalf("chaos-faulted append returned %T (%v), want *WriteError", err, err)
 	}
-	if j.Has("k1") {
+	if _, ok := raw(j, "k1"); ok {
 		t.Fatal("faulted append left k1 in the index")
 	}
 	if data, _ := os.ReadFile(path); len(data) != 0 {

@@ -103,8 +103,8 @@ type Config struct {
 	// through (default 256) so content-addressed caching cannot turn the
 	// load test into a cache benchmark.
 	Unique int
-	// Fresh adds fresh=1 to every request — the server bypasses cache
-	// and journal entirely, making every admitted job a real simulation.
+	// Fresh adds fresh=1 to every request — the server bypasses its
+	// result store, making every admitted job a real simulation.
 	Fresh bool
 	// Client is the HTTP client (nil = a client with no overall timeout;
 	// per-request contexts bound each call at Deadline+margin instead).

@@ -1,25 +1,27 @@
-// Package resultcache is the content-addressed result store between
-// the sweep/serve drivers and the simulation engine. Keys are the
-// deterministic job fingerprints (runner.Job.Key: a sha256 over the
-// full configuration), so a hit is by construction the byte-identical
-// result of re-simulating — the engine is deterministic and the key
-// covers everything that feeds it.
+// Package resultcache is the one result store between the sweep/serve
+// drivers and the simulation engine. Keys are the deterministic job
+// fingerprints (runner.Job.Key: a sha256 over the full configuration),
+// so a hit is by construction the byte-identical result of
+// re-simulating — the engine is deterministic and the key covers
+// everything that feeds it.
 //
-// The store is two-tiered. A bounded in-memory LRU holds the hot
-// result bytes (DefaultMaxEntries / DefaultMaxBytes caps); an optional
-// append-only JSONL file (internal/applog owns its crash safety) makes
-// every entry durable across restarts. Eviction only drops the resident bytes — the
-// disk tier keeps the entry, and a later Get re-reads and re-verifies
-// it. Each persisted line carries a sha256 of the value, verified lazily
+// With a path the store is durable, and its file is the sweep journal:
+// each Put is one fsynced JSONL line {"key","val","sha"} with the value
+// verbatim (internal/applog owns the crash discipline), and a restarted
+// process serves every line the file holds; a later line for a key wins.
+// A bounded in-memory LRU holds the hot value bytes; eviction only drops
+// them, and a later Get re-reads the line. A line's sha256 is verified
 // on first Get; a mismatch demotes the entry to a miss, so the caller
-// re-simulates instead of being served a corrupt result. A Put failure
-// is counted and surfaced but never fatal: the cache degrades to
-// pass-through.
+// re-simulates. A failed Put is atomic — the file is rolled back and the
+// key not indexed — and returns a *WriteError. Without a path the store
+// is memory-only: eviction discards entries, and Put cannot fail.
 package resultcache
 
 import (
 	"bytes"
 	"container/list"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"sync"
@@ -27,17 +29,19 @@ import (
 	"repro/internal/applog"
 )
 
-// line is one persisted entry.
+// line is one persisted entry. Val is the value's JSON as json.Marshal
+// emits it, byte for byte; Sha is its hex sha256, absent on lines
+// written before digests existed, which serve unverified.
 type line struct {
-	Key string `json:"key"`
-	Sum string `json:"sum"` // sha256 of Val, hex
-	Val []byte `json:"val"` // raw result bytes (base64 in the file)
+	Key string          `json:"key"`
+	Val json.RawMessage `json:"val"`
+	Sha string          `json:"sha,omitempty"`
 }
 
 // entry is the in-memory index record for one key.
 type entry struct {
 	key      string
-	sum      string
+	sum      string // "" on a line from before digests: nothing to verify
 	val      []byte // nil once evicted from the resident tier
 	off, n   int64  // line location in the file (n == 0: memory-only)
 	verified bool   // checksum confirmed since the bytes last left disk
@@ -67,11 +71,19 @@ const (
 	DefaultMaxBytes   = 256 << 20
 )
 
-// WriteError is a failed persistence step of a Put (applog.WriteError):
-// the entry is not durable but stays cached in memory for this process.
+// Digest returns the hex sha256 of a stored value: the checksum on its
+// line, and the integrity fingerprint carried end to end (result reply,
+// audit comparison).
+func Digest(b []byte) string {
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// WriteError is a failed durable Put (applog.WriteError): the value never
+// became durable and was not indexed — the Put did not happen.
 type WriteError = applog.WriteError
 
-// Store is a content-addressed result cache, safe for concurrent use.
+// Store is a content-addressed result store, safe for concurrent use.
 type Store struct {
 	// FaultHook, when non-nil, is every Put's applog fault: the
 	// injection seam (internal/chaos). Set it before the store is shared.
@@ -81,7 +93,7 @@ type Store struct {
 	maxBytes   int64
 
 	mu       sync.Mutex
-	log      *applog.Log // nil: memory-only, or closed
+	log      *applog.Log // nil: memory-only
 	index    map[string]*entry
 	lru      *list.List // of *entry with val != nil; front = most recent
 	resBytes int64
@@ -90,7 +102,8 @@ type Store struct {
 
 // Open loads (or creates) the store. With a non-empty Path, existing
 // entries are indexed and their bytes made resident newest-first up to
-// the caps; a later line for the same key wins.
+// the caps. A whole line that is JSON but not a store line (a file in
+// another format) fails Open and leaves the file as it is.
 func Open(opts Options) (*Store, error) {
 	return open(opts, DefaultMaxEntries, DefaultMaxBytes)
 }
@@ -106,13 +119,18 @@ func open(opts Options, maxEntries int, maxBytes int64) (*Store, error) {
 	if opts.Path == "" {
 		return s, nil
 	}
-	log, err := applog.Open(opts.Path, func(raw []byte, off int64) bool {
-		var l line
-		if err := json.Unmarshal(raw, &l); err != nil || l.Key == "" || l.Sum == "" {
-			return false // torn tail: nothing after it can be trusted
+	log, err := applog.Open(opts.Path, func(raw []byte, off int64) (bool, error) {
+		if !json.Valid(raw) {
+			return false, nil // torn: nothing after it can be trusted
 		}
-		s.set(&entry{key: l.Key, sum: l.Sum, val: l.Val, off: off, n: int64(len(raw)) + 1})
-		return true
+		var l line
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&l); err != nil || l.Key == "" || l.Val == nil {
+			return false, fmt.Errorf("line at byte %d is not a result-store line", off)
+		}
+		s.set(&entry{key: l.Key, sum: l.Sha, val: l.Val, off: off, n: int64(len(raw)) + 1})
+		return true, nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("resultcache: %w", err)
@@ -121,7 +139,7 @@ func open(opts Options, maxEntries int, maxBytes int64) (*Store, error) {
 	return s, nil
 }
 
-// Get returns a copy of the cached bytes for key. An entry that cannot
+// Get returns a copy of the stored bytes for key. An entry that cannot
 // be re-read or fails its checksum counts as corruption: it is dropped
 // and the call reports a miss, so the caller re-simulates.
 func (s *Store) Get(key string) ([]byte, bool) {
@@ -139,7 +157,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 			s.admit(e)
 		}
 	}
-	if e.val == nil || !e.verified && applog.Digest(e.val) != e.sum {
+	if e.val == nil || !e.verified && e.sum != "" && Digest(e.val) != e.sum {
 		s.drop(e)
 		delete(s.index, key)
 		s.stats.Corrupt++
@@ -154,20 +172,19 @@ func (s *Store) Get(key string) ([]byte, bool) {
 	return append([]byte(nil), e.val...), true
 }
 
-// Put records val under key: durable first (one fsynced line), then
-// resident. A persistence failure is counted, leaves the entry
-// memory-only, and surfaces as an error the caller may log and otherwise
-// ignore — the result is still valid and cached for this process.
+// Put records val, which must be JSON as json.Marshal emits it, under
+// key: durable first (one fsynced line), then resident. A failed append
+// leaves the store as it was and returns a *WriteError.
 func (s *Store) Put(key string, val []byte) error {
-	e := &entry{key: key, sum: applog.Digest(val), val: append([]byte(nil), val...), verified: true}
+	e := &entry{key: key, sum: Digest(val), val: append([]byte(nil), val...), verified: true}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.persist(e)
-	if err != nil {
+	if err := s.persist(e); err != nil {
 		s.stats.PutErrors++
+		return err
 	}
 	s.set(e)
-	return err
+	return nil
 }
 
 // persist appends e's line to the log, if there is one, and stamps e with
@@ -177,13 +194,16 @@ func (s *Store) persist(e *entry) error {
 		return nil
 	}
 	var buf bytes.Buffer
-	err := json.NewEncoder(&buf).Encode(line{Key: e.key, Sum: e.sum, Val: e.val})
-	if err == nil {
-		e.off, err = s.log.Append(e.key, buf.Bytes(), s.FaultHook)
+	if err := json.NewEncoder(&buf).Encode(line{e.key, e.val, e.sum}); err != nil {
+		return fmt.Errorf("resultcache: encoding %s: %w", e.key, err)
 	}
-	if err == nil {
-		e.n = int64(buf.Len())
+	if !bytes.Contains(buf.Bytes(), e.val) {
+		// The encoder compacted or escaped it: the line would hold other
+		// bytes than the digest covers.
+		return fmt.Errorf("resultcache: value for %s is not JSON as json.Marshal emits it", e.key)
 	}
+	off, err := s.log.Append(e.key, buf.Bytes(), s.FaultHook)
+	e.off, e.n = off, int64(buf.Len())
 	return err
 }
 
@@ -263,14 +283,13 @@ func (s *Store) Stats() Stats {
 }
 
 // Close releases the backing file. Resident lookups keep working;
-// reloads of evicted entries fail and later Puts stay memory-only.
+// reloads of evicted entries fail, and so do later Puts to a durable
+// store. Closing twice is harmless.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.log == nil {
 		return nil
 	}
-	err := s.log.Close()
-	s.log = nil
-	return err
+	return s.log.Close()
 }

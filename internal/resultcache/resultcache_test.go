@@ -2,6 +2,7 @@ package resultcache
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -154,7 +155,7 @@ func TestMaxBytesBound(t *testing.T) {
 	defer s.Close()
 	for i := 0; i < 8; i++ {
 		k, _ := payload(i)
-		if err := s.Put(k, bytes.Repeat([]byte(`x`), 90)); err != nil {
+		if err := s.Put(k, []byte(`"`+strings.Repeat("x", 88)+`"`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,21 +183,16 @@ func TestCorruptionFallsThrough(t *testing.T) {
 	}
 	s.Close()
 
-	// Corrupt k1's value in place (base64 region of the first line).
+	// Corrupt k1's value in place without breaking its JSON: the line
+	// still parses, but no longer matches its digest.
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := bytes.Index(raw, []byte(`"val":"`))
-	if i < 0 {
-		t.Fatal("no val field found")
+	if !bytes.Contains(raw, []byte(`"cycles":1000`)) {
+		t.Fatal("k1's value not found on its line")
 	}
-	i += len(`"val":"`)
-	if raw[i] == 'A' {
-		raw[i] = 'B'
-	} else {
-		raw[i] = 'A'
-	}
+	raw = bytes.Replace(raw, []byte(`"cycles":1000`), []byte(`"cycles":7000`), 1)
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -226,67 +222,97 @@ func TestCorruptionFallsThrough(t *testing.T) {
 	}
 }
 
-// TestPutFaultDegradesGracefully: a failed persistence step surfaces as
-// a *WriteError, rolls the file back, and leaves the result cached in
-// memory — the pipeline keeps working without the disk tier for that
-// entry.
+// TestPutFaultDegradesGracefully: a failed write or sync surfaces as a
+// *WriteError wrapping its cause, and the Put did not happen: the key is
+// not indexed, the file holds the bytes it held before, and later Puts
+// land on a line boundary and survive a restart.
 func TestPutFaultDegradesGracefully(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	s, err := Open(Options{Path: path})
+	for _, op := range []string{"write", "sync"} {
+		t.Run(op, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "cache.jsonl")
+			s, err := Open(Options{Path: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k1, v1 := payload(1)
+			if err := s.Put(k1, v1); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			boom := errors.New("disk full")
+			s.FaultHook = func(o, key string) error {
+				if o == op && strings.Contains(key, "0002") {
+					return boom
+				}
+				return nil
+			}
+			k2, v2 := payload(2)
+			err = s.Put(k2, v2)
+			var we *WriteError
+			if !errors.As(err, &we) || !errors.Is(err, boom) || we.Op != op || we.Key != k2 || we.Path != path {
+				t.Fatalf("Put under fault returned %v, want a %s *WriteError for %s wrapping the cause", err, op, k2)
+			}
+			if st := s.Stats(); st.PutErrors != 1 {
+				t.Fatalf("PutErrors = %d, want 1", st.PutErrors)
+			}
+			if _, ok := s.Get(k2); ok || s.Len() != 1 {
+				t.Fatalf("failed Put indexed: Len = %d", s.Len())
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+				t.Fatalf("file changed by failed Put:\nbefore: %q\nafter:  %q", before, after)
+			}
+			k3, v3 := payload(3)
+			if err := s.Put(k3, v3); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			s2, err := Open(Options{Path: path})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if s2.Len() != 2 {
+				t.Fatalf("reopened Len = %d, want 2 (faulted entry not durable)", s2.Len())
+			}
+			for _, tc := range []struct {
+				key  string
+				want []byte
+			}{{k1, v1}, {k3, v3}} {
+				if got, ok := s2.Get(tc.key); !ok || !bytes.Equal(got, tc.want) {
+					t.Fatalf("durable entry %s lost around the faulted Put", tc.key)
+				}
+			}
+		})
+	}
+}
+
+// TestPutAfterCloseFails: a durable store that is closed refuses Puts
+// instead of keeping them in memory as if they were durable; a
+// memory-only store has no file to lose and keeps accepting them.
+func TestPutAfterCloseFails(t *testing.T) {
+	s, err := Open(Options{Path: filepath.Join(t.TempDir(), "cache.jsonl")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	k1, v1 := payload(1)
-	if err := s.Put(k1, v1); err != nil {
+	k, v := payload(1)
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	boom := errors.New("disk full")
-	s.FaultHook = func(op, key string) error {
-		if op == "write" && strings.Contains(key, "0002") {
-			return boom
-		}
-		return nil
+	if err := s.Put(k, v); err == nil || s.Len() != 0 {
+		t.Fatalf("Put after Close = %v, Len %d; want an error and nothing indexed", err, s.Len())
 	}
-	k2, v2 := payload(2)
-	err = s.Put(k2, v2)
-	var we *WriteError
-	if !errors.As(err, &we) || !errors.Is(err, boom) {
-		t.Fatalf("Put under fault returned %v, want *WriteError wrapping the cause", err)
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
-	if st := s.Stats(); st.PutErrors != 1 {
-		t.Fatalf("PutErrors = %d, want 1", st.PutErrors)
-	}
-	// Still served from memory despite the failed append.
-	if got, ok := s.Get(k2); !ok || !bytes.Equal(got, v2) {
-		t.Fatal("entry lost after failed persistence")
-	}
-	// The torn write was rolled back: later appends land cleanly.
-	s.FaultHook = nil
-	k3, v3 := payload(3)
-	if err := s.Put(k3, v3); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	s2, err := Open(Options{Path: path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != 2 {
-		t.Fatalf("reopened Len = %d, want 2 (faulted entry not durable)", s2.Len())
-	}
-	if _, ok := s2.Get(k2); ok {
-		t.Fatal("faulted entry survived restart")
-	}
-	for _, tc := range []struct {
-		key  string
-		want []byte
-	}{{k1, v1}, {k3, v3}} {
-		if got, ok := s2.Get(tc.key); !ok || !bytes.Equal(got, tc.want) {
-			t.Fatalf("durable entry %s lost around the faulted append", tc.key)
-		}
+	m, _ := Open(Options{})
+	m.Close()
+	if err := m.Put(k, v); err != nil {
+		t.Fatalf("memory-only Put after Close: %v", err)
 	}
 }
 
@@ -328,7 +354,7 @@ func TestLongLineReplays(t *testing.T) {
 	}
 	k1, v1 := payload(1)
 	k2, v2 := payload(2)
-	long := []byte(`{"series":[` + strings.Repeat("123456,", 200_000) + `0]}`) // 1.4 MB, more in base64
+	long := []byte(`{"series":[` + strings.Repeat("123456,", 200_000) + `0]}`) // 1.4 MB
 	for _, e := range []struct {
 		key string
 		val []byte
@@ -356,32 +382,41 @@ func TestLongLineReplays(t *testing.T) {
 	}
 }
 
-// TestParentFormatFixture: lines exactly as the commit before the shared
-// append log wrote them load, serve their bytes, and putting the same
-// values again adds the same lines.
+// TestParentFormatFixture pins the line format against files the commit
+// before the one store wrote. Its sweep journal (testdata/parent-journal
+// .jsonl, written by ckesim -journal) opens and serves every entry, and
+// putting the same values again appends the same lines. Its result-cache
+// file (testdata/parent-cache.jsonl, written by ckesim -cache-dir) holds
+// base64 lines that are JSON but not store lines: Open refuses it and
+// leaves every byte in place.
 func TestParentFormatFixture(t *testing.T) {
-	lines := []string{
-		`{"key":"j1-aa","sum":"01210b0d06f9b6ba8687b4fa52e70a05be2b06ec6dad49aacbac089f0fe59e9a","val":"eyJXUyI6MS4zNzUsIkNlbGxzIjpbMiw0LDhdfQ=="}` + "\n",
-		`{"key":"j1-bb","sum":"66e70588535f5d534786204ba2ff5d2d96c154ff1cc55e61049f23092f18060a","val":"eyJjeWNsZXMiOjIwMDAsInNlcmllcyI6WzIsMyw0XX0="}` + "\n",
-	}
-	keys := []string{"j1-aa", "j1-bb"}
-	vals := []string{`{"WS":1.375,"Cells":[2,4,8]}`, `{"cycles":2000,"series":[2,3,4]}`}
-	fixture := strings.Join(lines, "")
-	path := filepath.Join(t.TempDir(), "cache.jsonl")
-	if err := os.WriteFile(path, []byte(fixture), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := open(Options{Path: path}, 1, DefaultMaxBytes) // j1-aa is served by offset
+	fixture, err := os.ReadFile("testdata/parent-journal.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, k := range keys {
-		if got, ok := s.Get(k); !ok || string(got) != vals[i] {
-			t.Fatalf("Get(%s) = %q, %v; want %s", k, got, ok, vals[i])
-		}
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for i, k := range keys {
-		if err := s.Put(k, []byte(vals[i])); err != nil {
+	s, err := open(Options{Path: path}, 1, DefaultMaxBytes) // all but the last served by offset
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(fixture, []byte("\n"))
+	lines = lines[:len(lines)-1]
+	if s.Len() != len(lines) {
+		t.Fatalf("opened %d entries, the fixture has %d lines", s.Len(), len(lines))
+	}
+	for _, l := range lines {
+		var want line
+		if err := json.Unmarshal(l, &want); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := s.Get(want.Key)
+		if !ok || !bytes.Equal(got, want.Val) || Digest(got) != want.Sha {
+			t.Fatalf("Get(%s) = %d bytes, %v; want the line's value under its digest", want.Key, len(got), ok)
+		}
+		if err := s.Put(want.Key, got); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,11 +424,69 @@ func TestParentFormatFixture(t *testing.T) {
 		t.Fatalf("stats = %+v", st)
 	}
 	s.Close()
-	got, err := os.ReadFile(path)
+	if got, _ := os.ReadFile(path); string(got) != string(fixture)+string(fixture) {
+		t.Fatalf("re-putting the fixture's values appended other lines:\n%s", got)
+	}
+
+	cache, err := os.ReadFile("testdata/parent-cache.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := fixture + fixture; string(got) != want {
-		t.Fatalf("file after re-putting:\n%s\nwant:\n%s", got, want)
+	path = filepath.Join(t.TempDir(), "results.jsonl")
+	if err := os.WriteFile(path, cache, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{Path: path}); err == nil || !strings.Contains(err.Error(), "not a result-store line") {
+		t.Fatalf("Open of a parent cache file = %v, want a refusal", err)
+	}
+	if got, _ := os.ReadFile(path); !bytes.Equal(got, cache) {
+		t.Fatalf("refused Open changed the file: %d bytes, was %d", len(got), len(cache))
+	}
+}
+
+// TestForeignLineRefused: a whole line that is JSON but not a store line
+// fails Open wherever it sits and leaves the file as it is, where a line
+// that is not JSON at all is a crash point and is cut away with
+// everything after it.
+func TestForeignLineRefused(t *testing.T) {
+	k1, v1 := payload(1)
+	k2, v2 := payload(2)
+	good := func(k string, v []byte) string {
+		return `{"key":"` + k + `","val":` + string(v) + `,"sha":"` + Digest(v) + `"}` + "\n"
+	}
+	for _, tc := range []struct {
+		name, line string
+		foreign    bool
+	}{
+		{"object", `{"a":1}`, true},
+		{"array", `[1,2]`, true},
+		{"no-val", `{"key":"k"}`, true},
+		{"empty-key", `{"key":"","val":1}`, true},
+		{"unknown-field", `{"key":"k","sum":"00","val":"e30="}`, true},
+		{"wrong-type", `{"key":7,"val":1}`, true},
+		{"not-json", `{"key":"k","val":{"cyc`, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			file := []byte(good(k1, v1) + tc.line + "\n" + good(k2, v2))
+			path := filepath.Join(t.TempDir(), "store.jsonl")
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(Options{Path: path})
+			got, _ := os.ReadFile(path)
+			if tc.foreign {
+				if err == nil || !bytes.Equal(got, file) {
+					t.Fatalf("Open = %v, file %d bytes of %d; want a refusal and the file untouched", err, len(got), len(file))
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if want := good(k1, v1); string(got) != want || s.Len() != 1 {
+				t.Fatalf("after a crash point the file is %q (Len %d), want only %q", got, s.Len(), want)
+			}
+		})
 	}
 }

@@ -3,12 +3,12 @@ package runner
 import (
 	"context"
 	"encoding/json"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	gcke "repro"
-	"repro/internal/journal"
 	"repro/internal/resultcache"
 )
 
@@ -95,49 +95,99 @@ func TestRunCachePersistsAcrossProcesses(t *testing.T) {
 	}
 }
 
-// TestJournalReplayPopulatesCache: a point restored from the result
-// journal lands in the result cache, so the next repeat is a cache hit
-// (journal lookups and cache hits stay distinguishable in Result).
-func TestJournalReplayPopulatesCache(t *testing.T) {
-	dir := t.TempDir()
-	jnl, err := journal.Open(filepath.Join(dir, "sweep.ckpt"))
+// parentJournalJobs are the four jobs testdata/parent-journal.jsonl in
+// internal/resultcache holds: the journal the commit before the one
+// store wrote for `ckesim -sms 1 -cycles 3000 -profile-cycles 2000
+// -kernels 'bp,ks;bp,sv' -scheme 'even;ws' -journal`.
+func parentJournalJobs(t *testing.T) []Job {
+	t.Helper()
+	var jobs []Job
+	for _, names := range [][]string{{"bp", "ks"}, {"bp", "sv"}} {
+		var ks []gcke.Kernel
+		for _, n := range names {
+			k, err := gcke.Benchmark(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ks = append(ks, k)
+		}
+		for _, p := range []gcke.PartitionKind{gcke.PartitionEven, gcke.PartitionWarpedSlicer} {
+			jobs = append(jobs, Job{Config: gcke.ScaledConfig(1), Cycles: 3000, ProfileCycles: 2000,
+				Kernels: ks, Scheme: gcke.Scheme{Partition: p}})
+		}
+	}
+	return jobs
+}
+
+// TestOneSyncPerFirstSeenJob counts the fsyncs at the store's fault
+// hook: a first-seen job costs exactly one, a repeat none, and a run
+// resumed from a journal an earlier commit wrote serves every job from
+// the file with none.
+func TestOneSyncPerFirstSeenJob(t *testing.T) {
+	var syncs int
+	count := func(op, key string) error {
+		if op == "sync" {
+			syncs++
+		}
+		return nil
+	}
+	store, err := resultcache.Open(resultcache.Options{Path: filepath.Join(t.TempDir(), "j.jsonl")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := testJobs(t)[:1]
-	r1 := New(1)
-	r1.Journal = jnl
-	if err := FirstErr(r1.Run(context.Background(), jobs)); err != nil {
-		t.Fatal(err)
+	defer store.Close()
+	store.FaultHook = count
+	r := New(1)
+	r.Cache = store
+	jobs := testJobs(t)[:2]
+	for pass, want := range []int{len(jobs), 0} {
+		syncs = 0
+		res := r.Run(context.Background(), jobs)
+		if err := FirstErr(res); err != nil {
+			t.Fatal(err)
+		}
+		if syncs != want || res[0].Cached != (pass > 0) {
+			t.Fatalf("pass %d: %d syncs (cached=%v), want %d", pass, syncs, res[0].Cached, want)
+		}
 	}
 
-	c, err := resultcache.Open(resultcache.Options{})
+	fixture, err := os.ReadFile("../resultcache/testdata/parent-journal.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := New(1)
-	r2.Journal = jnl
-	r2.Cache = c
-	replayed := r2.Run(context.Background(), jobs)
-	if err := FirstErr(replayed); err != nil {
+	path := filepath.Join(t.TempDir(), "parent.jsonl")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !replayed[0].Replayed || replayed[0].Cached {
-		t.Fatalf("want journal replay (Replayed, not Cached), got %+v", replayed[0])
-	}
-	again := r2.Run(context.Background(), jobs)
-	if err := FirstErr(again); err != nil {
+	resumed, err := resultcache.Open(resultcache.Options{Path: path})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !again[0].Cached {
-		t.Fatal("journal replay did not populate the result cache")
+	defer resumed.Close()
+	resumed.FaultHook = count
+	syncs = 0
+	testJobHook = func(i int, j *Job) { t.Errorf("job %d simulated on a resumed run", i) }
+	defer func() { testJobHook = nil }()
+	r = New(1)
+	r.Cache = resumed
+	res := r.Run(context.Background(), parentJournalJobs(t))
+	if err := FirstErr(res); err != nil {
+		t.Fatal(err)
+	}
+	for i := range res {
+		if !res[i].Cached {
+			t.Fatalf("job %d (%s) not served from the parent journal", i, res[i].Key)
+		}
+	}
+	if syncs != 0 {
+		t.Fatalf("a resumed run synced %d times, want 0", syncs)
 	}
 }
 
 // TestFreshBypassesCacheAndJournal: a Fresh job re-simulates even when
-// the journal already holds its fingerprint, and writes nothing back.
+// the store already holds its fingerprint, and writes nothing back.
 func TestFreshBypassesCacheAndJournal(t *testing.T) {
-	j, err := journal.Open(filepath.Join(t.TempDir(), "fresh.ckpt"))
+	j, err := resultcache.Open(resultcache.Options{Path: filepath.Join(t.TempDir(), "fresh.ckpt")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,34 +197,34 @@ func TestFreshBypassesCacheAndJournal(t *testing.T) {
 	job := testJob([]gcke.Kernel{bp, sv}, gcke.Scheme{Partition: gcke.PartitionEven})
 
 	r := New(1)
-	r.Journal = j
+	r.Cache = j
 	first := r.Run(context.Background(), []Job{job})
 	if err := FirstErr(first); err != nil {
 		t.Fatal(err)
 	}
-	if first[0].Replayed {
-		t.Fatal("first run replayed")
+	if first[0].Cached {
+		t.Fatal("first run served from the store")
 	}
 
-	// Same job again: replayed from the journal.
+	// Same job again: served from the store.
 	replay := r.Run(context.Background(), []Job{job})
-	if !replay[0].Replayed {
-		t.Fatal("repeat run did not replay from journal")
+	if !replay[0].Cached {
+		t.Fatal("repeat run not served from the store")
 	}
 
-	// Fresh: must simulate despite the journal entry, and not append.
+	// Fresh: must simulate despite the stored entry, and not append.
 	fresh := job
 	fresh.Fresh = true
-	before := j.Len()
+	before := j.Stats()
 	res := r.Run(context.Background(), []Job{fresh})
 	if err := FirstErr(res); err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Replayed || res[0].Cached {
+	if res[0].Cached {
 		t.Fatal("fresh run served from storage")
 	}
-	if j.Len() != before {
-		t.Fatal("fresh run wrote to the journal")
+	if after := j.Stats(); after != before || j.Len() != 1 {
+		t.Fatalf("fresh run touched the store: %+v -> %+v, Len %d", before, after, j.Len())
 	}
 	if res[0].Key != first[0].Key {
 		t.Fatalf("Fresh changed the fingerprint: %q vs %q", res[0].Key, first[0].Key)

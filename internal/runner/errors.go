@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 
-	"repro/internal/journal"
+	"repro/internal/resultcache"
 	"repro/internal/sm"
 )
 
@@ -19,8 +19,8 @@ import (
 // Not transient: cancellation (context.Canceled — the caller asked to
 // stop), invariant-watchdog violations (*sm.InvariantError — the engine
 // is deterministic, the same point trips the same rule every time),
-// journal write failures (*journal.WriteError — the job succeeded, the
-// disk did not; re-simulating does not fix the disk), and everything
+// result-store write failures (*resultcache.WriteError — the job
+// succeeded, the disk did not; re-simulating does not fix the disk), and everything
 // else (validation and configuration errors are properties of the job).
 func IsTransient(err error) bool {
 	if err == nil {
@@ -30,7 +30,7 @@ func IsTransient(err error) bool {
 	if errors.As(err, &ie) {
 		return false
 	}
-	var we *journal.WriteError
+	var we *resultcache.WriteError
 	if errors.As(err, &we) {
 		return false
 	}

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	gcke "repro"
-	"repro/internal/journal"
 	"repro/internal/resultcache"
 )
 
@@ -41,9 +40,8 @@ func executorBytes(j *Job) json.RawMessage {
 }
 
 // TestRunExecutorGetsEachMissOnce: with an executor set, a fingerprint
-// repeated within one call reaches it once, a journaled or cached
-// fingerprint never does, and the executor's bytes are journaled and
-// cached unchanged.
+// repeated within one call reaches it once, a stored fingerprint never
+// does, and the executor's bytes are stored unchanged and durably.
 func TestRunExecutorGetsEachMissOnce(t *testing.T) {
 	bp, _ := gcke.Benchmark("bp")
 	job := func(cycles int64) Job {
@@ -56,45 +54,44 @@ func TestRunExecutorGetsEachMissOnce(t *testing.T) {
 		}
 		return k
 	}
-	a, b, journaled, cached := job(1000), job(2000), job(3000), job(4000)
+	a, b, stored := job(1000), job(2000), job(3000)
 
-	jnl, err := journal.Open(filepath.Join(t.TempDir(), "j.jsonl"))
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	store, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer jnl.Close()
-	cache, _ := resultcache.Open(resultcache.Options{})
-	if err := jnl.AppendRaw(key(journaled), executorBytes(&journaled)); err != nil {
-		t.Fatal(err)
-	}
-	if err := cache.Put(key(cached), executorBytes(&cached)); err != nil {
+	if err := store.Put(key(stored), executorBytes(&stored)); err != nil {
 		t.Fatal(err)
 	}
 
 	ex := &countingExecutor{calls: map[string]int{}}
 	r := New(1)
-	r.Journal, r.Cache, r.Executor = jnl, cache, ex
-	res := r.Run(context.Background(), []Job{a, b, a, journaled, cached, b, a})
+	r.Cache, r.Executor = store, ex
+	res := r.Run(context.Background(), []Job{a, b, a, stored, b, a})
 	if err := FirstErr(res); err != nil {
 		t.Fatal(err)
 	}
+	store.Close()
 
 	if len(ex.calls) != 2 || ex.calls[key(a)] != 1 || ex.calls[key(b)] != 1 {
 		t.Fatalf("executor calls = %v, want each of a and b once and nothing else", ex.calls)
 	}
-	if !res[3].Replayed || !res[4].Cached {
-		t.Fatalf("journaled/cached jobs not served from store: replayed=%v cached=%v", res[3].Replayed, res[4].Cached)
+	if !res[3].Cached {
+		t.Fatal("stored job not served from the store")
 	}
+	reopened, err := resultcache.Open(resultcache.Options{Path: path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
 	for _, j := range []Job{a, b} {
 		sent := executorBytes(&j)
-		if got, _ := jnl.Raw(key(j)); !bytes.Equal(got, sent) {
-			t.Fatalf("journaled %s, executor sent %s", got, sent)
-		}
-		if got, _ := cache.Get(key(j)); !bytes.Equal(got, sent) {
-			t.Fatalf("cached %s, executor sent %s", got, sent)
+		if got, _ := reopened.Get(key(j)); !bytes.Equal(got, sent) {
+			t.Fatalf("stored %s, executor sent %s", got, sent)
 		}
 	}
-	for _, i := range []int{0, 2, 6} {
+	for _, i := range []int{0, 2, 5} {
 		if !bytes.Equal(res[i].Raw, executorBytes(&a)) || res[i].Res.TheoreticalWS != 1000 {
 			t.Fatalf("slot %d of the repeated job got %s", i, res[i].Raw)
 		}

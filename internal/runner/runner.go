@@ -12,8 +12,8 @@
 // The pool is also the robustness boundary for sweeps: cancellation and
 // per-job deadlines thread through a context, a panicking job is
 // recovered into that one job's error instead of killing the process,
-// and an attached journal records each completed point so an
-// interrupted sweep resumes without recomputing.
+// and an attached durable result store records each completed point so
+// an interrupted sweep resumes without recomputing.
 package runner
 
 import (
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	gcke "repro"
-	"repro/internal/journal"
 	"repro/internal/resultcache"
 )
 
@@ -46,8 +45,8 @@ type Job struct {
 	Kernels []gcke.Kernel
 	Scheme  gcke.Scheme
 
-	// Fresh forces a real simulation: the result cache and journal are
-	// neither consulted nor written for this job. Audit re-execution
+	// Fresh forces a real simulation: the result store is neither
+	// consulted nor written for this job. Audit re-execution
 	// (internal/fleet) uses it so a re-run actually re-simulates instead
 	// of echoing the possibly-corrupt stored bytes back. Deliberately
 	// NOT part of the fingerprint — a fresh run of a job has the same
@@ -59,7 +58,7 @@ type Job struct {
 // machine description (config, run lengths), the kernel descriptors and
 // the scheme. Two jobs that would produce the same simulation result
 // have the same key, across process restarts — it is the result
-// journal's index.
+// store's index.
 func (j *Job) Key() (string, error) {
 	fp := struct {
 		Config        gcke.Config
@@ -90,15 +89,15 @@ type Result struct {
 	Key string
 	Res *gcke.WorkloadResult
 	// Raw is Res as JSON: marshalled once when the job simulated, the
-	// stored bytes unchanged when it was cached or replayed. The journal,
-	// the cache and the wire all carry these bytes; read, never modify.
+	// stored bytes unchanged when it was served from the store. The store
+	// and the wire both carry these bytes; read, never modify.
 	Raw json.RawMessage
 	Err error
-	// Replayed reports that Res was restored from the result journal
-	// rather than simulated in this process.
+	// Deprecated: Replayed is never set; a result read back from a
+	// durable store is Cached. bench/sweep.go reads it.
 	Replayed bool
-	// Cached reports that Res was served from the content-addressed
-	// result cache rather than simulated.
+	// Cached reports that Res was served from the result store rather
+	// than simulated.
 	Cached bool
 }
 
@@ -127,22 +126,20 @@ type Runner struct {
 	// expired job fails with an error wrapping context.DeadlineExceeded
 	// while the rest of the grid continues.
 	Timeout time.Duration
-	// Journal, when non-nil, records completed jobs: Run restores
-	// journaled results instead of re-simulating and appends each newly
-	// completed result. Failures are never journaled, so a fixed build
-	// re-runs them on resume.
-	Journal *journal.Journal
+	// Deprecated: Journal is never read; a durable Cache is the journal.
+	// bench/sweep.go assigns it a *journal.Journal.
+	Journal any
 	// Fault, when non-nil, runs inside the worker's recovery scope
-	// before each executed (non-replayed) job — the fault-injection seam
+	// before each simulated (not stored) job — the fault-injection seam
 	// (internal/chaos). A returned error fails the job; a panic is
 	// recovered like any worker panic; ctx carries the job's deadline.
 	Fault func(ctx context.Context, index int, key string) error
-	// Cache, when non-nil, is the content-addressed result store: a job
-	// whose fingerprint is cached is served without simulating, and
-	// every newly simulated result is stored. Cache-write failures are
-	// counted by the store and never fail the job (the cache degrades to
-	// pass-through), unlike journal appends, which are the sweep's
-	// durability contract.
+	// Cache, when non-nil, is the result store: a job whose fingerprint
+	// it holds is served without simulating, and every newly simulated
+	// result is stored. With a durable store that is the sweep's resume
+	// contract: a failed append fails the job with the store's
+	// *resultcache.WriteError. Failures are never stored, so a fixed
+	// build re-runs them on resume.
 	Cache *resultcache.Store
 	// Check enables the per-cycle invariant watchdog on the runner's
 	// sessions. Set it before the first Run or Session call.
@@ -151,8 +148,8 @@ type Runner struct {
 	// runner's sessions (gcke.Session.PhaseTime); totals are process-wide
 	// via gpu.PhaseTotals. Set it before the first Run or Session call.
 	PhaseTime bool
-	// Executor, when non-nil, runs every job the cache and journal do not
-	// serve, in place of the local simulation, and the pool then has
+	// Executor, when non-nil, runs every job the store does not serve,
+	// in place of the local simulation, and the pool then has
 	// Executor.Slots() workers. Timeout and Fault bound and instrument
 	// local simulation only; an executor owns its deadlines.
 	Executor Executor
@@ -163,8 +160,8 @@ type Runner struct {
 
 // Executor runs jobs somewhere other than this process (internal/fleet's
 // Coordinator runs them on remote workers). Execute returns job j's
-// result, whose fingerprint is key, decoded and as the bytes the
-// journal, the cache and the caller receive unchanged.
+// result, whose fingerprint is key, decoded and as the bytes the store
+// and the caller receive unchanged.
 type Executor interface {
 	Execute(ctx context.Context, j *Job, key string) (*gcke.WorkloadResult, json.RawMessage, error)
 	// Slots is how many jobs the executor runs at once.
@@ -275,27 +272,15 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) []Result {
 	return results
 }
 
-// runJob serves job i from the cache or journal, or else simulates it
-// (or hands it to the executor) and stores the result; Run has already
-// stored its fingerprint in out.Key.
+// runJob serves job i from the store, or else simulates it (or hands it
+// to the executor) and stores the result; Run has already stored its
+// fingerprint in out.Key.
 func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 	key := out.Key
 	if !j.Fresh {
 		if hit, ok := r.Cached(key); ok {
 			*out = hit
 			return
-		}
-		if r.Journal != nil {
-			if raw, ok := r.Journal.Raw(key); ok {
-				res := new(gcke.WorkloadResult)
-				if err := json.Unmarshal(raw, res); err != nil {
-					out.Err = fmt.Errorf("runner: decoding journal entry %s: %w", key, err)
-					return
-				}
-				out.Res, out.Raw, out.Replayed = res, raw, true
-				r.cachePut(key, raw)
-				return
-			}
 		}
 	}
 	defer func() {
@@ -312,13 +297,10 @@ func (r *Runner) runJob(ctx context.Context, i int, j *Job, out *Result) {
 	} else {
 		res, raw, err = r.simulate(ctx, i, j, key)
 	}
-	if err == nil && r.Journal != nil && !j.Fresh {
-		if jerr := r.Journal.AppendRaw(key, raw); jerr != nil {
-			err = fmt.Errorf("runner: journaling %s: %w", key, jerr)
+	if err == nil && r.Cache != nil && !j.Fresh {
+		if serr := r.Cache.Put(key, raw); serr != nil {
+			err = fmt.Errorf("runner: storing %s: %w", key, serr)
 		}
-	}
-	if err == nil && !j.Fresh {
-		r.cachePut(key, raw)
 	}
 	out.Res, out.Raw, out.Err = res, raw, err
 }
@@ -347,8 +329,8 @@ func (r *Runner) simulate(ctx context.Context, i int, j *Job, key string) (*gcke
 	if err != nil {
 		return res, nil, err
 	}
-	// The one encoding of a fresh result: the journal, the cache and the
-	// server's reply all take these bytes.
+	// The one encoding of a fresh result: the store and the server's
+	// reply both take these bytes.
 	raw, err := json.Marshal(res)
 	if err != nil {
 		return res, nil, fmt.Errorf("runner: encoding result of %s: %w", key, err)
@@ -356,8 +338,8 @@ func (r *Runner) simulate(ctx context.Context, i int, j *Job, key string) (*gcke
 	return res, raw, nil
 }
 
-// Cached is the one result-cache lookup: the served bytes and their
-// decoded form, for the pool and for callers that answer a cached
+// Cached is the one result-store lookup: the served bytes and their
+// decoded form, for the pool and for callers that answer a stored
 // fingerprint without queueing for it (the server's admission path).
 func (r *Runner) Cached(key string) (Result, bool) {
 	if r.Cache == nil {
@@ -374,16 +356,6 @@ func (r *Runner) Cached(key string) (Result, bool) {
 		return Result{}, false
 	}
 	return Result{Key: key, Res: res, Raw: raw, Cached: true}, true
-}
-
-// cachePut stores a completed result in the result cache. Failures are
-// deliberately swallowed: the store counts them (Stats().PutErrors) and
-// a cache that cannot persist degrades to pass-through rather than
-// failing jobs.
-func (r *Runner) cachePut(key string, raw []byte) {
-	if r.Cache != nil {
-		_ = r.Cache.Put(key, raw)
-	}
 }
 
 // FirstErr returns the first error in results by submission order, so

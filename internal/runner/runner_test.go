@@ -13,7 +13,7 @@ import (
 	"time"
 
 	gcke "repro"
-	"repro/internal/journal"
+	"repro/internal/resultcache"
 )
 
 func testJobs(t *testing.T) []Job {
@@ -219,8 +219,8 @@ func TestRunRecoversPanicIntoJobError(t *testing.T) {
 
 // TestRunCollapsesDuplicateFingerprints: N copies of one job plus one
 // distinct job simulate once per fingerprint, every slot gets its key's
-// result in submission order, and with a journal attached each key is
-// journaled once and a rerun replays all slots without simulating.
+// result in submission order, and with a durable store attached each key
+// is stored once and a rerun serves all slots without simulating.
 func TestRunCollapsesDuplicateFingerprints(t *testing.T) {
 	var sims atomic.Int32
 	var ran [8]atomic.Int32
@@ -237,7 +237,7 @@ func TestRunCollapsesDuplicateFingerprints(t *testing.T) {
 	other.Scheme = gcke.Scheme{Partition: gcke.PartitionLeftover}
 	// Slots 0-2 and 4-6 share a fingerprint; slot 3 is the distinct job.
 	jobs := []Job{dup, dup, dup, other, dup, dup, dup}
-	check := func(name string, results []Result, wantSims int32, replayed bool) {
+	check := func(name string, results []Result, wantSims int32, cached bool) {
 		t.Helper()
 		if err := FirstErr(results); err != nil {
 			t.Fatal(err)
@@ -253,9 +253,9 @@ func TestRunCollapsesDuplicateFingerprints(t *testing.T) {
 					t.Fatalf("%s: distinct job shares slot 0's fingerprint", name)
 				}
 			}
-			if res.Key != want.Key || !bytes.Equal(res.Raw, want.Raw) || res.Replayed != replayed {
-				t.Fatalf("%s: slot %d = {%s replayed=%v}, want {%s replayed=%v} and equal bytes",
-					name, i, res.Key, res.Replayed, want.Key, replayed)
+			if res.Key != want.Key || !bytes.Equal(res.Raw, want.Raw) || res.Cached != cached {
+				t.Fatalf("%s: slot %d = {%s cached=%v}, want {%s cached=%v} and equal bytes",
+					name, i, res.Key, res.Cached, want.Key, cached)
 			}
 			if !reflect.DeepEqual(*res.Res.RunResult, *want.Res.RunResult) {
 				t.Fatalf("%s: slot %d result differs from its key's first slot", name, i)
@@ -275,12 +275,12 @@ func TestRunCollapsesDuplicateFingerprints(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "dup.journal")
-	j1, err := journal.Open(path)
+	j1, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := New(4)
-	r.Journal = j1
+	r.Cache = j1
 	sims.Store(0)
 	check("journal", r.Run(context.Background(), jobs), 2, false)
 	if j1.Len() != 2 {
@@ -289,13 +289,13 @@ func TestRunCollapsesDuplicateFingerprints(t *testing.T) {
 	if err := j1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	j2, err := journal.Open(path)
+	j2, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	r = New(4)
-	r.Journal = j2
+	r.Cache = j2
 	sims.Store(0)
 	check("replay", r.Run(context.Background(), jobs), 0, true)
 }
@@ -333,9 +333,9 @@ func TestRunPerJobTimeout(t *testing.T) {
 	}
 }
 
-// TestRunJournalResume pins journal resume: a partially journaled
-// grid, resumed by a fresh runner and session against the same journal,
-// replays the finished points and produces results identical to an
+// TestRunJournalResume pins resume from a durable store: a partially
+// stored grid, resumed by a fresh runner and session against the same
+// file, serves the finished points and produces results identical to an
 // uninterrupted run.
 func TestRunJournalResume(t *testing.T) {
 	jobs := testJobs(t)
@@ -345,13 +345,13 @@ func TestRunJournalResume(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "sweep.journal")
-	j1, err := journal.Open(path)
+	j1, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// "Interrupted" first attempt: only the first three points finish.
 	r1 := New(4)
-	r1.Journal = j1
+	r1.Cache = j1
 	if err := FirstErr(r1.Run(context.Background(), jobs[:3])); err != nil {
 		t.Fatal(err)
 	}
@@ -360,20 +360,20 @@ func TestRunJournalResume(t *testing.T) {
 	}
 
 	// Resume in a "new process": fresh runner, fresh session, same file.
-	j2, err := journal.Open(path)
+	j2, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
 	r2 := New(4)
-	r2.Journal = j2
+	r2.Cache = j2
 	resumed := r2.Run(context.Background(), testJobs(t))
 	if err := FirstErr(resumed); err != nil {
 		t.Fatal(err)
 	}
 	for i := range golden {
-		if want := i < 3; resumed[i].Replayed != want {
-			t.Fatalf("job %d: Replayed=%v, want %v", i, resumed[i].Replayed, want)
+		if want := i < 3; resumed[i].Cached != want {
+			t.Fatalf("job %d: Cached=%v, want %v", i, resumed[i].Cached, want)
 		}
 		a, b := golden[i].Res, resumed[i].Res
 		if !reflect.DeepEqual(*a.RunResult, *b.RunResult) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	gcke "repro"
-	"repro/internal/journal"
 	"repro/internal/resultcache"
 )
 
@@ -41,51 +40,38 @@ func TestSeriesJobKey(t *testing.T) {
 }
 
 // TestSeriesTravelsThroughJournalAndCache: the sampled series come back
-// whole from a journal replay and from a persistent cache.
+// whole from the result store, both from its resident bytes and from its
+// file after a restart.
 func TestSeriesTravelsThroughJournalAndCache(t *testing.T) {
-	dir := t.TempDir()
-	open := func() (*journal.Journal, *resultcache.Store) {
+	path := filepath.Join(t.TempDir(), "j.jsonl")
+	run := func() Result {
 		t.Helper()
-		j, err := journal.Open(filepath.Join(dir, "j.jsonl"))
+		s, err := resultcache.Open(resultcache.Options{Path: path})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := resultcache.Open(resultcache.Options{Path: filepath.Join(dir, "c.jsonl")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j, c
-	}
-	run := func(journaled, cached bool) Result {
-		t.Helper()
-		j, c := open()
-		defer j.Close()
-		defer c.Close()
+		defer s.Close()
 		r := New(1)
-		if journaled {
-			r.Journal = j
-		}
-		if cached {
-			r.Cache = c
-		}
-		res := r.Run(context.Background(), []Job{seriesJob(true)})[0]
-		if res.Err != nil {
-			t.Fatal(res.Err)
+		r.Cache = s
+		var res Result
+		for range 2 { // the second is served from the resident bytes
+			if res = r.Run(context.Background(), []Job{seriesJob(true)})[0]; res.Err != nil {
+				t.Fatal(res.Err)
+			}
 		}
 		return res
 	}
-	fresh := run(true, true)
+	fresh := run()
 	for k, kr := range fresh.Res.Kernels {
 		if len(kr.Series.Inflight) == 0 || len(kr.Series.Limit) == 0 {
-			t.Fatalf("kernel %d: simulated result has no in-flight or limit samples", k)
+			t.Fatalf("kernel %d: stored result has no in-flight or limit samples", k)
 		}
 	}
-	for _, got := range []Result{run(true, false), run(false, true)} {
-		if !got.Replayed && !got.Cached {
-			t.Fatal("second run simulated instead of replaying or hitting the cache")
-		}
-		if !reflect.DeepEqual(got.Res.RunResult, fresh.Res.RunResult) {
-			t.Fatalf("replayed=%v cached=%v: series differ from the simulated result", got.Replayed, got.Cached)
-		}
+	restarted := run()
+	if !fresh.Cached || !restarted.Cached {
+		t.Fatal("a repeat simulated instead of being served from the store")
+	}
+	if !reflect.DeepEqual(restarted.Res.RunResult, fresh.Res.RunResult) {
+		t.Fatal("series read back from the file differ from the stored result")
 	}
 }

@@ -11,7 +11,7 @@ import (
 	gcke "repro"
 	"repro/internal/chaos"
 	"repro/internal/gpu"
-	"repro/internal/journal"
+	"repro/internal/resultcache"
 	"repro/internal/sm"
 )
 
@@ -35,9 +35,9 @@ func TestIsTransient(t *testing.T) {
 		{"invariant", &sm.InvariantError{Cycle: 10, Rule: "mil-cap"}, false},
 		{"wrapped invariant", fmt.Errorf("point 3: %w", &sm.InvariantError{Rule: "mil-cap"}), false},
 		{"validation", fmt.Errorf("gcke: StaticLimits has 1 entries for 2 kernels"), false},
-		{"journal write", &journal.WriteError{Path: "p", Key: "k", Op: "sync", Err: fmt.Errorf("EIO")}, false},
-		{"wrapped journal write", fmt.Errorf("runner: journaling k: %w",
-			&journal.WriteError{Op: "sync", Err: fmt.Errorf("EIO")}), false},
+		{"store write", &resultcache.WriteError{Path: "p", Key: "k", Op: "sync", Err: fmt.Errorf("EIO")}, false},
+		{"wrapped store write", fmt.Errorf("runner: storing k: %w",
+			&resultcache.WriteError{Op: "sync", Err: fmt.Errorf("EIO")}), false},
 	}
 	for _, tc := range cases {
 		if got := IsTransient(tc.err); got != tc.want {

@@ -12,7 +12,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/ckpt"
-	"repro/internal/journal"
+	"repro/internal/resultcache"
 )
 
 // postFull POSTs req to /jobs?full=1 (plus query) and returns the decoded
@@ -32,29 +32,25 @@ func postFull(t *testing.T, ts *httptest.Server, req JobRequest, query string) J
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, decode error %v", resp.StatusCode, err)
 	}
-	if len(out.Result) == 0 || journal.Digest(out.Result) != out.Digest {
+	if len(out.Result) == 0 || resultcache.Digest(out.Result) != out.Digest {
 		t.Fatalf("reply's digest %q does not cover its %d result bytes", out.Digest, len(out.Result))
 	}
 	return out
 }
 
 // TestResultBytesOnce: a result is encoded when it is simulated and those
-// bytes are what the journal, the cache, the first reply and every repeat
-// carry; fresh=1 goes around both stores; the chaos liar is the one reply
+// bytes are what the store's line, the first reply and every repeat
+// carry; fresh=1 goes around the store; the chaos liar is the one reply
 // that differs, and it is self-consistent.
 func TestResultBytesOnce(t *testing.T) {
-	dir := t.TempDir()
-	j, err := journal.Open(filepath.Join(dir, "journal.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache := newCache(t, filepath.Join(dir, "cache.jsonl"))
-	srv := New(Config{Workers: 1, Journal: j, Cache: cache})
+	path := filepath.Join(t.TempDir(), "journal.jsonl")
+	cache := newCache(t, path)
+	srv := New(Config{Workers: 1, Cache: cache})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
 	miss := postFull(t, ts, smallJob(5), "")
-	if miss.Cached || miss.Replayed || miss.Attempts != 1 {
+	if miss.Cached || miss.Attempts != 1 {
 		t.Fatalf("first-seen job: %+v", miss)
 	}
 	hit := postFull(t, ts, smallJob(5), "")
@@ -64,23 +60,23 @@ func TestResultBytesOnce(t *testing.T) {
 	if !bytes.Equal(hit.Result, miss.Result) || hit.Digest != miss.Digest {
 		t.Fatalf("the hit's result bytes differ from the miss's:\n%s\n%s", hit.Result, miss.Result)
 	}
-	if raw, ok := j.Raw(miss.Key); !ok || !bytes.Equal(raw, miss.Result) {
-		t.Fatalf("the journal holds other bytes than the reply carried:\n%s", raw)
+	if file, _ := os.ReadFile(path); !bytes.Contains(file, append([]byte(`"val":`), miss.Result...)) {
+		t.Fatalf("the store's line holds other bytes than the reply carried:\n%s", file)
 	}
 	if raw, ok := cache.Get(miss.Key); !ok || !bytes.Equal(raw, miss.Result) {
-		t.Fatalf("the cache holds other bytes than the reply carried:\n%s", raw)
+		t.Fatalf("the store serves other bytes than the reply carried:\n%s", raw)
 	}
 
 	before := cache.Stats()
 	fresh := postFull(t, ts, smallJob(5), "&fresh=1")
-	if fresh.Cached || fresh.Replayed || fresh.Attempts != 1 {
+	if fresh.Cached || fresh.Attempts != 1 {
 		t.Fatalf("fresh=1 did not simulate: %+v", fresh)
 	}
 	if !bytes.Equal(fresh.Result, miss.Result) {
 		t.Fatal("a fresh run of the same job produced other bytes")
 	}
-	if after := cache.Stats(); after != before || j.Len() != 1 {
-		t.Fatalf("fresh=1 touched a store: cache %+v -> %+v, journal len %d", before, after, j.Len())
+	if after := cache.Stats(); after != before || cache.Len() != 1 {
+		t.Fatalf("fresh=1 touched the store: %+v -> %+v, len %d", before, after, cache.Len())
 	}
 
 	liar := New(Config{Workers: 1, Chaos: chaos.New(chaos.Config{Seed: 3, CorruptProb: 1, Failures: 1})})

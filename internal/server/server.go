@@ -1,6 +1,6 @@
 // Package server is the long-lived simulation service: an HTTP layer
 // that accepts simulation jobs (the runner.Job shape), executes them on
-// the concurrent runner pool, journals completed results, and degrades
+// the concurrent runner pool, stores completed results, and degrades
 // gracefully instead of falling over.
 //
 // The degradation mechanisms, in the order a request meets them:
@@ -16,12 +16,12 @@
 //     answered with its status and "transient": true; re-running it is
 //     the fleet coordinator's requeue, which already has the lease,
 //     backoff and attempt cap. A permanent failure (an invariant
-//     violation, a journal write error) is answered 500; the engine is
+//     violation, a result-store write error) is answered 500; the engine is
 //     deterministic, so an invariant violation recurs on every
 //     submission.
 //   - Drain: once draining starts, new work is refused (503, /readyz
-//     red) while in-flight jobs run to completion and the journal is
-//     flushed — SIGTERM never abandons a half-simulated job.
+//     red) while in-flight jobs run to completion and are stored —
+//     SIGTERM never abandons a half-simulated job.
 //
 // Every mechanism is exercised end-to-end by the chaos tests in this
 // package, driven by the deterministic internal/chaos injector.
@@ -45,7 +45,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/ckpt"
 	"repro/internal/gpu"
-	"repro/internal/journal"
 	"repro/internal/overload"
 	"repro/internal/resultcache"
 	"repro/internal/runner"
@@ -78,17 +77,16 @@ type Config struct {
 	// JobTimeout bounds the wall-clock time of a job's one attempt (0 =
 	// unbounded).
 	JobTimeout time.Duration
-	// Journal, when non-nil, records completed jobs and replays
-	// already-journaled fingerprints without re-simulating. Drain closes
-	// it.
-	Journal *journal.Journal
-	// Cache, when non-nil, is the content-addressed result store: a job
-	// whose fingerprint is cached is served before the admission queue
-	// (it costs no simulation), and every newly simulated result is
-	// stored. Drain closes it.
+	// Deprecated: Journal is never read; a durable Cache is the journal.
+	// bench/serve.go:74 assigns it a *journal.Journal.
+	Journal any
+	// Cache, when non-nil, is the result store: a job whose fingerprint
+	// it holds is served before the admission queue (it costs no
+	// simulation), and every newly simulated result is stored — durably,
+	// one fsynced line, when the store has a file. Drain closes it.
 	Cache *resultcache.Store
 	// Chaos, when non-nil, wires the deterministic fault injector into
-	// the runner and journal (dev/test only — the -chaos flag).
+	// the runner and the store (dev/test only — the -chaos flag).
 	Chaos *chaos.Injector
 	// Check enables the per-cycle invariant watchdog on every derived
 	// session.
@@ -144,9 +142,13 @@ type Server struct {
 	failed    atomic.Int64
 	corrupted atomic.Int64 // chaos-corrupted responses sent (dev/test)
 
-	// Aggregate engine-performance gauges over executed (non-replayed)
-	// successful attempts: simulated cycles, wall-clock nanoseconds and
-	// heap allocations. /statz derives cycles/sec and allocs/cycle.
+	// Store outcomes, one per request that consulted the store: served
+	// from it (before admission or by the runner), or not.
+	hits, misses atomic.Int64
+
+	// Aggregate engine-performance gauges over simulated successful
+	// attempts: simulated cycles, wall-clock nanoseconds and heap
+	// allocations. /statz derives cycles/sec and allocs/cycle.
 	simCycles atomic.Int64
 	simNanos  atomic.Int64
 	simAllocs atomic.Int64
@@ -157,17 +159,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	r := runner.New(cfg.Workers)
 	r.Timeout = cfg.JobTimeout
-	r.Journal = cfg.Journal
 	r.Cache = cfg.Cache
 	r.Check = cfg.Check
 	r.PhaseTime = cfg.PhaseTrace
 	if cfg.Chaos != nil {
 		r.Fault = cfg.Chaos.JobFault
-		if cfg.Journal != nil {
-			cfg.Journal.FaultHook = cfg.Chaos.JournalFault
-		}
 		if cfg.Cache != nil {
-			cfg.Cache.FaultHook = cfg.Chaos.CacheFault
+			cfg.Cache.FaultHook = cfg.Chaos.JournalFault
 		}
 	}
 	s := &Server{
@@ -218,8 +216,8 @@ func (s *Server) Serve(ln net.Listener) error {
 }
 
 // Drain performs graceful shutdown: new work is refused (503, /readyz
-// red) while in-flight requests run to completion, then the journal is
-// closed so every completed job is durable. ctx bounds the wait; on
+// red) while in-flight requests run to completion and store their
+// results, then the store is closed. ctx bounds the wait; on
 // expiry the remaining requests are abandoned and ctx's error returned.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainng.Store(true)
@@ -236,12 +234,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		}
 	}
 	if s.cfg.Cache != nil {
-		if err := s.cfg.Cache.Close(); err != nil {
-			return err
-		}
-	}
-	if s.cfg.Journal != nil {
-		return s.cfg.Journal.Close()
+		return s.cfg.Cache.Close()
 	}
 	return nil
 }
@@ -352,7 +345,6 @@ type JobResponse struct {
 	// Index is always 0; it stays on the wire for clients that read it.
 	Index           int     `json:"index"`
 	Attempts        int     `json:"attempts"`
-	Replayed        bool    `json:"replayed,omitempty"`
 	Cached          bool    `json:"cached,omitempty"`
 	WeightedSpeedup float64 `json:"weighted_speedup,omitempty"`
 	ANTT            float64 `json:"antt,omitempty"`
@@ -372,8 +364,7 @@ type JobResponse struct {
 }
 
 func (s *Server) response(res runner.Result, attempts int, full bool) JobResponse {
-	out := JobResponse{Key: res.Key, Attempts: attempts,
-		Replayed: res.Replayed, Cached: res.Cached}
+	out := JobResponse{Key: res.Key, Attempts: attempts, Cached: res.Cached}
 	if res.Err != nil {
 		out.Error = res.Err.Error()
 		out.Transient = runner.IsTransient(res.Err)
@@ -396,14 +387,14 @@ func (s *Server) response(res runner.Result, attempts int, full bool) JobRespons
 				s.corrupted.Add(1)
 			}
 		}
-		out.Digest = journal.Digest(out.Result)
+		out.Digest = resultcache.Digest(out.Result)
 	}
 	return out
 }
 
 // corruptResult returns a damaged copy of r — the original stays intact
-// so the worker's own journal/cache keep the true bytes; only the wire
-// response lies. The flip (one bit of an instruction counter) is small
+// so the worker's own store keeps the true bytes; only the wire response
+// lies. The flip (one bit of an instruction counter) is small
 // enough to pass every sanity check and survive only byte comparison.
 func corruptResult(r *gcke.WorkloadResult) *gcke.WorkloadResult {
 	cp := *r
@@ -484,12 +475,19 @@ func (s *Server) execute(ctx context.Context, job runner.Job, key string, deadli
 	start := time.Now()
 	a0 := heapAllocs()
 	res := s.run.Run(ctx, []runner.Job{job})[0]
+	switch {
+	case s.cfg.Cache == nil || job.Fresh:
+	case res.Cached:
+		s.hits.Add(1)
+	default:
+		s.misses.Add(1)
+	}
 	if res.Err != nil {
 		s.failed.Add(1)
 		return res, 1
 	}
 	d := time.Since(start)
-	if !res.Replayed {
+	if !res.Cached {
 		// Engine-performance gauges: concurrent jobs share the process
 		// heap, so allocs/cycle is an aggregate service-level signal, not
 		// a per-job microbenchmark.
@@ -597,16 +595,18 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
 		return
 	}
-	// fresh=1 is the audit seam: bypass the cache and journal (read AND
-	// write) and re-simulate from scratch, so a coordinator can obtain a
+	// fresh=1 is the audit seam: bypass the store (read AND write) and
+	// re-simulate from scratch, so a coordinator can obtain a
 	// result that shares no storage with the one it is auditing.
 	fresh := r.URL.Query().Get("fresh") == "1"
 	job.Fresh = fresh
-	// Cache-aware admission: a fingerprint already in the result cache
+	// Store-aware admission: a fingerprint already in the result store
 	// costs no simulation, so it is served ahead of the admission queue —
-	// repeated identical jobs cannot be shed by load.
+	// repeated identical jobs cannot be shed by load. A miss here is not
+	// an outcome yet: the runner looks again once the job has a slot.
 	if !fresh {
 		if res, ok := s.run.Cached(key); ok {
+			s.hits.Add(1)
 			s.completed.Add(1)
 			writeJSON(w, http.StatusOK, s.response(res, 0, r.URL.Query().Get("full") == "1"))
 			return
@@ -707,18 +707,17 @@ type Stats struct {
 	QueueWaitP95Ms float64 `json:"queue_wait_ms_p95"`
 	QueueWaitP99Ms float64 `json:"queue_wait_ms_p99"`
 	Draining       bool    `json:"draining"`
-	JournalLen     int     `json:"journal_len,omitempty"`
 	// Phase is the process-wide per-phase engine time breakdown,
 	// present only when Config.PhaseTrace is on.
 	Phase *gpu.PhaseStats `json:"phase_ns,omitempty"`
-	// CyclesPerSec and AllocsPerCycle aggregate over executed
-	// (non-replayed) successful jobs since the server started.
+	// CyclesPerSec and AllocsPerCycle aggregate over simulated
+	// successful jobs since the server started.
 	CyclesPerSec   float64 `json:"cycles_per_sec"`
 	AllocsPerCycle float64 `json:"allocs_per_cycle"`
-	// Result-cache gauges (zero when no cache is configured): hit/miss
-	// counters, failed persistence writes (the cache degrades to
-	// pass-through), checksum-corrupt entries demoted to misses, and the
-	// number of fingerprints indexed.
+	// Result-store gauges (zero without a store): one hit or miss per
+	// request that consulted it, failed durable appends (each failed its
+	// job), checksum-corrupt entries demoted to misses, and the number
+	// of fingerprints indexed.
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CachePutErrors int64 `json:"cache_put_errors,omitempty"`
@@ -754,13 +753,9 @@ func (s *Server) StatsSnapshot() Stats {
 	if cyc := s.simCycles.Load(); cyc > 0 {
 		st.AllocsPerCycle = float64(s.simAllocs.Load()) / float64(cyc)
 	}
-	if s.cfg.Journal != nil {
-		st.JournalLen = s.cfg.Journal.Len()
-	}
+	st.CacheHits, st.CacheMisses = s.hits.Load(), s.misses.Load()
 	if s.cfg.Cache != nil {
 		cs := s.cfg.Cache.Stats()
-		st.CacheHits = cs.Hits
-		st.CacheMisses = cs.Misses
 		st.CachePutErrors = cs.PutErrors
 		st.CacheCorrupt = cs.Corrupt
 		st.CacheLen = s.cfg.Cache.Len()

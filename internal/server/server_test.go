@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -15,7 +16,7 @@ import (
 
 	gcke "repro"
 	"repro/internal/chaos"
-	"repro/internal/journal"
+	"repro/internal/resultcache"
 )
 
 // smallJob returns a job request light enough for test runtimes; n
@@ -199,18 +200,19 @@ func TestStatzHasNoRetryOrBreakerKeys(t *testing.T) {
 	}
 }
 
-// TestJournalFaultTypedAndConsistent: an injected journal write fault
-// surfaces as a typed non-transient error with no index/file
-// divergence; a resubmit (fault budget spent) journals durably.
+// TestJournalFaultTypedAndConsistent: an injected fault in the durable
+// store's append surfaces as a typed non-transient error with no
+// index/file divergence; a resubmit (fault budget spent) is stored
+// durably, and a third submit is served from the store.
 func TestJournalFaultTypedAndConsistent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "serve.journal")
-	jnl, err := journal.Open(path)
+	jnl, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := New(Config{
 		Workers: 2,
-		Journal: jnl,
+		Cache:   jnl,
 		Chaos:   chaos.New(chaos.Config{Seed: 5, JournalProb: 1, Failures: 1}),
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -220,34 +222,28 @@ func TestJournalFaultTypedAndConsistent(t *testing.T) {
 	if status != http.StatusInternalServerError {
 		t.Fatalf("status %d, body %+v", status, out)
 	}
-	if !strings.Contains(out.Error, "journal") {
-		t.Fatalf("error not attributed to the journal: %q", out.Error)
+	if !strings.Contains(out.Error, "storing") {
+		t.Fatalf("error not attributed to the store: %q", out.Error)
 	}
 	if out.Transient {
-		t.Fatal("journal write fault classified transient (re-simulating does not fix the disk)")
+		t.Fatal("store write fault classified transient (re-simulating does not fix the disk)")
 	}
-	if jnl.Has(out.Key) {
-		t.Fatal("failed append left the key in the index")
-	}
-	if jnl.Len() != 0 {
-		t.Fatalf("journal holds %d entries after a faulted write, want 0", jnl.Len())
+	if data, _ := os.ReadFile(path); jnl.Len() != 0 || len(data) != 0 {
+		t.Fatalf("store holds %d entries and %d bytes after a faulted append, want none", jnl.Len(), len(data))
 	}
 
 	// Resubmit: fault budget spent, so the append goes through.
 	status, out2 := postJob(t, ts, smallJob(32))
-	if status != http.StatusOK {
-		t.Fatalf("resubmit: status %d, body %+v", status, out2)
+	if status != http.StatusOK || out2.Cached || jnl.Len() != 1 {
+		t.Fatalf("resubmit: status %d, body %+v, len %d", status, out2, jnl.Len())
 	}
-	if !jnl.Has(out2.Key) {
-		t.Fatal("successful job not journaled")
-	}
-	// And a third submit replays from the journal without simulating.
+	// And a third submit is served from the store without simulating.
 	status, out3 := postJob(t, ts, smallJob(32))
-	if status != http.StatusOK || !out3.Replayed {
-		t.Fatalf("third submit: status %d replayed=%v, want journal replay", status, out3.Replayed)
+	if status != http.StatusOK || !out3.Cached {
+		t.Fatalf("third submit: status %d cached=%v, want a store hit", status, out3.Cached)
 	}
 	if out3.WeightedSpeedup != out2.WeightedSpeedup {
-		t.Fatalf("replayed WS %v != simulated WS %v", out3.WeightedSpeedup, out2.WeightedSpeedup)
+		t.Fatalf("stored WS %v != simulated WS %v", out3.WeightedSpeedup, out2.WeightedSpeedup)
 	}
 }
 
@@ -312,15 +308,15 @@ func TestAdmissionQueueSheds(t *testing.T) {
 }
 
 // TestDrainFinishesInFlightAndJournal: SIGTERM-style drain refuses new
-// work, completes the in-flight job, and leaves a journal a fresh
+// work, completes the in-flight job, and leaves a durable store a fresh
 // process resumes byte-identically.
 func TestDrainFinishesInFlightAndJournal(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "drain.journal")
-	jnl, err := journal.Open(path)
+	jnl, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(Config{Workers: 2, Journal: jnl})
+	srv := New(Config{Workers: 2, Cache: jnl})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -373,22 +369,23 @@ func TestDrainFinishesInFlightAndJournal(t *testing.T) {
 	if getStatus(t, ts, "/healthz") != http.StatusOK {
 		t.Fatal("healthz red after drain (process is still alive)")
 	}
-	// The journal was flushed and closed: appends fail, and a fresh
-	// process replays the drained job's result byte-identically.
-	if err := jnl.Append("x", 1); err == nil {
-		t.Fatal("journal still open after drain")
+	// The store was closed: appends fail, and a fresh process serves
+	// the drained job's result byte-identically.
+	if err := jnl.Put("x", []byte("1")); err == nil {
+		t.Fatal("store still open after drain")
 	}
-	j2, err := journal.Open(path)
+	j2, err := resultcache.Open(resultcache.Options{Path: path})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if !j2.Has(got.out.Key) {
-		t.Fatal("drained job missing from the reopened journal")
+	raw, ok := j2.Get(got.out.Key)
+	if !ok {
+		t.Fatal("drained job missing from the reopened store")
 	}
 	var replayed gcke.WorkloadResult
-	if ok, err := j2.Lookup(got.out.Key, &replayed); !ok || err != nil {
-		t.Fatalf("lookup drained result: ok=%v err=%v", ok, err)
+	if err := json.Unmarshal(raw, &replayed); err != nil {
+		t.Fatalf("decoding the drained result: %v", err)
 	}
 	if ws := replayed.WeightedSpeedup(); ws != got.out.WeightedSpeedup {
 		t.Fatalf("resumed WS %v != served WS %v", ws, got.out.WeightedSpeedup)
