@@ -39,12 +39,14 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Isolated baselines with 1K-cycle time series.
-	isoBP, err := session.RunIsolatedSeries(bp)
+	// Isolated baselines with 1K-cycle time series: each kernel alone,
+	// whose even partition is its full occupancy.
+	alone := gcke.Scheme{Partition: gcke.PartitionEven, Series: true}
+	isoBP, err := session.RunWorkload([]gcke.Kernel{bp}, alone)
 	if err != nil {
 		log.Fatal(err)
 	}
-	isoSV, err := session.RunIsolatedSeries(sv)
+	isoSV, err := session.RunWorkload([]gcke.Kernel{sv}, alone)
 	if err != nil {
 		log.Fatal(err)
 	}

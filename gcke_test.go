@@ -78,13 +78,8 @@ func TestSessionCurveShape(t *testing.T) {
 	if n := int(sims.Load()); n != len(curve) {
 		t.Fatalf("%d simulations for a %d-point curve and its isolated run, want %d", n, len(curve), len(curve))
 	}
-	ipc, err := s.IsolatedIPC(bp, len(curve))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ipc != r.Kernels[0].IPC || curve[len(curve)-1] != ipc {
-		t.Fatalf("IsolatedIPC at full occupancy %v, curve's last point %v, RunIsolated IPC %v: want all equal",
-			ipc, curve[len(curve)-1], r.Kernels[0].IPC)
+	if curve[len(curve)-1] != r.Kernels[0].IPC {
+		t.Fatalf("curve's last point %v, RunIsolated IPC %v: want them equal", curve[len(curve)-1], r.Kernels[0].IPC)
 	}
 }
 
@@ -319,6 +314,15 @@ func TestSessionConcurrentProfiling(t *testing.T) {
 	bp, _ := Benchmark("bp")
 	sv, _ := Benchmark("sv")
 
+	// ipcAt is kernel d's isolated IPC at tbs TBs per SM.
+	ipcAt := func(d Kernel, tbs int) (float64, error) {
+		rs, err := s.fetch(context.Background(), []profileKey{{d, tbs}})
+		if err != nil {
+			return 0, err
+		}
+		return rs[0].Kernels[0].IPC, nil
+	}
+
 	const n = 8
 	runs := make([]*RunResult, n)
 	ipcs := make([]float64, n)
@@ -337,13 +341,13 @@ func TestSessionConcurrentProfiling(t *testing.T) {
 			if i%2 == 0 {
 				d = bp
 			}
-			v, err := s.IsolatedIPC(d, 2)
+			v, err := ipcAt(d, 2)
 			if err != nil {
-				t.Errorf("IsolatedIPC: %v", err)
+				t.Errorf("isolated IPC at 2 TBs per SM: %v", err)
 				return
 			}
 			if i%2 == 0 {
-				ipcs[i], _ = s.IsolatedIPC(bp, 2)
+				ipcs[i], _ = ipcAt(bp, 2)
 			} else {
 				ipcs[i] = v
 			}
@@ -357,7 +361,7 @@ func TestSessionConcurrentProfiling(t *testing.T) {
 	}
 	for i := 2; i < n; i += 2 {
 		if ipcs[i] != ipcs[0] {
-			t.Fatalf("concurrent IsolatedIPC disagrees: %v vs %v", ipcs[i], ipcs[0])
+			t.Fatalf("concurrent isolated IPCs disagree: %v vs %v", ipcs[i], ipcs[0])
 		}
 	}
 }

@@ -150,6 +150,19 @@ type KernelStats struct {
 	RsFailLine uint64
 }
 
+// Add adds o's counts to s.
+func (s *KernelStats) Add(o *KernelStats) {
+	s.Accesses += o.Accesses
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Merged += o.Merged
+	s.Bypassed += o.Bypassed
+	s.RsFail += o.RsFail
+	s.RsFailMSHR += o.RsFailMSHR
+	s.RsFailMQ += o.RsFailMQ
+	s.RsFailLine += o.RsFailLine
+}
+
 // MissRate returns the fraction of accesses that required a new line
 // fetch. Requests merged into a pending MSHR entry (GPGPU-Sim's
 // "hit_reserved") count as hits: their data arrives with the in-flight

@@ -491,16 +491,7 @@ func (g *GPU) Result() *stats.RunResult {
 			kr.MemInstrs += kc.MemInstrs
 			kr.Requests += kc.Requests
 			kr.TBsDone += kc.TBsDone
-			cs := s.L1.Stats[k]
-			kr.L1D.Accesses += cs.Accesses
-			kr.L1D.Hits += cs.Hits
-			kr.L1D.Misses += cs.Misses
-			kr.L1D.Merged += cs.Merged
-			kr.L1D.Bypassed += cs.Bypassed
-			kr.L1D.RsFail += cs.RsFail
-			kr.L1D.RsFailMSHR += cs.RsFailMSHR
-			kr.L1D.RsFailMQ += cs.RsFailMQ
-			kr.L1D.RsFailLine += cs.RsFailLine
+			kr.L1D.Add(&s.L1.Stats[k])
 			if iss, acc := s.Series(k); iss != nil {
 				if kr.Series == nil {
 					kr.Series = &stats.Series{
@@ -550,15 +541,7 @@ func (g *GPU) L2KernelStats(k int) cache.KernelStats {
 		if k >= len(part.l2.Stats) {
 			continue
 		}
-		st := part.l2.Stats[k]
-		out.Accesses += st.Accesses
-		out.Hits += st.Hits
-		out.Misses += st.Misses
-		out.Merged += st.Merged
-		out.RsFail += st.RsFail
-		out.RsFailMSHR += st.RsFailMSHR
-		out.RsFailMQ += st.RsFailMQ
-		out.RsFailLine += st.RsFailLine
+		out.Add(&part.l2.Stats[k])
 	}
 	return out
 }

@@ -39,10 +39,6 @@ func (h *Harness) Table2() ([]Table2Row, error) {
 		if err != nil {
 			return err
 		}
-		cls, err := s.ClassifyCtx(h.ctx(), d)
-		if err != nil {
-			return err
-		}
 		occ := d.OccupancyAt(&h.Config, d.MaxTBsPerSM(&h.Config))
 		k := r.Kernels[0]
 		row := Table2Row{
@@ -53,7 +49,7 @@ func (h *Harness) Table2() ([]Table2Row, error) {
 			TBOcc:        occ.TBs,
 			L1DMissRate:  k.L1D.MissRate(),
 			L1DRsfail:    k.L1D.RsFailRate(),
-			Class:        cls,
+			Class:        kern.Classify(r.LSUStallFrac()),
 			IPC:          k.IPC,
 			ALUUtil:      r.ALUUtil(),
 			SFUUtil:      r.SFUUtil(),

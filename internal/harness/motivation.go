@@ -139,23 +139,16 @@ func (h *Harness) Figure5(pairs []Workload) ([]Figure5Row, error) {
 // in isolation, then concurrently (the starvation time series).
 func (h *Harness) Figure6(a, b string, buckets int) error {
 	w := NewWorkload(a, b)
-	ds, err := h.kernels(w)
-	if err != nil {
-		return err
-	}
-	s, err := h.session()
-	if err != nil {
-		return err
-	}
 	h.printf("Figure 6 — L1D accesses per %d cycles (%s compute, %s memory)\n",
 		stats.SeriesInterval, a, b)
-	// The two isolated series runs and the concurrent run are
-	// independent simulations; overlap them on the pool.
-	iso := make([]*gcke.RunResult, 2)
+	// Each kernel alone (one kernel's even partition is its full
+	// occupancy) and the pair are independent simulations; overlap them
+	// on the pool.
+	iso := make([]*gcke.WorkloadResult, 2)
 	var co *gcke.WorkloadResult
 	if err := runner.MapErr(h.ctx(), h.Runner.Workers(), 3, func(i int) (err error) {
 		if i < 2 {
-			iso[i], err = s.RunIsolatedSeriesCtx(h.ctx(), ds[i])
+			iso[i], err = h.Run(NewWorkload(w.Names[i]), gcke.Scheme{Partition: gcke.PartitionEven, Series: true})
 		} else {
 			co, err = h.Run(w, gcke.Scheme{Partition: gcke.PartitionWarpedSlicer, Series: true})
 		}

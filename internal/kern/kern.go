@@ -25,6 +25,15 @@ const (
 	Memory
 )
 
+// Classify is the paper's rule: a kernel whose isolated run stalls its
+// LSU in at least 20% of cycles is memory-intensive.
+func Classify(lsuStallFrac float64) Class {
+	if lsuStallFrac >= 0.20 {
+		return Memory
+	}
+	return Compute
+}
+
 func (c Class) String() string {
 	if c == Memory {
 		return "M"

@@ -2,6 +2,7 @@ package gcke
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -9,25 +10,29 @@ import (
 	"time"
 )
 
-// TestIsolatedIPCRejectsOutOfRange: a curve point exists for 1..max TBs
-// per SM only. Zero once simulated an empty machine and cached IPC 0;
-// above max once duplicated the full-occupancy run.
-func TestIsolatedIPCRejectsOutOfRange(t *testing.T) {
-	s := shortSession()
-	calls := 0
-	s.onProfile = func(ctx context.Context, kernel string, tbs int) { calls++ }
-	bp, _ := Benchmark("bp")
-	cfg := s.Config()
-	for _, n := range []int{-1, 0, bp.MaxTBsPerSM(&cfg) + 1} {
-		if v, err := s.IsolatedIPC(bp, n); err == nil {
-			t.Errorf("IsolatedIPC(bp, %d) = %v, want an error", n, v)
+// TestAloneSeriesIsPinned: Figure 6's alone columns are a one-kernel
+// RunWorkload under the even partition (one kernel's even share is its
+// full occupancy) with Series. The constants are the sha256 of bp's and
+// sv's Issued and L1Acc series as the deleted full-occupancy series
+// profile produced them, which this run reproduced; a change that moves
+// them moves Figure 6.
+func TestAloneSeriesIsPinned(t *testing.T) {
+	s := NewSession(ScaledConfig(4), 20_000)
+	s.ProfileCycles = 4_000
+	want := map[string]string{
+		"bp": "fc5bac8af4a6125e3f75fb6305249f37302e2e25125c967dec6e9452407a318a",
+		"sv": "97b5fe111c69da5cdab9fd821eb407d398df0b06697ac77671ed1687812af046",
+	}
+	for _, name := range []string{"bp", "sv"} {
+		k, _ := Benchmark(name)
+		res, err := s.RunWorkload([]Kernel{k}, Scheme{Partition: PartitionEven, Series: true})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if calls != 0 {
-		t.Errorf("out-of-range points simulated %d times, want 0", calls)
-	}
-	if n := tableLen(s); n != 0 {
-		t.Errorf("out-of-range points left %d entries in the table, want 0", n)
+		se := res.Kernels[0].Series
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(se.Issued, " ", se.L1Acc)))); got != want[name] {
+			t.Errorf("%s alone: series sha256 %s, want %s", name, got, want[name])
+		}
 	}
 }
 
@@ -41,8 +46,8 @@ func tableLen(s *Session) int {
 // TestProfileLeaderPanicReleasesWaiters: a panic in a profile simulation
 // must not strand its point. A waiter parked on the point gets an error
 // naming the panic, the panic goes on in the leader, and the next caller
-// simulates the point afresh — whether the leader took the point in the
-// wait pass (RunIsolated) or the claim pass (claimProfiles).
+// simulates the point afresh — whether the leader entered through a
+// public call (RunIsolated) or the fetch under it.
 func TestProfileLeaderPanicReleasesWaiters(t *testing.T) {
 	bp, _ := Benchmark("bp")
 	for _, leadWith := range []string{"wait", "claim"} {
@@ -63,7 +68,7 @@ func TestProfileLeaderPanicReleasesWaiters(t *testing.T) {
 				if leadWith == "wait" {
 					s.RunIsolated(bp)
 				} else {
-					s.claimProfiles(context.Background(), []Kernel{bp}, false)
+					s.fetch(context.Background(), s.points([]Kernel{bp}, false))
 				}
 			}()
 			<-started

@@ -17,29 +17,23 @@ import (
 )
 
 // Session runs simulations against one fixed architecture configuration
-// and caches isolated-execution profiles (IPCs and scalability curves),
-// which Warped-Slicer, SMK-(P+W) and the normalization of every metric
-// depend on.
+// and caches isolated profiles — one kernel alone at a number of TBs per
+// SM — from which Warped-Slicer's scalability curves, SMK-(P+W) and the
+// normalization of every metric are read.
 //
-// A Session is safe for concurrent use: its one profile table is guarded
-// by a mutex and concurrent requests for the same uncached profile are
-// deduplicated, so exactly one profiling simulation runs per (kernel,
-// occupancy) point no matter how many workers need it; workers that
-// need the same points share them out instead of queuing, and a caller
-// with idle cores beside it profiles on those too (see claimProfiles) —
-// the only goroutines a Session starts, each joined before the call
-// that started it returns. Cached results are shared and must be
-// treated as immutable by callers. The only exception is ProfileCycles,
-// which must be set before the Session is shared across goroutines.
+// A Session is safe for concurrent use. Exactly one profiling simulation
+// runs per (kernel, occupancy) point however many goroutines need it,
+// and they share the points out instead of queuing (see fetch). Cached
+// results are shared and must be treated as immutable by callers. Set
+// the exported fields before the Session is shared across goroutines.
 type Session struct {
 	cfg    Config
 	cycles int64
 	// ProfileCycles is the length of isolated profiling runs (defaults
-	// to the evaluation length). Set it before sharing the Session.
+	// to the evaluation length).
 	ProfileCycles int64
 	// Check enables the simulator's per-cycle invariant watchdog on
-	// every run started through this session (evaluation and profiling
-	// alike). Set it before sharing the Session.
+	// every run started through this session, profiles included.
 	Check bool
 	// Deprecated: Workers is never read. The engine's intra-cycle
 	// fan-out is gone; the field survives because bench/engine.go:74 and
@@ -49,12 +43,11 @@ type Session struct {
 	// (bench/engine.go:74, bench/serve.go:458).
 	PartWorkers int
 	// PhaseTime enables per-phase wall-clock counters on every run
-	// (gpu.Options.PhaseTime); read the totals via gpu.PhaseTotals. Set it
-	// before sharing the Session.
+	// (gpu.Options.PhaseTime); read the totals via gpu.PhaseTotals.
 	PhaseTime bool
 	// Trace, when non-nil, receives the cycle-level events of every
-	// evaluation run (profiles are never traced). Runs that share it
-	// interleave their events. Set it before sharing the Session.
+	// evaluation run (profiles are never traced); runs that share it
+	// interleave their events.
 	Trace *trace.Buffer
 
 	mu       sync.Mutex
@@ -113,29 +106,19 @@ func wrapInterrupt(ctx context.Context, err error) error {
 }
 
 // simsInFlight counts the simulations the Sessions of this process are
-// running right now, profile and evaluation alike. It is process-wide
-// because what it is compared with is: a claim pass may only put helpers
-// on cores (GOMAXPROCS) that no simulation of any session is using.
+// running right now, profile and evaluation alike (execute keeps it). It
+// is process-wide because what it is compared with is: a claim pass may
+// only put helpers on cores (GOMAXPROCS) that no simulation of any
+// session is using.
 var simsInFlight atomic.Int64
 
-// simulating counts the caller as one simulation in flight until the
-// returned function is called: defer simulating()(). A profile counts
-// from its hook on, an evaluation from building the machine to its
-// result (both warm-up legs included: erring on the busy side starts
-// fewer helpers, never more).
-func simulating() func() {
-	simsInFlight.Add(1)
-	return func() { simsInFlight.Add(-1) }
-}
-
 // profileKey names one isolated profile simulation: kernel d alone at
-// tbs TBs per SM, with 1 K-cycle series or without. The whole descriptor
-// is the key, as it is of a job's fingerprint, so a custom kernel never
-// shares a profile with another kernel of the same name.
+// tbs TBs per SM for ProfileCycles cycles. The whole descriptor is the
+// key, as it is of a job's fingerprint, so a custom kernel never shares
+// a profile with another kernel of the same name.
 type profileKey struct {
-	d      Kernel
-	tbs    int
-	series bool
+	d   Kernel
+	tbs int
 }
 
 // profileEntry is one row of the profile table: in flight until done is
@@ -158,17 +141,9 @@ func (e *profileEntry) settled() bool {
 	}
 }
 
-// cached reports whether the table holds point k settled. s.mu must be
-// held.
-func (s *Session) cached(k profileKey) bool {
-	e := s.profiles[k]
-	return e != nil && e.settled()
-}
-
 // profile returns the table's entry for point k, simulating the point
 // when the table has none. With wait it waits for an entry in flight;
-// without, it returns (nil, nil) at once for one (the claim pass of
-// claimProfiles).
+// without, it returns (nil, nil) at once for one (fetch's claim pass).
 //
 // A point is simulated under its leader's ctx, so a leader that is
 // cancelled hands gpu.ErrInterrupted to every waiter. Nothing interrupted
@@ -217,168 +192,106 @@ func (s *Session) lead(ctx context.Context, k profileKey, e *profileEntry) {
 			panic(p)
 		}
 	}()
-	defer simulating()()
 	if s.onProfile != nil {
 		s.onProfile(ctx, k.d.Name, k.tbs)
 	}
-	cycles := s.ProfileCycles
-	if k.series {
-		cycles = s.cycles
-	}
-	e.r, e.err = gpu.Run(s.cfg, []*kern.Desc{&k.d}, &gpu.Options{
-		Cycles:    cycles,
+	e.r, e.err = s.execute(ctx, []*kern.Desc{&k.d}, &gpu.Options{
+		Cycles:    s.ProfileCycles,
 		Quota:     gpu.UniformQuota(s.cfg.NumSMs, []int{k.tbs}),
-		Series:    k.series,
-		Observers: s.observers(ctx, 0, cycles),
 		PhaseTime: s.PhaseTime,
-	})
-	e.err = wrapInterrupt(ctx, e.err)
+	}, 0, nil)
 }
 
-// RunIsolated simulates kernel d alone at full occupancy and caches the
-// result.
-func (s *Session) RunIsolated(d Kernel) (*RunResult, error) {
-	return s.RunIsolatedCtx(context.Background(), d)
-}
-
-// RunIsolatedCtx is RunIsolated honouring ctx cancellation. Profile
-// simulations are deduplicated across goroutines, so a run started on
-// behalf of several waiters is interrupted only when the leader's ctx
-// is cancelled; interrupted results are never cached, and a waiter
-// whose own ctx is live re-runs the profile.
-func (s *Session) RunIsolatedCtx(ctx context.Context, d Kernel) (*RunResult, error) {
-	return s.isolated(ctx, d, false)
-}
-
-// RunIsolatedSeries is RunIsolated with 1 K-cycle series collection.
-func (s *Session) RunIsolatedSeries(d Kernel) (*RunResult, error) {
-	return s.RunIsolatedSeriesCtx(context.Background(), d)
-}
-
-// RunIsolatedSeriesCtx is RunIsolatedSeries honouring ctx cancellation.
-func (s *Session) RunIsolatedSeriesCtx(ctx context.Context, d Kernel) (*RunResult, error) {
-	return s.isolated(ctx, d, true)
-}
-
-// isolated is kernel d's full-occupancy point, which without series is
-// also the last point of its scalability curve.
-func (s *Session) isolated(ctx context.Context, d Kernel, series bool) (*RunResult, error) {
-	e, err := s.profile(ctx, profileKey{d, d.MaxTBsPerSM(&s.cfg), series}, true)
-	if err != nil {
-		return nil, err
-	}
-	return e.r, nil
-}
-
-// IsolatedIPC returns kernel d's isolated IPC at n TBs per SM (cached),
-// for n in 1..d.MaxTBsPerSM.
-func (s *Session) IsolatedIPC(d Kernel, n int) (float64, error) {
-	return s.IsolatedIPCCtx(context.Background(), d, n)
-}
-
-// IsolatedIPCCtx is IsolatedIPC honouring ctx cancellation.
-func (s *Session) IsolatedIPCCtx(ctx context.Context, d Kernel, n int) (float64, error) {
-	if max := d.MaxTBsPerSM(&s.cfg); n < 1 || n > max {
-		return 0, fmt.Errorf("gcke: %s runs 1..%d TBs per SM, not %d", d.Name, max, n)
-	}
-	e, err := s.profile(ctx, profileKey{d, n, false}, true)
-	if err != nil {
-		return 0, err
-	}
-	return e.r.Kernels[0].IPC, nil
-}
-
-// Curve returns kernel d's scalability curve: isolated IPC with 1..max
-// TBs per SM (Figure 3(a)).
-func (s *Session) Curve(d Kernel) ([]float64, error) {
-	return s.CurveCtx(context.Background(), d)
-}
-
-// CurveCtx is Curve honouring ctx cancellation. Like a job, it claims
-// the points nobody has started (on the idle cores too, see
-// claimProfiles) before it waits for the rest.
-func (s *Session) CurveCtx(ctx context.Context, d Kernel) ([]float64, error) {
-	if err := s.claimProfiles(ctx, []Kernel{d}, true); err != nil {
-		return nil, err
-	}
-	max := d.MaxTBsPerSM(&s.cfg)
-	out := make([]float64, max)
-	for n := 1; n <= max; n++ {
-		v, err := s.IsolatedIPCCtx(ctx, d, n)
-		if err != nil {
-			return nil, err
-		}
-		out[n-1] = v
-	}
-	return out, nil
-}
-
-// uncachedPoints lists, under one lock, the profile points of ds that
-// are not cached, costliest first: the full-occupancy runs, then (with
-// curves) the curve points below full occupancy by descending TB count,
-// so that a pass shared between goroutines ends on a short simulation.
-func (s *Session) uncachedPoints(ds []Kernel, curves bool) []profileKey {
+// points lists the profile points of ds, costliest first: each kernel's
+// full-occupancy run, in the order of ds (the normalization base, and
+// the last point of the kernel's curve), then, with curves, the curve
+// points below full occupancy by descending TB count, so that a pass
+// shared between goroutines ends on a short simulation.
+func (s *Session) points(ds []Kernel, curves bool) []profileKey {
+	pts := make([]profileKey, len(ds))
 	top := 0 // the largest full occupancy; 0 without curves
-	if curves {
-		for i := range ds {
-			top = max(top, ds[i].MaxTBsPerSM(&s.cfg))
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var pts []profileKey
 	for i := range ds {
-		if k := (profileKey{ds[i], ds[i].MaxTBsPerSM(&s.cfg), false}); !s.cached(k) {
-			pts = append(pts, k)
+		pts[i] = profileKey{ds[i], ds[i].MaxTBsPerSM(&s.cfg)}
+		if curves {
+			top = max(top, pts[i].tbs)
 		}
 	}
 	for n := top - 1; n >= 1; n-- {
 		for i := range ds {
-			if n >= ds[i].MaxTBsPerSM(&s.cfg) {
-				continue
-			}
-			if k := (profileKey{ds[i], n, false}); !s.cached(k) {
-				pts = append(pts, k)
+			if n < pts[i].tbs {
+				pts = append(pts, profileKey{ds[i], n})
 			}
 		}
 	}
 	return pts
 }
 
-// claimProfiles is the first of two passes over the profile simulations
-// a job needs: the full-occupancy isolated run of each kernel and, with
-// curves, points 1..max-1 of each kernel's scalability curve (point max
-// is the full-occupancy run). It simulates every point that is neither
-// cached nor in flight and skips, without waiting, the ones another
-// goroutine is simulating. RunIsolatedCtx and CurveCtx are the second
-// pass: they wait for whatever is still in flight and find the rest
-// cached. Jobs that need the same profiles therefore split the points
-// between their goroutines instead of queuing behind one point at a
-// time, each point still simulated once.
-//
-// A caller with idle cores beside it gets them: while fewer simulations
-// are in flight in this process than GOMAXPROCS, the pass starts helper
-// goroutines — min(points-1, GOMAXPROCS - 1 for the caller -
-// simsInFlight) of them — that run the same loop under the same ctx,
-// and joins them on every way out. A pool that keeps every core busy
-// therefore gets none and stays the only CPU budget; so does
-// GOMAXPROCS=1; a warm session returns after one lock. A point in flight
-// elsewhere is a simulation in flight, so it is off the budget already.
-// The count is read, not reserved: callers that decide in the same
-// instant may start a few goroutines too many, which costs them a time
-// slice, not a simulation. What a helper takes is a whole simulation
-// (milliseconds to seconds), not a slice of a cycle (microseconds): the
-// hand-off is paid once per simulation.
-func (s *Session) claimProfiles(ctx context.Context, ds []Kernel, curves bool) (err error) {
-	pts := s.uncachedPoints(ds, curves)
-	if len(pts) == 0 {
-		return nil
+// curves reads the scalability curve of each kernel of ds — isolated
+// IPC with 1..max TBs per SM (Figure 3(a)) — from rs, the results of
+// fetching points(ds, true).
+func curves(ds []Kernel, pts []profileKey, rs []*RunResult) [][]float64 {
+	out := make([][]float64, len(ds))
+	for i := range ds {
+		out[i] = make([]float64, pts[i].tbs)
+		for j, k := range pts {
+			if k.d == ds[i] {
+				out[i][k.tbs-1] = rs[j].Kernels[0].IPC
+			}
+		}
 	}
+	return out
+}
+
+// fetch returns the results of points pts, in their order; every public
+// call that needs profiles makes exactly one. A warm session answers it
+// under one lock. Otherwise the claim pass (claim) simulates each point
+// nobody has started and skips, without waiting, the ones another
+// goroutine is simulating, and the wait pass then parks on whatever is
+// still in flight: calls that need the same points split them between
+// their goroutines instead of queuing behind one point at a time.
+func (s *Session) fetch(ctx context.Context, pts []profileKey) ([]*RunResult, error) {
+	rs := make([]*RunResult, len(pts))
+	var todo []profileKey
+	s.mu.Lock()
+	for i, k := range pts {
+		if e := s.profiles[k]; e != nil && e.settled() {
+			rs[i] = e.r
+		} else {
+			todo = append(todo, k)
+		}
+	}
+	s.mu.Unlock()
+	if err := s.claim(ctx, todo); err != nil {
+		return nil, err
+	}
+	for i, k := range pts {
+		if rs[i] == nil {
+			e, err := s.profile(ctx, k, true)
+			if err != nil {
+				return nil, err
+			}
+			rs[i] = e.r
+		}
+	}
+	return rs, nil
+}
+
+// claim is fetch's claim pass over the uncached points todo. While
+// fewer simulations are in flight in this process than GOMAXPROCS, it
+// starts min(len(todo)-1, GOMAXPROCS - 1 for the caller - simsInFlight)
+// helper goroutines that run the same loop under the same ctx, and joins
+// them on every way out: a caller with idle cores beside it gets them,
+// a pool that keeps every core busy gets none, and so does GOMAXPROCS=1.
+// The count is read, not reserved: callers that decide in the same
+// instant may start a goroutine too many, which costs a time slice, not
+// a simulation. A helper takes whole simulations, so the hand-off is
+// paid once per simulation, not once per cycle.
+func (s *Session) claim(ctx context.Context, todo []profileKey) (err error) {
 	// stop ends the pass early for everybody once one participant fails
-	// (or panics): its error is the job's, more profiles are not wanted.
+	// (or panics): its error is the call's, more profiles are not wanted.
 	var stop atomic.Bool
-	claim := func() error {
-		for _, k := range pts {
+	loop := func() error {
+		for _, k := range todo {
 			if stop.Load() {
 				return nil
 			}
@@ -389,7 +302,7 @@ func (s *Session) claimProfiles(ctx context.Context, ds []Kernel, curves bool) (
 		}
 		return nil
 	}
-	helpers := max(0, min(len(pts)-1, runtime.GOMAXPROCS(0)-1-int(simsInFlight.Load())))
+	helpers := max(0, min(len(todo)-1, runtime.GOMAXPROCS(0)-1-int(simsInFlight.Load())))
 	helperErrs := make([]error, helpers)
 	var wg sync.WaitGroup
 	defer func() {
@@ -414,55 +327,71 @@ func (s *Session) claimProfiles(ctx context.Context, ds []Kernel, curves bool) (
 					helperErrs[h] = fmt.Errorf("gcke: profile helper panicked: %v", r)
 				}
 			}()
-			helperErrs[h] = claim()
+			helperErrs[h] = loop()
 		}()
 	}
-	return claim()
+	return loop()
 }
 
-// Classify returns the measured class of kernel d: memory-intensive if
-// its isolated LSU-stall fraction is at least 20% (the paper's rule).
+// RunIsolated simulates kernel d alone at full occupancy and caches the
+// result.
+func (s *Session) RunIsolated(d Kernel) (*RunResult, error) {
+	return s.RunIsolatedCtx(context.Background(), d)
+}
+
+// RunIsolatedCtx is RunIsolated honouring ctx cancellation. Profile
+// simulations are deduplicated across goroutines, so a run started on
+// behalf of several waiters is interrupted only when the leader's ctx
+// is cancelled; interrupted results are never cached, and a waiter
+// whose own ctx is live re-runs the profile.
+func (s *Session) RunIsolatedCtx(ctx context.Context, d Kernel) (*RunResult, error) {
+	rs, err := s.fetch(ctx, s.points([]Kernel{d}, false))
+	if err != nil {
+		return nil, err
+	}
+	return rs[0], nil
+}
+
+// Curve returns kernel d's scalability curve: isolated IPC with 1..max
+// TBs per SM (Figure 3(a)).
+func (s *Session) Curve(d Kernel) ([]float64, error) {
+	return s.CurveCtx(context.Background(), d)
+}
+
+// CurveCtx is Curve honouring ctx cancellation.
+func (s *Session) CurveCtx(ctx context.Context, d Kernel) ([]float64, error) {
+	ds := []Kernel{d}
+	pts := s.points(ds, true)
+	rs, err := s.fetch(ctx, pts)
+	if err != nil {
+		return nil, err
+	}
+	return curves(ds, pts, rs)[0], nil
+}
+
+// Classify returns the measured class of kernel d, read from its
+// isolated run by the paper's rule (kern.Classify).
 func (s *Session) Classify(d Kernel) (kern.Class, error) {
-	return s.ClassifyCtx(context.Background(), d)
-}
-
-// ClassifyCtx is Classify honouring ctx cancellation.
-func (s *Session) ClassifyCtx(ctx context.Context, d Kernel) (kern.Class, error) {
-	r, err := s.RunIsolatedCtx(ctx, d)
+	r, err := s.RunIsolated(d)
 	if err != nil {
 		return kern.Compute, err
 	}
-	if r.LSUStallFrac() >= 0.20 {
-		return kern.Memory, nil
-	}
-	return kern.Compute, nil
+	return kern.Classify(r.LSUStallFrac()), nil
 }
 
 // Partition computes the per-SM TB partition a scheme would use for the
 // workload, plus the theoretical Weighted Speedup at that point (only
-// meaningful for Warped-Slicer).
+// meaningful for Warped-Slicer, the one kind read from profiles).
 func (s *Session) Partition(ds []Kernel, kind PartitionKind, manual []int) ([]int, float64, error) {
-	return s.PartitionCtx(context.Background(), ds, kind, manual)
-}
-
-// PartitionCtx is Partition honouring ctx cancellation.
-func (s *Session) PartitionCtx(ctx context.Context, ds []Kernel, kind PartitionKind, manual []int) ([]int, float64, error) {
 	descs := toPtrs(ds)
 	switch kind {
 	case PartitionWarpedSlicer:
-		// Claim every kernel's curve at once; CurveCtx then only waits.
-		if err := s.claimProfiles(ctx, ds, true); err != nil {
+		pts := s.points(ds, true)
+		rs, err := s.fetch(context.Background(), pts)
+		if err != nil {
 			return nil, 0, err
 		}
-		curves := make([][]float64, len(ds))
-		for i := range ds {
-			c, err := s.CurveCtx(ctx, ds[i])
-			if err != nil {
-				return nil, 0, err
-			}
-			curves[i] = c
-		}
-		return core.SweetSpot(&s.cfg, descs, curves)
+		return core.SweetSpot(&s.cfg, descs, curves(ds, pts, rs))
 	case PartitionSMK:
 		return core.DRFPartition(&s.cfg, descs), 0, nil
 	case PartitionLeftover:
@@ -510,9 +439,8 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 	}
 	descs := toPtrs(ds)
 
-	// The partition first: a manual one that cannot run fails before any
-	// simulation, and Warped-Slicer's claims every curve, the
-	// full-occupancy runs included.
+	// The partition first, so that a manual one that cannot run fails
+	// before any simulation.
 	var quota [][]int
 	var row []int
 	var theoWS float64
@@ -525,26 +453,34 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 		// controller reassigns quotas through the hook.
 		dynws = core.NewDynWS(&s.cfg, descs)
 		quota = gpu.UniformQuota(s.cfg.NumSMs, core.EvenQuota(&s.cfg, descs))
+	case PartitionWarpedSlicer:
+		// Read from the curves the one fetch below brings.
 	default:
 		var err error
-		row, theoWS, err = s.PartitionCtx(ctx, ds, scheme.Partition, scheme.ManualTBs)
-		if err != nil {
+		if row, theoWS, err = s.Partition(ds, scheme.Partition, scheme.ManualTBs); err != nil {
 			return nil, err
 		}
-		quota = gpu.UniformQuota(s.cfg.NumSMs, row)
 	}
 
-	// Normalization base: claim what nobody has started, then collect.
-	if err := s.claimProfiles(ctx, ds, false); err != nil {
+	// One fetch: each kernel's full-occupancy run, the normalization
+	// base, and under Warped-Slicer every curve.
+	ws := scheme.Partition == PartitionWarpedSlicer
+	pts := s.points(ds, ws)
+	rs, err := s.fetch(ctx, pts)
+	if err != nil {
 		return nil, err
+	}
+	if ws {
+		if row, theoWS, err = core.SweetSpot(&s.cfg, descs, curves(ds, pts, rs)); err != nil {
+			return nil, err
+		}
+	}
+	if quota == nil {
+		quota = gpu.UniformQuota(s.cfg.NumSMs, row)
 	}
 	isolated := make([]float64, len(ds))
 	for i := range ds {
-		r, err := s.RunIsolatedCtx(ctx, ds[i])
-		if err != nil {
-			return nil, err
-		}
-		isolated[i] = r.Kernels[0].IPC
+		isolated[i] = rs[i].Kernels[0].IPC
 	}
 
 	opts := &gpu.Options{
@@ -640,7 +576,7 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 
 	res, err := s.execute(ctx, descs, opts, scheme.Warmup, managed)
 	if err != nil {
-		return nil, wrapInterrupt(ctx, err)
+		return nil, err
 	}
 	if samples != nil {
 		samples.attach(res)
@@ -658,15 +594,19 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 	}, nil
 }
 
-// execute builds the evaluation machine and runs it from cycle 0, the
-// one path of every evaluation simulation. managed is what the scheme
-// runs between the cycles of its managed leg.
+// execute builds a machine and runs it from cycle 0 for opts.Cycles
+// cycles: the one path of every simulation a Session starts, profile
+// (lead) and evaluation alike, and the span simsInFlight counts (an
+// evaluation's warm leg included: erring on the busy side starts fewer
+// helpers, never more). managed is what the scheme runs between the
+// cycles of its managed leg.
 //
 // With warmup > 0 the run has two legs on one machine: an unmanaged warm
 // leg (no issue policies, UCP or bypass), then InstallPolicies and the
 // managed remainder.
 func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Options, warmup int64, managed []gpu.Observer) (*stats.RunResult, error) {
-	defer simulating()()
+	simsInFlight.Add(1)
+	defer simsInFlight.Add(-1)
 	// The warm leg's Cycles carries the full run length: gpu.New sizes
 	// the series buckets from it, and the buckets must span both legs.
 	build := opts
@@ -683,16 +623,16 @@ func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Opt
 		leg.Cycles = warmup
 		leg.Observers = s.observers(ctx, 0, warmup)
 		if err := g.RunCycles(&leg); err != nil {
-			return nil, err
+			return nil, wrapInterrupt(ctx, err)
 		}
 		g.InstallPolicies(opts)
 		start = warmup
 	}
 	leg := *opts
-	leg.Cycles = s.cycles - start
-	leg.Observers = s.observers(ctx, start, s.cycles, managed...)
+	leg.Cycles = opts.Cycles - start
+	leg.Observers = s.observers(ctx, start, opts.Cycles, managed...)
 	if err := g.RunCycles(&leg); err != nil {
-		return nil, err
+		return nil, wrapInterrupt(ctx, err)
 	}
 	res := g.Result()
 	g.Close()

@@ -159,7 +159,7 @@ func (l *profileLog) checkOncePerPoint(t *testing.T, s *Session, wl []Kernel) {
 
 // resultAndProfiles is what a job leaves behind: the marshalled result
 // and a dump of every point of the session's profile table — kernel, TBs
-// per SM, series, IPC and the point's result JSON — in key order.
+// per SM, IPC and the point's result JSON — in key order.
 func resultAndProfiles(t *testing.T, s *Session, res *WorkloadResult) (result, profiles []byte) {
 	t.Helper()
 	result, err := json.Marshal(res)
@@ -177,7 +177,7 @@ func resultAndProfiles(t *testing.T, s *Session, res *WorkloadResult) (result, p
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows = append(rows, fmt.Sprintf("%s %d %t %v %s\n", k.d.Name, k.tbs, k.series, e.r.Kernels[0].IPC, r))
+		rows = append(rows, fmt.Sprintf("%s %d %v %s\n", k.d.Name, k.tbs, e.r.Kernels[0].IPC, r))
 	}
 	sort.Strings(rows)
 	return result, []byte(strings.Join(rows, ""))
@@ -379,7 +379,7 @@ func TestBusyPoolStartsNoHelpers(t *testing.T) {
 		calls := 0
 		s.onProfile = func(ctx context.Context, kernel string, tbs int) { calls++ }
 		before := runtime.NumGoroutine()
-		if err := s.claimProfiles(context.Background(), wl, true); err != nil {
+		if _, err := s.fetch(context.Background(), s.points(wl, true)); err != nil {
 			t.Fatal(err)
 		}
 		if after := runtime.NumGoroutine(); calls != 0 || after > before {
@@ -532,7 +532,7 @@ func TestLoneJobHelperPanicBecomesError(t *testing.T) {
 	go func() {
 		p := <-doomed
 		k, _ := Benchmark(p.kernel)
-		_, err := s.IsolatedIPCCtx(context.Background(), k, p.tbs)
+		_, err := s.fetch(context.Background(), []profileKey{{k, p.tbs}})
 		waiter <- err
 	}()
 	_, err := s.RunWorkload(wl, loneScheme)
