@@ -111,7 +111,6 @@ func run(args []string, w io.Writer) error {
 	sms := fs.Int("sms", 4, "number of SMs")
 	cycles := fs.Int64("cycles", 300_000, "evaluation cycles")
 	profCycles := fs.Int64("profile-cycles", 60_000, "isolated profiling cycles (0 = -cycles)")
-	warmup := fs.Int64("warmup", 0, "unmanaged warm-up cycles per job")
 	parallel := fs.Int("parallel", 0, "worker pool size (0 = GOMAXPROCS, 1 = serial)")
 	tail := fs.Int("trace", 0, "trace the one job and print its event mix and last N events (0 = off)")
 	kind := fs.String("kind", "", "with -trace, print only events of this kind (e.g. rsfail, mem-issue)")
@@ -143,7 +142,7 @@ func run(args []string, w io.Writer) error {
 		for _, s := range strings.Split(*schemeList, ";") {
 			sc, err := parseScheme(strings.TrimSpace(s))
 			if err == nil {
-				sc.Warmup, sc.Series = *warmup, *series
+				sc.Series = *series
 				err = sc.Validate(len(wl))
 			}
 			if err != nil {
@@ -218,8 +217,8 @@ func printResult(w io.Writer, res *gcke.WorkloadResult) {
 
 // printSeries writes one row per 1 K-cycle bucket. The in-flight and
 // limit samples are taken at the ends of the buckets before the last,
-// partial, one; a bucket without a sample (in the warm-up, the last, and
-// every limit cell without DMIL) leaves its cell empty.
+// partial, one; a bucket without a sample (the last, and every limit
+// cell without DMIL) leaves its cell empty.
 func printSeries(w io.Writer, res *gcke.WorkloadResult) {
 	fmt.Fprint(w, "bucket")
 	for _, k := range res.Kernels {

@@ -1,6 +1,7 @@
 package gcke
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -10,6 +11,9 @@ import (
 // drivers rely on when they assemble sweeps from user flags:
 //
 //   - neither Validate nor Name ever panics;
+//   - an accepted scheme names defined partition, memory issue and
+//     limiting kinds only (the engine would run any other as a
+//     different scheme);
 //   - Validate catches every per-kernel arity mismatch it documents, so
 //     a scheme it accepts can never fail an arity check deeper in the
 //     engine;
@@ -22,6 +26,7 @@ func FuzzSchemeValidate(f *testing.F) {
 	f.Add(int(PartitionManual), 0, int(LimitStatic), 3, uint8(2), false, true, true, 3, 1)
 	f.Add(int(PartitionWarpedSlicerDyn), int(MemIssueRBMI), int(LimitL2MIL), 1, uint8(3), false, false, true, -1, 1)
 	f.Add(-5, 99, 42, 0, uint8(255), true, true, true, 100, 1)
+	f.Add(99, 7, 42, 2, uint8(0), false, false, false, 2, 1) // undefined kinds, nothing else amiss
 	// Entries that cannot run: no TBs, negative TBs, a negative cap.
 	f.Add(int(PartitionManual), 0, int(LimitNone), 2, uint8(0), false, false, false, 2, 0)
 	f.Add(int(PartitionManual), 0, int(LimitStatic), 2, uint8(2), false, false, false, 2, -1)
@@ -68,6 +73,12 @@ func FuzzSchemeValidate(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if !slices.Contains([]PartitionKind{PartitionWarpedSlicer, PartitionSMK, PartitionSpatial, PartitionLeftover,
+			PartitionEven, PartitionManual, PartitionWarpedSlicerDyn}, s.Partition) ||
+			!slices.Contains([]MemIssueKind{MemIssueDefault, MemIssueRBMI, MemIssueQBMI}, s.MemIssue) ||
+			!slices.Contains([]LimitKind{LimitNone, LimitStatic, LimitDMIL, LimitGlobalDMIL, LimitL2MIL}, s.Limiting) {
+			t.Fatalf("accepted undefined kinds: partition %d, memory issue %d, limiting %d", s.Partition, s.MemIssue, s.Limiting)
 		}
 		// Accepted schemes must have consistent per-kernel arities — the
 		// engine indexes these slices by kernel without re-checking.

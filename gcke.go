@@ -178,12 +178,8 @@ type Scheme struct {
 	// in SMK-(P+W)); it is mutually exclusive with MemIssue/Limiting
 	// mechanisms per the paper's evaluation.
 	SMKQuota bool
-	// SMKEpoch is the quota period in cycles (default 10*1024).
-	SMKEpoch int64
 	// UCP enables utility-based L1D way partitioning.
 	UCP bool
-	// UCPInterval is the repartition period in cycles (default 50*1024).
-	UCPInterval int64
 	// ManualTBs is the per-kernel TB partition for PartitionManual.
 	ManualTBs []int
 	// BypassL1 marks kernels whose L1D load misses bypass allocation
@@ -199,23 +195,25 @@ type Scheme struct {
 	TBThrottle bool
 	// Series enables 1 K-cycle time-series collection: per-kernel
 	// issued instructions and L1D accesses per bucket, and, sampled at
-	// the managed leg's multiples of 1024 cycles, in-flight memory
-	// instructions and, under LimitDMIL, the limiting number (see
-	// stats.Series).
+	// every multiple of 1024 cycles, in-flight memory instructions and,
+	// under LimitDMIL, the limiting number (see stats.Series).
 	Series bool
-	// Warmup splits the run into an unmanaged warmup prefix of this
-	// many cycles (no issue policies, UCP or bypass — caches and TB
-	// occupancy fill under the baseline arbiter) followed by a managed
-	// leg for the remaining cycles with the scheme's mechanisms
-	// installed. 0 disables (single managed run).
-	Warmup int64
 }
 
-// Validate rejects scheme combinations the paper never evaluates and
-// per-kernel slice arity mismatches for a workload of nKernels kernels.
-// RunWorkload calls it before simulating; drivers can call it earlier to
-// fail fast when assembling large experiment grids.
+// Validate rejects undefined kinds, scheme combinations the paper never
+// evaluates and per-kernel slice arity mismatches for a workload of
+// nKernels kernels. RunWorkload calls it before simulating; drivers can
+// call it earlier to fail fast when assembling large experiment grids.
 func (s Scheme) Validate(nKernels int) error {
+	if s.Partition < PartitionWarpedSlicer || s.Partition > PartitionWarpedSlicerDyn {
+		return fmt.Errorf("gcke: undefined partition kind %d", int(s.Partition))
+	}
+	if s.MemIssue < MemIssueDefault || s.MemIssue > MemIssueQBMI {
+		return fmt.Errorf("gcke: undefined memory issue kind %d", int(s.MemIssue))
+	}
+	if s.Limiting < LimitNone || s.Limiting > LimitL2MIL {
+		return fmt.Errorf("gcke: undefined limiting kind %d", int(s.Limiting))
+	}
 	if s.SMKQuota && s.MemIssue != MemIssueDefault {
 		return fmt.Errorf("gcke: SMKQuota is mutually exclusive with MemIssue=%s (the paper layers either +W or a memory mechanism on SMK, never both)", s.MemIssue)
 	}
@@ -247,9 +245,6 @@ func (s Scheme) Validate(nKernels int) error {
 	}
 	if s.TBThrottle && (s.Partition == PartitionSpatial || s.Partition == PartitionWarpedSlicerDyn) {
 		return fmt.Errorf("gcke: TBThrottle needs a uniform TB partition (not spatial/dynamic)")
-	}
-	if s.Warmup < 0 {
-		return fmt.Errorf("gcke: Warmup must be non-negative, got %d", s.Warmup)
 	}
 	return nil
 }

@@ -694,10 +694,3 @@ func (c *Cache) AttachUMON() *UMON {
 
 // UMONRef returns the attached utility monitor, or nil.
 func (c *Cache) UMONRef() *UMON { return c.umon }
-
-// ResetStats zeroes the per-kernel statistics (used after warmup).
-func (c *Cache) ResetStats() {
-	for i := range c.Stats {
-		c.Stats[i] = KernelStats{}
-	}
-}

@@ -359,15 +359,6 @@ func TestFillUnknownLineIsNil(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	c := smallL1()
-	c.Access(load(0, 1))
-	c.ResetStats()
-	if c.Stats[0].Accesses != 0 || c.Stats[0].Misses != 0 {
-		t.Fatal("ResetStats did not zero counters")
-	}
-}
-
 func TestMissRateCountsMergesAsHits(t *testing.T) {
 	s := KernelStats{Accesses: 10, Misses: 6, Merged: 2}
 	if got := s.MissRate(); got != 0.4 {

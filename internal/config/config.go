@@ -43,11 +43,6 @@ type SM struct {
 	ALULat   int // ALU result latency in cycles
 	SFULat   int // SFU result latency in cycles
 
-	LSUQueue int // coalesced requests buffered between coalescer and L1D
-
-	SmemBanks int // shared memory banks (Table 1: 32)
-	SmemLat   int // shared memory access latency in cycles
-
 	Scheduler SchedulerPolicy
 }
 
@@ -62,8 +57,6 @@ type Cache struct {
 	HitLatency int // cycles from access to data for a hit
 	XORIndex   bool
 	WriteBack  bool // true: write-back/write-allocate; false: write-evict/write-no-allocate
-	FillQueue  int  // incoming fill buffer entries
-	WarpSize   int  // unused by the cache proper; kept for layout symmetry
 }
 
 // Sets returns the number of sets implied by size, line and ways.
@@ -93,10 +86,9 @@ type DRAM struct {
 
 // Config is the full GPU configuration.
 type Config struct {
-	NumSMs       int
-	WarpSize     int
-	NumMemParts  int // L2 partitions == DRAM channels
-	CoreClockMHz int // informational only; the simulator is unit-clocked
+	NumSMs      int
+	WarpSize    int
+	NumMemParts int // L2 partitions == DRAM channels
 
 	SM   SM
 	L1D  Cache
@@ -114,10 +106,9 @@ type Config struct {
 // Default returns the Table 1 baseline configuration.
 func Default() Config {
 	return Config{
-		NumSMs:       16,
-		WarpSize:     32,
-		NumMemParts:  16,
-		CoreClockMHz: 1400,
+		NumSMs:      16,
+		WarpSize:    32,
+		NumMemParts: 16,
 		SM: SM{
 			Schedulers: 4,
 			MaxThreads: 3072,
@@ -129,9 +120,6 @@ func Default() Config {
 			SFUPorts:   1,
 			ALULat:     10,
 			SFULat:     20,
-			LSUQueue:   64,
-			SmemBanks:  32,
-			SmemLat:    24,
 			Scheduler:  GTO,
 		},
 		L1D: Cache{
@@ -144,7 +132,6 @@ func Default() Config {
 			HitLatency: 28,
 			XORIndex:   true,
 			WriteBack:  false, // write-evict / write-no-allocate
-			FillQueue:  16,
 		},
 		L2: Cache{
 			SizeBytes:  128 * 1024,
@@ -156,7 +143,6 @@ func Default() Config {
 			HitLatency: 30,
 			XORIndex:   true,
 			WriteBack:  true, // write-back / write-allocate
-			FillQueue:  16,
 		},
 		Icnt: Icnt{
 			FlitBytes:     32,

@@ -144,13 +144,3 @@ func TestValidateMemorySystem(t *testing.T) {
 		t.Error("non-power-of-two set count accepted")
 	}
 }
-
-func TestSmemDefaults(t *testing.T) {
-	c := Default()
-	if c.SM.SmemBanks != 32 {
-		t.Errorf("SMEM banks = %d, want 32 (Table 1)", c.SM.SmemBanks)
-	}
-	if c.SM.SmemLat <= 0 {
-		t.Error("SMEM latency must be positive")
-	}
-}

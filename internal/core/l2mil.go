@@ -29,21 +29,20 @@ type L2MIL struct {
 	lastRsFail []uint64
 	lastMisses []uint64
 	lastComp   int64
-
-	// DRAMCongested is the queue occupancy (summed over channels) above
-	// which the lower hierarchy counts as congested even without L2
-	// reservation failures.
-	DRAMCongested int
 }
+
+// dramCongested is the DRAM queue occupancy (summed over channels) at
+// which the lower hierarchy counts as congested even without L2
+// reservation failures.
+const dramCongested = 64
 
 // NewL2MIL builds the controller for n kernel slots.
 func NewL2MIL(n int) *L2MIL {
 	l := &L2MIL{
-		limits:        make([]int, n),
-		recover:       make([]int, n),
-		lastRsFail:    make([]uint64, n),
-		lastMisses:    make([]uint64, n),
-		DRAMCongested: 64,
+		limits:     make([]int, n),
+		recover:    make([]int, n),
+		lastRsFail: make([]uint64, n),
+		lastMisses: make([]uint64, n),
 	}
 	for i := range l.limits {
 		l.limits[i] = milgPeakMax + 1
@@ -98,7 +97,7 @@ func (l *L2MIL) Hook(g *gpu.GPU) error {
 	// The L2 heads retry once per cycle per partition, so failures are
 	// normalized by interval cycles times partitions.
 	parts := int64(g.Config().NumMemParts)
-	congested := total >= elapsed*parts || g.DRAMQueueLen() >= l.DRAMCongested
+	congested := total >= elapsed*parts || g.DRAMQueueLen() >= dramCongested
 	for k := 0; k < n; k++ {
 		switch {
 		case congested && deltas[k]*int64(n) >= total && total > 0:

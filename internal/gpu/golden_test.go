@@ -21,8 +21,8 @@ import (
 func TestEncodeSnapshotGolden(t *testing.T) {
 	const (
 		cycle  = 5335
-		golden = "06dd1c95127a1f61a7e8735fcefeb79828100d2cb241500fe8a62f8b2a3b9667"
-		size   = 141649
+		golden = "55049e24d9fe0c93a67ce3dc2531b658efcc1c6b994bbd5cd80571ed3f13ecc1"
+		size   = 141601
 	)
 	cfg := tinyCfg()
 	descs := []*kern.Desc{getKernel(t, "bp"), getKernel(t, "ks")}

@@ -487,7 +487,6 @@ func (g *GPU) Result() *stats.RunResult {
 			kr := &r.Kernels[k]
 			kc := s.K[k]
 			kr.Instrs += kc.Instrs
-			kr.SmemInstrs += kc.SmemInstrs
 			kr.MemInstrs += kc.MemInstrs
 			kr.Requests += kc.Requests
 			kr.TBsDone += kc.TBsDone

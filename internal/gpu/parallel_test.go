@@ -30,6 +30,10 @@ type parallelWorkload struct {
 	// asserted equal to them: the RunResult JSON, the rendered trace and
 	// the concatenated encoded checkpoints (the last two hash the empty
 	// string when the workload has no trace or takes no checkpoint).
+	// The result and checkpoint goldens have moved since only where a
+	// deleted field left the result JSON or the snapshot graph (the
+	// shared-memory instruction's counter and busy time, the unread
+	// machine fields); the traces are the recorded ones.
 	goldResult, goldTrace, goldCkpt string
 }
 
@@ -125,21 +129,21 @@ const shaEmpty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b8
 
 var parallelWorkloads = []parallelWorkload{
 	{name: "1kernel", kernels: []string{"bp"}, cycles: 6000,
-		goldResult: "4150983ca5a9c7d773459ef8f298766dce420791f45ea77cb60b7ceec1e612e0",
+		goldResult: "cd11a03f9d828416976432a5df4b93850a7cf2e16e90634a8db2cdc45fab25ea",
 		goldTrace:  shaEmpty,
 		goldCkpt:   shaEmpty},
 	{name: "2kernelCKE", kernels: []string{"bp", "sv"}, cycles: 6000,
-		goldResult: "57287d695153e4e56407cf82c826a8c3198a2377ebe8d836becc5f42f9aecec9",
+		goldResult: "2863882e68c16501524b2166b4fb649893f79b584f83452a1979ac217ab498f2",
 		goldTrace:  shaEmpty,
 		goldCkpt:   shaEmpty},
 	{name: "2kernelCKE-full", kernels: []string{"sv", "cd"}, cycles: 6000, full: true,
-		goldResult: "ed57f0994372da7074a3cc74d5288fd9baf880e04943f3280e9e889d1970645b",
+		goldResult: "6d5864dc97f9529ce0355827d977dbe897809f5adc74a347ec846d3848fe8b23",
 		goldTrace:  "8f635f6b6513b307095569873e58b9e14ad6facbcefad1cdde2018bfa4247bb6",
 		goldCkpt:   shaEmpty},
 	{name: "2kernelCKE-trace-ckpt", kernels: []string{"bp", "cd"}, cycles: 6000, ckpt: true,
-		goldResult: "d60f2df72e179b6bdb45f2bd5b57433cc2a0fdba4012cd29305a833a63b9d270",
+		goldResult: "8ef593b85ab54467956c550a5ed93fa4d5fa2b88a55b131fb9a6c2d531ad2e41",
 		goldTrace:  "151a244159a6605f16f90561d7fe8eaad49c3300281f96a1dc6445f2a716ee7d",
-		goldCkpt:   "53e224e2cd4a3b4cc208552e9db4865fd3e9ce3e6db876fd1f910bff6b40372d"},
+		goldCkpt:   "ff247f9d4923a35b1bfff0a8cd98589d034d9a677e762aaa641cf497a4dd6443"},
 }
 
 func (w *parallelWorkload) check(t *testing.T, label string, got engineRun) {

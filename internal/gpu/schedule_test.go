@@ -122,7 +122,7 @@ func legObservers(leg *gpu.Options, r *recorder, start, end int64, failSink bool
 
 // TestObserverSchedule pins when code runs between cycles, on four
 // runs: a plain one, a two-leg one (policies reinstalled between the
-// legs, as a Warmup run does), one resumed from a snapshot mid-run and
+// legs), one resumed from a snapshot mid-run and
 // one whose sink fails once. want lists every firing but the
 // watchdog's, which runs at every cycle after the run's first, before
 // anything else of that cycle. The rules it pins:

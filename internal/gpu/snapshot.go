@@ -2,8 +2,7 @@
 // forms SnapshotCheckpoint / EncodeSnapshot / DecodeSnapshot. Every job
 // runs from cycle 0, so no job restores a snapshot: bench/ (its snapshot
 // and checkpoint drives) is this file's only non-test caller, beside the
-// restore-and-continue tests. A scheme's Warmup prefix is not a snapshot
-// but the first of two RunCycles legs on one machine.
+// restore-and-continue tests.
 //
 // One mem.Cloner spans the whole capture (and another the whole
 // restore): the requests of one memory instruction may simultaneously
@@ -196,9 +195,8 @@ func (g *GPU) Restore(sn *Snapshot) error {
 // too: fresh policy instances from the factories, a fresh UMON per L1
 // when UCP is enabled, and the per-kernel bypass vector.
 //
-// This is the managed-leg half of the snapshot discipline: warm the
-// machine unmanaged, snapshot or restore, then InstallPolicies and run
-// the managed leg.
+// This is the second half of the snapshot discipline: snapshot or
+// restore an unmanaged machine, then InstallPolicies and run on.
 func (g *GPU) InstallPolicies(opts *Options) {
 	n := len(g.descs)
 	var policies [][3]any

@@ -109,8 +109,9 @@ func TestRunMemoizes(t *testing.T) {
 }
 
 // TestRunKeysOnTheWholeScheme: points that differ only in a scheme field
-// the harness once left out of its memo key (ManualTBs, Warmup) are
-// distinct runs with their own results.
+// the harness once left out of its memo key (ManualTBs) or that only
+// tunes a mechanism (QBMIRefreshAllZero) are distinct runs with their
+// own results.
 func TestRunKeysOnTheWholeScheme(t *testing.T) {
 	h, _ := tinyHarness(t)
 	w := NewWorkload("bp", "sv")
@@ -125,19 +126,19 @@ func TestRunKeysOnTheWholeScheme(t *testing.T) {
 	if reflect.DeepEqual(a.TBPartition, b.TBPartition) {
 		t.Fatalf("ManualTBs [1 1] and [3 1] share partition %v", a.TBPartition)
 	}
-	cold, err := h.Run(w, gcke.Scheme{Partition: gcke.PartitionEven})
+	anyZero, err := h.Run(w, gcke.Scheme{Partition: gcke.PartitionEven, MemIssue: gcke.MemIssueQBMI})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := h.Run(w, gcke.Scheme{Partition: gcke.PartitionEven, Warmup: 5000})
+	allZero, err := h.Run(w, gcke.Scheme{Partition: gcke.PartitionEven, MemIssue: gcke.MemIssueQBMI, QBMIRefreshAllZero: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hits := h.Runner.Cache.Stats().Hits; hits != 0 {
 		t.Fatalf("%d of four distinct points served from the cache", hits)
 	}
-	if bytes.Equal(mustJSON(t, cold), mustJSON(t, warm)) {
-		t.Fatal("Warmup 5000 returned the Warmup 0 result")
+	if bytes.Equal(mustJSON(t, anyZero), mustJSON(t, allZero)) {
+		t.Fatal("QBMIRefreshAllZero returned the any-zero refresh's result")
 	}
 }
 

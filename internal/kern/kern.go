@@ -62,15 +62,6 @@ type Desc struct {
 	// Memory behaviour.
 	ReqPerMinst int     // coalesced requests per memory instruction
 	StoreFrac   float64 // fraction of memory instructions that are stores
-	// SmemPerM inserts this many shared-memory access instructions per
-	// loop iteration (serviced by the banked SMEM, never touching the
-	// L1D). SmemConflictProb is the chance such an access suffers a
-	// bank conflict and serializes over extra cycles. The thirteen
-	// Table 2 benchmarks leave these at zero (their smem usage is
-	// captured by occupancy only); custom kernels can model smem-heavy
-	// codes explicitly.
-	SmemPerM         int
-	SmemConflictProb float64
 	// DepDist is how many further instructions the warp may issue after
 	// a load before depending on its value.
 	DepDist int
@@ -192,7 +183,6 @@ type InstrKind uint8
 const (
 	ALU InstrKind = iota
 	SFU
-	Smem
 	MemLoad
 	MemStore
 )
@@ -243,18 +233,14 @@ type Warm struct {
 }
 
 // NextKind returns the instruction kind at loop position pos and the
-// next position. The loop body is CPerM compute instructions, SmemPerM
-// shared-memory accesses, then one global memory instruction. rng
-// breaks the SFU/store choices.
+// next position. The loop body is CPerM compute instructions, then one
+// global memory instruction. rng breaks the SFU/store choices.
 func (d *Desc) NextKind(pos int, rng *xrand.Source) (InstrKind, int) {
 	if pos < d.CPerM {
 		if d.SFUFrac > 0 && rng.Bool(d.SFUFrac) {
 			return SFU, pos + 1
 		}
 		return ALU, pos + 1
-	}
-	if pos < d.CPerM+d.SmemPerM {
-		return Smem, pos + 1
 	}
 	if d.StoreFrac > 0 && rng.Bool(d.StoreFrac) {
 		return MemStore, 0

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"os"
@@ -95,6 +96,16 @@ func TestRunCachePersistsAcrossProcesses(t *testing.T) {
 	}
 }
 
+// parentJournalKeys are the keys the lines of parent-journal.jsonl
+// carry: the fingerprints of parentJournalJobs, in order, in the format
+// of the commit that wrote it.
+var parentJournalKeys = []string{
+	"j1-2015cce37ee9ae961377d1ef4fa6d7930f2950bd8d67eadd42b8f19f5896cf68",
+	"j1-22656bff1d13a8e2cbea02b821d9381a7c4ec207e05438b6ca070a8f74da1d20",
+	"j1-438e6fe9cadab10d924ea6acf19c19d9dd888834093ed4d0f022bc1bc3ff52ba",
+	"j1-0f6d62d0d241d623a9fbb6e661914b55b2d643f563b7a3f669c0603eaa045b7a",
+}
+
 // parentJournalJobs are the four jobs testdata/parent-journal.jsonl in
 // internal/resultcache holds: the journal the commit before the one
 // store wrote for `ckesim -sms 1 -cycles 3000 -profile-cycles 2000
@@ -122,7 +133,10 @@ func parentJournalJobs(t *testing.T) []Job {
 // TestOneSyncPerFirstSeenJob counts the fsyncs at the store's fault
 // hook: a first-seen job costs exactly one, a repeat none, and a run
 // resumed from a journal an earlier commit wrote serves every job from
-// the file with none.
+// the file with none. The fingerprints have since moved (machine and
+// scheme fields were deleted), so the journal's lines are rekeyed in
+// memory to today's keys of the same jobs; their values and checksums,
+// the bytes the earlier commit stored, are served as they are.
 func TestOneSyncPerFirstSeenJob(t *testing.T) {
 	var syncs int
 	count := func(op, key string) error {
@@ -155,6 +169,17 @@ func TestOneSyncPerFirstSeenJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	jobs = parentJournalJobs(t)
+	for i, old := range parentJournalKeys {
+		key, err := jobs[i].Key()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(fixture, []byte(old)) {
+			t.Fatalf("the fixture has no line keyed %s", old)
+		}
+		fixture = bytes.ReplaceAll(fixture, []byte(old), []byte(key))
+	}
 	path := filepath.Join(t.TempDir(), "parent.jsonl")
 	if err := os.WriteFile(path, fixture, 0o644); err != nil {
 		t.Fatal(err)
@@ -170,7 +195,7 @@ func TestOneSyncPerFirstSeenJob(t *testing.T) {
 	defer func() { testJobHook = nil }()
 	r = New(1)
 	r.Cache = resumed
-	res := r.Run(context.Background(), parentJournalJobs(t))
+	res := r.Run(context.Background(), jobs)
 	if err := FirstErr(res); err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,16 @@ func seriesJob(series bool) Job {
 
 // TestSeriesJobKey: a Series job's result carries the in-flight and
 // limit samples that a result stored under the earlier fingerprint lacks,
-// so its fingerprint moved; every other job's is the one it had.
+// so its fingerprint moved; every other job's is the one it had. The
+// before keys are in today's format (no Warmup, SMKEpoch or UCPInterval
+// in the scheme), the Series one computed without the Samples marker.
 func TestSeriesJobKey(t *testing.T) {
 	for _, c := range []struct {
 		series bool
 		before string
 	}{
-		{false, "j1-638849c167737d53f0a76be10cb118a7a3e22f6a0fce235b5e20ba8df1cb852a"},
-		{true, "j1-a18416dee396eb712ec89266acf7a5582b83c29f76262701820eedb22d441f49"},
+		{false, "j1-cefcacbfa7c66bef308658b1cbde435a40a8e9c9060092e5aacacfb36fe7f820"},
+		{true, "j1-4c7fc25fa0912b8d3da2fec9e3bf6b8d7d7570400b9ec2a1e5ef6f5e44e216a7"},
 	} {
 		j := seriesJob(c.series)
 		key, err := j.Key()

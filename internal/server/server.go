@@ -585,8 +585,12 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"error": "draining"})
 		return
 	}
+	// An unknown field is refused, not ignored: a misspelt or removed
+	// scheme or machine field would otherwise run another job.
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "decoding job: " + err.Error()})
 		return
 	}

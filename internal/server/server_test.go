@@ -430,6 +430,62 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// postRaw posts body to /jobs and returns the status and error text.
+func postRaw(t *testing.T, ts *httptest.Server, body string) (int, string) {
+	t.Helper()
+	resp, err := ts.Client().Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out JobResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatalf("decoding response (status %d): %v", resp.StatusCode, err)
+	}
+	return resp.StatusCode, out.Error
+}
+
+// TestRefusesUndefinedSchemeKinds: a partition, memory issue or
+// limiting kind outside the defined constants answers 400 before
+// admission, instead of running as another scheme under its own
+// fingerprint or failing inside the simulation.
+func TestRefusesUndefinedSchemeKinds(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, scheme := range []string{
+		`{"Partition":4,"MemIssue":7}`,
+		`{"Limiting":42}`,
+		`{"Partition":99}`,
+	} {
+		body := `{"sms":1,"cycles":6000,"kernels":["bp","ks"],"scheme":` + scheme + `}`
+		if status, msg := postRaw(t, ts, body); status != http.StatusBadRequest || !strings.Contains(msg, "undefined") {
+			t.Errorf("scheme %s: status %d, error %q; want 400 naming the undefined kind", scheme, status, msg)
+		}
+	}
+	if n := srv.StatsSnapshot().Accepted; n != 0 {
+		t.Fatalf("%d jobs with undefined kinds were admitted", n)
+	}
+}
+
+// TestRefusesUnknownFields: a misspelt field and a field the scheme no
+// longer has answer 400 instead of being dropped, which would run
+// another job than the one asked for.
+func TestRefusesUnknownFields(t *testing.T) {
+	srv := New(Config{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	for _, scheme := range []string{`{"Partiton":2}`, `{"Warmup":5000}`} {
+		body := `{"sms":1,"cycles":6000,"kernels":["bp","ks"],"scheme":` + scheme + `}`
+		if status, msg := postRaw(t, ts, body); status != http.StatusBadRequest || !strings.Contains(msg, "unknown field") {
+			t.Errorf("scheme %s: status %d, error %q; want 400 naming the unknown field", scheme, status, msg)
+		}
+	}
+	if n := srv.StatsSnapshot().Accepted; n != 0 {
+		t.Fatalf("%d jobs with unknown fields were admitted", n)
+	}
+}
+
 // TestRequestTimeoutLayered: a request-level timeout bounds the job's
 // one attempt when the server sets no per-attempt deadline: the hung
 // attempt is cancelled and answered 504, transient, once.

@@ -215,7 +215,7 @@ func checkScenario(t testing.TB, seed uint64) (scenario, int) {
 
 // TestIndexedIssueMatchesFullScan is the seeded differential test: 42
 // generated scenarios covering 2- and 3-kernel mixes of random kernels
-// (SFU, shared-memory, store and pending-load parameters all drawn), 1,
+// (SFU, store and pending-load parameters all drawn), 1,
 // 2 and 4 schedulers, GTO and LRR, an issue gate (SMK), static and
 // dynamic limiters, QBMI, L1 bypass, tight MSHRs, memory back-pressure
 // and periodic quota changes with Drain. The corpus must reach every

@@ -17,12 +17,12 @@ import (
 // scheduling state after every cycle and check both SMs' invariants, so
 // a failure names the first cycle that went wrong.
 
-// mixKernel issues ALU, SFU and shared-memory instructions between
-// loads, so every sleep length and every port is in play.
+// mixKernel issues ALU and SFU instructions between loads, so every
+// sleep length and every port is in play.
 func mixKernel() kern.Desc {
 	return kern.Desc{
 		Name: "mix", ThreadsPerTB: 64, RegsPerThread: 16, SmemPerTB: 1024,
-		CPerM: 6, SmemPerM: 1, SFUFrac: 0.3, SmemConflictProb: 0.5,
+		CPerM: 6, SFUFrac: 0.3,
 		ReqPerMinst: 2, DepDist: 4, MaxPendingLoads: 2,
 		FootprintLines: 512, InstrsPerWarp: 120,
 	}
@@ -30,8 +30,8 @@ func mixKernel() kern.Desc {
 
 // schedState renders everything the issue stages decide or depend on.
 func schedState(s *SM) string {
-	out := fmt.Sprintf("%+v alu=%d sfu=%d stall=%d busy=%d smemBusy=%d inflight=%v\n",
-		s.K, s.ALUIssued, s.SFUIssued, s.LSUStall, s.LSUBusy, s.smemBusyUntil, s.inflight)
+	out := fmt.Sprintf("%+v alu=%d sfu=%d stall=%d busy=%d inflight=%v\n",
+		s.K, s.ALUIssued, s.SFUIssued, s.LSUStall, s.LSUBusy, s.inflight)
 	for si := range s.scheds {
 		out += fmt.Sprintf("  sched %d: %+v\n", si, s.scheds[si])
 	}

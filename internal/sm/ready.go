@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/config"
 	"repro/internal/kern"
 	"repro/internal/ring"
 )
@@ -45,7 +44,6 @@ const (
 	kindMem issueKind = iota
 	kindALU
 	kindSFU
-	kindSmem
 	numKinds
 	// kindNone: slot free, warp done issuing, behind its load barrier, or
 	// a load at the kernel's pending-load cap.
@@ -63,12 +61,6 @@ const (
 	rowKernel = rowAsleep + 1 // first of the per-kernel rows
 )
 
-// smemMaxDegree is the largest bank-conflict degree a shared-memory
-// access can draw.
-func smemMaxDegree(cfg *config.Config) int {
-	return max(cfg.SM.SmemBanks/4, 2)
-}
-
 // newIndex sizes the masks and the wake wheel for the configured warp
 // count and latencies, from one backing allocation (s.index, which Init
 // carries over from the SM's previous life).
@@ -77,10 +69,10 @@ func (s *SM) newIndex() {
 	s.rows = rowKernel + len(s.descs)
 	for s.blockShift = 3; 1<<s.blockShift < s.rows; s.blockShift++ {
 	}
-	// The longest sleep is a fully conflicted shared-memory access; the
-	// wheel is longer, so a wake is never filed under the bucket of the
-	// cycle it is filed in.
-	longest := max(s.cfg.SM.ALULat, s.cfg.SM.SFULat, s.cfg.SM.SmemLat+smemMaxDegree(s.cfg)-1)
+	// The longest sleep is a compute result's latency; the wheel is
+	// longer, so a wake is never filed under the bucket of the cycle it
+	// is filed in.
+	longest := max(s.cfg.SM.ALULat, s.cfg.SM.SFULat)
 	wheelLen := 1
 	for wheelLen <= longest {
 		wheelLen <<= 1
@@ -148,8 +140,6 @@ func (s *SM) kindOf(w *Warp) issueKind {
 		return kindALU
 	case kern.SFU:
 		return kindSFU
-	case kern.Smem:
-		return kindSmem
 	}
 	return kindNone
 }

@@ -51,8 +51,8 @@ func (s *SM) readyForMem(w *Warp, cycle int64) bool {
 	return s.gate.CanIssue(k)
 }
 
-// readyForCompute reports whether warp w can issue an ALU/SFU/
-// shared-memory instruction this cycle, given remaining port budgets.
+// readyForCompute reports whether warp w can issue an ALU or SFU
+// instruction this cycle, given remaining port budgets.
 func (s *SM) readyForCompute(w *Warp, cycle int64, aluLeft, sfuLeft int) bool {
 	if !w.Active || w.doneIssuing || w.lastCycle == cycle || w.ReadyAt > cycle {
 		return false
@@ -64,10 +64,6 @@ func (s *SM) readyForCompute(w *Warp, cycle int64, aluLeft, sfuLeft int) bool {
 		}
 	case kern.SFU:
 		if sfuLeft <= 0 {
-			return false
-		}
-	case kern.Smem:
-		if s.smemBusyUntil > cycle {
 			return false
 		}
 	default:

@@ -161,10 +161,6 @@ type SM struct {
 	// the SM and on its L1: the GPU to its one machine-wide pool.
 	Pool *mem.Pool
 
-	// smemBusyUntil serializes the banked shared memory: a conflicted
-	// access occupies the unit for multiple cycles.
-	smemBusyUntil int64
-
 	// inflight counts in-flight memory *accesses* (coalesced requests)
 	// per kernel: a kernel's footprint in the miss-handling resources.
 	// The paper's 7-bit MILG counter saturates at 128 — the MSHR count —
@@ -689,9 +685,6 @@ func (s *SM) issueCompute(cycle int64, memScheduler int) {
 			if sfuLeft > 0 {
 				ready |= blk[kindSFU]
 			}
-			if s.smemBusyUntil <= cycle {
-				ready |= blk[kindSmem]
-			}
 			m[i] = ready &^ blk[rowAsleep]
 			some |= m[i]
 		}
@@ -738,7 +731,7 @@ func (s *SM) issueCompute(cycle int64, memScheduler int) {
 	}
 }
 
-// issueComputeWarp issues the ALU/SFU/shared-memory instruction of the
+// issueComputeWarp issues the ALU or SFU instruction of the
 // warp scheduler sc picked, charging the port it occupies.
 func (s *SM) issueComputeWarp(sc *scheduler, picked int, cycle int64, aluLeft, sfuLeft *int) {
 	w := &s.warps[picked]
@@ -754,17 +747,6 @@ func (s *SM) issueComputeWarp(sc *scheduler, picked int, cycle int64, aluLeft, s
 		s.SFUIssued++
 		s.K[k].SFUInstrs++
 		w.ReadyAt = cycle + int64(s.cfg.SM.SFULat)
-	case kern.Smem:
-		d := s.descs[k]
-		// A bank conflict serializes the access over extra cycles
-		// (degree 2..SmemBanks/4, drawn per access).
-		busy := int64(1)
-		if d.SmemConflictProb > 0 && s.wRNG[picked].Bool(d.SmemConflictProb) {
-			busy = int64(2 + s.wRNG[picked].Intn(smemMaxDegree(s.cfg)-1))
-		}
-		s.smemBusyUntil = cycle + busy
-		s.K[k].SmemInstrs++
-		w.ReadyAt = cycle + int64(s.cfg.SM.SmemLat) + busy - 1
 	}
 	if w.ReadyAt > cycle {
 		s.sleep(picked)

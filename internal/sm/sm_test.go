@@ -494,38 +494,3 @@ func TestDrainReleasesResources(t *testing.T) {
 		t.Fatalf("in-flight accesses after drain = %d", got)
 	}
 }
-
-func TestSmemInstructionsServiced(t *testing.T) {
-	d := computeKernel()
-	d.SmemPerM = 3
-	s, _ := newSM(t, []*kern.Desc{&d}, []int{4})
-	pm := &perfectMem{lat: 40}
-	run(s, pm, 5000)
-	if s.K[0].SmemInstrs == 0 {
-		t.Fatal("no shared-memory accesses serviced")
-	}
-	// Loop shape: ~CPerM compute + 3 smem + 1 global per iteration.
-	ratio := float64(s.K[0].SmemInstrs) / float64(s.K[0].MemInstrs)
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("smem per global = %v, want ~3", ratio)
-	}
-}
-
-func TestSmemBankConflictsSlowProgress(t *testing.T) {
-	runWith := func(conflict float64) uint64 {
-		d := computeKernel()
-		d.SmemPerM = 4
-		d.SmemConflictProb = conflict
-		cfg := tinyConfig()
-		descs := []*kern.Desc{&d}
-		s := New(0, &cfg, descs, []int{8}, nil, nil, nil, 1)
-		pm := &perfectMem{lat: 40}
-		run(s, pm, 5000)
-		return s.K[0].Instrs
-	}
-	clean := runWith(0)
-	conflicted := runWith(0.9)
-	if conflicted >= clean {
-		t.Fatalf("bank conflicts must slow progress: %d vs %d", conflicted, clean)
-	}
-}

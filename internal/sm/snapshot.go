@@ -55,8 +55,7 @@ type Snapshot struct {
 	compQ []compEntry
 	now   int64
 
-	smemBusyUntil int64
-	inflight      []int
+	inflight []int
 
 	counters  []stats.KernelCounters
 	lsuStall  uint64
@@ -77,30 +76,29 @@ type Snapshot struct {
 // the snapshot operation's machine-wide cloner.
 func (s *SM) Snapshot(cl *mem.Cloner) *Snapshot {
 	sn := &Snapshot{
-		warps:         append([]Warp(nil), s.warps...),
-		wAddr:         append([]kern.AddrState(nil), s.wAddr...),
-		wRNG:          append([]xrand.Source(nil), s.wRNG...),
-		freeWarps:     append([]int(nil), s.freeWarps...),
-		tbCount:       append([]int(nil), s.tbCount...),
-		tbLaunched:    append([]uint64(nil), s.tbLaunched...),
-		threadsUsed:   s.threadsUsed,
-		regsUsed:      s.regsUsed,
-		smemUsed:      s.smemUsed,
-		dispatchPtr:   s.dispatchPtr,
-		schedAssign:   s.schedAssign,
-		warpAge:       s.warpAge,
-		warm:          append([]kern.Warm(nil), s.warm...),
-		now:           s.now,
-		smemBusyUntil: s.smemBusyUntil,
-		inflight:      append([]int(nil), s.inflight...),
-		counters:      append([]stats.KernelCounters(nil), s.K...),
-		lsuStall:      s.LSUStall,
-		lsuBusy:       s.LSUBusy,
-		aluIssued:     s.ALUIssued,
-		sfuIssued:     s.SFUIssued,
-		seriesOn:      s.seriesOn,
-		rng:           s.rng,
-		l1:            s.L1.Snapshot(cl),
+		warps:       append([]Warp(nil), s.warps...),
+		wAddr:       append([]kern.AddrState(nil), s.wAddr...),
+		wRNG:        append([]xrand.Source(nil), s.wRNG...),
+		freeWarps:   append([]int(nil), s.freeWarps...),
+		tbCount:     append([]int(nil), s.tbCount...),
+		tbLaunched:  append([]uint64(nil), s.tbLaunched...),
+		threadsUsed: s.threadsUsed,
+		regsUsed:    s.regsUsed,
+		smemUsed:    s.smemUsed,
+		dispatchPtr: s.dispatchPtr,
+		schedAssign: s.schedAssign,
+		warpAge:     s.warpAge,
+		warm:        append([]kern.Warm(nil), s.warm...),
+		now:         s.now,
+		inflight:    append([]int(nil), s.inflight...),
+		counters:    append([]stats.KernelCounters(nil), s.K...),
+		lsuStall:    s.LSUStall,
+		lsuBusy:     s.LSUBusy,
+		aluIssued:   s.ALUIssued,
+		sfuIssued:   s.SFUIssued,
+		seriesOn:    s.seriesOn,
+		rng:         s.rng,
+		l1:          s.L1.Snapshot(cl),
 	}
 	for i := range s.tbs {
 		tb := s.tbs[i]
@@ -173,7 +171,6 @@ func (s *SM) Restore(sn *Snapshot, cl *mem.Cloner) error {
 		return compEntry{token: cl.Token(e.token), at: e.at}
 	})
 	s.now = sn.now
-	s.smemBusyUntil = sn.smemBusyUntil
 	copy(s.inflight, sn.inflight)
 	copy(s.K, sn.counters)
 	s.LSUStall = sn.lsuStall

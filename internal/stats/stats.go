@@ -14,14 +14,13 @@ import (
 
 // KernelCounters aggregates activity of one kernel slot across all SMs.
 type KernelCounters struct {
-	Instrs     uint64 // all warp instructions issued
-	ALUInstrs  uint64
-	SFUInstrs  uint64
-	SmemInstrs uint64 // shared-memory accesses (never touch the L1D)
-	MemInstrs  uint64
-	Requests   uint64 // coalesced requests issued to the L1D (successful accesses)
-	StallRsf   uint64 // LSU stall cycles attributed to this kernel's failing access
-	TBsDone    uint64
+	Instrs    uint64 // all warp instructions issued
+	ALUInstrs uint64
+	SFUInstrs uint64
+	MemInstrs uint64
+	Requests  uint64 // coalesced requests issued to the L1D (successful accesses)
+	StallRsf  uint64 // LSU stall cycles attributed to this kernel's failing access
+	TBsDone   uint64
 }
 
 // SeriesInterval is the bucket width for time series, per the paper's
@@ -33,25 +32,24 @@ type Series struct {
 	Issued []uint32 // warp instructions issued per bucket
 	L1Acc  []uint32 // successful L1D accesses per bucket
 	// Inflight and Limit are sampled, summed over SMs, at every multiple
-	// of 1024 cycles of a Session evaluation run's managed leg (after its
-	// warm-up): the kernel's in-flight memory instructions and its DMIL
-	// limiting number. Limit is nil unless the scheme runs DMIL; both are
-	// nil for runs the Session does not sample (profiles, bare gpu runs).
+	// of 1024 cycles of a Session evaluation run: the kernel's in-flight
+	// memory instructions and its DMIL limiting number. Limit is nil
+	// unless the scheme runs DMIL; both are nil for runs the Session does
+	// not sample (profiles, bare gpu runs).
 	Inflight []uint32 `json:",omitempty"`
 	Limit    []uint32 `json:",omitempty"`
 }
 
 // KernelResult is the per-kernel outcome of a run.
 type KernelResult struct {
-	Name       string
-	Instrs     uint64
-	IPC        float64
-	SmemInstrs uint64
-	MemInstrs  uint64
-	Requests   uint64
-	L1D        cache.KernelStats
-	TBsDone    uint64
-	Series     *Series // nil unless series collection was enabled
+	Name      string
+	Instrs    uint64
+	IPC       float64
+	MemInstrs uint64
+	Requests  uint64
+	L1D       cache.KernelStats
+	TBsDone   uint64
+	Series    *Series // nil unless series collection was enabled
 }
 
 // RunResult is the outcome of one simulation.

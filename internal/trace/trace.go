@@ -15,7 +15,7 @@ import (
 type Kind uint8
 
 const (
-	// IssueCompute: a warp issued an ALU/SFU/SMEM instruction.
+	// IssueCompute: a warp issued an ALU or SFU instruction.
 	IssueCompute Kind = iota
 	// IssueMem: a warp memory instruction entered the LSU (Arg holds
 	// the coalesced request count).

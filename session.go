@@ -74,20 +74,20 @@ func (s *Session) Config() Config { return s.cfg }
 // Cycles returns the evaluation run length.
 func (s *Session) Cycles() int64 { return s.cycles }
 
-// observers lists what runs between the cycles of one leg, from start
-// to end, in the order the engine runs them when several are due at
-// once: the invariant watchdog (with Check), then extra — UCP
-// repartitioning, the scheme's controller hooks — then the poll of ctx
-// (the cycle loop is synchronous, so cancellation is polled every 1024
-// cycles rather than select-driven).
-func (s *Session) observers(ctx context.Context, start, end int64, extra ...gpu.Observer) []gpu.Observer {
+// observers lists what runs between the cycles of a run of end cycles,
+// in the order the engine runs them when several are due at once: the
+// invariant watchdog (with Check), then extra — UCP repartitioning, the
+// scheme's controller hooks — then the poll of ctx (the cycle loop is
+// synchronous, so cancellation is polled every 1024 cycles rather than
+// select-driven).
+func (s *Session) observers(ctx context.Context, end int64, extra ...gpu.Observer) []gpu.Observer {
 	var obs []gpu.Observer
 	if s.Check {
-		obs = append(obs, gpu.Watchdog(start, gpu.DefaultProgressWindow))
+		obs = append(obs, gpu.Watchdog(0, gpu.DefaultProgressWindow))
 	}
 	obs = append(obs, extra...)
 	if ctx != nil && ctx.Done() != nil {
-		obs = append(obs, gpu.Interrupt(start, end, func() bool { return ctx.Err() != nil }))
+		obs = append(obs, gpu.Interrupt(0, end, func() bool { return ctx.Err() != nil }))
 	}
 	return obs
 }
@@ -199,7 +199,7 @@ func (s *Session) lead(ctx context.Context, k profileKey, e *profileEntry) {
 		Cycles:    s.ProfileCycles,
 		Quota:     gpu.UniformQuota(s.cfg.NumSMs, []int{k.tbs}),
 		PhaseTime: s.PhaseTime,
-	}, 0, nil)
+	}, nil)
 }
 
 // points lists the profile points of ds, costliest first: each kernel's
@@ -418,6 +418,13 @@ func (s *Session) Partition(ds []Kernel, kind PartitionKind, manual []int) ([]in
 	}
 }
 
+// The periods of a scheme's periodic mechanisms, in cycles: SMK's
+// warp-instruction quota epoch and UCP's repartition interval.
+const (
+	smkEpoch    = 10 * 1024
+	ucpInterval = 50 * 1024
+)
+
 // RunWorkload simulates the kernels concurrently under scheme.
 func (s *Session) RunWorkload(ds []Kernel, scheme Scheme) (*WorkloadResult, error) {
 	return s.RunWorkloadCtx(context.Background(), ds, scheme)
@@ -433,9 +440,6 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 	}
 	if err := scheme.Validate(len(ds)); err != nil {
 		return nil, err
-	}
-	if scheme.Warmup >= s.cycles {
-		return nil, fmt.Errorf("gcke: Warmup (%d) must be shorter than the run (%d cycles)", scheme.Warmup, s.cycles)
 	}
 	descs := toPtrs(ds)
 
@@ -490,25 +494,20 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 		Series:    scheme.Series,
 		PhaseTime: s.PhaseTime,
 	}
-	// What the managed leg, which starts after the warm-up, runs between
-	// cycles, in this order: UCP cache partitioning, then the
-	// controllers' hooks every 1024 cycles.
-	start := max(scheme.Warmup, 0)
+	// What the scheme runs between cycles, in this order: UCP cache
+	// partitioning every ucpInterval cycles, then the controllers' hooks
+	// every 1024 cycles.
 	var managed []gpu.Observer
 	if scheme.UCP {
-		every := scheme.UCPInterval
-		if every <= 0 {
-			every = 50 * 1024
-		}
 		opts.UCP = true
-		managed = append(managed, gpu.Repartition(start, every))
+		managed = append(managed, gpu.Repartition(0, ucpInterval))
 	}
 	if dynws != nil {
-		managed = append(managed, gpu.Periodic(start, 1024, dynws.Hook))
+		managed = append(managed, gpu.Periodic(0, 1024, dynws.Hook))
 	}
 	if scheme.TBThrottle {
 		// Validate already rejected the partitionless kinds.
-		managed = append(managed, gpu.Periodic(start, 1024, core.NewTBThrottle(row).Hook))
+		managed = append(managed, gpu.Periodic(0, 1024, core.NewTBThrottle(row).Hook))
 	}
 
 	// Memory issue policy.
@@ -541,21 +540,17 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 	case LimitL2MIL:
 		shared := core.NewL2MIL(len(ds))
 		opts.Policies.Limiter = func(smID, n int) sm.Limiter { return shared }
-		managed = append(managed, gpu.Periodic(start, 1024, shared.Hook))
+		managed = append(managed, gpu.Periodic(0, 1024, shared.Hook))
 	}
 
 	// SMK warp-instruction quota.
 	if scheme.SMKQuota {
-		epoch := scheme.SMKEpoch
-		if epoch <= 0 {
-			epoch = 10 * 1024
-		}
 		iso := append([]float64(nil), isolated...)
 		// Per-SM share of the machine-wide isolated IPC.
 		for i := range iso {
 			iso[i] /= float64(s.cfg.NumSMs)
 		}
-		opts.Policies.Gate = func(smID, n int) sm.IssueGate { return core.NewSMKGate(iso, epoch) }
+		opts.Policies.Gate = func(smID, n int) sm.IssueGate { return core.NewSMKGate(iso, smkEpoch) }
 	}
 
 	// Cache bypassing (Section 4.5 interplay study).
@@ -571,10 +566,10 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 		if scheme.Limiting == LimitDMIL {
 			samples.watch(&opts.Policies, s.cfg.NumSMs)
 		}
-		managed = append(managed, gpu.Periodic(start, 1024, samples.sample))
+		managed = append(managed, gpu.Periodic(0, 1024, samples.sample))
 	}
 
-	res, err := s.execute(ctx, descs, opts, scheme.Warmup, managed)
+	res, err := s.execute(ctx, descs, opts, managed)
 	if err != nil {
 		return nil, err
 	}
@@ -596,42 +591,17 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 
 // execute builds a machine and runs it from cycle 0 for opts.Cycles
 // cycles: the one path of every simulation a Session starts, profile
-// (lead) and evaluation alike, and the span simsInFlight counts (an
-// evaluation's warm leg included: erring on the busy side starts fewer
-// helpers, never more). managed is what the scheme runs between the
-// cycles of its managed leg.
-//
-// With warmup > 0 the run has two legs on one machine: an unmanaged warm
-// leg (no issue policies, UCP or bypass), then InstallPolicies and the
-// managed remainder.
-func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Options, warmup int64, managed []gpu.Observer) (*stats.RunResult, error) {
+// (lead) and evaluation alike, and the span simsInFlight counts. managed
+// is what the scheme runs between cycles.
+func (s *Session) execute(ctx context.Context, descs []*kern.Desc, opts *gpu.Options, managed []gpu.Observer) (*stats.RunResult, error) {
 	simsInFlight.Add(1)
 	defer simsInFlight.Add(-1)
-	// The warm leg's Cycles carries the full run length: gpu.New sizes
-	// the series buckets from it, and the buckets must span both legs.
-	build := opts
-	if warmup > 0 {
-		build = &gpu.Options{Cycles: opts.Cycles, Quota: opts.Quota, Trace: opts.Trace, Series: opts.Series, PhaseTime: opts.PhaseTime}
-	}
-	g, err := gpu.New(s.cfg, descs, build)
+	g, err := gpu.New(s.cfg, descs, opts)
 	if err != nil {
 		return nil, err
 	}
-	var start int64
-	if warmup > 0 {
-		leg := *build
-		leg.Cycles = warmup
-		leg.Observers = s.observers(ctx, 0, warmup)
-		if err := g.RunCycles(&leg); err != nil {
-			return nil, wrapInterrupt(ctx, err)
-		}
-		g.InstallPolicies(opts)
-		start = warmup
-	}
-	leg := *opts
-	leg.Cycles = opts.Cycles - start
-	leg.Observers = s.observers(ctx, start, opts.Cycles, managed...)
-	if err := g.RunCycles(&leg); err != nil {
+	opts.Observers = s.observers(ctx, opts.Cycles, managed...)
+	if err := g.RunCycles(opts); err != nil {
 		return nil, wrapInterrupt(ctx, err)
 	}
 	res := g.Result()

@@ -16,7 +16,9 @@ import (
 
 // TestResultWithoutSeriesMarshalsAsBefore pins the bytes of results run
 // without Series to those recorded before Series carried the in-flight
-// and limit samples: the new fields add nothing to such a result.
+// and limit samples: the new fields add nothing to such a result. The
+// pin is in today's result format, without the deleted SmemInstrs,
+// Warmup, SMKEpoch and UCPInterval fields.
 func TestResultWithoutSeriesMarshalsAsBefore(t *testing.T) {
 	s := NewSession(ScaledConfig(1), 6_000)
 	s.ProfileCycles = 4_000
@@ -38,7 +40,7 @@ func TestResultWithoutSeriesMarshalsAsBefore(t *testing.T) {
 		}
 		h.Write(raw)
 	}
-	const want = "d2a3a45105364aa810db290164d7405781a395c88775e6bfba666b1ae96bd0a4"
+	const want = "d3533b85b7106e2f57fc45a537d053f06a487554e9ef7de1fd5e6bdceabdb749"
 	if got := hex.EncodeToString(h.Sum(nil)); got != want {
 		t.Fatalf("marshalled results hash to %s, want %s", got, want)
 	}
