@@ -10,7 +10,9 @@
 // (-rbmi, -qbmi, -dmil, -l2mil, -ucp, or -smil:<l0>,<l1>,... static
 // limits, 0 = unlimited). A bare smk is SMK-(P+W); a mechanism takes the
 // place of its warp quota. -trace prints one job's event mix and last N
-// events; -series prints each job's 1 K-cycle series as TSV.
+// events; -series prints each job's 1 K-cycle series as TSV. A failed
+// job prints its error in its place and is logged with its class
+// (transient or permanent); the exit is then non-zero.
 package main
 
 import (
@@ -115,7 +117,7 @@ func run(args []string, w io.Writer) error {
 	tail := fs.Int("trace", 0, "trace the one job and print its event mix and last N events (0 = off)")
 	kind := fs.String("kind", "", "with -trace, print only events of this kind (e.g. rsfail, mem-issue)")
 	series := fs.Bool("series", false, "print each job's 1 K-cycle series as TSV")
-	rb := cli.AddFlags(fs)
+	rb := cli.AddFlags(fs, "check", "journal", "timeout")
 	prof := cli.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -153,8 +155,8 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	// A stored result has no events.
-	if *tail > 0 && (len(jobs) != 1 || rb.JournalPath != "" || rb.Cache) {
-		return errors.New("-trace needs exactly one job and no -journal or -cache")
+	if *tail > 0 && (len(jobs) != 1 || rb.JournalPath != "") {
+		return errors.New("-trace needs exactly one job and no -journal")
 	}
 
 	stopProf, err := prof.Start()
@@ -179,7 +181,7 @@ func run(args []string, w io.Writer) error {
 		s.Trace = trace.New(1 << 16)
 	}
 	results := r.Run(ctx, jobs)
-	failed, err := rb.Failures(log.Printf, results)
+	failed, err := cli.Failures(log.Printf, results)
 	if err != nil {
 		return err
 	}

@@ -85,14 +85,13 @@ func TestGridPrintsSameBytesAtAnyPoolSize(t *testing.T) {
 
 // TestTraceNeedsOneFreshJob: -trace is refused before any simulation
 // for a grid of more than one job and where a stored result could be
-// served, which has no events.
+// served (-journal), which has no events.
 func TestTraceNeedsOneFreshJob(t *testing.T) {
 	base := []string{"-kernels", "bp,ks", "-sms", "1", "-cycles", "4000", "-trace", "10"}
 	for _, extra := range [][]string{
 		{"-scheme", "even;ws"},
 		{"-kernels", "bp,ks;bp,sv", "-scheme", "even"},
 		{"-scheme", "even", "-journal", t.TempDir() + "/j.jsonl"},
-		{"-scheme", "even", "-cache"},
 	} {
 		out, err := runOut(t, append(append([]string(nil), base...), extra...)...)
 		if err == nil || out != "" {
@@ -147,5 +146,20 @@ func TestProfileCyclesZeroMeansCycles(t *testing.T) {
 	}
 	if zero != full {
 		t.Fatalf("-profile-cycles 0 and -profile-cycles 2000 differ:\n%s\n---\n%s", zero, full)
+	}
+}
+
+// TestFailedJobKeepsTheGrid: a job that fails — here a dynamic
+// Warped-Slicer run too short to profile, refused before it simulates —
+// prints its error in its row, the other rows print their results, and
+// the run ends with the failure summary.
+func TestFailedJobKeepsTheGrid(t *testing.T) {
+	out, err := runOut(t, "-kernels", "bp,sv", "-scheme", "dynws;even", "-sms", "1", "-cycles", "2000", "-profile-cycles", "2000")
+	if err == nil || !strings.Contains(err.Error(), "1/2 points failed") {
+		t.Fatalf("err %v, want the failure summary", err)
+	}
+	if !strings.Contains(out, "fail: gcke: a 2000-cycle run is too short for dynamic Warped-Slicer") ||
+		!strings.Contains(out, "under Even") || !strings.Contains(out, "WS ") {
+		t.Fatalf("output lacks the refusal or the even row:\n%s", out)
 	}
 }

@@ -86,7 +86,9 @@ const (
 	// PartitionWarpedSlicerDyn is the paper's dynamic Warped-Slicer: it
 	// profiles the kernels online at the start of the concurrent run
 	// (each SM measures one TB configuration, time-shared across
-	// rounds) and then applies the sweet-spot partition.
+	// rounds) and then applies the sweet-spot partition. A run that
+	// ends before the partition applies is refused before it starts,
+	// and a failed sweet-spot search fails the run.
 	PartitionWarpedSlicerDyn
 )
 

@@ -2,6 +2,7 @@ package gcke
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -376,18 +377,42 @@ func TestPartitionKindStrings(t *testing.T) {
 }
 
 func TestDynamicWarpedSlicer(t *testing.T) {
-	// 4 SMs profile 28 TB configurations in 7 rounds of 16K cycles;
-	// 150K cycles leaves time to run at the chosen partition.
-	s := NewSession(ScaledConfig(4), 150_000)
-	s.ProfileCycles = 15_000
+	// 4 SMs profile 28 TB configurations in 7 rounds of 16K cycles from
+	// the first hook call, at cycle 1024; the partition applies at the
+	// end of the last round. A run that ends there never runs at the
+	// partition and is refused before any simulation, profiles
+	// included; one cycle more runs at it.
+	cfg := ScaledConfig(4)
 	bp, _ := Benchmark("bp")
 	sv, _ := Benchmark("sv")
-	res, err := s.RunWorkload([]Kernel{bp, sv}, Scheme{Partition: PartitionWarpedSlicerDyn})
+	wl := []Kernel{bp, sv}
+	at := hookEvery + core.NewDynWS(&cfg, toPtrs(wl)).ProfilingCycles()
+	if at != 1024+7*16*1024 {
+		t.Fatalf("partition cycle %d, want %d", at, 1024+7*16*1024)
+	}
+	short := NewSession(cfg, at)
+	calls := 0
+	short.onProfile = func(ctx context.Context, kernel string, tbs int) { calls++ }
+	_, err := short.RunWorkload(wl, Scheme{Partition: PartitionWarpedSlicerDyn})
+	if err == nil || !strings.Contains(err.Error(), strconv.FormatInt(at, 10)+"-cycle run") ||
+		!strings.Contains(err.Error(), strconv.FormatInt(at-hookEvery, 10)+" profiling cycles") {
+		t.Fatalf("a run ending at the partition cycle: err %v, want a refusal naming both lengths", err)
+	}
+	if calls != 0 {
+		t.Fatalf("%d profile simulations ran before the refusal", calls)
+	}
+
+	s := NewSession(cfg, at+1)
+	s.ProfileCycles = 15_000
+	res, err := s.RunWorkload(wl, Scheme{Partition: PartitionWarpedSlicerDyn})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.TBPartition) != 2 || res.TBPartition[0] < 1 || res.TBPartition[1] < 1 {
 		t.Fatalf("dynamic WS partition %v", res.TBPartition)
+	}
+	if res.TheoreticalWS <= 0 {
+		t.Fatalf("dynamic WS theoretical WS %v", res.TheoreticalWS)
 	}
 	if res.WeightedSpeedup() <= 0 {
 		t.Fatal("no progress under dynamic WS")

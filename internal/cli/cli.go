@@ -1,8 +1,8 @@
 // Package cli holds the sweep-robustness plumbing every driver shares:
-// the -check/-on-error/-journal/-timeout flag set, the SIGINT/SIGTERM
+// the -check/-journal/-timeout/-cache flag set, the SIGINT/SIGTERM
 // cancellation context, and uniform failed-point reporting. Drivers stay
-// thin; the behaviour (drain-and-journal on interrupt, skip-or-abort
-// on per-point failure) is identical across commands.
+// thin; the behaviour (drain-and-journal on interrupt, every failed
+// point reported with its class) is identical across commands.
 package cli
 
 import (
@@ -23,10 +23,6 @@ import (
 type Robustness struct {
 	// Check enables the simulator's per-cycle invariant watchdog.
 	Check bool
-	// OnError is the failed-point policy: "abort" stops at the first
-	// error (submission order); "skip" reports every failed point and
-	// keeps the rest of the grid.
-	OnError string
 	// JournalPath, when non-empty, is the durable result store's file:
 	// every completed point is stored there, and on restart the points
 	// it holds are served instead of re-simulated.
@@ -39,25 +35,20 @@ type Robustness struct {
 	Cache bool
 }
 
-// AddFlags registers the shared flags named (without their dash) on fs,
-// or all of them when none is named: -check, -on-error, -journal,
-// -timeout and -cache. Use flag.CommandLine from a driver's main.
+// AddFlags registers the shared flags named (without their dash) on fs:
+// any of -check, -journal, -timeout and -cache. Use flag.CommandLine
+// from a command's main.
 func AddFlags(fs *flag.FlagSet, names ...string) *Robustness {
 	r := &Robustness{}
 	all := flag.NewFlagSet("", flag.PanicOnError)
 	all.BoolVar(&r.Check, "check", false,
 		"enable the per-cycle simulator invariant watchdog")
-	all.StringVar(&r.OnError, "on-error", "abort",
-		"failed-point policy: abort (stop at first error) or skip (report failures, keep the rest)")
 	all.StringVar(&r.JournalPath, "journal", "",
 		"durable result store file; completed points are served from it on restart (empty = none)")
 	all.DurationVar(&r.Timeout, "timeout", 0,
 		"per-job wall-clock timeout, e.g. 90s or 10m (0 = none)")
 	all.BoolVar(&r.Cache, "cache", false,
 		"serve repeated points from a memory-only result store (-journal's store does already)")
-	if len(names) == 0 {
-		all.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-	}
 	for _, name := range names {
 		f := all.Lookup(name)
 		if f == nil {
@@ -68,11 +59,8 @@ func AddFlags(fs *flag.FlagSet, names ...string) *Robustness {
 	return r
 }
 
-// Validate rejects unknown option values before any simulation starts.
+// Validate refuses a negative -timeout before any simulation starts.
 func (r *Robustness) Validate() error {
-	if r.OnError != "abort" && r.OnError != "skip" {
-		return fmt.Errorf("-on-error=%q: want abort or skip", r.OnError)
-	}
 	if r.Timeout < 0 {
 		return fmt.Errorf("-timeout=%s: want a duration >= 0 (0 = none)", r.Timeout)
 	}
@@ -95,10 +83,6 @@ func CheckMachine(sms int, cycles, profileCycles int64, parallel int) error {
 	}
 	return nil
 }
-
-// Skip reports whether failed points should be skipped rather than
-// aborting the run.
-func (r *Robustness) Skip() bool { return r.OnError == "skip" }
 
 // OpenStore opens the result store the flags ask for — durable at
 // -journal, else memory-only with -cache — and reports how many points a
@@ -140,17 +124,13 @@ func (r *Robustness) Runner(workers int, logf func(format string, args ...any)) 
 	}, nil
 }
 
-// Failures applies the failed-point policy to a finished grid. Under
-// "abort" it returns the first error in submission order. Under "skip"
-// it logs every failure with its job attribution and transience class
+// Failures reports the failed points of a finished grid: it logs every
+// failure with its job attribution and transience class
 // (runner.IsTransient — a transient point may pass on rerun, a
-// permanent one will not) and returns the count; cancellation is the
-// exception: an interrupted run aborts even under "skip", because the
-// unfinished points did not fail, the user stopped the sweep.
-func (r *Robustness) Failures(logf func(format string, args ...any), results []runner.Result) (int, error) {
-	if !r.Skip() {
-		return 0, runner.FirstErr(results)
-	}
+// permanent one will not) and returns the count. Cancellation is the
+// exception: an interrupted run returns the cancellation error, because
+// the unfinished points did not fail, the user stopped the sweep.
+func Failures(logf func(format string, args ...any), results []runner.Result) (int, error) {
 	n := 0
 	for i, res := range results {
 		if res.Err == nil {
@@ -169,8 +149,8 @@ func (r *Robustness) Failures(logf func(format string, args ...any), results []r
 	return n, nil
 }
 
-// FailureSummary renders the one-line post-mortem a skip-mode driver
-// prints before its non-zero exit, so the failure is diagnosable from
+// FailureSummary renders the one-line post-mortem a command prints
+// before its non-zero exit, so the failure is diagnosable from
 // logs without rerunning the sweep.
 func FailureSummary(results []runner.Result) string {
 	errs := runner.Errs(results)

@@ -22,32 +22,14 @@ func collectLog() (func(format string, args ...any), *[]string) {
 	}, &lines
 }
 
-func TestFailuresAbortReturnsFirstError(t *testing.T) {
-	rb := &Robustness{OnError: "abort"}
-	logf, lines := collectLog()
-	results := []runner.Result{
-		{Key: "a"},
-		{Key: "b", Err: fmt.Errorf("boom-b")},
-		{Key: "c", Err: fmt.Errorf("boom-c")},
-	}
-	n, err := rb.Failures(logf, results)
-	if n != 0 || err == nil || err.Error() != "boom-b" {
-		t.Fatalf("Failures = (%d, %v), want (0, boom-b)", n, err)
-	}
-	if len(*lines) != 0 {
-		t.Fatalf("abort mode logged %v, want nothing", *lines)
-	}
-}
-
 func TestFailuresSkipClassifiesTransience(t *testing.T) {
-	rb := &Robustness{OnError: "skip"}
 	logf, lines := collectLog()
 	results := []runner.Result{
 		{Key: "ok"},
 		{Key: "panicked", Err: &runner.PanicError{Index: 1, Key: "panicked", Value: "boom"}},
 		{Key: "violated", Err: &sm.InvariantError{Cycle: 7, SM: 0, Rule: "mshr-leak"}},
 	}
-	n, err := rb.Failures(logf, results)
+	n, err := Failures(logf, results)
 	if err != nil {
 		t.Fatalf("Failures: %v", err)
 	}
@@ -65,15 +47,14 @@ func TestFailuresSkipClassifiesTransience(t *testing.T) {
 
 func TestFailuresSkipAbortsOnCancellation(t *testing.T) {
 	// Cancellation means the user stopped the sweep: the unfinished
-	// points did not fail, so even skip mode must surface the interrupt
-	// instead of rendering a mostly-"fail" grid as if it were data.
-	rb := &Robustness{OnError: "skip"}
+	// points did not fail, so the interrupt must surface instead of a
+	// mostly-"fail" grid rendered as if it were data.
 	logf, lines := collectLog()
 	results := []runner.Result{
 		{Key: "a", Err: fmt.Errorf("wrap: %w", context.Canceled)},
 		{Key: "b", Err: fmt.Errorf("also canceled: %w", context.Canceled)},
 	}
-	_, err := rb.Failures(logf, results)
+	_, err := Failures(logf, results)
 	if err == nil || !strings.Contains(err.Error(), "canceled") {
 		t.Fatalf("Failures err = %v, want cancellation", err)
 	}
@@ -107,12 +88,10 @@ func TestValidateRefusesBadOptions(t *testing.T) {
 		rb   Robustness
 		want string // "" = valid
 	}{
-		{"defaults", Robustness{OnError: "abort"}, ""},
-		{"skip", Robustness{OnError: "skip"}, ""},
-		{"timeout", Robustness{OnError: "abort", Timeout: time.Minute}, ""},
-		{"unknown-on-error", Robustness{OnError: "retry"}, "-on-error"},
-		{"negative-timeout", Robustness{OnError: "abort", Timeout: -time.Minute}, "-timeout"},
-		{"negative-nanosecond", Robustness{OnError: "skip", Timeout: -1}, "-timeout"},
+		{"defaults", Robustness{}, ""},
+		{"timeout", Robustness{Timeout: time.Minute}, ""},
+		{"negative-timeout", Robustness{Timeout: -time.Minute}, "-timeout"},
+		{"negative-nanosecond", Robustness{Timeout: -1}, "-timeout"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			err := tc.rb.Validate()
@@ -133,7 +112,7 @@ func TestValidateRefusesBadOptions(t *testing.T) {
 // session the runner makes.
 func TestRunnerAppliesCheck(t *testing.T) {
 	for _, check := range []bool{false, true} {
-		run, closeStores, err := (&Robustness{OnError: "abort", Check: check}).Runner(1, nil)
+		run, closeStores, err := (&Robustness{Check: check}).Runner(1, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -153,7 +132,7 @@ func TestOpenStoreFollowsTheFlags(t *testing.T) {
 	open := func(args ...string) (*resultcache.Store, []string) {
 		t.Helper()
 		fs := flag.NewFlagSet("", flag.ContinueOnError)
-		rb := AddFlags(fs)
+		rb := AddFlags(fs, "journal", "cache")
 		if err := fs.Parse(args); err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +162,7 @@ func TestOpenStoreFollowsTheFlags(t *testing.T) {
 	}
 	fs := flag.NewFlagSet("", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	AddFlags(fs)
+	AddFlags(fs, "check", "journal", "timeout", "cache")
 	if err := fs.Parse([]string{"-cache-dir", t.TempDir()}); err == nil {
 		t.Fatal("-cache-dir still accepted")
 	}

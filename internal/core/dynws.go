@@ -11,7 +11,9 @@
 // residency settle, measure IPC over a window, then move to the next
 // round until every configuration is covered. The measured curves feed
 // the same sweet-spot search as the static variant, and the chosen
-// partition is applied to every SM for the rest of the run.
+// partition is applied to every SM for the rest of the run. A search
+// that fails ends the run with its error: there is no fallback
+// partition.
 
 package core
 
@@ -47,14 +49,12 @@ type DynWS struct {
 	phaseStart int64
 	baseline   []uint64 // per-SM instruction counts at window start
 	started    bool
-	done       bool
 
 	// Partition is the chosen per-kernel TB allocation once profiling
 	// completes (nil before).
 	Partition []int
 	// TheoreticalWS is the sweet-spot sum of normalized measured IPCs.
 	TheoreticalWS float64
-	err           error
 }
 
 // NewDynWS plans the profiling schedule for the given workload.
@@ -87,21 +87,17 @@ func NewDynWS(cfg *config.Config, descs []*kern.Desc) *DynWS {
 	return d
 }
 
-// Done reports whether profiling completed and the partition applied.
-func (d *DynWS) Done() bool { return d.done }
-
-// Err returns the sweet-spot search error, if any.
-func (d *DynWS) Err() error { return d.err }
-
 // ProfilingCycles returns the total length of the profiling phase.
 func (d *DynWS) ProfilingCycles() int64 {
 	return int64(len(d.rounds)) * (d.SettleCycles + d.WindowCycles)
 }
 
 // Hook drives the controller; run it from a gpu.Periodic observer
-// whose period divides SettleCycles and WindowCycles.
+// whose period divides SettleCycles and WindowCycles. Its first call
+// starts profiling, and the call ProfilingCycles later applies the
+// partition or returns the sweet-spot search's error.
 func (d *DynWS) Hook(g *gpu.GPU) error {
-	if d.done {
+	if d.Partition != nil {
 		return nil
 	}
 	cycle := g.Cycle()
@@ -124,8 +120,7 @@ func (d *DynWS) Hook(g *gpu.GPU) error {
 			d.record(g, cycle-d.phaseStart)
 			d.round++
 			if d.round >= len(d.rounds) {
-				d.finish(g)
-				return nil
+				return d.finish(g)
 			}
 			d.phase = 0
 			d.phaseStart = cycle
@@ -172,22 +167,16 @@ func (d *DynWS) record(g *gpu.GPU, window int64) {
 }
 
 // finish runs the sweet-spot search on the measured curves and applies
-// the partition everywhere. If the search fails (e.g. a kernel measured
-// zero IPC everywhere), it falls back to the even partition.
-func (d *DynWS) finish(g *gpu.GPU) {
+// the partition everywhere, or returns the search's error (a kernel
+// that measured zero IPC in every configuration has no sweet spot).
+func (d *DynWS) finish(g *gpu.GPU) error {
 	row, theo, err := SweetSpot(d.cfg, d.descs, d.curves)
 	if err != nil {
-		d.err = err
-		row = EvenQuota(d.cfg, d.descs)
-		theo = 0
+		return err
 	}
-	d.Partition = row
-	d.TheoreticalWS = theo
+	d.Partition, d.TheoreticalWS = row, theo
 	for _, s := range g.SMs {
 		s.SetQuota(row)
 	}
-	d.done = true
+	return nil
 }
-
-// Curves exposes the measured scalability curves (after Done).
-func (d *DynWS) Curves() [][]float64 { return d.curves }

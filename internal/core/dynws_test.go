@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/config"
@@ -58,12 +59,8 @@ func TestDynWSConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.RunCycles(opts)
-	if !d.Done() {
-		t.Fatal("profiling did not complete")
-	}
-	if d.Err() != nil {
-		t.Fatalf("sweet-spot search failed: %v", d.Err())
+	if err := g.RunCycles(opts); err != nil {
+		t.Fatal(err)
 	}
 	if len(d.Partition) != 2 || d.Partition[0] < 1 || d.Partition[1] < 1 {
 		t.Fatalf("bad partition %v", d.Partition)
@@ -80,7 +77,7 @@ func TestDynWSConverges(t *testing.T) {
 	}
 	// Measured curves: bp's IPC at its max TBs must exceed its 1-TB IPC
 	// (near-linear scaling).
-	bpCurve := d.Curves()[0]
+	bpCurve := d.curves[0]
 	if bpCurve[len(bpCurve)-1] <= bpCurve[0] {
 		t.Fatalf("bp measured curve not increasing: %v", bpCurve)
 	}
@@ -95,5 +92,31 @@ func TestDynWSProfilingCyclesBound(t *testing.T) {
 	want := int64(7) * (d.SettleCycles + d.WindowCycles)
 	if got := d.ProfilingCycles(); got != want {
 		t.Fatalf("profiling cycles = %d, want %d", got, want)
+	}
+}
+
+// TestDynWSSweetSpotErrorEndsTheRun: a kernel that measured zero IPC in
+// every configuration has no sweet spot, and the hook call that would
+// apply the partition returns the search's error instead of falling
+// back to another partition.
+func TestDynWSSweetSpotErrorEndsTheRun(t *testing.T) {
+	cfg, descs := dynPair(t)
+	d := NewDynWS(&cfg, descs)
+	g, err := gpu.New(cfg, descs, &gpu.Options{Quota: gpu.UniformQuota(cfg.NumSMs, EvenQuota(&cfg, descs))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	// The controller at the end of its last window, on a machine that
+	// has issued nothing: every measured IPC is zero.
+	d.started, d.phase, d.round = true, 1, len(d.rounds)-1
+	d.phaseStart = g.Cycle() - d.WindowCycles
+	d.baseline = make([]uint64, cfg.NumSMs)
+	err = d.Hook(g)
+	if err == nil || !strings.Contains(err.Error(), "non-positive scalability curve") {
+		t.Fatalf("Hook = %v, want the sweet-spot search's error", err)
+	}
+	if d.Partition != nil || d.TheoreticalWS != 0 {
+		t.Fatalf("failed search left partition %v, theoretical WS %v", d.Partition, d.TheoreticalWS)
 	}
 }

@@ -93,8 +93,8 @@ const DefaultProgressWindow = 50_000
 // never refreshes does not crash the run, it silently corrupts every
 // downstream table. The first violation ends the run with a
 // *sm.InvariantError carrying cycle/SM/kernel context, which sweep
-// commands attribute to the one grid point and (under -on-error=skip)
-// report without aborting the rest of the grid.
+// commands attribute to the one grid point and report without aborting
+// the rest of the grid.
 func Watchdog(start, window int64) Observer {
 	w := &watchdog{window: window, lastProgress: start}
 	return Observer{At: start + 1, Every: 1, Fn: w.check}

@@ -418,9 +418,11 @@ func (s *Session) Partition(ds []Kernel, kind PartitionKind, manual []int) ([]in
 	}
 }
 
-// The periods of a scheme's periodic mechanisms, in cycles: SMK's
-// warp-instruction quota epoch and UCP's repartition interval.
+// The periods of a scheme's periodic mechanisms, in cycles: the
+// controllers' hooks, SMK's warp-instruction quota epoch and UCP's
+// repartition interval.
 const (
+	hookEvery   = 1024
 	smkEpoch    = 10 * 1024
 	ucpInterval = 50 * 1024
 )
@@ -443,7 +445,8 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 	}
 	descs := toPtrs(ds)
 
-	// The partition first, so that a manual one that cannot run fails
+	// The partition first, so that a manual one that cannot run, or a
+	// dynamic one whose run ends before its partition applies, fails
 	// before any simulation.
 	var quota [][]int
 	var row []int
@@ -453,9 +456,14 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 	case PartitionSpatial:
 		quota = core.SpatialQuota(&s.cfg, descs)
 	case PartitionWarpedSlicerDyn:
-		// Online profiling: start from the even partition; the
-		// controller reassigns quotas through the hook.
+		// Online profiling from the even partition: the hook's first
+		// call, at hookEvery, starts it, and the partition applies
+		// ProfilingCycles later; a run that ends there never runs at it.
 		dynws = core.NewDynWS(&s.cfg, descs)
+		if at := hookEvery + dynws.ProfilingCycles(); s.cycles <= at {
+			return nil, fmt.Errorf("gcke: a %d-cycle run is too short for dynamic Warped-Slicer: it profiles online until cycle %d (%d + %d profiling cycles) and must run past it",
+				s.cycles, at, hookEvery, dynws.ProfilingCycles())
+		}
 		quota = gpu.UniformQuota(s.cfg.NumSMs, core.EvenQuota(&s.cfg, descs))
 	case PartitionWarpedSlicer:
 		// Read from the curves the one fetch below brings.
@@ -496,18 +504,18 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 	}
 	// What the scheme runs between cycles, in this order: UCP cache
 	// partitioning every ucpInterval cycles, then the controllers' hooks
-	// every 1024 cycles.
+	// every hookEvery cycles.
 	var managed []gpu.Observer
 	if scheme.UCP {
 		opts.UCP = true
 		managed = append(managed, gpu.Repartition(0, ucpInterval))
 	}
 	if dynws != nil {
-		managed = append(managed, gpu.Periodic(0, 1024, dynws.Hook))
+		managed = append(managed, gpu.Periodic(0, hookEvery, dynws.Hook))
 	}
 	if scheme.TBThrottle {
 		// Validate already rejected the partitionless kinds.
-		managed = append(managed, gpu.Periodic(0, 1024, core.NewTBThrottle(row).Hook))
+		managed = append(managed, gpu.Periodic(0, hookEvery, core.NewTBThrottle(row).Hook))
 	}
 
 	// Memory issue policy.
@@ -540,7 +548,7 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 	case LimitL2MIL:
 		shared := core.NewL2MIL(len(ds))
 		opts.Policies.Limiter = func(smID, n int) sm.Limiter { return shared }
-		managed = append(managed, gpu.Periodic(0, 1024, shared.Hook))
+		managed = append(managed, gpu.Periodic(0, hookEvery, shared.Hook))
 	}
 
 	// SMK warp-instruction quota.
@@ -566,7 +574,7 @@ func (s *Session) RunWorkloadCtx(ctx context.Context, ds []Kernel, scheme Scheme
 		if scheme.Limiting == LimitDMIL {
 			samples.watch(&opts.Policies, s.cfg.NumSMs)
 		}
-		managed = append(managed, gpu.Periodic(0, 1024, samples.sample))
+		managed = append(managed, gpu.Periodic(0, hookEvery, samples.sample))
 	}
 
 	res, err := s.execute(ctx, descs, opts, managed)
