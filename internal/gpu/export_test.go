@@ -48,6 +48,8 @@ func DrainRetired() {
 }
 
 // PoolAllocs returns how many requests and instruction tokens the
-// machine's pool has allocated since New, rather than served from what
+// machine's pools have allocated since New, rather than served from what
 // its predecessor owned.
-func PoolAllocs(g *GPU) (reqs, toks uint64) { return g.pool.ReqAllocs, g.pool.TokAllocs }
+func PoolAllocs(g *GPU) (reqs, toks uint64) {
+	return g.pool.ReqAllocs + g.hpool.ReqAllocs, g.pool.TokAllocs + g.hpool.TokAllocs
+}

@@ -3,10 +3,18 @@
 // the deterministic cycle loop.
 //
 // Tick order within a cycle is fixed: SM issue/LSU -> request network ->
-// L2/DRAM -> response network -> (next cycle) SM fill delivery. One
-// goroutine executes it (see Step); runs are independent of one another,
-// so the parallelism that pays is one whole simulation per core, which
-// is internal/runner's business, not the engine's.
+// L2/DRAM -> response network -> (next cycle) SM fill delivery (see
+// Step). Runs are independent of one another, so the parallelism that
+// pays first is one whole simulation per core, which is internal/runner's
+// business. A machine stepping alone in its process with at least
+// splitMinSMs SMs, a write-back L2, no policy instance shared across SMs
+// and GOMAXPROCS of 2 or more also splits its SM phase: a helper goroutine ticks the
+// upper half of the SMs while RunCycles' caller ticks the lower half, and
+// everything else runs on the caller (split.go). On a 2-core host that
+// takes the engine of a lone 16-SM job to 1.03-1.21x the one-goroutine
+// loop, depending on the host's load, and loses at 8 SMs and below
+// (results/engine-split.md). The bytes do not depend on it: an SM's
+// tick touches nothing another SM's does.
 //
 // Every layer above is a stream of short simulations, so a machine's
 // memory outlives it: built (New) -> run (RunCycles) -> retired (Close)
@@ -111,8 +119,17 @@ type GPU struct {
 	cycle int64
 
 	// pool recycles the requests and instruction tokens of the whole
-	// machine: every SM, cache and DRAM channel points here.
-	pool mem.Pool
+	// machine: every SM, cache and DRAM channel points here, except the
+	// upper half of the SMs of a machine that may split (twoPools) and
+	// their L1s, which draw from hpool: a Pool is not safe for concurrent
+	// use. Each half's requests return to its pool (poolOf), so neither
+	// allocates once the machine has settled. hpool sits on cache lines
+	// of its own, or the two halves would trade one at every draw and
+	// release.
+	pool  mem.Pool
+	_     [64]byte
+	hpool mem.Pool
+	_     [64]byte
 
 	// Per-phase wall-time accounting (Options.PhaseTime).
 	phaseTime bool
@@ -120,8 +137,11 @@ type GPU struct {
 
 	// policies holds the per-SM policy instances currently installed,
 	// kept for the snapshot layer's stateful-policy guard and the
-	// checkpoint's policy blobs (see snapshot.go).
-	policies [][3]any
+	// checkpoint's policy blobs (see snapshot.go). sharedPolicy: one
+	// stateful instance is installed in two SMs, so the SM phase must not
+	// split.
+	policies     [][3]any
+	sharedPolicy bool
 
 	// failed: a run on this machine returned an error. Close discards
 	// such a machine instead of parking it.
@@ -173,6 +193,7 @@ func (g *GPU) init(cfg config.Config, descs []*kern.Desc, opts *Options) {
 	reqNet.Init(cfg.Icnt, cfg.NumSMs, cfg.NumMemParts)
 	respNet.Init(cfg.Icnt, cfg.NumMemParts, cfg.NumSMs)
 	g.pool.Init()
+	g.hpool.Init()
 	*g = GPU{
 		cfg:       cfg,
 		descs:     descs,
@@ -183,6 +204,7 @@ func (g *GPU) init(cfg config.Config, descs []*kern.Desc, opts *Options) {
 		ctrlFlits: icnt.CtrlFlits(cfg.Icnt),
 		dataFlits: icnt.DataFlits(cfg.Icnt, cfg.L1D.LineBytes),
 		pool:      g.pool,
+		hpool:     g.hpool,
 		phaseTime: opts.PhaseTime,
 	}
 	if opts.Trace != nil {
@@ -199,7 +221,8 @@ func (g *GPU) init(cfg config.Config, descs []*kern.Desc, opts *Options) {
 			s.EnableSeries(opts.Cycles)
 		}
 		s.Trace = opts.Trace
-		s.Pool, s.L1.Pool = &g.pool, &g.pool
+		p := g.poolOf(i)
+		s.Pool, s.L1.Pool = p, p
 	}
 	for p := range g.parts {
 		part := g.parts[p]
@@ -269,6 +292,10 @@ func (g *GPU) RunCycles(opts *Options) error {
 }
 
 func (g *GPU) runCycles(opts *Options) error {
+	stepping.Add(1)
+	defer stepping.Add(-1)
+	sp := g.splitter()
+	defer sp.stop()
 	if g.phaseTime {
 		start := g.phase
 		defer func() { addPhaseTotals(g.phase.sub(start)) }()
@@ -300,7 +327,7 @@ func (g *GPU) runCycles(opts *Options) error {
 		if g.cycle >= end {
 			return nil
 		}
-		g.Step()
+		g.step(sp.helper())
 	}
 }
 
@@ -312,7 +339,8 @@ func lap(acc *int64, t0 *time.Time) {
 }
 
 // Step advances the machine by one cycle: the five phases in tick
-// order, on the calling goroutine.
+// order, on the calling goroutine. (RunCycles may run the SM phase
+// split; see split.go.)
 //
 // The order fixes what each phase sees of the crossbars. A packet
 // granted by Tick(c) carries readyAt >= c+1, so no Pop of cycle c can
@@ -322,7 +350,10 @@ func lap(acc *int64, t0 *time.Time) {
 // cycles before c. A Pop frees its ejection slot at once: the response
 // tick of cycle c counts this cycle's SM pops, the request tick of
 // cycle c+1 this cycle's partition pops.
-func (g *GPU) Step() {
+func (g *GPU) Step() { g.step(nil) }
+
+// step is Step with the SM phase split with h, or serial when h is nil.
+func (g *GPU) step(h *helper) {
 	c := g.cycle
 	pt := g.phaseTime
 	var t0 time.Time
@@ -330,12 +361,10 @@ func (g *GPU) Step() {
 		t0 = time.Now()
 	}
 
-	// SM phase: deliver the responses that have arrived, then tick.
-	for i, s := range g.SMs {
-		for resp := g.respNet.Pop(i, c); resp != nil; resp = g.respNet.Pop(i, c) {
-			s.Deliver(resp, c)
-		}
-		s.Tick(c)
+	if h != nil {
+		h.tick(c)
+	} else {
+		g.tickSMs(0, len(g.SMs), c)
 	}
 	if pt {
 		lap(&g.phase.SMNs, &t0)
@@ -364,6 +393,29 @@ func (g *GPU) Step() {
 		g.phase.Cycles++
 	}
 	g.cycle++
+}
+
+// poolOf returns the pool that SM smID and its L1 draw from, and that
+// the requests they allocated return to. The memory side releases into
+// it only the stores that retire at an L2 (tickPartition); every other
+// object the memory side releases, its own pool allocated.
+func (g *GPU) poolOf(smID int) *mem.Pool {
+	if g.twoPools() && smID >= len(g.SMs)/2 {
+		return &g.hpool
+	}
+	return &g.pool
+}
+
+// tickSMs runs the SM phase of cycle c for SMs [lo, hi): deliver the
+// responses that have arrived, then tick.
+func (g *GPU) tickSMs(lo, hi int, c int64) {
+	for i := lo; i < hi; i++ {
+		s := g.SMs[i]
+		for resp := g.respNet.Pop(i, c); resp != nil; resp = g.respNet.Pop(i, c) {
+			s.Deliver(resp, c)
+		}
+		s.Tick(c)
+	}
 }
 
 // drain moves each SM's L1 miss queue head into the request network, in
@@ -413,7 +465,7 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 			} else {
 				// A store absorbed by the write-back L2 retires here:
 				// no response travels up.
-				g.pool.Release(req)
+				g.poolOf(req.SM).Release(req)
 			}
 		case cache.Forwarded:
 			// Write-through path is unused for the write-back L2;
@@ -448,7 +500,7 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 			if t.Kind == mem.Load {
 				part.resp.Push(l2Response{req: t, readyAt: c})
 			} else {
-				g.pool.Release(t)
+				g.poolOf(t.SM).Release(t)
 			}
 		}
 		g.pool.Release(fill)

@@ -3,8 +3,11 @@
 // the cycle — SM tick, outbound drain, request-network tick, partition
 // tick, response-network tick — spends executing, so "where does a
 // cycle's host time go?" is measured instead of guessed. The phases run
-// back to back on one goroutine: their sum is the loop's wall-clock time
-// less the per-cycle bookkeeping around Step.
+// back to back on the calling goroutine: their sum is the loop's
+// wall-clock time less the per-cycle bookkeeping around Step. When the
+// SM phase runs split (split.go), its lap is the wall time of the split
+// section on the caller — its own half, then the helper's half or the
+// wait for it — not the CPU time of both goroutines.
 package gpu
 
 import "sync/atomic"

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -348,29 +349,86 @@ func TestResultAndSnapshotOwnTheirMemory(t *testing.T) {
 // GC; at random under the race detector), and that costs a construction.
 func TestCycleLoopAllocatesNothingOnRecycledMemory(t *testing.T) {
 	cfg := config.Scaled(4)
-	descs := []*kern.Desc{kernel(t, "sv"), kernel(t, "cd")}
-	quota := gpu.UniformQuota(cfg.NumSMs, []int{descs[0].MaxTBsPerSM(&cfg) / 2, descs[1].MaxTBsPerSM(&cfg) / 2})
-	perRun := func(cycles int64) float64 {
-		o := &gpu.Options{Cycles: cycles, Quota: quota}
-		least := -1.0
-		for i := 0; i < 8 && least != 0; i++ {
-			n := testing.AllocsPerRun(1, func() {
-				if _, err := gpu.Run(cfg, descs, o); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if least < 0 || n < least {
-				least = n
-			}
-		}
-		return least
-	}
-	short, long := perRun(2000), perRun(8000)
+	short, long := allocGate(t, cfg, 2000, 8000)
 	if short != long || long > 8 {
 		t.Errorf("gpu.Run on recycled memory allocates %v times at 2000 cycles and %v at 8000, want the same small constant", short, long)
 	}
+}
 
-	o := &gpu.Options{Cycles: 8000, Quota: quota}
+// TestSplitMachineAllocatesNothingOnRecycledMemory is the same gate at
+// the 16 SMs whose SM phase may split, where the SMs the helper ticks
+// draw from a pool of their own. A run that starts a helper pays for it
+// once (the runtime may allocate the goroutine too, so the count is
+// bounded, not pinned); and once a machine has settled, neither pool
+// allocates: the stores of the helper's SMs, which retire on the memory
+// side, go back to the helper's pool.
+func TestSplitMachineAllocatesNothingOnRecycledMemory(t *testing.T) {
+	cfg := config.Default()
+	if short, long := allocGate(t, cfg, 1000, 4000); short > 16 || long > 16 {
+		t.Errorf("gpu.Run on recycled memory allocates %v times at 1000 cycles and %v at 4000, want at most 16", short, long)
+	}
+
+	// On memory nothing has used, the pools' history is the job's alone:
+	// this one has reached its peak in flight by cycle 10 000.
+	const settle, leg = 10000, 4000
+	gpu.DrainRetired()
+	g, o := allocMachine(t, cfg, settle)
+	defer g.Close()
+	if err := g.RunCycles(o); err != nil {
+		t.Fatal(err)
+	}
+	reqs0, toks0 := gpu.PoolAllocs(g)
+	o.Cycles = leg
+	if err := g.RunCycles(o); err != nil {
+		t.Fatal(err)
+	}
+	if reqs, toks := gpu.PoolAllocs(g); reqs != reqs0 || toks != toks0 {
+		t.Errorf("cycles %d to %d allocated %d requests and %d tokens, want none", settle, settle+leg, reqs-reqs0, toks-toks0)
+	}
+}
+
+// allocJob is sv+cd at full occupancy on cfg.
+func allocJob(t *testing.T, cfg config.Config, cycles int64) ([]*kern.Desc, *gpu.Options) {
+	t.Helper()
+	descs := []*kern.Desc{kernel(t, "sv"), kernel(t, "cd")}
+	quota := gpu.UniformQuota(cfg.NumSMs, []int{descs[0].MaxTBsPerSM(&cfg) / 2, descs[1].MaxTBsPerSM(&cfg) / 2})
+	return descs, &gpu.Options{Cycles: cycles, Quota: quota}
+}
+
+func allocMachine(t *testing.T, cfg config.Config, cycles int64) (*gpu.GPU, *gpu.Options) {
+	t.Helper()
+	descs, o := allocJob(t, cfg, cycles)
+	g, err := gpu.New(cfg, descs, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, o
+}
+
+// allocGate returns the least heap allocations of a gpu.Run of sv+cd on
+// recycled memory at short and at long cycles, measured at the test's
+// GOMAXPROCS (a run that splits counts its helper's), and fails t unless
+// the same job on the memory of its own predecessor allocates no request
+// or token.
+func allocGate(t *testing.T, cfg config.Config, short, long int64) (atShort, atLong uint64) {
+	t.Helper()
+	perRun := func(cycles int64) uint64 {
+		descs, o := allocJob(t, cfg, cycles)
+		least := ^uint64(0)
+		for i := 0; i < 8; i++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := gpu.Run(cfg, descs, o); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	atShort, atLong = perRun(short), perRun(long)
+
+	descs, o := allocJob(t, cfg, long)
 	for attempt := 0; ; attempt++ {
 		g, err := gpu.New(cfg, descs, o)
 		if err != nil {
@@ -397,6 +455,6 @@ func TestCycleLoopAllocatesNothingOnRecycledMemory(t *testing.T) {
 			t.Errorf("the same job on recycled memory allocated %d requests and %d tokens, want none", reqs, toks)
 		}
 		g.Close()
-		return
+		return atShort, atLong
 	}
 }

@@ -23,6 +23,7 @@
 package gpu
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 
@@ -72,17 +73,31 @@ func (sn *Snapshot) Cycle() int64 { return sn.cycle }
 // outside the engine's object graph, so a restore could not reproduce
 // it. Take snapshots on an unmanaged machine (before InstallPolicies).
 func (g *GPU) Snapshot() (*Snapshot, error) {
-	for _, p := range g.policies {
-		for slot := 0; slot < 3; slot++ {
-			if p[slot] == nil {
-				continue
-			}
-			if reflect.ValueOf(p[slot]).Kind() == reflect.Pointer {
-				return nil, fmt.Errorf("gpu: snapshot with stateful policy %T installed is unsupported; snapshot before InstallPolicies", p[slot])
+	if err := g.statefulPolicies(func(_, _ int, p any) error {
+		return fmt.Errorf("gpu: snapshot with stateful policy %T installed is unsupported; snapshot before InstallPolicies", p)
+	}); err != nil {
+		return nil, err
+	}
+	return g.capture(), nil
+}
+
+// statefulPolicies calls fn with every stateful (pointer-typed) policy
+// instance installed, SM by SM and slot by slot, until fn returns an
+// error, and returns that error. It is the one walk of the policy table:
+// Snapshot refuses such instances, SnapshotCheckpoint encodes them and
+// InstallPolicies looks for one installed in two SMs. Nil and value-typed
+// policies hold no state of their own; factories rebuild them.
+func (g *GPU) statefulPolicies(fn func(smID, slot int, p any) error) error {
+	for i, row := range g.policies {
+		for slot, p := range row {
+			if p != nil && reflect.ValueOf(p).Kind() == reflect.Pointer {
+				if err := fn(i, slot, p); err != nil {
+					return err
+				}
 			}
 		}
 	}
-	return g.capture(), nil
+	return nil
 }
 
 // capture is the unguarded snapshot core shared by Snapshot (which
@@ -118,18 +133,15 @@ func (g *GPU) capture() *Snapshot {
 func (g *GPU) SnapshotCheckpoint() (*Snapshot, error) {
 	sn := g.capture()
 	sn.policies = make([][3][]byte, len(g.policies))
-	for i, row := range g.policies {
-		for slot := 0; slot < 3; slot++ {
-			p := row[slot]
-			if p == nil || reflect.ValueOf(p).Kind() != reflect.Pointer {
-				continue // stateless or absent: factories rebuild it
-			}
-			blob, err := ckpt.Marshal(p)
-			if err != nil {
-				return nil, fmt.Errorf("gpu: checkpoint: sm %d policy %T: %w", i, p, err)
-			}
-			sn.policies[i][slot] = blob
+	if err := g.statefulPolicies(func(i, slot int, p any) error {
+		blob, err := ckpt.Marshal(p)
+		if err != nil {
+			return fmt.Errorf("gpu: checkpoint: sm %d policy %T: %w", i, p, err)
 		}
+		sn.policies[i][slot] = blob
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return sn, nil
 }
@@ -223,4 +235,20 @@ func (g *GPU) InstallPolicies(opts *Options) {
 		}
 	}
 	g.policies = policies
+	// The split SM phase runs SMs concurrently: an instance in two SMs
+	// would be raced on.
+	g.sharedPolicy = g.statefulPolicies(func(i, _ int, p any) error {
+		for _, row := range g.policies[i+1:] {
+			for _, q := range row {
+				if q == p {
+					return errSharedPolicy
+				}
+			}
+		}
+		return nil
+	}) != nil
 }
+
+// errSharedPolicy stops InstallPolicies' walk at the first stateful
+// instance found in two SMs.
+var errSharedPolicy = errors.New("gpu: policy instance shared across SMs")

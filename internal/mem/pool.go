@@ -9,10 +9,12 @@ import "repro/internal/ring"
 // dominate the cycle loop's allocation profile; with it the steady
 // state allocates nothing on the memory path.
 //
-// A Pool is NOT safe for concurrent use; one machine is stepped by one
-// goroutine and has one Pool, shared by its SMs, caches and DRAM
-// channels, so an object retired on the memory side serves the next
-// SM-side allocation.
+// A Pool is NOT safe for concurrent use. A machine's Pool is shared by
+// its SMs, caches and DRAM channels, so an object retired on the memory
+// side serves the next SM-side allocation. A machine whose SM phase may
+// run split over two goroutines (gpu.Step) gives the SMs of the second
+// goroutine a Pool of their own, and returns their requests to it when
+// they retire on the memory side.
 //
 // A Pool owns every object it allocated, wherever in the machine the
 // object currently is. Init puts all of them back on the free lists:
