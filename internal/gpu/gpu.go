@@ -7,14 +7,19 @@
 // Step). Runs are independent of one another, so the parallelism that
 // pays first is one whole simulation per core, which is internal/runner's
 // business. A machine stepping alone in its process with at least
-// splitMinSMs SMs, a write-back L2, no policy instance shared across SMs
-// and GOMAXPROCS of 2 or more also splits its SM phase: a helper goroutine ticks the
-// upper half of the SMs while RunCycles' caller ticks the lower half, and
-// everything else runs on the caller (split.go). On a 2-core host that
-// takes the engine of a lone 16-SM job to 1.03-1.21x the one-goroutine
-// loop, depending on the host's load, and loses at 8 SMs and below
-// (results/engine-split.md). The bytes do not depend on it: an SM's
-// tick touches nothing another SM's does.
+// splitMinSMs SMs, a write-back L2, a crossbar latency of at least one
+// cycle, no policy instance shared across SMs and GOMAXPROCS of 2 or
+// more also splits its cycle (split.go): a helper goroutine ticks the
+// upper two thirds of the SMs of cycle c while RunCycles' caller runs
+// the memory side of cycle c-1 and then ticks the lower third, and the
+// two meet once per cycle at a join where the caller commits the
+// crossbar and drains the SMs. On a 2-core host that runs lone 16-SM
+// jobs on C+M and M+M pairs 1.18x faster than the SM phase split alone
+// in halves, which ran 1.03-1.21x the one-goroutine loop
+// (results/engine-split.md). The bytes
+// do not depend on it: an SM's tick touches nothing another SM's does,
+// nor anything the previous cycle's memory side does before the join
+// commits it.
 //
 // Every layer above is a stream of short simulations, so a machine's
 // memory outlives it: built (New) -> run (RunCycles) -> retired (Close)
@@ -120,16 +125,22 @@ type GPU struct {
 
 	// pool recycles the requests and instruction tokens of the whole
 	// machine: every SM, cache and DRAM channel points here, except the
-	// upper half of the SMs of a machine that may split (twoPools) and
+	// SMs the helper of a machine that may split ticks (twoPools) and
 	// their L1s, which draw from hpool: a Pool is not safe for concurrent
-	// use. Each half's requests return to its pool (poolOf), so neither
+	// use. Each side's requests return to its pool (poolOf), so neither
 	// allocates once the machine has settled. hpool sits on cache lines
-	// of its own, or the two halves would trade one at every draw and
+	// of its own, or the two sides would trade one at every draw and
 	// release.
 	pool  mem.Pool
 	_     [64]byte
 	hpool mem.Pool
 	_     [64]byte
+	// stores holds the hpool stores retired on the memory side since the
+	// last commit (retire).
+	stores ring.Ring[*mem.Request]
+
+	// pending: the memory side of cycle cycle-1 has not run yet (step).
+	pending bool
 
 	// Per-phase wall-time accounting (Options.PhaseTime).
 	phaseTime bool
@@ -194,6 +205,7 @@ func (g *GPU) init(cfg config.Config, descs []*kern.Desc, opts *Options) {
 	respNet.Init(cfg.Icnt, cfg.NumMemParts, cfg.NumSMs)
 	g.pool.Init()
 	g.hpool.Init()
+	g.stores.Reset()
 	*g = GPU{
 		cfg:       cfg,
 		descs:     descs,
@@ -205,6 +217,7 @@ func (g *GPU) init(cfg config.Config, descs []*kern.Desc, opts *Options) {
 		dataFlits: icnt.DataFlits(cfg.Icnt, cfg.L1D.LineBytes),
 		pool:      g.pool,
 		hpool:     g.hpool,
+		stores:    g.stores,
 		phaseTime: opts.PhaseTime,
 	}
 	if opts.Trace != nil {
@@ -310,6 +323,7 @@ func (g *GPU) runCycles(opts *Options) error {
 	end, due := g.cycle+opts.Cycles, g.cycle
 	for {
 		if g.cycle == due {
+			g.flush()
 			due = never
 			for i := range obs {
 				if next[i] == g.cycle {
@@ -325,6 +339,7 @@ func (g *GPU) runCycles(opts *Options) error {
 			}
 		}
 		if g.cycle >= end {
+			g.flush()
 			return nil
 		}
 		g.step(sp.helper())
@@ -340,67 +355,149 @@ func lap(acc *int64, t0 *time.Time) {
 
 // Step advances the machine by one cycle: the five phases in tick
 // order, on the calling goroutine. (RunCycles may run the SM phase
-// split; see split.go.)
+// split, and the memory side under the next cycle's SM phase; see
+// split.go.)
 //
-// The order fixes what each phase sees of the crossbars. A packet
-// granted by Tick(c) carries readyAt >= c+1, so no Pop of cycle c can
-// take it, whichever side of the Tick the Pop runs on: the partitions
-// pop the request network after its tick and the SMs pop the response
+// The order fixes what each phase sees of the crossbars, through their
+// commits (see icnt.Network). A packet granted by Tick(c) carries
+// readyAt >= c+1, so no Pop of cycle c can take it: the partitions pop
+// the request network after its tick and the SMs pop the response
 // network before its tick, and both see exactly the deliveries of
-// cycles before c. A Pop frees its ejection slot at once: the response
-// tick of cycle c counts this cycle's SM pops, the request tick of
-// cycle c+1 this cycle's partition pops.
-func (g *GPU) Step() { g.step(nil) }
+// cycles before c. The pops of a phase are committed before the next
+// tick of their network: the response tick of cycle c counts this
+// cycle's SM pops, the request tick of cycle c+1 this cycle's partition
+// pops.
+func (g *GPU) Step() {
+	g.step(nil)
+	g.flush()
+}
 
-// step is Step with the SM phase split with h, or serial when h is nil.
+// step is Step with the SM phase split with h, or serial when h is nil,
+// and with the memory side of the cycle left pending.
+//
+// With h, the pending memory side of the previous cycle runs on the
+// caller while the helper ticks its SMs of this one, and is committed
+// only at the join, once both sides' SMs are done. That moves no byte
+// while Icnt.Latency >= 1, a condition of any split (twoPools): a grant
+// of respNet.Tick(c-1) carries readyAt >= c+Latency, out of reach of
+// the SMs' pops of cycle c; those pops count only from their
+// CommitPops at the join, so Tick(c-1) sees exactly the pops of cycles
+// up to c-1; and drain(c) runs at the join, after reqNet.Tick(c-1) and
+// before reqNet.Tick(c), as in the serial order.
 func (g *GPU) step(h *helper) {
 	c := g.cycle
 	pt := g.phaseTime
 	var t0 time.Time
-	if pt {
-		t0 = time.Now()
-	}
-
-	if h != nil {
-		h.tick(c)
-	} else {
+	if h == nil {
+		g.flush()
+		if pt {
+			t0 = time.Now()
+		}
 		g.tickSMs(0, len(g.SMs), c)
+	} else {
+		if pt {
+			t0 = time.Now()
+		}
+		h.publish(c)
+		if g.pending {
+			g.pending = false
+			g.memSide(c-1, &t0)
+		}
+		h.tick(c)
 	}
 	if pt {
 		lap(&g.phase.SMNs, &t0)
 	}
 
+	g.respNet.CommitPops()
+	if h != nil {
+		// What the memory side granted and retired beside the SMs; a
+		// serial cycle's flush committed it before its SMs.
+		g.respNet.CommitDeliveries()
+		g.returnStores()
+	}
 	g.drain()
+	g.pending = true
 	if pt {
 		lap(&g.phase.DrainNs, &t0)
-	}
-
-	g.reqNet.Tick(c)
-	if pt {
-		lap(&g.phase.ReqNetNs, &t0)
-	}
-
-	for p, part := range g.parts {
-		g.tickPartition(p, part, c)
-	}
-	if pt {
-		lap(&g.phase.PartNs, &t0)
-	}
-
-	g.respNet.Tick(c)
-	if pt {
-		lap(&g.phase.RespNetNs, &t0)
 		g.phase.Cycles++
 	}
 	g.cycle++
 }
 
+// memSide runs the memory side of cycle c — request-network tick, the
+// partitions, response-network tick — leaving the response network's
+// grants and the helper's SMs' retired stores to the caller's next
+// commit. t0 is the phase clock when PhaseTime is on.
+func (g *GPU) memSide(c int64, t0 *time.Time) {
+	pt := g.phaseTime
+	g.reqNet.Tick(c)
+	g.reqNet.CommitDeliveries()
+	if pt {
+		lap(&g.phase.ReqNetNs, t0)
+	}
+
+	for p, part := range g.parts {
+		g.tickPartition(p, part, c)
+	}
+	g.reqNet.CommitPops()
+	if pt {
+		lap(&g.phase.PartNs, t0)
+	}
+
+	g.respNet.Tick(c)
+	if pt {
+		lap(&g.phase.RespNetNs, t0)
+	}
+}
+
+// flush completes the cycle whose memory side is pending, if any: runs
+// it and commits what it granted and retired, so the machine is where
+// the serial loop leaves it after Step. RunCycles flushes before every
+// observer, before each serial cycle (the helper released) and before
+// it returns; a machine outside RunCycles has nothing pending.
+func (g *GPU) flush() {
+	if !g.pending {
+		return
+	}
+	g.pending = false
+	var t0 time.Time
+	if g.phaseTime {
+		t0 = time.Now()
+	}
+	g.memSide(g.cycle-1, &t0)
+	g.respNet.CommitDeliveries()
+	g.returnStores()
+	if g.phaseTime {
+		lap(&g.phase.RespNetNs, &t0)
+	}
+}
+
+// retire returns a store that retired at an L2 to the pool of the SM
+// that allocated it: at once when that is the memory side's own pool,
+// at the next commit when it is hpool, which the helper's SMs may be
+// drawing from while the memory side runs.
+func (g *GPU) retire(r *mem.Request) {
+	if p := g.poolOf(r.SM); p == &g.pool {
+		p.Release(r)
+	} else {
+		g.stores.Push(r)
+	}
+}
+
+// returnStores releases the stores retire held back into hpool.
+func (g *GPU) returnStores() {
+	for !g.stores.Empty() {
+		g.hpool.Release(g.stores.Pop())
+	}
+}
+
 // poolOf returns the pool that SM smID and its L1 draw from, and that
 // the requests they allocated return to. The memory side releases into
-// it only the stores that retire at an L2 (tickPartition); every other
-// object the memory side releases, its own pool allocated.
+// it only the stores that retire at an L2 (retire); every other object
+// the memory side releases, its own pool allocated.
 func (g *GPU) poolOf(smID int) *mem.Pool {
-	if g.twoPools() && smID >= len(g.SMs)/2 {
+	if g.twoPools() && smID >= splitAt(len(g.SMs)) {
 		return &g.hpool
 	}
 	return &g.pool
@@ -465,7 +562,7 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 			} else {
 				// A store absorbed by the write-back L2 retires here:
 				// no response travels up.
-				g.poolOf(req.SM).Release(req)
+				g.retire(req)
 			}
 		case cache.Forwarded:
 			// Write-through path is unused for the write-back L2;
@@ -500,7 +597,7 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 			if t.Kind == mem.Load {
 				part.resp.Push(l2Response{req: t, readyAt: c})
 			} else {
-				g.poolOf(t.SM).Release(t)
+				g.retire(t)
 			}
 		}
 		g.pool.Release(fill)
@@ -518,6 +615,7 @@ func (g *GPU) tickPartition(p int, part *partition, c int64) {
 
 // Result aggregates statistics across SMs.
 func (g *GPU) Result() *stats.RunResult {
+	g.flush()
 	r := &stats.RunResult{
 		Cycles:  g.cycle,
 		NumSMs:  len(g.SMs),

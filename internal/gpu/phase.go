@@ -2,12 +2,22 @@
 // Options.PhaseTime enabled, the engine records how long each phase of
 // the cycle — SM tick, outbound drain, request-network tick, partition
 // tick, response-network tick — spends executing, so "where does a
-// cycle's host time go?" is measured instead of guessed. The phases run
-// back to back on the calling goroutine: their sum is the loop's
-// wall-clock time less the per-cycle bookkeeping around Step. When the
-// SM phase runs split (split.go), its lap is the wall time of the split
-// section on the caller — its own half, then the helper's half or the
-// wait for it — not the CPU time of both goroutines.
+// cycle's host time go?" is measured instead of guessed. Every lap is
+// wall time on the goroutine that steps the machine, and the laps run
+// back to back: their sum is the loop's wall-clock time less the
+// per-cycle bookkeeping around Step. When the cycle runs split
+// (split.go), that goroutine runs the previous cycle's memory side while
+// the helper ticks its SMs, and the laps read:
+//
+//   - reqnet, partition, respnet: the memory side, as in the serial loop
+//     (it overlaps the helper's SMs);
+//   - sm: the caller's own SMs, then the helper's SMs or the wait for
+//     them — not the CPU time of both goroutines;
+//   - drain: the join — both response-network commits, the stores
+//     returned to the helper's pool and the outbound drain.
+//
+// A flush (before an observer, at the end of a run) adds its memory
+// side to the same three laps, and its commits to respnet.
 package gpu
 
 import "sync/atomic"

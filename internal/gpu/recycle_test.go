@@ -345,8 +345,7 @@ func TestResultAndSnapshotOwnTheirMemory(t *testing.T) {
 // constant (the result, the policy table, the parked machine's header),
 // the same at 2 000 and at 8 000 cycles, and draw every request and token
 // from what the previous machine's pool owned. The count is the least of
-// several measurements, because the pool may drop a parked machine (at a
-// GC; at random under the race detector), and that costs a construction.
+// several runs on memory recycled twice over (allocGate).
 func TestCycleLoopAllocatesNothingOnRecycledMemory(t *testing.T) {
 	cfg := config.Scaled(4)
 	short, long := allocGate(t, cfg, 2000, 8000)
@@ -405,24 +404,49 @@ func allocMachine(t *testing.T, cfg config.Config, cycles int64) (*gpu.GPU, *gpu
 	return g, o
 }
 
-// allocGate returns the least heap allocations of a gpu.Run of sv+cd on
-// recycled memory at short and at long cycles, measured at the test's
-// GOMAXPROCS (a run that splits counts its helper's), and fails t unless
-// the same job on the memory of its own predecessor allocates no request
-// or token.
+// allocGate returns the least heap allocations of a run of sv+cd (New,
+// RunCycles, Result, Close: gpu.Run) on recycled memory at short and at
+// long cycles, measured at the test's GOMAXPROCS (a run that splits
+// counts its helper's), and fails t unless the same job on the memory of
+// its own predecessor allocates no request or token.
+//
+// A run counts only when its machine and its predecessor were both built
+// on the memory of the machine closed before them. The pool may drop a
+// parked machine (at a GC; at random under the race detector): the run
+// on fresh memory allocates the whole machine, and the run after it a
+// couple of objects more than the steady state, so taking the least of
+// every run reads high whenever drops hit most of the samples.
 func allocGate(t *testing.T, cfg config.Config, short, long int64) (atShort, atLong uint64) {
 	t.Helper()
+	const samples, most = 8, 400
 	perRun := func(cycles int64) uint64 {
 		descs, o := allocJob(t, cfg, cycles)
 		least := ^uint64(0)
-		for i := 0; i < 8; i++ {
+		var prev *sm.SM // SMs[0] of the machine closed last
+		prevRecycled := false
+		for n, runs := 0, 0; n < samples; runs++ {
+			if runs == most {
+				t.Fatalf("%d of %d runs at %d cycles were on memory recycled twice, want %d", n, most, cycles, samples)
+			}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := gpu.Run(cfg, descs, o); err != nil {
+			g, err := gpu.New(cfg, descs, o)
+			if err != nil {
 				t.Fatal(err)
 			}
+			mark := g.SMs[0]
+			if err := g.RunCycles(o); err != nil {
+				t.Fatal(err)
+			}
+			g.Result()
+			g.Close()
 			runtime.ReadMemStats(&after)
-			least = min(least, after.Mallocs-before.Mallocs)
+			recycled := mark == prev
+			if recycled && prevRecycled {
+				least = min(least, after.Mallocs-before.Mallocs)
+				n++
+			}
+			prev, prevRecycled = mark, recycled
 		}
 		return least
 	}

@@ -104,6 +104,7 @@ func (g *GPU) statefulPolicies(fn func(smID, slot int, p any) error) error {
 // refuses stateful policies) and SnapshotCheckpoint (which
 // serializes them alongside).
 func (g *GPU) capture() *Snapshot {
+	g.flush()
 	cl := mem.NewCloner()
 	sn := &Snapshot{cycle: g.cycle}
 	for _, s := range g.SMs {

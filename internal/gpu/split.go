@@ -1,29 +1,37 @@
-// The split SM phase. A machine wide enough to pay for it ticks the
-// upper half of its SMs on a helper goroutine while the caller ticks the
-// lower half; everything else in the cycle stays on the caller. The SMs
-// of one cycle are independent of one another — an SM pops only its own
-// response-network destination, appends only to its own trace shard,
-// consults only its own policy instances and draws from its half's pool
-// — so which goroutine ticks which half moves no byte of any result,
-// trace or checkpoint.
+// The split cycle. A machine wide enough to pay for it ticks the upper
+// two thirds of its SMs on a helper goroutine while the caller runs the
+// memory side of the previous cycle — request-network tick, the
+// partitions, response-network tick — and then ticks the lower third.
+// The two sides meet once per cycle at a join, where the caller commits
+// the response network's pops and grants, returns the stores retired at
+// the L2s to the helper's pool and drains the SMs' outbound queues; the
+// memory side of the cycle just joined stays pending until the next
+// cycle's SM phase, or until a flush (before every observer, before a
+// serial cycle, at the end of RunCycles). The SMs of one cycle are
+// independent of one another — an SM pops only its own response-network
+// destination, appends only to its own trace shard, consults only its
+// own policy instances and draws from its side's pool — and of the
+// memory side of the cycle before, which touches nothing an SM does
+// until the join commits it (see GPU.step). So which goroutine ticks
+// what moves no byte of any result, trace or checkpoint.
 //
-// The two goroutines meet once per cycle at a barrier of counters on
-// cache lines of their own. The caller publishes cycle+1 and ticks the
-// lower half. The upper half goes to whichever side claims it first:
-// the helper as soon as it sees the publication, or the caller once its
-// own half is done, so a helper that is late — parked, or off its core —
-// costs the cycle nothing. A helper that claimed the half acknowledges
-// it with cycle+1, and only then does the caller wait. Each side spins
-// on the other's counter before it parks on a channel, so a cycle costs
-// no futex wake while both are on a core and no core while one waits
-// long (in a slow observer).
+// The two goroutines meet at a barrier of counters on cache lines of
+// their own. The caller publishes cycle+1, runs the memory side and
+// ticks the lower third. The upper SMs go to whichever side claims them
+// first: the helper as soon as it sees the publication, or the caller
+// once its own work is done, so a helper that is late — parked, or off
+// its core — costs the cycle nothing. A helper that claimed them
+// acknowledges with cycle+1, and only then does the caller wait. Each
+// side spins on the other's counter before it parks on a channel, so a
+// cycle costs no futex wake while both are on a core and no core while
+// one waits long (in a slow observer).
 //
 // The helper is a guest on the core it uses. RunCycles starts it only
 // while nothing else in the process steps a machine, and releases it at
 // the first cycle another machine steps (a runner pool, a server slot, a
 // Session's claim helpers get their cores first) or when two windows of
 // cycles in a row show it is not getting a core (another process, go
-// test -p): the caller ticked the upper half itself in three quarters of
+// test -p): the caller ticked the upper SMs itself in three quarters of
 // a window's cycles, or waited for the helper past its spin budget for a
 // quarter of its wall time. A machine without a helper looks again every
 // firstRetry cycles, twice as long after each starved release.
@@ -36,12 +44,22 @@ import (
 	"time"
 )
 
-// splitMinSMs is the least SM count whose SM phase runs split. Below it
-// the barrier and the cache lines the halves trade cost about what the
-// helper's half saves: on a 2-core host the median lone-job wall-time
-// ratio at 12 SMs read 1.16, 0.99 and 0.93 in three sets of pairs, and
-// at 16 SMs 1.21, 1.05 and 1.03 (results/engine-split.md).
+// splitMinSMs is the least SM count whose cycle runs split. Below it
+// the barrier and the cache lines the two sides trade cost about what
+// the helper saves: on a 2-core host, with the SM phase alone split in
+// halves, the median lone-job wall-time ratio at 12 SMs read 1.16, 0.99
+// and 0.93 in three sets of pairs, and at 16 SMs 1.21, 1.05 and 1.03
+// (results/engine-split.md).
 const splitMinSMs = 16
+
+// splitAt returns the first SM the helper ticks on a machine of n SMs.
+// The caller's side of a cycle is the memory side plus SMs [0, n/3).
+// On the 2-core reference host, lone 16-SM jobs on C+M and M+M pairs
+// still wait on the caller's side with 5 SMs on it, yet read no faster
+// with 3, 4 or 6: the SMs the helper ticks cost more each than the
+// caller's, since their requests and responses cross cores
+// (results/engine-split.md).
+func splitAt(n int) int { return n / 3 }
 
 // stepping counts the machines inside RunCycles in this process. A
 // machine splits only while it is the only one.
@@ -49,16 +67,17 @@ var stepping atomic.Int32
 
 // Spin budgets: how long a side waits on a core before it parks. Waking
 // a parked goroutine costs tens of microseconds, several cycles of a
-// 16-SM machine. The helper waits out the caller's serial phases every
-// cycle; the caller waits only for a half the helper has claimed, so a
-// wait of its longer than that means the helper has lost its core.
+// 16-SM machine. The helper waits out the caller's join every cycle,
+// and an observer's flush; the caller waits only for SMs the helper has
+// claimed, so a wait of its longer than that means the helper has lost
+// its core.
 const (
 	callerSpin = 100 * time.Microsecond
 	helperSpin = time.Millisecond
 )
 
 // starveWindow is the number of cycles over which the caller counts the
-// upper halves it ticked itself and its parked waits.
+// cycles whose upper SMs it ticked itself and its parked waits.
 const starveWindow = 256
 
 // quit is the published value that ends the helper.
@@ -118,11 +137,11 @@ func (s *sleeper) rouse() {
 // the caller keeps about it.
 type helper struct {
 	g  *GPU
-	lo int // the upper half is SMs [lo, len(g.SMs))
+	lo int // the helper's SMs are [lo, len(g.SMs))
 
 	pub   counter // caller: cycle+1 once the cycle's SM phase may start, or quit
-	claim counter // cycle+1 once one side has claimed the cycle's upper half
-	ack   counter // helper: cycle+1 once it has ticked an upper half it claimed
+	claim counter // cycle+1 once one side has claimed the cycle's upper SMs
+	ack   counter // helper: cycle+1 once it has ticked upper SMs it claimed
 
 	callerSleep, helperSleep sleeper
 
@@ -130,10 +149,10 @@ type helper struct {
 	panicked any           // the helper's panic, set before its last ack
 	stopped  bool          // caller: the goroutine has been told to end
 
-	// Starvation accounting, caller only: per window, the upper halves
-	// the caller ticked itself and the time of its waits that outlasted
-	// its spin budget; starved counts the windows in a row where either
-	// reached its bound.
+	// Starvation accounting, caller only: per window, the cycles whose
+	// upper SMs the caller ticked itself and the time of its waits that
+	// outlasted its spin budget; starved counts the windows in a row
+	// where either reached its bound.
 	windowStart time.Time
 	windowLeft  int
 	taken       int
@@ -199,13 +218,13 @@ func (sp *splitter) helper() *helper {
 // stop ends the helper, if one runs.
 func (sp *splitter) stop() { sp.h.stop() }
 
-// startHelper starts the goroutine that ticks the upper half of g's SMs
-// from the current cycle on.
+// startHelper starts the goroutine that ticks the upper SMs of g from
+// the current cycle on.
 func (g *GPU) startHelper() *helper {
 	c := g.cycle
 	h := &helper{
 		g:           g,
-		lo:          len(g.SMs) / 2,
+		lo:          splitAt(len(g.SMs)),
 		callerSleep: sleeper{wake: make(chan struct{}, 1)},
 		helperSleep: sleeper{wake: make(chan struct{}, 1)},
 		exited:      make(chan struct{}),
@@ -219,16 +238,20 @@ func (g *GPU) startHelper() *helper {
 	return h
 }
 
-// twoPools reports whether the upper half of g's SMs draws from hpool,
-// the condition of any split. It depends on the machine's configuration
-// alone, so a machine allocates and recycles the same objects whether or
-// not a run of it splits. A write-through L2 would forward the upper
-// half's stores to DRAM, which releases them into the caller's pool, so
-// such a machine never splits.
-func (g *GPU) twoPools() bool { return len(g.SMs) >= splitMinSMs && g.cfg.L2.WriteBack }
+// twoPools reports whether the upper SMs of g (from splitAt on) draw
+// from hpool, the condition of any split. It depends on the machine's
+// configuration alone, so a machine allocates and recycles the same
+// objects whether or not a run of it splits. A write-through L2 would
+// forward the upper SMs' stores to DRAM, which releases them into the
+// caller's pool, and with no crossbar latency a grant of the response
+// network's tick is poppable by the next cycle's SMs (see GPU.step), so
+// neither machine splits.
+func (g *GPU) twoPools() bool {
+	return len(g.SMs) >= splitMinSMs && g.cfg.L2.WriteBack && g.cfg.Icnt.Latency >= 1
+}
 
-// run is the helper goroutine: claim the upper half of each published
-// cycle, tick and acknowledge it, until quit. A panic is acknowledged
+// run is the helper goroutine: claim the upper SMs of each published
+// cycle, tick and acknowledge them, until quit. A panic is acknowledged
 // with the cycle it broke and re-raised by the caller.
 func (h *helper) run(start int64) {
 	var c int64 // the cycle being ticked
@@ -256,15 +279,19 @@ func (h *helper) run(start int64) {
 	}
 }
 
-// tick runs the SM phase of cycle c split: publish, tick the lower half,
-// then tick the upper half too if the helper has not claimed it, or wait
-// for the helper's acknowledgement. A panic of the helper's is raised
-// here, on the caller's goroutine, where the runner's and the Session's
-// recovery see it.
-func (h *helper) tick(c int64) {
-	g := h.g
+// publish lets the helper claim the upper SMs of cycle c.
+func (h *helper) publish(c int64) {
 	h.pub.Store(c + 1)
 	h.helperSleep.rouse()
+}
+
+// tick finishes the SM phase of cycle c once it is published: tick the
+// lower SMs, then the upper SMs too if the helper has not claimed them,
+// or wait for the helper's acknowledgement. A panic of the helper's is
+// raised here, on the caller's goroutine, where the runner's and the
+// Session's recovery see it.
+func (h *helper) tick(c int64) {
+	g := h.g
 	g.tickSMs(0, h.lo, c)
 	if h.claim.CompareAndSwap(c, c+1) {
 		g.tickSMs(h.lo, len(g.SMs), c)
@@ -301,7 +328,7 @@ func (h *helper) keep() bool {
 
 // stop ends the helper and waits for its goroutine to return. It is
 // idempotent and accepts a nil helper. While the helper ticks a cycle
-// (stop on the way out of a panic of the caller's own half) it waits
+// (stop on the way out of a panic of the caller's own SMs) it waits
 // for that cycle first.
 func (h *helper) stop() {
 	if h == nil || h.stopped {

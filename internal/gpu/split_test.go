@@ -17,10 +17,11 @@ import (
 	"repro/internal/trace"
 )
 
-// The split SM phase at the Table 1 machine's 16 SMs: whether a run
-// ticks the upper half of its SMs on a helper goroutine (GOMAXPROCS >= 2,
-// alone in the process, no policy instance shared across SMs) or all of
-// them on the caller, it must produce the bytes the serial engine did.
+// The split cycle at the Table 1 machine's 16 SMs: whether a run ticks
+// the upper SMs on a helper goroutine while the caller runs the previous
+// cycle's memory side (GOMAXPROCS >= 2, alone in the process, no policy
+// instance shared across SMs, Icnt.Latency >= 1) or all of it on the
+// caller, it must produce the bytes the serial engine did.
 
 const splitCycles, splitHalf = 3000, 1500
 
@@ -28,7 +29,12 @@ const splitCycles, splitHalf = 3000, 1500
 // partition, with whatever set adds to its options.
 func splitMachine(t *testing.T, set func(o *gpu.Options)) (*gpu.GPU, *gpu.Options) {
 	t.Helper()
-	cfg := config.Default()
+	return splitMachineOn(t, config.Default(), set)
+}
+
+// splitMachineOn is splitMachine on cfg.
+func splitMachineOn(t *testing.T, cfg config.Config, set func(o *gpu.Options)) (*gpu.GPU, *gpu.Options) {
+	t.Helper()
 	descs := []*kern.Desc{kernel(t, "bp"), kernel(t, "sv")}
 	o := &gpu.Options{Cycles: splitCycles, Quota: gpu.UniformQuota(cfg.NumSMs, core.EvenQuota(&cfg, descs))}
 	if set != nil {
@@ -109,7 +115,7 @@ func splitDigests(t *testing.T, g *gpu.GPU, o *gpu.Options) (result, tr string) 
 // recorded on the engine before the SM phase could split.
 type splitScenario struct {
 	name                  string
-	shared                bool // runs serial at every GOMAXPROCS
+	serial                bool // runs serial at every GOMAXPROCS
 	run                   func(r legRunner) (result, trace string)
 	goldResult, goldTrace string
 }
@@ -146,7 +152,7 @@ var splitScenarios = []splitScenario{
 		return splitDigests(r.t, g, o)
 	}, goldResult: "b31a2c9bd97d3b8ba6759b38fc13155cd6bd551419d9f8278bbb1c2125499de8", goldTrace: "77e179cb59ecb34bb130b5ae5efdbbc8b0ab83c88e6ef4e4ae6826086bbf55e2"},
 
-	{name: "global-dmil", shared: true, run: func(r legRunner) (string, string) {
+	{name: "global-dmil", serial: true, run: func(r legRunner) (string, string) {
 		g, o := splitMachine(r.t, func(o *gpu.Options) {
 			shared := core.NewGlobalDMIL(2)
 			o.Policies.Limiter = func(smID, n int) sm.Limiter { return shared }
@@ -202,7 +208,70 @@ var splitScenarios = []splitScenario{
 		}
 		return splitDigests(r.t, h, o)
 	}, goldResult: goldSplitEven, goldTrace: shaEmpty},
+
+	// With no traversal latency a grant of the response network's tick
+	// is poppable the next cycle, so the memory side may not run under
+	// the next SM phase: such a machine never splits.
+	{name: "icnt-latency-0", serial: true, run: func(r legRunner) (string, string) {
+		cfg := config.Default()
+		cfg.Icnt.Latency = 0
+		g, o := splitMachineOn(r.t, cfg, func(o *gpu.Options) { o.Trace = trace.New(1 << 14) })
+		if err := r.leg(g, o, splitCycles); err != nil {
+			r.t.Fatal(err)
+		}
+		return splitDigests(r.t, g, o)
+	}, goldResult: "4ad0dcaf9b38629fed97c4c77aec72d2c2391730dcceaec2de21e5be4d900df4", goldTrace: "99665a7b714ce47ebf0b62fe3b32443cc3e6cb2ec826d9809d4d942758140817"},
+
+	// An observer due every cycle flushes the memory side every cycle:
+	// the helper still ticks its SMs, nothing overlaps them.
+	{name: "watchdog", run: func(r legRunner) (string, string) {
+		g, o := splitMachine(r.t, func(o *gpu.Options) {
+			o.Observers = []gpu.Observer{gpu.Watchdog(0, gpu.DefaultProgressWindow)}
+		})
+		if err := r.leg(g, o, splitCycles); err != nil {
+			r.t.Fatal(err)
+		}
+		return splitDigests(r.t, g, o)
+	}, goldResult: goldSplitEven, goldTrace: shaEmpty},
+
+	// Step and Snapshot right after an overlapped leg see the machine
+	// the serial loop leaves: the encoded snapshot is the serial loop's,
+	// and a restore of it continues to the even run's bytes.
+	{name: "step-snapshot-after-run", run: func(r legRunner) (string, string) {
+		const steps = 3
+		g, o := splitMachine(r.t, nil)
+		if err := r.leg(g, o, splitHalf-steps); err != nil {
+			r.t.Fatal(err)
+		}
+		for range steps {
+			g.Step()
+		}
+		sn, err := g.Snapshot()
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		enc, err := gpu.EncodeSnapshot(sn)
+		if err != nil {
+			r.t.Fatal(err)
+		}
+		if got := sha(enc); got != goldSplitStepSnapshot {
+			r.t.Errorf("GOMAXPROCS %d: snapshot after Step sha256 %s, golden %s", runtime.GOMAXPROCS(0), got, goldSplitStepSnapshot)
+		}
+		g.Close()
+		h, o := splitMachine(r.t, nil)
+		if err := h.Restore(sn); err != nil {
+			r.t.Fatal(err)
+		}
+		if err := r.leg(h, o, splitCycles-splitHalf); err != nil {
+			r.t.Fatal(err)
+		}
+		return splitDigests(r.t, h, o)
+	}, goldResult: goldSplitEven, goldTrace: shaEmpty},
 }
+
+// goldSplitStepSnapshot is the encoded snapshot of the even run at cycle
+// splitHalf, recorded on the serial loop.
+const goldSplitStepSnapshot = "2f379d99b96d19210e8199f1671e7930fc0530ffb0e2c8d8baceb58274f540e6"
 
 // atProcs runs fn at each GOMAXPROCS of 1 (no helper possible), 2 and 4.
 func atProcs(t *testing.T, fn func(t *testing.T, procs int)) {
@@ -222,7 +291,7 @@ func TestSplitStepMatchesSerial(t *testing.T) {
 	for _, sc := range splitScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			atProcs(t, func(t *testing.T, procs int) {
-				res, tr := sc.run(legRunner{t: t, split: procs > 1 && !sc.shared})
+				res, tr := sc.run(legRunner{t: t, split: procs > 1 && !sc.serial})
 				if res != sc.goldResult || tr != sc.goldTrace {
 					t.Errorf("GOMAXPROCS %d: result sha256 %s, trace %s; golden %s, %s",
 						procs, res, tr, sc.goldResult, sc.goldTrace)

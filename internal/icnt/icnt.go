@@ -40,13 +40,34 @@ type delivered struct {
 	readyAt int64
 }
 
+// ejection is one destination's ejection queue: the packets granted to
+// it, in flight or arrived, in grant order (readyAt is monotonic because
+// the output port serializes transfers). It is a ring that never grows,
+// at least inCap long. Tick writes at tail, Pop reads at head, and each
+// reads the other's index only as the last commit copied it — poppable
+// is tail at the last CommitDeliveries, freed is head at the last
+// CommitPops — so a Tick and a Pop touch no common word, and the slot a
+// Tick writes is never one a Pop reads: tail-head <= tail-freed < inCap.
+type ejection struct {
+	buf            []delivered // length a power of two
+	head, poppable int         // Pop's side
+	tail, freed    int         // Tick's side
+}
+
+// at returns the slot of the i-th packet ever granted.
+func (e *ejection) at(i int) *delivered { return &e.buf[i&(len(e.buf)-1)] }
+
 // Network is one direction of the crossbar.
 //
-// Tick pushes a granted packet onto its destination's ejection queue and
-// Pop frees the slot it drains at once. A packet granted by Tick(c)
-// carries readyAt >= c+1, so a Pop at cycle c cannot take it whichever
-// of the two runs first; the engine's tick order (see gpu.Step) decides
-// only which Tick first counts a freed slot.
+// Grants and pops are staged. A packet Tick grants is poppable only
+// after CommitDeliveries, and the slot a Pop frees counts only after
+// CommitPops. So Tick touches nothing a Pop does, and a Tick may run on
+// one goroutine while other goroutines pop distinct destinations (gpu's
+// overlapped memory side). A driver calls both commits once per cycle:
+// a Tick counts exactly the slots freed by the pops committed before
+// it, and a Pop sees exactly the grants committed before it. A packet
+// granted by Tick(c) carries readyAt >= c+1, so no Pop at cycle c could
+// take it even once committed.
 type Network struct {
 	cfg      config.Icnt
 	nSrc     int
@@ -54,11 +75,10 @@ type Network struct {
 	outQ     []ring.Ring[Packet]
 	rr       []int // per-destination round-robin pointer over sources
 	portFree []int64
-	// inQ holds delivered packets per destination; readyAt is monotonic
-	// per destination because each output port serializes transfers.
-	inQ     []ring.Ring[delivered]
-	inCount []int // packets in flight + queued per destination
-	inCap   int
+	// inQ is each destination's ejection queue; inCap bounds the
+	// packets in flight toward a destination plus those queued there.
+	inQ   []ejection
+	inCap int
 	// heads holds, per destination, a bitmask of the sources whose head
 	// packet targets it (words 64-bit words each, source s at bit s&63
 	// of word s>>6), so a port's arbitration walks set bits instead of
@@ -97,7 +117,6 @@ func (n *Network) Init(cfg config.Icnt, nSrc, nDst int) {
 		rr:       ring.Zeroed(n.rr, nDst),
 		portFree: ring.Zeroed(n.portFree, nDst),
 		inQ:      ring.Kept(n.inQ, nDst),
-		inCount:  ring.Zeroed(n.inCount, nDst),
 		// Packets in flight on the wire count toward the destination,
 		// so the cap must cover the bandwidth-delay product plus the
 		// ejection buffer proper.
@@ -106,8 +125,12 @@ func (n *Network) Init(cfg config.Icnt, nSrc, nDst int) {
 	for i := range n.outQ {
 		n.outQ[i].Reset()
 	}
+	size := 1
+	for size < n.inCap {
+		size *= 2
+	}
 	for i := range n.inQ {
-		n.inQ[i].Reset()
+		n.inQ[i] = ejection{buf: ring.Zeroed(n.inQ[i].buf, size)}
 	}
 }
 
@@ -198,8 +221,9 @@ func (n *Network) Tick(cycle int64) {
 		if n.portFree[dst] > cycle || !n.waiting(dst) {
 			continue
 		}
+		e := &n.inQ[dst]
 		budget := fpc
-		for budget > 0 && n.inCount[dst] < n.inCap {
+		for budget > 0 && e.tail-e.freed < n.inCap {
 			src := n.pick(dst, budget, fpc)
 			if src < 0 {
 				break
@@ -221,36 +245,47 @@ func (n *Network) Tick(cycle int64) {
 				readyAt = cycle + xfer + int64(n.cfg.Latency)
 				budget = 0
 			}
-			n.inQ[dst].Push(delivered{req: p.Req, readyAt: readyAt})
-			n.inCount[dst]++
+			*e.at(e.tail) = delivered{req: p.Req, readyAt: readyAt}
+			e.tail++
 			n.TransferredFlits += uint64(p.Flits)
 			n.rr[dst] = (src + 1) % n.nSrc
 		}
 	}
 }
 
-// Pop returns the next delivered request at destination dst, or nil if
-// none has arrived by cycle.
+// Pop returns the next committed delivery at destination dst, or nil if
+// none has arrived by cycle. The slot it frees counts from the next
+// CommitPops.
 func (n *Network) Pop(dst int, cycle int64) *mem.Request {
-	q := &n.inQ[dst]
-	if q.Empty() || q.Peek().readyAt > cycle {
+	e := &n.inQ[dst]
+	if e.head == e.poppable {
 		return nil
 	}
-	n.inCount[dst]--
-	return q.Pop().req
+	d := e.at(e.head)
+	if d.readyAt > cycle {
+		return nil
+	}
+	r := d.req
+	*d = delivered{}
+	e.head++
+	return r
 }
 
-// CommitPops does nothing.
-//
-// Deprecated: Pop applies itself. It survives because
-// bench/micro.go:171 calls it.
-func (n *Network) CommitPops() {}
+// CommitPops frees the ejection slots of every Pop since the last call,
+// for the next Tick to grant into.
+func (n *Network) CommitPops() {
+	for i := range n.inQ {
+		n.inQ[i].freed = n.inQ[i].head
+	}
+}
 
-// CommitDeliveries does nothing.
-//
-// Deprecated: Tick delivers to the ejection queues itself. It survives
-// because bench/micro.go:172 calls it.
-func (n *Network) CommitDeliveries() {}
+// CommitDeliveries makes every packet granted since the last call
+// poppable once it has arrived.
+func (n *Network) CommitDeliveries() {
+	for i := range n.inQ {
+		n.inQ[i].poppable = n.inQ[i].tail
+	}
+}
 
 // CheckIndex compares the head-source masks with a recomputation from
 // the injection queues (the invariant watchdog's crossbar rule).
@@ -270,8 +305,9 @@ func (n *Network) CheckIndex() error {
 	return nil
 }
 
-// Pending reports the number of packets queued or in flight toward dst.
-func (n *Network) Pending(dst int) int { return n.inCount[dst] }
+// Pending reports the number of packets queued or in flight toward dst,
+// counting the slots of uncommitted pops as still held.
+func (n *Network) Pending(dst int) int { return n.inQ[dst].tail - n.inQ[dst].freed }
 
 // DataFlits returns the flit count for a packet carrying one cache line.
 func DataFlits(cfg config.Icnt, lineBytes int) int {

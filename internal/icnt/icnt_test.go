@@ -1,22 +1,25 @@
 package icnt
 
 import (
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/config"
 	"repro/internal/mem"
+	"repro/internal/xrand"
 )
 
 func testCfg() config.Icnt {
 	return config.Icnt{FlitBytes: 32, FlitsPerCycle: 1, Latency: 4, QueueDepth: 4, HeaderFlits: 1}
 }
 
-// TestStagedEjectionDoubleBuffer pins the rule that replaced the staged
-// ejection port: a packet granted by Tick(c) is not poppable at cycle c,
-// even with no traversal latency, and is at c+1; a Pop frees its slot at
-// once, so the same cycle's Tick may grant into it. CommitPops and
-// CommitDeliveries (kept for bench/micro.go) change nothing.
+// TestStagedEjectionDoubleBuffer pins the commit contract: a packet
+// granted by Tick is not poppable before CommitDeliveries, and then only
+// from the cycle after its grant, even with no traversal latency; a Pop
+// takes its packet at once but frees the slot only at CommitPops, so a
+// Tick before that commit does not grant into it.
 func TestStagedEjectionDoubleBuffer(t *testing.T) {
 	cfg := testCfg()
 	cfg.Latency = 0
@@ -28,16 +31,19 @@ func TestStagedEjectionDoubleBuffer(t *testing.T) {
 	if got := n.Pending(0); got != 1 {
 		t.Fatalf("Pending after Tick(0) = %d, want 1", got)
 	}
+	if got := n.Pop(0, 1); got != nil {
+		t.Fatal("packet granted by Tick(0) poppable before CommitDeliveries")
+	}
+	n.CommitDeliveries()
 	if got := n.Pop(0, 0); got != nil {
 		t.Fatal("packet granted by Tick(0) poppable at cycle 0")
 	}
-	n.CommitDeliveries()
-	n.CommitPops()
-	if n.Pending(0) != 1 || n.Pop(0, 0) != nil {
-		t.Fatal("the Commit shims changed the network's state")
-	}
 	if got := n.Pop(0, 1); got != first {
-		t.Fatal("packet granted by Tick(0) not poppable at cycle 1")
+		t.Fatal("committed packet granted by Tick(0) not poppable at cycle 1")
+	}
+	n.CommitPops()
+	if got := n.Pending(0); got != 0 {
+		t.Fatalf("Pending after CommitPops = %d, want 0", got)
 	}
 
 	// Round-robin resumes after source 0: sources 1, 2, 0 in grant order.
@@ -45,23 +51,34 @@ func TestStagedEjectionDoubleBuffer(t *testing.T) {
 	for i, r := range reqs {
 		n.Push((i+1)%3, Packet{Req: r, Dst: 0, Flits: 1})
 	}
-	n.Tick(1)
-	n.Tick(2)
-	n.Tick(3)
+	for c := int64(1); c <= 3; c++ {
+		n.Tick(c)
+		n.CommitDeliveries()
+	}
 	if got := n.Pending(0); got != 2 {
 		t.Fatalf("Pending after three ticks = %d, want 2 (the third finds the port full)", got)
 	}
 	if got := n.Pop(0, 4); got != reqs[0] {
 		t.Fatal("head of the full port not poppable")
 	}
-	if got := n.Pending(0); got != 1 {
-		t.Fatalf("Pending after Pop = %d, want 1 (a Pop frees its slot at once)", got)
-	}
 	n.Tick(4)
+	n.CommitDeliveries()
 	if got := n.Pending(0); got != 2 {
-		t.Fatalf("Pending after Tick(4) = %d, want 2 (the slot freed this cycle is granted into)", got)
+		t.Fatalf("Pending after a Tick before CommitPops = %d, want 2 (the popped slot is not yet free)", got)
 	}
-	if n.Pop(0, 5) != reqs[1] || n.Pop(0, 5) != reqs[2] || n.Pop(0, 5) != nil {
+	n.CommitPops()
+	if got := n.Pending(0); got != 1 {
+		t.Fatalf("Pending after CommitPops = %d, want 1", got)
+	}
+	n.Tick(5)
+	if got := n.Pending(0); got != 2 {
+		t.Fatalf("Pending after Tick(5) = %d, want 2 (the committed slot is granted into)", got)
+	}
+	if n.Pop(0, 6) != reqs[1] || n.Pop(0, 6) != nil {
+		t.Fatal("a grant of Tick(5) was poppable before CommitDeliveries")
+	}
+	n.CommitDeliveries()
+	if n.Pop(0, 6) != reqs[2] || n.Pop(0, 6) != nil {
 		t.Fatal("the queued packets did not come out in grant order")
 	}
 }
@@ -73,12 +90,14 @@ func TestDeliveryLatency(t *testing.T) {
 		t.Fatal("push failed")
 	}
 	n.Tick(0)
+	n.CommitDeliveries()
 	// 1 flit transfer + 4 latency: ready at cycle 5.
 	for c := int64(1); c < 5; c++ {
 		if got := n.Pop(1, c); got != nil {
 			t.Fatalf("delivered too early at cycle %d", c)
 		}
 		n.Tick(c)
+		n.CommitDeliveries()
 	}
 	if got := n.Pop(1, 5); got != r {
 		t.Fatal("packet not delivered at expected cycle")
@@ -96,9 +115,11 @@ func TestPortSerializesMultiFlitPackets(t *testing.T) {
 	var got []*mem.Request
 	for c := int64(0); c < 40; c++ {
 		n.Tick(c)
+		n.CommitDeliveries()
 		if r := n.Pop(0, c); r != nil {
 			got = append(got, r)
 		}
+		n.CommitPops()
 	}
 	if len(got) != 2 {
 		t.Fatalf("delivered %d of 2 packets", len(got))
@@ -111,6 +132,7 @@ func TestFlitsPerCycleSpeedsTransfer(t *testing.T) {
 	for _, n := range []*Network{slow, fast} {
 		n.Push(0, Packet{Req: &mem.Request{}, Dst: 0, Flits: 4})
 		n.Tick(0)
+		n.CommitDeliveries()
 	}
 	if slow.Pop(0, 3) != nil {
 		t.Fatal("slow link delivered 4 flits in under 4 cycles")
@@ -145,6 +167,7 @@ func TestRoundRobinFairness(t *testing.T) {
 			n.Push(src, Packet{Req: &mem.Request{LineAddr: uint64(src)}, Dst: 0, Flits: 1})
 		}
 		n.Tick(c)
+		n.CommitDeliveries()
 		for {
 			r := n.Pop(0, c)
 			if r == nil {
@@ -152,6 +175,7 @@ func TestRoundRobinFairness(t *testing.T) {
 			}
 			counts[r.LineAddr]++
 		}
+		n.CommitPops()
 	}
 	for src := uint64(0); src < 4; src++ {
 		if counts[src] < 50 {
@@ -172,9 +196,11 @@ func TestFIFOPerSourceDestination(t *testing.T) {
 			next++
 		}
 		n.Tick(c)
+		n.CommitDeliveries()
 		if r := n.Pop(0, c); r != nil {
 			got = append(got, r.LineAddr)
 		}
+		n.CommitPops()
 	}
 	if len(got) != len(sent) {
 		t.Fatalf("delivered %d of %d", len(got), len(sent))
@@ -194,12 +220,16 @@ func TestPropertyConservation(t *testing.T) {
 		pushed := 0
 		cycle := int64(0)
 		delivered := 0
+		// One cycle's tick and pops, committed as gpu commits the
+		// request network.
 		drain := func() {
+			n.CommitDeliveries()
 			for d := 0; d < 3; d++ {
 				for n.Pop(d, cycle) != nil {
 					delivered++
 				}
 			}
+			n.CommitPops()
 		}
 		for _, p := range plan {
 			src := int(p % 3)
@@ -264,6 +294,7 @@ func TestCheckIndexMatchesRecount(t *testing.T) {
 	}
 	for c := int64(0); c < 4; c++ {
 		n.Tick(c)
+		n.CommitDeliveries()
 		check("after tick")
 	}
 	if got := n.PendingRequests(); got != 4 {
@@ -286,5 +317,72 @@ func TestCheckIndexMatchesRecount(t *testing.T) {
 	n.heads[0] = 0
 	if err := n.CheckIndex(); err == nil {
 		t.Fatal("dropped head bit not detected")
+	}
+}
+
+// TestTickBesidePops runs the commit contract the way gpu's split cycle
+// does: one goroutine ticks cycle c-1 while two others pop disjoint
+// halves of the destinations at cycle c, and the three meet once per
+// cycle, where the pops and grants are committed and the sources push.
+// Every destination must deliver the packets of the serial order, at
+// the same cycles; under -race, the three touch no common word.
+func TestTickBesidePops(t *testing.T) {
+	const nSrc, nDst, cycles = 6, 6, 3000
+	type out struct {
+		line  uint64
+		cycle int64
+	}
+	push := func(n *Network, rng *xrand.Source, c int64) {
+		for src := 0; src < nSrc; src++ {
+			if rng.Bool(0.6) {
+				flits := []int{1, 5}[rng.Intn(2)]
+				n.Push(src, Packet{Req: &mem.Request{LineAddr: uint64(c)<<8 | uint64(src)}, Dst: rng.Intn(nDst), Flits: flits})
+			}
+		}
+	}
+	pops := func(n *Network, got [][]out, lo, hi int, c int64) {
+		for dst := lo; dst < hi; dst++ {
+			for r := n.Pop(dst, c); r != nil; r = n.Pop(dst, c) {
+				got[dst] = append(got[dst], out{r.LineAddr, c})
+			}
+		}
+	}
+	run := func(overlap bool) [][]out {
+		n := New(testCfg(), nSrc, nDst)
+		rng := xrand.New(7)
+		got := make([][]out, nDst)
+		for c := int64(0); c < cycles; c++ {
+			if overlap {
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() { defer wg.Done(); pops(n, got, 0, nDst/2, c) }()
+				go func() { defer wg.Done(); pops(n, got, nDst/2, nDst, c) }()
+				if c > 0 {
+					n.Tick(c - 1)
+				}
+				wg.Wait()
+				n.CommitPops()
+				n.CommitDeliveries()
+				push(n, rng, c)
+			} else {
+				pops(n, got, 0, nDst, c)
+				n.CommitPops()
+				push(n, rng, c)
+				n.Tick(c)
+				n.CommitDeliveries()
+			}
+		}
+		return got
+	}
+	want, got := run(false), run(true)
+	total := 0
+	for dst := range want {
+		if !slices.Equal(got[dst], want[dst]) {
+			t.Fatalf("destination %d: overlapped ticks delivered %v, serial %v", dst, got[dst], want[dst])
+		}
+		total += len(want[dst])
+	}
+	if total == 0 {
+		t.Fatal("nothing was delivered; the schedule exercised nothing")
 	}
 }

@@ -13,7 +13,8 @@ import (
 // refNetwork is the crossbar with the arbitration the head-source masks
 // replaced: every output port scans every injection queue, starting at
 // its round-robin pointer, for a head packet that targets it and fits.
-// Single-threaded, so deliveries and pops take effect at once.
+// Deliveries and pops take effect at once; the Network under test
+// commits both every cycle, as gpu does, and must agree with it.
 type refNetwork struct {
 	cfg      config.Icnt
 	outQ     []ring.Ring[Packet]
@@ -125,6 +126,7 @@ func TestMaskArbitrationMatchesReference(t *testing.T) {
 							}
 						}
 						n.Tick(c)
+						n.CommitDeliveries()
 						ref.tick(c)
 						if err := n.CheckIndex(); err != nil {
 							t.Fatalf("cycle %d: %v", c, err)
@@ -144,6 +146,7 @@ func TestMaskArbitrationMatchesReference(t *testing.T) {
 								delivered++
 							}
 						}
+						n.CommitPops()
 					}
 					if n.TransferredFlits != ref.flits {
 						t.Fatalf("moved %d flits, reference %d", n.TransferredFlits, ref.flits)

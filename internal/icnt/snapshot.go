@@ -17,16 +17,17 @@ type Snapshot struct {
 	rr               []int
 	portFree         []int64
 	inQ              [][]delivered
-	inCount          []int
+	inCount          []int // len of each inQ: part of the encoded checkpoint format
 	transferredFlits uint64
 }
 
-// Snapshot captures the network's full state through cl.
+// Snapshot captures the network's full state through cl. Take it with
+// nothing staged, after both commits: staged grants and pops are not
+// captured.
 func (n *Network) Snapshot(cl *mem.Cloner) *Snapshot {
 	sn := &Snapshot{
 		rr:               append([]int(nil), n.rr...),
 		portFree:         append([]int64(nil), n.portFree...),
-		inCount:          append([]int(nil), n.inCount...),
 		transferredFlits: n.TransferredFlits,
 	}
 	for i := range n.outQ {
@@ -36,9 +37,14 @@ func (n *Network) Snapshot(cl *mem.Cloner) *Snapshot {
 		}))
 	}
 	for i := range n.inQ {
-		sn.inQ = append(sn.inQ, n.inQ[i].Snapshot(func(d delivered) delivered {
-			return delivered{req: cl.Request(d.req), readyAt: d.readyAt}
-		}))
+		e := &n.inQ[i]
+		var q []delivered
+		for j := e.head; j < e.tail; j++ {
+			d := e.at(j)
+			q = append(q, delivered{req: cl.Request(d.req), readyAt: d.readyAt})
+		}
+		sn.inQ = append(sn.inQ, q)
+		sn.inCount = append(sn.inCount, len(q))
 	}
 	return sn
 }
@@ -49,6 +55,11 @@ func (n *Network) Restore(sn *Snapshot, cl *mem.Cloner) error {
 	if len(sn.outQ) != len(n.outQ) || len(sn.inQ) != len(n.inQ) {
 		return fmt.Errorf("icnt: restore: snapshot is %dx%d ports, network is %dx%d",
 			len(sn.outQ), len(sn.inQ), len(n.outQ), len(n.inQ))
+	}
+	for i, q := range sn.inQ {
+		if len(q) > n.inCap {
+			return fmt.Errorf("icnt: restore: destination %d holds %d packets, more than its cap %d", i, len(q), n.inCap)
+		}
 	}
 	clear(n.heads)
 	for i := range n.outQ {
@@ -62,12 +73,14 @@ func (n *Network) Restore(sn *Snapshot, cl *mem.Cloner) error {
 	}
 	copy(n.rr, sn.rr)
 	copy(n.portFree, sn.portFree)
-	for i := range n.inQ {
-		n.inQ[i].Restore(sn.inQ[i], func(d delivered) delivered {
-			return delivered{req: cl.Request(d.req), readyAt: d.readyAt}
-		})
+	for i, q := range sn.inQ {
+		e := &n.inQ[i]
+		clear(e.buf)
+		for j, d := range q {
+			e.buf[j] = delivered{req: cl.Request(d.req), readyAt: d.readyAt}
+		}
+		e.head, e.poppable, e.tail, e.freed = 0, len(q), len(q), 0
 	}
-	copy(n.inCount, sn.inCount)
 	n.TransferredFlits = sn.transferredFlits
 	return nil
 }
@@ -80,7 +93,7 @@ func (n *Network) PendingRequests() int {
 		total += n.outQ[i].Len()
 	}
 	for i := range n.inQ {
-		total += n.inQ[i].Len()
+		total += n.inQ[i].tail - n.inQ[i].head
 	}
 	return total
 }
