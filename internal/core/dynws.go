@@ -154,14 +154,14 @@ func (d *DynWS) snapshot(g *gpu.GPU) {
 		d.baseline = make([]uint64, d.cfg.NumSMs)
 	}
 	for i := range assigns {
-		d.baseline[i] = g.SMs[i].K[assigns[i].kernel].Instrs
+		d.baseline[i] = g.SMs[i].K[assigns[i].kernel].Instrs()
 	}
 }
 
 func (d *DynWS) record(g *gpu.GPU, window int64) {
 	assigns := d.rounds[d.round]
 	for i, a := range assigns {
-		instrs := g.SMs[i].K[a.kernel].Instrs - d.baseline[i]
+		instrs := g.SMs[i].K[a.kernel].Instrs() - d.baseline[i]
 		d.curves[a.kernel][a.tbs-1] = float64(instrs) / float64(window)
 	}
 }

@@ -65,11 +65,12 @@ func (t *TBThrottle) Hook(g *gpu.GPU) error {
 		}
 	}
 	for i, s := range g.SMs {
-		stallDelta := s.LSUStall - t.lastStall[i]
-		t.lastStall[i] = s.LSUStall
+		// The LSU stalls one cycle per reservation failure.
+		var stall uint64
 		missDelta := make([]int64, n)
 		var worst, worstDelta int64 = -1, -1
 		for k := 0; k < n; k++ {
+			stall += s.L1.Stats[k].RsFail
 			m := s.L1.Stats[k].Misses
 			missDelta[k] = int64(m - t.lastMisses[i][k])
 			t.lastMisses[i][k] = m
@@ -77,6 +78,8 @@ func (t *TBThrottle) Hook(g *gpu.GPU) error {
 				worst, worstDelta = int64(k), missDelta[k]
 			}
 		}
+		stallDelta := stall - t.lastStall[i]
+		t.lastStall[i] = stall
 		quota := append([]int(nil), s.Quota()...)
 		if int64(stallDelta)*1000 >= elapsed*t.StallCutPerMille {
 			// Unhealthy: remove one TB from the heaviest misser.

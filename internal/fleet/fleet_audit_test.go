@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,10 +100,22 @@ func drainableWorker(t *testing.T) (*httptest.Server, *atomic.Bool) {
 
 // TestFleetDrainingAwareDispatch: a worker whose /readyz goes red while
 // /healthz stays green must stop receiving leases (before its liveness
-// fails) and get them back when /readyz recovers.
+// fails) and get them back when /readyz recovers. The other worker
+// holds every job it is sent until the recovery is seen: a run that
+// ends stops the prober, so the run must outlast the recovery.
 func TestFleetDrainingAwareDispatch(t *testing.T) {
 	w1, draining := drainableWorker(t)
-	w2 := startWorker(t, server.Config{})
+	held := make(chan struct{})
+	inner := server.New(server.Config{Workers: 2}).Handler()
+	w2 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/jobs" {
+			<-held
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(w2.Close)
+	var release sync.Once
+	t.Cleanup(func() { release.Do(func() { close(held) }) }) // before w2.Close, which waits for its requests
 	draining.Store(true)
 
 	c, err := fleet.New(fleet.Config{Workers: []string{w1.URL, w2.URL}, Logf: t.Logf})
@@ -148,6 +161,7 @@ func TestFleetDrainingAwareDispatch(t *testing.T) {
 	// Recovery: /readyz goes green again and the worker rejoins.
 	draining.Store(false)
 	waitFor("drain recovery", func(st fleet.Stats) bool { return !isDraining(st) })
+	release.Do(func() { close(held) })
 
 	if err := <-runErr; err != nil {
 		t.Fatalf("fleet run: %v", err)

@@ -21,8 +21,8 @@ import (
 func TestEncodeSnapshotGolden(t *testing.T) {
 	const (
 		cycle  = 5335
-		golden = "55049e24d9fe0c93a67ce3dc2531b658efcc1c6b994bbd5cd80571ed3f13ecc1"
-		size   = 141601
+		golden = "d3c61f3754ade385bb5cd8e6ba2b9b8e16e9184d000e0ff2b320eb7ac65a9fb4"
+		size   = 141436
 	)
 	cfg := tinyCfg()
 	descs := []*kern.Desc{getKernel(t, "bp"), getKernel(t, "ks")}

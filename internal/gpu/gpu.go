@@ -38,6 +38,7 @@ package gpu
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -76,7 +77,11 @@ type Options struct {
 	// BypassL1[k]: kernel k's load misses bypass the L1 (Section 4.5).
 	BypassL1 []bool
 	// Trace, when non-nil, receives cycle-level events from every SM.
-	Trace  *trace.Buffer
+	Trace *trace.Buffer
+	// Series samples each kernel's issued instructions and successful
+	// L1D accesses, summed over SMs, at every multiple of
+	// stats.SeriesInterval into the Cycles/SeriesInterval+1 buckets of
+	// its result's Series (see sampler).
 	Series bool
 	// Observers run between cycles, in this order when several are due
 	// at once (see Observer).
@@ -145,6 +150,9 @@ type GPU struct {
 	// Per-phase wall-time accounting (Options.PhaseTime).
 	phaseTime bool
 	phase     PhaseStats
+
+	// series is Options.Series' sampler, nil when it is off.
+	series *sampler
 
 	// policies holds the per-SM policy instances currently installed,
 	// kept for the snapshot layer's stateful-policy guard and the
@@ -219,6 +227,7 @@ func (g *GPU) init(cfg config.Config, descs []*kern.Desc, opts *Options) {
 		hpool:     g.hpool,
 		stores:    g.stores,
 		phaseTime: opts.PhaseTime,
+		series:    newSampler(opts, len(descs)),
 	}
 	if opts.Trace != nil {
 		opts.Trace.EnsureShards(cfg.NumSMs)
@@ -230,9 +239,6 @@ func (g *GPU) init(cfg config.Config, descs []*kern.Desc, opts *Options) {
 			g.SMs[i] = s
 		}
 		s.Init(i, &g.cfg, descs, opts.Quota[i], nil, nil, nil, cfg.Seed)
-		if opts.Series {
-			s.EnableSeries(opts.Cycles)
-		}
 		s.Trace = opts.Trace
 		p := g.poolOf(i)
 		s.Pool, s.L1.Pool = p, p
@@ -386,6 +392,10 @@ func (g *GPU) Step() {
 // before reqNet.Tick(c), as in the serial order.
 func (g *GPU) step(h *helper) {
 	c := g.cycle
+	if sp := g.series; sp != nil && c%stats.SeriesInterval == 0 && c > sp.at {
+		// No SM is ticking: the helper waits for the publication below.
+		sp.sample(g)
+	}
 	pt := g.phaseTime
 	var t0 time.Time
 	if h == nil {
@@ -621,40 +631,38 @@ func (g *GPU) Result() *stats.RunResult {
 		NumSMs:  len(g.SMs),
 		Kernels: make([]stats.KernelResult, len(g.descs)),
 	}
-	for k, d := range g.descs {
-		kr := &r.Kernels[k]
-		kr.Name = d.Name
-	}
 	for _, s := range g.SMs {
-		r.LSUStallCycles += s.LSUStall
-		r.LSUBusyCycles += s.LSUBusy
-		r.ALUIssued += s.ALUIssued
-		r.SFUIssued += s.SFUIssued
 		r.SMCycles += uint64(g.cycle)
 		r.ALUPortCycles += uint64(g.cycle) * uint64(g.cfg.SM.ALUPorts)
 		r.SFUPortCycles += uint64(g.cycle) * uint64(g.cfg.SM.SFUPorts)
 		for k := range g.descs {
 			kr := &r.Kernels[k]
-			kc := s.K[k]
-			kr.Instrs += kc.Instrs
+			kc := &s.K[k]
+			kr.Instrs += kc.Instrs()
 			kr.MemInstrs += kc.MemInstrs
-			kr.Requests += kc.Requests
 			kr.TBsDone += kc.TBsDone
 			kr.L1D.Add(&s.L1.Stats[k])
-			if iss, acc := s.Series(k); iss != nil {
-				if kr.Series == nil {
-					kr.Series = &stats.Series{
-						Issued: make([]uint32, len(iss)),
-						L1Acc:  make([]uint32, len(acc)),
-					}
-				}
-				for i := range iss {
-					kr.Series.Issued[i] += iss[i]
-				}
-				for i := range acc {
-					kr.Series.L1Acc[i] += acc[i]
-				}
-			}
+			r.ALUIssued += kc.ALUInstrs
+			r.SFUIssued += kc.SFUInstrs
+		}
+	}
+	// The bucket the run ends in holds what its copy of the sampler
+	// counts since the last sample.
+	sp := g.series.clone()
+	if sp != nil && g.cycle > sp.at {
+		sp.sample(g)
+	}
+	for k := range r.Kernels {
+		kr := &r.Kernels[k]
+		kr.Name = g.descs[k].Name
+		kr.Requests = kr.L1D.Accesses
+		r.LSUStallCycles += kr.L1D.RsFail
+		r.LSUBusyCycles += kr.L1D.Accesses
+		if g.cycle > 0 {
+			kr.IPC = float64(kr.Instrs) / float64(g.cycle)
+		}
+		if sp != nil {
+			kr.Series = &sp.kernels[k]
 		}
 	}
 	for _, part := range g.parts {
@@ -664,12 +672,61 @@ func (g *GPU) Result() *stats.RunResult {
 		r.Mem.DRAMAccesses += part.ch.Served
 	}
 	r.Mem.Flits = g.reqNet.TransferredFlits + g.respNet.TransferredFlits
-	if g.cycle > 0 {
-		for k := range r.Kernels {
-			r.Kernels[k].IPC = float64(r.Kernels[k].Instrs) / float64(g.cycle)
-		}
-	}
 	return r
+}
+
+// sampler is Options.Series. At each multiple of stats.SeriesInterval,
+// before any SM ticks, it files how far each kernel's issued
+// instructions and successful L1D accesses, summed over SMs, have grown
+// since its last sample into the bucket that sample opened.
+type sampler struct {
+	kernels []stats.Series // Issued and L1Acc, Cycles/SeriesInterval+1 buckets fixed at New
+	at      int64          // the cycle of the last sample
+	// issued and accesses are each kernel's counts at cycle at.
+	issued, accesses []uint64
+}
+
+// newSampler returns the sampler of a machine built with opts, or nil
+// when opts.Series is off.
+func newSampler(opts *Options, kernels int) *sampler {
+	if !opts.Series {
+		return nil
+	}
+	n := opts.Cycles/stats.SeriesInterval + 1
+	sp := &sampler{issued: make([]uint64, kernels), accesses: make([]uint64, kernels)}
+	for range kernels {
+		sp.kernels = append(sp.kernels, stats.Series{Issued: make([]uint32, n), L1Acc: make([]uint32, n)})
+	}
+	return sp
+}
+
+// sample files every kernel's growth since the last sample and makes
+// the current cycle the last sample.
+func (sp *sampler) sample(g *GPU) {
+	b := sp.at / stats.SeriesInterval
+	for k := range sp.kernels {
+		var issued, accesses uint64
+		for _, s := range g.SMs {
+			issued += s.K[k].Instrs()
+			accesses += s.L1.Stats[k].Accesses
+		}
+		sp.kernels[k].Issued[b] = uint32(issued - sp.issued[k])
+		sp.kernels[k].L1Acc[b] = uint32(accesses - sp.accesses[k])
+		sp.issued[k], sp.accesses[k] = issued, accesses
+	}
+	sp.at = g.cycle
+}
+
+// clone returns a deep copy of sp (nil for nil).
+func (sp *sampler) clone() *sampler {
+	if sp == nil {
+		return nil
+	}
+	c := &sampler{at: sp.at, issued: slices.Clone(sp.issued), accesses: slices.Clone(sp.accesses)}
+	for _, ser := range sp.kernels {
+		c.kernels = append(c.kernels, stats.Series{Issued: slices.Clone(ser.Issued), L1Acc: slices.Clone(ser.L1Acc)})
+	}
+	return c
 }
 
 // UniformQuota builds a Quota matrix giving every SM the same per-kernel

@@ -1,6 +1,7 @@
 package gpu_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/kern"
 	"repro/internal/sm"
+	"repro/internal/stats"
 )
 
 func tinyCfg() config.Config { return config.Scaled(2) }
@@ -106,10 +108,10 @@ func TestSpatialQuotaSeparatesKernels(t *testing.T) {
 	opts := &gpu.Options{Cycles: 10000, Quota: quota}
 	g.RunCycles(opts)
 	// SM 0 runs kernel 0 only; SM 1 runs kernel 1 only.
-	if g.SMs[0].K[1].Instrs != 0 || g.SMs[1].K[0].Instrs != 0 {
+	if g.SMs[0].K[1].Instrs() != 0 || g.SMs[1].K[0].Instrs() != 0 {
 		t.Fatal("spatial multitasking leaked kernels across SMs")
 	}
-	if g.SMs[0].K[0].Instrs == 0 || g.SMs[1].K[1].Instrs == 0 {
+	if g.SMs[0].K[0].Instrs() == 0 || g.SMs[1].K[1].Instrs() == 0 {
 		t.Fatal("spatial SMs idle")
 	}
 }
@@ -212,27 +214,92 @@ func TestPolicyFactoriesPerSM(t *testing.T) {
 	}
 }
 
+// TestSeriesAggregation: the 1 K-cycle series of a run — per kernel,
+// the instructions issued and the successful L1D accesses of each
+// bucket, summed over SMs — has Cycles/1024+1 buckets, sums to the
+// kernel's Instrs and Requests, and hashes to the series recorded when
+// every SM still counted its own buckets. The 8 192-cycle run ends on a
+// multiple of the interval, so its last bucket is empty; the 16-SM run
+// splits where it may and is snapshotted mid-bucket, restored into a
+// fresh machine and continued.
 func TestSeriesAggregation(t *testing.T) {
-	cfg := tinyCfg()
-	d := getKernel(t, "bp")
-	res, err := gpu.Run(cfg, []*kern.Desc{d}, &gpu.Options{
-		Cycles: 10000,
-		Quota:  gpu.UniformQuota(cfg.NumSMs, []int{4}),
-		Series: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ser := res.Kernels[0].Series
-	if ser == nil {
-		t.Fatal("series missing")
-	}
-	var tot uint64
-	for _, v := range ser.Issued {
-		tot += uint64(v)
-	}
-	if tot != res.Kernels[0].Instrs {
-		t.Fatalf("series sums to %d, instrs %d", tot, res.Kernels[0].Instrs)
+	for _, tc := range []struct {
+		name      string
+		cfg       config.Config
+		kernels   []string
+		cycles    int64
+		restoreAt int64 // 0: one uninterrupted leg
+		golden    string
+	}{
+		{"bp", tinyCfg(), []string{"bp"}, 10000, 0, "2206c1cc658d4d9c25b4b31b73f708c972c22dda86b24ee025e0bfaf899a5bef"},
+		{"sv-cd-8192", tinyCfg(), []string{"sv", "cd"}, 8192, 0, "b5b7965f32c6c78598135e014e1b77126c5a9f0bf99afc5734caa75bbe7d531d"},
+		{"16sm-split-restore", config.Default(), []string{"bp", "sv"}, 5000, 2500, "7cf5f0f953e3bfda184522e399eab2dff24de40f4bd3ec25b46e7b692a48b222"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			atProcs(t, func(t *testing.T, procs int) {
+				r := legRunner{t: t, split: procs > 1 && tc.cfg.NumSMs >= 16}
+				descs := make([]*kern.Desc, len(tc.kernels))
+				for i, n := range tc.kernels {
+					descs[i] = getKernel(t, n)
+				}
+				o := &gpu.Options{Cycles: tc.cycles, Series: true,
+					Quota: gpu.UniformQuota(tc.cfg.NumSMs, core.EvenQuota(&tc.cfg, descs))}
+				g, err := gpu.New(tc.cfg, descs, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				left := tc.cycles
+				if tc.restoreAt > 0 {
+					if err := r.leg(g, o, tc.restoreAt); err != nil {
+						t.Fatal(err)
+					}
+					sn, err := g.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					g.Close()
+					if g, err = gpu.New(tc.cfg, descs, o); err != nil {
+						t.Fatal(err)
+					}
+					if err := g.Restore(sn); err != nil {
+						t.Fatal(err)
+					}
+					left -= tc.restoreAt
+				}
+				if err := r.leg(g, o, left); err != nil {
+					t.Fatal(err)
+				}
+				res := g.Result()
+				g.Close()
+				var all []*stats.Series
+				for k, kr := range res.Kernels {
+					ser := kr.Series
+					if ser == nil || len(ser.Issued) != int(tc.cycles/1024+1) || len(ser.L1Acc) != len(ser.Issued) {
+						t.Fatalf("kernel %d: series %+v, want %d buckets of each", k, ser, tc.cycles/1024+1)
+					}
+					var iss, acc uint64
+					for b := range ser.Issued {
+						iss += uint64(ser.Issued[b])
+						acc += uint64(ser.L1Acc[b])
+					}
+					if iss != kr.Instrs || acc != kr.Requests || acc == 0 {
+						t.Fatalf("kernel %d: series sums to %d issued, %d accesses; counters %d, %d",
+							k, iss, acc, kr.Instrs, kr.Requests)
+					}
+					if last := len(ser.Issued) - 1; tc.cycles%1024 == 0 && (ser.Issued[last] != 0 || ser.L1Acc[last] != 0) {
+						t.Fatalf("kernel %d: bucket %d past the run's end holds %d, %d", k, last, ser.Issued[last], ser.L1Acc[last])
+					}
+					all = append(all, ser)
+				}
+				js, err := json.Marshal(all)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := sha(js); got != tc.golden {
+					t.Errorf("GOMAXPROCS %d: series sha256 %s, golden %s", procs, got, tc.golden)
+				}
+			})
+		})
 	}
 }
 
@@ -278,7 +345,7 @@ func TestResultAggregatesAcrossSMs(t *testing.T) {
 	r := g.Result()
 	var direct uint64
 	for _, s := range g.SMs {
-		direct += s.K[0].Instrs
+		direct += s.K[0].Instrs()
 	}
 	if r.Kernels[0].Instrs != direct {
 		t.Fatalf("aggregate %d != sum over SMs %d", r.Kernels[0].Instrs, direct)

@@ -147,7 +147,9 @@ func (w *watchdog) check(g *GPU) error {
 	var total uint64
 	resident := false
 	for _, s := range g.SMs {
-		total += s.IssuedTotal()
+		for k := range s.K {
+			total += s.K[k].Instrs()
+		}
 		if s.ResidentTBs() {
 			resident = true
 		}

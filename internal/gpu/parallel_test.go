@@ -33,7 +33,10 @@ type parallelWorkload struct {
 	// The result and checkpoint goldens have moved since only where a
 	// deleted field left the result JSON or the snapshot graph (the
 	// shared-memory instruction's counter and busy time, the unread
-	// machine fields); the traces are the recorded ones.
+	// machine fields, the SM's second counts of issued instructions, L1D
+	// accesses and reservation failures with its series buckets, the
+	// machine-wide series sampler's pointer taking their place); the
+	// traces are the recorded ones.
 	goldResult, goldTrace, goldCkpt string
 }
 
@@ -143,7 +146,7 @@ var parallelWorkloads = []parallelWorkload{
 	{name: "2kernelCKE-trace-ckpt", kernels: []string{"bp", "cd"}, cycles: 6000, ckpt: true,
 		goldResult: "8ef593b85ab54467956c550a5ed93fa4d5fa2b88a55b131fb9a6c2d531ad2e41",
 		goldTrace:  "151a244159a6605f16f90561d7fe8eaad49c3300281f96a1dc6445f2a716ee7d",
-		goldCkpt:   "ff247f9d4923a35b1bfff0a8cd98589d034d9a677e762aaa641cf497a4dd6443"},
+		goldCkpt:   "b5e47c2302b66e65ed425fdbd08369be1ce56e487d8ccdf31d4901b15ca2a194"},
 }
 
 func (w *parallelWorkload) check(t *testing.T, label string, got engineRun) {

@@ -42,6 +42,7 @@ type Snapshot struct {
 	cycle int64
 
 	sms      []*sm.Snapshot
+	series   *sampler // nil when Options.Series is off
 	l2s      []*cache.Snapshot
 	drams    []*dram.Snapshot
 	partInQ  [][]*mem.Request
@@ -106,7 +107,7 @@ func (g *GPU) statefulPolicies(fn func(smID, slot int, p any) error) error {
 func (g *GPU) capture() *Snapshot {
 	g.flush()
 	cl := mem.NewCloner()
-	sn := &Snapshot{cycle: g.cycle}
+	sn := &Snapshot{cycle: g.cycle, series: g.series.clone()}
 	for _, s := range g.SMs {
 		sn.sms = append(sn.sms, s.Snapshot(cl))
 	}
@@ -168,12 +169,19 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // and its policies are untouched — install the main leg's policies with
 // InstallPolicies afterwards. sn itself is never mutated, so concurrent
 // restores of one snapshot into different GPUs are safe.
+//
+// The machine takes the snapshot's series, whose buckets the machine it
+// was taken from fixed; both must have been built with Options.Series
+// or both without.
 func (g *GPU) Restore(sn *Snapshot) error {
 	if len(sn.sms) != len(g.SMs) {
 		return fmt.Errorf("gpu: restore: snapshot has %d SMs, machine has %d", len(sn.sms), len(g.SMs))
 	}
 	if len(sn.l2s) != len(g.parts) {
 		return fmt.Errorf("gpu: restore: snapshot has %d partitions, machine has %d", len(sn.l2s), len(g.parts))
+	}
+	if (sn.series == nil) != (g.series == nil) {
+		return fmt.Errorf("gpu: restore: snapshot series %t, machine series %t", sn.series != nil, g.series != nil)
 	}
 	cl := mem.NewCloner()
 	for i, s := range g.SMs {
@@ -200,6 +208,7 @@ func (g *GPU) Restore(sn *Snapshot) error {
 		return err
 	}
 	g.cycle = sn.cycle
+	g.series = sn.series.clone()
 	return nil
 }
 

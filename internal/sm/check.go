@@ -115,13 +115,3 @@ func (s *SM) ResidentTBs() bool {
 	}
 	return false
 }
-
-// IssuedTotal returns the SM's total issued instruction count across
-// kernels (the forward-progress watchdog's monotone counter).
-func (s *SM) IssuedTotal() uint64 {
-	var total uint64
-	for k := range s.K {
-		total += s.K[k].Instrs
-	}
-	return total
-}

@@ -191,8 +191,7 @@ func runScenario(t testing.TB, sc *scenario, reference bool) (string, string, in
 			s.Drain()
 		}
 	}
-	digest := fmt.Sprintf("%+v stall=%d busy=%d alu=%d sfu=%d l1=%+v events=%d",
-		s.K, s.LSUStall, s.LSUBusy, s.ALUIssued, s.SFUIssued, s.L1.Stats, s.Trace.Total())
+	digest := fmt.Sprintf("%+v l1=%+v events=%d", s.K, s.L1.Stats, s.Trace.Total())
 	return trace.Render(s.Trace.Snapshot()), digest, widest
 }
 

@@ -30,8 +30,7 @@ func mixKernel() kern.Desc {
 
 // schedState renders everything the issue stages decide or depend on.
 func schedState(s *SM) string {
-	out := fmt.Sprintf("%+v alu=%d sfu=%d stall=%d busy=%d inflight=%v\n",
-		s.K, s.ALUIssued, s.SFUIssued, s.LSUStall, s.LSUBusy, s.inflight)
+	out := fmt.Sprintf("%+v l1=%+v inflight=%v\n", s.K, s.L1.Stats, s.inflight)
 	for si := range s.scheds {
 		out += fmt.Sprintf("  sched %d: %+v\n", si, s.scheds[si])
 	}

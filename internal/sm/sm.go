@@ -175,16 +175,9 @@ type SM struct {
 	// oldest candidate issues (resolved in SetPolicies).
 	oldestFirst bool
 
-	// Statistics.
-	K         []stats.KernelCounters
-	LSUStall  uint64
-	LSUBusy   uint64
-	ALUIssued uint64
-	SFUIssued uint64
-
-	seriesOn     bool
-	seriesIssued [][]uint32
-	seriesL1Acc  [][]uint32
+	// K counts the instructions each kernel issued, by kind; its L1D
+	// accesses and reservation failures are L1.Stats.
+	K []stats.KernelCounters
 
 	// warm[k] is kernel k's cursor through its warm region on this SM,
 	// which SM ID starts ID/NumSMs of the way in.
@@ -215,8 +208,8 @@ func New(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
 // Init makes s the SM New returns, in the memory s already holds where
 // that is large enough (see gpu.New): the L1, the warp arrays, the TB
 // slots' and schedulers' warp lists, the issue index, the LSU register
-// and the completion queue. Everything else — Pool, Trace and series
-// included, which the owner attaches afterwards — is zero again.
+// and the completion queue. Everything else — Pool and Trace included,
+// which the owner attaches afterwards — is zero again.
 func (s *SM) Init(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
 	memPolicy MemIssuePolicy, limiter Limiter, gate IssueGate, seed uint64) {
 
@@ -271,27 +264,6 @@ func (s *SM) Init(id int, cfg *config.Config, descs []*kern.Desc, quota []int,
 		w := d.EffectiveWarmLines(cfg.L2.SizeBytes / cfg.L2.LineBytes * cfg.NumMemParts)
 		s.warm[k] = kern.Warm{Lines: w, Pos: uint64(id) * w / uint64(cfg.NumSMs)}
 	}
-}
-
-// EnableSeries turns on 1 K-cycle time-series collection for a run of
-// the given length.
-func (s *SM) EnableSeries(cycles int64) {
-	s.seriesOn = true
-	buckets := int(cycles/stats.SeriesInterval) + 1
-	s.seriesIssued = make([][]uint32, len(s.descs))
-	s.seriesL1Acc = make([][]uint32, len(s.descs))
-	for k := range s.descs {
-		s.seriesIssued[k] = make([]uint32, buckets)
-		s.seriesL1Acc[k] = make([]uint32, buckets)
-	}
-}
-
-// Series returns the collected per-kernel series (nil when disabled).
-func (s *SM) Series(k int) ([]uint32, []uint32) {
-	if !s.seriesOn {
-		return nil, nil
-	}
-	return s.seriesIssued[k], s.seriesL1Acc[k]
 }
 
 // SetQuota replaces the per-kernel TB quota; resident TBs drain
@@ -627,11 +599,7 @@ func (s *SM) issueMemCandidate(cycle int64) int {
 	if s.Trace != nil {
 		s.Trace.Add(trace.Event{Cycle: cycle, Kind: trace.IssueMem, SM: int8(s.ID), Kernel: int8(k), Warp: int16(slotW), Arg: uint64(nreq)})
 	}
-	s.K[k].Instrs++
 	s.K[k].MemInstrs++
-	if s.seriesOn {
-		s.seriesIssued[k][cycle/stats.SeriesInterval]++
-	}
 	sched := int(w.SchedID)
 	s.scheds[sched].issuedAt = cycle
 	s.scheds[sched].lastIssued = slotW
@@ -739,21 +707,15 @@ func (s *SM) issueComputeWarp(sc *scheduler, picked int, cycle int64, aluLeft, s
 	switch w.NextKind {
 	case kern.ALU:
 		*aluLeft--
-		s.ALUIssued++
 		s.K[k].ALUInstrs++
 		w.ReadyAt = cycle + int64(s.cfg.SM.ALULat)
 	case kern.SFU:
 		*sfuLeft--
-		s.SFUIssued++
 		s.K[k].SFUInstrs++
 		w.ReadyAt = cycle + int64(s.cfg.SM.SFULat)
 	}
 	if w.ReadyAt > cycle {
 		s.sleep(picked)
-	}
-	s.K[k].Instrs++
-	if s.seriesOn {
-		s.seriesIssued[k][cycle/stats.SeriesInterval]++
 	}
 	s.gate.OnIssue(k)
 	if s.Trace != nil {
@@ -773,8 +735,6 @@ func (s *SM) lsuTick(cycle int64) {
 	res := s.L1.Access(req)
 	if res.Failed() {
 		k := req.Kernel
-		s.LSUStall++
-		s.K[k].StallRsf++
 		s.limiter.OnRsFail(k)
 		if s.Trace != nil {
 			s.Trace.Add(trace.Event{Cycle: cycle, Kind: trace.RsFail, SM: int8(s.ID), Kernel: int8(k), Warp: int16(req.Warp), Arg: uint64(res)})
@@ -783,12 +743,7 @@ func (s *SM) lsuTick(cycle int64) {
 	}
 	s.lsuIdx++
 	k := req.Kernel
-	s.LSUBusy++
-	s.K[k].Requests++
 	s.limiter.OnRequest(k)
-	if s.seriesOn {
-		s.seriesL1Acc[k][cycle/stats.SeriesInterval]++
-	}
 	if s.Trace != nil {
 		var arg uint64
 		switch res {

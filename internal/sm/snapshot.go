@@ -1,6 +1,6 @@
 // Snapshot/restore for one SM: warps, TB slots, schedulers, occupancy
 // accounting, the warm cursors, the LSU pipeline register, the
-// completion queue, series and statistics — plus the embedded L1 —
+// completion queue and statistics — plus the embedded L1 —
 // deep-copied through the machine-wide mem.Cloner. Requests and tokens
 // are cloned (never pool-drawn), so releasing/poisoning the originals
 // after a snapshot cannot corrupt it.
@@ -57,15 +57,7 @@ type Snapshot struct {
 
 	inflight []int
 
-	counters  []stats.KernelCounters
-	lsuStall  uint64
-	lsuBusy   uint64
-	aluIssued uint64
-	sfuIssued uint64
-
-	seriesOn     bool
-	seriesIssued [][]uint32
-	seriesL1Acc  [][]uint32
+	counters []stats.KernelCounters
 
 	rng xrand.Source
 
@@ -92,11 +84,6 @@ func (s *SM) Snapshot(cl *mem.Cloner) *Snapshot {
 		now:         s.now,
 		inflight:    append([]int(nil), s.inflight...),
 		counters:    append([]stats.KernelCounters(nil), s.K...),
-		lsuStall:    s.LSUStall,
-		lsuBusy:     s.LSUBusy,
-		aluIssued:   s.ALUIssued,
-		sfuIssued:   s.SFUIssued,
-		seriesOn:    s.seriesOn,
 		rng:         s.rng,
 		l1:          s.L1.Snapshot(cl),
 	}
@@ -116,12 +103,6 @@ func (s *SM) Snapshot(cl *mem.Cloner) *Snapshot {
 	sn.compQ = s.compQ.Snapshot(func(e compEntry) compEntry {
 		return compEntry{token: cl.Token(e.token), at: e.at}
 	})
-	if s.seriesOn {
-		for k := range s.seriesIssued {
-			sn.seriesIssued = append(sn.seriesIssued, append([]uint32(nil), s.seriesIssued[k]...))
-			sn.seriesL1Acc = append(sn.seriesL1Acc, append([]uint32(nil), s.seriesL1Acc[k]...))
-		}
-	}
 	return sn
 }
 
@@ -173,23 +154,6 @@ func (s *SM) Restore(sn *Snapshot, cl *mem.Cloner) error {
 	s.now = sn.now
 	copy(s.inflight, sn.inflight)
 	copy(s.K, sn.counters)
-	s.LSUStall = sn.lsuStall
-	s.LSUBusy = sn.lsuBusy
-	s.ALUIssued = sn.aluIssued
-	s.SFUIssued = sn.sfuIssued
-	if sn.seriesOn {
-		if !s.seriesOn || len(s.seriesIssued) != len(sn.seriesIssued) {
-			return fmt.Errorf("sm %d: restore: series shape mismatch", s.ID)
-		}
-		for k := range sn.seriesIssued {
-			if len(s.seriesIssued[k]) < len(sn.seriesIssued[k]) {
-				return fmt.Errorf("sm %d: restore: series kernel %d has %d buckets, snapshot has %d",
-					s.ID, k, len(s.seriesIssued[k]), len(sn.seriesIssued[k]))
-			}
-			copy(s.seriesIssued[k], sn.seriesIssued[k])
-			copy(s.seriesL1Acc[k], sn.seriesL1Acc[k])
-		}
-	}
 	s.rng = sn.rng
 	s.rebuildIndex()
 	return nil

@@ -1,8 +1,14 @@
 // Package stats collects simulation counters and computes the paper's
 // evaluation metrics: per-kernel IPC, Weighted Speedup, ANTT (average
 // normalized turnaround time), Fairness, LSU-stall percentage, compute
-// utilization and L1D miss/reservation-failure rates. It also records
-// the 1 K-cycle time series behind Figures 6 and 8.
+// utilization and L1D miss/reservation-failure rates. It also holds the
+// 1 K-cycle time series behind Figures 6 and 8.
+//
+// Each simulated event increments one counter: an issued instruction its
+// kind's KernelCounters field, a successful L1D access or a reservation
+// failure the L1's cache.KernelStats. Every other count — a kernel's
+// Instrs and Requests, the machine's LSU-stall, LSU-busy and ALU/SFU
+// issue totals, the series — is derived from those.
 package stats
 
 import (
@@ -12,22 +18,28 @@ import (
 	"repro/internal/cache"
 )
 
-// KernelCounters aggregates activity of one kernel slot across all SMs.
+// KernelCounters is one SM's counts for one kernel slot: instructions
+// issued, one counter per kind, and thread blocks completed. The
+// kernel's L1D accesses and reservation failures are its
+// cache.KernelStats.
 type KernelCounters struct {
-	Instrs    uint64 // all warp instructions issued
 	ALUInstrs uint64
 	SFUInstrs uint64
 	MemInstrs uint64
-	Requests  uint64 // coalesced requests issued to the L1D (successful accesses)
-	StallRsf  uint64 // LSU stall cycles attributed to this kernel's failing access
 	TBsDone   uint64
 }
+
+// Instrs returns the warp instructions issued, of every kind.
+func (c *KernelCounters) Instrs() uint64 { return c.ALUInstrs + c.SFUInstrs + c.MemInstrs }
 
 // SeriesInterval is the bucket width for time series, per the paper's
 // 1 K-cycle sampling.
 const SeriesInterval = 1024
 
 // Series is one per-kernel time series (one value per 1 K-cycle bucket).
+// Issued and L1Acc are the differences of the kernel's counters, summed
+// over SMs, between consecutive multiples of SeriesInterval; the bucket
+// the run ends in holds what it counted since the last multiple.
 type Series struct {
 	Issued []uint32 // warp instructions issued per bucket
 	L1Acc  []uint32 // successful L1D accesses per bucket
@@ -58,7 +70,9 @@ type RunResult struct {
 	NumSMs  int
 	Kernels []KernelResult
 
-	// SM-level aggregates (summed over SMs).
+	// SM-level aggregates (summed over SMs). The LSU stalls on each
+	// reservation failure and is busy for each successful L1D access, so
+	// the two are sums of the L1s' RsFail and Accesses.
 	LSUStallCycles uint64 // cycles with the LSU head blocked by a reservation failure
 	LSUBusyCycles  uint64 // cycles the LSU serviced a request
 	ALUIssued      uint64

@@ -113,6 +113,33 @@ func awaitProfileWaiters(n int) {
 	}
 }
 
+// awaitParkedInProfile returns once goroutine id is parked in
+// Session.profile on an entry another goroutine leads: blocked on a
+// channel receive, with profile the first frame outside the runtime.
+// Unlike profileWaiters, it cannot mistake a goroutine preempted on its
+// way through profile for one parked there.
+func awaitParkedInProfile(id string) {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+			lines := strings.Split(g, "\n")
+			if !strings.HasPrefix(lines[0], "goroutine "+id+" [chan receive") {
+				continue
+			}
+			for _, l := range lines[1:] {
+				if !strings.HasPrefix(l, "\t") && !strings.HasPrefix(l, "runtime.") {
+					if strings.Contains(l, ".(*Session).profile(") {
+						return
+					}
+					break
+				}
+			}
+		}
+		time.Sleep(200 * time.Microsecond)
+	}
+}
+
 // profileLog records, through onProfile, which goroutine simulated which
 // profile point.
 type profileLog struct {
@@ -514,16 +541,18 @@ func TestLoneJobHelperPanicBecomesError(t *testing.T) {
 		tbs    int
 	}
 	doomed := make(chan point, 1)
+	waiterID := make(chan string, 1)
 	var once sync.Once
 	s.onProfile = func(ctx context.Context, kernel string, tbs int) {
 		if goid() == self {
 			return
 		}
-		// The first point a helper takes: wait until another caller is
-		// parked on it, then panic.
+		// The first point a helper takes: wait until the waiter is
+		// parked on it, then panic. A waiter that came after the panic
+		// would find no entry and lead the point itself.
 		once.Do(func() {
 			doomed <- point{kernel, tbs}
-			awaitProfileWaiters(1)
+			awaitParkedInProfile(<-waiterID)
 			panic("injected on a helper")
 		})
 	}
@@ -531,6 +560,7 @@ func TestLoneJobHelperPanicBecomesError(t *testing.T) {
 	waiter := make(chan error, 1)
 	go func() {
 		p := <-doomed
+		waiterID <- goid()
 		k, _ := Benchmark(p.kernel)
 		_, err := s.fetch(context.Background(), []profileKey{{k, p.tbs}})
 		waiter <- err
